@@ -11,6 +11,7 @@ maps are mutually inverse on the whole lattice and that degrees match orders.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, NotNormal, SearchExhausted
@@ -64,26 +65,15 @@ def _field_dims(sf):
     return field, field.absolute_degree()
 
 
-def _canonical_basis(base, rows):
-    return row_space_basis(base, rows)
-
-
-def _find_primitive(field, basis, dim):
-    """First element of the subspace whose minimal polynomial has degree =
-    dim; searched over small integer combinations of the basis."""
-    base = field.base
-    if dim == 1:
-        one = field.one()
-        return one, field.min_poly_over_base(one)
-    import itertools
-
-    candidates = []
-    for v in basis:
-        candidates.append(v)
+def _candidates(base, basis):
+    """Small integer combinations of the basis rows, lazily and in search
+    order: the rows, then pairwise sums and differences, then every
+    coefficient vector in {0, 1, 2}^dim (3^dim of them, never listed)."""
+    yield from basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            candidates.append([a + b for a, b in zip(basis[i], basis[j])])
-            candidates.append([a - b for a, b in zip(basis[i], basis[j])])
+            yield [a + b for a, b in zip(basis[i], basis[j])]
+            yield [a - b for a, b in zip(basis[i], basis[j])]
     for coeffs in itertools.product(range(3), repeat=len(basis)):
         if not any(coeffs):
             continue
@@ -92,35 +82,53 @@ def _find_primitive(field, basis, dim):
             if c:
                 cc = base.from_int(c)
                 vec = [a + cc * b for a, b in zip(vec, row)]
-        candidates.append(vec)
+        yield vec
+
+
+def _find_primitive(field, basis, outside=None):
+    """First of `_candidates` to generate the subspace, certified by its
+    minimal polynomial of degree dim.  A `min_poly_over_base` costs up to n
+    tower products and n solves, so when `outside` (the matrices of every
+    automorphism not fixing the subspace) is given, a candidate fixed by one
+    of them is rejected first at O(|outside| n^2) base-field operations."""
+    base = field.base
     seen = set()
-    for vec in candidates:
+    for vec in _candidates(base, basis):
         key = tuple(base.sort_key(c) for c in vec)
         if key in seen:
             continue
         seen.add(key)
+        if outside and any(mat_mul_vec(m, vec, base.zero()) == vec for m in outside):
+            continue
         elem = field.unflatten(list(vec))
         mp = field.min_poly_over_base(elem)
-        if mp.degree == dim:
+        if mp.degree == len(basis):
             return elem, mp
+        if outside is not None:
+            raise InternalInvariant(
+                f"filter passed a degree-{mp.degree} element of a degree-{len(basis)} subfield")
     raise SearchExhausted("no primitive element found for subfield")
 
 
-def _make_subfield(sf, rows) -> Subfield:
+def _make_subfield(sf, rows, outside=None) -> Subfield:
     field, n = _field_dims(sf)
     if field is None:
         base = sf.field
         one = base.one()
         return Subfield(sf, [[one]], one, Poly(base, [-one, one]))
-    base = field.base
-    basis = _canonical_basis(base, rows)
-    elem, mp = _find_primitive(field, basis, len(basis))
+    basis = row_space_basis(field.base, rows)
+    elem, mp = _find_primitive(field, basis, outside)
     return Subfield(sf, basis, elem, mp)
 
 
 def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
     """Fix(H): the subspace killed by (matrix(h) - I) for every h in H,
-    with dimension exactly degree/|H|."""
+    with dimension exactly degree/|H|.
+
+    An x in Fix(H) has minimal polynomial of degree [G : Stab(x)], so it
+    generates Fix(H) exactly when no automorphism outside H fixes it; the
+    primitive search rejects candidates on that test, at O(|G| n^2) each,
+    and certifies only the element it accepts."""
     field, n = _field_dims(G.sf)
     if field is None:
         return _make_subfield(G.sf, [])
@@ -138,7 +146,8 @@ def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
         vecs = [[base.one() if i == j else base.zero() for j in range(n)] for i in range(n)]
     else:
         vecs = nullspace(base, stacked, ncols=n)
-    sub = _make_subfield(G.sf, vecs)
+    outside = [G.matrix_of(i) for i in range(G.order) if i not in H.member_indices]
+    sub = _make_subfield(G.sf, vecs, outside)
     if sub.dim * H.order != n:
         raise InternalInvariant(
             f"fixed field dimension {sub.dim} times |H| = {H.order} != degree {n}"
@@ -153,7 +162,7 @@ def subfield_generated_by(sf, elems) -> Subfield:
         return _make_subfield(sf, [])
     base = field.base
     span_elems = [field.one()] + [field.coerce(e) for e in elems]
-    rows = _canonical_basis(base, [field.flatten(x) for x in span_elems])
+    rows = row_space_basis(base, [field.flatten(x) for x in span_elems])
     elems = [field.coerce(e) for e in elems]
     while True:
         current = [field.unflatten(list(v)) for v in rows]
@@ -161,7 +170,7 @@ def subfield_generated_by(sf, elems) -> Subfield:
         for v in current:
             for e in elems:
                 new_rows.append(field.flatten(v * e))
-        reduced = _canonical_basis(base, new_rows)
+        reduced = row_space_basis(base, new_rows)
         if len(reduced) == len(rows):
             rows = reduced
             break

@@ -145,9 +145,6 @@ class GaloisGroup:
     def table(self):
         return self.group.table
 
-    def identity_index(self) -> int:
-        return 0
-
     def apply(self, phi: Automorphism, x):
         return apply_automorphism(self.sf.field, phi, x)
 

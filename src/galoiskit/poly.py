@@ -229,12 +229,13 @@ class Poly:
         dg = len(other.coeffs) - 1
         if len(r) - 1 < dg:
             return Poly.zero(dom), self
-        inv_lc = dom.one() / other.lc()
+        # a monic divisor (every tower reduction) needs no inverse of lc
+        inv_lc = None if other.lc() == dom.one() else dom.one() / other.lc()
         q = [dom.zero()] * (len(r) - dg)
         for i in range(len(r) - 1, dg - 1, -1):
             if not r[i]:
                 continue
-            c = r[i] * inv_lc
+            c = r[i] if inv_lc is None else r[i] * inv_lc
             q[i - dg] = c
             for j, g in enumerate(other.coeffs):
                 r[i - dg + j] = r[i - dg + j] - c * g

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit.errors import NotNormal
+from galoiskit.errors import InternalInvariant, NotNormal
 from galoiskit.numbers import QQ
 from galoiskit.poly import Poly, render
 from galoiskit.splitting import splitting_field_q
@@ -17,6 +17,7 @@ from galoiskit.galois import (
     subgroups,
 )
 from galoiskit.correspondence import (
+    _find_primitive,
     fixed_field,
     gal_over,
     is_normal_intermediate,
@@ -277,3 +278,56 @@ def test_subfield_generated_closure(cbrt2_setup):
     for a in vecs:
         for b in vecs:
             assert L.contains(a * b)
+
+
+def test_t6_minus_2_dihedral_d6_correspondence():
+    # Gal(t^6 - 2) = D6 of order 12: D_n has tau(n) + sigma(n) = 4 + 12
+    # subgroups and, n even, tau(n) + 3 = 7 normal ones
+    sf = splitting_field_q(q([-2, 0, 0, 0, 0, 0, 1]))
+    report = verify_correspondence(sf)
+    assert report["degree"] == 12 and report["group_order"] == 12
+    assert report["pair_count"] == 16
+    assert sum(p["normal"] for p in report["pairs"]) == 7
+    assert report["mutually_inverse"]
+
+
+@pytest.mark.slow
+def test_t5_minus_2_frobenius_f20_correspondence():
+    # Gal(t^5 - 2) = F20 = C5 : C4: 1, five C2, five C4, C5, D5, F20 make 14
+    # subgroups; 1, C5, D5 and F20 are the normal ones
+    sf = splitting_field_q(q([-2, 0, 0, 0, 0, 1]))
+    report = verify_correspondence(sf)
+    assert report["degree"] == 20 and report["group_order"] == 20
+    assert report["pair_count"] == 14
+    assert sum(p["normal"] for p in report["pairs"]) == 4
+    assert report["mutually_inverse"]
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 0, 0, 1],  # t^4 - 2, D4
+    [-30, 0, 31, 0, -10, 0, 1],  # (t^2 - 2)(t^2 - 3)(t^2 - 5), C2^3
+])
+def test_fixed_field_primitive_is_fixed_by_exactly_h(coeffs):
+    # the primitive search relies on Stab(x) = H for a generator x of
+    # Fix(H); check it with the automorphisms themselves, not their matrices
+    sf = splitting_field_q(q(coeffs))
+    G = automorphisms(sf)
+    for H in subgroups(G):
+        L = fixed_field(H, G)
+        x = L.primitive
+        stab = tuple(i for i in range(G.order) if G.apply(G.elements[i], x) == x)
+        assert stab == H.member_indices
+        assert L.min_poly_of_primitive.degree == G.order // H.order
+
+
+def test_primitive_filter_that_accepts_a_non_generator_raises(t4_setup):
+    # an empty list of moving automorphisms lets the first candidate, 1,
+    # through the filter; its degree-1 minimal polynomial must not pass
+    # silently as a generator of the degree-8 field
+    sf, G, subs = t4_setup
+    field = sf.field
+    basis = [[field.base.one() if i == j else field.base.zero() for j in range(8)] for i in range(8)]
+    with pytest.raises(InternalInvariant):
+        _find_primitive(field, basis, outside=[])
+    elem, mp = _find_primitive(field, basis)
+    assert mp.degree == 8

@@ -22,6 +22,7 @@ from galoiskit.poly import (
     squarefree_part,
     sylvester_resultant,
 )
+from galoiskit.tower import adjoin_root
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -83,6 +84,45 @@ def test_divmod_roundtrip_random():
             quo, rem = divmod(f, g)
             assert quo * g + rem == f
             assert rem.degree < g.degree
+
+
+def _sqrt2_sqrt3_tower():
+    T1, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    T2, b = adjoin_root(T1, Poly(T1, [-3, 0, 1]), "b")
+    return T2, [T2.one(), T2.coerce(a), b, T2.coerce(a) * b]
+
+
+def _rand_elem(rng, dom, basis):
+    if basis is None:
+        return dom.from_int(rng.randint(-6, 6))
+    acc = dom.zero()
+    for e in basis:
+        acc = acc + e * dom.from_int(rng.randint(-3, 3))
+    return acc
+
+
+def test_divmod_non_monic_and_monic_divisors():
+    # over QQ, F_7 and the degree-4 tower Q(sqrt2, sqrt3): q*g + r == f with
+    # deg r < deg g for a non-monic divisor g, and the monic divisor g/lc(g)
+    # gives the quotient lc(g)*q and the same remainder
+    rng = random.Random(4)
+    T4, basis4 = _sqrt2_sqrt3_tower()
+    for dom, basis in ((QQ, None), (F7, None), (T4, basis4)):
+        checked = 0
+        while checked < 12:
+            f = Poly(dom, [_rand_elem(rng, dom, basis) for _ in range(rng.randint(0, 7))])
+            g = Poly(dom, [_rand_elem(rng, dom, basis) for _ in range(rng.randint(1, 4))])
+            if g.is_zero() or g.lc() == dom.one():
+                continue
+            quo, rem = divmod(f, g)
+            assert quo * g + rem == f
+            assert rem.degree < g.degree
+            lc = g.lc()
+            monic_quo, monic_rem = divmod(f, g.monic())
+            assert g.monic().lc() == dom.one()
+            assert monic_quo == quo.scale(lc)
+            assert monic_rem == rem
+            checked += 1
 
 
 def test_divmod_by_zero():
