@@ -3,9 +3,9 @@
 Three coefficient worlds are covered:
 
 * finite fields (F_p and its finite extensions): squarefree split, then
-  distinct-degree splitting via gcd(f, t^(q^k) - t), then equal-degree
-  splitting by a deterministic sweep (exhaustive trial division is kept as
-  the small-case oracle);
+  distinct-degree splitting via gcd(f, t^(q^k) - t), then deterministic
+  equal-degree splitting (trace witnesses b*t^j in characteristic 2, a lazy
+  sweep of (u)^((q^d-1)/2) in odd characteristic);
 * the rationals: Zassenhaus — primitive + squarefree reduction, factor mod a
   good small prime, Hensel lift past the Landau-Mignotte bound, recombine by
   subset search;
@@ -46,7 +46,6 @@ FACTOR_DEGREE_CAP = 12
 NORM_DEGREE_CAP = 64
 EISENSTEIN_SHIFT_BOUND = 5
 MOD_P_SCAN_BOUND = 31
-EDF_EXHAUSTIVE_BUDGET = 1 << 16
 
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
@@ -129,15 +128,6 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
     return result
 
 
-def _monic_polys(dom, degree):
-    """All monic polynomials of the given degree, in canonical order."""
-    elems = dom.elements()
-    one = dom.one()
-    # canonical order sorts on coefficient tuples high power -> low
-    for high_to_low in itertools.product(elems, repeat=degree):
-        yield Poly(dom, list(reversed(high_to_low)) + [one], normalize=False)
-
-
 def roots_fp(f: Poly):
     """All roots in the coefficient field itself, by exhaustive evaluation."""
     if f.is_zero():
@@ -168,56 +158,39 @@ def _ddf(f: Poly):
     return out
 
 
-def _edf_exhaustive(f: Poly, d: int):
-    """Equal-degree split by trial division over all monic degree-d polys."""
-    dom = f.dom
-    if field_order(dom) ** d > EDF_EXHAUSTIVE_BUDGET:
-        raise Budget(f"exhaustive EDF over {field_order(dom)}^{d} candidates")
-    out = []
-    for cand in _monic_polys(dom, d):
-        if f.degree < d:
-            break
-        q, r = divmod(f, cand)
-        if r.is_zero():
-            out.append(cand)
-            f = q
-            while True:
-                q, r = divmod(f, cand)
-                if not r.is_zero():
-                    break
-                f = q
-    if f.degree > 0:
-        raise InternalInvariant("exhaustive EDF left a nonconstant remainder")
-    return out
+def _trace_witnesses(dom, d):
+    """b * t^j for b in the power-product basis over F_2 and 1 <= j <= 2d - 1.
+    Two distinct degree-d factors g1, g2 are told apart by some u of degree
+    < 2d (CRT onto F_(q^d) x F_(q^d), on which Tr(x) + Tr(y) is a nonzero
+    F_2-linear form); the form vanishes on constants, so these n(2d - 1)
+    witnesses suffice."""
+    if isinstance(dom, PrimeField):
+        basis = [dom.one()]
+    else:
+        n, zero, one = dom.absolute_degree(), dom.base.zero(), dom.base.one()
+        basis = [dom.unflatten([one if i == k else zero for i in range(n)]) for k in range(n)]
+    for j in range(1, 2 * d):
+        for b in basis:
+            yield Poly(dom, [dom.zero()] * j + [b], normalize=False)
 
 
-def _edf_split_candidates(dom, bound):
-    """Deterministic sweep of split witnesses: all nonconstant polynomials,
-    canonical order, increasing degree (non-monic ones are needed: over
-    F_(2^m) only a scaling of t may separate roots of equal trace)."""
-    elems = dom.elements()
-    nonzero = [e for e in elems if e]
+def _sweep_witnesses(dom, bound):
+    """Every nonconstant polynomial of degree <= bound, canonical order,
+    increasing degree; elements are built on demand from their coordinates,
+    so the field is never listed."""
+    if isinstance(dom, PrimeField):
+        n, elems = 1, dom.elements()
+        element = lambda vec: vec[0]
+    else:
+        n, elems = dom.absolute_degree(), dom.base.elements()
+        element = lambda vec: dom.unflatten(list(vec))
     for deg in range(1, bound + 1):
-        for lead in nonzero:
-            for low in itertools.product(elems, repeat=deg):
-                yield Poly(dom, list(low) + [lead], normalize=False)
-
-
-def _edf_linear(f: Poly):
-    """Split a product of distinct linear factors by scanning for roots."""
-    dom = f.dom
-    t = Poly.t(dom)
-    out = []
-    remaining = f.degree
-    for a in dom.elements():
-        if remaining == 0:
-            break
-        if not f.eval(a):
-            out.append(t - Poly.constant(dom, a))
-            remaining -= 1
-    if remaining:
-        raise InternalInvariant("missing roots in split of linear factors")
-    return out
+        for lead in itertools.product(elems, repeat=n):
+            if not any(lead):
+                continue
+            for low in itertools.product(elems, repeat=deg * n):
+                coeffs = [element(low[i * n : (i + 1) * n]) for i in range(deg)]
+                yield Poly(dom, coeffs + [element(lead)], normalize=False)
 
 
 def _edf(f: Poly, d: int):
@@ -228,11 +201,12 @@ def _edf(f: Poly, d: int):
     dom = f.dom
     q = field_order(dom)
     p = dom.characteristic
-    if d == 1 and q <= EDF_EXHAUSTIVE_BUDGET:
-        return _edf_linear(f)
+    if p == 2:
+        witnesses = _trace_witnesses(dom, d)
+    else:
+        witnesses = _sweep_witnesses(dom, max(1, f.degree - 1))
     pieces = [f]
     done = []
-    witnesses = _edf_split_candidates(dom, max(1, f.degree - 1))
     while pieces:
         try:
             u = next(witnesses)
@@ -240,9 +214,6 @@ def _edf(f: Poly, d: int):
             raise InternalInvariant("equal-degree witness sweep exhausted")
         next_pieces = []
         for g in pieces:
-            if g.degree == d:
-                done.append(g)
-                continue
             if p == 2:
                 # trace map over F_2: u + u^2 + ... + u^(2^(dm-1)) mod g
                 m = q.bit_length() - 1  # q = 2^m

@@ -9,8 +9,10 @@ enumeration in `galoiskit.galois` relies on.
 Before paying for a factorization over the extension, a cheap evaluation
 pre-pass hunts for roots among products, ratios and powers of roots already
 found (computed around the depressed-form center, so shifted binomials like
-(t - c)^n + a are caught).  Any hit is certified by evaluation, so this is
-purely a shortcut; the factor-and-adjoin loop is unchanged.
+(t - c)^n + a are caught).  In characteristic p the conjugates alpha^q,
+alpha^(q^2), ... of each adjoined root alpha (q the order of the coefficient
+field) are divided out the same way.  Any hit is certified by evaluation, so
+this is purely a shortcut; the factor-and-adjoin loop is unchanged.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from .errors import DegreeCap, ZeroPolynomial
 from .numbers import QQ, PrimeField
 from .poly import Poly
-from .factor import factor_ff, factor_over_extension, factor_q
+from .factor import factor_ff, factor_over_extension, factor_q, field_order
 from .tower import Tower, adjoin_root, tower_degree
 
 SPLITTING_DEGREE_CAP = 24
@@ -54,8 +56,6 @@ class SplittingField:
         }
 
     def _root_str(self, r):
-        if isinstance(self.field, Tower):
-            return self.field.element_str(r)
         return self.field.element_str(r)
 
 
@@ -103,6 +103,8 @@ def _split_squarefree(sq: Poly, base, cap: int, labels=_LABELS):
     rem = sq.monic()
     roots = []
     level = 0
+    # x -> x^order fixes sq's coefficients (order 0 over Q), so permutes roots
+    order = field_order(base) if base.characteristic else 0
 
     # depressed-form center: pre-pass combinations are formed around it
     if base == QQ and sq.degree >= 1:
@@ -179,6 +181,16 @@ def _split_squarefree(sq: Poly, base, cap: int, labels=_LABELS):
         roots.append(alpha)
         center = current.coerce(center)
 
+        # Frobenius pre-pass: alpha's conjugates are roots of sq, and none of
+        # them lies in the previous field; each hit is certified by evaluation
+        if order:
+            c = alpha**order
+            while c != alpha:
+                if not rem.eval(c):
+                    rem = rem.exact_div(t - Poly.constant(current, c))
+                    roots.append(c)
+                c = c**order
+
     return current, roots
 
 
@@ -231,14 +243,9 @@ def verify_splits(sf: SplittingField) -> bool:
     """Re-multiply the linear factors exactly and check minimality (every
     tower generator is one of the roots)."""
     field = sf.field
-    if isinstance(field, Tower):
-        target = sf.source.map_domain(field, field.coerce)
-        t = Poly.t(field)
-        prod = Poly.constant(field, field.coerce(sf.unit))
-    else:
-        target = sf.source
-        t = Poly.t(field)
-        prod = Poly.constant(field, field.coerce(sf.unit))
+    target = sf.source.map_domain(field, field.coerce) if isinstance(field, Tower) else sf.source
+    t = Poly.t(field)
+    prod = Poly.constant(field, field.coerce(sf.unit))
     for r, m in zip(sf.roots, sf.multiplicities):
         prod = prod * (t - Poly.constant(field, r)) ** m
     if prod != target:

@@ -220,10 +220,7 @@ class Tower:
 
     def _embed_constant(self, x):
         z = self.lower.zero()
-        if isinstance(self.lower, Tower):
-            c = self.lower.coerce(x)
-        else:
-            c = self.lower.coerce(x)
+        c = self.lower.coerce(x)
         return TowerElem(self, [c] + [z] * (self.level_degree - 1))
 
     def _from_poly(self, poly: Poly) -> TowerElem:

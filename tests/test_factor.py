@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from galoiskit.factor import (
     check_eisenstein,
     cyclotomic_p,
     eisenstein,
+    factor_ff,
     factor_fp,
     factor_over_extension,
     factor_q,
@@ -111,6 +113,41 @@ def test_factor_fp_matches_trial_division_oracle():
             for g, m in factor_fp(f).factors:
                 mine.extend([str(g)] * m)
             assert sorted(mine) == oracle(f)
+
+
+def _squarefree_factor_degrees(f):
+    """factor_ff(f), checked by re-multiplication and Rabin's test; returns
+    how many factors of each degree it found."""
+    fact = factor_ff(f)
+    assert fact.expand(f.dom) == f
+    for g, m in fact.factors:
+        assert m == 1 and g.is_monic() and is_irreducible_ff(g)
+    return Counter(g.degree for g, _ in fact.factors)
+
+
+def test_edf_splits_t_power_q_minus_t():
+    # t^(q^k) - t is the product of every monic irreducible over F_q of
+    # degree dividing k, so every equal-degree piece has many factors
+    def t_pow_minus_t(dom, n):
+        return Poly(dom, [0, -1] + [0] * (n - 2) + [1])
+
+    assert _squarefree_factor_degrees(t_pow_minus_t(F2, 64)) == {1: 2, 2: 1, 3: 2, 6: 9}
+    assert _squarefree_factor_degrees(t_pow_minus_t(F3, 81)) == {1: 3, 2: 3, 4: 18}
+    F4, _ = adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")
+    assert _squarefree_factor_degrees(t_pow_minus_t(F4, 64)) == {1: 4, 3: 20}
+
+
+def test_edf_gf4_every_squarefree_quartic():
+    # over F_4 a witness t alone cannot separate roots of equal trace; the
+    # basis multiples b * t^j must split every squarefree monic quartic
+    F4, _ = adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")
+    elems = F4.elements()
+    for low in itertools.product(elems, repeat=4):
+        f = Poly(F4, list(low) + [F4.one()])
+        if poly_gcd(f, f.derivative()).degree:
+            continue
+        degrees = _squarefree_factor_degrees(f)
+        assert sum(d * k for d, k in degrees.items()) == 4
 
 
 def test_roots_fp():

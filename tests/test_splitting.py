@@ -106,6 +106,29 @@ def test_fp_degree_is_lcm_of_factor_degrees():
             assert verify_splits(sf)
 
 
+@pytest.mark.parametrize("exponents", [(13, 4, 3, 1, 0), (17, 3, 0)])
+def test_fp_prime_degree_irreducible_splits(exponents):
+    # an irreducible of prime degree n over F_2 splits in F_(2^n): its roots
+    # are the Frobenius orbit of the adjoined one, in a field of 2^13 / 2^17
+    # elements that must not be scanned
+    n = exponents[0]
+    f = Poly(F2, [1 if i in exponents else 0 for i in range(n + 1)])
+    sf = splitting_field_fp(f)
+    assert sf.degree() == n
+    assert len(sf.roots) == n
+    assert verify_splits(sf)
+
+
+def test_fp_quadratic_times_sextic():
+    # the sextic splits into two cubics over F_4, then the second cubic
+    # into three linear factors over F_64
+    f = Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 1, 0, 1, 0, 1])
+    sf = splitting_field_fp(f)
+    assert sf.degree() == 6
+    assert len(sf.roots) == 8
+    assert verify_splits(sf)
+
+
 def test_fp_roots_match_exhaustive_evaluation():
     # oracle: evaluate over every element of the final field
     for coeffs, p in [([1, 1, 1], 2), ([-2, 0, 1], 3), ([1, 0, 1, 1], 2)]:
