@@ -11,6 +11,7 @@ violation (a bug).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -364,7 +365,10 @@ def _cmd_gf(args, dom):
     _emit(args, payload, lines)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after;
+    not at import, which would add its cost to every `import galoiskit`."""
     ap = argparse.ArgumentParser(
         prog="galoiskit",
         description="Exact Galois theory: factorization, splitting fields, "
@@ -378,12 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="override the splitting/factor degree caps",
-    )
-    ap.add_argument(
-        "--seed-order",
-        choices=["canonical"],
-        default="canonical",
-        help="element ordering policy (canonical is the only one)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -418,9 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -280,8 +280,8 @@ def verify_correspondence(sf, G: GaloisGroup | None = None):
         H_back = gal_over(L, G)
         match = H_back.member_indices == H.member_indices
         normal_side = is_normal_subgroup(H, G)
-        # round-trip on the field side
-        L_back = fixed_field(H_back, G)
+        # round-trip on the field side (Fix(H_back) is L itself when H_back = H)
+        L_back = L if match else fixed_field(H_back, G)
         field_match = L_back.same_as(L)
         ok = match and field_match and (L.dim * H.order == n)
         all_ok = all_ok and ok

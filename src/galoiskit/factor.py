@@ -717,12 +717,6 @@ def cyclotomic_p(p: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _to_gamma_rep(tower, elem) -> Poly:
-    """Rewrite a tower element as a rational polynomial in the tower's
-    primitive element (degree < [L:Q])."""
-    return tower.express_in_primitive(elem)
-
-
 def _norm_resultant(mgamma: Poly, g_reps, s: int, gdeg: int) -> Poly:
     """Res_x(mgamma(x), sum_j c_j(x) (t - s x)^j) as a polynomial in t."""
     R = PolyRing(QQ)
@@ -784,7 +778,7 @@ def factor_over_extension(
 
     sq = squarefree_part(work)
     gamma, mgamma = dom.primitive_element()
-    reps = [_to_gamma_rep(dom, c) for c in sq.coeffs]
+    reps = [dom.express_in_primitive(c) for c in sq.coeffs]
 
     norm = None
     s_used = None

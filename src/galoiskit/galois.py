@@ -4,8 +4,11 @@ Automorphisms are enumerated by the recursive extension principle: the image
 of each tower generator must be a stored root annihilating the mapped minimal
 polynomial of that level.  Because the action on roots is faithful, the group
 is carried as a table of root permutations (canonically sorted, identity
-first); generator images are kept so automorphisms can be applied to
-arbitrary field elements.
+first).  Each automorphism also carries its matrix on the flattened
+power-product basis, built once during the search from powers of the
+generator images: about n tower products and n^2 base entries per
+automorphism for a field of degree n.  Applying an automorphism, its root
+permutation and the fixed-field linear algebra all read that matrix.
 
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
@@ -17,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariant, NotASubgroup, OrderCap, TowerMismatch
+from .errors import InternalInvariant, NotASubgroup, OrderCap
+from .linalg import mat_mul_vec
 from .poly import Poly
 from .splitting import SplittingField
-from .tower import Tower, TowerElem
+from .tower import Tower
 
 SUBGROUP_ORDER_CAP = 60
 
@@ -123,11 +127,13 @@ def from_permutations(gens):
 
 @dataclass
 class Automorphism:
-    """A field automorphism over the base, as generator images plus the
-    induced permutation of the stored roots."""
+    """A field automorphism over the base: generator images, the induced
+    permutation of the stored roots, and its matrix on the flattened
+    power-product basis (column j = coordinates of the image of basis j)."""
 
     generator_images: tuple  # image of each tower level's generator, bottom-up
     root_perm: tuple  # root i maps to root root_perm[i]
+    matrix: list  # n x n over the base; [[one]] over a bare base field
 
     def __repr__(self):
         return f"Automorphism({cycle_notation(self.root_perm)})"
@@ -139,7 +145,6 @@ class GaloisGroup:
         self.elements = elements  # Automorphism list, canonical order, id first
         self.group = FiniteGroup(table)
         self.order = self.group.order
-        self._matrices = {}
 
     @property
     def table(self):
@@ -149,24 +154,8 @@ class GaloisGroup:
         return apply_automorphism(self.sf.field, phi, x)
 
     def matrix_of(self, i: int):
-        """Matrix of element i on the flattened power-product basis (cached)."""
-        if i not in self._matrices:
-            field = self.sf.field
-            n = field.absolute_degree() if isinstance(field, Tower) else 1
-            if not isinstance(field, Tower):
-                self._matrices[i] = [[field.one()]]
-            else:
-                cols = []
-                zero = field.base.zero()
-                for j in range(n):
-                    vec = [zero] * n
-                    vec[j] = field.base.one()
-                    basis_elem = field.unflatten(vec)
-                    cols.append(field.flatten(self.apply(self.elements[i], basis_elem)))
-                self._matrices[i] = [
-                    [cols[j][r] for j in range(n)] for r in range(n)
-                ]
-        return self._matrices[i]
+        """Matrix of element i on the flattened power-product basis."""
+        return self.elements[i].matrix
 
     def to_json(self):
         return {
@@ -181,93 +170,77 @@ class GaloisGroup:
         }
 
 
-def _apply_on_chain(chain, images, M, x):
-    """Map x (living at some level of the chain, or a base scalar) through
-    the partial assignment generator_k -> images[k]."""
-    if not isinstance(x, TowerElem):
-        return M.coerce(x)
-    level = None
-    for k, lvl in enumerate(chain):
-        if lvl == x.tower:
-            level = k
-            break
-    if level is None:
-        raise TowerMismatch("element does not belong to the tower chain")
-    img = images[level]
-    acc = M.zero()
-    power = M.one()
-    for c in x.coeffs:
-        acc = acc + _apply_on_chain(chain, images, M, c) * power
-        power = power * img
-    return acc
-
-
 def apply_automorphism(field, phi: Automorphism, x):
     """Apply an automorphism to an arbitrary element of the splitting field."""
     if not isinstance(field, Tower):
         return field.coerce(x)
-    chain = field.chain()
-    x = field.coerce(x)
-    return _apply_on_chain(chain, list(phi.generator_images), field, x)
+    return field.unflatten(mat_mul_vec(phi.matrix, field.flatten(x), field.base.zero()))
 
 
 def automorphisms(sf: SplittingField) -> GaloisGroup:
     """Enumerate Gal(M : base) for a splitting field M; the count must equal
-    the tower degree (fields here are normal and separable)."""
+    the tower degree (fields here are normal and separable).
+
+    The search assigns each level's generator a root of its mapped minimal
+    polynomial, bottom-up, and carries the images of the current level's
+    power-product basis: adjoining root r for a level of degree d maps
+    a^i * b_j to r^i * image(b_j), i outer and j inner as in `Tower.flatten`.
+    Those images, flattened, are the columns of the automorphism's matrix."""
     field = sf.field
     if not isinstance(field, Tower):
-        ident = Automorphism((), tuple(range(len(sf.roots))))
+        ident = Automorphism((), tuple(range(len(sf.roots))), [[field.one()]])
         return GaloisGroup(sf, [ident], [[0]])
 
     chain = field.chain()
     roots = sf.roots
-    assignments = []
+    zero = field.base.zero()
+    n = field.absolute_degree()
+    found = []
 
-    def extend(images):
+    def extend(images, basis):
+        # basis: images of the power-product basis of chain[k-1] ([1] below level 0)
+        cols = [field.flatten(b) for b in basis]
+        mat = [[col[r] for col in cols] for r in range(n)]  # n x dim(chain[k-1])
         k = len(images)
         if k == len(chain):
-            assignments.append(tuple(images))
+            found.append((tuple(images), mat))
             return
         level = chain[k]
-        m = level.minpoly  # over chain[k-1] (or the base)
-        # map the coefficients through the partial assignment
-        mapped = [
-            _apply_on_chain(chain, images, field, c) if isinstance(c, TowerElem) else field.coerce(c)
-            for c in m.coeffs
-        ]
-        m_phi = Poly(field, mapped)
+        # the minimal polynomial's coefficients live in chain[k-1] (or the base)
+        m_phi = Poly(field, [
+            field.unflatten(mat_mul_vec(mat, level.lower.flatten(c) if k else [c], zero))
+            for c in level.minpoly.coeffs
+        ])
         for r in roots:
             if not m_phi.eval(r):
-                extend(images + [r])
+                basis_up = list(basis)
+                power = r
+                for _ in range(1, level.level_degree):
+                    basis_up.extend(power * b for b in basis)
+                    power = power * r
+                extend(images + [r], basis_up)
 
-    extend([])
+    extend([], [field.one()])
 
-    ident_images = tuple(field.coerce(level.generator()) for level in chain)
     elems = []
-    root_index = {
-        tuple(field.base.sort_key(c) for c in field.flatten(r)): i
-        for i, r in enumerate(roots)
-    }
-    for images in assignments:
+    root_coords = [field.flatten(r) for r in roots]
+    root_index = {field.sort_key(r): i for i, r in enumerate(roots)}
+    for images, mat in found:
         perm = []
-        for r in roots:
-            img = _apply_on_chain(chain, list(images), field, r)
-            key = tuple(field.base.sort_key(c) for c in field.flatten(img))
+        for v in root_coords:
+            key = tuple(field.base.sort_key(c) for c in mat_mul_vec(mat, v, zero))
             if key not in root_index:
                 raise InternalInvariant("automorphism does not permute the roots")
             perm.append(root_index[key])
         if len(set(perm)) != len(perm):
             raise InternalInvariant("root action is not a permutation")
-        elems.append(Automorphism(tuple(images), tuple(perm)))
+        elems.append(Automorphism(images, tuple(perm), mat))
 
     elems.sort(key=lambda a: a.root_perm)
     if elems[0].root_perm != tuple(range(len(roots))):
         raise InternalInvariant("identity automorphism missing")
-    expected = field.absolute_degree()
-    if len(elems) != expected:
-        raise InternalInvariant(
-            f"|Gal| = {len(elems)} but [M:K] = {expected}"
-        )
+    if len(elems) != n:
+        raise InternalInvariant(f"|Gal| = {len(elems)} but [M:K] = {n}")
     index = {a.root_perm: i for i, a in enumerate(elems)}
     k = len(roots)
     table = []

@@ -197,9 +197,6 @@ class RationalField:
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    def is_field(self) -> bool:
-        return True
-
     def exact_div(self, a, b):
         return a / b
 
@@ -252,9 +249,6 @@ class PrimeField:
                 raise ZeroInverse(f"denominator divisible by {self.p}")
             return FpElem(x.numerator, self.p) / FpElem(x.denominator, self.p)
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def is_field(self) -> bool:
-        return True
 
     def exact_div(self, a, b):
         return a / b

@@ -99,11 +99,6 @@ class Poly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def from_coeffs(cls, dom, coeffs):
-        """Build from low-to-high coefficient list (ints allowed)."""
-        return cls(dom, list(coeffs))
-
-    @classmethod
     def zero(cls, dom):
         return cls(dom, [], normalize=False)
 
@@ -407,20 +402,6 @@ def content_primitive(f: Poly):
     return Fraction(g, den), prim
 
 
-def int_coeffs(f: Poly) -> list[int]:
-    """Coefficients of a QQ polynomial as ints; raises if any is fractional."""
-    out = []
-    for c in f.coeffs:
-        if c.denominator != 1:
-            raise ValueError("polynomial does not have integer coefficients")
-        out.append(int(c))
-    return out
-
-
-def from_int_coeffs(dom, coeffs) -> Poly:
-    return Poly(dom, list(coeffs))
-
-
 # -- resultants ---------------------------------------------------------------
 
 
@@ -580,9 +561,6 @@ class PolyRing:
         if isinstance(x, Poly) and x.dom == self.base:
             return x
         return Poly(self.base, [self.base.coerce(x)])
-
-    def is_field(self):
-        return False
 
     def exact_div(self, a, b):
         return a.exact_div(b)

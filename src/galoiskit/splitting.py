@@ -59,13 +59,6 @@ class SplittingField:
         return self.field.element_str(r)
 
 
-def _root_sort_key(field, root):
-    if isinstance(field, Tower):
-        mp = field.min_poly_over_base(root)
-        return (mp.degree, tuple(field.base.sort_key(c) for c in field.flatten(root)))
-    return (1, field.sort_key(root))
-
-
 def _candidate_roots(field, roots, center):
     """Cheap candidate roots: negations, pairwise products/ratios and small
     power combinations of the roots found so far, formed around `center`."""
@@ -205,19 +198,23 @@ def _build(f: Poly, base, factmethod, cap: int) -> SplittingField:
     for g, _ in fact.factors:
         sq = sq * g
     field, roots = _split_squarefree(sq, base, cap)
-    # multiplicity of a root = multiplicity of its irreducible factor
-    mults = []
+    # multiplicity of a root = multiplicity of its irreducible factor; roots
+    # sort by that factor's degree (= the root's degree over the base), then
+    # by coordinates
+    lifted = [
+        (g.map_domain(field, field.coerce) if isinstance(field, Tower) else g, mult)
+        for g, mult in fact.factors
+    ]
+    mults, keys = [], []
     for r in roots:
-        m = None
-        for g, mult in fact.factors:
-            g_up = g.map_domain(field, field.coerce) if isinstance(field, Tower) else g
+        for g_up, mult in lifted:
             if not g_up.eval(r):
-                m = mult
                 break
-        if m is None:
+        else:
             raise ZeroPolynomial("root does not belong to any factor")
-        mults.append(m)
-    order = sorted(range(len(roots)), key=lambda i: _root_sort_key(field, roots[i]))
+        mults.append(mult)
+        keys.append((g_up.degree, field.sort_key(r)))
+    order = sorted(range(len(roots)), key=keys.__getitem__)
     roots = [roots[i] for i in order]
     mults = [mults[i] for i in order]
     return SplittingField(field, roots, mults, f, unit)

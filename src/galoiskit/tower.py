@@ -27,15 +27,11 @@ from .errors import (
     ZeroInverse,
 )
 from .linalg import invert, mat_mul_vec, solve
-from .numbers import QQ, PrimeField
+from .numbers import QQ
 from .poly import Poly, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 ELEMENT_ENUM_BUDGET = 1 << 20
-
-
-def is_base_field(dom) -> bool:
-    return isinstance(dom, (type(QQ), PrimeField)) and not isinstance(dom, Tower)
 
 
 class TowerElem:
@@ -191,9 +187,6 @@ class Tower:
         c = self.lower.coerce(x)  # scalars climb one level at a time
         z = self.lower.zero()
         return TowerElem(self, [c] + [z] * (self.level_degree - 1))
-
-    def is_field(self):
-        return True
 
     def exact_div(self, a, b):
         return a / b

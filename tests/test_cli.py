@@ -168,6 +168,73 @@ def test_json_byte_determinism(capsys):
     assert payload["type"] == "D4"
 
 
+# Exact `--json` bytes, recorded before automorphisms were stored as
+# matrices; any change to canonical orderings, root order or presentation
+# shows up here.
+GOLDEN_JSON = [
+    (
+        ["--json", "galois", "t^4-2"],
+        '{"action":["-a","-b","b","a"],"elements":["()","(2 3)","(1 2)(3 '
+        '4)","(1 2 4 3)","(1 3 4 2)","(1 3)(2 4)","(1 4)","(1 4)(2 3)"],"'
+        'generators":["(1 2 4 3)","(2 3)"],"order":8,"type":"D4"}\n',
+    ),
+    (
+        ["--json", "correspondence", "t^4-2"],
+        '{"degree":8,"group_order":8,"mutually_inverse":true,"pair_count"'
+        ':10,"pairs":[{"fixed_field":{"dim":8,"primitive":"a*b + a","prim'
+        'itive_min_poly":"t^8 + 8*t^6 + 20*t^4 + 80*t^2 + 4"},"gal_over_m'
+        'atches":true,"normal":true,"order":1,"subgroup":[0]},{"fixed_fie'
+        'ld":{"dim":4,"primitive":"a","primitive_min_poly":"t^4 - 2"},"ga'
+        'l_over_matches":true,"normal":false,"order":2,"subgroup":[0,1]},'
+        '{"fixed_field":{"dim":4,"primitive":"b + a","primitive_min_poly"'
+        ':"t^4 + 8"},"gal_over_matches":true,"normal":false,"order":2,"su'
+        'bgroup":[0,2]},{"fixed_field":{"dim":4,"primitive":"-b + a","pri'
+        'mitive_min_poly":"t^4 + 8"},"gal_over_matches":true,"normal":fal'
+        'se,"order":2,"subgroup":[0,5]},{"fixed_field":{"dim":4,"primitiv'
+        'e":"b","primitive_min_poly":"t^4 - 2"},"gal_over_matches":true,"'
+        'normal":false,"order":2,"subgroup":[0,6]},{"fixed_field":{"dim":'
+        '4,"primitive":"a*b + a^2","primitive_min_poly":"t^4 + 16"},"gal_'
+        'over_matches":true,"normal":true,"order":2,"subgroup":[0,7]},{"f'
+        'ixed_field":{"dim":2,"primitive":"a^2","primitive_min_poly":"t^2'
+        ' - 2"},"gal_over_matches":true,"normal":true,"order":4,"subgroup'
+        '":[0,1,6,7]},{"fixed_field":{"dim":2,"primitive":"a*b","primitiv'
+        'e_min_poly":"t^2 + 2"},"gal_over_matches":true,"normal":true,"or'
+        'der":4,"subgroup":[0,2,5,7]},{"fixed_field":{"dim":2,"primitive"'
+        ':"a^3*b","primitive_min_poly":"t^2 + 4"},"gal_over_matches":true'
+        ',"normal":true,"order":4,"subgroup":[0,3,4,7]},{"fixed_field":{"'
+        'dim":1,"primitive":"1","primitive_min_poly":"t - 1"},"gal_over_m'
+        'atches":true,"normal":true,"order":8,"subgroup":[0,1,2,3,4,5,6,7'
+        ']}]}\n',
+    ),
+    (
+        ["--json", "--field", "F2", "galois", "t^6+t^4+t^2+t+1"],
+        '{"action":["a^4","a^2","a","a^4 + a","a^3 + a + 1","a^3 + a^2 + '
+        'a + 1"],"elements":["()","(1 2 3 6 4 5)","(1 3 4)(2 6 5)","(1 4 '
+        '3)(2 5 6)","(1 5 4 6 3 2)","(1 6)(2 4)(3 5)"],"generators":["(1 '
+        '2 3 6 4 5)"],"order":6,"type":"C6"}\n',
+    ),
+    (
+        ["--json", "--field", "F2", "splitting-field", "t^17+t^3+1"],
+        '{"degree":17,"multiplicities":[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1'
+        '],"polynomial":"t^17 + t^3 + 1","roots":["a^16","a^8","a^15 + a^'
+        '13 + a^10 + a^9 + a^6 + a^5","a^4","a^16 + a^15 + a^13 + a^11 + '
+        'a^9 + a^8 + a^6 + a^5 + a^4 + a^3","a^2","a^9 + a^2","a^16 + a^1'
+        '3 + a^8 + a^2","a^16 + a^15 + a^13 + a^10 + a^7 + a^2","a^16 + a'
+        '^15 + a^14 + a^13 + a^11 + a^10 + a^9 + a^7 + a^6 + a^2","a^15 +'
+        ' a^9 + a^8 + a^3 + a^2","a","a^16 + a^15 + a^12 + a^9 + a","a^13'
+        ' + a^6 + a","a^15 + a^4 + a","a^16 + a^15 + a^14 + a^13 + a^12 +'
+        ' a^9 + a^6 + a^3 + a","a^16 + a^13 + a^10 + a^9 + a^6 + a^4 + a^'
+        '3 + a"],"tower":[{"label":"a","min_poly":"t^17 + t^3 + 1"}]}\n',
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GOLDEN_JSON)
+def test_json_golden_bytes(capsys, argv, expected):
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
 def test_json_schema_fields(capsys):
     assert dispatch(["--json", "splitting-field", "t^3-2"]) == 0
     payload = json.loads(capsys.readouterr().out)

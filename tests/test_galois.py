@@ -2,14 +2,16 @@
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from galoiskit.errors import NotASubgroup, OrderCap
-from galoiskit.numbers import QQ
+from galoiskit.linalg import identity
+from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly
-from galoiskit.splitting import splitting_field_q
-from galoiskit.tower import min_poly
+from galoiskit.splitting import splitting_field_fp, splitting_field_q
+from galoiskit.tower import TowerElem, min_poly
 from galoiskit.galois import (
     FiniteGroup,
     Subgroup,
@@ -102,8 +104,6 @@ def test_faithful_injective_action(gal_t4):
 
 def test_apply_fixes_base_and_preserves_min_poly(gal_t4):
     field = gal_t4.sf.field
-    from fractions import Fraction
-
     for a in gal_t4.elements:
         assert apply_automorphism(field, a, Fraction(7, 3)) == field.coerce(
             Fraction(7, 3)
@@ -143,6 +143,70 @@ def test_apply_conjugation_style(gal_klein):
         if all(apply_automorphism(field, a, r) == -r for r in roots):
             found = True
     assert found
+
+
+def _apply_by_generator_images(chain, images, field, x):
+    """Oracle: map x through generator_k -> images[k] by recursing down the
+    tower, with no matrix involved."""
+    if not isinstance(x, TowerElem):
+        return field.coerce(x)
+    img = images[chain.index(x.tower)]
+    acc = field.zero()
+    power = field.one()
+    for c in x.coeffs:
+        acc = acc + _apply_by_generator_images(chain, images, field, c) * power
+        power = power * img
+    return acc
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        q([-2, 0, 0, 0, 1]),
+        q([-2, 0, 1]) * q([-3, 0, 1]) * q([-5, 0, 1]),
+        q([12, -5, 0, 0, 0, 1]),
+    ],
+    ids=["t^4-2", "(t^2-2)(t^2-3)(t^2-5)", "t^5-5t+12"],
+)
+def test_matrix_application_matches_generator_images(f):
+    G = automorphisms(splitting_field_q(f))
+    field = G.sf.field
+    chain = field.chain()
+    n = field.absolute_degree()
+    rng = random.Random(11)
+    xs = [field.unflatten([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]) for _ in range(3)]
+    for a in G.elements:
+        for x in xs + list(G.sf.roots[:1]):
+            expected = _apply_by_generator_images(chain, a.generator_images, field, field.coerce(x))
+            assert apply_automorphism(field, a, x) == expected
+            assert G.apply(a, x) == expected
+
+
+def _mat_mul(field, A, B):
+    zero = field.zero()
+    return [
+        [sum((A[r][k] * B[k][c] for k in range(len(B))), zero) for c in range(len(B[0]))]
+        for r in range(len(A))
+    ]
+
+
+@pytest.mark.parametrize(
+    "sf",
+    [
+        lambda: splitting_field_q(q([-2, 0, 0, 1])),
+        lambda: splitting_field_q(q([-2, 0, 0, 0, 1])),
+        lambda: splitting_field_fp(Poly(PrimeField(2), [1, 1, 1]) * Poly(PrimeField(2), [1, 1, 0, 1])),
+    ],
+    ids=["t^3-2", "t^4-2", "F2:(t^2+t+1)(t^3+t+1)"],
+)
+def test_matrices_compose_like_the_table(sf):
+    # table[a][b] is "apply b, then a", so its matrix is M_a * M_b
+    G = automorphisms(sf())
+    base = G.sf.field.base
+    assert G.matrix_of(0) == identity(base, G.sf.degree())
+    for a in range(G.order):
+        for b in range(G.order):
+            assert G.matrix_of(G.table[a][b]) == _mat_mul(base, G.matrix_of(a), G.matrix_of(b))
 
 
 def test_transitivity(gal_cbrt2, gal_klein):
