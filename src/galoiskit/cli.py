@@ -3,7 +3,8 @@
 The expression grammar is deliberately small: integers, rationals a/b, the
 indeterminate t, + - * ^ with nonnegative integer exponents, parentheses.
 `^` binds tighter than unary minus and implicit multiplication is rejected,
-so every well-formed input has exactly one reading.  Exit codes: 0 success,
+so every well-formed input has exactly one reading.  Parentheses and unary
+minus nest at most MAX_NESTING levels deep.  Exit codes: 0 success,
 2 parse/usage error, 3 a configured cap was exceeded, 4 internal invariant
 violation (a bug).
 """
@@ -32,6 +33,9 @@ from . import apps, correspondence, factor, finitefield, galois, splitting, towe
 # ---------------------------------------------------------------------------
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
+# Each level of parentheses costs five parser frames, so this bound keeps the
+# recursive descent well inside Python's default recursion limit.
+MAX_NESTING = 100
 
 
 def _tokenize(src: str):
@@ -72,6 +76,7 @@ class _Parser:
         self.tokens = _tokenize(src)
         self.pos = 0
         self.dom = dom
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -86,6 +91,19 @@ class _Parser:
             )
         self.pos += 1
         return tok
+
+    def nested(self, tok, parse):
+        """Parse one level opened by `tok` ('(' or unary '-')."""
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels at position {tok[2]}",
+                position=tok[2],
+                expected=[f"at most {MAX_NESTING} nested '(' or unary '-'"],
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
 
     def parse(self) -> Poly:
         value = self.expr()
@@ -115,8 +133,7 @@ class _Parser:
 
     def factor(self) -> Poly:
         if self.peek()[0] == "-":
-            self.take("-")
-            return -self.factor()
+            return -self.nested(self.take("-"), self.factor)
         return self.power()
 
     def power(self) -> Poly:
@@ -154,8 +171,7 @@ class _Parser:
             self.take("t")
             return Poly.t(self.dom)
         if tok[0] == "(":
-            self.take("(")
-            value = self.expr()
+            value = self.nested(self.take("("), self.expr)
             self.take(")")
             return value
         raise ParseError(

@@ -36,7 +36,11 @@ from .numbers import QQ, PrimeField, factor_integer, is_prime
 from .poly import (
     Poly,
     PolyRing,
+    _divmod_mod,
+    _mul_mod,
+    _trim,
     content_primitive,
+    gcd_ext,
     poly_gcd,
     resultant,
     squarefree_part,
@@ -75,7 +79,23 @@ class Factorization:
         }
 
 
-def _sorted_factors(pairs):
+def _multiplicities(work, irreducibles, world):
+    """Canonically sorted (g, multiplicity) pairs: each g is divided out of
+    the monic `work` as often as it goes, and nothing may be left over."""
+    pairs = []
+    for g in irreducibles:
+        mult = 0
+        while True:
+            quo, rem = divmod(work, g)
+            if not rem.is_zero():
+                break
+            work = quo
+            mult += 1
+        if mult == 0:
+            raise InternalInvariant("squarefree factor does not divide input")
+        pairs.append((g, mult))
+    if work.degree != 0:
+        raise InternalInvariant(f"{world} factorization did not exhaust input")
     return tuple(sorted(pairs, key=lambda fm: fm[0].sort_key()))
 
 
@@ -247,22 +267,8 @@ def factor_ff(f: Poly) -> Factorization:
         return Factorization(unit, ())
     work = f.monic()
     sqf = squarefree_part(work)
-    irreducibles = []
-    for prod, d in _ddf(sqf):
-        irreducibles.extend(_edf(prod, d))
-    pairs = []
-    for g in irreducibles:
-        mult = 0
-        while True:
-            quo, rem = divmod(work, g)
-            if not rem.is_zero():
-                break
-            work = quo
-            mult += 1
-        pairs.append((g, mult))
-    if work.degree != 0:
-        raise InternalInvariant("finite-field factorization did not exhaust input")
-    return Factorization(unit, _sorted_factors(pairs))
+    irreducibles = [g for prod, d in _ddf(sqf) for g in _edf(prod, d)]
+    return Factorization(unit, _multiplicities(work, irreducibles, "finite-field"))
 
 
 def factor_fp(f: Poly) -> Factorization:
@@ -283,19 +289,13 @@ def is_irreducible_ff(f: Poly) -> bool:
     if n == 1:
         return True
     t = Poly.t(dom)
-    # t^(q^n) must be t mod f
-    h = t
+    chain = [t]  # chain[k] = t^(q^k) mod f
     for _ in range(n):
-        h = _powmod(h, q, f)
-    if h != t % f:
-        return False
-    for ell in sorted(set(factor_integer(n))):
-        h = t
-        for _ in range(n // ell):
-            h = _powmod(h, q, f)
-        if poly_gcd(f, h - t).degree != 0:
-            return False
-    return True
+        chain.append(_powmod(chain[-1], q, f))
+    # t^(q^n) = t mod f, and gcd(f, t^(q^(n/l)) - t) = 1 for each prime l | n
+    return chain[n] == t and all(
+        poly_gcd(f, chain[n // ell] - t).degree == 0 for ell in set(factor_integer(n))
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -303,39 +303,12 @@ def is_irreducible_ff(f: Poly) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _z_mul(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
-
-
 def _z_add(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] += y
-    return _trim(out)
+    return _trim([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _z_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _trim(out)
+    return _trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
 def _z_mod(a, m):
@@ -353,58 +326,28 @@ def _z_sym(a, m):
     return _trim(out)
 
 
-def _z_mul_mod(a, b, m):
-    return _z_mod(_z_mul(a, b), m)
-
-
-def _z_divmod_monic_mod(f, g, m):
-    """divmod by monic g, coefficients mod m."""
-    f = [c % m for c in f]
-    dg = len(g) - 1
-    if len(f) - 1 < dg:
-        return [], _trim(f)
-    q = [0] * (len(f) - dg)
-    for i in range(len(f) - 1, dg - 1, -1):
-        c = f[i] % m
-        if c:
-            q[i - dg] = c
-            for j in range(dg + 1):
-                f[i - dg + j] = (f[i - dg + j] - c * g[j]) % m
-    return _trim(q), _trim(f)
-
-
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g h (mod m), s g + t h = 1 (mod m),
     h monic, to the same data mod m^2."""
     mm = m * m
-    e = _z_mod(_z_sub(f, _z_mul(g, h)), mm)
-    q, r = _z_divmod_monic_mod(_z_mul_mod(s, e, mm), h, mm)
-    g1 = _z_mod(_z_add(g, _z_add(_z_mul(t, e), _z_mul(q, g))), mm)
+    e = _z_mod(_z_sub(f, _mul_mod(g, h, mm)), mm)
+    q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
+    g1 = _z_mod(_z_add(g, _z_add(_mul_mod(t, e, mm), _mul_mod(q, g, mm))), mm)
     h1 = _z_mod(_z_add(h, r), mm)
-    b = _z_mod(_z_sub(_z_add(_z_mul(s, g1), _z_mul(t, h1)), [1]), mm)
-    c, d = _z_divmod_monic_mod(_z_mul_mod(s, b, mm), h1, mm)
+    b = _z_mod(_z_sub(_z_add(_mul_mod(s, g1, mm), _mul_mod(t, h1, mm)), [1]), mm)
+    c, d = _divmod_mod(_mul_mod(s, b, mm), h1, mm)
     s1 = _z_mod(_z_sub(s, d), mm)
-    t1 = _z_mod(_z_sub(t, _z_add(_z_mul_mod(t, b, mm), _z_mul_mod(c, g1, mm))), mm)
+    t1 = _z_mod(_z_sub(t, _z_add(_mul_mod(t, b, mm), _mul_mod(c, g1, mm))), mm)
     return g1, h1, s1, t1
-
-
-def _z_xgcd_poly_mod_p(a, b, p):
-    """Extended gcd of int-list polys mod prime p; returns (g, s, t) monic g."""
-    F = PrimeField(p)
-    fa = Poly(F, a)
-    fb = Poly(F, b)
-    from .poly import gcd_ext
-
-    d, s, t = gcd_ext(fa, fb)
-    conv = lambda poly: [c.r for c in poly.coeffs]
-    return conv(d), conv(s), conv(t)
 
 
 def _hensel_lift_pair(p, k, f, g, h):
     """Lift f = g h (mod p) to mod p^k (h monic mod p)."""
-    d, s, t = _z_xgcd_poly_mod_p(g, h, p)
-    if d != [1]:
+    F = PrimeField(p)
+    d, s, t = gcd_ext(Poly(F, g), Poly(F, h))
+    if d != Poly.one(F):
         raise InternalInvariant("Hensel pair is not coprime mod p")
+    s, t = [c.r for c in s.coeffs], [c.r for c in t.coeffs]
     m = p
     while m < p**k:
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
@@ -424,10 +367,10 @@ def _hensel_lift_list(p, k, f, factors):
     mid = r // 2
     g0 = [f[-1] % p]
     for fac in factors[:mid]:
-        g0 = _z_mul_mod(g0, fac, p)
+        g0 = _mul_mod(g0, fac, p)
     h0 = [1]
     for fac in factors[mid:]:
-        h0 = _z_mul_mod(h0, fac, p)
+        h0 = _mul_mod(h0, fac, p)
     g, h = _hensel_lift_pair(p, k, f, g0, h0)
     return _hensel_lift_list(p, k, g, factors[:mid]) + _hensel_lift_list(
         p, k, h, factors[mid:]
@@ -488,7 +431,7 @@ def _factor_sqfree_primitive_z(ints):
     def try_combo(f_cur, combo):
         cand = [f_cur[-1] % pk]
         for i in combo:
-            cand = _z_mul_mod(cand, modular[i], pk)
+            cand = _mul_mod(cand, modular[i], pk)
         cand = _z_sym(cand, pk)
         g = 0
         for c in cand:
@@ -542,22 +485,7 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
     _, sq_ints = content_primitive(sq)
     raw = _factor_sqfree_primitive_z(sq_ints)
     monics = [Poly(QQ, g).monic() for g in raw]
-    work = f.monic()
-    pairs = []
-    for g in monics:
-        mult = 0
-        while True:
-            quo, rem = divmod(work, g)
-            if not rem.is_zero():
-                break
-            work = quo
-            mult += 1
-        if mult == 0:
-            raise InternalInvariant("squarefree factor does not divide input")
-        pairs.append((g, mult))
-    if work.degree != 0:
-        raise InternalInvariant("rational factorization did not exhaust input")
-    return Factorization(unit, _sorted_factors(pairs))
+    return Factorization(unit, _multiplicities(f.monic(), monics, "rational"))
 
 
 # ---------------------------------------------------------------------------
@@ -806,20 +734,7 @@ def factor_over_extension(
         prod = prod * gi
     if prod != sq:
         raise InternalInvariant("norm factorization did not reassemble input")
-
-    pairs = []
-    for gi in irreducibles:
-        mult = 0
-        while True:
-            quo, rem = divmod(work, gi)
-            if not rem.is_zero():
-                break
-            work = quo
-            mult += 1
-        pairs.append((gi, mult))
-    if work.degree != 0:
-        raise InternalInvariant("extension factorization did not exhaust input")
-    return Factorization(unit, _sorted_factors(pairs))
+    return Factorization(unit, _multiplicities(work, irreducibles, "extension"))
 
 
 def is_irreducible_over(m: Poly, dom) -> bool:
@@ -829,8 +744,6 @@ def is_irreducible_over(m: Poly, dom) -> bool:
         return False
     if dom == QQ:
         return is_irreducible_q(m, max_degree=max(FACTOR_DEGREE_CAP, m.degree)).irreducible
-    if isinstance(dom, PrimeField):
-        return is_irreducible_ff(m)
     if dom.characteristic > 0:
         return is_irreducible_ff(m)
     fact = factor_over_extension(m, dom)

@@ -7,6 +7,11 @@ integer).  The coefficient domain is carried explicitly as a field object
 (QQ, PrimeField(p), a Tower, or PolyRing for bivariate resultant work), so the
 same class serves every level of the engine.
 
+Over a prime field the coefficients are `FpElem` values only at rest:
+products and division with remainder run on plain int residues (`_mul_mod`,
+`_divmod_mod`, shared with Hensel lifting mod p^k) and wrap only the output
+coefficients, so no `FpElem` arithmetic happens per coefficient product.
+
 Division, gcd and friends require the domain to be a field; ring-only
 operations (+ - *, evaluation, resultants via the subresultant PRS) work over
 any exact integral domain with exact division.
@@ -15,10 +20,11 @@ any exact integral domain with exact division.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroPoly, ZeroPolynomial
-from .numbers import QQ
+from .numbers import QQ, FpElem, PrimeField
 
 
 class _NegInfinity:
@@ -180,12 +186,14 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = self.dom.coerce(other)
-            return Poly(self.dom, [c * a for a in self.coeffs])
+            return self.scale(other)
         other = self._coerce_operand(other)
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.dom)
+        if isinstance(self.dom, PrimeField):
+            prod = _mul_mod([c.r for c in a], [c.r for c in b], self.dom.p)
+            return _from_residues(self.dom, prod)
         zero = self.dom.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -220,6 +228,9 @@ class Poly:
         if other.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
         dom = self.dom
+        if isinstance(dom, PrimeField):
+            q, r = _divmod_mod([c.r for c in self.coeffs], [c.r for c in other.coeffs], dom.p)
+            return _from_residues(dom, q), _from_residues(dom, r)
         r = list(self.coeffs)
         dg = len(other.coeffs) - 1
         if len(r) - 1 < dg:
@@ -249,9 +260,7 @@ class Poly:
         return q
 
     def monic(self):
-        if self.is_zero():
-            return self
-        if self.is_monic():
+        if self.is_zero() or self.is_monic():
             return self
         inv = self.dom.one() / self.lc()
         return self.scale(inv)
@@ -305,6 +314,60 @@ class Poly:
 
     def __str__(self):
         return render(self)
+
+
+# -- int coefficient lists mod m ----------------------------------------------
+
+
+def _trim(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _mul_mod(a, b, m):
+    """Product of int coefficient lists (low to high) mod m, trimmed; each
+    output coefficient is reduced once."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            out[i : i + len(b)] = [o + x * y for o, y in zip(out[i : i + len(b)], b)]
+    return _trim([c % m for c in out])
+
+
+def _divmod_mod(a, b, m):
+    """(quotient, remainder) of int coefficient lists mod m, both trimmed.
+    lc(b) must be a unit mod m; it is inverted only when it is not 1."""
+    dg = len(b) - 1
+    if len(a) <= dg:
+        return [], _trim([c % m for c in a])
+    inv = pow(b[-1], -1, m) if b[-1] % m != 1 else 1
+    r = list(a)
+    q = [0] * (len(a) - dg)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = r[i] * inv % m
+        if c:
+            q[i - dg] = c
+            r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
+    return _trim(q), _trim([c % m for c in r[:dg]])
+
+
+@lru_cache(maxsize=None)  # at most one table per prime below 1024
+def _residue_table(p):
+    return tuple(FpElem(r, p) for r in range(p))
+
+
+def _from_residues(dom, ints):
+    """A polynomial over the prime field `dom` from reduced int residues; for
+    p < 1024 each residue is one shared FpElem, looked up, not constructed
+    (a table costs p objects, so larger primes construct each one)."""
+    p = dom.p
+    if p >= 1024:
+        return Poly(dom, [FpElem(c, p) for c in ints], normalize=False)
+    table = _residue_table(p)
+    return Poly(dom, [table[c] for c in ints], normalize=False)
 
 
 def codegree(f: Poly):

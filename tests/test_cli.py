@@ -9,7 +9,7 @@ import pytest
 from galoiskit.errors import ParseError
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.cli import dispatch, parse_poly
+from galoiskit.cli import MAX_NESTING, dispatch, parse_poly
 
 
 def q(coeffs):
@@ -226,6 +226,25 @@ GOLDEN_JSON = [
         ' a^9 + a^6 + a^3 + a","a^16 + a^13 + a^10 + a^9 + a^6 + a^4 + a^'
         '3 + a"],"tower":[{"label":"a","min_poly":"t^17 + t^3 + 1"}]}\n',
     ),
+    # recorded before polynomials over F_p multiplied on int residues
+    (
+        ["--json", "--field", "F13", "factor", "3*(t^8+3*t^5+t+2)*(t+1)^2"],
+        '{"factors":[{"multiplicity":2,"poly":"t + 1"},{"multiplicity":1,"'
+        'poly":"t + 9"},{"multiplicity":1,"poly":"t^2 + 3*t + 10"},{"multi'
+        'plicity":1,"poly":"t^2 + 8*t + 11"},{"multiplicity":1,"poly":"t^3'
+        ' + 6*t^2 + 9*t + 1"}],"unit":"3"}\n',
+    ),
+    (
+        ["--json", "irreducible", "t^5-t-1"],
+        '{"verdict":"irreducible","witness_data":{"prime":3},"witness_kind"'
+        ':"mod_p"}\n',
+    ),
+    (
+        ["--json", "factor", "(t^3-2)*(t^4+3*t+3)*(t^2+1)^2"],
+        '{"factors":[{"multiplicity":2,"poly":"t^2 + 1"},{"multiplicity":1,'
+        '"poly":"t^3 - 2"},{"multiplicity":1,"poly":"t^4 + 3*t + 3"}],"uni'
+        't":"1"}\n',
+    ),
 ]
 
 
@@ -252,3 +271,19 @@ def test_cli_fuzz_returns_clean_codes(capsys):
         code = dispatch(["factor", src])
         capsys.readouterr()
         assert code in (0, 2, 3)
+
+
+def test_nesting_past_the_bound_is_a_parse_error(capsys):
+    n = MAX_NESTING
+    parens = "(" * (n + 1) + "t" + ")" * (n + 1)
+    minuses = "t+" + "-" * (n + 1) + "t"
+    for src in (parens, minuses):
+        assert dispatch(["--json", "factor", src]) == 2
+        assert "nesting deeper than" in capsys.readouterr().err
+        with pytest.raises(ParseError) as info:
+            parse_poly(src)
+        assert info.value.position == src.index("(" if src is parens else "-") + n
+    # exactly at the bound still parses
+    assert parse_poly("(" * n + "t" + ")" * n) == q([0, 1])
+    assert parse_poly("t+" + "-" * n + "t") == q([0, 2])
+    assert parse_poly("-(" * (n // 2) + "t" + ")" * (n // 2)) == q([0, 1])

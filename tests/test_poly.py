@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,6 +13,8 @@ from galoiskit.poly import (
     NEG_INFINITY,
     Poly,
     PolyRing,
+    _divmod_mod,
+    _mul_mod,
     codegree,
     content_primitive,
     discriminant,
@@ -159,6 +162,105 @@ def test_gcd_ext_random_bezout():
             assert a * f + b * g == d
             if not f.is_zero():
                 assert (f % d).is_zero() if not d.is_zero() else f.is_zero()
+
+
+# -- F_p arithmetic on int residues, against QQ reduced mod p -----------------
+
+# 1031 is past the shared residue table, so its coefficients are constructed
+KERNEL_PRIMES = (2, 3, 5, 7, 13, 31, 1031)
+
+
+def _int_poly(rng, maxdeg, height=40):
+    return q([rng.randint(-height, height) for _ in range(rng.randint(0, maxdeg) + 1)])
+
+
+def _unit_mod(c, m):
+    return gcd(c.numerator, m) == 1 and gcd(c.denominator, m) == 1
+
+
+def _residue(c, m):
+    return c.numerator * pow(c.denominator, -1, m) % m
+
+
+def _residues(f, m):
+    out = [_residue(c, m) for c in f.coeffs]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _euclid_reduces(f, g, p):
+    """Every divisor of the remainder sequence of f, g over QQ, and the last
+    nonzero remainder, has a leading coefficient that is a unit mod p; then
+    reduction mod p commutes with every step of gcd_ext."""
+    while not g.is_zero():
+        if not _unit_mod(g.lc(), p):
+            return False
+        f, g = g, f % g
+    return f.is_zero() or _unit_mod(f.lc(), p)
+
+
+def _kernel_cases(rng):
+    """Integer polynomial pairs of degree 0-12: random ones, ones with a common
+    factor, the zero polynomial on either side, constant divisors, and
+    divisors of higher degree than the dividend."""
+    zero = q([])
+    for _ in range(25):
+        yield _int_poly(rng, 12), _int_poly(rng, 12)
+    for _ in range(10):
+        common = _int_poly(rng, 4)
+        yield _int_poly(rng, 8) * common, _int_poly(rng, 8) * common
+    for _ in range(4):
+        yield zero, _int_poly(rng, 12)
+        yield _int_poly(rng, 12), zero
+        yield _int_poly(rng, 12), q([rng.randint(1, 40)])
+        yield _int_poly(rng, 4), q([rng.randint(-9, 9) for _ in range(9)] + [rng.randint(2, 9)])
+    yield zero, zero
+
+
+def test_fp_arithmetic_matches_rationals_reduced_mod_p():
+    rng = random.Random(71)
+    counts = {"divmod": 0, "non_monic": 0, "gcd_ext": 0}
+    for p in KERNEL_PRIMES:
+        F = PrimeField(p)
+        for f, g in _kernel_cases(rng):
+            fp, gp = Poly(F, list(f.coeffs)), Poly(F, list(g.coeffs))
+            assert fp * gp == Poly(F, list((f * g).coeffs))
+            if not g.is_zero() and _unit_mod(g.lc(), p):
+                quo, rem = divmod(f, g)
+                assert divmod(fp, gp) == (Poly(F, list(quo.coeffs)), Poly(F, list(rem.coeffs)))
+                assert fp % gp == Poly(F, list(rem.coeffs))
+                counts["divmod"] += 1
+                counts["non_monic"] += g.lc() % p != 1
+            if _euclid_reduces(f, g, p):
+                expected = tuple(Poly(F, list(x.coeffs)) for x in gcd_ext(f, g))
+                assert gcd_ext(fp, gp) == expected
+                counts["gcd_ext"] += 1
+    # the comparisons are not vacuous
+    assert counts["divmod"] >= 150 and counts["non_monic"] >= 100 and counts["gcd_ext"] >= 60, counts
+
+
+def test_int_residue_kernel_mod_prime_powers():
+    # the same int-list kernel serves Hensel lifting mod p^k
+    rng = random.Random(72)
+    for m in (4, 9, 125, 31**3, 2**40):
+        for _ in range(30):
+            f = _int_poly(rng, 12, height=10**6)
+            g = _int_poly(rng, 8, height=10**6)
+            if g.is_zero() or not _unit_mod(g.lc(), m):
+                g = g + q([0] * len(g.coeffs) + [1])  # a monic divisor
+            a = [int(c) for c in f.coeffs]
+            b = [int(c) for c in g.coeffs]
+            assert _mul_mod(a, b, m) == _residues(f * g, m)
+            quo, rem = divmod(f, g)
+            assert _divmod_mod(a, b, m) == (_residues(quo, m), _residues(rem, m))
+
+
+def test_mixed_prime_fields_raise():
+    f, g = Poly(PrimeField(5), [1, 2, 1]), Poly(PrimeField(7), [3, 1])
+    for op in (lambda: f * g, lambda: divmod(f, g), lambda: f % g, lambda: g % f, lambda: gcd_ext(f, g)):
+        with pytest.raises(ValueError):
+            op()
 
 
 def test_derivative():
