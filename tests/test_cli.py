@@ -32,6 +32,24 @@ def test_parse_basic():
     assert parse_poly("0") == q([])
 
 
+def test_powers_match_repeated_products():
+    # monomial bases (c*t^j), constants, zero and general bases, over Q and
+    # F_7, against the product of k copies of the parsed base
+    rng = random.Random(13)
+    bases = ["t", "-t", "2/3", "-1/2*t^3", "0", "0*t", "7*t^2", "(t+1)", "(1/2*t-3)", "(t^2+t+1)"]
+    for field in (QQ, PrimeField(7)):
+        for base in bases:
+            for k in [0, 1, 2, 3] + [rng.randint(4, 12) for _ in range(2)]:
+                want = Poly.one(field)
+                for _ in range(k):
+                    want = want * parse_poly(f"({base})", field)
+                got = parse_poly(f"({base})^{k}", field)
+                assert got == want, (field, base, k)
+                assert got.coeffs == want.coeffs and all(type(c) is type(field.one()) for c in got.coeffs)
+    assert parse_poly("(3*t^2)^2") == q([0, 0, 0, 0, 9])
+    assert parse_poly("(-2*t)^3 + 8*t^3") == q([])
+
+
 def test_unary_minus_binds_looser_than_power():
     # -2^2 parses as -(2^2) = -4
     assert parse_poly("-2^2") == q([-4])
@@ -244,6 +262,32 @@ GOLDEN_JSON = [
         '{"factors":[{"multiplicity":2,"poly":"t^2 + 1"},{"multiplicity":1,'
         '"poly":"t^3 - 2"},{"multiplicity":1,"poly":"t^4 + 3*t + 3"}],"uni'
         't":"1"}\n',
+    ),
+    # recorded before polynomials over Q multiplied on integer numerators
+    (
+        ["--json", "galois", "t^6-2"],
+        '{"action":["-a","b - a","-b","b","-b + a","a"],"elements":["()","('
+        '2 3)(4 5)","(1 2)(3 4)(5 6)","(1 2 4 6 5 3)","(1 3 5 6 4 2)","(1 3'
+        ')(2 5)(4 6)","(1 4)(3 6)","(1 4 5)(2 6 3)","(1 5 4)(2 3 6)","(1 5)'
+        '(2 6)","(1 6)(2 4)(3 5)","(1 6)(2 5)(3 4)"],"generators":["(1 2 4 '
+        '6 5 3)","(2 3)(4 5)"],"order":12,"type":"unidentified group of ord'
+        'er 12"}\n',
+    ),
+    (
+        ["--json", "factor", "(1/2*t+1/3)*(t^2-2/5)"],
+        '{"factors":[{"multiplicity":1,"poly":"t + 2/3"},{"multiplicity":1,'
+        '"poly":"t^2 - 2/5"}],"unit":"1/2"}\n',
+    ),
+    (
+        ["--json", "factor", "(1/2*t+1/3)*(3/4*t^2-2/5)^2"],
+        '{"factors":[{"multiplicity":1,"poly":"t + 2/3"},{"multiplicity":2,'
+        '"poly":"t^2 - 8/15"}],"unit":"9/32"}\n',
+    ),
+    (
+        ["--json", "irreducible", "(t^3-2)*(t^4+3*t+3)"],
+        '{"verdict":"reducible","witness_data":{"factorization":{"factors":'
+        '[{"multiplicity":1,"poly":"t^3 - 2"},{"multiplicity":1,"poly":"t^4'
+        ' + 3*t + 3"}],"unit":"1"}},"witness_kind":"full_factorization"}\n',
     ),
 ]
 

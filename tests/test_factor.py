@@ -230,6 +230,82 @@ def test_is_irreducible_q_stages():
         is_irreducible_q(q([5]))
 
 
+def test_is_irreducible_q_reducible_skips_the_mod_p_scan(monkeypatch):
+    # a reducible f with no rational root and no Eisenstein witness is
+    # reducible mod every good prime (Gauss), so the scan cannot succeed;
+    # the factorization decides at once
+    import galoiskit.factor as factor_mod
+
+    def no_scan(*args, **kwargs):
+        raise AssertionError("mod-p scan run on a reducible input")
+
+    monkeypatch.setattr(factor_mod, "mod_p_certificate", no_scan)
+    for f in (q([-2, 0, 0, 1]) * q([3, 3, 0, 0, 1]), q([1, 0, 1]) * q([-2, 0, 1]), q([5, 0, 1]) ** 2):
+        cert = is_irreducible_q(f)
+        assert cert.verdict == "reducible" and cert.witness_kind == "full_factorization"
+        assert cert.witness_data["factorization"] == factor_q(f)
+
+
+def test_is_irreducible_q_witness_order():
+    # irreducible: the scan's witness as before; no witness below the bound
+    # (t^4 - 10t^2 + 1 splits mod every prime): the full factorization
+    cert = is_irreducible_q(q([-1, -1, 0, 0, 0, 1]))
+    assert cert.witness_kind == "mod_p" and cert.witness_data == {"prime": 3}
+    cert = is_irreducible_q(q([1, 0, -10, 0, 1]))
+    assert cert.irreducible and cert.witness_kind == "full_factorization"
+    # above max_degree the scan still runs first, so no DegreeCap
+    cert = is_irreducible_q(q([-1, -1, 0, 0, 0, 1]), max_degree=4)
+    assert cert.witness_kind == "mod_p" and cert.witness_data == {"prime": 3}
+    with pytest.raises(DegreeCap):
+        is_irreducible_q(q([1, 0, -10, 0, 1]), max_degree=3)
+
+
+def _shifted_primitive(f, c):
+    from galoiskit.poly import content_primitive
+
+    _, prim = content_primitive(f)
+    return [int(x) for x in Poly(QQ, prim).shift(c).coeffs]
+
+
+def test_eisenstein_matches_shift_oracle():
+    # the Eisenstein search and re-check against the primitive form shifted
+    # by Poly.shift over QQ, on random rational inputs and every shift
+    rng = random.Random(61)
+    found = 0
+    for _ in range(60):
+        deg = rng.randint(1, 7)
+        f = q([Fraction(rng.randint(-30, 30), rng.choice([1, 1, 2, 3])) for _ in range(deg)] + [rng.choice([1, 2, -3])])
+        for c in range(-5, 6):
+            ints = _shifted_primitive(f, c)
+            for p in (2, 3, 5, 7):
+                want = ints[-1] % p != 0 and all(a % p == 0 for a in ints[:-1]) and ints[0] % (p * p) != 0
+                assert check_eisenstein(f, p, c) == want
+            hit = eisenstein(f, shifts=[c])
+            if hit is not None:
+                p, shift = hit
+                assert shift == c and check_eisenstein(f, p, c)
+                found += 1
+    assert found >= 20, found
+
+
+def test_factor_q_non_monic_recombination():
+    # integer recombination with leading coefficients and constant terms that
+    # make many candidate subsets fail the constant-term or the first
+    # long-division test
+    rng = random.Random(67)
+    pieces = [q([-2, 0, 0, 3]), q([5, 0, -7]), q([1, 6]), q([-3, 4]), q([2, 1, 0, 9]), q([7, 0, 0, 0, 2]), q([-1, 0, 5])]
+    for _ in range(12):
+        chosen = rng.sample(pieces, rng.randint(2, 4))
+        f = q([Fraction(rng.choice([-3, 1, 5]), rng.choice([1, 4]))])
+        for g in chosen:
+            f = f * g
+        if f.degree > 12:
+            continue
+        fact = factor_q(f)
+        assert fact.expand(QQ) == f
+        assert sorted(str(g) for g, _ in fact.factors) == sorted(str(g.monic()) for g in chosen)
+
+
 def test_factor_q_examples():
     fact = factor_q(q([-5, 0, -4, 0, 1]))
     assert {str(g) for g, _ in fact.factors} == {"t^2 + 1", "t^2 - 5"}

@@ -1,6 +1,7 @@
 """Polynomial ring layer: division, gcd, derivative, resultants, rendering."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -448,3 +449,148 @@ def test_monic_and_pow():
     assert f.monic() == q([Fraction(1, 2), 1])
     assert q([1, 1]) ** 3 == q([1, 3, 3, 1])
     assert q([1, 1]) ** 0 == q([1])
+
+
+# -- Q[t] on integer numerators -----------------------------------------------
+# The Fraction schoolbook `*` and `divmod` that Poly ran over QQ before the
+# integer-numerator kernel, kept as the oracle for it.
+
+
+def _trimmed(coeffs):
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _schoolbook_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + x * y
+    return _trimmed(out)
+
+
+def _schoolbook_divmod(a, b):
+    dg = len(b) - 1
+    if len(a) - 1 < dg:
+        return [], list(a)
+    r = list(a)
+    quo = [Fraction(0)] * (len(a) - dg)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = r[i] / b[-1]
+        quo[i - dg] = c
+        for j, y in enumerate(b):
+            r[i - dg + j] = r[i - dg + j] - c * y
+    return _trimmed(quo), _trimmed(r[:dg])
+
+
+def _rational(rng, height):
+    """An integer half the time, otherwise a fraction with a small or a
+    large denominator; either sign."""
+    num = rng.randint(-height, height)
+    if rng.random() < 0.5:
+        return Fraction(num)
+    return Fraction(num, rng.choice([2, 3, 4, 6, 7, 12, 35, 10**9 + 7]))
+
+
+def _rational_poly(rng, deg, height=30):
+    coeffs = [_rational(rng, height) for _ in range(deg + 1)]
+    if deg >= 0 and not coeffs[-1]:
+        coeffs[-1] = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 5]))
+    return q(coeffs)
+
+
+def _qq_kernel_cases(rng):
+    """Pairs (f, g) over QQ: random rational ones, integer ones with a
+    monic, a negative or a rational leading coefficient on g, exact
+    multiples, zero and constant operands, and dividends of lower degree
+    than the divisor."""
+    zero = q([])
+    for _ in range(60):
+        yield _rational_poly(rng, rng.randint(0, 10)), _rational_poly(rng, rng.randint(0, 6))
+    for lead in (1, -1, -3, 7, Fraction(2, 3), Fraction(-5, 4)):
+        for _ in range(8):
+            g = q([rng.randint(-20, 20) for _ in range(rng.randint(1, 5))] + [lead])
+            yield _rational_poly(rng, rng.randint(0, 10), height=10**12), g
+    for _ in range(15):
+        g = _rational_poly(rng, rng.randint(1, 4))
+        yield _rational_poly(rng, rng.randint(0, 6)) * g, g
+    for _ in range(6):
+        f = _rational_poly(rng, rng.randint(0, 8))
+        yield zero, f
+        yield f, zero
+        yield f, q([_rational(rng, 9) or Fraction(-1, 3)])
+        yield q([_rational(rng, 9)]), f
+        yield _rational_poly(rng, rng.randint(0, 3)), _rational_poly(rng, rng.randint(4, 7))
+    yield zero, zero
+
+
+def test_qq_arithmetic_matches_fraction_schoolbook():
+    rng = random.Random(81)
+    counts = Counter()
+    for f, g in _qq_kernel_cases(rng):
+        prod = f * g
+        assert list(prod.coeffs) == _schoolbook_mul(list(f.coeffs), list(g.coeffs))
+        assert all(type(c) is Fraction for c in prod.coeffs)
+        if g.is_zero():
+            with pytest.raises(DivisionByZeroPoly):
+                divmod(f, g)
+            continue
+        quo, rem = divmod(f, g)
+        expected = _schoolbook_divmod(list(f.coeffs), list(g.coeffs))
+        assert (list(quo.coeffs), list(rem.coeffs)) == expected
+        assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
+        assert f % g == rem and f // g == quo
+        lc = g.lc()
+        counts["divmod"] += 1
+        counts["non_monic"] += lc != 1
+        counts["negative_lc"] += lc < 0
+        counts["rational_lc"] += lc.denominator != 1
+        counts["rational"] += any(c.denominator != 1 for c in f.coeffs + g.coeffs)
+        counts["constant_divisor"] += g.degree == 0
+        counts["lower_dividend"] += f.degree < g.degree
+        counts["exact"] += rem.is_zero() and not f.is_zero()
+        counts["monic_integer"] += lc == 1 and all(c.denominator == 1 for c in g.coeffs)
+    # the comparisons are not vacuous
+    floors = {
+        "divmod": 140, "non_monic": 120, "negative_lc": 30, "rational_lc": 30,
+        "rational": 120, "constant_divisor": 6, "lower_dividend": 10, "exact": 20,
+        "monic_integer": 8,
+    }
+    assert all(counts[k] >= v for k, v in floors.items()), counts
+
+
+def _trager_norm_cases():
+    """(mgamma, reps of g's coefficients in gamma) for a few towers over Q,
+    one of them with a rational minimal polynomial."""
+    T3, a = adjoin_root(QQ, q([-2, 0, 0, 1]), "a")
+    yield T3.primitive_element()[1], [T3.express_in_primitive(c) for c in (a * a, a, T3.one())]
+    yield T3.primitive_element()[1], [T3.express_in_primitive(T3.from_int(c)) for c in (-2, 0, 0, 1)]
+    T4, basis = _sqrt2_sqrt3_tower()
+    g4 = [-basis[2], basis[1], T4.one()]  # t^2 + sqrt2*t - sqrt3
+    yield T4.primitive_element()[1], [T4.express_in_primitive(c) for c in g4]
+    Th, h = adjoin_root(QQ, q([Fraction(-1, 2), 0, 1]), "h")  # h^2 = 1/2
+    yield Th.primitive_element()[1], [Th.express_in_primitive(c) for c in (h * Fraction(1, 3), Th.one() * 2, Th.one())]
+
+
+def test_norm_resultant_matches_sylvester_oracle():
+    from math import comb
+
+    from galoiskit.factor import _norm_resultant
+
+    R = PolyRing(QQ)
+    checked = 0
+    for mgamma, reps in _trager_norm_cases():
+        for s in (0, 1, -1, 2):
+            acc = Poly.zero(R)
+            for j, cj in enumerate(reps):
+                binom_x = Poly(R, [q([0] * (j - k) + [comb(j, k) * (-s) ** k]) for k in range(j + 1)])
+                acc = acc + Poly(R, [q([c]) for c in cj.coeffs]) * binom_x
+            m_x = Poly(R, [q([c]) for c in mgamma.coeffs])
+            norm = _norm_resultant(mgamma, reps, s, len(reps) - 1)
+            assert norm == resultant(m_x, acc) == sylvester_resultant(m_x, acc)
+            assert norm.degree == mgamma.degree * (len(reps) - 1)
+            checked += 1
+    assert checked == 16
