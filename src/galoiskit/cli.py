@@ -140,8 +140,11 @@ class _Parser:
         base = self.atom()
         if self.peek()[0] == "^":
             self.take("^")
-            tok = self.take("int")
-            return base ** tok[1]
+            k = self.take("int")[1]
+            if sum(1 for c in base.coeffs if c) == 1:  # (c*t^j)^k = c^k*t^(jk)
+                j = len(base.coeffs) - 1
+                return Poly(self.dom, [self.dom.zero()] * (j * k) + [base.coeffs[j] ** k])
+            return base ** k
         return base
 
     def atom(self) -> Poly:

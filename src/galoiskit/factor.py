@@ -38,6 +38,7 @@ from .poly import (
     PolyRing,
     _divmod_mod,
     _mul_mod,
+    _pseudo_divmod,
     _trim,
     content_primitive,
     gcd_ext,
@@ -315,6 +316,17 @@ def _z_mod(a, m):
     return _trim([c % m for c in a])
 
 
+def _z_taylor_shift(a, c):
+    """f(t + c) for an int coefficient list (low to high), by repeated
+    synthetic division: n(n-1)/2 int multiply-adds."""
+    a = list(a)
+    if c:
+        for i in range(len(a) - 1):
+            for j in range(len(a) - 2, i - 1, -1):
+                a[j] += c * a[j + 1]
+    return a
+
+
 def _z_sym(a, m):
     out = []
     half = m // 2
@@ -441,10 +453,11 @@ def _factor_sqfree_primitive_z(ints):
         if cand[-1] < 0:
             g = -g
         cand = [c // g for c in cand]
-        quo, rem = divmod(Poly(QQ, f_cur), Poly(QQ, cand))
-        if not rem.is_zero():
+        # a divisor's constant term divides f's (and is 0 only if f's is)
+        if f_cur[0] % cand[0] if cand[0] else f_cur[0]:
             return None
-        return cand, [int(c) for c in quo.coeffs]
+        div = _pseudo_divmod(f_cur, cand, exact=True)
+        return None if div is None or div[1] else (cand, div[0])
 
     found = []
     f_cur = list(ints)
@@ -513,10 +526,8 @@ def eisenstein(f: Poly, shifts=None):
     if shifts is None:
         shifts = list(_shift_order(EISENSTEIN_SHIFT_BOUND))
     _, prim = content_primitive(f)
-    base = Poly(QQ, prim)
     for c in shifts:
-        shifted = base.shift(c)
-        ints = [int(x) for x in shifted.coeffs]
+        ints = _z_taylor_shift(prim, c)
         g = 0
         for a in ints[:-1]:
             g = _int_gcd(g, a)
@@ -538,7 +549,7 @@ def eisenstein(f: Poly, shifts=None):
 def check_eisenstein(f: Poly, p: int, shift: int) -> bool:
     """Independent re-check of an Eisenstein witness."""
     _, prim = content_primitive(f)
-    ints = [int(x) for x in Poly(QQ, prim).shift(shift).coeffs]
+    ints = _z_taylor_shift(prim, shift)
     if ints[-1] % p == 0:
         return False
     if any(a % p for a in ints[:-1]):
@@ -599,7 +610,10 @@ def is_irreducible_q(
     """Decide irreducibility over Q, recording which rule fired.
 
     Stage order: degree-1 rule; rational-root rule (conclusive for degrees
-    2 and 3); Eisenstein with shifts; mod-p scan; full factorization."""
+    2 and 3); Eisenstein with shifts; mod-p scan; full factorization.  Up
+    to `max_degree` the factorization runs before the scan: a reducible
+    primitive f is reducible mod every p not dividing lc(f) (Gauss), so the
+    scan runs only for an irreducible f, to find a cheaper witness."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial is neither reducible nor irreducible")
     if f.degree == 0:
@@ -623,10 +637,13 @@ def is_irreducible_q(
         return IrreducibilityCertificate(
             IRREDUCIBLE, "eisenstein", {"prime": p, "shift": c}
         )
-    p = mod_p_certificate(f, prime_bound)
-    if p is not None:
-        return IrreducibilityCertificate(IRREDUCIBLE, "mod_p", {"prime": p})
-    fact = factor_q(f, max_degree=max_degree)
+    fact = factor_q(f, max_degree=max_degree) if f.degree <= max_degree else None
+    if fact is None or fact.is_irreducible():
+        p = mod_p_certificate(f, prime_bound)
+        if p is not None:
+            return IrreducibilityCertificate(IRREDUCIBLE, "mod_p", {"prime": p})
+    if fact is None:
+        fact = factor_q(f, max_degree=max_degree)
     verdict = IRREDUCIBLE if fact.is_irreducible() else REDUCIBLE
     return IrreducibilityCertificate(
         verdict, "full_factorization", {"factorization": fact}

@@ -7,10 +7,18 @@ integer).  The coefficient domain is carried explicitly as a field object
 (QQ, PrimeField(p), a Tower, or PolyRing for bivariate resultant work), so the
 same class serves every level of the engine.
 
-Over a prime field the coefficients are `FpElem` values only at rest:
-products and division with remainder run on plain int residues (`_mul_mod`,
-`_divmod_mod`, shared with Hensel lifting mod p^k) and wrap only the output
-coefficients, so no `FpElem` arithmetic happens per coefficient product.
+Over Q and over a prime field the coefficient objects exist only at rest;
+products and division with remainder read each operand once as plain ints,
+compute on ints and wrap only the output coefficients:
+
+* over F_p, int residues (`_mul_mod`, `_divmod_mod`, shared with Hensel
+  lifting mod p^k), with no `FpElem` arithmetic per coefficient product;
+* over Q, integer numerators over one common denominator (`_numerators`):
+  the unreduced product `_mul_int` (which `_mul_mod` reduces) and the
+  fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end,
+  with no `Fraction` arithmetic per coefficient product.  Every rational
+  polynomial takes this path: parsing, gcds, Zassenhaus, the subresultant
+  PRS over `PolyRing(QQ)` and the bottom level of every rational tower.
 
 Division, gcd and friends require the domain to be a field; ring-only
 operations (+ - *, evaluation, resultants via the subresultant PRS) work over
@@ -24,7 +32,7 @@ from functools import lru_cache
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroPoly, ZeroPolynomial
-from .numbers import QQ, FpElem, PrimeField
+from .numbers import QQ, FpElem, PrimeField, RationalField
 
 
 class _NegInfinity:
@@ -194,6 +202,9 @@ class Poly:
         if isinstance(self.dom, PrimeField):
             prod = _mul_mod([c.r for c in a], [c.r for c in b], self.dom.p)
             return _from_residues(self.dom, prod)
+        if isinstance(self.dom, RationalField):
+            (na, da), (nb, db) = _numerators(a), _numerators(b)
+            return _from_numerators(_mul_int(na, nb), da * db)
         zero = self.dom.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -235,6 +246,12 @@ class Poly:
         dg = len(other.coeffs) - 1
         if len(r) - 1 < dg:
             return Poly.zero(dom), self
+        if isinstance(dom, RationalField):
+            # s*A = Q*B + R on numerators, a = A/da and b = B/db, so
+            # a = (Q*db / (s*da)) * b + R / (s*da)
+            (na, da), (nb, db) = _numerators(r), _numerators(other.coeffs)
+            q, r, s = _pseudo_divmod(na, nb)
+            return _from_numerators([c * db for c in q], s * da), _from_numerators(r, s * da)
         # a monic divisor (every tower reduction) needs no inverse of lc
         inv_lc = None if other.lc() == dom.one() else dom.one() / other.lc()
         q = [dom.zero()] * (len(r) - dg)
@@ -325,16 +342,21 @@ def _trim(a):
     return a
 
 
-def _mul_mod(a, b, m):
-    """Product of int coefficient lists (low to high) mod m, trimmed; each
-    output coefficient is reduced once."""
+def _mul_int(a, b):
+    """Product of int coefficient lists (low to high), unreduced."""
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             out[i : i + len(b)] = [o + x * y for o, y in zip(out[i : i + len(b)], b)]
-    return _trim([c % m for c in out])
+    return out
+
+
+def _mul_mod(a, b, m):
+    """Product of int coefficient lists mod m, trimmed; each output
+    coefficient is reduced once."""
+    return _trim([c % m for c in _mul_int(a, b)])
 
 
 def _divmod_mod(a, b, m):
@@ -352,6 +374,55 @@ def _divmod_mod(a, b, m):
             q[i - dg] = c
             r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
     return _trim(q), _trim([c % m for c in r[:dg]])
+
+
+def _pseudo_divmod(a, b, exact=False):
+    """Fraction-free division of int coefficient lists, deg a >= deg b:
+    (q, r, s) with s*a = q*b + r and deg r < deg b.  A step whose leading
+    coefficient lc(b) does not divide first scales the remainder and the
+    quotient so far by the missing factor of lc(b), so s = 1 while every
+    step divides (always when lc(b) = 1).  With `exact`, such a step
+    returns None instead: trial division over Z."""
+    dg = len(b) - 1
+    lead = b[-1]
+    r = list(a)
+    q = [0] * (len(a) - dg)
+    s = 1
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = r[i]
+        if not c:
+            continue
+        if c % lead:
+            if exact:
+                return None
+            m = abs(lead) // _int_gcd(c, lead)
+            s *= m
+            c *= m
+            r[:i] = [x * m for x in r[:i]]
+            q[i - dg + 1 :] = [x * m for x in q[i - dg + 1 :]]
+        c //= lead
+        q[i - dg] = c
+        r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
+    return q, _trim(r[:dg]), s
+
+
+def _numerators(coeffs):
+    """(int numerators, common denominator) of rational coefficients."""
+    den = 1
+    for c in coeffs:
+        if den % c.denominator:
+            den = den // _int_gcd(den, c.denominator) * c.denominator
+    if den == 1:
+        return [c.numerator for c in coeffs], 1
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _from_numerators(ints, den):
+    """The polynomial over QQ with coefficients ints[i]/den (ints trimmed);
+    Fraction normalises each one."""
+    if den == 1:
+        return Poly(QQ, [Fraction(c) for c in ints], normalize=False)
+    return Poly(QQ, [Fraction(c, den) for c in ints], normalize=False)
 
 
 @lru_cache(maxsize=None)  # at most one table per prime below 1024
@@ -452,10 +523,7 @@ def content_primitive(f: Poly):
         raise ZeroPolynomial("zero polynomial")
     if f.dom != QQ:
         raise TypeError("content_primitive is defined over QQ")
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
+    ints, den = _numerators(f.coeffs)
     g = 0
     for c in ints:
         g = _int_gcd(g, c)
