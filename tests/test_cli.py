@@ -1,11 +1,17 @@
 """CLI: expression parsing, dispatch, exit codes, JSON determinism."""
 
 import json
+import os
 import random
 import string
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import galoiskit
 from galoiskit.errors import ParseError
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
@@ -175,6 +181,32 @@ def test_exit_codes(capsys):
     assert dispatch(["--json", "galois", "t^4-2"]) == 0
 
 
+def _run_cli(*argv):
+    """Run the installed entry point in a fresh interpreter."""
+    src = str(Path(galoiskit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-c", "from galoiskit.cli import main; main()", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+
+
+def test_gf_degree_below_one_is_an_input_error():
+    for n in ("0", "-1"):
+        proc = _run_cli("gf", "2", n)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and "degree" in proc.stderr
+        assert proc.stdout == ""
+
+
+def test_gf_huge_degree_is_refused_before_any_work(capsys):
+    t0 = time.monotonic()
+    assert dispatch(["gf", "3", "10000000"]) == 3
+    assert time.monotonic() - t0 < 1.0
+    assert "field order 3^10000000 exceeds budget" in capsys.readouterr().err
+
+
 def test_json_byte_determinism(capsys):
     outputs = []
     for _ in range(2):
@@ -288,6 +320,30 @@ GOLDEN_JSON = [
         '{"verdict":"reducible","witness_data":{"factorization":{"factors":'
         '[{"multiplicity":1,"poly":"t^3 - 2"},{"multiplicity":1,"poly":"t^4'
         ' + 3*t + 3"}],"unit":"1"}},"witness_kind":"full_factorization"}\n',
+    ),
+    # recorded before subfields were tested by Frobenius instead of listed
+    (
+        ["--json", "gf", "2", "20", "--subfields", "--generator"],
+        '{"frobenius_order":20,"generator":"a^19","modulus":"t^20 + t^3 + 1'
+        '","n":20,"order":1048576,"p":2,"subfield_orders":[2,4,16,32,1024,1'
+        '048576],"subfields":[{"m":1,"order":2},{"m":2,"order":4},{"m":4,"o'
+        'rder":16},{"m":5,"order":32},{"m":10,"order":1024},{"m":20,"order"'
+        ':1048576}]}\n',
+    ),
+    (
+        ["--json", "gf", "3", "9", "--subfields", "--generator"],
+        '{"frobenius_order":9,"generator":"2*a^8","modulus":"t^9 + 2*t^3 + '
+        't^2 + 1","n":9,"order":19683,"p":3,"subfield_orders":[3,27,19683],'
+        '"subfields":[{"m":1,"order":3},{"m":3,"order":27},{"m":9,"order":1'
+        '9683}]}\n',
+    ),
+    (
+        ["--json", "gf", "2", "12", "--subfields"],
+        '{"frobenius_order":12,"generator":"a^11 + a^10","modulus":"t^12 + '
+        't^3 + 1","n":12,"order":4096,"p":2,"subfield_orders":[2,4,8,16,64,'
+        '4096],"subfields":[{"m":1,"order":2},{"m":2,"order":4},{"m":3,"ord'
+        'er":8},{"m":4,"order":16},{"m":6,"order":64},{"m":12,"order":4096}'
+        ']}\n',
     ),
 ]
 

@@ -1,11 +1,12 @@
 """GF(p^n): classification, Frobenius, subfields, multiplicative structure."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
 from galoiskit.errors import Budget, NotADivisor, NotPrime
-from galoiskit.numbers import PrimeField, divisors
+from galoiskit.numbers import PrimeField, divisors, is_prime
 from galoiskit.poly import Poly, render
 from galoiskit.factor import factor_fp, is_irreducible_ff
 from galoiskit.finitefield import (
@@ -172,6 +173,51 @@ def test_subfield_subsets_are_subfields():
         # the fixed-set description: a^(p^m) = a for members
         for a in elems:
             assert F.pow(a, 2**m) == a
+
+
+def _fields_up_to(limit):
+    for p in range(2, limit + 1):
+        if is_prime(p):
+            n = 1
+            while p**n <= limit:
+                yield p, n
+                n += 1
+
+
+def test_subfield_membership_matches_generator_powers():
+    """On every GF(p^n) of at most 729 elements, membership in the subfield
+    of order p^m agrees, element by element, with the subfield listed as 0
+    and the powers of g^((q-1)/(p^m-1)) for the multiplicative generator g,
+    and admits exactly p^m elements."""
+    for p, n in _fields_up_to(729):
+        F = gf(p, n)
+        elems = F.elements()
+        g = multiplicative_generator(F)
+        for m, sub in subfields(F):
+            h = F.pow(g, (F.order - 1) // (p**m - 1))
+            listed = {F.zero()}
+            cur = F.one()
+            for _ in range(p**m - 1):
+                listed.add(cur)
+                cur = F.mul(cur, h)
+            assert cur == F.one() and len(listed) == p**m
+            members = {a for a in elems if a in sub}
+            assert len(members) == sub.order == p**m
+            assert members == listed == set(sub.elements)
+
+
+def test_structure_of_gf_2_20_lists_no_field():
+    # the JSON summary (generator included) and the subfield lattice of
+    # GF(2^20) never hold the field's 2^20 elements
+    tracemalloc.start()
+    try:
+        F = gf(2, 20)
+        F.to_json()
+        subfields(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 def test_subfield_count_is_divisor_count():
