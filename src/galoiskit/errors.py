@@ -84,5 +84,9 @@ class NotADivisor(GaloisKitError):
     pass
 
 
+class InvalidDegree(GaloisKitError):
+    pass
+
+
 class InternalInvariant(GaloisKitError):
     """A certified-impossible state was reached; indicates an upstream bug."""

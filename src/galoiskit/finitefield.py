@@ -1,10 +1,17 @@
 """GF(p^n): construction, Frobenius, subfield lattice, multiplicative structure.
 
 Elements are coefficient tuples of ints mod p (length n) with arithmetic done
-directly on the tuples against a precomputed reduction of the defining
-polynomial; this flat representation keeps exhaustive verification loops
-(Frobenius additivity, x^q = x sweeps) fast.  A single-level tower view over
-F_p is available for interoperating with the splitting/Galois machinery.
+directly on the tuples against the defining polynomial.  A single-level tower
+view over F_p is available for interoperating with the splitting/Galois
+machinery.
+
+No structure query lists the field (Lidl & Niederreiter, *Finite Fields*,
+ch. 2).  The subfield of order p^m, for each m | n, is the fixed set
+{a : a^(p^m) = a} of the m-th Frobenius power, so membership costs one
+exponentiation.  The multiplicative generator is the first element in
+canonical order whose order is certified to be p^n - 1; candidates are made
+one at a time, and the answer is kept on the field.  Only `GF.elements` and
+`SubfieldOfGF.elements` enumerate, within ELEMENT_BUDGET.
 
 The defining polynomial is the least monic irreducible of degree n in the
 canonical order, so construction is deterministic.
@@ -15,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import Budget, NotADivisor, NotPrime
+from .errors import Budget, InvalidDegree, NotADivisor, NotPrime
 from .numbers import PrimeField, divisors, factor_integer, is_prime
 from .poly import Poly
 from .factor import is_irreducible_ff
@@ -28,7 +35,11 @@ def find_irreducible(p: int, n: int, budget: int = ELEMENT_BUDGET) -> Poly:
     """Least monic irreducible of degree n over F_p in canonical order."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if p**n > budget:
+    if n < 1:
+        raise InvalidDegree(f"field degree must be at least 1, got {n}")
+    # p >= 2, so p^n > budget already when 2^n is; refuse that without
+    # forming p^n, whose cost grows with n
+    if n >= budget.bit_length() or p**n > budget:
         raise Budget(f"field order {p}^{n} exceeds budget {budget}")
     F = PrimeField(p)
     if n == 1:
@@ -47,14 +58,15 @@ class GF:
     def __init__(self, p: int, n: int, modulus: Poly | None = None):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
+        if modulus is None:
+            modulus = find_irreducible(p, n)
         self.p = p
         self.n = n
         self.order = p**n
-        if modulus is None:
-            modulus = find_irreducible(p, n)
         self.modulus = modulus
         self._mod_ints = [c.r for c in modulus.coeffs]  # monic, length n+1
         self._tower = None
+        self._generator = None  # multiplicative_generator, once found
 
     # -- element helpers ------------------------------------------------------
 
@@ -75,7 +87,7 @@ class GF:
         """All elements in canonical (ascending coordinate) order."""
         if self.order > ELEMENT_BUDGET:
             raise Budget(f"enumerating {self.order} elements")
-        return [tuple(v) for v in itertools.product(range(self.p), repeat=self.n)]
+        return list(itertools.product(range(self.p), repeat=self.n))
 
     def add(self, a, b):
         p = self.p
@@ -200,55 +212,74 @@ def unique_pth_root(F: GF, a):
 
 @dataclass
 class SubfieldOfGF:
+    """The subfield of F of order p^m: the fixed set of x -> x^(p^m)."""
+
+    field: GF
     m: int
     order: int
-    elements: frozenset
 
     def __contains__(self, x):
-        return x in self.elements
+        return self.field.pow(x, self.order) == x
+
+    @property
+    def elements(self) -> frozenset:
+        """The members, listed on demand as 0 and the powers of
+        g^((q-1)/(p^m-1)); an oracle for tests and demos."""
+        if self.order > ELEMENT_BUDGET:
+            raise Budget(f"enumerating {self.order} elements")
+        F = self.field
+        h = F.pow(multiplicative_generator(F), (F.order - 1) // (self.order - 1))
+        members = {F.zero()}
+        cur = F.one()
+        for _ in range(self.order - 1):
+            members.add(cur)
+            cur = F.mul(cur, h)
+        return frozenset(members)
 
 
 def subfields(F: GF, budget: int = ELEMENT_BUDGET):
-    """One subfield per divisor m of n, realized as the fixed set of the
-    m-th Frobenius power {a : a^(p^m) = a} (generated multiplicatively)."""
+    """One subfield per divisor m of n: the fixed set {a : a^(p^m) = a} of
+    the m-th Frobenius power, which has p^m elements.  Nothing is listed.
+    For m < n the size is still checked: h = g^((q-1)/(p^m-1)) must take
+    exactly p^m - 1 products to return to 1 (at most p^(n/2) steps)."""
     if F.order > budget:
         raise Budget(f"field order {F.order} exceeds budget {budget}")
+    one = F.one()
     out = []
-    g = None
     for m in divisors(F.n):
         sub_order = F.p**m
-        if m == F.n:
-            elems = frozenset(F.elements())
-        else:
-            if g is None:
-                g = multiplicative_generator(F)
-            step = (F.order - 1) // (sub_order - 1)
-            h = F.pow(g, step)
-            members = {F.zero(), F.one()}
-            cur = h
-            while cur != F.one():
-                members.add(cur)
+        if m < F.n:
+            h = F.pow(multiplicative_generator(F), (F.order - 1) // (sub_order - 1))
+            steps, cur = 1, h
+            while cur != one:
                 cur = F.mul(cur, h)
-            elems = frozenset(members)
-        if len(elems) != sub_order:
-            raise RuntimeError("subfield has the wrong size")
-        out.append((m, SubfieldOfGF(m, sub_order, elems)))
+                steps += 1
+            if steps != sub_order - 1:
+                raise RuntimeError("subfield has the wrong size")
+        out.append((m, SubfieldOfGF(F, m, sub_order)))
     return out
 
 
 def multiplicative_generator(F: GF):
     """First element (canonical order) of multiplicative order p^n - 1,
-    certified by checking x^((q-1)/l) != 1 for every prime l | q-1."""
+    certified by checking x^((q-1)/l) != 1 for every prime l | q-1.
+    Candidates are made one at a time; the answer is kept on F."""
+    if F._generator is None:
+        F._generator = _first_generator(F)
+    return F._generator
+
+
+def _first_generator(F: GF):
+    if F.order > ELEMENT_BUDGET:
+        raise Budget(f"enumerating {F.order} elements")
     q1 = F.order - 1
-    prime_divs = sorted(set(factor_integer(q1)))
     one = F.one()
-    for a in F.elements():
-        if not any(a) or a == one and q1 > 1:
-            continue
-        if all(F.pow(a, q1 // ell) != one for ell in prime_divs):
-            return a
     if q1 == 1:
         return one
+    prime_divs = sorted(set(factor_integer(q1)))
+    for a in itertools.product(range(F.p), repeat=F.n):
+        if any(a) and a != one and all(F.pow(a, q1 // ell) != one for ell in prime_divs):
+            return a
     raise RuntimeError("no multiplicative generator found")
 
 
