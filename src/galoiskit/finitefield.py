@@ -244,12 +244,13 @@ def subfields(F: GF, budget: int = ELEMENT_BUDGET):
     exactly p^m - 1 products to return to 1 (at most p^(n/2) steps)."""
     if F.order > budget:
         raise Budget(f"field order {F.order} exceeds budget {budget}")
+    g = multiplicative_generator(F)
     one = F.one()
     out = []
     for m in divisors(F.n):
         sub_order = F.p**m
         if m < F.n:
-            h = F.pow(multiplicative_generator(F), (F.order - 1) // (sub_order - 1))
+            h = F.pow(g, (F.order - 1) // (sub_order - 1))
             steps, cur = 1, h
             while cur != one:
                 cur = F.mul(cur, h)
