@@ -182,7 +182,7 @@ def test_exit_codes(capsys):
 
 
 def _run_cli(*argv):
-    """Run the installed entry point in a fresh interpreter."""
+    """Run `galoiskit.cli.main` in a fresh interpreter, from the package under test."""
     src = str(Path(galoiskit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
     return subprocess.run(
