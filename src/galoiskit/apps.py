@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .errors import NotIrreducible, ZeroPolynomial
+from .errors import InvalidPolygon, NotIrreducible, ZeroPolynomial
 from .numbers import QQ, factor_integer, is_fermat_prime, is_prime
 from .poly import Poly, discriminant, render, squarefree_part
 from .factor import factor_over_extension, is_irreducible_q
@@ -253,7 +253,7 @@ def ngon_constructible(n: int) -> bool:
     """Gauss-Wantzel rule: the regular n-gon is constructible iff the odd
     part of n is a product of distinct Fermat primes."""
     if n < 3:
-        raise ValueError("a polygon needs at least 3 vertices")
+        raise InvalidPolygon(f"a polygon needs at least 3 vertices, got {n}")
     m = n
     while m % 2 == 0:
         m //= 2

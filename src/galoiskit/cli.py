@@ -352,7 +352,10 @@ def _cmd_construct(args, dom):
             lines.append(f"{entry['target']}: {entry['verdict']}")
         _emit(args, report, lines)
     elif args.what == "ngon":
-        n = int(args.arg)
+        try:
+            n = int(args.arg)
+        except ValueError:
+            raise ParseError(f"bad vertex count {args.arg!r}", expected=["an integer"])
         ok = apps.ngon_constructible(n)
         _emit(
             args,

@@ -88,5 +88,9 @@ class InvalidDegree(GaloisKitError):
     pass
 
 
+class InvalidPolygon(GaloisKitError, ValueError):
+    pass
+
+
 class InternalInvariant(GaloisKitError):
     """A certified-impossible state was reached; indicates an upstream bug."""

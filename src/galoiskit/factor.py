@@ -6,9 +6,10 @@ Three coefficient worlds are covered:
   distinct-degree splitting via gcd(f, t^(q^k) - t), then deterministic
   equal-degree splitting (trace witnesses b*t^j in characteristic 2, a lazy
   sweep of (u)^((q^d-1)/2) in odd characteristic);
-* the rationals: Zassenhaus — primitive + squarefree reduction, factor mod a
-  good small prime, Hensel lift past the Landau-Mignotte bound, recombine by
-  subset search;
+* the rationals: Zassenhaus — primitive + squarefree reduction, pick a good
+  small prime by the factor count that its distinct-degree split gives
+  (sum of deg(g)/k), equal-degree split only that prime's pieces, Hensel
+  lift past the Landau-Mignotte bound, recombine by subset search;
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
   the problem down to Q through a resultant.
 
@@ -37,6 +38,7 @@ from .poly import (
     Poly,
     PolyRing,
     _divmod_mod,
+    _from_residues,
     _mul_mod,
     _pseudo_divmod,
     _trim,
@@ -139,8 +141,18 @@ def field_order(dom) -> int:
 
 
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    result = Poly.one(base.dom)
     base = base % mod
+    if isinstance(base.dom, PrimeField):
+        # left to right from the top bit: no squaring after the last one
+        p, m = base.dom.p, [c.r for c in mod.coeffs]
+        b = [c.r for c in base.coeffs]
+        result = b if e else [1]
+        for bit in bin(e)[3:]:
+            result = _divmod_mod(_mul_mod(result, result, p), m, p)[1]
+            if bit == "1":
+                result = _divmod_mod(_mul_mod(result, b, p), m, p)[1]
+        return _from_residues(base.dom, result)
+    result = Poly.one(base.dom)
     while e:
         if e & 1:
             result = result * base % mod
@@ -412,26 +424,27 @@ def _factor_sqfree_primitive_z(ints):
     n = len(ints) - 1
     if n == 1:
         return [list(ints)]
-    # choose a prime: smallest few with good reduction, fewest modular factors
+    # choose a prime: smallest few with good reduction, fewest modular
+    # factors, counted from the distinct-degree split alone as sum deg(g)/k
     best = None
     tried = 0
     for p in _primes():
         if ints[-1] % p == 0:
             continue
-        F = PrimeField(p)
-        fbar = Poly(F, ints)
+        fbar = Poly(PrimeField(p), ints)
         if poly_gcd(fbar, fbar.derivative()).degree != 0:
             continue
-        fact = factor_ff(fbar)
-        parts = [f for f, _ in fact.factors]
-        if len(parts) == 1:
+        pieces = _ddf(fbar.monic())
+        count = sum(g.degree // k for g, k in pieces)
+        if count == 1:
             return [list(ints)]  # irreducible mod p => irreducible over Q
-        if best is None or len(parts) < len(best[1]):
-            best = (p, parts)
+        if best is None or count < best[1]:
+            best = (p, count, pieces)
         tried += 1
-        if tried >= 3 or (best is not None and len(best[1]) <= 2):
+        if tried >= 3 or best[1] <= 2:
             break
-    p, parts = best
+    p, _, pieces = best
+    parts = [g for prod, k in pieces for g in _edf(prod, k)]
     bound = _mignotte_bound(ints)
     k = 1
     while p**k <= 2 * bound:

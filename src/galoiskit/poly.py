@@ -13,6 +13,9 @@ compute on ints and wrap only the output coefficients:
 
 * over F_p, int residues (`_mul_mod`, `_divmod_mod`, shared with Hensel
   lifting mod p^k), with no `FpElem` arithmetic per coefficient product;
+  `poly_gcd` (and `factor._powmod`) run their whole loop on residues the
+  same way, so DDF, EDF, squarefree parts and Rabin's test wrap only
+  their results;
 * over Q, integer numerators over one common denominator (`_numerators`):
   the unreduced product `_mul_int` (which `_mul_mod` reduces) and the
   fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end,
@@ -469,6 +472,15 @@ def gcd_ext(f: Poly, g: Poly):
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over a field (zero iff both inputs are zero)."""
+    if isinstance(f.dom, PrimeField):
+        p, g = f.dom.p, f._coerce_operand(g)
+        a, b = [c.r for c in f.coeffs], [c.r for c in g.coeffs]
+        while b:
+            a, b = b, _divmod_mod(a, b, p)[1]
+        if a and a[-1] != 1:
+            inv = pow(a[-1], -1, p)
+            a = [c * inv % p for c in a]
+        return _from_residues(f.dom, a)
     while not g.is_zero():
         f, g = g, f % g
     return f.monic()

@@ -200,6 +200,15 @@ def test_gf_degree_below_one_is_an_input_error():
         assert proc.stdout == ""
 
 
+def test_ngon_below_three_vertices_is_an_input_error():
+    for n, message in (("2", "error: a polygon"), ("0", "error: a polygon"), ("abc", "parse error: bad vertex")):
+        proc = _run_cli("construct", "ngon", n)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(message)
+        assert proc.stdout == ""
+
+
 def test_gf_huge_degree_is_refused_before_any_work(capsys):
     t0 = time.monotonic()
     assert dispatch(["gf", "3", "10000000"]) == 3
@@ -344,6 +353,36 @@ GOLDEN_JSON = [
         '4096],"subfields":[{"m":1,"order":2},{"m":2,"order":4},{"m":3,"ord'
         'er":8},{"m":4,"order":16},{"m":6,"order":64},{"m":12,"order":4096}'
         ']}\n',
+    ),
+    # recorded before Zassenhaus chose its prime from the distinct-degree
+    # pattern and F_p gcd and powmod ran on int residues
+    (
+        ["--json", "factor", "t^4-10*t^2+1"],
+        '{"factors":[{"multiplicity":1,"poly":"t^4 - 10*t^2 + 1"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "factor", "t^8-40*t^6+352*t^4-960*t^2+576"],
+        '{"factors":[{"multiplicity":1,"poly":"t^8 - 40*t^6 + 352*t^4 - 960*t^'
+        '2 + 576"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "--field", "F3", "factor", "(t^2+1)^3*(t+1)*(t^3-t+1)^3"],
+        '{"factors":[{"multiplicity":1,"poly":"t + 1"},{"multiplicity":3,"pol'
+        'y":"t^2 + 1"},{"multiplicity":3,"poly":"t^3 + 2*t + 1"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "--field", "F1031", "factor", "t^9+5*t^4+1000*t+7"],
+        '{"factors":[{"multiplicity":1,"poly":"t^2 + 114*t + 93"},{"multiplic'
+        'ity":1,"poly":"t^7 + 917*t^6 + 531*t^5 + 587*t^4 + 202*t^3 + 742*t^2 '
+        '+ 757*t + 377"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "--field", "F2", "irreducible", "t^17+t^3+1"],
+        '{"verdict":"irreducible"}\n',
+    ),
+    (
+        ["--json", "--field", "F13", "irreducible", "t^12+t+2"],
+        '{"verdict":"reducible"}\n',
     ),
 ]
 

@@ -11,6 +11,8 @@ from galoiskit.errors import ConstantPolynomial, DegreeCap, NotPrime, ZeroPolyno
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, poly_gcd
 from galoiskit.factor import (
+    _ddf,
+    _powmod,
     check_eisenstein,
     cyclotomic_p,
     eisenstein,
@@ -113,6 +115,58 @@ def test_factor_fp_matches_trial_division_oracle():
             for g, m in factor_fp(f).factors:
                 mine.extend([str(g)] * m)
             assert sorted(mine) == oracle(f)
+
+
+def test_powmod_matches_repeated_multiplication():
+    # e in {0, 1, p, p^d}; t^(p^d) is read as d p-th powers, each by p
+    # products, so p = 1031 stays cheap
+    def power(b, e, f):
+        out = Poly.one(b.dom)
+        for _ in range(e):
+            out = out * b % f
+        return out
+
+    rng = random.Random(29)
+    for p in (2, 3, 5, 7, 13, 31, 1031):
+        F = PrimeField(p)
+        for _ in range(4):
+            d = rng.randint(1, 5)
+            f = Poly(F, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
+            b = Poly(F, [rng.randrange(p) for _ in range(rng.randint(0, 2 * d + 2))])
+            assert _powmod(b, 0, f) == Poly.one(F)
+            assert _powmod(b, 1, f) == b % f
+            assert _powmod(b, p, f) == power(b, p, f)
+            want = b % f
+            for _ in range(d):
+                want = power(want, p, f)
+            got = _powmod(b, p**d, f)
+            assert got == want and all(c.p == p for c in got.coeffs)
+
+
+def test_ddf_pattern_counts_the_modular_factors():
+    # sum of deg(g)/k over the distinct-degree pieces of f mod p is the
+    # number of irreducible factors of f mod p, for every good prime
+    rng = random.Random(31)
+    checked = 0
+    for _ in range(40):
+        f = q([1])
+        for _ in range(rng.randint(1, 3)):
+            deg = rng.randint(1, 4)
+            f = f * q([rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 4)])
+        ints = [int(c) for c in f.coeffs]
+        if poly_gcd(f, f.derivative()).degree != 0:
+            continue
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+            if ints[-1] % p == 0:
+                continue
+            fbar = Poly(PrimeField(p), ints)
+            if poly_gcd(fbar, fbar.derivative()).degree != 0:
+                continue
+            pieces = _ddf(fbar.monic())
+            assert sum(g.degree // k for g, k in pieces) == len(factor_ff(fbar).factors)
+            assert all(g.degree % k == 0 for g, k in pieces)
+            checked += 1
+    assert checked >= 150, checked
 
 
 def _squarefree_factor_degrees(f):

@@ -8,7 +8,7 @@ from math import gcd
 import pytest
 
 from galoiskit.errors import DivisionByZeroPoly, ZeroPolynomial
-from galoiskit.numbers import QQ, PrimeField
+from galoiskit.numbers import QQ, FpElem, PrimeField
 from galoiskit.poly import (
     INFINITY,
     NEG_INFINITY,
@@ -21,6 +21,7 @@ from galoiskit.poly import (
     discriminant,
     gcd_ext,
     has_repeated_root,
+    poly_gcd,
     render,
     resultant,
     squarefree_part,
@@ -255,6 +256,36 @@ def test_int_residue_kernel_mod_prime_powers():
             assert _mul_mod(a, b, m) == _residues(f * g, m)
             quo, rem = divmod(f, g)
             assert _divmod_mod(a, b, m) == (_residues(quo, m), _residues(rem, m))
+
+
+def _euclid_gcd(f, g):
+    """The plain Euclid loop on `Poly` remainders: the monic gcd oracle."""
+    while not g.is_zero():
+        f, g = g, f % g
+    return f.monic()
+
+
+def test_fp_gcd_matches_euclid_loop():
+    rng = random.Random(73)
+    counts = {"zero": 0, "constant": 0, "non_monic": 0, "nontrivial": 0}
+    for p in KERNEL_PRIMES:
+        F = PrimeField(p)
+        for f, g in _kernel_cases(rng):
+            fp, gp = Poly(F, list(f.coeffs)), Poly(F, list(g.coeffs))
+            for a, b in ((fp, gp), (gp, fp)):
+                got = poly_gcd(a, b)
+                assert got == _euclid_gcd(a, b), (p, a, b)
+                assert got.dom == F and all(type(c) is FpElem for c in got.coeffs)
+                assert got.is_zero() or got.is_monic()
+                counts["zero"] += a.is_zero() or b.is_zero()
+                counts["constant"] += a.degree == 0 or b.degree == 0
+                counts["non_monic"] += not a.is_zero() and not a.is_monic()
+                counts["nontrivial"] += got.degree >= 1
+    # the comparisons are not vacuous
+    assert min(counts.values()) >= 40, counts
+    assert poly_gcd(Poly.zero(F7), Poly.zero(F7)) == Poly.zero(F7)
+    with pytest.raises(ValueError):
+        poly_gcd(Poly(PrimeField(5), [1, 2, 1]), Poly(F7, [3, 1]))
 
 
 def test_mixed_prime_fields_raise():
