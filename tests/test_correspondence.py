@@ -1,5 +1,6 @@
 """The Galois correspondence: fixed fields, mutual inverse, quotients."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from galoiskit.correspondence import (
     subfield_generated_by,
     verify_correspondence,
 )
-from galoiskit.linalg import in_row_space, mat_mul_vec
+from galoiskit.linalg import in_row_space, mat_mul_vec, row_space_basis
 
 
 def q(coeffs):
@@ -280,6 +281,42 @@ def test_subfield_generated_closure(cbrt2_setup):
             assert L.contains(a * b)
 
 
+def _generated_span_oracle(field, elems):
+    """RREF basis of the field generated by elems: span 1 and elems, then
+    multiply the whole span by every generator until it stops growing."""
+    base = field.base
+    rows = row_space_basis(base, [field.flatten(x) for x in [field.one()] + elems])
+    while True:
+        grown = list(rows)
+        for v in rows:
+            grown.extend(field.flatten(field.unflatten(list(v)) * e) for e in elems)
+        grown = row_space_basis(base, grown)
+        if len(grown) == len(rows):
+            return grown
+        rows = grown
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 0, 1],  # t^3 - 2, S3
+    [-2, 0, 0, 0, 1],  # t^4 - 2, D4
+    [-30, 0, 31, 0, -10, 0, 1],  # (t^2 - 2)(t^2 - 3)(t^2 - 5), C2^3
+])
+def test_subfield_generated_by_matches_the_fixpoint_oracle(coeffs):
+    sf = splitting_field_q(q(coeffs))
+    field = sf.field
+    roots = [field.coerce(r) for r in sf.roots]
+    pool = roots + [a * b for a in roots for b in roots] + [a + b for a in roots for b in roots]
+    rng = random.Random(7)
+    gen_sets = [[], [field.from_int(3)], roots] + [rng.sample(pool, rng.randint(1, 2)) for _ in range(10)]
+    dims = set()
+    for gens in gen_sets:
+        L = subfield_generated_by(sf, gens)
+        assert L.basis == _generated_span_oracle(field, gens)
+        assert all(L.contains(g) for g in gens)
+        dims.add(L.dim)
+    assert {1, field.absolute_degree()} <= dims and len(dims) >= 3
+
+
 def test_t6_minus_2_dihedral_d6_correspondence():
     # Gal(t^6 - 2) = D6 of order 12: D_n has tau(n) + sigma(n) = 4 + 12
     # subgroups and, n even, tau(n) + 3 = 7 normal ones
@@ -291,7 +328,6 @@ def test_t6_minus_2_dihedral_d6_correspondence():
     assert report["mutually_inverse"]
 
 
-@pytest.mark.slow
 def test_t5_minus_2_frobenius_f20_correspondence():
     # Gal(t^5 - 2) = F20 = C5 : C4: 1, five C2, five C4, C5, D5, F20 make 14
     # subgroups; 1, C5, D5 and F20 are the normal ones

@@ -27,6 +27,7 @@ from galoiskit.factor import (
     roots_fp,
 )
 from galoiskit.tower import adjoin_root
+from test_tower import _tower_elements
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -195,7 +196,7 @@ def test_edf_gf4_every_squarefree_quartic():
     # over F_4 a witness t alone cannot separate roots of equal trace; the
     # basis multiples b * t^j must split every squarefree monic quartic
     F4, _ = adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")
-    elems = F4.elements()
+    elems = _tower_elements(F4)
     for low in itertools.product(elems, repeat=4):
         f = Poly(F4, list(low) + [F4.one()])
         if poly_gcd(f, f.derivative()).degree:
@@ -213,6 +214,30 @@ def test_roots_fp():
         assert roots_fp(f) == set(F.elements())
     with pytest.raises(ZeroPolynomial):
         roots_fp(Poly(F3, []))
+
+
+def test_roots_fp_match_exhaustive_evaluation():
+    # oracle: evaluate at every element of the coefficient field; seeded
+    # products of linear factors with multiplicities (p-th powers included)
+    # times a random cofactor, so some inputs repeat roots and some have none
+    rng = random.Random(31)
+    F4, _ = adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")
+    F9, _ = adjoin_root(F3, Poly(F3, [1, 0, 1]), "s")
+    fields = [PrimeField(p) for p in (2, 3, 5, 7, 13)] + [F4, F9]
+    for F in fields:
+        elems = F.elements() if isinstance(F, PrimeField) else _tower_elements(F)
+        seen_repeated = seen_rootless = False
+        for _ in range(40):
+            f = Poly(F, [rng.choice(elems) for _ in range(rng.randint(0, 4))] + [F.one()])
+            for _ in range(rng.randint(0, 3)):
+                f = f * Poly(F, [-rng.choice(elems), F.one()]) ** rng.choice((1, 2, F.characteristic))
+            if rng.random() < 0.3:
+                f = f * rng.choice(elems[1:])  # roots do not need a monic input
+            oracle = {a for a in elems if not f.eval(a)}
+            assert roots_fp(f) == oracle
+            seen_rootless |= not oracle
+            seen_repeated |= any(not f.derivative().eval(a) for a in oracle)
+        assert seen_repeated and seen_rootless, F
 
 
 def test_distinct_roots_vs_linear_factors_fp():

@@ -1,22 +1,32 @@
 """Tower layer: adjunction, element arithmetic, degrees, minimal polynomials."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from galoiskit.errors import NotIrreducible, TowerMismatch, ZeroInverse
-from galoiskit.linalg import row_space_basis
+from galoiskit.linalg import rref, row_space_basis
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
 from galoiskit.tower import adjoin_root, contains, min_poly, tower_degree
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
+ELEMENT_ENUM_BUDGET = 1 << 20
 
 
 def q(coeffs):
     return Poly(QQ, coeffs)
+
+
+def _tower_elements(T):
+    """Every element of a finite tower, listed from its base coordinates: the
+    exhaustive oracle for roots and factorizations over small fields."""
+    n = T.absolute_degree()
+    assert 0 < T.characteristic and T.characteristic**n <= ELEMENT_ENUM_BUDGET
+    return [T.unflatten(list(v)) for v in itertools.product(T.base.elements(), repeat=n)]
 
 
 @pytest.fixture(scope="module")
@@ -37,10 +47,10 @@ def test_adjoin_examples(sqrt2):
 
     T9, s2 = adjoin_root(F3, Poly(F3, [-2, 0, 1]), "s")
     assert tower_degree(T9) == 2
-    assert len(T9.elements()) == 9
+    assert len(_tower_elements(T9)) == 9
 
     T4, alpha = adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")
-    elems = T4.elements()
+    elems = _tower_elements(T4)
     assert len(elems) == 4
     assert set(elems) == {T4.zero(), T4.one(), alpha, alpha + 1}
 
@@ -151,6 +161,89 @@ def test_express_in_primitive(sqrt23):
         x = T2.unflatten([Fraction(rng.randint(-4, 4)) for _ in range(4)])
         rep = T2.express_in_primitive(x)
         assert T2.eval_primitive_poly(rep) == x
+
+
+def _solve_oracle(field, rows, rhs):
+    """One solution of A x = b read off the RREF of [A | b], or None."""
+    ncols = len(rows[0])
+    reduced, pivots = rref(field, [list(r) + [b] for r, b in zip(rows, rhs)])
+    if ncols in pivots:
+        return None
+    x = [field.zero()] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = reduced[i][ncols]
+    return x
+
+
+def _min_poly_oracle(T, x):
+    """Minimal polynomial by a fresh solve for each power: x^k in the span of
+    1, ..., x^(k-1)."""
+    base, n = T.base, T.absolute_degree()
+    rows, cur = [T.flatten(T.one())], T.one()
+    for k in range(1, n + 1):
+        cur = cur * x
+        target = T.flatten(cur)
+        sol = _solve_oracle(base, [[rows[j][i] for j in range(k)] for i in range(n)], target)
+        if sol is not None:
+            return Poly(base, [-c for c in sol] + [base.one()])
+        rows.append(target)
+    raise AssertionError("no dependency among n + 1 powers")
+
+
+def _coords_oracle(T, x):
+    """Coordinates of x in powers of the primitive element, through the
+    inverse of the matrix whose columns are those powers."""
+    gamma, _ = T.primitive_element()
+    base, n = T.base, T.absolute_degree()
+    cols, cur = [], T.one()
+    for _ in range(n):
+        cols.append(T.flatten(cur))
+        cur = cur * gamma
+    zero, one = base.zero(), base.one()
+    aug = [[cols[j][i] for j in range(n)] + [one if i == j else zero for j in range(n)] for i in range(n)]
+    reduced, pivots = rref(base, aug)
+    assert pivots[:n] == list(range(n))
+    inverse = [row[n:] for row in reduced[:n]]
+    vec = T.flatten(x)
+    return Poly(base, [sum((a * b for a, b in zip(row, vec)), zero) for row in inverse])
+
+
+def _oracle_towers():
+    """(tower, [(generator of a subfield, its degree)]), covering a subfield
+    of every degree dividing [tower : base]."""
+    T, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    T2, b = adjoin_root(T, Poly(T, [-3, 0, 1]), "b")
+    a = T2.coerce(a)
+    yield T2, [(T2.one(), 1), (a, 2), (b, 2), (a * b, 2), (a + b, 4), (a * b + a, 4)]
+    C, c = adjoin_root(QQ, q([-2, 0, 0, 1]), "c")
+    C2, w = adjoin_root(C, Poly(C, [1, 1, 1]), "w")
+    c = C2.coerce(c)
+    yield C2, [(C2.one(), 1), (w, 2), (c, 3), (c * w, 3), (c + w, 6), (c * w + c, 6)]
+    F9, s = adjoin_root(F3, Poly(F3, [1, 0, 1]), "s")
+    F81, u = adjoin_root(F9, Poly(F9, [-(s + 1), 0, 1]), "u")  # 1 + s is no square in F9
+    s = F81.coerce(s)
+    yield F81, [(F81.one(), 1), (s, 2), (u * u, 2), (u, 4), (u + s, 4)]
+
+
+def test_min_poly_and_coordinates_match_the_solve_oracles():
+    rng = random.Random(11)
+    for T, gens in _oracle_towers():
+        base, n = T.base, T.absolute_degree()
+        degrees = set()
+        for g, d in gens:
+            for _ in range(4):
+                x = T.zero()
+                for i in range(d):
+                    x = x + g**i * T.from_int(rng.randint(-3, 3))
+                mp = T.min_poly_over_base(x)
+                assert mp == _min_poly_oracle(T, x)
+                assert d % mp.degree == 0
+                degrees.add(mp.degree)
+                assert T.express_in_primitive(x) == _coords_oracle(T, x)
+        for c in range(-2, 3):
+            assert T.min_poly_over_base(T.from_int(c)) == Poly(base, [base.from_int(-c), base.one()])
+            assert T.express_in_primitive(T.from_int(c)) == Poly(base, [base.from_int(c)])
+        assert degrees == {d for d in range(1, n + 1) if n % d == 0}
 
 
 def test_contains(sqrt23):
