@@ -226,10 +226,6 @@ class ConstructibilityVerdict:
     degree: int
     verdict: str
 
-    @property
-    def constructible_refuted(self) -> bool:
-        return self.verdict == NOT_CONSTRUCTIBLE
-
     def to_json(self):
         return {"target": self.target, "degree": self.degree, "verdict": self.verdict}
 

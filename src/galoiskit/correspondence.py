@@ -24,7 +24,7 @@ from .galois import (
     subgroups,
     FiniteGroup,
 )
-from .linalg import in_row_space, mat_mul_vec, nullspace, row_space_basis
+from .linalg import Echelon, in_row_space, mat_mul_vec, nullspace, row_space_basis
 from .poly import Poly, render
 from .tower import Tower
 
@@ -88,9 +88,10 @@ def _candidates(base, basis):
 def _find_primitive(field, basis, outside=None):
     """First of `_candidates` to generate the subspace, certified by its
     minimal polynomial of degree dim.  A `min_poly_over_base` costs up to n
-    tower products and n solves, so when `outside` (the matrices of every
-    automorphism not fixing the subspace) is given, a candidate fixed by one
-    of them is rejected first at O(|outside| n^2) base-field operations."""
+    tower products and n reductions against an echelon of up to n rows, so
+    when `outside` (the matrices of every automorphism not fixing the
+    subspace) is given, a candidate fixed by one of them is rejected first at
+    O(|outside| n^2) base-field operations."""
     base = field.base
     seen = set()
     for vec in _candidates(base, basis):
@@ -156,26 +157,21 @@ def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
 
 
 def subfield_generated_by(sf, elems) -> Subfield:
-    """The smallest intermediate field containing the given elements."""
+    """The smallest intermediate field containing the given elements: the
+    span of 1 closed under multiplication by each of them.  Every element
+    found independent of those before it queues its products with the
+    generators, so each spanning element is multiplied out once."""
     field, n = _field_dims(sf)
     if field is None:
         return _make_subfield(sf, [])
-    base = field.base
-    span_elems = [field.one()] + [field.coerce(e) for e in elems]
-    rows = row_space_basis(base, [field.flatten(x) for x in span_elems])
     elems = [field.coerce(e) for e in elems]
-    while True:
-        current = [field.unflatten(list(v)) for v in rows]
-        new_rows = list(rows)
-        for v in current:
-            for e in elems:
-                new_rows.append(field.flatten(v * e))
-        reduced = row_space_basis(base, new_rows)
-        if len(reduced) == len(rows):
-            rows = reduced
-            break
-        rows = reduced
-    return _make_subfield(sf, rows)
+    echelon = Echelon(field.base)
+    queue = [field.one()]
+    while queue:
+        x = queue.pop()
+        if echelon.add(field.flatten(x)) is None:
+            queue.extend(x * e for e in elems)
+    return _make_subfield(sf, [row for _, row, _ in echelon.rows])
 
 
 def gal_over(L: Subfield, G: GaloisGroup) -> Subgroup:

@@ -162,10 +162,13 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
 
 
 def roots_fp(f: Poly):
-    """All roots in the coefficient field itself, by exhaustive evaluation."""
+    """All roots in the coefficient field (F_p or a finite tower): -g(0) for
+    each linear factor g of the squarefree part, from the degree-1 piece of
+    the distinct-degree split; the field is never listed."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has every root")
-    return {a for a in f.dom.elements() if not f.eval(a)}
+    pieces = _ddf(squarefree_part(f))
+    return {-g.coeff(0) for prod, k in pieces if k == 1 for g in _edf(prod, 1)}
 
 
 def _ddf(f: Poly):

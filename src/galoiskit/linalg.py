@@ -2,11 +2,16 @@
 
 Matrices are lists of row lists of field elements.  Everything pivots with
 exact field division, so results are exact for Fraction, FpElem and tower
-scalars alike.  Used for minimal polynomials (first linear dependency among
-powers), fixed-field kernels, and subspace membership.
+scalars alike.  `rref` gives the canonical bases that subfields are compared
+by, and the kernels of fixed fields.  `Echelon` reduces one vector at a time
+and keeps each row's combination of the vectors added so far: minimal
+polynomials (the first dependency among powers), coordinates in the powers
+of a primitive element and generated subfields all run on it.
 """
 
 from __future__ import annotations
+
+from .errors import InternalInvariant
 
 
 def rref(field, rows):
@@ -76,22 +81,6 @@ def nullspace(field, rows, ncols=None):
     return basis
 
 
-def solve(field, rows, rhs):
-    """One solution x of A x = b, or None if inconsistent."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(field, aug)
-    if ncols in pivots:
-        return None
-    zero = field.zero()
-    x = [zero] * ncols
-    for i, pc in enumerate(pivots):
-        x[pc] = reduced[i][ncols]
-    return x
-
-
 def mat_mul_vec(rows, vec, zero):
     out = []
     for row in rows:
@@ -103,16 +92,37 @@ def mat_mul_vec(rows, vec, zero):
     return out
 
 
-def identity(field, n):
-    zero, one = field.zero(), field.one()
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+class Echelon:
+    """Incremental Gaussian elimination that tracks combinations (Cohen,
+    GTM 138, section 2.2).  Each row is (pivot column, row scaled to 1 at the
+    pivot, its coefficients in the vectors added so far); a row is zero at the
+    pivots of the rows before it, so one pass in order reduces a vector."""
 
+    def __init__(self, field):
+        self.field = field
+        self.rows = []  # one per added vector: only independent ones are added
 
-def invert(field, rows):
-    """Inverse of a square matrix, or None if singular."""
-    n = len(rows)
-    aug = [list(r) + list(e) for r, e in zip(rows, identity(field, n))]
-    reduced, pivots = rref(field, aug)
-    if pivots[:n] != list(range(n)):
+    def reduce(self, vec):
+        """(residual, c) with vec = residual + sum of c[i] * added[i] and the
+        residual zero at every pivot."""
+        v = list(vec)
+        comb = [self.field.zero()] * len(self.rows)
+        for pivot, row, row_comb in self.rows:
+            f = v[pivot]
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+                comb[: len(row_comb)] = [a + f * b for a, b in zip(comb, row_comb)]
+        return v, comb
+
+    def add(self, vec):
+        """The combination of the added vectors equal to vec when there is
+        one; otherwise vec becomes a new pivot row and the result is None."""
+        v, comb = self.reduce(vec)
+        pivot = next((j for j, a in enumerate(v) if a), None)
+        if pivot is None:
+            return comb
+        if len(self.rows) == len(v):
+            raise InternalInvariant(f"more than {len(v)} independent vectors of length {len(v)}")
+        inv = self.field.one() / v[pivot]
+        self.rows.append((pivot, [inv * a for a in v], [-inv * c for c in comb] + [inv]))
         return None
-    return [reduced[i][n:] for i in range(n)]

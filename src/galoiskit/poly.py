@@ -140,9 +140,6 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
-    def is_constant(self):
-        return len(self.coeffs) <= 1
-
     def lc(self):
         if not self.coeffs:
             raise ZeroPolynomial("zero polynomial has no leading coefficient")

@@ -19,19 +19,17 @@ from __future__ import annotations
 import itertools
 
 from .errors import (
-    Budget,
     NotIrreducible,
     NotMonic,
     SearchExhausted,
     TowerMismatch,
     ZeroInverse,
 )
-from .linalg import invert, mat_mul_vec, solve
+from .linalg import Echelon
 from .numbers import QQ
 from .poly import Poly, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
-ELEMENT_ENUM_BUDGET = 1 << 20
 
 
 class TowerElem:
@@ -162,7 +160,7 @@ class Tower:
             lower.absolute_degree() if isinstance(lower, Tower) else 1
         )
         self._primitive = None
-        self._gamma_basis = None
+        self._primitive_echelon = None
 
     # -- field-object protocol ------------------------------------------------
 
@@ -181,10 +179,9 @@ class Tower:
         if isinstance(x, TowerElem):
             if x.tower == self:
                 return x
-            if self._is_ancestor(x.tower):
-                return self._embed_constant(x)
-            raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
-        c = self.lower.coerce(x)  # scalars climb one level at a time
+            if not self._is_ancestor(x.tower):
+                raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
+        c = self.lower.coerce(x)  # scalars and lower levels climb one level at a time
         z = self.lower.zero()
         return TowerElem(self, [c] + [z] * (self.level_degree - 1))
 
@@ -210,11 +207,6 @@ class Tower:
                 return True
             cur = cur.lower
         return cur == other if not isinstance(other, Tower) else False
-
-    def _embed_constant(self, x):
-        z = self.lower.zero()
-        c = self.lower.coerce(x)
-        return TowerElem(self, [c] + [z] * (self.level_degree - 1))
 
     def _from_poly(self, poly: Poly) -> TowerElem:
         coeffs = list(poly.coeffs)
@@ -303,26 +295,20 @@ class Tower:
 
     # -- minimal polynomials & primitive elements -------------------------------
 
-    def min_poly_over_base(self, x) -> Poly:
-        """Monic minimal polynomial of x over the base field: the first
-        linear dependency among flattened powers 1, x, x^2, ..."""
+    def _power_echelon(self, x):
+        """(monic minimal polynomial of x over the base, Echelon of the
+        flattened 1, x, ..., x^(d-1)): powers are added until the first one
+        that depends on those before it."""
         x = self.coerce(x)
-        n = self._n
-        powers = [self.one()]
-        rows = [self.flatten(powers[0])]
-        cur = self.one()
-        for k in range(1, n + 1):
-            cur = cur * x
-            target = self.flatten(cur)
-            # solve rows^T c = target (columns are the known powers)
-            cols = [[rows[j][i] for j in range(k)] for i in range(n)]
-            sol = solve(self.base, cols, target)
-            if sol is not None:
-                coeffs = [-c for c in sol] + [self.base.one()]
-                return Poly(self.base, coeffs)
-            rows.append(target)
-            powers.append(cur)
-        raise TowerMismatch("no linear dependency found (inconsistent tower)")
+        echelon = Echelon(self.base)
+        power = self.one()
+        while (comb := echelon.add(self.flatten(power))) is None:
+            power = power * x
+        return Poly(self.base, [-c for c in comb] + [self.base.one()]), echelon
+
+    def min_poly_over_base(self, x) -> Poly:
+        """Monic minimal polynomial of x over the base field."""
+        return self._power_echelon(x)[0]
 
     def primitive_element(self):
         """A single generator gamma with base(gamma) = the whole tower,
@@ -330,68 +316,33 @@ class Tower:
         if self._primitive is not None:
             return self._primitive
         gens = self.generators()
-        if len(gens) == 1:
-            mp = self.min_poly_over_base(gens[0])
-            self._primitive = (gens[0], mp)
-            return self._primitive
-        n = self._n
-        k = len(gens)
         for bound in range(1, PRIMITIVE_SEARCH_BOUND + 1):
             sweep = [0]
             for c in range(1, bound + 1):
                 sweep.extend((c, -c))
-            for rest in itertools.product(sweep, repeat=k - 1):
+            for rest in itertools.product(sweep, repeat=len(gens) - 1):
                 if max((abs(c) for c in rest), default=0) != bound and bound > 1:
                     continue
                 gamma = gens[0]
                 for c, g in zip(rest, gens[1:]):
                     if c:
                         gamma = gamma + g * self.from_int(c)
-                mp = self.min_poly_over_base(gamma)
-                if mp.degree == n:
-                    self._primitive = (gamma, mp)
+                mp, echelon = self._power_echelon(gamma)
+                if mp.degree == self._n:
+                    self._primitive, self._primitive_echelon = (gamma, mp), echelon
                     return self._primitive
         raise SearchExhausted("no primitive element found within coefficient bound")
 
-    def _gamma_matrices(self):
-        if self._gamma_basis is None:
-            gamma, _ = self.primitive_element()
-            n = self._n
-            cols = []
-            cur = self.one()
-            for _ in range(n):
-                cols.append(self.flatten(cur))
-                cur = cur * gamma
-            # matrix with columns = powers of gamma
-            mat = [[cols[j][i] for j in range(n)] for i in range(n)]
-            inv = invert(self.base, mat)
-            self._gamma_basis = (mat, inv)
-        return self._gamma_basis
-
     def express_in_primitive(self, x) -> Poly:
-        """x as a base-coefficient polynomial in the primitive element."""
-        _, inv = self._gamma_matrices()
-        coords = mat_mul_vec(inv, self.flatten(x), self.base.zero())
-        return Poly(self.base, coords)
+        """x as a base-coefficient polynomial in the primitive element: its
+        combination of the powers of gamma."""
+        self.primitive_element()  # finds gamma and keeps the echelon of its powers
+        return Poly(self.base, self._primitive_echelon.reduce(self.flatten(x))[1])
 
     def eval_primitive_poly(self, f: Poly) -> TowerElem:
         """Evaluate a base-coefficient polynomial at the primitive element."""
         gamma, _ = self.primitive_element()
         return f.map_domain(self, self.coerce).eval(gamma)
-
-    # -- enumeration (finite towers) ---------------------------------------------
-
-    def elements(self, budget: int = ELEMENT_ENUM_BUDGET):
-        if self.characteristic == 0:
-            raise TypeError("cannot enumerate an infinite tower")
-        q = self.characteristic**self._n
-        if q > budget:
-            raise Budget(f"enumerating {q} elements exceeds budget {budget}")
-        base_elems = self.base.elements()
-        out = []
-        for vec in itertools.product(base_elems, repeat=self._n):
-            out.append(self.unflatten(list(vec)))
-        return out
 
     # -- presentation ---------------------------------------------------------
 
