@@ -11,7 +11,9 @@ Three coefficient worlds are covered:
   (sum of deg(g)/k), equal-degree split only that prime's pieces, Hensel
   lift past the Landau-Mignotte bound, recombine by subset search;
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
-  the problem down to Q through a resultant.
+  the problem down to Q through a resultant.  It runs in the primitive
+  element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the tower:
+  only the irreducible factors are mapped back.
 
 Certificates (`IrreducibilityCertificate`) record which rule decided
 irreducibility so the verdict can be re-checked independently.
@@ -38,9 +40,12 @@ from .poly import (
     Poly,
     PolyRing,
     _divmod_mod,
+    _from_numerators,
     _from_residues,
     _mul_mod,
+    _numerators,
     _pseudo_divmod,
+    _rem_mod,
     _trim,
     content_primitive,
     gcd_ext,
@@ -82,9 +87,11 @@ class Factorization:
         }
 
 
-def _multiplicities(work, irreducibles, world):
+def _multiplicities(work, irreducibles, world, back=None):
     """Canonically sorted (g, multiplicity) pairs: each g is divided out of
-    the monic `work` as often as it goes, and nothing may be left over."""
+    the monic `work` as often as it goes, and nothing may be left over.
+    `back` maps each g to the field the result is stated over before the
+    sort."""
     pairs = []
     for g in irreducibles:
         mult = 0
@@ -96,7 +103,7 @@ def _multiplicities(work, irreducibles, world):
             mult += 1
         if mult == 0:
             raise InternalInvariant("squarefree factor does not divide input")
-        pairs.append((g, mult))
+        pairs.append((g if back is None else back(g), mult))
     if work.degree != 0:
         raise InternalInvariant(f"{world} factorization did not exhaust input")
     return tuple(sorted(pairs, key=lambda fm: fm[0].sort_key()))
@@ -148,9 +155,9 @@ def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
         b = [c.r for c in base.coeffs]
         result = b if e else [1]
         for bit in bin(e)[3:]:
-            result = _divmod_mod(_mul_mod(result, result, p), m, p)[1]
+            result = _rem_mod(_mul_mod(result, result, p), m, p)
             if bit == "1":
-                result = _divmod_mod(_mul_mod(result, b, p), m, p)[1]
+                result = _rem_mod(_mul_mod(result, b, p), m, p)
         return _from_residues(base.dom, result)
     result = Poly.one(base.dom)
     while e:
@@ -678,12 +685,9 @@ def cyclotomic_p(p: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _norm_resultant(mgamma: Poly, g_reps, s: int, gdeg: int) -> Poly:
+def _norm_resultant(mgamma: Poly, g_reps, s: int) -> Poly:
     """Res_x(mgamma(x), sum_j c_j(x) (t - s x)^j) as a polynomial in t."""
     R = PolyRing(QQ)
-    # x-polynomials with coefficients in Q[t]
-    zero_t = Poly.zero(QQ)
-
     # build H(x, t) = sum_j c_j(x) * (t - s x)^j as Poly over R in x
     acc = Poly.zero(R)
     for j, cj in enumerate(g_reps):
@@ -703,14 +707,34 @@ def _norm_resultant(mgamma: Poly, g_reps, s: int, gdeg: int) -> Poly:
     return resultant(m_x, acc)
 
 
+def _shift_into(field, h: Poly, s: int) -> Poly:
+    """h(t + s*y) over field = Q[y]/(m) for h over Q of degree d: the
+    coefficient of t^k is sum_i h_(k+i) C(k+i, k) s^i y^i reduced mod m, so
+    O(d^2) integer operations and d reductions."""
+    nums, den = _numerators(h.coeffs)
+    d = len(nums) - 1
+    out = []
+    for k in range(d + 1):
+        y_poly = _from_numerators(
+            _trim([nums[k + i] * comb(k + i, k) * s**i for i in range(d - k + 1)]), den
+        )
+        out.append(field._from_poly(y_poly % field.minpoly))
+    return Poly(field, out, normalize=False)
+
+
 def factor_over_extension(
     g: Poly,
     tower=None,
     max_norm_degree: int = NORM_DEGREE_CAP,
     shift_tries: int = 40,
 ) -> Factorization:
-    """Complete factorization of g over a tower (simple extension of Q, via
-    the cached primitive element), or over a finite tower / base field."""
+    """Complete factorization of g over a tower (simple extension of Q), or
+    over a finite tower / base field.  Over a tower, Trager's method runs in
+    the primitive element's field K = Q[y]/(m_gamma) (`primitive_field`),
+    where a product is one rational product and one reduction mod m_gamma:
+    squarefree part, norm Res_y(m_gamma, g(t - s*y)), shifts h(t + s*y) of
+    its factors h, gcds, reassembly check and multiplicities.  Only the
+    irreducible factors are mapped back to the tower."""
     if g.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     dom = g.dom if tower is None else tower
@@ -737,14 +761,16 @@ def factor_over_extension(
             f"norm degree {work.degree * n} exceeds cap {max_norm_degree}"
         )
 
-    sq = squarefree_part(work)
-    gamma, mgamma = dom.primitive_element()
-    reps = [dom.express_in_primitive(c) for c in sq.coeffs]
+    K = dom.primitive_field()
+    mgamma = K.minpoly
+    work_k = work.map_domain(K, lambda c: K._from_poly(dom.express_in_primitive(c)))
+    sq = squarefree_part(work_k)
+    reps = [Poly(QQ, c.coeffs) for c in sq.coeffs]
 
     norm = None
     s_used = None
     for s in _shift_order(shift_tries):
-        cand = _norm_resultant(mgamma, reps, s, sq.degree)
+        cand = _norm_resultant(mgamma, reps, s)
         if cand.degree == sq.degree * mgamma.degree and not poly_gcd(
             cand, cand.derivative()
         ).degree:
@@ -756,18 +782,17 @@ def factor_over_extension(
 
     nf = factor_q(norm, max_degree=max(norm.degree, FACTOR_DEGREE_CAP))
     irreducibles = []
-    shift_elem = gamma * dom.from_int(s_used)
     for h, _ in nf.factors:
-        h_l = h.map_domain(dom, dom.coerce)
-        cand = poly_gcd(sq, h_l.shift(shift_elem))
+        cand = poly_gcd(sq, _shift_into(K, h, s_used))
         if cand.degree > 0:
             irreducibles.append(cand.monic())
-    prod = Poly.one(dom)
+    prod = Poly.one(K)
     for gi in irreducibles:
         prod = prod * gi
     if prod != sq:
         raise InternalInvariant("norm factorization did not reassemble input")
-    return Factorization(unit, _multiplicities(work, irreducibles, "extension"))
+    back = lambda f: f.map_domain(dom, lambda c: dom.eval_primitive_poly(Poly(QQ, c.coeffs)))
+    return Factorization(unit, _multiplicities(work_k, irreducibles, "extension", back))
 
 
 def is_irreducible_over(m: Poly, dom) -> bool:

@@ -13,15 +13,16 @@ compute on ints and wrap only the output coefficients:
 
 * over F_p, int residues (`_mul_mod`, `_divmod_mod`, shared with Hensel
   lifting mod p^k), with no `FpElem` arithmetic per coefficient product;
-  `poly_gcd` (and `factor._powmod`) run their whole loop on residues the
-  same way, so DDF, EDF, squarefree parts and Rabin's test wrap only
-  their results;
+  `%`, `poly_gcd` and `factor._powmod` use the remainder-only `_rem_mod`,
+  and the last two run their whole loop on residues, so DDF, EDF,
+  squarefree parts and Rabin's test wrap only their results;
 * over Q, integer numerators over one common denominator (`_numerators`):
   the unreduced product `_mul_int` (which `_mul_mod` reduces) and the
-  fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end,
-  with no `Fraction` arithmetic per coefficient product.  Every rational
-  polynomial takes this path: parsing, gcds, Zassenhaus, the subresultant
-  PRS over `PolyRing(QQ)` and the bottom level of every rational tower.
+  fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end
+  (`%` rescales only the remainder), with no `Fraction` arithmetic per
+  coefficient product.  Every rational polynomial takes this path: parsing,
+  gcds, Zassenhaus, the subresultant PRS over `PolyRing(QQ)` and the bottom
+  level of every rational tower.
 
 Division, gcd and friends require the domain to be a field; ring-only
 operations (+ - *, evaluation, resultants via the subresultant PRS) work over
@@ -268,6 +269,18 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
+        other = self._coerce_operand(other)
+        if other.is_zero():
+            raise DivisionByZeroPoly("polynomial division by zero")
+        dom = self.dom
+        if isinstance(dom, PrimeField):
+            r = _rem_mod([c.r for c in self.coeffs], [c.r for c in other.coeffs], dom.p)
+            return _from_residues(dom, r)
+        if isinstance(dom, RationalField) and len(self.coeffs) >= len(other.coeffs):
+            # s*A = Q*B + R on numerators and a = A/da, so a mod b = R / (s*da)
+            (na, da), (nb, _) = _numerators(self.coeffs), _numerators(other.coeffs)
+            _, r, s = _pseudo_divmod(na, nb)
+            return _from_numerators(r, s * da)
         return divmod(self, other)[1]
 
     def exact_div(self, other):
@@ -376,6 +389,19 @@ def _divmod_mod(a, b, m):
     return _trim(q), _trim([c % m for c in r[:dg]])
 
 
+def _rem_mod(a, b, m):
+    """Remainder of int coefficient lists mod m, trimmed: `_divmod_mod`
+    without building the quotient, for the callers that drop it."""
+    dg = len(b) - 1
+    inv = pow(b[-1], -1, m) if b[-1] % m != 1 else 1
+    r = list(a)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = r[i] * inv % m
+        if c:
+            r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
+    return _trim([c % m for c in r[:dg]])
+
+
 def _pseudo_divmod(a, b, exact=False):
     """Fraction-free division of int coefficient lists, deg a >= deg b:
     (q, r, s) with s*a = q*b + r and deg r < deg b.  A step whose leading
@@ -473,7 +499,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         p, g = f.dom.p, f._coerce_operand(g)
         a, b = [c.r for c in f.coeffs], [c.r for c in g.coeffs]
         while b:
-            a, b = b, _divmod_mod(a, b, p)[1]
+            a, b = b, _rem_mod(a, b, p)
         if a and a[-1] != 1:
             inv = pow(a[-1], -1, p)
             a = [c * inv % p for c in a]

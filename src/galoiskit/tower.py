@@ -11,7 +11,9 @@ subfield membership) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
-tower.
+tower.  A certified primitive element gamma also gives the one-level field
+base[y]/(m_gamma) (`primitive_field`), with one cached change of basis each
+way; Trager factoring runs there instead of on the recursive elements.
 """
 
 from __future__ import annotations
@@ -161,6 +163,8 @@ class Tower:
         )
         self._primitive = None
         self._primitive_echelon = None
+        self._primitive_powers = None
+        self._primitive_field = None
 
     # -- field-object protocol ------------------------------------------------
 
@@ -297,14 +301,15 @@ class Tower:
 
     def _power_echelon(self, x):
         """(monic minimal polynomial of x over the base, Echelon of the
-        flattened 1, x, ..., x^(d-1)): powers are added until the first one
-        that depends on those before it."""
+        flattened 1, x, ..., x^(d-1), those flattened powers): powers are
+        added until the first one that depends on those before it."""
         x = self.coerce(x)
         echelon = Echelon(self.base)
-        power = self.one()
-        while (comb := echelon.add(self.flatten(power))) is None:
+        power, powers = self.one(), []
+        while (comb := echelon.add(vec := self.flatten(power))) is None:
+            powers.append(vec)
             power = power * x
-        return Poly(self.base, [-c for c in comb] + [self.base.one()]), echelon
+        return Poly(self.base, [-c for c in comb] + [self.base.one()]), echelon, powers
 
     def min_poly_over_base(self, x) -> Poly:
         """Monic minimal polynomial of x over the base field."""
@@ -312,7 +317,8 @@ class Tower:
 
     def primitive_element(self):
         """A single generator gamma with base(gamma) = the whole tower,
-        certified by deg(minpoly(gamma)) = [tower : base]; cached."""
+        certified by deg(minpoly(gamma)) = [tower : base]; cached with the
+        maps to and from `primitive_field`."""
         if self._primitive is not None:
             return self._primitive
         gens = self.generators()
@@ -327,11 +333,21 @@ class Tower:
                 for c, g in zip(rest, gens[1:]):
                     if c:
                         gamma = gamma + g * self.from_int(c)
-                mp, echelon = self._power_echelon(gamma)
+                mp, echelon, powers = self._power_echelon(gamma)
                 if mp.degree == self._n:
-                    self._primitive, self._primitive_echelon = (gamma, mp), echelon
+                    # deg mp = [tower : base] proves mp irreducible
+                    self._primitive_field = Tower(self.base, mp, "y", certify=False)
+                    self._primitive_echelon, self._primitive_powers = echelon, powers
+                    self._primitive = (gamma, mp)
                     return self._primitive
         raise SearchExhausted("no primitive element found within coefficient bound")
+
+    def primitive_field(self) -> "Tower":
+        """The one-level field base[y]/(m_gamma), isomorphic to this tower by
+        y -> gamma; cached.  `express_in_primitive` maps into it and
+        `eval_primitive_poly` maps back."""
+        self.primitive_element()
+        return self._primitive_field
 
     def express_in_primitive(self, x) -> Poly:
         """x as a base-coefficient polynomial in the primitive element: its
@@ -340,9 +356,15 @@ class Tower:
         return Poly(self.base, self._primitive_echelon.reduce(self.flatten(x))[1])
 
     def eval_primitive_poly(self, f: Poly) -> TowerElem:
-        """Evaluate a base-coefficient polynomial at the primitive element."""
-        gamma, _ = self.primitive_element()
-        return f.map_domain(self, self.coerce).eval(gamma)
+        """Evaluate a base-coefficient polynomial at the primitive element:
+        f mod m_gamma times the matrix whose columns are the flattened
+        1, gamma, ..., gamma^(n-1) (n^2 base operations)."""
+        _, mgamma = self.primitive_element()
+        vec = [self.base.zero()] * self._n
+        for c, power in zip((f % mgamma).coeffs, self._primitive_powers):
+            if c:
+                vec = [v + c * x if x else v for v, x in zip(vec, power)]
+        return self.unflatten(vec)
 
     # -- presentation ---------------------------------------------------------
 

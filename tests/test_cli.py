@@ -384,6 +384,32 @@ GOLDEN_JSON = [
         ["--json", "--field", "F13", "irreducible", "t^12+t+2"],
         '{"verdict":"reducible"}\n',
     ),
+    # recorded before Trager factoring moved into the primitive element's field
+    (
+        ["--json", "galois", "t^5-5*t+12"],
+        '{"action":["(1/2*a + 1/2)*b + 1/4*a^4 + 1/4*a^3 + 1/4*a^2 - 1/4*a '
+        '- 3/2","b","a","(-1/2*a - 1/2)*b + -1/2*a + 1/2","-b + -1/4*a^4 - '
+        '1/4*a^3 - 1/4*a^2 - 1/4*a + 1"],"elements":["()","(2 4)(3 5)","(1 '
+        '2)(3 4)","(1 2 3 5 4)","(1 3)(4 5)","(1 3 4 2 5)","(1 4 5 3 2)","('
+        '1 4)(2 5)","(1 5)(2 3)","(1 5 2 4 3)"],"generators":["(1 2 3 5 4)"'
+        ',"(2 4)(3 5)"],"order":10,"type":"unidentified group of order 10"}\n',
+    ),
+    (
+        ["--json", "galois", "t^4-t-1"],
+        '{"action":["-c + -b - a","c","b","a"],"elements":["()","(3 4)","(2'
+        ' 3)","(2 3 4)","(2 4 3)","(2 4)","(1 2)","(1 2)(3 4)","(1 2 3)","('
+        '1 2 3 4)","(1 2 4 3)","(1 2 4)","(1 3 2)","(1 3 4 2)","(1 3)","(1 '
+        '3 4)","(1 3)(2 4)","(1 3 2 4)","(1 4 3 2)","(1 4 2)","(1 4 3)","(1'
+        ' 4)","(1 4 2 3)","(1 4)(2 3)"],"generators":["(1 2 3 4)","(1 2 4 3'
+        ')"],"order":24,"type":"S4"}\n',
+    ),
+    (
+        ["--json", "minpoly", "t^2-2", "t^2-3", "t^2-5"],
+        '{"degree":8,"primitive_element":"c + b + a","primitive_min_poly":"'
+        't^8 - 40*t^6 + 352*t^4 - 960*t^2 + 576","tower":[{"label":"a","min'
+        '_poly":"t^2 - 2"},{"label":"b","min_poly":"t^2 - 3"},{"label":"c",'
+        '"min_poly":"t^2 - 5"}]}\n',
+    ),
 ]
 
 

@@ -1,5 +1,6 @@
 """Factorization layer: finite fields, Q (Zassenhaus), extensions (Trager)."""
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -550,6 +551,104 @@ def test_factor_over_extension_soundness_random():
         assert fact.expand(T) == f
         for g, _ in fact.factors:
             assert g.is_monic()
+
+
+def _tower_trager_oracle(g, T):
+    """Trager's method over the tower T itself, the oracle for the route
+    through Q(gamma): squarefree part, shift h(t + s*gamma) by `Poly.shift`,
+    gcds and multiplicities all over T.  Returns (Counter of (factor,
+    multiplicity), the norm shift s)."""
+    from galoiskit.factor import _norm_resultant, _shift_order
+    from galoiskit.poly import squarefree_part
+
+    work = g.monic()
+    sq = squarefree_part(work)
+    gamma, mgamma = T.primitive_element()
+    reps = [T.express_in_primitive(c) for c in sq.coeffs]
+    for s in _shift_order(40):
+        norm = _norm_resultant(mgamma, reps, s)
+        if norm.degree == sq.degree * mgamma.degree and not poly_gcd(norm, norm.derivative()).degree:
+            break
+    out = Counter()
+    for h, _ in factor_q(norm, max_degree=norm.degree).factors:
+        cand = poly_gcd(sq, h.map_domain(T, T.coerce).shift(gamma * T.from_int(s)))
+        if cand.degree > 0:
+            mult, rest = 0, work
+            while True:
+                quo, rem = divmod(rest, cand)
+                if rem:
+                    break
+                mult, rest = mult + 1, quo
+            out[cand, mult] += 1
+    return out, s
+
+
+@functools.lru_cache(maxsize=None)
+def _trager_towers():
+    """(tower, its generators, rational polynomials that need a nonzero norm
+    shift there) for the towers the Q(gamma) route is checked on."""
+    from galoiskit.splitting import splitting_field_q
+
+    A, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    AB, b = adjoin_root(A, Poly(A, [-3, 0, 1]), "b")
+    C, c = adjoin_root(QQ, q([-2, 0, 0, 1]), "c")
+    CW, w = adjoin_root(C, Poly(C, [1, 1, 1]), "w")
+    D5 = splitting_field_q(q([12, -5, 0, 0, 0, 1])).field
+    assert D5.absolute_degree() == 10
+    towers = [
+        (AB, [AB.coerce(a), b], [q([-3, 0, 1]), q([-6, 0, 1]) * q([1, 1])]),
+        (CW, [CW.coerce(c), w], [q([-2, 0, 0, 1]), q([1, 1, 1])]),
+        (D5, D5.generators(), [q([10, 0, 1])]),  # splits: Q(sqrt(-10)) is inside
+    ]
+    for m in (q([-2, 0, 1]), q([1, 1, 1, 1, 1]), q([Fraction(-1, 2), 0, 1])):
+        T, x = adjoin_root(QQ, m, "x")
+        towers.append((T, [x], [m, m * m * q([1, 1]), m.compose(q([1, 2]))]))
+    return towers
+
+
+def test_factor_over_extension_matches_the_tower_route():
+    """Q(gamma) and the tower route give the same factors and multiplicities,
+    on rational inputs whose norm needs a shift s != 0 (so a wrong sign of s
+    is seen) and on seeded inputs with tower coefficients."""
+    rng = random.Random(12)
+    shifts = set()
+    for T, gens, rational in _trager_towers():
+        n = T.absolute_degree()
+
+        def elem():
+            x = T.from_int(rng.randint(-2, 2))
+            for g in gens:
+                x = x + g * T.from_int(rng.randint(-2, 2))
+            return x
+
+        inputs = [f.map_domain(T, T.coerce) for f in rational]
+        for _ in range(1 if n > 6 else 2):
+            lin = Poly(T, [elem(), T.one()])
+            inputs.append(lin * Poly(T, [elem(), T.one()]))
+            if n <= 6:
+                inputs.append(lin * lin * Poly(T, [elem(), elem(), T.one()]))
+        for g in inputs:
+            fact = factor_over_extension(g)
+            expected, s = _tower_trager_oracle(g, T)
+            shifts.add(s)
+            assert Counter(fact.factors) == expected
+            assert fact.expand(T) == g
+    assert shifts - {0}
+
+
+def test_primitive_maps_are_inverse():
+    rng = random.Random(13)
+    for T, gens, _ in _trager_towers():
+        K, n = T.primitive_field(), T.absolute_degree()
+        assert K.lower == T.base and K.minpoly == T.primitive_element()[1]
+        for _ in range(6):
+            x = T.unflatten([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
+            rep = T.express_in_primitive(x)
+            assert rep.degree < n and T.eval_primitive_poly(rep) == x
+        # a polynomial of degree >= n is reduced mod m_gamma first
+        gamma, mgamma = T.primitive_element()
+        f = q([rng.randint(-3, 3) for _ in range(n + 3)])
+        assert T.eval_primitive_poly(f) == f.map_domain(T, T.coerce).eval(gamma)
 
 
 def test_factorization_soundness_everywhere():

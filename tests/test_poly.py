@@ -620,7 +620,7 @@ def test_norm_resultant_matches_sylvester_oracle():
                 binom_x = Poly(R, [q([0] * (j - k) + [comb(j, k) * (-s) ** k]) for k in range(j + 1)])
                 acc = acc + Poly(R, [q([c]) for c in cj.coeffs]) * binom_x
             m_x = Poly(R, [q([c]) for c in mgamma.coeffs])
-            norm = _norm_resultant(mgamma, reps, s, len(reps) - 1)
+            norm = _norm_resultant(mgamma, reps, s)
             assert norm == resultant(m_x, acc) == sylvester_resultant(m_x, acc)
             assert norm.degree == mgamma.degree * (len(reps) - 1)
             checked += 1
