@@ -13,7 +13,8 @@ Three coefficient worlds are covered:
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
   the problem down to Q through a resultant.  It runs in the primitive
   element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the tower:
-  only the irreducible factors are mapped back.
+  only the irreducible factors are mapped back.  The shift is chosen, and
+  its norm proved squarefree, mod NORM_PRIME; one norm is computed over Q.
 
 Certificates (`IrreducibilityCertificate`) record which rule decided
 irreducibility so the verdict can be re-checked independently.
@@ -58,6 +59,7 @@ FACTOR_DEGREE_CAP = 12
 NORM_DEGREE_CAP = 64
 EISENSTEIN_SHIFT_BOUND = 5
 MOD_P_SCAN_BOUND = 31
+NORM_PRIME = 2**61 - 1
 
 IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
@@ -218,9 +220,13 @@ def _trace_witnesses(dom, d):
 
 
 def _sweep_witnesses(dom, bound):
-    """Every nonconstant polynomial of degree <= bound, canonical order,
-    increasing degree; elements are built on demand from their coordinates,
-    so the field is never listed."""
+    """Every monic polynomial of degree 1..bound, canonical order, increasing
+    degree, built on demand from coordinates (the field is never listed).
+    This is complete for odd q and bound >= 2d - 1: degree-d factors g1 != g2
+    are separated by the u of degree < 2d that is a non-square unit mod g1
+    and a square unit mod g2 (CRT; u is not constant).  With e = (q^d - 1)/2
+    and c = lc(u), c^e = chi(c)^d = +-1, so v = u/c has v^e = +-u^e mod g1
+    and g2 with one sign: v^e - 1 still vanishes mod exactly one of them."""
     if isinstance(dom, PrimeField):
         n, elems = 1, dom.elements()
         element = lambda vec: vec[0]
@@ -228,12 +234,9 @@ def _sweep_witnesses(dom, bound):
         n, elems = dom.absolute_degree(), dom.base.elements()
         element = lambda vec: dom.unflatten(list(vec))
     for deg in range(1, bound + 1):
-        for lead in itertools.product(elems, repeat=n):
-            if not any(lead):
-                continue
-            for low in itertools.product(elems, repeat=deg * n):
-                coeffs = [element(low[i * n : (i + 1) * n]) for i in range(deg)]
-                yield Poly(dom, coeffs + [element(lead)], normalize=False)
+        for low in itertools.product(elems, repeat=deg * n):
+            coeffs = [element(low[i * n : (i + 1) * n]) for i in range(deg)]
+            yield Poly(dom, coeffs + [dom.one()], normalize=False)
 
 
 def _edf(f: Poly, d: int):
@@ -707,6 +710,61 @@ def _norm_resultant(mgamma: Poly, g_reps, s: int) -> Poly:
     return resultant(m_x, acc)
 
 
+def _resultant_mod(a, b, p):
+    """Res(a, b) mod p of trimmed residue lists, deg a >= 1, by Euclid:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, a mod b)."""
+    res = 1
+    while len(b) > 1:
+        r = _rem_mod(a, b, p)
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p if b else 0
+
+
+def _norm_mod(mgamma: Poly, reps, s: int, p: int) -> list:
+    """`_norm_resultant(mgamma, reps, s)` mod a prime p > nd dividing no
+    denominator (n = deg mgamma, d = len(reps) - 1), as a residue list: the
+    values at t = 0..nd, each by `_resultant_mod`, interpolated (Newton).
+    O(nd n^2) residue operations."""
+    red = lambda f: [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+    m, cs = red(mgamma), [red(c) for c in reps]
+    coef = []
+    for a in range((len(m) - 1) * (len(cs) - 1) + 1):
+        h = []
+        for c in reversed(cs):
+            h = _rem_mod(_z_add(_mul_mod(h, [a, -s], p), c), m, p)
+        coef.append(_resultant_mod(m, h, p))
+    for j in range(1, len(coef)):  # nodes i and i - j differ by j
+        inv = pow(j, -1, p)
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv % p
+    out = []
+    for i in range(len(coef) - 1, -1, -1):  # out = out * (t - i) + coef[i]
+        out = [(lo - i * hi) % p for lo, hi in zip([coef[i]] + out, out + [0])]
+    return _trim(out)
+
+
+def _squarefree_shift(mgamma: Poly, reps, tries: int) -> int:
+    """The first s in `_shift_order(tries)` with N_s squarefree, proved mod p:
+    N_s mod p keeps the degree nd and a nonzero discriminant, and a repeated
+    factor over Q survives a reduction that keeps the degree.  p is NORM_PRIME
+    unless that divides a denominator of mgamma or `reps`; then the least
+    such prime above nd.  Skipping an s for an unlucky p changes no factor."""
+    nd = mgamma.degree * (len(reps) - 1)
+    den = _numerators([c for f in (mgamma, *reps) for c in f.coeffs])[1]
+    p = next(p for p in itertools.chain([NORM_PRIME], _primes()) if p > nd and den % p)
+    for s in _shift_order(tries):
+        nbar = _norm_mod(mgamma, reps, s, p)
+        deriv = _trim([i * c % p for i, c in enumerate(nbar)][1:])
+        if len(nbar) == nd + 1 and _resultant_mod(nbar, deriv, p):
+            return s
+    raise SearchExhausted("no squarefree norm shift found")
+
+
 def _shift_into(field, h: Poly, s: int) -> Poly:
     """h(t + s*y) over field = Q[y]/(m) for h over Q of degree d: the
     coefficient of t^k is sum_i h_(k+i) C(k+i, k) s^i y^i reduced mod m, so
@@ -733,8 +791,10 @@ def factor_over_extension(
     the primitive element's field K = Q[y]/(m_gamma) (`primitive_field`),
     where a product is one rational product and one reduction mod m_gamma:
     squarefree part, norm Res_y(m_gamma, g(t - s*y)), shifts h(t + s*y) of
-    its factors h, gcds, reassembly check and multiplicities.  Only the
-    irreducible factors are mapped back to the tower."""
+    its factors h, gcds, reassembly check and multiplicities.  s is chosen
+    mod a prime (`_squarefree_shift`); the one norm over Q is factored as it
+    stands, proved squarefree.  Only the irreducible factors are mapped back
+    to the tower."""
     if g.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     dom = g.dom if tower is None else tower
@@ -767,25 +827,13 @@ def factor_over_extension(
     sq = squarefree_part(work_k)
     reps = [Poly(QQ, c.coeffs) for c in sq.coeffs]
 
-    norm = None
-    s_used = None
-    for s in _shift_order(shift_tries):
-        cand = _norm_resultant(mgamma, reps, s)
-        if cand.degree == sq.degree * mgamma.degree and not poly_gcd(
-            cand, cand.derivative()
-        ).degree:
-            norm = cand
-            s_used = s
-            break
-    if norm is None:
-        raise SearchExhausted("no squarefree norm shift found")
-
-    nf = factor_q(norm, max_degree=max(norm.degree, FACTOR_DEGREE_CAP))
+    s = _squarefree_shift(mgamma, reps, shift_tries)
+    _, norm = content_primitive(_norm_resultant(mgamma, reps, s))
     irreducibles = []
-    for h, _ in nf.factors:
-        cand = poly_gcd(sq, _shift_into(K, h, s_used))
+    for h in _factor_sqfree_primitive_z(norm):
+        cand = poly_gcd(sq, _shift_into(K, Poly(QQ, h), s))
         if cand.degree > 0:
-            irreducibles.append(cand.monic())
+            irreducibles.append(cand)
     prod = Poly.one(K)
     for gi in irreducibles:
         prod = prod * gi

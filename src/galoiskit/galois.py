@@ -18,6 +18,7 @@ and the quotient checks of the correspondence module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, NotASubgroup, OrderCap
@@ -185,7 +186,10 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
     polynomial, bottom-up, and carries the images of the current level's
     power-product basis: adjoining root r for a level of degree d maps
     a^i * b_j to r^i * image(b_j), i outer and j inner as in `Tower.flatten`.
-    Those images, flattened, are the columns of the automorphism's matrix."""
+    Those images, flattened, are the columns of the automorphism's matrix.
+    For a level of degree d > 1 the root scan skips the images of lower
+    generators (the map is injective), and it stops after d roots, as many
+    as the mapped minimal polynomial has."""
     field = sf.field
     if not isinstance(field, Tower):
         ident = Automorphism((), tuple(range(len(sf.roots))), [[field.one()]])
@@ -211,14 +215,15 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
             field.unflatten(mat_mul_vec(mat, level.lower.flatten(c) if k else [c], zero))
             for c in level.minpoly.coeffs
         ])
-        for r in roots:
-            if not m_phi.eval(r):
-                basis_up = list(basis)
-                power = r
-                for _ in range(1, level.level_degree):
-                    basis_up.extend(power * b for b in basis)
-                    power = power * r
-                extend(images + [r], basis_up)
+        d = level.level_degree
+        hits = (r for r in roots if not (d > 1 and r in images or m_phi.eval(r)))
+        for r in itertools.islice(hits, d):
+            basis_up = list(basis)
+            power = r
+            for _ in range(1, d):
+                basis_up.extend(power * b for b in basis)
+                power = power * r
+            extend(images + [r], basis_up)
 
     extend([], [field.one()])
 

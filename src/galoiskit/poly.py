@@ -307,8 +307,8 @@ class Poly:
     def eval(self, a):
         """Evaluate by Horner; `a` may live in an extension of the domain."""
         if not self.coeffs:
-            return a * 0
-        acc = self.coeffs[-1] + (a * 0)
+            return a - a
+        acc = self.coeffs[-1] + (a - a)
         for c in reversed(self.coeffs[:-1]):
             acc = acc * a + c
         return acc
@@ -456,15 +456,18 @@ def _residue_table(p):
     return tuple(FpElem(r, p) for r in range(p))
 
 
-def _from_residues(dom, ints):
-    """A polynomial over the prime field `dom` from reduced int residues; for
-    p < 1024 each residue is one shared FpElem, looked up, not constructed
-    (a table costs p objects, so larger primes construct each one)."""
-    p = dom.p
+def _fp_elems(p, ints):
+    """FpElems from reduced int residues; for p < 1024 each residue is one
+    shared FpElem, looked up, not constructed (a table costs p objects, so
+    larger primes construct each one)."""
     if p >= 1024:
-        return Poly(dom, [FpElem(c, p) for c in ints], normalize=False)
+        return [FpElem(c, p) for c in ints]
     table = _residue_table(p)
-    return Poly(dom, [table[c] for c in ints], normalize=False)
+    return [table[c] for c in ints]
+
+
+def _from_residues(dom, ints):
+    return Poly(dom, _fp_elems(dom.p, ints), normalize=False)
 
 
 def codegree(f: Poly):

@@ -9,6 +9,11 @@ flattened coordinate vector over the base realizes the power-product basis,
 which is what all the linear algebra (minimal polynomials, fixed fields,
 subfield membership) runs on.
 
+A product (`Tower._mul`) builds no `Poly`: over Q it pseudo-divides the
+integer product of numerators by the cached integer minimal polynomial and
+builds one `Fraction` per coefficient; over F_p it runs on residues; over a
+lower level it is a schoolbook convolution and a monic reduction.
+
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
 tower.  A certified primitive element gamma also gives the one-level field
@@ -19,6 +24,7 @@ way; Trager factoring runs there instead of on the recursive elements.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .errors import (
     NotIrreducible,
@@ -29,7 +35,9 @@ from .errors import (
 )
 from .linalg import Echelon
 from .numbers import QQ
-from .poly import Poly, gcd_ext
+from .poly import (
+    Poly, _fp_elems, _mul_int, _mul_mod, _numerators, _pseudo_divmod, _rem_mod, gcd_ext
+)
 
 PRIMITIVE_SEARCH_BOUND = 8
 
@@ -79,9 +87,7 @@ class TowerElem:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        t = self.tower
-        prod = Poly(t.lower, self.coeffs) * Poly(t.lower, o.coeffs)
-        return t._from_poly(prod % t.minpoly)
+        return TowerElem(self.tower, self.tower._mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -161,6 +167,13 @@ class Tower:
         self._n = self.level_degree * (
             lower.absolute_degree() if isinstance(lower, Tower) else 1
         )
+        # the monic minimal polynomial in the product kernel's form
+        if isinstance(lower, Tower):
+            self._modulus = minpoly.coeffs[:-1]
+        elif self.characteristic:
+            self._modulus = [c.r for c in minpoly.coeffs]
+        else:  # integer numerators; the leading one is the common denominator
+            self._modulus = _numerators(minpoly.coeffs)[0]
         self._primitive = None
         self._primitive_echelon = None
         self._primitive_powers = None
@@ -211,6 +224,34 @@ class Tower:
                 return True
             cur = cur.lower
         return cur == other if not isinstance(other, Tower) else False
+
+    def _mul(self, a, b) -> list:
+        """Product of two coefficient tuples, reduced mod the minimal
+        polynomial (see the module docstring)."""
+        n, m, lower = self.level_degree, self._modulus, self.lower
+        if isinstance(lower, Tower):
+            out = [lower.zero()] * (2 * n - 1)
+            b_terms = [(j, y) for j, y in enumerate(b) if y]
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in b_terms:
+                        out[i + j] = out[i + j] + x * y
+            for i in range(2 * n - 2, n - 1, -1):
+                if c := out[i]:
+                    for j, mj in enumerate(m, i - n):
+                        if mj:
+                            out[j] = out[j] - c * mj
+            return out[:n]
+        if self.characteristic:
+            p = lower.p
+            r = _rem_mod(_mul_mod([c.r for c in a], [c.r for c in b], p), m, p)
+            return _fp_elems(p, r + [0] * (n - len(r)))
+        (na, da), (nb, db) = _numerators(a), _numerators(b)
+        r, s = _mul_int(na, nb), 1
+        if len(r) > n:  # s * r = q * m + remainder
+            _, r, s = _pseudo_divmod(r, m)
+        den = s * da * db
+        return [Fraction(c, den) for c in r] + [Fraction(0)] * (n - len(r))
 
     def _from_poly(self, poly: Poly) -> TowerElem:
         coeffs = list(poly.coeffs)

@@ -410,6 +410,26 @@ GOLDEN_JSON = [
         '_poly":"t^2 - 2"},{"label":"b","min_poly":"t^2 - 3"},{"label":"c",'
         '"min_poly":"t^2 - 5"}]}\n',
     ),
+    # recorded before tower products ran on the int kernels and before the
+    # Trager shift was chosen mod p
+    (
+        ["--json", "--field", "F3", "galois", "t^6+2*t^5+t^4+t^3+2*t^2+t+1"],
+        '{"action":["1","a","2*a + 2","b","b^2 + 2","2*b^2 + 2*b + 2"],"elem'
+        'ents":["()","(4 5 6)","(4 6 5)","(2 3)","(2 3)(4 5 6)","(2 3)(4 6 5'
+        ')"],"generators":["(2 3)(4 5 6)"],"order":6,"type":"C6"}\n',
+    ),
+    (
+        ["--json", "splitting-field", "(2*t^2-1)*(3*t^2-5)"],
+        '{"degree":4,"multiplicities":[1,1,1,1],"polynomial":"6*t^4 - 13*t^2'
+        ' + 5","roots":["-a","-b","b","a"],"tower":[{"label":"a","min_poly":'
+        '"t^2 - 5/3"},{"label":"b","min_poly":"t^2 - 1/2"}]}\n',
+    ),
+    # recorded before equal-degree splitting swept only monic witnesses
+    (
+        ["--json", "--field", "F1031", "galois", "t^4+3"],
+        '{"action":["a","1030*a","a + 319","1030*a + 712"],"elements":["()",'
+        '"(1 4)(2 3)"],"generators":["(1 4)(2 3)"],"order":2,"type":"C2"}\n',
+    ),
 ]
 
 
@@ -417,6 +437,16 @@ GOLDEN_JSON = [
 def test_json_golden_bytes(capsys, argv, expected):
     assert dispatch(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+def test_galois_over_f1031_is_quick(capsys):
+    # a monic witness early in the sweep splits the factors of t^4 + 3 over
+    # F_(1031^2); the bound fails a sweep that tries the 1031 scalar
+    # multiples a*(t + c), none of which splits them, before it
+    t0 = time.monotonic()
+    assert dispatch(["--json", "--field", "F1031", "galois", "t^4+3"]) == 0
+    assert time.monotonic() - t0 < 2.0
+    assert '"order":2' in capsys.readouterr().out
 
 
 def test_json_schema_fields(capsys):

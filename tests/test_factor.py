@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit.errors import ConstantPolynomial, DegreeCap, NotPrime, ZeroPolynomial
+from galoiskit.errors import (
+    ConstantPolynomial, DegreeCap, NotPrime, SearchExhausted, ZeroPolynomial
+)
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, poly_gcd
 from galoiskit.factor import (
@@ -649,6 +651,68 @@ def test_primitive_maps_are_inverse():
         gamma, mgamma = T.primitive_element()
         f = q([rng.randint(-3, 3) for _ in range(n + 3)])
         assert T.eval_primitive_poly(f) == f.map_domain(T, T.coerce).eval(gamma)
+
+
+def _mod(c, p):
+    return c.numerator * pow(c.denominator, -1, p) % p
+
+
+def test_norm_mod_is_the_exact_norm_mod_p():
+    """On coordinates with denominators (and an m_gamma with one), for
+    shifts of both signs."""
+    from galoiskit.factor import NORM_PRIME, _norm_mod, _norm_resultant
+
+    rng = random.Random(15)
+    dens = set()
+    # towers built without certificates, so that no factoring runs first
+    A, _ = adjoin_root(QQ, q([-2, 0, 1]), "a", certify=False)
+    C, _ = adjoin_root(QQ, q([-2, 0, 0, 1]), "c", certify=False)
+    towers = [
+        adjoin_root(A, Poly(A, [-3, 0, 1]), "b", certify=False)[0],
+        adjoin_root(C, Poly(C, [1, 1, 1]), "w", certify=False)[0],
+        adjoin_root(QQ, q([Fraction(-1, 2), 0, 1]), "x", certify=False)[0],
+    ]
+    for T in towers:
+        n = T.absolute_degree()
+        mgamma = T.primitive_element()[1]
+        elem = lambda: T.unflatten([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+        for g in (Poly(T, [elem(), elem(), T.one()]), Poly(T, [elem(), T.one()]) ** 2):
+            reps = [T.express_in_primitive(c) for c in g.coeffs]
+            dens |= {c.denominator for r in reps + [mgamma] for c in r.coeffs}
+            for s in range(-3, 4):
+                exact = _norm_resultant(mgamma, reps, s)
+                for p in (NORM_PRIME, 1000003):
+                    assert _norm_mod(mgamma, reps, s, p) == [_mod(c, p) for c in exact.coeffs]
+    assert dens - {1}
+
+
+def test_a_norm_whose_degree_drops_mod_p_proves_nothing():
+    # over Q itself (m = y), the norm of g is g for every shift; the
+    # reduction t - 2 of (p*t + 1)^2 (t - 2) is squarefree, g is not
+    from galoiskit.factor import NORM_PRIME, _squarefree_shift
+
+    g = q([1, NORM_PRIME]) ** 2 * q([-2, 1])
+    with pytest.raises(SearchExhausted):
+        _squarefree_shift(q([0, 1]), [q([c]) for c in g.coeffs], 3)
+    g = q([3, 1]) * q([-2, 1])
+    assert _squarefree_shift(q([0, 1]), [q([c]) for c in g.coeffs], 3) == 0
+
+
+def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
+    import galoiskit.factor as factor_mod
+
+    calls = []
+    exact = factor_mod._norm_resultant
+    monkeypatch.setattr(factor_mod, "_norm_resultant", lambda *a: calls.append(a[2]) or exact(*a))
+    shifts = []
+    for T, _, rational in _trager_towers():
+        for f in rational:
+            calls.clear()
+            g = f.map_domain(T, T.coerce)
+            assert factor_over_extension(g).expand(T) == g
+            assert len(calls) <= 1
+            shifts += calls
+    assert set(shifts) - {0}  # inputs whose first shifts are refused
 
 
 def test_factorization_soundness_everywhere():

@@ -413,3 +413,53 @@ def test_json_shape(gal_t4):
     assert data["order"] == 8
     assert data["type"] == "D4"
     assert len(data["elements"]) == 8
+
+
+def _generator_images_by_full_scan(sf):
+    """Oracle for the pruned root scan in `automorphisms`: every way to send
+    each level's generator, bottom-up, to any stored root of its minimal
+    polynomial mapped by the images chosen below it."""
+    field, roots = sf.field, sf.roots
+    chain = field.chain()
+    found = []
+
+    def extend(images):
+        k = len(images)
+        if k == len(chain):
+            found.append(tuple(images))
+            return
+        m_phi = Poly(field, [
+            _apply_by_generator_images(chain, images, field, c) for c in chain[k].minpoly.coeffs
+        ])
+        for r in roots:
+            if not m_phi.eval(r):
+                extend(images + [r])
+
+    extend([])
+    return found
+
+
+@pytest.mark.parametrize(
+    "sf",
+    [
+        lambda: splitting_field_q(q([-2, 0, 0, 1])),
+        lambda: splitting_field_q(q([-2, 0, 0, 0, 1])),
+        lambda: splitting_field_q(q([-2, 0, 1]) * q([-3, 0, 1]) * q([-5, 0, 1])),
+        lambda: splitting_field_q(q([12, -5, 0, 0, 0, 1])),
+        lambda: splitting_field_q(q([-2, 0, 0, 0, 0, 0, 1])),
+        lambda: splitting_field_q(q([-2, 0, 0, 0, 0, 1])),
+        lambda: splitting_field_q(q([-1, -1, 0, 0, 1])),
+        lambda: splitting_field_fp(Poly(PrimeField(3), [1, 1, 2, 1, 1, 2, 1])),
+        lambda: splitting_field_fp(Poly(PrimeField(2), [1, 1, 1]) * Poly(PrimeField(2), [1, 1, 0, 1])),
+    ],
+    ids=["t^3-2", "t^4-2", "(t^2-2)(t^2-3)(t^2-5)", "t^5-5t+12", "t^6-2", "t^5-2", "t^4-t-1",
+         "F3:t^6+2t^5+t^4+t^3+2t^2+t+1", "F2:(t^2+t+1)(t^3+t+1)"],
+)
+def test_pruned_root_scan_matches_the_full_scan(sf):
+    sf = sf()
+    G = automorphisms(sf)
+    expected = _generator_images_by_full_scan(sf)
+    assert len(expected) == len(set(expected)) == G.order == sf.degree()
+    assert {a.generator_images for a in G.elements} == set(expected)
+    perms = [a.root_perm for a in G.elements]
+    assert perms == sorted(perms) and perms[0] == tuple(range(len(sf.roots)))

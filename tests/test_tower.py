@@ -320,3 +320,54 @@ def test_describe_and_render(sqrt23):
     r2, r3 = T2.generators()
     assert T2.element_str(r2 + r3) == "b + a"
     assert T2.element_str(T2.zero()) == "0"
+
+
+def _poly_route_product(x, y):
+    """Oracle for the product kernel: the product as polynomials over the
+    lower level, reduced mod the level's minimal polynomial."""
+    T = x.tower
+    return T._from_poly(Poly(T.lower, x.coeffs) * Poly(T.lower, y.coeffs) % T.minpoly)
+
+
+def _kernel_towers():
+    from galoiskit.splitting import splitting_field_q
+
+    A, _ = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    yield adjoin_root(A, Poly(A, [-3, 0, 1]), "b")[0]  # Q(sqrt2, sqrt3)
+    C, _ = adjoin_root(QQ, q([-2, 0, 0, 1]), "c")
+    yield adjoin_root(C, Poly(C, [1, 1, 1]), "w")[0]  # Q(2^(1/3), omega)
+    yield splitting_field_q(q([-1, -1, 0, 0, 1])).field  # degree 24
+    R, _ = adjoin_root(QQ, q([Fraction(-5, 3), 0, 1]), "r")  # lc of 3t^2 - 5 is not 1
+    yield adjoin_root(R, Poly(R, [Fraction(-1, 2), 0, 1]), "h")[0]
+    yield adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")[0]  # F_4
+    F9, s = adjoin_root(F3, Poly(F3, [1, 0, 1]), "s")
+    yield F9
+    yield adjoin_root(F9, Poly(F9, [-(s + 1), 0, 1]), "u")[0]  # F_81 over F_9
+    F1031 = PrimeField(1031)
+    yield adjoin_root(F1031, Poly(F1031, [1, 0, 1]), "i")[0]
+
+
+def test_product_kernel_matches_the_poly_route(monkeypatch):
+    rng = random.Random(14)
+    built = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for top in _kernel_towers():
+        for T in top.chain():
+            n, base = T.absolute_degree(), T.base
+
+            def coord():
+                if base == QQ:
+                    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+                return base.from_int(rng.randrange(base.characteristic))
+
+            xs = [T.zero(), T.one(), T.generator(), T.from_int(-2)]
+            xs += [T.unflatten([coord() for _ in range(n)]) for _ in range(3 if n > 12 else 6)]
+            xs.append(T.unflatten([coord() if i % 3 else base.zero() for i in range(n)]))
+            for x in xs:
+                for y in xs[1:4] + rng.sample(xs[4:], 2):
+                    built.clear()
+                    prod = x * y
+                    assert not built  # the product builds no Poly
+                    assert prod.coeffs == _poly_route_product(x, y).coeffs
+                assert 3 * x == _poly_route_product(T.from_int(3), x)
