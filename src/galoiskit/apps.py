@@ -317,7 +317,7 @@ def quintic_a5_certificate(f: Poly):
     lifted = f.monic().map_domain(T1, T1.coerce)
     t = Poly.t(T1)
     quartic = lifted.exact_div(t - Poly.constant(T1, r1))
-    fact = factor_over_extension(quartic, T1)
+    fact = factor_over_extension(quartic)
     if not fact.is_irreducible():
         return None
     # |Gal| is divisible by [Q(r1, r2):Q] = 20 and lies inside A5

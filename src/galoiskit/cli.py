@@ -250,18 +250,14 @@ def _cmd_minpoly(args, dom):
     current = QQ
     labels = "abcdefgh"
     for i, src in enumerate(args.polys):
-        f = parse_poly(src, QQ)
-        if isinstance(current, tower.Tower):
-            lifted = f.map_domain(current, current.coerce)
-            fact = factor.factor_over_extension(lifted, current)
-        else:
-            fact = factor.factor_q(f, max_degree=max(args.max_degree, f.degree))
+        f = parse_poly(src, QQ).map_domain(current, current.coerce)
+        fact = factor.factor_over_extension(f)
         nonlinear = [g for g, _ in fact.factors if g.degree > 1]
         if not nonlinear:
             continue
         g = min(nonlinear, key=lambda h: h.sort_key())
         current, _ = tower.adjoin_root(current, g, labels[i], certify=False)
-    if not isinstance(current, tower.Tower):
+    if current == QQ:
         _emit(args, {"degree": 1, "tower": []}, ["degree 1 (everything split)"])
         return
     gamma, mp = current.primitive_element()
@@ -445,12 +441,12 @@ def dispatch(argv) -> int:
     try:
         dom = _field_from_flag(args.field)
         if args.max_degree is None:
-            args.max_degree = 24 if args.command in (
+            args.max_degree = splitting.SPLITTING_DEGREE_CAP if args.command in (
                 "splitting-field",
                 "galois",
                 "correspondence",
                 "solvable",
-            ) else 12
+            ) else factor.FACTOR_DEGREE_CAP
         if args.command == "construct" and args.what in ("ngon", "degree") and args.arg is None:
             raise ParseError(f"construct {args.what} needs an argument")
         args.fn(args, dom)

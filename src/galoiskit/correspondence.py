@@ -26,7 +26,6 @@ from .galois import (
 )
 from .linalg import Echelon, in_row_space, mat_mul_vec, nullspace, row_space_basis
 from .poly import Poly, render
-from .tower import Tower
 
 
 @dataclass
@@ -56,13 +55,6 @@ class Subfield:
             "primitive": str(self.primitive),
             "primitive_min_poly": render(self.min_poly_of_primitive),
         }
-
-
-def _field_dims(sf):
-    field = sf.field
-    if not isinstance(field, Tower):
-        return None, 1
-    return field, field.absolute_degree()
 
 
 def _candidates(base, basis):
@@ -112,13 +104,8 @@ def _find_primitive(field, basis, outside=None):
 
 
 def _make_subfield(sf, rows, outside=None) -> Subfield:
-    field, n = _field_dims(sf)
-    if field is None:
-        base = sf.field
-        one = base.one()
-        return Subfield(sf, [[one]], one, Poly(base, [-one, one]))
-    basis = row_space_basis(field.base, rows)
-    elem, mp = _find_primitive(field, basis, outside)
+    basis = row_space_basis(sf.field.base, rows)
+    elem, mp = _find_primitive(sf.field, basis, outside)
     return Subfield(sf, basis, elem, mp)
 
 
@@ -130,10 +117,8 @@ def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
     generates Fix(H) exactly when no automorphism outside H fixes it; the
     primitive search rejects candidates on that test, at O(|G| n^2) each,
     and certifies only the element it accepts."""
-    field, n = _field_dims(G.sf)
-    if field is None:
-        return _make_subfield(G.sf, [])
-    base = field.base
+    n = G.sf.field.absolute_degree()
+    base = G.sf.field.base
     stacked = []
     for idx in H.member_indices:
         if idx == 0:
@@ -161,9 +146,7 @@ def subfield_generated_by(sf, elems) -> Subfield:
     span of 1 closed under multiplication by each of them.  Every element
     found independent of those before it queues its products with the
     generators, so each spanning element is multiplied out once."""
-    field, n = _field_dims(sf)
-    if field is None:
-        return _make_subfield(sf, [])
+    field = sf.field
     elems = [field.coerce(e) for e in elems]
     echelon = Echelon(field.base)
     queue = [field.one()]
@@ -176,10 +159,7 @@ def subfield_generated_by(sf, elems) -> Subfield:
 
 def gal_over(L: Subfield, G: GaloisGroup) -> Subgroup:
     """Gal(M : L): the subgroup fixing L pointwise (checked on its basis)."""
-    field, n = _field_dims(G.sf)
-    if field is None:
-        return Subgroup((0,))
-    base = field.base
+    base = G.sf.field.base
     members = []
     for idx in range(G.order):
         mat = G.matrix_of(idx)
@@ -195,10 +175,7 @@ def gal_over(L: Subfield, G: GaloisGroup) -> Subgroup:
 
 def is_normal_intermediate(L: Subfield, G: GaloisGroup) -> bool:
     """True iff every automorphism maps L onto itself setwise."""
-    field, n = _field_dims(G.sf)
-    if field is None:
-        return True
-    base = field.base
+    base = G.sf.field.base
     for idx in range(G.order):
         mat = G.matrix_of(idx)
         for v in L.basis:
@@ -210,8 +187,7 @@ def is_normal_intermediate(L: Subfield, G: GaloisGroup) -> bool:
 def restriction_group(L: Subfield, G: GaloisGroup):
     """The group of distinct restrictions to L (the image of the restriction
     homomorphism), as its own composition table."""
-    field, n = _field_dims(G.sf)
-    base = field.base if field is not None else G.sf.field
+    base = G.sf.field.base
     zero = base.zero()
 
     def fingerprint(idx):
@@ -267,7 +243,7 @@ def verify_correspondence(sf, G: GaloisGroup | None = None):
         from .galois import automorphisms
 
         G = automorphisms(sf)
-    field, n = _field_dims(sf)
+    n = sf.field.absolute_degree()
     subs = subgroups(G)
     pairs = []
     all_ok = True

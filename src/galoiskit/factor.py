@@ -16,6 +16,9 @@ Three coefficient worlds are covered:
   only the irreducible factors are mapped back.  The shift is chosen, and
   its norm proved squarefree, mod NORM_PRIME; one norm is computed over Q.
 
+`factor_over_extension(g)` is the one entry point for all three: it
+dispatches on the coefficient field g.dom.
+
 Certificates (`IrreducibilityCertificate`) record which rule decided
 irreducibility so the verdict can be re-checked independently.
 """
@@ -57,6 +60,7 @@ from .poly import (
 
 FACTOR_DEGREE_CAP = 12
 NORM_DEGREE_CAP = 64
+NORM_SHIFT_TRIES = 40
 EISENSTEIN_SHIFT_BOUND = 5
 MOD_P_SCAN_BOUND = 31
 NORM_PRIME = 2**61 - 1
@@ -143,9 +147,7 @@ class IrreducibilityCertificate:
 
 
 def field_order(dom) -> int:
-    if isinstance(dom, PrimeField):
-        return dom.p
-    # a finite tower knows its absolute degree
+    """p^n for a finite field of degree n over F_p (0 over Q)."""
     return dom.characteristic ** dom.absolute_degree()
 
 
@@ -209,11 +211,8 @@ def _trace_witnesses(dom, d):
     < 2d (CRT onto F_(q^d) x F_(q^d), on which Tr(x) + Tr(y) is a nonzero
     F_2-linear form); the form vanishes on constants, so these n(2d - 1)
     witnesses suffice."""
-    if isinstance(dom, PrimeField):
-        basis = [dom.one()]
-    else:
-        n, zero, one = dom.absolute_degree(), dom.base.zero(), dom.base.one()
-        basis = [dom.unflatten([one if i == k else zero for i in range(n)]) for k in range(n)]
+    n, zero, one = dom.absolute_degree(), dom.base.zero(), dom.base.one()
+    basis = [dom.unflatten([one if i == k else zero for i in range(n)]) for k in range(n)]
     for j in range(1, 2 * d):
         for b in basis:
             yield Poly(dom, [dom.zero()] * j + [b], normalize=False)
@@ -227,15 +226,10 @@ def _sweep_witnesses(dom, bound):
     and a square unit mod g2 (CRT; u is not constant).  With e = (q^d - 1)/2
     and c = lc(u), c^e = chi(c)^d = +-1, so v = u/c has v^e = +-u^e mod g1
     and g2 with one sign: v^e - 1 still vanishes mod exactly one of them."""
-    if isinstance(dom, PrimeField):
-        n, elems = 1, dom.elements()
-        element = lambda vec: vec[0]
-    else:
-        n, elems = dom.absolute_degree(), dom.base.elements()
-        element = lambda vec: dom.unflatten(list(vec))
+    n, elems = dom.absolute_degree(), dom.base.elements()
     for deg in range(1, bound + 1):
         for low in itertools.product(elems, repeat=deg * n):
-            coeffs = [element(low[i * n : (i + 1) * n]) for i in range(deg)]
+            coeffs = [dom.unflatten(low[i * n : (i + 1) * n]) for i in range(deg)]
             yield Poly(dom, coeffs + [dom.one()], normalize=False)
 
 
@@ -440,12 +434,17 @@ def _factor_sqfree_primitive_z(ints):
     # choose a prime: smallest few with good reduction, fewest modular
     # factors, counted from the distinct-degree split alone as sum deg(g)/k
     best = None
-    tried = 0
+    tried, skipped = 0, 1
     for p in _primes():
         if ints[-1] % p == 0:
             continue
         fbar = Poly(PrimeField(p), ints)
         if poly_gcd(fbar, fbar.derivative()).degree != 0:
+            # p divides disc(f), and 0 < |disc(f)| <= n^n ||f||_2^(2n-2)
+            # (Mahler) if f is squarefree
+            skipped *= p
+            if skipped > n**n * sum(c * c for c in ints) ** (n - 1):
+                raise InternalInvariant("Zassenhaus input is not squarefree")
             continue
         pieces = _ddf(fbar.monic())
         count = sum(g.degree // k for g, k in pieces)
@@ -780,27 +779,24 @@ def _shift_into(field, h: Poly, s: int) -> Poly:
     return Poly(field, out, normalize=False)
 
 
-def factor_over_extension(
-    g: Poly,
-    tower=None,
-    max_norm_degree: int = NORM_DEGREE_CAP,
-    shift_tries: int = 40,
-) -> Factorization:
-    """Complete factorization of g over a tower (simple extension of Q), or
-    over a finite tower / base field.  Over a tower, Trager's method runs in
-    the primitive element's field K = Q[y]/(m_gamma) (`primitive_field`),
-    where a product is one rational product and one reduction mod m_gamma:
-    squarefree part, norm Res_y(m_gamma, g(t - s*y)), shifts h(t + s*y) of
-    its factors h, gcds, reassembly check and multiplicities.  s is chosen
-    mod a prime (`_squarefree_shift`); the one norm over Q is factored as it
-    stands, proved squarefree.  Only the irreducible factors are mapped back
-    to the tower."""
+def factor_over_extension(g: Poly) -> Factorization:
+    """Complete factorization of g over its coefficient field g.dom, whichever
+    field that is: the one factoring entry point.  Over Q it is `factor_q`
+    with the cap raised to deg g, and over F_p or a finite tower `factor_ff`.
+    Over a tower of characteristic 0, Trager's method runs in the primitive
+    element's field K = Q[y]/(m_gamma) (`primitive_field`), where a product
+    is one rational product and one reduction mod m_gamma: squarefree part,
+    norm Res_y(m_gamma, g(t - s*y)), shifts h(t + s*y) of its factors h,
+    gcds, reassembly check and multiplicities.  s is chosen mod a prime
+    (`_squarefree_shift`); the one norm over Q, of degree at most
+    NORM_DEGREE_CAP, is factored as it stands, proved squarefree.  Only the
+    irreducible factors are mapped back to the tower."""
     if g.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    dom = g.dom if tower is None else tower
+    dom = g.dom
     if dom == QQ:
-        return factor_q(g, max_degree=max(FACTOR_DEGREE_CAP, max_norm_degree))
-    if isinstance(dom, PrimeField) or dom.characteristic > 0:
+        return factor_q(g, max_degree=max(FACTOR_DEGREE_CAP, g.degree))
+    if dom.characteristic:
         return factor_ff(g)
 
     unit = g.lc()
@@ -816,10 +812,8 @@ def factor_over_extension(
         if cert.irreducible:
             return Factorization(unit, ((work, 1),))
 
-    if work.degree * n > max_norm_degree:
-        raise DegreeCap(
-            f"norm degree {work.degree * n} exceeds cap {max_norm_degree}"
-        )
+    if work.degree * n > NORM_DEGREE_CAP:
+        raise DegreeCap(f"norm degree {work.degree * n} exceeds cap {NORM_DEGREE_CAP}")
 
     K = dom.primitive_field()
     mgamma = K.minpoly
@@ -827,7 +821,7 @@ def factor_over_extension(
     sq = squarefree_part(work_k)
     reps = [Poly(QQ, c.coeffs) for c in sq.coeffs]
 
-    s = _squarefree_shift(mgamma, reps, shift_tries)
+    s = _squarefree_shift(mgamma, reps, NORM_SHIFT_TRIES)
     _, norm = content_primitive(_norm_resultant(mgamma, reps, s))
     irreducibles = []
     for h in _factor_sqfree_primitive_z(norm):
@@ -843,14 +837,14 @@ def factor_over_extension(
     return Factorization(unit, _multiplicities(work_k, irreducibles, "extension", back))
 
 
-def is_irreducible_over(m: Poly, dom) -> bool:
-    """Irreducibility of m over a base field or tower (used to certify
-    adjunction steps)."""
+def is_irreducible_over(m: Poly) -> bool:
+    """Irreducibility of m over its coefficient field (used to certify
+    adjunction steps): the certificate routes over Q and finite fields,
+    `factor_over_extension` over a tower of characteristic 0."""
     if m.degree < 1:
         return False
-    if dom == QQ:
+    if m.dom == QQ:
         return is_irreducible_q(m, max_degree=max(FACTOR_DEGREE_CAP, m.degree)).irreducible
-    if dom.characteristic > 0:
+    if m.dom.characteristic:
         return is_irreducible_ff(m)
-    fact = factor_over_extension(m, dom)
-    return fact.is_irreducible()
+    return factor_over_extension(m).is_irreducible()

@@ -25,7 +25,6 @@ from .errors import InternalInvariant, NotASubgroup, OrderCap
 from .linalg import mat_mul_vec
 from .poly import Poly
 from .splitting import SplittingField
-from .tower import Tower
 
 SUBGROUP_ORDER_CAP = 60
 
@@ -173,8 +172,6 @@ class GaloisGroup:
 
 def apply_automorphism(field, phi: Automorphism, x):
     """Apply an automorphism to an arbitrary element of the splitting field."""
-    if not isinstance(field, Tower):
-        return field.coerce(x)
     return field.unflatten(mat_mul_vec(phi.matrix, field.flatten(x), field.base.zero()))
 
 
@@ -191,10 +188,6 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
     generators (the map is injective), and it stops after d roots, as many
     as the mapped minimal polynomial has."""
     field = sf.field
-    if not isinstance(field, Tower):
-        ident = Automorphism((), tuple(range(len(sf.roots))), [[field.one()]])
-        return GaloisGroup(sf, [ident], [[0]])
-
     chain = field.chain()
     roots = sf.roots
     zero = field.base.zero()
@@ -212,7 +205,7 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
         level = chain[k]
         # the minimal polynomial's coefficients live in chain[k-1] (or the base)
         m_phi = Poly(field, [
-            field.unflatten(mat_mul_vec(mat, level.lower.flatten(c) if k else [c], zero))
+            field.unflatten(mat_mul_vec(mat, level.lower.flatten(c), zero))
             for c in level.minpoly.coeffs
         ])
         d = level.level_degree
@@ -229,11 +222,11 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
 
     elems = []
     root_coords = [field.flatten(r) for r in roots]
-    root_index = {field.sort_key(r): i for i, r in enumerate(roots)}
+    root_index = {tuple(v): i for i, v in enumerate(root_coords)}
     for images, mat in found:
         perm = []
         for v in root_coords:
-            key = tuple(field.base.sort_key(c) for c in mat_mul_vec(mat, v, zero))
+            key = tuple(mat_mul_vec(mat, v, zero))
             if key not in root_index:
                 raise InternalInvariant("automorphism does not permute the roots")
             perm.append(root_index[key])

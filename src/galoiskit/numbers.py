@@ -8,6 +8,11 @@ equality, hashing, and truthiness (nonzero test).  Code generic over the
 scalar type talks to a *field object* instead (`QQ`, `PrimeField(p)`, towers),
 which knows how to build and coerce its own scalars.
 
+A base field is the tower of height 0 (`BaseField`): it answers the tower
+questions too -- its base is itself, its degree 1, its chain of levels empty,
+its coordinates the one scalar -- and `adjoin` starts a `Tower` over it, so
+no caller asks whether a field is a base field or a tower.
+
 Primality and factorization are deterministic trial division, capped by
 `TRIAL_DIVISION_CAP`; there is nothing probabilistic here.
 """
@@ -176,7 +181,40 @@ def fp_inv(a: FpElem) -> FpElem:
     return a.inv()
 
 
-class RationalField:
+class BaseField:
+    """The tower protocol of `galoiskit.tower.Tower` for a field of degree 1
+    over itself."""
+
+    @property
+    def base(self):
+        return self
+
+    def absolute_degree(self) -> int:
+        return 1
+
+    def chain(self) -> list:
+        return []
+
+    generators = describe = chain
+
+    def flatten(self, x) -> list:
+        return [self.coerce(x)]
+
+    def unflatten(self, vec):
+        return self.coerce(vec[0])
+
+    def min_poly_over_base(self, x):
+        from .poly import Poly
+
+        return Poly(self, [-self.coerce(x), self.one()])
+
+    def adjoin(self, minpoly, label: str, certify: bool = True):
+        from .tower import Tower
+
+        return Tower(self, minpoly, label, certify=certify)
+
+
+class RationalField(BaseField):
     """The field of rational numbers; elements are `Fraction` values."""
 
     characteristic = 0
@@ -219,7 +257,7 @@ class RationalField:
 QQ = RationalField()
 
 
-class PrimeField:
+class PrimeField(BaseField):
     """The field F_p of integers mod a prime p; elements are FpElem."""
 
     def __init__(self, p: int):

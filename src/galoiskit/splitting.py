@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from .errors import DegreeCap, ZeroPolynomial
 from .numbers import QQ, PrimeField
 from .poly import Poly
-from .factor import factor_ff, factor_over_extension, factor_q, field_order
-from .tower import Tower, adjoin_root, tower_degree
+from .factor import factor_over_extension, field_order
+from .tower import adjoin_root
 
 SPLITTING_DEGREE_CAP = 24
 _LABELS = "abcdefghijkl"
@@ -38,32 +38,24 @@ class SplittingField:
     unit: object
 
     def degree(self) -> int:
-        return tower_degree(self.field)
+        return self.field.absolute_degree()
 
     def root_min_polys(self):
-        from .tower import min_poly
-
-        return [min_poly(self.field, r) for r in self.roots]
+        return [self.field.min_poly_over_base(r) for r in self.roots]
 
     def to_json(self):
-        tower_desc = self.field.describe() if isinstance(self.field, Tower) else []
         return {
             "degree": self.degree(),
-            "tower": tower_desc,
-            "roots": [self._root_str(r) for r in self.roots],
+            "tower": self.field.describe(),
+            "roots": [self.field.element_str(r) for r in self.roots],
             "multiplicities": list(self.multiplicities),
             "polynomial": str(self.source),
         }
-
-    def _root_str(self, r):
-        return self.field.element_str(r)
 
 
 def _candidate_roots(field, roots, center):
     """Cheap candidate roots: negations, pairwise products/ratios and small
     power combinations of the roots found so far, formed around `center`."""
-    if not isinstance(field, Tower) or not roots:
-        return []
     c = field.coerce(center)
     shifted = [r - c for r in roots]
     cands = []
@@ -83,21 +75,21 @@ def _candidate_roots(field, roots, center):
     out = []
     for s in cands:
         v = s + c
-        key = tuple(field.base.sort_key(x) for x in field.flatten(v))
+        key = field.sort_key(v)
         if key not in seen:
             seen.add(key)
             out.append(v)
     return out
 
 
-def _split_squarefree(sq: Poly, base, cap: int, labels=_LABELS):
+def _split_squarefree(sq: Poly, cap: int):
     """Split a squarefree polynomial; returns (field, roots in found order)."""
-    current = base
+    current = base = sq.dom
     rem = sq.monic()
     roots = []
     level = 0
     # x -> x^order fixes sq's coefficients (order 0 over Q), so permutes roots
-    order = field_order(base) if base.characteristic else 0
+    order = field_order(base)
 
     # depressed-form center: pre-pass combinations are formed around it
     if base == QQ and sq.degree >= 1:
@@ -110,8 +102,8 @@ def _split_squarefree(sq: Poly, base, cap: int, labels=_LABELS):
             roots.append(-rem.coeff(0) / rem.coeff(1))
             break
 
-        # evaluation pre-pass over the current tower
-        if isinstance(current, Tower) and current.characteristic == 0:
+        # evaluation pre-pass over the current field
+        if current.characteristic == 0:
             progress = True
             while progress and rem.degree > 0:
                 progress = False
@@ -134,21 +126,14 @@ def _split_squarefree(sq: Poly, base, cap: int, labels=_LABELS):
         if (
             rem.degree >= 2
             and current.characteristic == 0
-            and 2 * tower_degree(current) > cap
+            and 2 * current.absolute_degree() > cap
         ):
             raise DegreeCap(
                 f"splitting degree would exceed cap {cap}", partial=current
             )
 
-        if current == QQ:
-            fact = factor_q(rem, max_degree=max(12, rem.degree))
-        elif isinstance(current, PrimeField):
-            fact = factor_ff(rem)
-        else:
-            fact = factor_over_extension(rem, current)
-
         nonlinear = []
-        for g, _ in fact.factors:
+        for g, _ in factor_over_extension(rem).factors:
             if g.degree == 1:
                 roots.append(-g.coeff(0))
                 rem = rem.exact_div(g)
@@ -158,13 +143,13 @@ def _split_squarefree(sq: Poly, base, cap: int, labels=_LABELS):
             continue
 
         g = min(nonlinear, key=lambda h: h.sort_key())
-        new_degree = tower_degree(current) * g.degree
+        new_degree = current.absolute_degree() * g.degree
         if new_degree > cap:
             raise DegreeCap(
                 f"splitting degree would reach {new_degree} > cap {cap}",
                 partial=current,
             )
-        label = labels[level] if level < len(labels) else f"g{level}"
+        label = _LABELS[level] if level < len(_LABELS) else f"g{level}"
         level += 1
         current, alpha = adjoin_root(current, g, label, certify=False)
         roots = [current.coerce(r) for r in roots]
@@ -187,24 +172,21 @@ def _split_squarefree(sq: Poly, base, cap: int, labels=_LABELS):
     return current, roots
 
 
-def _build(f: Poly, base, factmethod, cap: int) -> SplittingField:
+def _build(f: Poly, cap: int) -> SplittingField:
     if f.is_zero():
         raise ZeroPolynomial("splitting field of the zero polynomial")
     unit = f.lc()
     if f.degree == 0:
-        return SplittingField(base, [], [], f, unit)
-    fact = factmethod(f)
-    sq = Poly.one(base)
+        return SplittingField(f.dom, [], [], f, unit)
+    fact = factor_over_extension(f)
+    sq = Poly.one(f.dom)
     for g, _ in fact.factors:
         sq = sq * g
-    field, roots = _split_squarefree(sq, base, cap)
+    field, roots = _split_squarefree(sq, cap)
     # multiplicity of a root = multiplicity of its irreducible factor; roots
     # sort by that factor's degree (= the root's degree over the base), then
     # by coordinates
-    lifted = [
-        (g.map_domain(field, field.coerce) if isinstance(field, Tower) else g, mult)
-        for g, mult in fact.factors
-    ]
+    lifted = [(g.map_domain(field, field.coerce), mult) for g, mult in fact.factors]
     mults, keys = [], []
     for r in roots:
         for g_up, mult in lifted:
@@ -225,7 +207,7 @@ def splitting_field_q(f: Poly, max_degree: int = SPLITTING_DEGREE_CAP) -> Splitt
     generators are roots, with all distinct roots listed."""
     if f.dom != QQ:
         raise TypeError("splitting_field_q expects rational coefficients")
-    return _build(f, QQ, lambda g: factor_q(g, max_degree=max(12, g.degree)), max_degree)
+    return _build(f, max_degree)
 
 
 def splitting_field_fp(f: Poly, max_degree: int = SPLITTING_DEGREE_CAP) -> SplittingField:
@@ -233,23 +215,18 @@ def splitting_field_fp(f: Poly, max_degree: int = SPLITTING_DEGREE_CAP) -> Split
     the field of order p^d with d the lcm of the irreducible factor degrees."""
     if not isinstance(f.dom, PrimeField):
         raise TypeError("splitting_field_fp expects prime-field coefficients")
-    return _build(f, f.dom, factor_ff, max_degree)
+    return _build(f, max_degree)
 
 
 def verify_splits(sf: SplittingField) -> bool:
     """Re-multiply the linear factors exactly and check minimality (every
     tower generator is one of the roots)."""
     field = sf.field
-    target = sf.source.map_domain(field, field.coerce) if isinstance(field, Tower) else sf.source
     t = Poly.t(field)
     prod = Poly.constant(field, field.coerce(sf.unit))
     for r, m in zip(sf.roots, sf.multiplicities):
         prod = prod * (t - Poly.constant(field, r)) ** m
-    if prod != target:
-        return False
-    if isinstance(field, Tower):
-        root_keys = {tuple(field.base.sort_key(c) for c in field.flatten(r)) for r in sf.roots}
-        for g in field.generators():
-            if tuple(field.base.sort_key(c) for c in field.flatten(g)) not in root_keys:
-                return False
-    return True
+    root_keys = {field.sort_key(r) for r in sf.roots}
+    return prod == sf.source.map_domain(field, field.coerce) and all(
+        field.sort_key(g) in root_keys for g in field.generators()
+    )

@@ -1,13 +1,16 @@
 """Towers of simple extensions K(a_1)...(a_k) over Q or F_p.
 
-A Tower is an immutable chain: its `lower` field is either a base field
-object (QQ / PrimeField) or another Tower, and `minpoly` is a monic
-irreducible polynomial over that lower field.  Elements (`TowerElem`) are
-fixed-length coefficient tuples over the lower level, always reduced mod the
-level's minimal polynomial; level-0 coefficients are base scalars.  The
-flattened coordinate vector over the base realizes the power-product basis,
-which is what all the linear algebra (minimal polynomials, fixed fields,
-subfield membership) runs on.
+A Tower is an immutable chain: its `lower` field is another Tower or a base
+field, and `minpoly` is a monic irreducible polynomial over that lower field.
+A base field (QQ / PrimeField) is the tower of height 0 (`numbers.BaseField`):
+it answers the same structural questions, so `chain`, `flatten`, `unflatten`
+and the degrees recurse into `lower` and stop there; only the product kernel
+and equality look at which kind of field `lower` is.
+Elements (`TowerElem`) are fixed-length coefficient tuples over the lower
+level, always reduced mod the level's minimal polynomial; level-0
+coefficients are base scalars.  The flattened coordinate vector over the
+base realizes the power-product basis, which is what all the linear algebra
+(minimal polynomials, fixed fields, subfield membership) runs on.
 
 A product (`Tower._mul`) builds no `Poly`: over Q it pseudo-divides the
 integer product of numerators by the cached integer minimal polynomial and
@@ -34,7 +37,6 @@ from .errors import (
     ZeroInverse,
 )
 from .linalg import Echelon
-from .numbers import QQ
 from .poly import (
     Poly, _fp_elems, _mul_int, _mul_mod, _numerators, _pseudo_divmod, _rem_mod, gcd_ext
 )
@@ -156,17 +158,15 @@ class Tower:
         if certify:
             from .factor import is_irreducible_over
 
-            if not is_irreducible_over(minpoly, lower):
+            if not is_irreducible_over(minpoly):
                 raise NotIrreducible(f"{minpoly} is reducible over {lower!r}")
         self.lower = lower
         self.minpoly = minpoly
         self.label = label
         self.level_degree = minpoly.degree
-        self.base = lower.base if isinstance(lower, Tower) else lower
+        self.base = lower.base
         self.characteristic = self.base.characteristic
-        self._n = self.level_degree * (
-            lower.absolute_degree() if isinstance(lower, Tower) else 1
-        )
+        self._n = self.level_degree * lower.absolute_degree()
         # the monic minimal polynomial in the product kernel's form
         if isinstance(lower, Tower):
             self._modulus = minpoly.coeffs[:-1]
@@ -196,7 +196,7 @@ class Tower:
         if isinstance(x, TowerElem):
             if x.tower == self:
                 return x
-            if not self._is_ancestor(x.tower):
+            if x.tower not in self.lower.chain():
                 raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
         c = self.lower.coerce(x)  # scalars and lower levels climb one level at a time
         z = self.lower.zero()
@@ -216,14 +216,6 @@ class Tower:
         return x ** (p ** (self.absolute_degree() - 1))
 
     # -- structure --------------------------------------------------------------
-
-    def _is_ancestor(self, other) -> bool:
-        cur = self.lower
-        while isinstance(cur, Tower):
-            if cur == other:
-                return True
-            cur = cur.lower
-        return cur == other if not isinstance(other, Tower) else False
 
     def _mul(self, a, b) -> list:
         """Product of two coefficient tuples, reduced mod the minimal
@@ -268,37 +260,20 @@ class Tower:
 
     def chain(self):
         """Tower levels bottom-up."""
-        levels = []
-        cur = self
-        while isinstance(cur, Tower):
-            levels.append(cur)
-            cur = cur.lower
-        return list(reversed(levels))
+        return self.lower.chain() + [self]
 
     def generators(self):
         """Each level's generator, embedded into this (top) tower."""
-        out = []
-        for level in self.chain():
-            out.append(self.coerce(level.generator()))
-        return out
+        return [self.coerce(level.generator()) for level in self.chain()]
 
     def absolute_degree(self) -> int:
         return self._n
 
     def degree_over(self, sub) -> int:
         """Degree over an ancestor level (or the base)."""
-        if sub == self:
-            return 1
-        d = 1
-        cur = self
-        while isinstance(cur, Tower):
-            d *= cur.level_degree
-            if cur.lower == sub:
-                return d
-            cur = cur.lower
-        if cur == sub:
-            return d
-        raise TowerMismatch(f"{sub!r} is not a level of {self!r}")
+        if sub != self.base and sub not in self.chain():
+            raise TowerMismatch(f"{sub!r} is not a level of {self!r}")
+        return self._n // sub.absolute_degree()
 
     def adjoin(self, minpoly: Poly, label: str, certify: bool = True) -> "Tower":
         return Tower(self, minpoly, label, certify=certify)
@@ -307,25 +282,12 @@ class Tower:
 
     def flatten(self, x) -> list:
         """Coordinates of x in the power-product basis over the base field."""
-        x = self.coerce(x)
-        out = []
-        for c in x.coeffs:
-            if isinstance(self.lower, Tower):
-                out.extend(self.lower.flatten(c))
-            else:
-                out.append(c)
-        return out
+        flatten = self.lower.flatten
+        return [v for c in self.coerce(x).coeffs for v in flatten(c)]
 
     def unflatten(self, vec) -> TowerElem:
-        m = self._n // self.level_degree
-        coeffs = []
-        for i in range(self.level_degree):
-            chunk = vec[i * m : (i + 1) * m]
-            if isinstance(self.lower, Tower):
-                coeffs.append(self.lower.unflatten(chunk))
-            else:
-                coeffs.append(self.lower.coerce(chunk[0]))
-        return TowerElem(self, coeffs)
+        m, unflatten = self._n // self.level_degree, self.lower.unflatten
+        return TowerElem(self, [unflatten(vec[i : i + m]) for i in range(0, self._n, m)])
 
     def try_lower_to_base(self, f: Poly):
         """Rewrite a polynomial over this tower as one over the base field,
@@ -444,9 +406,8 @@ class Tower:
         ]
 
     def __repr__(self):
-        base = "QQ" if self.base == QQ else f"F_{self.base.p}"
         labels = ", ".join(level.label for level in self.chain())
-        return f"{base}({labels})"
+        return f"{self.base!r}({labels})"
 
     def __eq__(self, other):
         if self is other:
@@ -466,25 +427,18 @@ class Tower:
 def adjoin_root(field, minpoly: Poly, label: str, certify: bool = True):
     """Adjoin a root of a monic irreducible polynomial to a base field or
     tower; returns (new_tower, root)."""
-    if isinstance(field, Tower):
-        ext = field.adjoin(minpoly, label, certify=certify)
-    else:
-        ext = Tower(field, minpoly, label, certify=certify)
+    ext = field.adjoin(minpoly, label, certify=certify)
     return ext, ext.generator()
 
 
 def tower_degree(field) -> int:
     """[field : base]; 1 for a bare base field."""
-    return field.absolute_degree() if isinstance(field, Tower) else 1
+    return field.absolute_degree()
 
 
 def min_poly(field, x) -> Poly:
     """Monic minimal polynomial of x over the base of its field."""
-    if isinstance(field, Tower):
-        return field.min_poly_over_base(x)
-    # a base scalar has minimal polynomial t - x
-    x = field.coerce(x)
-    return Poly(field, [-x, field.one()])
+    return field.min_poly_over_base(x)
 
 
 def contains(subspace_rref, field, x) -> bool:

@@ -430,6 +430,30 @@ GOLDEN_JSON = [
         '{"action":["a","1030*a","a + 319","1030*a + 712"],"elements":["()",'
         '"(1 4)(2 3)"],"generators":["(1 4)(2 3)"],"order":2,"type":"C2"}\n',
     ),
+    # recorded before the base fields spoke the tower protocol: degree-1
+    # splitting fields over Q and F_p
+    (
+        ["--json", "splitting-field", "t-1"],
+        '{"degree":1,"multiplicities":[1],"polynomial":"t - 1","roots":["1"],'
+        '"tower":[]}\n',
+    ),
+    (
+        ["--json", "galois", "t^2-1"],
+        '{"action":["-1","1"],"elements":["()"],"generators":[],"order":1,"type":"C1"}\n',
+    ),
+    (
+        ["--json", "correspondence", "(t-1)*(t-2)"],
+        '{"degree":1,"group_order":1,"mutually_inverse":true,"pair_count":1,"pairs":'
+        '[{"fixed_field":{"dim":1,"primitive":"1","primitive_min_poly":"t - 1"},'
+        '"gal_over_matches":true,"normal":true,"order":1,"subgroup":[0]}]}\n',
+    ),
+    (
+        ["--json", "--field", "F5", "correspondence", "t^2-1"],
+        '{"degree":1,"group_order":1,"mutually_inverse":true,"pair_count":1,"pairs":'
+        '[{"fixed_field":{"dim":1,"primitive":"1","primitive_min_poly":"t + 4"},'
+        '"gal_over_matches":true,"normal":true,"order":1,"subgroup":[0]}]}\n',
+    ),
+    (["--json", "minpoly", "t-1"], '{"degree":1,"tower":[]}\n'),
 ]
 
 

@@ -3,18 +3,25 @@
 import functools
 import itertools
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from galoiskit.errors import (
-    ConstantPolynomial, DegreeCap, NotPrime, SearchExhausted, ZeroPolynomial
+    ConstantPolynomial,
+    DegreeCap,
+    InternalInvariant,
+    NotPrime,
+    SearchExhausted,
+    ZeroPolynomial,
 )
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, poly_gcd
 from galoiskit.factor import (
     _ddf,
+    _factor_sqfree_primitive_z,
     _powmod,
     check_eisenstein,
     cyclotomic_p,
@@ -713,6 +720,31 @@ def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
             assert len(calls) <= 1
             shifts += calls
     assert set(shifts) - {0}  # inputs whose first shifts are refused
+
+
+def test_zassenhaus_stage_rejects_an_input_that_is_not_squarefree():
+    # every skipped prime divides the discriminant, which is bounded by
+    # n^n ||f||_2^(2n-2) unless it is 0, so the prime loop gives up
+    cases = [
+        [1, 2, 1],  # (t + 1)^2
+        (q([-2, 0, 0, 1]) ** 2 * q([5, 1])).coeffs,
+        (q([1, 0, 3]) * q([1, 0, 3]) * q([-7, 6])).coeffs,  # lc 18
+    ]
+    for f in cases:
+        ints = [int(c) for c in f]
+        t0 = time.monotonic()
+        with pytest.raises(InternalInvariant):
+            _factor_sqfree_primitive_z(ints)
+        assert time.monotonic() - t0 < 1.0
+
+
+def test_factor_over_extension_over_q_is_uncapped():
+    # one entry point for every field: over Q the cap is raised to deg g
+    g = q([-2, 0, 1]) ** 33
+    fact = factor_over_extension(g)
+    assert fact.factors == ((q([-2, 0, 1]), 33),)
+    with pytest.raises(DegreeCap):
+        factor_q(g)
 
 
 def test_factorization_soundness_everywhere():

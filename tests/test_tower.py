@@ -10,7 +10,7 @@ from galoiskit.errors import NotIrreducible, TowerMismatch, ZeroInverse
 from galoiskit.linalg import rref, row_space_basis
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.tower import adjoin_root, contains, min_poly, tower_degree
+from galoiskit.tower import Tower, adjoin_root, contains, min_poly, tower_degree
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -320,6 +320,34 @@ def test_describe_and_render(sqrt23):
     r2, r3 = T2.generators()
     assert T2.element_str(r2 + r3) == "b + a"
     assert T2.element_str(T2.zero()) == "0"
+
+
+def test_base_fields_are_towers_of_height_0(sqrt23):
+    T2, _ = sqrt23
+    F7 = PrimeField(7)
+    rng = random.Random(11)
+    for field in (QQ, F7, T2):
+        n = field.absolute_degree()
+        base = field.base
+        assert base.base is base and base.absolute_degree() == 1
+        for _ in range(6):
+            vec = [base.from_int(rng.randint(-9, 9)) for _ in range(n)]
+            x = field.unflatten(vec)
+            assert field.flatten(x) == vec and len(field.flatten(x)) == n
+            assert field.unflatten(field.flatten(x)) == x
+        c = base.from_int(rng.randint(-9, 9)) / base.from_int(3)
+        assert field.min_poly_over_base(field.coerce(c)) == Poly(base, [-c, base.one()])
+        m = Poly(field, [field.from_int(-5), field.zero(), field.one()])
+        assert field.adjoin(m, "z") == Tower(field, m, "z")
+    for field in (QQ, F7):
+        assert field.base is field
+        assert field.chain() == field.generators() == field.describe() == []
+        assert field.flatten(3) == [field.from_int(3)]
+        assert field.unflatten([5]) == field.from_int(5)
+    a, b = T2.generators()
+    assert T2.chain() == [T2.lower, T2] and T2.lower.chain() == [T2.lower]
+    assert (a * a, b * b) == (2, 3)
+    assert [level["label"] for level in T2.describe()] == ["a", "b"]
 
 
 def _poly_route_product(x, y):
