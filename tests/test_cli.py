@@ -454,6 +454,52 @@ GOLDEN_JSON = [
         '"gal_over_matches":true,"normal":true,"order":1,"subgroup":[0]}]}\n',
     ),
     (["--json", "minpoly", "t-1"], '{"degree":1,"tower":[]}\n'),
+    # recorded before Zassenhaus's modular stage ran on residue lists: a
+    # squared factor, a squarefree input that is not squarefree mod 2, 3 or
+    # 5, one that is not squarefree mod any prime <= 31 (the rational
+    # squarefree part runs), a repeated factor over F_3 (multiplicity p)
+    # and a mod-p witness for a non-monic input
+    (
+        ["--json", "factor", "(t^2+1)^2*(t^3-2)*(2*t-3)"],
+        '{"factors":[{"multiplicity":1,"poly":"t - 3/2"},{"multiplicity":2,'
+        '"poly":"t^2 + 1"},{"multiplicity":1,"poly":"t^3 - 2"}],"unit":"2"}\n',
+    ),
+    (
+        ["--json", "factor", "(t^2-30)*(t^3-2)"],
+        '{"factors":[{"multiplicity":1,"poly":"t^2 - 30"},{"multiplicity":1,'
+        '"poly":"t^3 - 2"}],"unit":"1"}\n',
+    ),
+    (
+        [
+            "--json",
+            "--max-degree",
+            "22",
+            "factor",
+            "(t^2-2)*(t^2-3)*(t^2-5)*(t^2-7)*(t^2-11)*(t^2-13)*(t^2-17)"
+            "*(t^2-19)*(t^2-23)*(t^2-29)*(t^2-31)",
+        ],
+        '{"factors":[{"multiplicity":1,"poly":"t^2 - 31"},{"multiplicity":1,'
+        '"poly":"t^2 - 29"},{"multiplicity":1,"poly":"t^2 - 23"},{"multiplicity":1,'
+        '"poly":"t^2 - 19"},{"multiplicity":1,"poly":"t^2 - 17"},{"multiplicity":1,'
+        '"poly":"t^2 - 13"},{"multiplicity":1,"poly":"t^2 - 11"},{"multiplicity":1,'
+        '"poly":"t^2 - 7"},{"multiplicity":1,"poly":"t^2 - 5"},{"multiplicity":1,'
+        '"poly":"t^2 - 3"},{"multiplicity":1,"poly":"t^2 - 2"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "--field", "F3", "factor", "(t^2+1)^3*(t+2)^2*(t^3-t+1)"],
+        '{"factors":[{"multiplicity":2,"poly":"t + 2"},{"multiplicity":3,'
+        '"poly":"t^2 + 1"},{"multiplicity":1,"poly":"t^3 + 2*t + 1"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "irreducible", "3*t^4-t^2+t+1"],
+        '{"verdict":"irreducible","witness_data":{"prime":11},"witness_kind":"mod_p"}\n',
+    ),
+    (
+        ["--json", "--max-degree", "6", "minpoly", "t^2-2", "t^3-2"],
+        '{"degree":6,"primitive_element":"b + a","primitive_min_poly":"t^6 - 6*t^4 '
+        '- 4*t^3 + 12*t^2 - 24*t - 4","tower":[{"label":"a","min_poly":"t^2 - 2"},'
+        '{"label":"b","min_poly":"t^3 - 2"}]}\n',
+    ),
 ]
 
 
