@@ -19,6 +19,7 @@ from fractions import Fraction
 
 from .errors import (
     CapExceeded,
+    DegreeCap,
     GaloisKitError,
     InternalInvariant,
     ParseError,
@@ -256,6 +257,9 @@ def _cmd_minpoly(args, dom):
         if not nonlinear:
             continue
         g = min(nonlinear, key=lambda h: h.sort_key())
+        new_degree = current.absolute_degree() * g.degree
+        if new_degree > args.max_degree:
+            raise DegreeCap(f"tower degree would reach {new_degree} > cap {args.max_degree}")
         current, _ = tower.adjoin_root(current, g, labels[i], certify=False)
     if current == QQ:
         _emit(args, {"degree": 1, "tower": []}, ["degree 1 (everything split)"])
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help="override the splitting/factor degree caps",
+        help="override the degree caps (splitting field, minpoly tower, factor)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -446,6 +450,7 @@ def dispatch(argv) -> int:
                 "galois",
                 "correspondence",
                 "solvable",
+                "minpoly",
             ) else factor.FACTOR_DEGREE_CAP
         if args.command == "construct" and args.what in ("ngon", "degree") and args.arg is None:
             raise ParseError(f"construct {args.what} needs an argument")

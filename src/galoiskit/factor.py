@@ -5,11 +5,18 @@ Three coefficient worlds are covered:
 * finite fields (F_p and its finite extensions): squarefree split, then
   distinct-degree splitting via gcd(f, t^(q^k) - t), then deterministic
   equal-degree splitting (trace witnesses b*t^j in characteristic 2, a lazy
-  sweep of (u)^((q^d-1)/2) in odd characteristic);
-* the rationals: Zassenhaus — primitive + squarefree reduction, pick a good
+  sweep of (u)^((q^d-1)/2) in odd characteristic).  Over F_p both splits
+  run on int residue lists (`_ddf_mod`, `_edf_mod`) and wrap only the
+  pieces; over a finite tower they run on `Poly`;
+* the rationals: Zassenhaus — primitive + squarefree reduction (proved by
+  a squarefree reduction mod some p <= MOD_P_SCAN_BOUND not dividing lc;
+  the squarefree part over Q only when no such p exists), pick a good
   small prime by the factor count that its distinct-degree split gives
   (sum of deg(g)/k), equal-degree split only that prime's pieces, Hensel
-  lift past the Landau-Mignotte bound, recombine by subset search;
+  lift past the Landau-Mignotte bound, recombine by subset search.  The
+  modular stage calls the residue functions directly (and
+  `poly._xgcd_mod` for the Hensel cofactors): no Poly or FpElem is built
+  between the primitive integer form and the final factors;
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
   the problem down to Q through a resultant.  It runs in the primitive
   element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the tower:
@@ -43,16 +50,20 @@ from .numbers import QQ, PrimeField, factor_integer, is_prime
 from .poly import (
     Poly,
     PolyRing,
+    _deriv_mod,
     _divmod_mod,
     _from_numerators,
     _from_residues,
+    _gcd_mod,
+    _monic_mod,
     _mul_mod,
     _numerators,
     _pseudo_divmod,
     _rem_mod,
+    _sub_mod,
     _trim,
+    _xgcd_mod,
     content_primitive,
-    gcd_ext,
     poly_gcd,
     resultant,
     squarefree_part,
@@ -151,18 +162,28 @@ def field_order(dom) -> int:
     return dom.characteristic ** dom.absolute_degree()
 
 
+def _res(f: Poly):
+    """The residues of a polynomial over F_p."""
+    return [c.r for c in f.coeffs]
+
+
+def _powmod_mod(b, e, m, p):
+    """b^e mod m for residue lists mod a prime p, left to right from the top
+    bit: no squaring after the last one."""
+    b = _rem_mod(b, m, p)
+    result = b if e else [1]
+    for bit in bin(e)[3:]:
+        result = _rem_mod(_mul_mod(result, result, p), m, p)
+        if bit == "1":
+            result = _rem_mod(_mul_mod(result, b, p), m, p)
+    return result
+
+
 def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    base = base % mod
     if isinstance(base.dom, PrimeField):
-        # left to right from the top bit: no squaring after the last one
-        p, m = base.dom.p, [c.r for c in mod.coeffs]
-        b = [c.r for c in base.coeffs]
-        result = b if e else [1]
-        for bit in bin(e)[3:]:
-            result = _rem_mod(_mul_mod(result, result, p), m, p)
-            if bit == "1":
-                result = _rem_mod(_mul_mod(result, b, p), m, p)
-        return _from_residues(base.dom, result)
+        p = base.dom.p
+        return _from_residues(base.dom, _powmod_mod(_res(base), e, _res(mod), p))
+    base = base % mod
     result = Poly.one(base.dom)
     while e:
         if e & 1:
@@ -182,10 +203,30 @@ def roots_fp(f: Poly):
     return {-g.coeff(0) for prod, k in pieces if k == 1 for g in _edf(prod, 1)}
 
 
+def _ddf_mod(f, p):
+    """`_ddf` on a monic residue list mod a prime p."""
+    out, h, k = [], [0, 1], 0
+    while len(f) > 1:
+        k += 1
+        if 2 * k > len(f) - 1:
+            out.append((f, len(f) - 1))
+            break
+        h = _powmod_mod(h, p, f, p)
+        g = _gcd_mod(f, _sub_mod(h, [0, 1], p), p)
+        if len(g) > 1:
+            out.append((g, k))
+            f = _divmod_mod(f, g, p)[0]
+            h = _rem_mod(h, f, p)
+    return out
+
+
 def _ddf(f: Poly):
     """Distinct-degree split of a squarefree monic f over a finite field:
-    yields (product of irreducibles of degree k, k)."""
+    yields (product of irreducibles of degree k, k).  Over F_p it runs on
+    residues (`_ddf_mod`) and wraps only the pieces."""
     dom = f.dom
+    if isinstance(dom, PrimeField):
+        return [(_from_residues(dom, g), k) for g, k in _ddf_mod(_res(f), dom.p)]
     q = field_order(dom)
     t = Poly.t(dom)
     h = t
@@ -233,12 +274,54 @@ def _sweep_witnesses(dom, bound):
             yield Poly(dom, coeffs + [dom.one()], normalize=False)
 
 
+def _edf_mod(f, d, p):
+    """`_edf` on a monic residue list mod a prime p, with the same witnesses:
+    t^j for p = 2 (the trace over F_2 is u + u^2 + ... + u^(2^(d-1))), the
+    monic sweep for odd p."""
+    if len(f) - 1 == d:
+        return [f]
+    if p == 2:
+        witnesses = ([0] * j + [1] for j in range(1, 2 * d))
+    else:
+        witnesses = (
+            list(low) + [1]
+            for deg in range(1, len(f) - 1)
+            for low in itertools.product(range(p), repeat=deg)
+        )
+    e = (p**d - 1) // 2
+    pieces, done = [f], []
+    while pieces:
+        u = next(witnesses, None)
+        if u is None:  # mathematically unreachable
+            raise InternalInvariant("equal-degree witness sweep exhausted")
+        next_pieces = []
+        for g in pieces:
+            if p == 2:
+                acc = term = _rem_mod(u, g, 2)
+                for _ in range(d - 1):
+                    term = _rem_mod(_mul_mod(term, term, 2), g, 2)
+                    acc = _sub_mod(acc, term, 2)  # + is - over F_2
+                h = _gcd_mod(g, acc, 2)
+            else:
+                h = _gcd_mod(g, _sub_mod(_powmod_mod(u, e, g, p), [1], p), p)
+            if 1 < len(h) < len(g):
+                next_pieces += [h, _divmod_mod(g, h, p)[0]]
+            else:
+                next_pieces.append(g)
+        pieces = [g for g in next_pieces if len(g) - 1 > d]
+        done.extend(g for g in next_pieces if len(g) - 1 == d)
+    return done
+
+
 def _edf(f: Poly, d: int):
     """Complete split of a product of distinct degree-d monic irreducibles;
-    deterministic (fixed witness sweep), no randomness."""
+    deterministic (fixed witness sweep), no randomness.  Over F_p it runs on
+    residues (`_edf_mod`) and wraps only the pieces."""
     if f.degree == d:
         return [f]
     dom = f.dom
+    if isinstance(dom, PrimeField):
+        return [_from_residues(dom, g) for g in _edf_mod(_res(f), d, dom.p)]
     q = field_order(dom)
     p = dom.characteristic
     if p == 2:
@@ -327,10 +410,6 @@ def _z_add(a, b):
     return _trim([x + y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
 
 
-def _z_sub(a, b):
-    return _trim([x - y for x, y in itertools.zip_longest(a, b, fillvalue=0)])
-
-
 def _z_mod(a, m):
     return _trim([c % m for c in a])
 
@@ -361,24 +440,22 @@ def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g h (mod m), s g + t h = 1 (mod m),
     h monic, to the same data mod m^2."""
     mm = m * m
-    e = _z_mod(_z_sub(f, _mul_mod(g, h, mm)), mm)
+    e = _sub_mod(f, _mul_mod(g, h, mm), mm)
     q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
     g1 = _z_mod(_z_add(g, _z_add(_mul_mod(t, e, mm), _mul_mod(q, g, mm))), mm)
     h1 = _z_mod(_z_add(h, r), mm)
-    b = _z_mod(_z_sub(_z_add(_mul_mod(s, g1, mm), _mul_mod(t, h1, mm)), [1]), mm)
+    b = _sub_mod(_z_add(_mul_mod(s, g1, mm), _mul_mod(t, h1, mm)), [1], mm)
     c, d = _divmod_mod(_mul_mod(s, b, mm), h1, mm)
-    s1 = _z_mod(_z_sub(s, d), mm)
-    t1 = _z_mod(_z_sub(t, _z_add(_mul_mod(t, b, mm), _mul_mod(c, g1, mm))), mm)
+    s1 = _sub_mod(s, d, mm)
+    t1 = _sub_mod(t, _z_add(_mul_mod(t, b, mm), _mul_mod(c, g1, mm)), mm)
     return g1, h1, s1, t1
 
 
 def _hensel_lift_pair(p, k, f, g, h):
     """Lift f = g h (mod p) to mod p^k (h monic mod p)."""
-    F = PrimeField(p)
-    d, s, t = gcd_ext(Poly(F, g), Poly(F, h))
-    if d != Poly.one(F):
+    d, s, t = _xgcd_mod(g, h, p)
+    if d != [1]:
         raise InternalInvariant("Hensel pair is not coprime mod p")
-    s, t = [c.r for c in s.coeffs], [c.r for c in t.coeffs]
     m = p
     while m < p**k:
         g, h, s, t = _hensel_step(m, f, g, h, s, t)
@@ -425,6 +502,11 @@ def _primes():
         n += 2
 
 
+def _squarefree_mod(a, p):
+    """Whether a trimmed residue list is squarefree mod a prime p."""
+    return len(_gcd_mod(a, _deriv_mod(a, p), p)) == 1
+
+
 def _factor_sqfree_primitive_z(ints):
     """Irreducible integer factors (each primitive, positive lc) of a
     squarefree primitive integer polynomial of degree >= 1."""
@@ -438,16 +520,16 @@ def _factor_sqfree_primitive_z(ints):
     for p in _primes():
         if ints[-1] % p == 0:
             continue
-        fbar = Poly(PrimeField(p), ints)
-        if poly_gcd(fbar, fbar.derivative()).degree != 0:
+        fbar = [c % p for c in ints]
+        if not _squarefree_mod(fbar, p):
             # p divides disc(f), and 0 < |disc(f)| <= n^n ||f||_2^(2n-2)
             # (Mahler) if f is squarefree
             skipped *= p
             if skipped > n**n * sum(c * c for c in ints) ** (n - 1):
                 raise InternalInvariant("Zassenhaus input is not squarefree")
             continue
-        pieces = _ddf(fbar.monic())
-        count = sum(g.degree // k for g, k in pieces)
+        pieces = _ddf_mod(_monic_mod(fbar, p), p)
+        count = sum((len(g) - 1) // k for g, k in pieces)
         if count == 1:
             return [list(ints)]  # irreducible mod p => irreducible over Q
         if best is None or count < best[1]:
@@ -456,13 +538,13 @@ def _factor_sqfree_primitive_z(ints):
         if tried >= 3 or best[1] <= 2:
             break
     p, _, pieces = best
-    parts = [g for prod, k in pieces for g in _edf(prod, k)]
+    parts = [g for prod, k in pieces for g in _edf_mod(prod, k, p)]
     bound = _mignotte_bound(ints)
     k = 1
     while p**k <= 2 * bound:
         k += 1
     pk = p**k
-    modular = _hensel_lift_list(p, k, list(ints), [[c.r for c in f.coeffs] for f in parts])
+    modular = _hensel_lift_list(p, k, list(ints), parts)
     modular.sort(key=lambda g: (len(g), g[::-1]))
 
     def try_combo(f_cur, combo):
@@ -519,9 +601,13 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
     if f.degree == 0:
         return Factorization(unit, ())
     _, prim = content_primitive(f)
-    sq = squarefree_part(Poly(QQ, prim))
-    _, sq_ints = content_primitive(sq)
-    raw = _factor_sqfree_primitive_z(sq_ints)
+    # f is squarefree if it is mod some p not dividing lc(f): each factor g
+    # keeps its degree mod p (lc(g) divides lc(f)), so a repeated factor g^2
+    # would stay a repeated factor of degree >= 1
+    small = itertools.takewhile(lambda p: p <= MOD_P_SCAN_BOUND, _primes())
+    if not any(prim[-1] % p and _squarefree_mod(_z_mod(prim, p), p) for p in small):
+        _, prim = content_primitive(squarefree_part(Poly(QQ, prim)))
+    raw = _factor_sqfree_primitive_z(prim)
     monics = [Poly(QQ, g).monic() for g in raw]
     return Factorization(unit, _multiplicities(f.monic(), monics, "rational"))
 
@@ -600,7 +686,9 @@ def mod_p_certificate(f: Poly, prime_bound: int = MOD_P_SCAN_BOUND):
 
 def rational_roots(f: Poly):
     """All rational roots of a nonzero f over Q (ignoring multiplicity),
-    by the rational root theorem on the primitive integer form."""
+    by the rational root theorem on the primitive integer form a_0..a_n: a
+    candidate u/v is a root iff v^n f(u/v) = sum a_i u^i v^(n-i) is 0,
+    evaluated by Horner on ints; a Fraction is built only for a root."""
     from .numbers import divisors
 
     if f.is_zero():
@@ -614,15 +702,18 @@ def rational_roots(f: Poly):
             prim.pop(0)
     if len(prim) <= 1:
         return roots
-    a0, an = abs(prim[0]), abs(prim[-1])
-    fq = Poly(QQ, prim)
-    for u in divisors(a0):
-        for v in divisors(an):
+    n, us = len(prim) - 1, divisors(abs(prim[0]))
+    for v in divisors(abs(prim[-1])):
+        scaled = [a * v ** (n - i) for i, a in enumerate(prim)]  # a_i v^(n-i)
+        for u in us:
             if _int_gcd(u, v) != 1:
                 continue
-            for cand in (Fraction(u, v), Fraction(-u, v)):
-                if not fq.eval(cand):
-                    roots.add(cand)
+            for cand in (u, -u):
+                acc = 0
+                for c in reversed(scaled):
+                    acc = acc * cand + c
+                if not acc:
+                    roots.add(Fraction(cand, v))
     return roots
 
 
@@ -758,8 +849,7 @@ def _squarefree_shift(mgamma: Poly, reps, tries: int) -> int:
     p = next(p for p in itertools.chain([NORM_PRIME], _primes()) if p > nd and den % p)
     for s in _shift_order(tries):
         nbar = _norm_mod(mgamma, reps, s, p)
-        deriv = _trim([i * c % p for i, c in enumerate(nbar)][1:])
-        if len(nbar) == nd + 1 and _resultant_mod(nbar, deriv, p):
+        if len(nbar) == nd + 1 and _resultant_mod(nbar, _deriv_mod(nbar, p), p):
             return s
     raise SearchExhausted("no squarefree norm shift found")
 

@@ -13,9 +13,10 @@ compute on ints and wrap only the output coefficients:
 
 * over F_p, int residues (`_mul_mod`, `_divmod_mod`, shared with Hensel
   lifting mod p^k), with no `FpElem` arithmetic per coefficient product;
-  `%`, `poly_gcd` and `factor._powmod` use the remainder-only `_rem_mod`,
-  and the last two run their whole loop on residues, so DDF, EDF,
-  squarefree parts and Rabin's test wrap only their results;
+  `%` uses the remainder-only `_rem_mod`, and `poly_gcd` and `gcd_ext`
+  run their whole loop on residues (`_gcd_mod`, `_xgcd_mod`, which
+  Zassenhaus calls directly), so squarefree parts and Rabin's test wrap
+  only their results;
 * over Q, integer numerators over one common denominator (`_numerators`):
   the unreduced product `_mul_int` (which `_mul_mod` reduces) and the
   fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroPoly, ZeroPolynomial
@@ -402,6 +404,46 @@ def _rem_mod(a, b, m):
     return _trim([c % m for c in r[:dg]])
 
 
+def _sub_mod(a, b, m):
+    """a - b of int coefficient lists mod m, trimmed."""
+    return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
+
+
+def _deriv_mod(a, m):
+    """Formal derivative of an int coefficient list mod m, trimmed."""
+    return _trim([i * c % m for i, c in enumerate(a)][1:])
+
+
+def _monic_mod(a, p):
+    """a scaled by the inverse of its leading coefficient mod a prime p."""
+    if not a or a[-1] == 1:
+        return a
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _gcd_mod(a, b, p):
+    """Monic gcd of trimmed residue lists mod a prime p ([] iff both are)."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return _monic_mod(a, p)
+
+
+def _xgcd_mod(a, b, p):
+    """Extended gcd of trimmed residue lists mod a prime p: (d, s, t) with
+    s*a + t*b = d, d monic ([] iff a = b = [], then s = [1], t = [])."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _divmod_mod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
+        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    if not r0 or r0[-1] == 1:
+        return r0, s0, t0
+    inv = pow(r0[-1], -1, p)
+    return tuple([c * inv % p for c in x] for x in (r0, s0, t0))
+
+
 def _pseudo_divmod(a, b, exact=False):
     """Fraction-free division of int coefficient lists, deg a >= deg b:
     (q, r, s) with s*a = q*b + r and deg r < deg b.  A step whose leading
@@ -482,6 +524,10 @@ def gcd_ext(f: Poly, g: Poly):
     """Extended gcd over a field: returns (d, a, b) with d = a*f + b*g,
     d the monic generator of <f, g> (zero iff f = g = 0)."""
     dom = f.dom
+    if isinstance(dom, PrimeField):
+        g = f._coerce_operand(g)
+        d, a, b = _xgcd_mod([c.r for c in f.coeffs], [c.r for c in g.coeffs], dom.p)
+        return _from_residues(dom, d), _from_residues(dom, a), _from_residues(dom, b)
     r0, r1 = f, g
     a0, a1 = Poly.one(dom), Poly.zero(dom)
     b0, b1 = Poly.zero(dom), Poly.one(dom)
@@ -499,14 +545,9 @@ def gcd_ext(f: Poly, g: Poly):
 def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over a field (zero iff both inputs are zero)."""
     if isinstance(f.dom, PrimeField):
-        p, g = f.dom.p, f._coerce_operand(g)
+        g = f._coerce_operand(g)
         a, b = [c.r for c in f.coeffs], [c.r for c in g.coeffs]
-        while b:
-            a, b = b, _rem_mod(a, b, p)
-        if a and a[-1] != 1:
-            inv = pow(a[-1], -1, p)
-            a = [c * inv % p for c in a]
-        return _from_residues(f.dom, a)
+        return _from_residues(f.dom, _gcd_mod(a, b, f.dom.p))
     while not g.is_zero():
         f, g = g, f % g
     return f.monic()

@@ -151,6 +151,17 @@ def test_minpoly_command(capsys):
     assert "t^4 - 10*t^2 + 1" in out
 
 
+def test_minpoly_honours_max_degree(capsys):
+    # refused before the level that would pass the cap is adjoined
+    assert dispatch(["--json", "--max-degree", "1", "minpoly", "t^2-2", "t^3-2"]) == 3
+    assert "tower degree would reach 2 > cap 1" in capsys.readouterr().err
+    assert dispatch(["--json", "--max-degree", "5", "minpoly", "t^2-2", "t^3-2"]) == 3
+    assert "tower degree would reach 6 > cap 5" in capsys.readouterr().err
+    # the default is the splitting-field cap, 24
+    assert dispatch(["--json", "minpoly", "t^5-2", "t^7-2"]) == 3
+    assert "tower degree would reach 35 > cap 24" in capsys.readouterr().err
+
+
 def test_splitting_field_command(capsys):
     assert dispatch(["splitting-field", "t^3-2"]) == 0
     out = capsys.readouterr().out

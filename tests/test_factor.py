@@ -2,6 +2,7 @@
 
 import functools
 import itertools
+import math
 import random
 import time
 from collections import Counter
@@ -93,39 +94,58 @@ def test_factor_fp_uniqueness_roundtrip():
         assert first.unit == again.unit
 
 
-def test_factor_fp_matches_trial_division_oracle():
-    # oracle: divide by every monic polynomial of degree <= deg/2
-    def oracle(f):
-        F = f.dom
-        p = F.p
-        out = []
-        work = f.monic()
-        d = 1
-        while 2 * d <= work.degree:
-            progressed = False
-            for high_to_low in itertools.product(range(p), repeat=d):
-                cand = Poly(F, [F.from_int(c) for c in reversed(high_to_low)] + [F.one()])
-                quo, rem = divmod(work, cand)
-                if rem.is_zero():
-                    out.append(cand)
-                    work = quo
-                    progressed = True
-                    break
-            if not progressed:
-                d += 1
-        if work.degree > 0:
-            out.append(work)
-        return sorted(str(g) for g in out)
+def _trial_division_factors(f):
+    """Oracle over F_p: the monic irreducible factors of f, with repeats, as
+    sorted strings, by dividing by every monic polynomial of degree <=
+    deg/2 in increasing degree."""
+    F = f.dom
+    p = F.p
+    out = []
+    work = f.monic()
+    d = 1
+    while 2 * d <= work.degree:
+        progressed = False
+        for high_to_low in itertools.product(range(p), repeat=d):
+            cand = Poly(F, [F.from_int(c) for c in reversed(high_to_low)] + [F.one()])
+            quo, rem = divmod(work, cand)
+            if rem.is_zero():
+                out.append(cand)
+                work = quo
+                progressed = True
+                break
+        if not progressed:
+            d += 1
+    if work.degree > 0:
+        out.append(work)
+    return sorted(str(g) for g in out)
 
+
+def _factor_fp_strings(f):
+    mine = []
+    for g, m in factor_fp(f).factors:
+        mine.extend([str(g)] * m)
+    return sorted(mine)
+
+
+def test_factor_fp_matches_trial_division_oracle():
     rng = random.Random(13)
     for p in (2, 3):
         F = PrimeField(p)
         for _ in range(20):
             f = Poly(F, [rng.randrange(p) for _ in range(5)] + [1])
-            mine = []
-            for g, m in factor_fp(f).factors:
-                mine.extend([str(g)] * m)
-            assert sorted(mine) == oracle(f)
+            assert _factor_fp_strings(f) == _trial_division_factors(f)
+
+
+@pytest.mark.slow
+def test_factor_fp_every_small_monic_matches_trial_division():
+    # every monic polynomial of degree <= 8 over F_2, <= 5 over F_3 and
+    # <= 4 over F_5: squarefree parts, DDF and EDF on residues
+    for p, top in ((2, 8), (3, 5), (5, 4)):
+        F = PrimeField(p)
+        for deg in range(top + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                f = Poly(F, list(low) + [1])
+                assert _factor_fp_strings(f) == _trial_division_factors(f), f
 
 
 def test_powmod_matches_repeated_multiplication():
@@ -293,6 +313,44 @@ def test_mod_p_certificate():
     assert mod_p_certificate(q([0, 1, 6]), prime_bound=2) is None
 
 
+def _divisors_by_trial(n):
+    n = abs(n)
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def _fraction_roots(f):
+    """Oracle: the rational roots of f over Q by the definition, f(r) == 0 in
+    Fractions, over every +-u/v with u dividing the lowest nonzero and v the
+    leading coefficient of f's integer form (and 0 when f(0) == 0)."""
+    den = functools.reduce(lambda a, c: a * c.denominator // math.gcd(a, c.denominator), f.coeffs, 1)
+    ints = [int(c * den) for c in f.coeffs]
+    low = next(c for c in ints if c)
+    roots = {Fraction(0)} if not ints[0] else set()
+    for u in _divisors_by_trial(low):
+        for v in _divisors_by_trial(ints[-1]):
+            roots.update(r for r in (Fraction(u, v), Fraction(-u, v)) if not f.eval(r))
+    return roots
+
+
+def test_rational_roots_match_fraction_evaluation():
+    # non-monic leading coefficients, root 0, repeated, negative and
+    # rational roots, times a factor with no rational root half the time
+    rng = random.Random(41)
+    for _ in range(120):
+        lead = rng.choice([1, 2, 3, -5, 6])
+        built = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            built.append(built[0])  # repeated root
+        f = q([lead])
+        for r in built:
+            f = f * q([-r, 1])
+        if rng.random() < 0.5:
+            f = f * q([rng.choice([2, 3, 5]), 0, rng.choice([1, 7])])  # no rational root
+        got = rational_roots(f)
+        assert got == _fraction_roots(f), f
+        assert got == set(built)
+
+
 def test_rational_roots():
     assert rational_roots(q([-2, 1])) == {Fraction(2)}
     assert rational_roots(q([0, 0, 1])) == {Fraction(0)}
@@ -414,6 +472,32 @@ def test_factor_q_unit_and_multiplicity():
     assert mults == {"t - 1": 2, "t^2 + 1": 1}
 
 
+def test_factor_q_proves_squarefree_mod_p_or_falls_back(monkeypatch):
+    import galoiskit.factor as factor_mod
+
+    calls = []
+    real = factor_mod.squarefree_part
+    monkeypatch.setattr(factor_mod, "squarefree_part", lambda f: calls.append(f) or real(f))
+
+    def factors(f):
+        calls.clear()
+        fact = factor_q(f, max_degree=22)
+        assert fact.expand(QQ) == f
+        return {str(g): m for g, m in fact.factors}, len(calls)
+
+    # squarefree mod 7 (not mod 2, 3 or 5): no rational squarefree part
+    assert factors(q([-30, 0, 1]) * q([-2, 0, 0, 1])) == ({"t^2 - 30": 1, "t^3 - 2": 1}, 0)
+    # (2t + 1)^2 is 1 mod 2, squarefree, but 2 divides lc: no proof there,
+    # and none mod any odd p either
+    assert factors(q([1, 4, 4])) == ({"t + 1/2": 2}, 1)
+    # t^2 - p is t^2 mod p: not squarefree mod any prime <= 31
+    f = q([1])
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        f = f * q([-p, 0, 1])
+    got, n_calls = factors(f)
+    assert n_calls == 1 and len(got) == 11 and set(got.values()) == {1}
+
+
 def test_factor_q_degree_cap():
     with pytest.raises(DegreeCap):
         factor_q(q([1] * 14))
@@ -444,14 +528,13 @@ def _oracle_factor_capped(ints):
     from galoiskit.poly import content_primitive
 
     def divs(n):
-        n = abs(n)
-        return [d for d in range(1, n + 1) if n % d == 0] or [1]
+        return _divisors_by_trial(n) or [1]
 
     work = Poly(QQ, ints).monic()
     factors = []
     # linear stage: rational root theorem is a complete linear-factor oracle
     while work.degree >= 1:
-        roots = rational_roots(work)
+        roots = _fraction_roots(work)
         if not roots:
             break
         r = min(roots)

@@ -16,6 +16,7 @@ from galoiskit.poly import (
     PolyRing,
     _divmod_mod,
     _mul_mod,
+    _xgcd_mod,
     codegree,
     content_primitive,
     discriminant,
@@ -286,6 +287,42 @@ def test_fp_gcd_matches_euclid_loop():
     assert poly_gcd(Poly.zero(F7), Poly.zero(F7)) == Poly.zero(F7)
     with pytest.raises(ValueError):
         poly_gcd(Poly(PrimeField(5), [1, 2, 1]), Poly(F7, [3, 1]))
+
+
+def test_xgcd_mod_bezout():
+    # s*a + t*b = d with d monic and dividing both, on residue lists:
+    # coprime, equal, multiples of a common factor and zero inputs
+    rng = random.Random(79)
+    counts = Counter()
+    for p in (2, 3, 5, 7, 13, 1031):
+        F = PrimeField(p)
+
+        def rand(lo, hi):
+            return Poly(F, [rng.randrange(p) for _ in range(rng.randint(lo, hi))])
+
+        for _ in range(30):
+            common = rand(1, 3).monic()
+            f, g = rand(0, 5) * common, rand(0, 5) * common
+            kind = rng.choice(["coprime", "equal", "common", "zero"])
+            if kind == "coprime":
+                g = Poly.one(F) + f * rand(0, 3)
+            elif kind == "equal":
+                g = f
+            elif kind == "zero":
+                f = Poly.zero(F)
+            a, b = [c.r for c in f.coeffs], [c.r for c in g.coeffs]
+            d, s, t = _xgcd_mod(a, b, p)
+            D, S, T = Poly(F, d), Poly(F, s), Poly(F, t)
+            assert S * f + T * g == D, (p, f, g)
+            if f.is_zero() and g.is_zero():
+                assert d == []
+                continue
+            assert d[-1] == 1 and (f % D).is_zero() and (g % D).is_zero(), (p, f, g)
+            assert D == poly_gcd(f, g)
+            counts[kind] += 1
+            counts["nontrivial"] += len(d) > 1
+    assert min(counts.values()) >= 20, counts
+    assert _xgcd_mod([], [], 7) == ([], [1], [])
 
 
 def test_mixed_prime_fields_raise():
