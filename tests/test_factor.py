@@ -322,7 +322,7 @@ def _fraction_roots(f):
     """Oracle: the rational roots of f over Q by the definition, f(r) == 0 in
     Fractions, over every +-u/v with u dividing the lowest nonzero and v the
     leading coefficient of f's integer form (and 0 when f(0) == 0)."""
-    den = functools.reduce(lambda a, c: a * c.denominator // math.gcd(a, c.denominator), f.coeffs, 1)
+    den = math.lcm(*(c.denominator for c in f.coeffs))
     ints = [int(c * den) for c in f.coeffs]
     low = next(c for c in ints if c)
     roots = {Fraction(0)} if not ints[0] else set()
