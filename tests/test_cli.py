@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import string
 import subprocess
 import sys
@@ -12,10 +13,12 @@ from pathlib import Path
 import pytest
 
 import galoiskit
-from galoiskit.errors import ParseError
+from fractions import Fraction
+
+from galoiskit.errors import ParseError, ZeroInverse
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.cli import MAX_NESTING, dispatch, parse_poly
+from galoiskit.cli import MAX_NESTING, _tokenize, dispatch, parse_poly
 
 
 def q(coeffs):
@@ -106,6 +109,188 @@ def test_parser_fuzz_never_crashes():
             parse_poly(src)
         except ParseError:
             pass  # only controlled failures
+
+
+# ---------------------------------------------------------------------------
+# the dense parser as an oracle for parse_poly
+# ---------------------------------------------------------------------------
+
+
+class _DenseParser:
+    """The grammar evaluated on dense `Poly` values at every `+`, `*` and
+    `^`, literals coerced through the field: the reference that parse_poly
+    must match, value for value and error for error."""
+
+    def __init__(self, src, dom):
+        self.tokens = _tokenize(src)
+        self.pos = 0
+        self.dom = dom
+        self.depth = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind):
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise ParseError(
+                f"expected {kind!r} at position {tok[2]}, found {tok[0]!r}",
+                position=tok[2],
+                expected=[kind],
+            )
+        self.pos += 1
+        return tok
+
+    def nested(self, tok, parse):
+        if self.depth == MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels at position {tok[2]}",
+                position=tok[2],
+                expected=[f"at most {MAX_NESTING} nested '(' or unary '-'"],
+            )
+        self.depth += 1
+        value = parse()
+        self.depth -= 1
+        return value
+
+    def parse(self):
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(
+                f"trailing input at position {tok[2]}: {tok[0]!r}",
+                position=tok[2],
+                expected=["end", "+", "-", "*", "^"],
+            )
+        return value
+
+    def expr(self):
+        value = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take(self.peek()[0])[0]
+            rhs = self.term()
+            value = value + rhs if op == "+" else value - rhs
+        return value
+
+    def term(self):
+        value = self.factor()
+        while self.peek()[0] == "*":
+            self.take("*")
+            value = value * self.factor()
+        return value
+
+    def factor(self):
+        if self.peek()[0] == "-":
+            return -self.nested(self.take("-"), self.factor)
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek()[0] == "^":
+            self.take("^")
+            return base ** self.take("int")[1]
+        return base
+
+    def atom(self):
+        tok = self.peek()
+        if tok[0] == "int":
+            self.take("int")
+            value = Fraction(tok[1])
+            if self.peek()[0] == "/":
+                self.take("/")
+                den = self.take("int")
+                if den[1] == 0:
+                    raise ParseError(
+                        f"zero denominator at position {den[2]}",
+                        position=den[2],
+                        expected=["nonzero integer"],
+                    )
+                value = Fraction(tok[1], den[1])
+            try:
+                return Poly.constant(self.dom, self.dom.coerce(value))
+            except ZeroInverse:
+                raise ParseError(
+                    f"denominator not invertible in the field at position {tok[2]}",
+                    position=tok[2],
+                    expected=["denominator coprime to p"],
+                )
+        if tok[0] == "t":
+            self.take("t")
+            return Poly.t(self.dom)
+        if tok[0] == "(":
+            value = self.nested(self.take("("), self.expr)
+            self.take(")")
+            return value
+        raise ParseError(
+            f"expected a number, 't' or '(' at position {tok[2]}",
+            position=tok[2],
+            expected=["int", "t", "("],
+        )
+
+
+def _outcome(parse, src, field):
+    """What parsing src gives: the exact coefficients with their types, or the
+    error with everything a caller can read from it."""
+    try:
+        f = parse(src, field)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.position, exc.expected)
+    except ValueError as exc:  # int() of a digit that str.isdigit accepts
+        return (type(exc).__name__, str(exc))
+    return ("value", f.dom, [(type(c), c) for c in f.coeffs])
+
+
+_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7))
+# literals that are reduced before their denominator meets p, cancellations,
+# unary minus under `^`, and digits outside ASCII that str.isdigit accepts
+_PARSER_CASES = [
+    "12/2", "1211/7", "0/6", "14/21", "12/2*t + 1211/7", "t^2 + 14/21*t - 0/6",
+    "-2^2", "(-2*t)^3 + 8*t^3", "(t-1)*(t+1) - t^2 + 1", "(t^2-t)*0", "0^0",
+    "(0*t)^0", "0^3", "(2/3)^0", "(7*t)^2", "(2*t+14/21)*(3*t-2)", "(t+1)^7",
+    "(1/2*t^2-3)^3*(t+1/3)^2", "-(-(t))", "--t", "t^2-2^2*t", "3/7*t-3/7*t",
+    "\u0663*t^\u0662 + \u0665", "\uff17*t", "t^\u00b2", "\u00b2", "t + 1/\u00b3",
+]
+_ALPHABET = "0123456789tt+-*^()/ " * 4 + "\u0663\uff15\u00b2x"
+_ATOMS = ["t"] * 8 + ["0", "1", "2", "3", "5", "7", "12/2", "1211/7", "0/6", "14/21", "2/3", "5/7", "\u0663"]
+
+
+def _random_string(rng):
+    src = "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(1, 25)))
+    # exponents stay one digit long, so nothing expands far
+    return re.sub(r"\^(\s*)(\d)\d+", r"^\1\2", src)
+
+
+def _random_expr(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(_ATOMS)
+    if r < 0.45:
+        return f"({_random_expr(rng, depth - 1)})^{rng.randint(0, 4)}"
+    if r < 0.55:
+        return f"-{_random_expr(rng, depth - 1)}"
+    op = rng.choice(["+", "-", "*", "*"])
+    return f"({_random_expr(rng, depth - 1)}){op}{_random_expr(rng, depth - 1)}"
+
+
+def _compare_with_dense_parser(seed, rounds):
+    rng = random.Random(seed)
+    sources = list(_PARSER_CASES)
+    for _ in range(rounds):
+        sources.append(_random_string(rng))
+        sources.append(_random_expr(rng, 4))
+    for field in _FIELDS:
+        oracle = lambda src, dom: _DenseParser(src, dom).parse()
+        for src in sources:
+            assert _outcome(parse_poly, src, field) == _outcome(oracle, src, field), (src, field)
+
+
+def test_parser_matches_the_dense_oracle():
+    _compare_with_dense_parser(seed=16, rounds=500)
+
+
+@pytest.mark.slow
+def test_parser_matches_the_dense_oracle_at_length():
+    _compare_with_dense_parser(seed=1016, rounds=10_000)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +695,27 @@ GOLDEN_JSON = [
         '{"degree":6,"primitive_element":"b + a","primitive_min_poly":"t^6 - 6*t^4 '
         '- 4*t^3 + 12*t^2 - 24*t - 4","tower":[{"label":"a","min_poly":"t^2 - 2"},'
         '{"label":"b","min_poly":"t^3 - 2"}]}\n',
+    ),
+    # recorded before the parser built sparse exponent maps: a factored input
+    # with squared and cubed factors, literals that are reduced as fractions
+    # before their denominator is tested against p (12/2 = 0 in F_2,
+    # 1211/7 = 173 = 5 in F_7) and a rational constructibility target
+    (
+        ["--json", "factor", "(t-1)^2*(t^2+t+1)^3*(3*t^2+2)"],
+        '{"factors":[{"multiplicity":2,"poly":"t - 1"},{"multiplicity":1,"poly":'
+        '"t^2 + 2/3"},{"multiplicity":3,"poly":"t^2 + t + 1"}],"unit":"3"}\n',
+    ),
+    (
+        ["--json", "--field", "F2", "factor", "t^4 + 12/2*t^3 + (t+1)^2"],
+        '{"factors":[{"multiplicity":2,"poly":"t^2 + t + 1"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "--field", "F7", "factor", "t^3 + 1211/7*t + 3/5"],
+        '{"factors":[{"multiplicity":1,"poly":"t^3 + 5*t + 2"}],"unit":"1"}\n',
+    ),
+    (
+        ["--json", "construct", "degree", "t^3 - 3/4*t - 1/8"],
+        '{"degree":3,"target":"t^3 - 3/4*t - 1/8","verdict":"not_constructible"}\n',
     ),
 ]
 
