@@ -4,9 +4,16 @@ The expression grammar is deliberately small: integers, rationals a/b, the
 indeterminate t, + - * ^ with nonnegative integer exponents, parentheses.
 `^` binds tighter than unary minus and implicit multiplication is rejected,
 so every well-formed input has exactly one reading.  Parentheses and unary
-minus nest at most MAX_NESTING levels deep.  Exit codes: 0 success,
-2 parse/usage error, 3 a configured cap was exceeded, 4 internal invariant
-violation (a bug).
+minus nest at most MAX_NESTING levels deep.
+
+The parser evaluates onto sparse maps {exponent: coefficient} and builds one
+dense Poly per input, at the end.  Before a product or a power is expanded it
+computes the degree and (over Q) a coefficient height bound of the result,
+and refuses with ShapeCap (exit 3) past MAX_PARSE_DEGREE or
+MAX_PARSE_HEIGHT_BITS, so that an input such as t^N or 2^N with a huge N
+costs nothing.  Exit codes: 0 success, 2 parse/usage error, 3 a configured
+cap was exceeded (also while parsing), 4 internal invariant violation (a
+bug).
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -23,10 +31,10 @@ from .errors import (
     GaloisKitError,
     InternalInvariant,
     ParseError,
-    ZeroInverse,
+    ShapeCap,
 )
 from .numbers import QQ, PrimeField
-from .poly import Poly, render
+from .poly import Poly, _from_residues, render
 from . import apps, correspondence, factor, finitefield, galois, splitting, tower
 
 # ---------------------------------------------------------------------------
@@ -37,6 +45,13 @@ _TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
 # Each level of parentheses costs five parser frames, so this bound keeps the
 # recursive descent well inside Python's default recursion limit.
 MAX_NESTING = 100
+# Shape limits, checked before a product or power is expanded: the degree of
+# the result, and over Q the bits b of a bound 2^b on its coefficients (taken
+# over their common denominator, which 2^b also bounds).  The densest
+# expansions inside both limits cost a few seconds of parsing and about 1 MiB;
+# products are quadratic, so doubling either limit would quadruple that.
+MAX_PARSE_DEGREE = 4096
+MAX_PARSE_HEIGHT_BITS = 1024
 
 
 def _tokenize(src: str):
@@ -71,12 +86,50 @@ def _tokenize(src: str):
     return tokens
 
 
+def _bits(x: int) -> int:
+    """ceil(log2 x) for x >= 1: the bits of a height bound 2^b >= x."""
+    return (x - 1).bit_length()
+
+
+def _height_bits(terms) -> int:
+    """Height bits of rational coefficients written over their common
+    denominator D: _bits(max(D, max |c*D|)), which bounds every reduced
+    numerator and denominator."""
+    if len(terms) == 1:
+        (c,) = terms.values()
+        return _bits(max(abs(c.numerator), c.denominator))
+    den = 1
+    for c in terms.values():
+        if den % c.denominator:
+            den = den // math.gcd(den, c.denominator) * c.denominator
+    top = max(abs(c.numerator) * (den // c.denominator) for c in terms.values())
+    return _bits(max(top, den))
+
+
+def _convolve(a, b, p):
+    """The product of two nonzero sparse maps, reduced mod p when p > 0."""
+    out = {}
+    get = out.get
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = get(i + j, 0) + x * y
+    if p:
+        return {e: c % p for e, c in out.items() if c % p}
+    return {e: c for e, c in out.items() if c}
+
+
 class _Parser:
+    """Recursive descent onto sparse maps {exponent: nonzero coefficient}:
+    over Q the coefficients are ints, or Fractions where a literal a/b needs
+    one; over F_p (p = self.p) they are int residues, reduced after every
+    operation.  The one dense Poly is built in `parse`."""
+
     def __init__(self, src: str, dom):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.dom = dom
+        self.p = dom.characteristic
         self.depth = 0
 
     def peek(self):
@@ -106,6 +159,18 @@ class _Parser:
         self.depth -= 1
         return value
 
+    def check_shape(self, tok, degree, height):
+        """Refuse, before it is expanded, an operation at `tok` whose result
+        would have this degree and (over Q) this coefficient height bound."""
+        where = f"parsing: '{tok[0]}' at position {tok[2]} would need"
+        if degree > MAX_PARSE_DEGREE:
+            raise ShapeCap(f"{where} degree {degree} > limit {MAX_PARSE_DEGREE} (MAX_PARSE_DEGREE)")
+        if height > MAX_PARSE_HEIGHT_BITS:
+            raise ShapeCap(
+                f"{where} coefficient height 2^{height} > limit "
+                f"2^{MAX_PARSE_HEIGHT_BITS} (MAX_PARSE_HEIGHT_BITS)"
+            )
+
     def parse(self) -> Poly:
         value = self.expr()
         tok = self.peek()
@@ -115,44 +180,84 @@ class _Parser:
                 position=tok[2],
                 expected=["end", "+", "-", "*", "^"],
             )
-        return value
+        n = max(value) + 1 if value else 0
+        if self.p:
+            dense = [0] * n
+            for e, c in value.items():
+                dense[e] = c
+            return _from_residues(self.dom, dense)
+        dense = [Fraction(0)] * n
+        for e, c in value.items():
+            dense[e] = Fraction(c)
+        return Poly(self.dom, dense, normalize=False)
 
-    def expr(self) -> Poly:
+    def expr(self):
         value = self.term()
+        p = self.p
         while self.peek()[0] in ("+", "-"):
-            op = self.take(self.peek()[0])[0]
-            rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            sign = 1 if self.take(self.peek()[0])[0] == "+" else -1
+            for e, c in self.term().items():
+                c = value.get(e, 0) + sign * c
+                if p:
+                    c %= p
+                if c:
+                    value[e] = c
+                else:
+                    del value[e]
         return value
 
-    def term(self) -> Poly:
+    def term(self):
         value = self.factor()
         while self.peek()[0] == "*":
-            self.take("*")
-            value = value * self.factor()
+            tok = self.take("*")
+            rhs = self.factor()
+            if not value or not rhs:
+                value = {}
+                continue
+            height = 0
+            if not self.p:
+                height = _height_bits(value) + _height_bits(rhs) + _bits(min(len(value), len(rhs)))
+            self.check_shape(tok, max(value) + max(rhs), height)
+            value = _convolve(value, rhs, self.p)
         return value
 
-    def factor(self) -> Poly:
+    def factor(self):
         if self.peek()[0] == "-":
-            return -self.nested(self.take("-"), self.factor)
+            value = self.nested(self.take("-"), self.factor)
+            return {e: -c % self.p if self.p else -c for e, c in value.items()}
         return self.power()
 
-    def power(self) -> Poly:
+    def power(self):
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.take("^")
-            k = self.take("int")[1]
-            if sum(1 for c in base.coeffs if c) == 1:  # (c*t^j)^k = c^k*t^(jk)
-                j = len(base.coeffs) - 1
-                return Poly(self.dom, [self.dom.zero()] * (j * k) + [base.coeffs[j] ** k])
-            return base ** k
-        return base
+        if self.peek()[0] != "^":
+            return base
+        tok = self.take("^")
+        k = self.take("int")[1]
+        if k == 0:
+            return {0: 1}
+        if not base:
+            return base
+        p = self.p
+        # A^k has coefficients of height at most H^k * len(A)^(k-1)
+        height = 0 if p else k * _height_bits(base) + (k - 1) * _bits(len(base))
+        self.check_shape(tok, k * max(base), height)
+        if len(base) == 1:  # (c*t^j)^k = c^k*t^(jk)
+            ((j, c),) = base.items()
+            return {j * k: pow(c, k, p) if p else c**k}
+        result = None
+        while k:
+            if k & 1:
+                result = base if result is None else _convolve(result, base, p)
+            k >>= 1
+            if k:
+                base = _convolve(base, base, p)
+        return result
 
-    def atom(self) -> Poly:
+    def atom(self):
         tok = self.peek()
         if tok[0] == "int":
             self.take("int")
-            value = Fraction(tok[1])
+            value = tok[1]
             if self.peek()[0] == "/":
                 self.take("/")
                 den = self.take("int")
@@ -163,17 +268,22 @@ class _Parser:
                         expected=["nonzero integer"],
                     )
                 value = Fraction(tok[1], den[1])
-            try:
-                return Poly.constant(self.dom, self.dom.coerce(value))
-            except ZeroInverse:
-                raise ParseError(
-                    f"denominator not invertible in the field at position {tok[2]}",
-                    position=tok[2],
-                    expected=["denominator coprime to p"],
-                )
+                if self.p and value.denominator % self.p == 0:
+                    raise ParseError(
+                        f"denominator not invertible in the field at position {tok[2]}",
+                        position=tok[2],
+                        expected=["denominator coprime to p"],
+                    )
+                if value.denominator == 1:
+                    value = value.numerator
+                elif self.p:
+                    value = value.numerator * pow(value.denominator, -1, self.p)
+            if self.p:
+                value %= self.p
+            return {0: value} if value else {}
         if tok[0] == "t":
             self.take("t")
-            return Poly.t(self.dom)
+            return {1: 1}
         if tok[0] == "(":
             value = self.nested(self.take("("), self.expr)
             self.take(")")
@@ -186,7 +296,9 @@ class _Parser:
 
 
 def parse_poly(src: str, field=QQ) -> Poly:
-    """Parse an expression into an exact polynomial over the given field."""
+    """Parse an expression into an exact polynomial over QQ or a PrimeField;
+    ShapeCap (a CapExceeded) if a product or power in it would pass the
+    parser's shape limits."""
     return _Parser(src, field).parse()
 
 

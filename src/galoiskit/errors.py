@@ -40,6 +40,10 @@ class SearchExhausted(CapExceeded):
     pass
 
 
+class ShapeCap(CapExceeded):
+    """An input expression would expand past a parser shape limit."""
+
+
 class ZeroInverse(GaloisKitError, ZeroDivisionError):
     pass
 

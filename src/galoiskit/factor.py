@@ -438,29 +438,39 @@ def _z_sym(a, m):
 
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g h (mod m), s g + t h = 1 (mod m),
-    h monic, to the same data mod m^2."""
+    h monic, to g1, h1 with f = g1 h1 (mod m^2), h1 monic."""
     mm = m * m
     e = _sub_mod(f, _mul_mod(g, h, mm), mm)
     q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
     g1 = _z_mod(_z_add(g, _z_add(_mul_mod(t, e, mm), _mul_mod(q, g, mm))), mm)
     h1 = _z_mod(_z_add(h, r), mm)
+    return g1, h1
+
+
+def _bezout_step(m, g1, h1, s, t):
+    """Lift s g + t h = 1 (mod m) to s1 g1 + t1 h1 = 1 (mod m^2), for the
+    g1, h1 of the Hensel step from g, h."""
+    mm = m * m
     b = _sub_mod(_z_add(_mul_mod(s, g1, mm), _mul_mod(t, h1, mm)), [1], mm)
     c, d = _divmod_mod(_mul_mod(s, b, mm), h1, mm)
     s1 = _sub_mod(s, d, mm)
     t1 = _sub_mod(t, _z_add(_mul_mod(t, b, mm), _mul_mod(c, g1, mm)), mm)
-    return g1, h1, s1, t1
+    return s1, t1
 
 
 def _hensel_lift_pair(p, k, f, g, h):
-    """Lift f = g h (mod p) to mod p^k (h monic mod p)."""
+    """Lift f = g h (mod p) to mod p^k (h monic mod p); the Bezout cofactors
+    are lifted for every step but the last."""
     d, s, t = _xgcd_mod(g, h, p)
     if d != [1]:
         raise InternalInvariant("Hensel pair is not coprime mod p")
-    m = p
-    while m < p**k:
-        g, h, s, t = _hensel_step(m, f, g, h, s, t)
+    m, pk = p, p**k
+    while m < pk:
+        g, h = _hensel_step(m, f, g, h, s, t)
+        if m * m < pk:
+            s, t = _bezout_step(m, g, h, s, t)
         m = m * m
-    return _z_mod(g, p**k), _z_mod(h, p**k)
+    return _z_mod(g, pk), _z_mod(h, pk)
 
 
 def _hensel_lift_list(p, k, f, factors):
@@ -493,9 +503,11 @@ def _mignotte_bound(ints):
     return (isqrt(n + 1) + 1) * (1 << n) * height * abs(ints[-1])
 
 
-def _primes():
-    yield 2
-    n = 3
+def _primes(start=2):
+    """The primes >= start, in increasing order."""
+    if start <= 2:
+        yield 2
+    n = max(3, start | 1)
     while True:
         if is_prime(n):
             yield n
@@ -507,9 +519,11 @@ def _squarefree_mod(a, p):
     return len(_gcd_mod(a, _deriv_mod(a, p), p)) == 1
 
 
-def _factor_sqfree_primitive_z(ints):
+def _factor_sqfree_primitive_z(ints, start=2):
     """Irreducible integer factors (each primitive, positive lc) of a
-    squarefree primitive integer polynomial of degree >= 1."""
+    squarefree primitive integer polynomial of degree >= 1.  The prime search
+    begins at `start`, which callers set only when every smaller prime
+    divides lc or gives a reduction that is not squarefree."""
     n = len(ints) - 1
     if n == 1:
         return [list(ints)]
@@ -517,7 +531,7 @@ def _factor_sqfree_primitive_z(ints):
     # factors, counted from the distinct-degree split alone as sum deg(g)/k
     best = None
     tried, skipped = 0, 1
-    for p in _primes():
+    for p in _primes(start):
         if ints[-1] % p == 0:
             continue
         fbar = [c % p for c in ints]
@@ -603,11 +617,14 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
     _, prim = content_primitive(f)
     # f is squarefree if it is mod some p not dividing lc(f): each factor g
     # keeps its degree mod p (lc(g) divides lc(f)), so a repeated factor g^2
-    # would stay a repeated factor of degree >= 1
+    # would stay a repeated factor of degree >= 1.  Zassenhaus would skip the
+    # primes before that p, so its search starts there.
     small = itertools.takewhile(lambda p: p <= MOD_P_SCAN_BOUND, _primes())
-    if not any(prim[-1] % p and _squarefree_mod(_z_mod(prim, p), p) for p in small):
+    start = next((p for p in small if prim[-1] % p and _squarefree_mod(_z_mod(prim, p), p)), None)
+    if start is None:
         _, prim = content_primitive(squarefree_part(Poly(QQ, prim)))
-    raw = _factor_sqfree_primitive_z(prim)
+        start = 2
+    raw = _factor_sqfree_primitive_z(prim, start)
     monics = [Poly(QQ, g).monic() for g in raw]
     return Factorization(unit, _multiplicities(f.monic(), monics, "rational"))
 

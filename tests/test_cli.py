@@ -15,10 +15,17 @@ import pytest
 import galoiskit
 from fractions import Fraction
 
-from galoiskit.errors import ParseError, ZeroInverse
+from galoiskit.errors import ParseError, ShapeCap, ZeroInverse
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.cli import MAX_NESTING, _tokenize, dispatch, parse_poly
+from galoiskit.cli import (
+    MAX_NESTING,
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_HEIGHT_BITS,
+    _tokenize,
+    dispatch,
+    parse_poly,
+)
 
 
 def q(coeffs):
@@ -748,11 +755,63 @@ def test_json_schema_fields(capsys):
 def test_cli_fuzz_returns_clean_codes(capsys):
     rng = random.Random(23)
     alphabet = "0123456789t+-*^()/xyz "
-    for _ in range(40):
-        src = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 15)))
+    sources = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 15))) for _ in range(40)]
+    # shapes just below and just above the parser's limits
+    d, h = MAX_PARSE_DEGREE, MAX_PARSE_HEIGHT_BITS
+    sources += [f"t^{d}", f"t^{d + 1}", f"t^{d - 1}*t", f"t^{d}*t", f"2^{h}", f"2^{h + 1}"]
+    sources += [f"(3*t+5)^{(h + 1) // 4}", f"(3*t+5)^{(h + 1) // 4 + 1}", f"(t^2+1)^{d}", f"(1/2)^{h}"]
+    t0 = time.monotonic()
+    for src in sources:
         code = dispatch(["factor", src])
         capsys.readouterr()
         assert code in (0, 2, 3)
+    assert time.monotonic() - t0 < 5.0
+
+
+def test_parser_shape_limits():
+    d, h = MAX_PARSE_DEGREE, MAX_PARSE_HEIGHT_BITS
+    F2 = PrimeField(2)
+    below = [
+        (f"t^{d}", QQ, d),
+        (f"t^{d - 100}*t^100", QQ, d),
+        (f"(t^2+1)^{d // 2}", F2, d),  # no height over F_p
+        (f"2^{h}", QQ, 0),
+        (f"(2*t)^{h}", QQ, h),
+        (f"2^{h - 24}*2^24", QQ, 0),
+        (f"(1/2)^{h}", QQ, 0),
+        (f"(3*t+5)^{(h + 1) // 4}", QQ, (h + 1) // 4),  # height bound 4k - 1
+    ]
+    for src, field, degree in below:
+        assert parse_poly(src, field).degree == degree, src
+    # powers of 0 and 1 expand nothing, whatever the exponent
+    assert parse_poly(f"0^{d + 1} + (0*t)^{d + 1} + (-1)^{h + 1}") == q([-1])
+    above = [
+        (f"t^{d + 1}", QQ, "'^' at position 1 would need degree"),
+        (f"t^{d - 100}*t^101", QQ, "'*' at position"),
+        (f"(t^2+1)^{d // 2 + 1}", F2, "degree"),
+        (f"2^{h + 1}", QQ, f"coefficient height 2^{h + 1} > limit 2^{h}"),
+        (f"(2*t)^{h + 1}", QQ, "coefficient height"),
+        (f"2^{h - 24}*2^25", QQ, "'*' at position"),
+        (f"(1/2)^{h + 1}", QQ, "coefficient height"),
+        (f"(3*t+5)^{(h + 1) // 4 + 1}", QQ, "coefficient height"),
+    ]
+    for src, field, message in above:
+        with pytest.raises(ShapeCap) as info:
+            parse_poly(src, field)
+        assert str(info.value).startswith("parsing: ") and message in str(info.value), src
+    # a parse error before the refused expansion still wins
+    with pytest.raises(ParseError):
+        parse_poly(f") + t^{d + 1}")
+
+
+def test_shape_limit_is_a_cap_exit_code(capsys):
+    t0 = time.monotonic()
+    assert dispatch(["--json", "factor", f"t^{MAX_PARSE_DEGREE + 1} + 1"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("cap exceeded: parsing: ") and "MAX_PARSE_DEGREE" in err
+    assert dispatch(["--json", "--field", "F7", "irreducible", f"(t+1)^{MAX_PARSE_DEGREE + 1}"]) == 3
+    assert "MAX_PARSE_DEGREE" in capsys.readouterr().err
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_nesting_past_the_bound_is_a_parse_error(capsys):

@@ -498,6 +498,48 @@ def test_factor_q_proves_squarefree_mod_p_or_falls_back(monkeypatch):
     assert n_calls == 1 and len(got) == 11 and set(got.values()) == {1}
 
 
+# the rational `factor` inputs of the CLI's golden --json bytes
+_GOLDEN_FACTOR_INPUTS = [
+    "(t^3-2)*(t^4+3*t+3)*(t^2+1)^2",
+    "(1/2*t+1/3)*(t^2-2/5)",
+    "(1/2*t+1/3)*(3/4*t^2-2/5)^2",
+    "t^4-10*t^2+1",
+    "t^8-40*t^6+352*t^4-960*t^2+576",
+    "(t^2+1)^2*(t^3-2)*(2*t-3)",
+    "(t^2-30)*(t^3-2)",
+    "(t^2-2)*(t^2-3)*(t^2-5)*(t^2-7)*(t^2-11)*(t^2-13)*(t^2-17)*(t^2-19)*(t^2-23)*(t^2-29)*(t^2-31)",
+    "(t-1)^2*(t^2+t+1)^3*(3*t^2+2)",
+]
+
+
+def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
+    # factor_q starts Zassenhaus's prime search at the prime that proved f
+    # squarefree; searched from 2 instead, it must try the same primes (every
+    # smaller one is skipped) and so choose the same one and factor the same
+    import galoiskit.factor as factor_mod
+    from galoiskit.cli import parse_poly
+
+    real_z, real_ddf = factor_mod._factor_sqfree_primitive_z, factor_mod._ddf_mod
+    calls, tried = [], []
+    monkeypatch.setattr(
+        factor_mod,
+        "_factor_sqfree_primitive_z",
+        lambda ints, start=2: calls.append((list(ints), start)) or real_z(ints, start),
+    )
+    for src in _GOLDEN_FACTOR_INPUTS:
+        factor_q(parse_poly(src), max_degree=22)
+    assert len(calls) == len(_GOLDEN_FACTOR_INPUTS)
+    assert sum(start > 2 for _, start in calls) >= 2
+    monkeypatch.setattr(factor_mod, "_ddf_mod", lambda f, p: tried.append(p) or real_ddf(f, p))
+    for ints, start in calls:
+        tried.clear()
+        got = real_z(ints, start)
+        from_start = list(tried)
+        tried.clear()
+        assert real_z(ints) == got
+        assert tried == from_start
+
+
 def test_factor_q_degree_cap():
     with pytest.raises(DegreeCap):
         factor_q(q([1] * 14))
