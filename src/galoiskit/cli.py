@@ -95,9 +95,6 @@ def _height_bits(terms) -> int:
     """Height bits of rational coefficients written over their common
     denominator D: _bits(max(D, max |c*D|)), which bounds every reduced
     numerator and denominator."""
-    if len(terms) == 1:
-        (c,) = terms.values()
-        return _bits(max(abs(c.numerator), c.denominator))
     den = 1
     for c in terms.values():
         if den % c.denominator:
@@ -180,16 +177,12 @@ class _Parser:
                 position=tok[2],
                 expected=["end", "+", "-", "*", "^"],
             )
-        n = max(value) + 1 if value else 0
-        if self.p:
-            dense = [0] * n
-            for e, c in value.items():
-                dense[e] = c
-            return _from_residues(self.dom, dense)
-        dense = [Fraction(0)] * n
+        dense = [0] * (max(value) + 1 if value else 0)
         for e, c in value.items():
-            dense[e] = Fraction(c)
-        return Poly(self.dom, dense, normalize=False)
+            dense[e] = c
+        if self.p:
+            return _from_residues(self.dom, dense)
+        return Poly(self.dom, dense)
 
     def expr(self):
         value = self.term()
