@@ -1,11 +1,14 @@
 """Classical verdicts on top of the engine: solvability by radicals,
 real-root counting, ruler-and-compass impossibility results.
 
-Real roots are counted exactly by Sturm chains over the rationals, with signs
-at +-infinity read off the leading coefficient and degree parity; no floating
-point anywhere.  Solvability is decided by the cheapest sound route: the
-prime-degree real-root criterion (giving S_p), the degree <= 4 rule, or an
-explicit Galois group within the splitting cap.  Constructibility checks are
+Real roots are counted exactly by Sturm's theorem on the signed remainder
+sequence of (f, f'), computed on primitive integer lists (`poly._sturm_ints`)
+with no squarefree part, and with signs at +-infinity read off the leading
+coefficient and degree parity; no floating point anywhere.  Counting in an
+interval divides the sequence by its last element, gcd(f, f'), first.
+Solvability is decided by the cheapest sound route: the prime-degree
+real-root criterion (giving S_p), the degree <= 4 rule, or an explicit
+Galois group within the splitting cap.  Constructibility checks are
 one-directional degree criteria: a non-power-of-2 degree refutes
 constructibility, a power of 2 only leaves the necessary condition standing.
 """
@@ -18,7 +21,15 @@ from math import isqrt
 
 from .errors import InvalidPolygon, NotIrreducible, ZeroPolynomial
 from .numbers import QQ, factor_integer, is_fermat_prime, is_prime
-from .poly import Poly, discriminant, render, squarefree_part
+from .poly import (
+    Poly,
+    _numerators,
+    _positive_primitive,
+    _pseudo_divmod,
+    _sturm_ints,
+    discriminant,
+    render,
+)
 from .factor import factor_over_extension, is_irreducible_q
 from .galois import (
     automorphisms,
@@ -43,56 +54,48 @@ NECESSARY_HOLDS = "necessary_condition_holds"
 # ---------------------------------------------------------------------------
 
 
+def _sturm_sequence(f: Poly):
+    """`poly._sturm_ints` of f's numerators made primitive: a positive
+    multiple of f, of f', and of each signed remainder after them."""
+    if f.is_zero():
+        raise ZeroPolynomial("zero polynomial")
+    return _sturm_ints(_positive_primitive(_numerators(f.coeffs)[0]))
+
+
 def sturm_chain(f: Poly):
-    """The signed remainder chain of a squarefree rational polynomial."""
-    chain = [f, f.derivative()]
-    while chain[-1].degree >= 1:
-        rem = chain[-2] % chain[-1]
-        if rem.is_zero():
-            break
-        chain.append(-rem)
-    return [g for g in chain if not g.is_zero()]
+    """The Sturm chain of a rational polynomial: f, f', then each signed
+    remainder -(f_(i-1) mod f_i) up to a positive factor, which keeps all
+    its signs.  It ends at gcd(f, f') up to a nonzero factor."""
+    seq = _sturm_sequence(f)
+    return [f, f.derivative()][: len(seq)] + [Poly(QQ, g) for g in seq[2:]]
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
-
-
-def _sign_at_infinity(f: Poly, positive: bool) -> int:
-    s = _sign(f.lc())
-    if not positive and f.degree % 2 == 1:
-        s = -s
-    return s
-
-
-def _variations(signs) -> int:
-    signs = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _variations(values) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 def count_real_roots(f: Poly) -> int:
-    """Exact number of distinct real roots, via Sturm's theorem on the
-    squarefree part, evaluated at -infinity and +infinity."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    if f.degree == 0:
-        return 0
-    sq = squarefree_part(f)
-    chain = sturm_chain(sq)
-    neg = _variations([_sign_at_infinity(g, positive=False) for g in chain])
-    pos = _variations([_sign_at_infinity(g, positive=True) for g in chain])
-    return neg - pos
+    """Exact number of distinct real roots: the sign variations of the Sturm
+    chain at -infinity less those at +infinity, read off each element's
+    leading coefficient and degree parity.  No squarefree part is needed:
+    up to positive factors the chain of f is gcd(f, f') times a Sturm chain
+    of f / gcd(f, f'), and gcd(f, f') has one sign at each infinity, so it
+    moves no variation."""
+    seq = _sturm_sequence(f)
+    neg = _variations([g[-1] if len(g) % 2 else -g[-1] for g in seq])
+    return neg - _variations([g[-1] for g in seq])
 
 
 def count_real_roots_in(f: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the half-open interval (lo, hi]."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    sq = squarefree_part(f)
-    chain = sturm_chain(sq)
-    at_lo = _variations([_sign(g.eval(lo)) for g in chain])
-    at_hi = _variations([_sign(g.eval(hi)) for g in chain])
-    return at_lo - at_hi
+    """Distinct real roots in the half-open interval (lo, hi].  At a multiple
+    root every element of the chain vanishes, so each is first divided by
+    the last one, gcd(f, f'): exactly over Z, since both are primitive."""
+    seq = _sturm_sequence(f)
+    if len(seq[-1]) > 1:
+        seq = [_pseudo_divmod(g, seq[-1], exact=True)[0] for g in seq]
+    chain = [Poly(QQ, g) for g in seq]
+    return _variations([g.eval(lo) for g in chain]) - _variations([g.eval(hi) for g in chain])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Command-line front end: parse polynomial expressions, dispatch, render.
 
-The expression grammar is deliberately small: integers, rationals a/b, the
-indeterminate t, + - * ^ with nonnegative integer exponents, parentheses.
+The expression grammar is deliberately small: integers (ASCII digits),
+rationals a/b, the indeterminate t, + - * ^ with nonnegative integer exponents, parentheses.
 `^` binds tighter than unary minus and implicit multiplication is rejected,
 so every well-formed input has exactly one reading.  Parentheses and unary
 minus nest at most MAX_NESTING levels deep.
@@ -11,7 +11,8 @@ dense Poly per input, at the end.  Before a product or a power is expanded it
 computes the degree and (over Q) a coefficient height bound of the result,
 and refuses with ShapeCap (exit 3) past MAX_PARSE_DEGREE or
 MAX_PARSE_HEIGHT_BITS, so that an input such as t^N or 2^N with a huge N
-costs nothing.  Exit codes: 0 success, 2 parse/usage error, 3 a configured
+costs nothing; so is an integer literal of more than MAX_LITERAL_DIGITS
+significant digits.  Exit codes: 0 success, 2 parse/usage error, 3 a configured
 cap was exceeded (also while parsing), 4 internal invariant violation (a
 bug).
 """
@@ -42,6 +43,7 @@ from . import apps, correspondence, factor, finitefield, galois, splitting, towe
 # ---------------------------------------------------------------------------
 
 _TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
+_DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also takes "²"
 # Each level of parentheses costs five parser frames, so this bound keeps the
 # recursive descent well inside Python's default recursion limit.
 MAX_NESTING = 100
@@ -52,6 +54,10 @@ MAX_NESTING = 100
 # products are quadratic, so doubling either limit would quadruple that.
 MAX_PARSE_DEGREE = 4096
 MAX_PARSE_HEIGHT_BITS = 1024
+# Significant digits of one integer literal: the least limit Python's int()
+# can be set to (sys.set_int_max_str_digits), so int() never refuses a literal
+# that this limit lets through.  It is far above the height limit's 309 digits.
+MAX_LITERAL_DIGITS = 640
 
 
 def _tokenize(src: str):
@@ -62,11 +68,17 @@ def _tokenize(src: str):
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and src[j] in _DIGITS:
                 j += 1
-            tokens.append(("int", int(src[i:j]), i))
+            digits = src[i:j].lstrip("0") or "0"
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ShapeCap(
+                    f"parsing: integer literal at position {i} has {len(digits)} digits "
+                    f"> limit {MAX_LITERAL_DIGITS} (MAX_LITERAL_DIGITS)"
+                )
+            tokens.append(("int", int(digits), i))
             i = j
             continue
         if c == "t":

@@ -5,18 +5,27 @@ Three coefficient worlds are covered:
 * finite fields (F_p and its finite extensions): squarefree split, then
   distinct-degree splitting via gcd(f, t^(q^k) - t), then deterministic
   equal-degree splitting (trace witnesses b*t^j in characteristic 2, a lazy
-  sweep of (u)^((q^d-1)/2) in odd characteristic).  Over F_p both splits
-  run on int residue lists (`_ddf_mod`, `_edf_mod`) and wrap only the
-  pieces; over a finite tower they run on `Poly`;
+  sweep of (u)^((q^d-1)/2) in odd characteristic), then multiplicities by
+  division.  Over F_p all four run on int residue lists (the squarefree
+  part with p-th-root deflation in `_squarefree_part_mod`, `_ddf_mod`,
+  `_edf_mod`) and only the irreducible factors are wrapped; over a finite
+  tower they run on `Poly`;
 * the rationals: Zassenhaus — primitive + squarefree reduction (proved by
   a squarefree reduction mod some p <= MOD_P_SCAN_BOUND not dividing lc;
-  the squarefree part over Q only when no such p exists), pick a good
-  small prime by the factor count that its distinct-degree split gives
-  (sum of deg(g)/k), equal-degree split only that prime's pieces, Hensel
-  lift past the Landau-Mignotte bound, recombine by subset search.  The
-  modular stage calls the residue functions directly (and
-  `poly._xgcd_mod` for the Hensel cofactors): no Poly or FpElem is built
-  between the primitive integer form and the final factors;
+  only when no such p exists is f divided by gcd(f, f'), the end of its
+  integer remainder sequence `poly._sturm_ints`), pick a good small prime
+  by the factor count r that its distinct-degree split gives (sum of
+  deg(g)/k): the scan stops at the first prime with r <= 4 and otherwise
+  looks at 3 primes, or at 10 while the least r is above 8.  Then
+  equal-degree split only that prime's pieces, Hensel lift past the
+  Landau-Mignotte bound, and recombine by subset search, where each subset
+  first passes the constant-term test (the symmetric residue of lc(f) times
+  the product of the factors' constant terms must divide lc(f) f(0)) before
+  its product is formed.  Multiplicities come from exact division of the
+  primitive input over Z.  The modular stage calls the residue functions
+  directly (and `poly._xgcd_mod` for the Hensel cofactors): no Poly or
+  FpElem is built between the primitive integer form and the printed
+  factors;
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
   the problem down to Q through a resultant.  It runs in the primitive
   element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the tower:
@@ -60,6 +69,7 @@ from .poly import (
     _numerators,
     _pseudo_divmod,
     _rem_mod,
+    _sturm_ints,
     _sub_mod,
     _trim,
     _xgcd_mod,
@@ -104,25 +114,25 @@ class Factorization:
         }
 
 
-def _multiplicities(work, irreducibles, world, back=None):
-    """Canonically sorted (g, multiplicity) pairs: each g is divided out of
-    the monic `work` as often as it goes, and nothing may be left over.
-    `back` maps each g to the field the result is stated over before the
-    sort."""
+def _multiplicities(work, irreducibles, divide, one, wrap):
+    """Canonically sorted (wrap(g), multiplicity) pairs: each irreducible g
+    is divided out of `work` as often as it goes, and `one` must be left.
+    `divide(a, g)` gives (quotient, remainder, ...), or None where an exact
+    division over Z fails."""
     pairs = []
     for g in irreducibles:
         mult = 0
         while True:
-            quo, rem = divmod(work, g)
-            if not rem.is_zero():
+            div = divide(work, g)
+            if div is None or div[1]:
                 break
-            work = quo
+            work = div[0]
             mult += 1
         if mult == 0:
             raise InternalInvariant("squarefree factor does not divide input")
-        pairs.append((g if back is None else back(g), mult))
-    if work.degree != 0:
-        raise InternalInvariant(f"{world} factorization did not exhaust input")
+        pairs.append((wrap(g), mult))
+    if work != one:
+        raise InternalInvariant("factorization did not exhaust input")
     return tuple(sorted(pairs, key=lambda fm: fm[0].sort_key()))
 
 
@@ -360,8 +370,24 @@ def _edf(f: Poly, d: int):
     return done
 
 
+def _squarefree_part_mod(g, p):
+    """`squarefree_part` of a monic residue list mod a prime p.  Where the
+    derivative vanishes, g = h(t^p) = h^p, since every residue is its own
+    p-th power: h is every p-th coefficient of g."""
+    d = _gcd_mod(g, _deriv_mod(g, p), p)
+    if len(d) == 1:
+        return g
+    if len(d) == len(g):
+        return _squarefree_part_mod(g[::p], p)
+    w = _divmod_mod(g, d, p)[0]  # factors of multiplicity not divisible by p
+    rest = _squarefree_part_mod(d, p)  # multiplicity >= 2 or divisible by p
+    return _mul_mod(w, _divmod_mod(rest, _gcd_mod(rest, w, p), p)[0], p)
+
+
 def factor_ff(f: Poly) -> Factorization:
-    """Complete factorization over a finite field (F_p or a finite tower)."""
+    """Complete factorization over a finite field (F_p or a finite tower).
+    Over F_p the squarefree part, both splits and the multiplicities run on
+    residue lists, and only the irreducible factors are wrapped."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     dom = f.dom
@@ -369,9 +395,15 @@ def factor_ff(f: Poly) -> Factorization:
     if f.degree == 0:
         return Factorization(unit, ())
     work = f.monic()
-    sqf = squarefree_part(work)
-    irreducibles = [g for prod, d in _ddf(sqf) for g in _edf(prod, d)]
-    return Factorization(unit, _multiplicities(work, irreducibles, "finite-field"))
+    if isinstance(dom, PrimeField):
+        p, work = dom.p, _res(work)
+        pieces = _ddf_mod(_squarefree_part_mod(work, p), p)
+        irreducibles = [g for prod, d in pieces for g in _edf_mod(prod, d, p)]
+        divide = lambda a, g: _divmod_mod(a, g, p)
+        wrap = lambda g: _from_residues(dom, g)
+        return Factorization(unit, _multiplicities(work, irreducibles, divide, [1], wrap))
+    irreducibles = [g for prod, d in _ddf(squarefree_part(work)) for g in _edf(prod, d)]
+    return Factorization(unit, _multiplicities(work, irreducibles, divmod, Poly.one(dom), lambda g: g))
 
 
 def factor_fp(f: Poly) -> Factorization:
@@ -549,7 +581,13 @@ def _factor_sqfree_primitive_z(ints, start=2):
         if best is None or count < best[1]:
             best = (p, count, pieces)
         tried += 1
-        if tried >= 3 or best[1] <= 2:
+        # Recombination may try about 2^(r-1) subsets of r modular factors,
+        # where one more prime costs one distinct-degree split.  Up to r = 4
+        # that is at most 10 subsets, cheaper than a split, so the scan stops;
+        # past r = 8 the exponential term rules, so it looks at up to 10 primes
+        # for a smaller r (the degree-24 norm of t^6 - 2 has 12 factors mod
+        # 11, 17 and 23, but 4 mod 61); in between it looks at 3.
+        if best[1] <= 4 or tried >= (10 if best[1] > 8 else 3):
             break
     p, _, pieces = best
     parts = [g for prod, k in pieces for g in _edf_mod(prod, k, p)]
@@ -562,6 +600,17 @@ def _factor_sqfree_primitive_z(ints, start=2):
     modular.sort(key=lambda g: (len(g), g[::-1]))
 
     def try_combo(f_cur, combo):
+        # The candidate for a true factor g is lc(f)/lc(g) * g, whose constant
+        # term lc(h) g(0) (f = g h) divides lc(f) f(0) = lc(g) lc(h) g(0) h(0)
+        # and is sym(lc(f) prod g_i(0) mod p^k): test it before any product.
+        c0 = f_cur[-1]
+        for i in combo:
+            c0 = c0 * modular[i][0] % pk
+        if c0 > pk // 2:
+            c0 -= pk
+        target = f_cur[-1] * f_cur[0]
+        if target % c0 if c0 else target:
+            return None
         cand = [f_cur[-1] % pk]
         for i in combo:
             cand = _mul_mod(cand, modular[i], pk)
@@ -621,12 +670,17 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
     # primes before that p, so its search starts there.
     small = itertools.takewhile(lambda p: p <= MOD_P_SCAN_BOUND, _primes())
     start = next((p for p in small if prim[-1] % p and _squarefree_mod(_z_mod(prim, p), p)), None)
+    sqf = prim
     if start is None:
-        _, prim = content_primitive(squarefree_part(Poly(QQ, prim)))
+        # f / gcd(f, f'), with the gcd from the end of the remainder sequence
+        g = _sturm_ints(prim)[-1]
+        sqf = _pseudo_divmod(prim, g if g[-1] > 0 else [-c for c in g], exact=True)[0]
         start = 2
-    raw = _factor_sqfree_primitive_z(prim, start)
-    monics = [Poly(QQ, g).monic() for g in raw]
-    return Factorization(unit, _multiplicities(f.monic(), monics, "rational"))
+    raw = _factor_sqfree_primitive_z(sqf, start)
+    # each g is primitive with lc > 0, so exact division over Z leaves [1]
+    wrap = lambda g: Poly(QQ, g).monic()
+    divide = lambda a, g: _pseudo_divmod(a, g, exact=True)
+    return Factorization(unit, _multiplicities(prim, raw, divide, [1], wrap))
 
 
 # ---------------------------------------------------------------------------
@@ -941,7 +995,7 @@ def factor_over_extension(g: Poly) -> Factorization:
     if prod != sq:
         raise InternalInvariant("norm factorization did not reassemble input")
     back = lambda f: f.map_domain(dom, lambda c: dom.eval_primitive_poly(Poly(QQ, c.coeffs)))
-    return Factorization(unit, _multiplicities(work_k, irreducibles, "extension", back))
+    return Factorization(unit, _multiplicities(work_k, irreducibles, divmod, Poly.one(K), back))
 
 
 def is_irreducible_over(m: Poly) -> bool:

@@ -474,6 +474,31 @@ def _pseudo_divmod(a, b, exact=False):
     return q, _trim(r[:dg]), s
 
 
+def _positive_primitive(a):
+    """A nonzero int list divided by its content, taken positive, so that
+    every value keeps its sign."""
+    g = 0
+    for c in a:
+        g = _int_gcd(g, c)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _sturm_ints(a):
+    """The signed remainder sequence of (a, a') on int lists, for a trimmed
+    int list a: a, a', then -prem(a_(i-1), a_i) while it is nonzero, each
+    divided by its positive content.  `_pseudo_divmod` scales by a positive
+    integer, so every element is a positive multiple of the signed remainder
+    sequence over Q and has its signs everywhere.  No squarefree part is
+    taken: the last element is gcd(a, a') up to a nonzero factor."""
+    seq = [a, _positive_primitive([i * c for i, c in enumerate(a)][1:])] if len(a) > 1 else [a]
+    while len(seq[-1]) > 1:
+        r = _pseudo_divmod(seq[-2], seq[-1])[1]
+        if not r:
+            break
+        seq.append(_positive_primitive([-c for c in r]))
+    return seq
+
+
 def _numerators(coeffs):
     """(int numerators, common denominator) of rational coefficients."""
     den = 1

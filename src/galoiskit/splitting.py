@@ -63,14 +63,15 @@ def _candidate_roots(field, roots, center):
         cands.append(-s)
         cands.append(s * s)
     nonzero = [s for s in shifted if s]
+    # one tower inversion per root, not per pair; none when there is no pair
+    invs = [s.inv() for s in nonzero] if len(nonzero) > 1 else []
     for i, si in enumerate(nonzero):
         for j, sj in enumerate(nonzero):
             if i == j:
                 continue
-            inv_j = sj.inv()
             cands.append(si * sj)
-            cands.append(si * inv_j)
-            cands.append(si * si * inv_j)
+            cands.append(si * invs[j])
+            cands.append(si * si * invs[j])
     seen = set()
     out = []
     for s in cands:

@@ -93,6 +93,13 @@ def test_count_real_roots_in_interval():
     assert count_real_roots_in(f, Fraction(-2), Fraction(2)) == 3
     assert count_real_roots_in(f, Fraction(0), Fraction(2)) == 1
     assert count_real_roots_in(f, Fraction(-1, 2), Fraction(1, 2)) == 1
+    # every element of the chain vanishes at a double root: (t-1)^2 (t+1)
+    g = q([-1, 1]) ** 2 * q([1, 1])
+    assert count_real_roots_in(g, Fraction(0), Fraction(1)) == 1
+    assert count_real_roots_in(g, Fraction(1), Fraction(3)) == 0
+    assert count_real_roots_in(g, Fraction(-1), Fraction(1)) == 1
+    assert count_real_roots_in(g, Fraction(-2), Fraction(1)) == 2
+    assert count_real_roots_in(q([Fraction(-3, 2)]), Fraction(-1), Fraction(1)) == 0
 
 
 def test_sturm_chain_shape():
@@ -100,6 +107,43 @@ def test_sturm_chain_shape():
     assert chain[0] == q([-2, 0, 1])
     assert chain[1] == q([0, 2])
     assert all(not g.is_zero() for g in chain)
+    # without a squarefree part the chain ends at gcd(f, f') = (t-1)^2
+    chain = sturm_chain(q([-1, 1]) ** 3 * q([2, 0, 1]))
+    assert [g.degree for g in chain] == [5, 4, 3, 2]
+    assert chain[-1].monic() == q([-1, 1]) ** 2
+
+
+def _random_sturm_input(rng):
+    """Random coefficients, or a product with squared and cubed factors; a
+    negative or non-integral leading coefficient either way."""
+    lead = rng.choice([-3, -1, 1, 2, Fraction(1, 2), Fraction(-7, 3)])
+    if rng.random() < 0.5:
+        deg = rng.choice([3, 4, 5])
+        return q([Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 5])) for _ in range(deg)] + [lead])
+    f = q([lead])
+    for _ in range(rng.randint(1, 3)):
+        g = q([Fraction(rng.randint(-6, 6), rng.choice([1, 3])) for _ in range(rng.randint(1, 2))] + [rng.choice([1, -2])])
+        f = f * g ** rng.choice([1, 2, 2, 3])
+    return f
+
+
+def oracle_real_roots_in(f, lo, hi):
+    """Distinct roots in (lo, hi] by Descartes bisection on (0, 1)."""
+    f = squarefree_part(f)
+    if f.degree == 0:
+        return 0
+    g = f.compose(q([lo, hi - lo]))  # u -> f(lo + (hi - lo) u)
+    return _count_roots_01(g) + (1 if not f.eval(hi) else 0)
+
+
+def _compare_sturm_with_bisection(seed, rounds):
+    rng = random.Random(seed)
+    points = sorted({Fraction(k, d) for k in range(-7, 8) for d in (1, 2, 3)})
+    for _ in range(rounds):
+        f = _random_sturm_input(rng)
+        assert count_real_roots(f) == oracle_real_root_count(f), f
+        lo, hi = sorted(rng.sample(points, 2))
+        assert count_real_roots_in(f, lo, hi) == oracle_real_roots_in(f, lo, hi), (f, lo, hi)
 
 
 def test_count_real_roots_against_bisection_oracle():
@@ -109,9 +153,16 @@ def test_count_real_roots_against_bisection_oracle():
         deg = rng.choice([3, 4, 5])
         f = q([rng.randint(-9, 9) for _ in range(deg)] + [rng.randint(1, 9)])
         if poly_gcd(f, f.derivative()).degree != 0:
-            continue  # squarefree inputs per the contract
+            continue
         checked += 1
         assert count_real_roots(f) == oracle_real_root_count(f)
+    # squared and cubed factors, negative and non-integral leading coefficients
+    _compare_sturm_with_bisection(seed=17, rounds=200)
+
+
+@pytest.mark.slow
+def test_count_real_roots_against_bisection_oracle_at_length():
+    _compare_sturm_with_bisection(seed=1017, rounds=5000)
 
 
 def test_sp_criterion():

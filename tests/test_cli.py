@@ -19,6 +19,7 @@ from galoiskit.errors import ParseError, ShapeCap, ZeroInverse
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
 from galoiskit.cli import (
+    MAX_LITERAL_DIGITS,
     MAX_NESTING,
     MAX_PARSE_DEGREE,
     MAX_PARSE_HEIGHT_BITS,
@@ -242,14 +243,12 @@ def _outcome(parse, src, field):
         f = parse(src, field)
     except ParseError as exc:
         return ("ParseError", str(exc), exc.position, exc.expected)
-    except ValueError as exc:  # int() of a digit that str.isdigit accepts
-        return (type(exc).__name__, str(exc))
     return ("value", f.dom, [(type(c), c) for c in f.coeffs])
 
 
 _FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7))
 # literals that are reduced before their denominator meets p, cancellations,
-# unary minus under `^`, and digits outside ASCII that str.isdigit accepts
+# unary minus under `^`, and digits outside ASCII (parse errors)
 _PARSER_CASES = [
     "12/2", "1211/7", "0/6", "14/21", "12/2*t + 1211/7", "t^2 + 14/21*t - 0/6",
     "-2^2", "(-2*t)^3 + 8*t^3", "(t-1)*(t+1) - t^2 + 1", "(t^2-t)*0", "0^0",
@@ -760,6 +759,8 @@ def test_cli_fuzz_returns_clean_codes(capsys):
     d, h = MAX_PARSE_DEGREE, MAX_PARSE_HEIGHT_BITS
     sources += [f"t^{d}", f"t^{d + 1}", f"t^{d - 1}*t", f"t^{d}*t", f"2^{h}", f"2^{h + 1}"]
     sources += [f"(3*t+5)^{(h + 1) // 4}", f"(3*t+5)^{(h + 1) // 4 + 1}", f"(t^2+1)^{d}", f"(1/2)^{h}"]
+    # a digit outside ASCII, and a literal past int()'s default 4300 digits
+    sources += ["t^\u00b2", "1" * 4301]
     t0 = time.monotonic()
     for src in sources:
         code = dispatch(["factor", src])
@@ -799,6 +800,13 @@ def test_parser_shape_limits():
         with pytest.raises(ShapeCap) as info:
             parse_poly(src, field)
         assert str(info.value).startswith("parsing: ") and message in str(info.value), src
+    # literals: leading zeros are not significant digits
+    assert parse_poly("0" * 5000 + "7*t") == q([0, 7])
+    assert parse_poly("9" * MAX_LITERAL_DIGITS) == q([int("9" * MAX_LITERAL_DIGITS)])
+    with pytest.raises(ShapeCap) as info:
+        parse_poly("t + " + "1" * (MAX_LITERAL_DIGITS + 1))
+    assert f"position 4 has {MAX_LITERAL_DIGITS + 1} digits" in str(info.value)
+    assert "MAX_LITERAL_DIGITS" in str(info.value)
     # a parse error before the refused expansion still wins
     with pytest.raises(ParseError):
         parse_poly(f") + t^{d + 1}")

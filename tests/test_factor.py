@@ -453,6 +453,69 @@ def test_factor_q_non_monic_recombination():
         assert sorted(str(g) for g, _ in fact.factors) == sorted(str(g.monic()) for g in chosen)
 
 
+def test_factor_q_recombination_with_zero_constant_term():
+    # f(0) = 0 passes every constant-term test, so long division decides;
+    # non-monic factors make lc(f) f(0), not f(0), the right target
+    cases = [
+        [q([0, 1]), q([-2, 0, 3]), q([5, 2])],
+        [q([0, 1]), q([0, 1]), q([1, 0, 0, 2]), q([-3, 7])],
+        [q([0, 4]), q([1, 1, 0, 3]), q([2, 0, 0, 0, 5]), q([-1, 2])],
+        [q([-2, 0, 0, 3]), q([5, 0, -7]), q([6, 1]), q([-3, 4])],
+    ]
+    for chosen in cases:
+        f = q([Fraction(-5, 4)])
+        for g in chosen:
+            f = f * g
+        fact = factor_q(f)
+        assert fact.expand(QQ) == f
+        want = Counter(str(g.monic()) for g in chosen)
+        assert Counter({str(g): m for g, m in fact.factors}) == want
+
+
+def _swinnerton_dyer(primes):
+    """The product of t - (+-sqrt p1 +- ... +- sqrt pk) over all signs: f(t)
+    times f with sqrt p negated is A^2 - p B^2 for f(t + sqrt p) = A + sqrt p B."""
+    f = q([0, 1])
+    for p in primes:
+        a, b = [0] * (f.degree + 1), [0] * (f.degree + 1)
+        for j, c in enumerate(f.coeffs):
+            for i in range(j + 1):
+                (b if i % 2 else a)[j - i] += c * math.comb(j, i) * p ** (i // 2)
+        f = q(a) * q(a) - q(b) * q(b) * p
+    return f
+
+
+def test_factor_q_swinnerton_dyer_recombination_is_bounded(monkeypatch):
+    import sys
+    import galoiskit.factor as factor_mod
+
+    # irreducible of degree 32, with factors of degree <= 2 mod every prime:
+    # 16 or more modular factors, and every subset of up to half of them
+    # tried; products formed inside try_combo are counted, not timed
+    real, products = factor_mod._mul_mod, []
+
+    def counting(a, b, m):
+        if sys._getframe(1).f_code.co_name == "try_combo":
+            products.append(m)
+        return real(a, b, m)
+
+    monkeypatch.setattr(factor_mod, "_mul_mod", counting)
+    real_ddf, scanned = factor_mod._ddf_mod, []
+    monkeypatch.setattr(factor_mod, "_ddf_mod", lambda f, p: scanned.append(p) or real_ddf(f, p))
+    f = _swinnerton_dyer([2, 3, 5, 7, 11])
+    assert f.degree == 32
+    fact = factor_q(f, max_degree=32)
+    assert fact.is_irreducible() and fact.factors[0][0] == f
+    # 2,048 here; forming every subset's product first took 262,144
+    assert 0 < len(products) <= 4096
+    # more than 8 modular factors at every prime: the scan looks at 10 primes;
+    # at most 4 at the first good prime: it stops there
+    assert len(scanned) == 10
+    scanned.clear()
+    assert factor_q(_swinnerton_dyer([2, 3]), max_degree=4).is_irreducible()
+    assert len(scanned) == 1
+
+
 def test_factor_q_examples():
     fact = factor_q(q([-5, 0, -4, 0, 1]))
     assert {str(g) for g, _ in fact.factors} == {"t^2 + 1", "t^2 - 5"}
@@ -475,9 +538,10 @@ def test_factor_q_unit_and_multiplicity():
 def test_factor_q_proves_squarefree_mod_p_or_falls_back(monkeypatch):
     import galoiskit.factor as factor_mod
 
+    # the fallback takes gcd(f, f') from the end of f's remainder sequence
     calls = []
-    real = factor_mod.squarefree_part
-    monkeypatch.setattr(factor_mod, "squarefree_part", lambda f: calls.append(f) or real(f))
+    real = factor_mod._sturm_ints
+    monkeypatch.setattr(factor_mod, "_sturm_ints", lambda f: calls.append(f) or real(f))
 
     def factors(f):
         calls.clear()
