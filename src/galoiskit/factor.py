@@ -394,14 +394,15 @@ def factor_ff(f: Poly) -> Factorization:
     unit = f.lc()
     if f.degree == 0:
         return Factorization(unit, ())
-    work = f.monic()
     if isinstance(dom, PrimeField):
-        p, work = dom.p, _res(work)
+        p = dom.p
+        work = _monic_mod(_res(f), p)
         pieces = _ddf_mod(_squarefree_part_mod(work, p), p)
         irreducibles = [g for prod, d in pieces for g in _edf_mod(prod, d, p)]
         divide = lambda a, g: _divmod_mod(a, g, p)
         wrap = lambda g: _from_residues(dom, g)
         return Factorization(unit, _multiplicities(work, irreducibles, divide, [1], wrap))
+    work = f.monic()
     irreducibles = [g for prod, d in _ddf(squarefree_part(work)) for g in _edf(prod, d)]
     return Factorization(unit, _multiplicities(work, irreducibles, divmod, Poly.one(dom), lambda g: g))
 
