@@ -18,14 +18,11 @@ from .numbers import (
     is_prime,
 )
 from .poly import (
-    INFINITY,
     NEG_INFINITY,
     Poly,
-    codegree,
     content_primitive,
     discriminant,
     gcd_ext,
-    has_repeated_root,
     poly_gcd,
     render,
     resultant,

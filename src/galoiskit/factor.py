@@ -6,10 +6,11 @@ Three coefficient worlds are covered:
   distinct-degree splitting via gcd(f, t^(q^k) - t), then deterministic
   equal-degree splitting (trace witnesses b*t^j in characteristic 2, a lazy
   sweep of (u)^((q^d-1)/2) in odd characteristic), then multiplicities by
-  division.  Over F_p all four run on int residue lists (the squarefree
-  part with p-th-root deflation in `_squarefree_part_mod`, `_ddf_mod`,
-  `_edf_mod`) and only the irreducible factors are wrapped; over a finite
-  tower they run on `Poly`;
+  division; Rabin's test decides irreducibility alone.  Each algorithm is
+  written once, against a small polynomial ring picked by the coefficient
+  field (`_polys`): `_FpPolys` computes on int residue lists bound to the
+  residue kernel of `poly`, one per p, `_TowerPolys` on `Poly` over a
+  finite tower.  Only the irreducible factors are wrapped as `Poly`;
 * the rationals: Zassenhaus — primitive + squarefree reduction (proved by
   a squarefree reduction mod some p <= MOD_P_SCAN_BOUND not dividing lc;
   only when no such p exists is f divided by gcd(f, f'), the end of its
@@ -42,8 +43,10 @@ irreducibility so the verdict can be re-checked independently.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, gcd as _int_gcd, isqrt
 
 from .errors import (
@@ -172,35 +175,94 @@ def field_order(dom) -> int:
     return dom.characteristic ** dom.absolute_degree()
 
 
-def _res(f: Poly):
-    """The residues of a polynomial over F_p."""
-    return [c.r for c in f.coeffs]
+class _FpPolys:
+    """F_p[t] on trimmed int residue lists (low to high), with the residue
+    kernel of `poly` bound to p.  `_TowerPolys` has the same attributes."""
+
+    def __init__(self, p):
+        self.p = self.q = p
+        self.n, self.dom, self.one, self.t = 1, PrimeField(p), [1], [0, 1]
+        self.mul = lambda a, b: _mul_mod(a, b, p)
+        self.rem = lambda a, b: _rem_mod(a, b, p)
+        self.divmod = lambda a, b: _divmod_mod(a, b, p)
+        self.sub = lambda a, b: _sub_mod(a, b, p)
+        self.gcd = lambda a, b: _gcd_mod(a, b, p)
+        self.deriv = lambda a: _deriv_mod(a, p)
+        self.monic = lambda a: _monic_mod(a, p)
+
+    deg = staticmethod(lambda a: len(a) - 1)
+    read = staticmethod(lambda f: [c.r for c in f.coeffs])
+    elem, poly = staticmethod(operator.itemgetter(0)), staticmethod(list)
+
+    def deflate(self, a):
+        """h with a(t) = h(t^p) = h^p: every residue is its own p-th power."""
+        return a[:: self.p]
+
+    def wrap(self, a) -> Poly:
+        return _from_residues(self.dom, a)
 
 
-def _powmod_mod(b, e, m, p):
-    """b^e mod m for residue lists mod a prime p, left to right from the top
-    bit: no squaring after the last one."""
-    b = _rem_mod(b, m, p)
-    result = b if e else [1]
+class _TowerPolys:
+    """Polynomials over a finite tower as `Poly`, with the attributes of
+    `_FpPolys`: q = p^n for the tower's absolute degree n."""
+
+    def __init__(self, dom):
+        self.dom, self.p, self.n = dom, dom.characteristic, dom.absolute_degree()
+        self.q, self.one, self.t = self.p**self.n, Poly.one(dom), Poly.t(dom)
+
+    mul, rem, divmod, sub = operator.mul, operator.mod, divmod, operator.sub
+    gcd, deriv, monic = staticmethod(poly_gcd), staticmethod(Poly.derivative), staticmethod(Poly.monic)
+    deg = staticmethod(lambda a: a.degree)
+    read = wrap = staticmethod(lambda f: f)
+
+    def deflate(self, a):
+        """h with a(t) = h(t^p) = h^p, h taking the p-th root of every
+        coefficient."""
+        return Poly(self.dom, [self.dom.pth_root(c) for c in a.coeffs[:: self.p]], normalize=False)
+
+    def elem(self, coords):
+        return self.dom.unflatten(coords)
+
+    def poly(self, coeffs) -> Poly:
+        return Poly(self.dom, coeffs, normalize=False)
+
+
+@lru_cache(maxsize=None)  # one ring per prime
+def _fp_polys(p):
+    return _FpPolys(p)
+
+
+def _polys(dom):
+    """The polynomial ring over a finite field dom, in the form its kernel
+    computes on: residue lists over F_p, `Poly` over a finite tower."""
+    return _fp_polys(dom.p) if isinstance(dom, PrimeField) else _TowerPolys(dom)
+
+
+def _powmod(R, b, e, m):
+    """b^e mod m in R, left to right from the top bit: no squaring after the
+    last one."""
+    b = R.rem(b, m)
+    result = b if e else R.one
     for bit in bin(e)[3:]:
-        result = _rem_mod(_mul_mod(result, result, p), m, p)
+        result = R.rem(R.mul(result, result), m)
         if bit == "1":
-            result = _rem_mod(_mul_mod(result, b, p), m, p)
+            result = R.rem(R.mul(result, b), m)
     return result
 
 
-def _powmod(base: Poly, e: int, mod: Poly) -> Poly:
-    if isinstance(base.dom, PrimeField):
-        p = base.dom.p
-        return _from_residues(base.dom, _powmod_mod(_res(base), e, _res(mod), p))
-    base = base % mod
-    result = Poly.one(base.dom)
-    while e:
-        if e & 1:
-            result = result * base % mod
-        base = base * base % mod
-        e >>= 1
-    return result
+def _squarefree_part(R, g):
+    """The product of the distinct monic irreducible factors of a monic g in
+    R.  g / gcd(g, g') misses the factors whose multiplicity p divides, so
+    gcd(g, g') is processed recursively; where g' vanishes, g = h(t^p) is
+    the p-th power of `R.deflate(g)`."""
+    d = R.gcd(g, R.deriv(g))
+    if R.deg(d) == 0:
+        return g
+    if R.deg(d) == R.deg(g):
+        return _squarefree_part(R, R.deflate(g))
+    w = R.divmod(g, d)[0]  # factors of multiplicity not divisible by p
+    rest = _squarefree_part(R, d)  # multiplicity >= 2 or divisible by p
+    return R.mul(w, R.divmod(rest, R.gcd(rest, w))[0])
 
 
 def roots_fp(f: Poly):
@@ -209,96 +271,65 @@ def roots_fp(f: Poly):
     the distinct-degree split; the field is never listed."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial has every root")
-    pieces = _ddf(squarefree_part(f))
-    return {-g.coeff(0) for prod, k in pieces if k == 1 for g in _edf(prod, 1)}
+    R = _polys(f.dom)
+    pieces = _ddf(R, _squarefree_part(R, R.monic(R.read(f))))
+    return {-R.wrap(g).coeff(0) for prod, k in pieces if k == 1 for g in _edf(R, prod, 1)}
 
 
-def _ddf_mod(f, p):
-    """`_ddf` on a monic residue list mod a prime p."""
-    out, h, k = [], [0, 1], 0
-    while len(f) > 1:
+def _ddf(R, f):
+    """Distinct-degree split of a squarefree monic f in R: the pairs
+    (product of the irreducible factors of degree k, k), by
+    gcd(f, t^(q^k) - t)."""
+    out, h, k = [], R.t, 0
+    while R.deg(f) > 0:
         k += 1
-        if 2 * k > len(f) - 1:
-            out.append((f, len(f) - 1))
+        if 2 * k > R.deg(f):
+            out.append((f, R.deg(f)))
             break
-        h = _powmod_mod(h, p, f, p)
-        g = _gcd_mod(f, _sub_mod(h, [0, 1], p), p)
-        if len(g) > 1:
+        h = _powmod(R, h, R.q, f)
+        g = R.gcd(f, R.sub(h, R.t))
+        if R.deg(g) > 0:
             out.append((g, k))
-            f = _divmod_mod(f, g, p)[0]
-            h = _rem_mod(h, f, p)
+            f = R.divmod(f, g)[0]
+            h = R.rem(h, f)
     return out
 
 
-def _ddf(f: Poly):
-    """Distinct-degree split of a squarefree monic f over a finite field:
-    yields (product of irreducibles of degree k, k).  Over F_p it runs on
-    residues (`_ddf_mod`) and wraps only the pieces."""
-    dom = f.dom
-    if isinstance(dom, PrimeField):
-        return [(_from_residues(dom, g), k) for g, k in _ddf_mod(_res(f), dom.p)]
-    q = field_order(dom)
-    t = Poly.t(dom)
-    h = t
-    k = 0
-    out = []
-    while f.degree > 0:
-        k += 1
-        if 2 * k > f.degree:
-            out.append((f, f.degree))
-            break
-        h = _powmod(h, q, f)
-        g = poly_gcd(f, h - t)
-        if g.degree > 0:
-            out.append((g, k))
-            f = f.exact_div(g)
-            h = h % f
-    return out
-
-
-def _trace_witnesses(dom, d):
-    """b * t^j for b in the power-product basis over F_2 and 1 <= j <= 2d - 1.
-    Two distinct degree-d factors g1, g2 are told apart by some u of degree
-    < 2d (CRT onto F_(q^d) x F_(q^d), on which Tr(x) + Tr(y) is a nonzero
-    F_2-linear form); the form vanishes on constants, so these n(2d - 1)
-    witnesses suffice."""
-    n, zero, one = dom.absolute_degree(), dom.base.zero(), dom.base.one()
-    basis = [dom.unflatten([one if i == k else zero for i in range(n)]) for k in range(n)]
-    for j in range(1, 2 * d):
-        for b in basis:
-            yield Poly(dom, [dom.zero()] * j + [b], normalize=False)
-
-
-def _sweep_witnesses(dom, bound):
-    """Every monic polynomial of degree 1..bound, canonical order, increasing
-    degree, built on demand from coordinates (the field is never listed).
-    This is complete for odd q and bound >= 2d - 1: degree-d factors g1 != g2
-    are separated by the u of degree < 2d that is a non-square unit mod g1
-    and a square unit mod g2 (CRT; u is not constant).  With e = (q^d - 1)/2
-    and c = lc(u), c^e = chi(c)^d = +-1, so v = u/c has v^e = +-u^e mod g1
-    and g2 with one sign: v^e - 1 still vanishes mod exactly one of them."""
-    n, elems = dom.absolute_degree(), dom.base.elements()
+def _witnesses(R, d, bound):
+    """The equal-degree witnesses u, built from coordinates (the field is
+    never listed).  Two distinct degree-d factors g1, g2 are told apart by
+    some u of degree < 2d:
+    * for q = 2^n, b * t^j for b in the power-product basis over F_2 and
+      1 <= j <= 2d - 1: by CRT onto F_(q^d) x F_(q^d), on which
+      Tr(x) + Tr(y) is a nonzero F_2-linear form that vanishes on constants;
+    * for odd q, every monic polynomial of degree 1..bound (bound >= 2d - 1),
+      canonical order, increasing degree: the u that is a non-square unit
+      mod g1 and a square unit mod g2 is not constant.  With
+      e = (q^d - 1)/2 and c = lc(u), c^e = chi(c)^d = +-1, so v = u/c has
+      v^e = +-u^e mod g1 and g2 with one sign: v^e - 1 still vanishes mod
+      exactly one of them."""
+    zero, one = R.elem([0] * R.n), R.elem([1] + [0] * (R.n - 1))
+    if R.p == 2:
+        basis = [R.elem([int(i == k) for i in range(R.n)]) for k in range(R.n)]
+        for j in range(1, 2 * d):
+            for b in basis:
+                yield R.poly([zero] * j + [b])
+        return
     for deg in range(1, bound + 1):
-        for low in itertools.product(elems, repeat=deg * n):
-            coeffs = [dom.unflatten(low[i * n : (i + 1) * n]) for i in range(deg)]
-            yield Poly(dom, coeffs + [dom.one()], normalize=False)
+        for low in itertools.product(range(R.p), repeat=deg * R.n):
+            coeffs = [R.elem(low[i * R.n : (i + 1) * R.n]) for i in range(deg)]
+            yield R.poly(coeffs + [one])
 
 
-def _edf_mod(f, d, p):
-    """`_edf` on a monic residue list mod a prime p, with the same witnesses:
-    t^j for p = 2 (the trace over F_2 is u + u^2 + ... + u^(2^(d-1))), the
-    monic sweep for odd p."""
-    if len(f) - 1 == d:
+def _edf(R, f, d):
+    """Complete split of a product f of distinct monic irreducibles of
+    degree d in R; deterministic (fixed witness sweep), no randomness.  For
+    q = 2^n a witness u splits g by gcd(g, Tr(u)), the trace to F_2 being
+    u + u^2 + ... + u^(2^(dn - 1)); for odd q by gcd(g, u^((q^d - 1)/2) - 1)."""
+    if R.deg(f) == d:
         return [f]
-    if p == 2:
-        witnesses = ([0] * j + [1] for j in range(1, 2 * d))
-    else:
-        witnesses = (
-            list(low) + [1]
-            for deg in range(1, len(f) - 1)
-            for low in itertools.product(range(p), repeat=deg)
-        )
-    e = (p**d - 1) // 2
+    witnesses = _witnesses(R, d, R.deg(f) - 1)
+    e = (R.q**d - 1) // 2
     pieces, done = [f], []
     while pieces:
         u = next(witnesses, None)
@@ -306,105 +337,36 @@ def _edf_mod(f, d, p):
             raise InternalInvariant("equal-degree witness sweep exhausted")
         next_pieces = []
         for g in pieces:
-            if p == 2:
-                acc = term = _rem_mod(u, g, 2)
-                for _ in range(d - 1):
-                    term = _rem_mod(_mul_mod(term, term, 2), g, 2)
-                    acc = _sub_mod(acc, term, 2)  # + is - over F_2
-                h = _gcd_mod(g, acc, 2)
+            if R.p == 2:
+                acc = term = R.rem(u, g)
+                for _ in range(d * R.n - 1):
+                    term = R.rem(R.mul(term, term), g)
+                    acc = R.sub(acc, term)  # + is - in characteristic 2
+                h = R.gcd(g, acc)
             else:
-                h = _gcd_mod(g, _sub_mod(_powmod_mod(u, e, g, p), [1], p), p)
-            if 1 < len(h) < len(g):
-                next_pieces += [h, _divmod_mod(g, h, p)[0]]
-            else:
-                next_pieces.append(g)
-        pieces = [g for g in next_pieces if len(g) - 1 > d]
-        done.extend(g for g in next_pieces if len(g) - 1 == d)
-    return done
-
-
-def _edf(f: Poly, d: int):
-    """Complete split of a product of distinct degree-d monic irreducibles;
-    deterministic (fixed witness sweep), no randomness.  Over F_p it runs on
-    residues (`_edf_mod`) and wraps only the pieces."""
-    if f.degree == d:
-        return [f]
-    dom = f.dom
-    if isinstance(dom, PrimeField):
-        return [_from_residues(dom, g) for g in _edf_mod(_res(f), d, dom.p)]
-    q = field_order(dom)
-    p = dom.characteristic
-    if p == 2:
-        witnesses = _trace_witnesses(dom, d)
-    else:
-        witnesses = _sweep_witnesses(dom, max(1, f.degree - 1))
-    pieces = [f]
-    done = []
-    while pieces:
-        try:
-            u = next(witnesses)
-        except StopIteration:  # mathematically unreachable
-            raise InternalInvariant("equal-degree witness sweep exhausted")
-        next_pieces = []
-        for g in pieces:
-            if p == 2:
-                # trace map over F_2: u + u^2 + ... + u^(2^(dm-1)) mod g
-                m = q.bit_length() - 1  # q = 2^m
-                acc = u % g
-                term = acc
-                for _ in range(d * m - 1):
-                    term = term * term % g
-                    acc = (acc + term) % g
-                w = acc
-                h = poly_gcd(g, w)
-            else:
-                w = _powmod(u, (q**d - 1) // 2, g)
-                h = poly_gcd(g, w - Poly.one(dom))
-            if 0 < h.degree < g.degree:
-                next_pieces.append(h)
-                next_pieces.append(g.exact_div(h).monic())
+                h = R.gcd(g, R.sub(_powmod(R, u, e, g), R.one))
+            if 0 < R.deg(h) < R.deg(g):
+                next_pieces += [h, R.divmod(g, h)[0]]
             else:
                 next_pieces.append(g)
-        pieces = [g for g in next_pieces if g.degree > d]
-        done.extend(g for g in next_pieces if g.degree == d)
+        pieces = [g for g in next_pieces if R.deg(g) > d]
+        done.extend(g for g in next_pieces if R.deg(g) == d)
     return done
-
-
-def _squarefree_part_mod(g, p):
-    """`squarefree_part` of a monic residue list mod a prime p.  Where the
-    derivative vanishes, g = h(t^p) = h^p, since every residue is its own
-    p-th power: h is every p-th coefficient of g."""
-    d = _gcd_mod(g, _deriv_mod(g, p), p)
-    if len(d) == 1:
-        return g
-    if len(d) == len(g):
-        return _squarefree_part_mod(g[::p], p)
-    w = _divmod_mod(g, d, p)[0]  # factors of multiplicity not divisible by p
-    rest = _squarefree_part_mod(d, p)  # multiplicity >= 2 or divisible by p
-    return _mul_mod(w, _divmod_mod(rest, _gcd_mod(rest, w, p), p)[0], p)
 
 
 def factor_ff(f: Poly) -> Factorization:
-    """Complete factorization over a finite field (F_p or a finite tower).
-    Over F_p the squarefree part, both splits and the multiplicities run on
-    residue lists, and only the irreducible factors are wrapped."""
+    """Complete factorization over a finite field (F_p or a finite tower):
+    squarefree part, both splits and the multiplicities in the field's ring
+    (`_polys`), and only the irreducible factors are wrapped."""
     if f.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    dom = f.dom
     unit = f.lc()
     if f.degree == 0:
         return Factorization(unit, ())
-    if isinstance(dom, PrimeField):
-        p = dom.p
-        work = _monic_mod(_res(f), p)
-        pieces = _ddf_mod(_squarefree_part_mod(work, p), p)
-        irreducibles = [g for prod, d in pieces for g in _edf_mod(prod, d, p)]
-        divide = lambda a, g: _divmod_mod(a, g, p)
-        wrap = lambda g: _from_residues(dom, g)
-        return Factorization(unit, _multiplicities(work, irreducibles, divide, [1], wrap))
-    work = f.monic()
-    irreducibles = [g for prod, d in _ddf(squarefree_part(work)) for g in _edf(prod, d)]
-    return Factorization(unit, _multiplicities(work, irreducibles, divmod, Poly.one(dom), lambda g: g))
+    R = _polys(f.dom)
+    work = R.monic(R.read(f))
+    irreducibles = [g for prod, d in _ddf(R, _squarefree_part(R, work)) for g in _edf(R, prod, d)]
+    return Factorization(unit, _multiplicities(work, irreducibles, R.divmod, R.one, R.wrap))
 
 
 def factor_fp(f: Poly) -> Factorization:
@@ -414,24 +376,29 @@ def factor_fp(f: Poly) -> Factorization:
     return factor_ff(f)
 
 
-def is_irreducible_ff(f: Poly) -> bool:
-    """Rabin's deterministic test over a finite field."""
-    if f.is_zero() or f.degree < 1:
-        return False
-    f = f.monic()
-    dom = f.dom
-    q = field_order(dom)
-    n = f.degree
+def _rabin(R, f):
+    """Rabin's test for a monic f of degree n >= 1 in R: f is irreducible iff
+    t^(q^n) = t mod f and gcd(f, t^(q^(n/l)) - t) = 1 for each prime l | n."""
+    n = R.deg(f)
     if n == 1:
         return True
-    t = Poly.t(dom)
-    chain = [t]  # chain[k] = t^(q^k) mod f
+    chain = [R.t]  # chain[k] = t^(q^k) mod f
     for _ in range(n):
-        chain.append(_powmod(chain[-1], q, f))
-    # t^(q^n) = t mod f, and gcd(f, t^(q^(n/l)) - t) = 1 for each prime l | n
-    return chain[n] == t and all(
-        poly_gcd(f, chain[n // ell] - t).degree == 0 for ell in set(factor_integer(n))
+        chain.append(_powmod(R, chain[-1], R.q, f))
+    return chain[n] == R.t and all(
+        R.deg(R.gcd(f, R.sub(chain[n // ell], R.t))) == 0 for ell in set(factor_integer(n))
     )
+
+
+def is_irreducible_ff(f: Poly) -> bool:
+    """Rabin's deterministic test over a finite field (F_p or a finite
+    tower)."""
+    if f.is_zero():
+        raise ZeroPolynomial("zero polynomial is neither reducible nor irreducible")
+    if f.degree == 0:
+        raise ConstantPolynomial("constants are neither reducible nor irreducible")
+    R = _polys(f.dom)
+    return _rabin(R, R.monic(R.read(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +542,8 @@ def _factor_sqfree_primitive_z(ints, start=2):
             if skipped > n**n * sum(c * c for c in ints) ** (n - 1):
                 raise InternalInvariant("Zassenhaus input is not squarefree")
             continue
-        pieces = _ddf_mod(_monic_mod(fbar, p), p)
+        R = _fp_polys(p)
+        pieces = _ddf(R, R.monic(fbar))
         count = sum((len(g) - 1) // k for g, k in pieces)
         if count == 1:
             return [list(ints)]  # irreducible mod p => irreducible over Q
@@ -591,7 +559,7 @@ def _factor_sqfree_primitive_z(ints, start=2):
         if best[1] <= 4 or tried >= (10 if best[1] > 8 else 3):
             break
     p, _, pieces = best
-    parts = [g for prod, k in pieces for g in _edf_mod(prod, k, p)]
+    parts = [g for prod, k in pieces for g in _edf(_fp_polys(p), prod, k)]
     bound = _mignotte_bound(ints)
     k = 1
     while p**k <= 2 * bound:
@@ -751,7 +719,8 @@ def mod_p_certificate(f: Poly, prime_bound: int = MOD_P_SCAN_BOUND):
             return None
         if prim[-1] % p == 0:
             continue
-        if is_irreducible_ff(Poly(PrimeField(p), prim)):
+        R = _fp_polys(p)
+        if _rabin(R, R.monic([c % p for c in prim])):
             return p
     return None
 

@@ -297,9 +297,6 @@ class PrimeField(BaseField):
     def element_str(self, x) -> str:
         return str(x.r)
 
-    def pth_root(self, x: FpElem) -> FpElem:
-        return x  # a^p = a in F_p
-
     def elements(self):
         return [FpElem(r, self.p) for r in range(self.p)]
 

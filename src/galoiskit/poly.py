@@ -14,9 +14,9 @@ compute on ints and wrap only the output coefficients:
 * over F_p, int residues (`_mul_mod`, `_divmod_mod`, shared with Hensel
   lifting mod p^k), with no `FpElem` arithmetic per coefficient product;
   `%` uses the remainder-only `_rem_mod`, and `poly_gcd` and `gcd_ext`
-  run their whole loop on residues (`_gcd_mod`, `_xgcd_mod`, which
-  Zassenhaus calls directly), so squarefree parts and Rabin's test wrap
-  only their results;
+  run their whole loop on residues (`_gcd_mod`, `_xgcd_mod`).  The
+  finite-field algorithms of `factor` and Zassenhaus call these residue
+  functions directly and wrap only their results;
 * over Q, integer numerators over one common denominator (`_numerators`):
   the unreduced product `_mul_int` (which `_mul_mod` reduces) and the
   fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end
@@ -72,39 +72,7 @@ class _NegInfinity:
         return "-oo"
 
 
-class _Infinity:
-    """Codegree of the zero polynomial: greater than every int."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
-    def __gt__(self, other):
-        return not isinstance(other, _Infinity)
-
-    def __ge__(self, other):
-        return True
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "oo"
-
-
 NEG_INFINITY = _NegInfinity()
-INFINITY = _Infinity()
 
 
 class Poly:
@@ -537,14 +505,6 @@ def _from_residues(dom, ints):
     return Poly(dom, _fp_elems(dom.p, ints), normalize=False)
 
 
-def codegree(f: Poly):
-    """Least i with a nonzero coefficient of t^i; INFINITY for the zero poly."""
-    for i, c in enumerate(f.coeffs):
-        if c:
-            return i
-    return INFINITY
-
-
 def gcd_ext(f: Poly, g: Poly):
     """Extended gcd over a field: returns (d, a, b) with d = a*f + b*g,
     d the monic generator of <f, g> (zero iff f = g = 0)."""
@@ -578,43 +538,22 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     return f.monic()
 
 
-def has_repeated_root(f: Poly) -> bool:
-    """True iff f has a repeated root in its splitting field, detected as a
-    nonconstant common factor of f and its formal derivative."""
-    if f.is_zero():
-        raise ZeroPolynomial("zero polynomial")
-    d = poly_gcd(f, f.derivative())
-    return d.degree >= 1
-
-
 def squarefree_part(f: Poly) -> Poly:
-    """The monic product of the distinct irreducible factors of f.
-
-    In characteristic p, f / gcd(f, f') misses factors whose multiplicity is
-    divisible by p (their derivative contribution vanishes), so the cofactor
-    gcd(f, f') is processed recursively, with p-th-power deflation when the
-    derivative is identically zero.
-    """
+    """The monic product of the distinct irreducible factors of f: g divided
+    by gcd(g, g') for the monic g = f / lc(f) in characteristic 0.  In
+    characteristic p that misses the factors whose multiplicity p divides,
+    and the finite-field kernel's squarefree part runs instead."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     g = f.monic()
     if g.degree <= 0:
         return Poly.one(g.dom)
-    d = poly_gcd(g, g.derivative())
-    if d.degree == 0:
-        return g
-    if d.degree == g.degree:
-        # g is a polynomial in t^p (derivative vanished); over a finite
-        # field g = h^p where h takes the p-th root of each coefficient.
-        p = g.dom.characteristic
-        h = Poly(
-            g.dom,
-            [g.dom.pth_root(g.coeff(i)) for i in range(0, len(g.coeffs), p)],
-        )
-        return squarefree_part(h)
-    w = g.exact_div(d).monic()  # factors of multiplicity not divisible by p
-    rest = squarefree_part(d)  # factors of multiplicity >= 2 or divisible by p
-    return (w * rest.exact_div(poly_gcd(rest, w))).monic()
+    if g.dom.characteristic:
+        from .factor import _polys, _squarefree_part
+
+        R = _polys(g.dom)
+        return R.wrap(_squarefree_part(R, R.read(g)))
+    return g.exact_div(poly_gcd(g, g.derivative()))
 
 
 def content_primitive(f: Poly):

@@ -411,6 +411,19 @@ def test_ngon_below_three_vertices_is_an_input_error():
         assert proc.stdout == ""
 
 
+def test_irreducible_refuses_zero_and_constants_over_every_field(capsys):
+    # neither reducible nor irreducible: the same exit and message over Q and F_p
+    for field in ([], ["--field", "F2"], ["--field", "F7"]):
+        for poly, message in (
+            ("0", "error: zero polynomial is neither reducible nor irreducible\n"),
+            ("1", "error: constants are neither reducible nor irreducible\n"),
+            ("3", "error: constants are neither reducible nor irreducible\n"),
+        ):
+            assert dispatch([*field, "irreducible", poly]) == 2, (field, poly)
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", message), (field, poly)
+
+
 def test_gf_huge_degree_is_refused_before_any_work(capsys):
     t0 = time.monotonic()
     assert dispatch(["gf", "3", "10000000"]) == 3

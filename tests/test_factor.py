@@ -23,6 +23,7 @@ from galoiskit.poly import Poly, poly_gcd
 from galoiskit.factor import (
     _ddf,
     _factor_sqfree_primitive_z,
+    _polys,
     _powmod,
     check_eisenstein,
     cyclotomic_p,
@@ -160,17 +161,19 @@ def test_powmod_matches_repeated_multiplication():
     rng = random.Random(29)
     for p in (2, 3, 5, 7, 13, 31, 1031):
         F = PrimeField(p)
+        R = _polys(F)
+        powmod = lambda b, e, f: R.wrap(_powmod(R, R.read(b), e, R.read(f)))
         for _ in range(4):
             d = rng.randint(1, 5)
             f = Poly(F, [rng.randrange(p) for _ in range(d)] + [rng.randrange(1, p)])
             b = Poly(F, [rng.randrange(p) for _ in range(rng.randint(0, 2 * d + 2))])
-            assert _powmod(b, 0, f) == Poly.one(F)
-            assert _powmod(b, 1, f) == b % f
-            assert _powmod(b, p, f) == power(b, p, f)
+            assert powmod(b, 0, f) == Poly.one(F)
+            assert powmod(b, 1, f) == b % f
+            assert powmod(b, p, f) == power(b, p, f)
             want = b % f
             for _ in range(d):
                 want = power(want, p, f)
-            got = _powmod(b, p**d, f)
+            got = powmod(b, p**d, f)
             assert got == want and all(c.p == p for c in got.coeffs)
 
 
@@ -193,7 +196,8 @@ def test_ddf_pattern_counts_the_modular_factors():
             fbar = Poly(PrimeField(p), ints)
             if poly_gcd(fbar, fbar.derivative()).degree != 0:
                 continue
-            pieces = _ddf(fbar.monic())
+            R = _polys(fbar.dom)
+            pieces = [(R.wrap(g), k) for g, k in _ddf(R, R.read(fbar.monic()))]
             assert sum(g.degree // k for g, k in pieces) == len(factor_ff(fbar).factors)
             assert all(g.degree % k == 0 for g, k in pieces)
             checked += 1
@@ -281,6 +285,45 @@ def test_distinct_roots_vs_linear_factors_fp():
         fact = factor_fp(f)
         linear = sum(m for g, m in fact.factors if g.degree == 1)
         assert linear == len(roots_fp(f))
+
+
+def test_prime_field_and_degree_one_tower_rings_agree():
+    # every monic polynomial of degree <= 6 over F_2, <= 4 over F_3 and <= 3
+    # over F_5, on residue lists over F_p and on Poly over Tower(F_p, t)
+    for p, top in ((2, 6), (3, 4), (5, 3)):
+        F = PrimeField(p)
+        T, _ = adjoin_root(F, Poly.t(F), "s")
+        down = lambda g: g.map_domain(F, lambda c: T.flatten(c)[0])
+        for deg in range(top + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                f = Poly(F, list(low) + [1])
+                ft = f.map_domain(T, T.coerce)
+                fact, fact_t = factor_ff(f), factor_ff(ft)
+                assert fact.unit == T.flatten(fact_t.unit)[0], f
+                assert fact.factors == tuple((down(g), m) for g, m in fact_t.factors), f
+                assert roots_fp(f) == {T.flatten(r)[0] for r in roots_fp(ft)}, f
+                if deg:
+                    assert is_irreducible_ff(f) == is_irreducible_ff(ft), f
+                else:
+                    for g in (f, ft):
+                        with pytest.raises(ConstantPolynomial):
+                            is_irreducible_ff(g)
+
+
+def test_rabin_over_fp_builds_no_poly(monkeypatch):
+    built = []
+    init = Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    for p, coeffs, want in ((7, [9, 14, 0, -8], True), (3, [9, 14, 0, -8], False), (2, [1, 0, 1, 0, 0, 1], True)):
+        f = Poly(PrimeField(p), coeffs)
+        built.clear()
+        assert is_irreducible_ff(f) == want
+        assert not built
+    for coeffs, want in (([9, 14, 0, -8], 7), ([-1, -1, 0, 0, 0, 1], 3), ([2, 0, 3, 0, 1], None)):
+        f = q(coeffs)
+        built.clear()
+        assert mod_p_certificate(f) == want
+        assert not built
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +543,8 @@ def test_factor_q_swinnerton_dyer_recombination_is_bounded(monkeypatch):
         return real(a, b, m)
 
     monkeypatch.setattr(factor_mod, "_mul_mod", counting)
-    real_ddf, scanned = factor_mod._ddf_mod, []
-    monkeypatch.setattr(factor_mod, "_ddf_mod", lambda f, p: scanned.append(p) or real_ddf(f, p))
+    real_ddf, scanned = factor_mod._ddf, []
+    monkeypatch.setattr(factor_mod, "_ddf", lambda R, f: scanned.append(R.p) or real_ddf(R, f))
     f = _swinnerton_dyer([2, 3, 5, 7, 11])
     assert f.degree == 32
     fact = factor_q(f, max_degree=32)
@@ -583,7 +626,7 @@ def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
     import galoiskit.factor as factor_mod
     from galoiskit.cli import parse_poly
 
-    real_z, real_ddf = factor_mod._factor_sqfree_primitive_z, factor_mod._ddf_mod
+    real_z, real_ddf = factor_mod._factor_sqfree_primitive_z, factor_mod._ddf
     calls, tried = [], []
     monkeypatch.setattr(
         factor_mod,
@@ -594,7 +637,7 @@ def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
         factor_q(parse_poly(src), max_degree=22)
     assert len(calls) == len(_GOLDEN_FACTOR_INPUTS)
     assert sum(start > 2 for _, start in calls) >= 2
-    monkeypatch.setattr(factor_mod, "_ddf_mod", lambda f, p: tried.append(p) or real_ddf(f, p))
+    monkeypatch.setattr(factor_mod, "_ddf", lambda R, f: tried.append(R.p) or real_ddf(R, f))
     for ints, start in calls:
         tried.clear()
         got = real_z(ints, start)

@@ -10,18 +10,15 @@ import pytest
 from galoiskit.errors import DivisionByZeroPoly, ZeroPolynomial
 from galoiskit.numbers import QQ, FpElem, PrimeField
 from galoiskit.poly import (
-    INFINITY,
     NEG_INFINITY,
     Poly,
     PolyRing,
     _divmod_mod,
     _mul_mod,
     _xgcd_mod,
-    codegree,
     content_primitive,
     discriminant,
     gcd_ext,
-    has_repeated_root,
     poly_gcd,
     render,
     resultant,
@@ -351,15 +348,6 @@ def test_derivative_product_rule_random():
             assert (f * g).derivative() == f * g.derivative() + f.derivative() * g
 
 
-def test_has_repeated_root():
-    sq = q([1, 0, 1]) * q([1, 0, 1])  # (t^2+1)^2
-    assert has_repeated_root(sq)
-    assert not has_repeated_root(q([-2, 0, 0, 1]))
-    assert has_repeated_root(q([1, -2, 1]))  # (t-1)^2
-    with pytest.raises(ZeroPolynomial):
-        has_repeated_root(q([]))
-
-
 def test_squarefree_part():
     f = q([1, 0, 1]) * q([1, 0, 1]) * q([-2, 1])
     s = squarefree_part(f)
@@ -487,21 +475,6 @@ def test_discriminant():
     # disc(t^3 + pt + q) = -4p^3 - 27q^2
     for p3, q3 in [(-2, 1), (1, 1), (0, -2)]:
         assert discriminant(q([q3, p3, 0, 1])) == -4 * p3**3 - 27 * q3**2
-
-
-def test_codegree():
-    assert codegree(q([0, 0, 0, 1, 0, 1])) == 3
-    assert codegree(q([])) is INFINITY
-    assert INFINITY > 10**9
-    assert codegree(q([5])) == 0
-    # codeg(fg) = codeg(f) + codeg(g) over an integral domain
-    rng = random.Random(41)
-    for _ in range(40):
-        f = rand_poly(rng, QQ, 4)
-        g = rand_poly(rng, QQ, 4)
-        if f.is_zero() or g.is_zero():
-            continue
-        assert codegree(f * g) == codegree(f) + codegree(g)
 
 
 def test_render():
