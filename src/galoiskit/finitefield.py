@@ -155,7 +155,7 @@ class GF:
 
     def to_tower_elem(self, a):
         t = self.tower()
-        return t.unflatten([PrimeField(self.p).from_int(c) for c in a])
+        return t.unflatten(a)
 
     def element_str(self, a) -> str:
         if self.n == 1:

@@ -18,7 +18,6 @@ and the quotient checks of the correspondence module.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import InternalInvariant, NotASubgroup, OrderCap
@@ -184,9 +183,12 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
     power-product basis: adjoining root r for a level of degree d maps
     a^i * b_j to r^i * image(b_j), i outer and j inner as in `Tower.flatten`.
     Those images, flattened, are the columns of the automorphism's matrix.
-    For a level of degree d > 1 the root scan skips the images of lower
-    generators (the map is injective), and it stops after d roots, as many
-    as the mapped minimal polynomial has."""
+    The mapped minimal polynomial m_phi divides f and splits in the normal
+    field M; for d > 1 it is irreducible over the image of the level below,
+    so none of its roots is an image of a lower generator.  So the candidates
+    -- the roots, less those images when d > 1 -- hold exactly d roots of
+    m_phi: the scan tests them in order and takes the untested rest without
+    evaluating once they are as many as the roots still missing."""
     field = sf.field
     chain = field.chain()
     roots = sf.roots
@@ -203,14 +205,23 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
             found.append((tuple(images), mat))
             return
         level = chain[k]
-        # the minimal polynomial's coefficients live in chain[k-1] (or the base)
-        m_phi = Poly(field, [
-            field.unflatten(mat_mul_vec(mat, level.lower.flatten(c), zero))
-            for c in level.minpoly.coeffs
-        ])
         d = level.level_degree
-        hits = (r for r in roots if not (d > 1 and r in images or m_phi.eval(r)))
-        for r in itertools.islice(hits, d):
+        cands = [r for r in roots if not (d > 1 and r in images)]
+        hits, m_phi = [], None
+        for i, r in enumerate(cands):
+            if len(hits) == d:
+                break
+            if len(cands) - i == d - len(hits):
+                hits += cands[i:]
+                break
+            if m_phi is None:  # the minimal polynomial's coefficients live in chain[k-1]
+                m_phi = Poly(field, [
+                    field.unflatten(mat_mul_vec(mat, level.lower.flatten(c), zero))
+                    for c in level.minpoly.coeffs
+                ])
+            if not m_phi.eval(r):
+                hits.append(r)
+        for r in hits:
             basis_up = list(basis)
             power = r
             for _ in range(1, d):

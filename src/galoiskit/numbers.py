@@ -20,6 +20,7 @@ Primality and factorization are deterministic trial division, capped by
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import Budget, NotPrime, ZeroInverse
 
@@ -176,6 +177,21 @@ class FpElem:
         return f"{self.r}"
 
 
+@lru_cache(maxsize=None)  # at most one table per prime below 1024
+def _residue_table(p):
+    return tuple(FpElem(r, p) for r in range(p))
+
+
+def _fp_elems(p, ints):
+    """FpElems from reduced int residues; for p < 1024 each residue is one
+    shared FpElem, looked up, not constructed (a table costs p objects, so
+    larger primes construct each one)."""
+    if p >= 1024:
+        return [FpElem(c, p) for c in ints]
+    table = _residue_table(p)
+    return [table[c] for c in ints]
+
+
 def fp_inv(a: FpElem) -> FpElem:
     """Multiplicative inverse in F_p; raises ZeroInverse on a = 0."""
     return a.inv()
@@ -183,7 +199,9 @@ def fp_inv(a: FpElem) -> FpElem:
 
 class BaseField:
     """The tower protocol of `galoiskit.tower.Tower` for a field of degree 1
-    over itself."""
+    over itself.  `_flat` and `_view` convert between scalars and the kernel
+    coordinates that tower elements store: the `Fraction` itself over Q, the
+    int residue in [0, p) over F_p."""
 
     @property
     def base(self):
@@ -238,6 +256,11 @@ class RationalField(BaseField):
     def exact_div(self, a, b):
         return a / b
 
+    _flat = coerce
+
+    def _view(self, coords) -> list:
+        return list(coords)
+
     def sort_key(self, x):
         return x
 
@@ -290,6 +313,12 @@ class PrimeField(BaseField):
 
     def exact_div(self, a, b):
         return a / b
+
+    def _flat(self, x) -> int:
+        return x % self.p if type(x) is int else self.coerce(x).r
+
+    def _view(self, coords) -> list:
+        return _fp_elems(self.p, coords)
 
     def sort_key(self, x):
         return x.r

@@ -33,12 +33,11 @@ any exact integral domain with exact division.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import zip_longest
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroPoly, ZeroPolynomial
-from .numbers import QQ, FpElem, PrimeField, RationalField
+from .numbers import QQ, PrimeField, RationalField, _fp_elems
 
 
 class _NegInfinity:
@@ -484,21 +483,6 @@ def _from_numerators(ints, den):
     if den == 1:
         return Poly(QQ, [Fraction(c) for c in ints], normalize=False)
     return Poly(QQ, [Fraction(c, den) for c in ints], normalize=False)
-
-
-@lru_cache(maxsize=None)  # at most one table per prime below 1024
-def _residue_table(p):
-    return tuple(FpElem(r, p) for r in range(p))
-
-
-def _fp_elems(p, ints):
-    """FpElems from reduced int residues; for p < 1024 each residue is one
-    shared FpElem, looked up, not constructed (a table costs p objects, so
-    larger primes construct each one)."""
-    if p >= 1024:
-        return [FpElem(c, p) for c in ints]
-    table = _residue_table(p)
-    return [table[c] for c in ints]
 
 
 def _from_residues(dom, ints):

@@ -186,12 +186,15 @@ def _build(f: Poly, cap: int) -> SplittingField:
     field, roots = _split_squarefree(sq, cap)
     # multiplicity of a root = multiplicity of its irreducible factor; roots
     # sort by that factor's degree (= the root's degree over the base), then
-    # by coordinates
-    lifted = [(g.map_domain(field, field.coerce), mult) for g, mult in fact.factors]
+    # by coordinates.  The factors are distinct separable irreducibles, so a
+    # factor of degree d owns exactly d roots and is not tested once it has them
+    lifted = [[g.map_domain(field, field.coerce), mult, g.degree] for g, mult in fact.factors]
     mults, keys = [], []
     for r in roots:
-        for g_up, mult in lifted:
-            if not g_up.eval(r):
+        for entry in lifted:
+            g_up, mult, missing = entry
+            if missing and not g_up.eval(r):
+                entry[2] -= 1
                 break
         else:
             raise ZeroPolynomial("root does not belong to any factor")

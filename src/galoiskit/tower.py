@@ -3,25 +3,30 @@
 A Tower is an immutable chain: its `lower` field is another Tower or a base
 field, and `minpoly` is a monic irreducible polynomial over that lower field.
 A base field (QQ / PrimeField) is the tower of height 0 (`numbers.BaseField`):
-it answers the same structural questions, so `chain`, `flatten`, `unflatten`
-and the degrees recurse into `lower` and stop there; only the product kernel
-and equality look at which kind of field `lower` is.
-Elements (`TowerElem`) are fixed-length coefficient tuples over the lower
-level, always reduced mod the level's minimal polynomial; level-0
-coefficients are base scalars.  The flattened coordinate vector over the
-base realizes the power-product basis, which is what all the linear algebra
-(minimal polynomials, fixed fields, subfield membership) runs on.
+it answers the same structural questions, so `chain` and the degrees recurse
+into `lower` and stop there.
 
-A product (`Tower._mul`) builds no `Poly`: over Q it pseudo-divides the
-integer product of numerators by the cached integer minimal polynomial and
-builds one `Fraction` per coefficient; over F_p it runs on residues; over a
-lower level it is a schoolbook convolution and a monic reduction.
+An element (`TowerElem`) is stored flat: the tuple of its coordinates in the
+power-product basis a^i * b_j * ... over the base (i of the top level
+outermost), in kernel form -- `Fraction`s over Q, int residues in [0, p)
+over F_p.  An element of an ancestor level is its own tuple followed by
+zeros, so embedding is padding.  Sums and differences are coordinatewise;
+a product (`Tower._mul`) over a base field multiplies the coordinate lists
+as polynomials and reduces once by the minimal polynomial (the integer
+numerators over Q, residues over F_p), and over a lower level it convolves
+the length-[lower : base] slices with the lower product and reduces by the
+minimal polynomial, whose coefficients are cached as lower tuples.  No
+element object is built below the top, and no `FpElem` at all.  The base
+scalars of `flatten` and the level view `TowerElem.coeffs` (coefficients
+over the lower level, for printing, inversion and `Poly`) are made only
+when asked for.  The flat coordinates are what all the linear algebra
+(minimal polynomials, fixed fields, subfield membership) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
 tower.  A certified primitive element gamma also gives the one-level field
 base[y]/(m_gamma) (`primitive_field`), with one cached change of basis each
-way; Trager factoring runs there instead of on the recursive elements.
+way; Trager factoring runs there instead of on the tower.
 """
 
 from __future__ import annotations
@@ -37,85 +42,92 @@ from .errors import (
     ZeroInverse,
 )
 from .linalg import Echelon
-from .poly import (
-    Poly, _fp_elems, _mul_int, _mul_mod, _numerators, _pseudo_divmod, _rem_mod, gcd_ext
-)
+from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, _rem_mod, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 
 
 class TowerElem:
-    __slots__ = ("tower", "coeffs")
+    """An element of a Tower: `v` is its flat coordinate tuple over the base
+    (see the module docstring)."""
 
-    def __init__(self, tower, coeffs):
+    __slots__ = ("tower", "v")
+
+    def __init__(self, tower, v: tuple):
         self.tower = tower
-        self.coeffs = tuple(coeffs)  # length == tower.level_degree, reduced
+        self.v = v  # length tower.absolute_degree(), kernel form
 
-    def _lift(self, other):
-        """Coerce an operand into this element's tower, or return None."""
+    @property
+    def coeffs(self) -> list:
+        """The level view: coefficients over the lower level, lowest first."""
+        return self.tower.lower._view(self.v)
+
+    def _operand(self, other):
+        """The coordinates of an operand coerced into this element's tower,
+        or None."""
+        if type(other) is TowerElem and other.tower is self.tower:
+            return other.v
         try:
-            return self.tower.coerce(other)
+            return self.tower.coerce(other).v
         except (TypeError, TowerMismatch, ValueError):
             return None
 
     def __add__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return TowerElem(
-            self.tower, [a + b for a, b in zip(self.coeffs, o.coeffs)]
-        )
+        return TowerElem(self.tower, self.tower._add(self.v, o))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TowerElem(self.tower, [-a for a in self.coeffs])
+        t = self.tower
+        return TowerElem(t, t._sub(t._zero, self.v))
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return TowerElem(
-            self.tower, [a - b for a, b in zip(self.coeffs, o.coeffs)]
-        )
+        return TowerElem(self.tower, self.tower._sub(self.v, o))
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return TowerElem(self.tower, self.tower._sub(o, self.v))
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return TowerElem(self.tower, self.tower._mul(self.coeffs, o.coeffs))
+        return TowerElem(self.tower, self.tower._mul(self.v, o))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self * o.inv()
+        return self * TowerElem(self.tower, o).inv()
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return o * self.inv()
+        return TowerElem(self.tower, o) * self.inv()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        result = self.tower.one()
-        base = self
+        t = self.tower
+        result, base = t._one, self.v
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = t._mul(result, base)
             n >>= 1
-        return result
+            if n:
+                base = t._mul(base, base)
+        return TowerElem(t, result)
 
     def inv(self) -> "TowerElem":
         """Inverse via the extended Euclidean algorithm mod the minpoly."""
@@ -129,17 +141,17 @@ class TowerElem:
 
     def __eq__(self, other):
         if isinstance(other, TowerElem) and other.tower == self.tower:
-            return self.coeffs == other.coeffs
-        o = self._lift(other)
+            return self.v == other.v
+        o = self._operand(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.v == o
 
     def __hash__(self):
-        return hash((self.tower, self.coeffs))
+        return hash((self.tower, self.v))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.v)
 
     def __repr__(self):
         return self.tower.element_str(self)
@@ -166,14 +178,18 @@ class Tower:
         self.level_degree = minpoly.degree
         self.base = lower.base
         self.characteristic = self.base.characteristic
-        self._n = self.level_degree * lower.absolute_degree()
+        self._m = lower.absolute_degree()
+        self._n = self.level_degree * self._m
+        self._zero = (self.base._flat(0),) * self._n
+        self._one = (self.base._flat(1),) + self._zero[1:]
         # the monic minimal polynomial in the product kernel's form
-        if isinstance(lower, Tower):
-            self._modulus = minpoly.coeffs[:-1]
+        if isinstance(lower, Tower):  # (j, coordinates) of the nonzero lower coefficients
+            self._modulus = [(j, c.v) for j, c in enumerate(minpoly.coeffs[:-1]) if c]
         elif self.characteristic:
-            self._modulus = [c.r for c in minpoly.coeffs]
+            self._modulus = [lower._flat(c) for c in minpoly.coeffs]
         else:  # integer numerators; the leading one is the common denominator
             self._modulus = _numerators(minpoly.coeffs)[0]
+        self._hash = hash(("Tower", self.level_degree, lower, minpoly.coeffs))
         self._primitive = None
         self._primitive_echelon = None
         self._primitive_powers = None
@@ -182,15 +198,13 @@ class Tower:
     # -- field-object protocol ------------------------------------------------
 
     def zero(self):
-        return TowerElem(self, [self.lower.zero()] * self.level_degree)
+        return TowerElem(self, self._zero)
 
     def one(self):
-        z = self.lower.zero()
-        return TowerElem(self, [self.lower.one()] + [z] * (self.level_degree - 1))
+        return TowerElem(self, self._one)
 
     def from_int(self, n: int):
-        z = self.lower.zero()
-        return TowerElem(self, [self.lower.from_int(n)] + [z] * (self.level_degree - 1))
+        return self.coerce(n)
 
     def coerce(self, x):
         if isinstance(x, TowerElem):
@@ -198,15 +212,14 @@ class Tower:
                 return x
             if x.tower not in self.lower.chain():
                 raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
-        c = self.lower.coerce(x)  # scalars and lower levels climb one level at a time
-        z = self.lower.zero()
-        return TowerElem(self, [c] + [z] * (self.level_degree - 1))
+            return TowerElem(self, x.v + self._zero[len(x.v) :])
+        return TowerElem(self, (self.base._flat(x),) + self._zero[1:])
 
     def exact_div(self, a, b):
         return a / b
 
     def sort_key(self, x):
-        return tuple(self.base.sort_key(c) for c in self.flatten(x))
+        return self.coerce(x).v
 
     def pth_root(self, x):
         """Unique p-th root in a finite tower (inverse Frobenius)."""
@@ -217,46 +230,55 @@ class Tower:
 
     # -- structure --------------------------------------------------------------
 
-    def _mul(self, a, b) -> list:
-        """Product of two coefficient tuples, reduced mod the minimal
+    def _add(self, a, b) -> tuple:
+        p = self.characteristic
+        if p:
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        return tuple([x + y for x, y in zip(a, b)])
+
+    def _sub(self, a, b) -> tuple:
+        p = self.characteristic
+        if p:
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+        return tuple([x - y for x, y in zip(a, b)])
+
+    def _mul(self, a, b) -> tuple:
+        """Product of two coordinate tuples, reduced mod the minimal
         polynomial (see the module docstring)."""
-        n, m, lower = self.level_degree, self._modulus, self.lower
+        d, m, lower = self.level_degree, self._m, self.lower
         if isinstance(lower, Tower):
-            out = [lower.zero()] * (2 * n - 1)
-            b_terms = [(j, y) for j, y in enumerate(b) if y]
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in b_terms:
-                        out[i + j] = out[i + j] + x * y
-            for i in range(2 * n - 2, n - 1, -1):
-                if c := out[i]:
-                    for j, mj in enumerate(m, i - n):
-                        if mj:
-                            out[j] = out[j] - c * mj
-            return out[:n]
-        if self.characteristic:
-            p = lower.p
-            r = _rem_mod(_mul_mod([c.r for c in a], [c.r for c in b], p), m, p)
-            return _fp_elems(p, r + [0] * (n - len(r)))
+            mul, add, sub = lower._mul, lower._add, lower._sub
+            b_terms = [(j, y) for j in range(d) if any(y := b[j * m : j * m + m])]
+            out = [lower._zero] * (2 * d - 1)
+            for i in range(d):
+                if any(x := a[i * m : i * m + m]):
+                    for j, y in b_terms:  # a first term is stored, not added to zero
+                        xy = mul(x, y)
+                        out[i + j] = add(out[i + j], xy) if any(out[i + j]) else xy
+            for k in range(2 * d - 2, d - 1, -1):
+                if any(c := out[k]):
+                    for j, mj in self._modulus:
+                        out[k - d + j] = sub(out[k - d + j], mul(c, mj))
+            return tuple(itertools.chain.from_iterable(out[:d]))
+        if p := self.characteristic:
+            r = _rem_mod(_mul_int(a, b), self._modulus, p)
+            return tuple(r) + self._zero[len(r) :]
         (na, da), (nb, db) = _numerators(a), _numerators(b)
         r, s = _mul_int(na, nb), 1
-        if len(r) > n:  # s * r = q * m + remainder
-            _, r, s = _pseudo_divmod(r, m)
+        if len(r) > d:  # s * r = q * m + remainder
+            _, r, s = _pseudo_divmod(r, self._modulus)
         den = s * da * db
-        return [Fraction(c, den) for c in r] + [Fraction(0)] * (n - len(r))
+        return tuple([Fraction(c, den) for c in r]) + self._zero[len(r) :]
 
     def _from_poly(self, poly: Poly) -> TowerElem:
-        coeffs = list(poly.coeffs)
-        z = self.lower.zero()
-        coeffs += [z] * (self.level_degree - len(coeffs))
-        return TowerElem(self, coeffs)
+        vec = [c for x in poly.coeffs for c in self.lower.flatten(x)]
+        return self.unflatten(vec + [self.base.zero()] * (self._n - len(vec)))
 
     def generator(self) -> TowerElem:
-        z = self.lower.zero()
-        o = self.lower.one()
         if self.level_degree == 1:
-            return self._from_poly(-(self.minpoly.coeff(0)) + Poly.zero(self.lower))
-        return TowerElem(self, [z, o] + [z] * (self.level_degree - 2))
+            return self.coerce(-self.minpoly.coeff(0))
+        m = self._m
+        return TowerElem(self, self._zero[:m] + self._one[:1] + self._zero[m + 1 :])
 
     def chain(self):
         """Tower levels bottom-up."""
@@ -282,22 +304,25 @@ class Tower:
 
     def flatten(self, x) -> list:
         """Coordinates of x in the power-product basis over the base field."""
-        flatten = self.lower.flatten
-        return [v for c in self.coerce(x).coeffs for v in flatten(c)]
+        return self.base._view(self.coerce(x).v)
 
     def unflatten(self, vec) -> TowerElem:
-        m, unflatten = self._n // self.level_degree, self.lower.unflatten
-        return TowerElem(self, [unflatten(vec[i : i + m]) for i in range(0, self._n, m)])
+        return TowerElem(self, tuple(map(self.base._flat, vec)))
+
+    def _view(self, coords) -> list:
+        """The elements whose concatenated coordinates are `coords`."""
+        n = self._n
+        return [TowerElem(self, coords[i : i + n]) for i in range(0, len(coords), n)]
 
     def try_lower_to_base(self, f: Poly):
         """Rewrite a polynomial over this tower as one over the base field,
         or return None if some coefficient is not a base scalar."""
         out = []
         for c in f.coeffs:
-            flat = self.flatten(c)
-            if any(flat[1:]):
+            v = self.coerce(c).v
+            if any(v[1:]):
                 return None
-            out.append(flat[0])
+            out.append(v[0])
         return Poly(self.base, out)
 
     # -- minimal polynomials & primitive elements -------------------------------
@@ -372,10 +397,10 @@ class Tower:
     # -- presentation ---------------------------------------------------------
 
     def element_str(self, x) -> str:
-        x = self.coerce(x)
+        coeffs = self.coerce(x).coeffs
         parts = []
-        for i in range(len(x.coeffs) - 1, -1, -1):
-            c = x.coeffs[i]
+        for i in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[i]
             if not c:
                 continue
             cs = self.lower.element_str(c)
@@ -421,7 +446,7 @@ class Tower:
         )
 
     def __hash__(self):
-        return hash(("Tower", self.level_degree, self.lower, self.minpoly.coeffs))
+        return self._hash
 
 
 def adjoin_root(field, minpoly: Poly, label: str, certify: bool = True):

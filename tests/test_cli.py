@@ -736,6 +736,63 @@ GOLDEN_JSON = [
         ["--json", "construct", "degree", "t^3 - 3/4*t - 1/8"],
         '{"degree":3,"target":"t^3 - 3/4*t - 1/8","verdict":"not_constructible"}\n',
     ),
+    # recorded before tower elements were stored as flat coordinate tuples:
+    # two two-level finite towers and three levels over Q
+    (
+        ["--json", "--field", "F3", "splitting-field", "(t^2+1)*(t^3-t+1)"],
+        '{"degree":6,"multiplicities":[1,1,1,1,1],"polynomial":"t^5 + t^2 +'
+        ' 2*t + 1","roots":["a","2*a","b","b + 1","b + 2"],"tower":[{"label'
+        '":"a","min_poly":"t^2 + 1"},{"label":"b","min_poly":"t^3 + 2*t + 1'
+        '"}]}\n',
+    ),
+    (
+        ["--json", "--field", "F5", "splitting-field", "(t^2+2)*(t^4+t+2)"],
+        '{"degree":6,"multiplicities":[1,1,1,1,1,1],"polynomial":"t^6 + 2*t'
+        '^4 + t^3 + 2*t^2 + 2*t + 4","roots":["2","a","4*a","b","4*b^2 + 3*'
+        'b","b^2 + b + 3"],"tower":[{"label":"a","min_poly":"t^2 + 2"},{"la'
+        'bel":"b","min_poly":"t^3 + 2*t^2 + 4*t + 4"}]}\n',
+    ),
+    (
+        ["--json", "correspondence", "(t^2-2)*(t^2-3)*(t^2-5)"],
+        '{"degree":8,"group_order":8,"mutually_inverse":true,"pair_count":1'
+        '6,"pairs":[{"fixed_field":{"dim":8,"primitive":"((a + 1)*b + a)*c"'
+        ',"primitive_min_poly":"t^8 - 184*t^6 + 8376*t^4 - 107104*t^2 + 193'
+        '6"},"gal_over_matches":true,"normal":true,"order":1,"subgroup":[0]'
+        '},{"fixed_field":{"dim":4,"primitive":"b + a","primitive_min_poly"'
+        ':"t^4 - 16*t^2 + 4"},"gal_over_matches":true,"normal":true,"order"'
+        ':2,"subgroup":[0,1]},{"fixed_field":{"dim":4,"primitive":"c + a","'
+        'primitive_min_poly":"t^4 - 14*t^2 + 9"},"gal_over_matches":true,"n'
+        'ormal":true,"order":2,"subgroup":[0,2]},{"fixed_field":{"dim":4,"p'
+        'rimitive":"b*c + a","primitive_min_poly":"t^4 - 22*t^2 + 1"},"gal_'
+        'over_matches":true,"normal":true,"order":2,"subgroup":[0,3]},{"fix'
+        'ed_field":{"dim":4,"primitive":"c + b","primitive_min_poly":"t^4 -'
+        ' 10*t^2 + 1"},"gal_over_matches":true,"normal":true,"order":2,"sub'
+        'group":[0,4]},{"fixed_field":{"dim":4,"primitive":"a*c + b","primi'
+        'tive_min_poly":"t^4 - 26*t^2 + 49"},"gal_over_matches":true,"norma'
+        'l":true,"order":2,"subgroup":[0,5]},{"fixed_field":{"dim":4,"primi'
+        'tive":"c + a*b","primitive_min_poly":"t^4 - 34*t^2 + 169"},"gal_ov'
+        'er_matches":true,"normal":true,"order":2,"subgroup":[0,6]},{"fixed'
+        '_field":{"dim":4,"primitive":"a*c + a*b","primitive_min_poly":"t^4'
+        ' - 50*t^2 + 25"},"gal_over_matches":true,"normal":true,"order":2,"'
+        'subgroup":[0,7]},{"fixed_field":{"dim":2,"primitive":"a","primitiv'
+        'e_min_poly":"t^2 - 5"},"gal_over_matches":true,"normal":true,"orde'
+        'r":4,"subgroup":[0,1,2,3]},{"fixed_field":{"dim":2,"primitive":"b"'
+        ',"primitive_min_poly":"t^2 - 3"},"gal_over_matches":true,"normal":'
+        'true,"order":4,"subgroup":[0,1,4,5]},{"fixed_field":{"dim":2,"prim'
+        'itive":"a*b","primitive_min_poly":"t^2 - 15"},"gal_over_matches":t'
+        'rue,"normal":true,"order":4,"subgroup":[0,1,6,7]},{"fixed_field":{'
+        '"dim":2,"primitive":"c","primitive_min_poly":"t^2 - 2"},"gal_over_'
+        'matches":true,"normal":true,"order":4,"subgroup":[0,2,4,6]},{"fixe'
+        'd_field":{"dim":2,"primitive":"a*c","primitive_min_poly":"t^2 - 10'
+        '"},"gal_over_matches":true,"normal":true,"order":4,"subgroup":[0,2'
+        ',5,7]},{"fixed_field":{"dim":2,"primitive":"b*c","primitive_min_po'
+        'ly":"t^2 - 6"},"gal_over_matches":true,"normal":true,"order":4,"su'
+        'bgroup":[0,3,4,7]},{"fixed_field":{"dim":2,"primitive":"a*b*c","pr'
+        'imitive_min_poly":"t^2 - 30"},"gal_over_matches":true,"normal":tru'
+        'e,"order":4,"subgroup":[0,3,5,6]},{"fixed_field":{"dim":1,"primiti'
+        've":"1","primitive_min_poly":"t - 1"},"gal_over_matches":true,"nor'
+        'mal":true,"order":8,"subgroup":[0,1,2,3,4,5,6,7]}]}\n',
+    ),
 ]
 
 

@@ -463,3 +463,16 @@ def test_pruned_root_scan_matches_the_full_scan(sf):
     assert {a.generator_images for a in G.elements} == set(expected)
     perms = [a.root_perm for a in G.elements]
     assert perms == sorted(perms) and perms[0] == tuple(range(len(sf.roots)))
+
+
+def test_roots_are_accepted_by_counting(monkeypatch):
+    # a level's mapped minimal polynomial has exactly as many roots among the
+    # candidates as its degree: for S4 every level takes all its candidates
+    # unevaluated, and t^6 - 2 must still test roots at its quadratic level
+    s4 = splitting_field_q(q([-1, -1, 0, 0, 1]))
+    d6 = splitting_field_q(q([-2, 0, 0, 0, 0, 0, 1]))
+    calls = []
+    evaluate = Poly.eval
+    monkeypatch.setattr(Poly, "eval", lambda self, a: calls.append(1) or evaluate(self, a))
+    assert automorphisms(s4).order == 24 and not calls
+    assert automorphisms(d6).order == 12 and calls

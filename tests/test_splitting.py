@@ -226,3 +226,40 @@ def test_json_shape():
     data = sf.to_json()
     assert set(data) == {"degree", "tower", "roots", "multiplicities", "polynomial"}
     assert data["degree"] == 2
+
+
+@pytest.mark.parametrize("build", [
+    lambda: splitting_field_q(q([-2, 0, 1]) * q([-3, 0, 1]) * q([-1, 1]) * q([1, 1]) * q([-2, 0, 0, 1])),
+    lambda: splitting_field_fp(Poly(F3, [1, 0, 1]) * Poly(F3, [1, -1, 0, 1]) * Poly(F3, [0, 1])),
+    lambda: splitting_field_fp(Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 0, 1]) * Poly(F2, [1, 0, 1, 1])),
+])
+def test_each_factor_is_tested_until_it_has_its_roots(monkeypatch, build):
+    # once the roots are found, a factor of degree d is evaluated at roots
+    # until d of them are its zeros, and never after
+    import galoiskit.splitting as splitting
+
+    record, split = None, splitting._split_squarefree
+
+    def split_then_record(*args):
+        nonlocal record
+        out = split(*args)
+        record = []
+        return out
+
+    evaluate = Poly.eval
+
+    def eval_recorded(self, a):
+        value = evaluate(self, a)
+        if record is not None:
+            record.append((self, not value))
+        return value
+
+    monkeypatch.setattr(splitting, "_split_squarefree", split_then_record)
+    monkeypatch.setattr(Poly, "eval", eval_recorded)
+    sf = build()
+    zeros = {}
+    for g, is_zero in record:
+        assert zeros.get(g, 0) < g.degree  # a full factor is not tested again
+        zeros[g] = zeros.get(g, 0) + is_zero
+    assert all(zeros[g] == g.degree for g in zeros)
+    assert sum(zeros.values()) == len(sf.roots)

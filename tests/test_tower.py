@@ -357,7 +357,7 @@ def _poly_route_product(x, y):
     return T._from_poly(Poly(T.lower, x.coeffs) * Poly(T.lower, y.coeffs) % T.minpoly)
 
 
-def _kernel_towers():
+def _q_kernel_towers():
     from galoiskit.splitting import splitting_field_q
 
     A, _ = adjoin_root(QQ, q([-2, 0, 1]), "a")
@@ -367,12 +367,37 @@ def _kernel_towers():
     yield splitting_field_q(q([-1, -1, 0, 0, 1])).field  # degree 24
     R, _ = adjoin_root(QQ, q([Fraction(-5, 3), 0, 1]), "r")  # lc of 3t^2 - 5 is not 1
     yield adjoin_root(R, Poly(R, [Fraction(-1, 2), 0, 1]), "h")[0]
+
+
+def _ff_kernel_towers():
     yield adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")[0]  # F_4
     F9, s = adjoin_root(F3, Poly(F3, [1, 0, 1]), "s")
     yield F9
     yield adjoin_root(F9, Poly(F9, [-(s + 1), 0, 1]), "u")[0]  # F_81 over F_9
-    F1031 = PrimeField(1031)
+    yield adjoin_root(F9, Poly(F9, [-(s + 1), -1, 0, 1]), "v")[0]  # F_3 tower [2, 3]
+    F1031 = PrimeField(1031)  # p >= 1024: FpElems are built on demand, not looked up
     yield adjoin_root(F1031, Poly(F1031, [1, 0, 1]), "i")[0]
+
+
+def _kernel_towers():
+    yield from _q_kernel_towers()
+    yield from _ff_kernel_towers()
+
+
+def _coord(base, rng):
+    if base == QQ:
+        return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
+    return base.from_int(rng.randrange(base.characteristic))
+
+
+def _sample(T, rng, count):
+    """Zero, one, the generator, -2, `count` random elements and one sparse
+    random element of T."""
+    n, base = T.absolute_degree(), T.base
+    xs = [T.zero(), T.one(), T.generator(), T.from_int(-2)]
+    xs += [T.unflatten([_coord(base, rng) for _ in range(n)]) for _ in range(count)]
+    xs.append(T.unflatten([_coord(base, rng) if i % 3 else base.zero() for i in range(n)]))
+    return xs
 
 
 def test_product_kernel_matches_the_poly_route(monkeypatch):
@@ -382,16 +407,7 @@ def test_product_kernel_matches_the_poly_route(monkeypatch):
     monkeypatch.setattr(Poly, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
     for top in _kernel_towers():
         for T in top.chain():
-            n, base = T.absolute_degree(), T.base
-
-            def coord():
-                if base == QQ:
-                    return Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 7]))
-                return base.from_int(rng.randrange(base.characteristic))
-
-            xs = [T.zero(), T.one(), T.generator(), T.from_int(-2)]
-            xs += [T.unflatten([coord() for _ in range(n)]) for _ in range(3 if n > 12 else 6)]
-            xs.append(T.unflatten([coord() if i % 3 else base.zero() for i in range(n)]))
+            xs = _sample(T, rng, 3 if T.absolute_degree() > 12 else 6)
             for x in xs:
                 for y in xs[1:4] + rng.sample(xs[4:], 2):
                     built.clear()
@@ -399,3 +415,86 @@ def test_product_kernel_matches_the_poly_route(monkeypatch):
                     assert not built  # the product builds no Poly
                     assert prod.coeffs == _poly_route_product(x, y).coeffs
                 assert 3 * x == _poly_route_product(T.from_int(3), x)
+
+
+def _check_level_view(T, x, y, invert=True):
+    """Every element operation of T against the same operation on the level
+    view: polynomials over T.lower of degree below the level's degree."""
+    L, m, flat = T.lower, T.minpoly, T.flatten
+    X, Y = Poly(L, x.coeffs), Poly(L, y.coeffs)
+    back = T._from_poly
+    assert flat(x) == [c for lc in x.coeffs for c in L.flatten(lc)]
+    assert T.unflatten(flat(x)) == x and back(X) == x
+    assert flat(x + y) == flat(back(X + Y))
+    assert flat(x - y) == flat(back(X - Y))
+    assert flat(-x) == flat(back(-X))
+    assert flat(x * y) == flat(back(X * Y % m))
+    assert flat(x**3) == flat(back(X * X * X % m))
+    assert x**0 == T.one() and x**1 == x
+    assert (x == y) == (flat(x) == flat(y)) == (X == Y)
+    assert x != x + 1 and hash(x) == hash(back(X)) == hash(T.unflatten(flat(x)))
+    assert bool(x) == bool(X)
+    assert T.sort_key(x) == tuple(T.base.sort_key(c) for c in flat(x))
+    if y and invert:
+        z = y.inv()
+        Z = Poly(L, z.coeffs)
+        assert Y * Z % m == Poly.one(L)
+        assert flat(y**-2) == flat(back(Z * Z % m))
+        assert flat(x / y) == flat(back(X * Z % m))
+
+
+def _check_ancestors(T, x, rng):
+    """Elements of every ancestor level and base scalars embed into T by
+    coerce, as their coordinates followed by zeros, and mix with x."""
+    n, zero = T.absolute_degree(), T.base.zero()
+    for A in [T.base] + T.chain()[:-1]:
+        z = A.unflatten([_coord(T.base, rng) for _ in range(A.absolute_degree())])
+        up = T.coerce(z)
+        assert T.flatten(up) == A.flatten(z) + [zero] * (n - A.absolute_degree())
+        assert up == z and hash(up) == hash(T.unflatten(T.flatten(up)))
+        assert T.flatten(x + z) == T.flatten(x + up)
+        assert T.flatten(x * z) == T.flatten(x * up)
+        assert T.flatten(x - z) == T.flatten(x - up)
+        if A is T.base:  # a scalar on the left defers to the tower element
+            assert T.flatten(z + x) == T.flatten(x + z) and T.flatten(z * x) == T.flatten(x * z)
+            assert T.flatten(z - x) == T.flatten(-(x - z))
+    assert T.flatten(T.coerce(3)) == [T.base.from_int(3)] + [zero] * (n - 1)
+
+
+def test_arithmetic_matches_the_level_view():
+    rng = random.Random(19)
+    for top in _kernel_towers():
+        for T in top.chain():
+            big = T.absolute_degree() > 12
+            xs = _sample(T, rng, 1 if big else 4)
+            for x in xs:
+                for y in xs[2:4] + xs[-1:] if big else xs[:4] + rng.sample(xs[4:], 2):
+                    _check_level_view(T, x, y, invert=not big or x is xs[-1])
+                _check_ancestors(T, x, rng)
+
+
+def test_finite_tower_arithmetic_builds_no_fpelem(monkeypatch):
+    from galoiskit.numbers import FpElem
+
+    rng = random.Random(20)
+    cases = [(T, _sample(T, rng, 4)) for top in _ff_kernel_towers() for T in top.chain()]
+    built = []
+    init = FpElem.__init__
+    monkeypatch.setattr(FpElem, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    for T, xs in cases:
+        for x in xs:
+            for y in xs:
+                x * y, x + y, x - y, -x, x**5, x == y, hash(x), bool(x), T.sort_key(x)
+                x + 1, 2 * x, x == 1
+    assert not built
+
+
+@pytest.mark.slow
+def test_product_kernel_randomized_sweep():
+    rng = random.Random(2024)
+    for top in _kernel_towers():
+        for T in top.chain():
+            xs = _sample(T, rng, 40)
+            for _ in range(2000):
+                x, y = rng.choice(xs), rng.choice(xs)
+                assert T.flatten(x * y) == T.flatten(_poly_route_product(x, y))
