@@ -1,9 +1,11 @@
 """GF(p^n): construction, Frobenius, subfield lattice, multiplicative structure.
 
-Elements are coefficient tuples of ints mod p (length n) with arithmetic done
-directly on the tuples against the defining polynomial.  A single-level tower
-view over F_p is available for interoperating with the splitting/Galois
-machinery.
+GF(p^n) is F_p[a]/(m), the one-level `Tower` over F_p with the defining
+polynomial m, and GF(p) is its degree-1 level F_p[a]/(a).  An element is the
+tower element's coordinate tuple: n ints mod p, lowest power first.  Sums,
+products and powers are the tower's tuple kernels (`Tower._add`, `_sub`,
+`_mul`, `_pow`), so the splitting and Galois machinery and GF share one F_p
+extension product; `GF.tower()` is that tower.
 
 No structure query lists the field (Lidl & Niederreiter, *Finite Fields*,
 ch. 2).  The subfield of order p^m, for each m | n, is the fixed set
@@ -22,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import Budget, InvalidDegree, NotADivisor, NotPrime
+from .errors import Budget, InvalidDegree, NotADivisor, NotPrime, ZeroInverse
 from .numbers import PrimeField, divisors, factor_integer, is_prime
 from .poly import Poly
 from .factor import is_irreducible_ff
@@ -42,8 +44,6 @@ def find_irreducible(p: int, n: int, budget: int = ELEMENT_BUDGET) -> Poly:
     if n >= budget.bit_length() or p**n > budget:
         raise Budget(f"field order {p}^{n} exceeds budget {budget}")
     F = PrimeField(p)
-    if n == 1:
-        return Poly.t(F)
     # canonical order: ascending (a_(n-1), ..., a_0)
     for high_to_low in itertools.product(range(p), repeat=n):
         cand = Poly(F, [F.from_int(c) for c in reversed(high_to_low)] + [F.one()])
@@ -53,7 +53,9 @@ def find_irreducible(p: int, n: int, budget: int = ELEMENT_BUDGET) -> Poly:
 
 
 class GF:
-    """The field of order p^n; elements are length-n tuples of ints mod p."""
+    """The field of order p^n as its one-level tower F_p[a]/(modulus);
+    elements are length-n tuples of ints mod p, the tower's coordinates.
+    `add`, `sub` and `mul` are the tower's tuple kernels."""
 
     def __init__(self, p: int, n: int, modulus: Poly | None = None):
         if not is_prime(p):
@@ -64,24 +66,21 @@ class GF:
         self.n = n
         self.order = p**n
         self.modulus = modulus
-        self._mod_ints = [c.r for c in modulus.coeffs]  # monic, length n+1
-        self._tower = None
+        self._tower = Tower(PrimeField(p), modulus, "a", certify=False)
+        self.add, self.sub, self.mul = self._tower._add, self._tower._sub, self._tower._mul
         self._generator = None  # multiplicative_generator, once found
 
     # -- element helpers ------------------------------------------------------
 
     def zero(self):
-        return (0,) * self.n
+        return self._tower._zero
 
     def one(self):
-        return (1,) + (0,) * (self.n - 1)
+        return self._tower._one
 
     def gen(self):
         """The residue class of t (a root of the defining polynomial)."""
-        if self.n == 1:
-            # modulus is t: the generator is 0
-            return (0,)
-        return (0, 1) + (0,) * (self.n - 2)
+        return self._tower.generator().v
 
     def elements(self):
         """All elements in canonical (ascending coordinate) order."""
@@ -89,78 +88,26 @@ class GF:
             raise Budget(f"enumerating {self.order} elements")
         return list(itertools.product(range(self.p), repeat=self.n))
 
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a, b):
-        p = self.p
-        n = self.n
-        out = [0] * (2 * n - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-        mod = self._mod_ints
-        for i in range(2 * n - 2, n - 1, -1):
-            c = out[i] % p
-            if c:
-                for j in range(n + 1):
-                    out[i - n + j] -= c * mod[j]
-            out[i] = 0
-        return tuple(c % p for c in out[:n])
+        return self.sub(self.zero(), a)
 
     def pow(self, a, e: int):
-        result = self.one()
-        base = a
         if e < 0:
-            base = self.inv(a)
-            e = -e
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+            a, e = self.inv(a), -e
+        return self._tower._pow(a, e)
 
     def inv(self, a):
         if not any(a):
-            raise ZeroDivisionError("zero has no inverse")
-        return self.pow(a, self.order - 2)
-
-    def scalar(self, c: int):
-        return (c % self.p,) + (0,) * (self.n - 1)
+            raise ZeroInverse("zero has no inverse")
+        return self._tower._pow(a, self.order - 2)
 
     # -- structure -------------------------------------------------------------
 
-    def frobenius(self, a):
-        return self.pow(a, self.p)
-
     def tower(self) -> Tower:
-        if self._tower is None:
-            if self.n == 1:
-                raise ValueError("GF(p, 1) is the prime field; no extension level")
-            self._tower = Tower(
-                PrimeField(self.p), self.modulus, "a", certify=False
-            )
         return self._tower
 
-    def to_tower_elem(self, a):
-        t = self.tower()
-        return t.unflatten(a)
-
     def element_str(self, a) -> str:
-        if self.n == 1:
-            return str(a[0])
-        return self.tower().element_str(self.to_tower_elem(a))
+        return self._tower.element_str(self._tower.unflatten(a))
 
     def to_json(self):
         gen = multiplicative_generator(self)
@@ -185,7 +132,7 @@ def gf(p: int, n: int) -> GF:
 
 def frobenius(F: GF, a):
     """x -> x^p, the generator of the Galois group over F_p."""
-    return F.frobenius(a)
+    return F.pow(a, F.p)
 
 
 def frobenius_order(F: GF) -> int:
@@ -195,10 +142,10 @@ def frobenius_order(F: GF) -> int:
     F_p and alpha pointwise fixes F_p(alpha), which is the whole field.
     """
     alpha = F.gen()
-    y = F.frobenius(alpha)
+    y = frobenius(F, alpha)
     m = 1
     while y != alpha:
-        y = F.frobenius(y)
+        y = frobenius(F, y)
         m += 1
         if m > F.n:
             raise RuntimeError("Frobenius order exceeded the field degree")

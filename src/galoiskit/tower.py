@@ -10,17 +10,19 @@ An element (`TowerElem`) is stored flat: the tuple of its coordinates in the
 power-product basis a^i * b_j * ... over the base (i of the top level
 outermost), in kernel form -- `Fraction`s over Q, int residues in [0, p)
 over F_p.  An element of an ancestor level is its own tuple followed by
-zeros, so embedding is padding.  Sums and differences are coordinatewise;
-a product (`Tower._mul`) over a base field multiplies the coordinate lists
-as polynomials and reduces once by the minimal polynomial (the integer
-numerators over Q, residues over F_p), and over a lower level it convolves
-the length-[lower : base] slices with the lower product and reduces by the
-minimal polynomial, whose coefficients are cached as lower tuples.  No
-element object is built below the top, and no `FpElem` at all.  The base
-scalars of `flatten` and the level view `TowerElem.coeffs` (coefficients
-over the lower level, for printing, inversion and `Poly`) are made only
-when asked for.  The flat coordinates are what all the linear algebra
-(minimal polynomials, fixed fields, subfield membership) runs on.
+zeros, so embedding is padding.  Sums and differences are coordinatewise.
+A product (`Tower._mul`) over F_p is the schoolbook product of the residue
+lists, then reduction by the monic minimal polynomial; over Q it multiplies
+the integer numerators and reduces once by pseudo-division; over a lower level it convolves the
+length-[lower : base] slices with the lower product and reduces by the
+minimal polynomial, whose coefficients are cached as lower tuples.  Powers
+(`Tower._pow`) square and multiply those tuples.  GF(p^n)
+(`galoiskit.finitefield`) is a one-level tower over F_p and runs on these
+same kernels.  No element object is built below the top, and no `FpElem`
+at all.  The base scalars of `flatten` and the level view `TowerElem.coeffs`
+(coefficients over the lower level, for printing, inversion and `Poly`) are
+made only when asked for.  The flat coordinates are what all the linear
+algebra (minimal polynomials, fixed fields, subfield membership) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
@@ -42,7 +44,7 @@ from .errors import (
     ZeroInverse,
 )
 from .linalg import Echelon
-from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, _rem_mod, gcd_ext
+from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 
@@ -62,21 +64,27 @@ class TowerElem:
         """The level view: coefficients over the lower level, lowest first."""
         return self.tower.lower._view(self.v)
 
-    def _operand(self, other):
-        """The coordinates of an operand coerced into this element's tower,
-        or None."""
-        if type(other) is TowerElem and other.tower is self.tower:
-            return other.v
+    def _operands(self, other):
+        """(tower, coordinates of self, coordinates of other) in this
+        element's tower, or in the other operand's tower when this one lies
+        below it; None if neither holds both."""
+        t = self.tower
+        if type(other) is TowerElem and other.tower is t:
+            return t, self.v, other.v
         try:
-            return self.tower.coerce(other).v
+            return t, self.v, t.coerce(other).v
         except (TypeError, TowerMismatch, ValueError):
-            return None
+            pass
+        if type(other) is TowerElem and t in other.tower.chain():
+            # Python tries no reflected method between two TowerElems
+            return other.tower, other.tower.coerce(self).v, other.v
+        return None
 
     def __add__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return TowerElem(self.tower, self.tower._add(self.v, o))
+        t, x, y = ops
+        return TowerElem(t, t._add(x, y))
 
     __radd__ = __add__
 
@@ -85,49 +93,41 @@ class TowerElem:
         return TowerElem(t, t._sub(t._zero, self.v))
 
     def __sub__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return TowerElem(self.tower, self.tower._sub(self.v, o))
+        t, x, y = ops
+        return TowerElem(t, t._sub(x, y))
 
     def __rsub__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return TowerElem(self.tower, self.tower._sub(o, self.v))
+        t, x, y = ops
+        return TowerElem(t, t._sub(y, x))
 
     def __mul__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return TowerElem(self.tower, self.tower._mul(self.v, o))
+        t, x, y = ops
+        return TowerElem(t, t._mul(x, y))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return self * TowerElem(self.tower, o).inv()
+        t, x, y = ops
+        return TowerElem(t, x) * TowerElem(t, y).inv()
 
     def __rtruediv__(self, other):
-        o = self._operand(other)
-        if o is None:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return TowerElem(self.tower, o) * self.inv()
+        t, x, y = ops
+        return TowerElem(t, y) * TowerElem(t, x).inv()
 
     def __pow__(self, n: int):
         if n < 0:
             return self.inv() ** (-n)
-        t = self.tower
-        result, base = t._one, self.v
-        while n:
-            if n & 1:
-                result = t._mul(result, base)
-            n >>= 1
-            if n:
-                base = t._mul(base, base)
-        return TowerElem(t, result)
+        return TowerElem(self.tower, self.tower._pow(self.v, n))
 
     def inv(self) -> "TowerElem":
         """Inverse via the extended Euclidean algorithm mod the minpoly."""
@@ -140,12 +140,9 @@ class TowerElem:
         return t._from_poly(a % t.minpoly)
 
     def __eq__(self, other):
-        if isinstance(other, TowerElem) and other.tower == self.tower:
-            return self.v == other.v
-        o = self._operand(other)
-        if o is None:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return self.v == o
+        return ops[1] == ops[2]
 
     def __hash__(self):
         return hash((self.tower, self.v))
@@ -260,15 +257,35 @@ class Tower:
                     for j, mj in self._modulus:
                         out[k - d + j] = sub(out[k - d + j], mul(c, mj))
             return tuple(itertools.chain.from_iterable(out[:d]))
-        if p := self.characteristic:
-            r = _rem_mod(_mul_int(a, b), self._modulus, p)
-            return tuple(r) + self._zero[len(r) :]
+        if p := self.characteristic:  # schoolbook, then reduce by the monic modulus
+            out = [0] * (2 * d - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b):
+                        out[i + j] += x * y
+            mod = self._modulus
+            for k in range(2 * d - 2, d - 1, -1):
+                if c := out[k] % p:
+                    for j in range(d):
+                        out[k - d + j] -= c * mod[j]
+            return tuple([c % p for c in out[:d]])
         (na, da), (nb, db) = _numerators(a), _numerators(b)
         r, s = _mul_int(na, nb), 1
         if len(r) > d:  # s * r = q * m + remainder
             _, r, s = _pseudo_divmod(r, self._modulus)
         den = s * da * db
         return tuple([Fraction(c, den) for c in r]) + self._zero[len(r) :]
+
+    def _pow(self, v, e: int) -> tuple:
+        """v^e for e >= 0, by square-and-multiply on coordinate tuples."""
+        result = self._one
+        while e:
+            if e & 1:
+                result = self._mul(result, v)
+            e >>= 1
+            if e:
+                v = self._mul(v, v)
+        return result
 
     def _from_poly(self, poly: Poly) -> TowerElem:
         vec = [c for x in poly.coeffs for c in self.lower.flatten(x)]

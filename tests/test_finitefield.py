@@ -1,13 +1,15 @@
 """GF(p^n): classification, Frobenius, subfields, multiplicative structure."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
-from galoiskit.errors import Budget, NotADivisor, NotPrime
+from galoiskit.errors import Budget, NotADivisor, NotPrime, ZeroInverse
 from galoiskit.numbers import PrimeField, divisors, is_prime
 from galoiskit.poly import Poly, render
+from galoiskit.tower import Tower
 from galoiskit.factor import factor_fp, is_irreducible_ff
 from galoiskit.finitefield import (
     GF,
@@ -68,6 +70,30 @@ def test_gf_field_axioms_exhaustive_small():
             for b in elems:
                 assert F.add(a, b) == F.add(b, a)
                 assert F.mul(a, b) == F.mul(b, a)
+        with pytest.raises(ZeroInverse):
+            F.inv(F.zero())
+
+
+# the GF shapes of degree <= 10 that the ff_structure benchmark asks, and GF(7)
+KERNEL_SHAPES = ((2, 5), (3, 3), (7, 2), (2, 10), (5, 4), (31, 2), (4099, 1),
+                 (3, 9), (5, 6), (127, 2), (16381, 1), (7, 1))
+
+
+def test_gf_arithmetic_is_its_one_level_tower():
+    """F.mul, F.pow and F.inv on random elements agree with *, ** and inv of
+    the same coordinates in the tower F_p[a]/(modulus)."""
+    rng = random.Random(20)
+    for p, n in KERNEL_SHAPES:
+        F = gf(p, n)
+        T = Tower(PrimeField(p), F.modulus, "a", certify=False)
+        for _ in range(12):
+            a, b = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
+            x, y = T.unflatten(list(a)), T.unflatten(list(b))
+            e = rng.randrange(2, 3 * F.order)
+            assert F.mul(a, b) == (x * y).v
+            assert F.pow(a, e) == (x**e).v
+            if any(a):
+                assert F.inv(a) == x.inv().v
 
 
 def test_frobenius_swaps_f4():

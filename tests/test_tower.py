@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from galoiskit.errors import NotIrreducible, TowerMismatch, ZeroInverse
+from galoiskit.finitefield import find_irreducible
 from galoiskit.linalg import rref, row_space_basis
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
@@ -377,6 +378,9 @@ def _ff_kernel_towers():
     yield adjoin_root(F9, Poly(F9, [-(s + 1), -1, 0, 1]), "v")[0]  # F_3 tower [2, 3]
     F1031 = PrimeField(1031)  # p >= 1024: FpElems are built on demand, not looked up
     yield adjoin_root(F1031, Poly(F1031, [1, 0, 1]), "i")[0]
+    F7 = PrimeField(7)
+    yield Tower(F7, Poly.t(F7), "a", certify=False)  # F_7[a]/(a), the level of GF(7, 1)
+    yield Tower(F2, find_irreducible(2, 20), "a", certify=False)  # the level of GF(2^20)
 
 
 def _kernel_towers():
@@ -445,7 +449,8 @@ def _check_level_view(T, x, y, invert=True):
 
 def _check_ancestors(T, x, rng):
     """Elements of every ancestor level and base scalars embed into T by
-    coerce, as their coordinates followed by zeros, and mix with x."""
+    coerce, as their coordinates followed by zeros, and mix with x on
+    either side."""
     n, zero = T.absolute_degree(), T.base.zero()
     for A in [T.base] + T.chain()[:-1]:
         z = A.unflatten([_coord(T.base, rng) for _ in range(A.absolute_degree())])
@@ -455,9 +460,12 @@ def _check_ancestors(T, x, rng):
         assert T.flatten(x + z) == T.flatten(x + up)
         assert T.flatten(x * z) == T.flatten(x * up)
         assert T.flatten(x - z) == T.flatten(x - up)
-        if A is T.base:  # a scalar on the left defers to the tower element
-            assert T.flatten(z + x) == T.flatten(x + z) and T.flatten(z * x) == T.flatten(x * z)
-            assert T.flatten(z - x) == T.flatten(-(x - z))
+        # on the left, a scalar defers to x and a lower-level element is lifted
+        assert T.flatten(z + x) == T.flatten(up + x)
+        assert T.flatten(z - x) == T.flatten(up - x)
+        assert T.flatten(z * x) == T.flatten(up * x)
+        if x:
+            assert T.flatten(z / x) == T.flatten(up / x)
     assert T.flatten(T.coerce(3)) == [T.base.from_int(3)] + [zero] * (n - 1)
 
 
