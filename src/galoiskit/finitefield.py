@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import Budget, InvalidDegree, NotADivisor, NotPrime, ZeroInverse
+from .errors import Budget, InvalidDegree, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
 from .numbers import PrimeField, divisors, factor_integer, is_prime
 from .poly import Poly
 from .factor import is_irreducible_ff
@@ -61,7 +61,10 @@ class GF:
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         if modulus is None:
-            modulus = find_irreducible(p, n)
+            modulus = find_irreducible(p, n)  # certified by construction
+        elif not (modulus.dom == PrimeField(p) and modulus.degree == n
+                  and modulus.is_monic() and is_irreducible_ff(modulus)):
+            raise NotIrreducible(f"{modulus} is not a monic irreducible of degree {n} over F_{p}")
         self.p = p
         self.n = n
         self.order = p**n

@@ -1,14 +1,15 @@
 """Galois groups of splitting fields, with finite-group structure theory.
 
-Automorphisms are enumerated by the recursive extension principle: the image
-of each tower generator must be a stored root annihilating the mapped minimal
-polynomial of that level.  Because the action on roots is faithful, the group
-is carried as a table of root permutations (canonically sorted, identity
+Over Q automorphisms are found by the recursive extension principle: the
+image of each tower generator must be a stored root annihilating the mapped
+minimal polynomial of that level.  Over F_p the group is cyclic, generated
+by the Frobenius x -> x^p, so its elements are the powers of Frobenius and
+nothing is searched.  Because the action on roots is faithful, the group is
+carried as a table of root permutations (canonically sorted, identity
 first).  Each automorphism also carries its matrix on the flattened
-power-product basis, built once during the search from powers of the
-generator images: about n tower products and n^2 base entries per
-automorphism for a field of degree n.  Applying an automorphism, its root
-permutation and the fixed-field linear algebra all read that matrix.
+power-product basis, built from powers of the generator images (about n
+tower products and n^2 base entries for a field of degree n), which the
+fixed-field linear algebra reads.
 
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
@@ -64,17 +65,6 @@ class FiniteGroup:
         return all(
             t[i][j] == t[j][i] for i in range(self.order) for j in range(i)
         )
-
-    def check_axioms(self) -> bool:
-        t = self.table
-        n = self.order
-        if any(t[0][j] != j or t[j][0] != j for j in range(n)):
-            return False
-        for i in range(n):
-            if not any(t[i][j] == 0 for j in range(n)):
-                return False
-        # associativity spot check is done in tests; full check is O(n^3)
-        return True
 
     def generated_subgroup(self, gens):
         """Indices of the subgroup generated by `gens` (BFS closure)."""
@@ -174,32 +164,41 @@ def apply_automorphism(field, phi: Automorphism, x):
     return field.unflatten(mat_mul_vec(phi.matrix, field.flatten(x), field.base.zero()))
 
 
-def automorphisms(sf: SplittingField) -> GaloisGroup:
-    """Enumerate Gal(M : base) for a splitting field M; the count must equal
-    the tower degree (fields here are normal and separable).
+def _basis_up(basis, r, d):
+    """Images of the basis one level up (degree d) when its generator maps to
+    r: a^i * b_j goes to r^i * basis[j], i outer as in `Tower.flatten`."""
+    up = list(basis)
+    for _ in range(1, d):
+        up += [r * b for b in up[-len(basis) :]]
+    return up
 
-    The search assigns each level's generator a root of its mapped minimal
-    polynomial, bottom-up, and carries the images of the current level's
-    power-product basis: adjoining root r for a level of degree d maps
-    a^i * b_j to r^i * image(b_j), i outer and j inner as in `Tower.flatten`.
-    Those images, flattened, are the columns of the automorphism's matrix.
-    The mapped minimal polynomial m_phi divides f and splits in the normal
-    field M; for d > 1 it is irreducible over the image of the level below,
-    so none of its roots is an image of a lower generator.  So the candidates
-    -- the roots, less those images when d > 1 -- hold exactly d roots of
-    m_phi: the scan tests them in order and takes the untested rest without
-    evaluating once they are as many as the roots still missing."""
+
+def _matrix(field, basis):
+    """The matrix whose columns are the flattened images of `basis`."""
+    cols = [field.flatten(b) for b in basis]
+    return [[col[r] for col in cols] for r in range(field.absolute_degree())]
+
+
+def _permutation(index, keys):
+    """The root indices `index` gives the images' `keys`; they must be a
+    permutation of the roots."""
+    perm = tuple(index.get(key, -1) for key in keys)
+    if sorted(perm) != list(range(len(index))):
+        raise InternalInvariant("automorphism does not permute the roots")
+    return perm
+
+
+def _searched(sf):
+    """(generator images, matrix, root permutation) of each automorphism."""
     field = sf.field
     chain = field.chain()
     roots = sf.roots
     zero = field.base.zero()
-    n = field.absolute_degree()
     found = []
 
     def extend(images, basis):
         # basis: images of the power-product basis of chain[k-1] ([1] below level 0)
-        cols = [field.flatten(b) for b in basis]
-        mat = [[col[r] for col in cols] for r in range(n)]  # n x dim(chain[k-1])
+        mat = _matrix(field, basis)  # n x dim(chain[k-1])
         k = len(images)
         if k == len(chain):
             found.append((tuple(images), mat))
@@ -222,36 +221,61 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
             if not m_phi.eval(r):
                 hits.append(r)
         for r in hits:
-            basis_up = list(basis)
-            power = r
-            for _ in range(1, d):
-                basis_up.extend(power * b for b in basis)
-                power = power * r
-            extend(images + [r], basis_up)
+            extend(images + [r], _basis_up(basis, r, d))
 
     extend([], [field.one()])
 
-    elems = []
     root_coords = [field.flatten(r) for r in roots]
     root_index = {tuple(v): i for i, v in enumerate(root_coords)}
     for images, mat in found:
-        perm = []
-        for v in root_coords:
-            key = tuple(mat_mul_vec(mat, v, zero))
-            if key not in root_index:
-                raise InternalInvariant("automorphism does not permute the roots")
-            perm.append(root_index[key])
-        if len(set(perm)) != len(perm):
-            raise InternalInvariant("root action is not a permutation")
-        elems.append(Automorphism(images, tuple(perm), mat))
+        keys = (tuple(mat_mul_vec(mat, v, zero)) for v in root_coords)
+        yield images, mat, _permutation(root_index, keys)
 
+
+def _frobenius_powers(sf):
+    """(generator images, matrix, root permutation) of phi^j, j = 0 .. n-1,
+    for the Frobenius phi: one `** p` per generator per step, and the j-th
+    power of phi's root permutation, which looks up r^p once per root."""
+    field, roots = sf.field, sf.roots
+    p, n = field.characteristic, field.absolute_degree()
+    index = {field.sort_key(r): i for i, r in enumerate(roots)}
+    step = _permutation(index, (field.sort_key(r**p) for r in roots))
+    images, perm = field.generators(), tuple(range(len(roots)))
+    for _ in range(n):
+        basis = [field.one()]
+        for level, r in zip(field.chain(), images):
+            basis = _basis_up(basis, r, level.level_degree)
+        yield tuple(images), _matrix(field, basis), perm
+        images = [r**p for r in images]
+        perm = tuple(step[i] for i in perm)
+
+
+def automorphisms(sf: SplittingField) -> GaloisGroup:
+    """Enumerate Gal(M : base) for a splitting field M; the count must equal
+    the tower degree (fields here are normal and separable).
+
+    Over F_p the elements are the powers of Frobenius.  Over Q (and on a
+    field that is the base itself) a search sends each level's generator to
+    a root of its mapped minimal polynomial m_phi, bottom-up.  m_phi divides
+    f and splits in the normal field M; for d > 1 it is irreducible over the
+    image of the level below, so none of its roots is an image of a lower
+    generator.  So the candidates -- the roots, less those images when
+    d > 1 -- hold exactly d roots of m_phi: the scan tests them in order and
+    takes the untested rest unevaluated once they are as many as the roots
+    still missing.  The matrix columns are the flattened basis images."""
+    field = sf.field
+    n = field.absolute_degree()
+    route = _frobenius_powers if field.characteristic and n > 1 else _searched
+    elems = [Automorphism(images, perm, mat) for images, mat, perm in route(sf)]
+    if len({a.root_perm for a in elems}) != len(elems):
+        raise InternalInvariant("two automorphisms act alike on the roots")
     elems.sort(key=lambda a: a.root_perm)
-    if elems[0].root_perm != tuple(range(len(roots))):
+    k = len(sf.roots)
+    if elems[0].root_perm != tuple(range(k)):
         raise InternalInvariant("identity automorphism missing")
     if len(elems) != n:
         raise InternalInvariant(f"|Gal| = {len(elems)} but [M:K] = {n}")
     index = {a.root_perm: i for i, a in enumerate(elems)}
-    k = len(roots)
     table = []
     for a in elems:
         row = []

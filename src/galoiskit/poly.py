@@ -292,12 +292,6 @@ class Poly:
             out = out * u_plus_c + Poly.constant(dom, coeff)
         return out
 
-    def compose(self, inner: "Poly") -> "Poly":
-        out = Poly.zero(self.dom)
-        for coeff in reversed(self.coeffs):
-            out = out * inner + Poly.constant(self.dom, coeff)
-        return out
-
     def map_domain(self, dom, convert):
         """Apply the coefficientwise homomorphism `convert` into `dom`."""
         return Poly(dom, [convert(c) for c in self.coeffs])

@@ -6,13 +6,15 @@ factor, and repeat until everything splits.  Each tower generator is by
 construction one of the stored roots, which is what the automorphism
 enumeration in `galoiskit.galois` relies on.
 
-Before paying for a factorization over the extension, a cheap evaluation
-pre-pass hunts for roots among products, ratios and powers of roots already
-found (computed around the depressed-form center, so shifted binomials like
+Before paying for a factorization over the extension, a cheap pre-pass hunts
+for roots among products, ratios and powers of roots already found
+(computed around the depressed-form center, so shifted binomials like
 (t - c)^n + a are caught).  In characteristic p the conjugates alpha^q,
 alpha^(q^2), ... of each adjoined root alpha (q the order of the coefficient
-field) are divided out the same way.  Any hit is certified by evaluation, so
-this is purely a shortcut; the factor-and-adjoin loop is unchanged.
+field) are divided out the same way.  One synthetic-division pass gives
+both rem div (t - c) and rem(c), and a hit is certified by a zero remainder,
+so this is purely a shortcut.  Roots are then matched to the irreducible
+factors over the base, one Frobenius orbit at a time over F_p.
 """
 
 from __future__ import annotations
@@ -39,9 +41,6 @@ class SplittingField:
 
     def degree(self) -> int:
         return self.field.absolute_degree()
-
-    def root_min_polys(self):
-        return [self.field.min_poly_over_base(r) for r in self.roots]
 
     def to_json(self):
         return {
@@ -72,15 +71,19 @@ def _candidate_roots(field, roots, center):
             cands.append(si * sj)
             cands.append(si * invs[j])
             cands.append(si * si * invs[j])
-    seen = set()
-    out = []
-    for s in cands:
-        v = s + c
-        key = field.sort_key(v)
-        if key not in seen:
-            seen.add(key)
-            out.append(v)
-    return out
+    return list(dict.fromkeys(s + c for s in cands))  # distinct, in order
+
+
+def _synthetic_division(f: Poly, c):
+    """(f div (t - c), f(c)) for deg f >= 1 by one synthetic-division pass:
+    Horner's running values are the quotient's coefficients, then f(c)."""
+    if isinstance(f.dom, PrimeField):  # the residue kernel's pass
+        quot, rem = divmod(f, Poly(f.dom, [-c, 1]))
+        return quot, rem.coeff(0)
+    run = [f.coeffs[-1]]
+    for a in reversed(f.coeffs[:-1]):
+        run.append(a + c * run[-1])
+    return Poly(f.dom, run[-2::-1], normalize=False), run[-1]
 
 
 def _split_squarefree(sq: Poly, cap: int):
@@ -91,6 +94,15 @@ def _split_squarefree(sq: Poly, cap: int):
     level = 0
     # x -> x^order fixes sq's coefficients (order 0 over Q), so permutes roots
     order = field_order(base)
+
+    def take(c) -> bool:  # divide out t - c and record the root c if rem(c) = 0
+        nonlocal rem
+        quot, value = _synthetic_division(rem, c)
+        if value:
+            return False
+        rem = quot
+        roots.append(c)
+        return True
 
     # depressed-form center: pre-pass combinations are formed around it
     if base == QQ and sq.degree >= 1:
@@ -103,24 +115,12 @@ def _split_squarefree(sq: Poly, cap: int):
             roots.append(-rem.coeff(0) / rem.coeff(1))
             break
 
-        # evaluation pre-pass over the current field
+        # candidate pre-pass over the current field
         if current.characteristic == 0:
-            progress = True
-            while progress and rem.degree > 0:
-                progress = False
-                if rem.degree == 1:
-                    roots.append(-rem.coeff(0) / rem.coeff(1))
-                    rem = Poly.one(current)
-                    break
-                for cand in _candidate_roots(current, roots, center):
-                    if not rem.eval(cand):
-                        t = Poly.t(current)
-                        rem = rem.exact_div(t - Poly.constant(current, cand))
-                        roots.append(cand)
-                        progress = True
-                        break
-        if rem.degree == 0:
-            break
+            while rem.degree > 1 and any(take(c) for c in _candidate_roots(current, roots, center)):
+                pass
+            if rem.degree == 1:
+                continue
 
         # any nonlinear adjunction at least doubles the degree, so bail out
         # before paying for a factorization that cannot be used
@@ -135,11 +135,10 @@ def _split_squarefree(sq: Poly, cap: int):
 
         nonlinear = []
         for g, _ in factor_over_extension(rem).factors:
-            if g.degree == 1:
-                roots.append(-g.coeff(0))
-                rem = rem.exact_div(g)
-            else:
+            if g.degree > 1:
                 nonlinear.append(g)
+            elif not take(-g.coeff(0)):
+                raise ValueError("division is not exact")
         if not nonlinear:
             continue
 
@@ -155,19 +154,16 @@ def _split_squarefree(sq: Poly, cap: int):
         current, alpha = adjoin_root(current, g, label, certify=False)
         roots = [current.coerce(r) for r in roots]
         rem = rem.map_domain(current, current.coerce)
-        t = Poly.t(current)
-        rem = rem.exact_div(t - Poly.constant(current, alpha))
-        roots.append(alpha)
+        if not take(alpha):
+            raise ValueError("division is not exact")
         center = current.coerce(center)
 
         # Frobenius pre-pass: alpha's conjugates are roots of sq, and none of
-        # them lies in the previous field; each hit is certified by evaluation
+        # them lies in the previous field
         if order:
             c = alpha**order
             while c != alpha:
-                if not rem.eval(c):
-                    rem = rem.exact_div(t - Poly.constant(current, c))
-                    roots.append(c)
+                take(c)
                 c = c**order
 
     return current, roots
@@ -187,23 +183,31 @@ def _build(f: Poly, cap: int) -> SplittingField:
     # multiplicity of a root = multiplicity of its irreducible factor; roots
     # sort by that factor's degree (= the root's degree over the base), then
     # by coordinates.  The factors are distinct separable irreducibles, so a
-    # factor of degree d owns exactly d roots and is not tested once it has them
+    # factor of degree d owns exactly d roots and is not tested once it has
+    # them.  Over F_p they are one orbit of x -> x^p, which goes whole to the
+    # one unmatched factor of the orbit's size that vanishes at one of them
     lifted = [[g.map_domain(field, field.coerce), mult, g.degree] for g, mult in fact.factors]
-    mults, keys = [], []
-    for r in roots:
+    p = field.characteristic
+    index = {field.sort_key(r): i for i, r in enumerate(roots)}
+    owner = [None] * len(roots)
+    for i, r in enumerate(roots):
+        if owner[i]:
+            continue
+        orbit, c = [i], r**p if p else r
+        while c != r:
+            orbit.append(index[field.sort_key(c)])
+            c = c**p
         for entry in lifted:
-            g_up, mult, missing = entry
-            if missing and not g_up.eval(r):
-                entry[2] -= 1
+            g, _, missing = entry
+            if missing and (not p or g.degree == len(orbit)) and not g.eval(r):
+                entry[2] -= len(orbit)
                 break
         else:
             raise ZeroPolynomial("root does not belong to any factor")
-        mults.append(mult)
-        keys.append((g_up.degree, field.sort_key(r)))
-    order = sorted(range(len(roots)), key=keys.__getitem__)
-    roots = [roots[i] for i in order]
-    mults = [mults[i] for i in order]
-    return SplittingField(field, roots, mults, f, unit)
+        for j in orbit:
+            owner[j] = entry
+    order = sorted(range(len(roots)), key=lambda i: (owner[i][0].degree, field.sort_key(roots[i])))
+    return SplittingField(field, [roots[i] for i in order], [owner[i][1] for i in order], f, unit)
 
 
 def splitting_field_q(f: Poly, max_degree: int = SPLITTING_DEGREE_CAP) -> SplittingField:

@@ -145,7 +145,14 @@ class TowerElem:
         return ops[1] == ops[2]
 
     def __hash__(self):
-        return hash((self.tower, self.v))
+        """The coordinates with trailing zeros stripped, and a one-coordinate
+        value as its base scalar, so that equal elements of any level hash
+        alike; but not as a plain int over F_p (3 and 8 are equal mod 5)."""
+        v = self.v[: max((i for i, c in enumerate(self.v) if c), default=0) + 1]
+        if len(v) > 1:
+            return hash(v)
+        p = self.tower.characteristic  # an FpElem hashes as (r, p); none is built
+        return hash((v[0], p) if p else v[0])
 
     def __bool__(self):
         return any(self.v)
@@ -307,12 +314,6 @@ class Tower:
 
     def absolute_degree(self) -> int:
         return self._n
-
-    def degree_over(self, sub) -> int:
-        """Degree over an ancestor level (or the base)."""
-        if sub != self.base and sub not in self.chain():
-            raise TowerMismatch(f"{sub!r} is not a level of {self!r}")
-        return self._n // sub.absolute_degree()
 
     def adjoin(self, minpoly: Poly, label: str, certify: bool = True) -> "Tower":
         return Tower(self, minpoly, label, certify=certify)

@@ -9,6 +9,7 @@ from galoiskit.errors import NotIrreducible, ZeroPolynomial
 from galoiskit.numbers import QQ
 from galoiskit.poly import Poly, poly_gcd, squarefree_part
 from galoiskit.factor import is_irreducible_q
+from test_poly import _compose
 from galoiskit.apps import (
     NOT_CONSTRUCTIBLE,
     NOT_SOLVABLE,
@@ -53,8 +54,8 @@ def _count_roots_01(f, depth=0):
     if v == 1:
         return 1
     half = Fraction(1, 2)
-    left = f.compose(Poly(QQ, [Fraction(0), half]))  # f(t/2) on (0,1)
-    right = f.compose(Poly(QQ, [half, half]))  # f((t+1)/2) on (0,1)
+    left = _compose(f, Poly(QQ, [Fraction(0), half]))  # f(t/2) on (0,1)
+    right = _compose(f, Poly(QQ, [half, half]))  # f((t+1)/2) on (0,1)
     mid = 1 if not f.eval(half) else 0
     return _count_roots_01(left, depth + 1) + mid + _count_roots_01(right, depth + 1)
 
@@ -66,7 +67,7 @@ def oracle_real_root_count(f):
         return 0
     bound = 1 + max(abs(c) for c in f.coeffs) / abs(f.lc())  # Cauchy bound
     # map (-B, B) onto (0, 1): u -> f(2B u - B)
-    g = f.compose(Poly(QQ, [-bound, 2 * bound]))
+    g = _compose(f, Poly(QQ, [-bound, 2 * bound]))
     count = _count_roots_01(g, 0)
     for endpoint in (Fraction(0),):  # 0 maps from u = 1/2, already interior
         pass
@@ -132,7 +133,7 @@ def oracle_real_roots_in(f, lo, hi):
     f = squarefree_part(f)
     if f.degree == 0:
         return 0
-    g = f.compose(q([lo, hi - lo]))  # u -> f(lo + (hi - lo) u)
+    g = _compose(f, q([lo, hi - lo]))  # u -> f(lo + (hi - lo) u)
     return _count_roots_01(g) + (1 if not f.eval(hi) else 0)
 
 

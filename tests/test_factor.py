@@ -39,6 +39,7 @@ from galoiskit.factor import (
     roots_fp,
 )
 from galoiskit.tower import adjoin_root
+from test_poly import _compose
 from test_tower import _tower_elements
 
 F2 = PrimeField(2)
@@ -843,7 +844,7 @@ def _trager_towers():
     ]
     for m in (q([-2, 0, 1]), q([1, 1, 1, 1, 1]), q([Fraction(-1, 2), 0, 1])):
         T, x = adjoin_root(QQ, m, "x")
-        towers.append((T, [x], [m, m * m * q([1, 1]), m.compose(q([1, 2]))]))
+        towers.append((T, [x], [m, m * m * q([1, 1]), _compose(m, q([1, 2]))]))
     return towers
 
 

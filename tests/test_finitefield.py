@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from galoiskit.errors import Budget, NotADivisor, NotPrime, ZeroInverse
+from galoiskit.errors import Budget, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
 from galoiskit.numbers import PrimeField, divisors, is_prime
 from galoiskit.poly import Poly, render
 from galoiskit.tower import Tower
@@ -56,6 +56,25 @@ def test_gf_construction():
     assert gf(7, 1).order == 7
     with pytest.raises(NotPrime):
         gf(6, 2)
+
+
+def test_gf_rejects_a_modulus_that_is_not_irreducible():
+    # a reducible modulus makes F_p[a]/(m) a ring with zero divisors, where
+    # multiplicative_generator certified 0 and subfields never returned
+    F2, F3 = PrimeField(2), PrimeField(3)
+    bad = [
+        (2, 2, Poly(F2, [0, 0, 1])),  # t^2
+        (2, 2, Poly(F2, [1, 0, 1])),  # (t + 1)^2
+        (2, 4, Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 1])),
+        (2, 3, Poly(F2, [1, 1, 1])),  # irreducible, but of degree 2
+        (3, 2, Poly(F3, [2, 0, 2])),  # 2(t^2 + 1): not monic
+        (2, 2, Poly(F3, [1, 0, 1])),  # over F_3, not F_2
+    ]
+    for p, n, m in bad:
+        with pytest.raises(NotIrreducible):
+            GF(p, n, modulus=m)
+    F = GF(2, 2, modulus=Poly(F2, [1, 1, 1]))
+    assert F.order == 4 and len(subfields(F)) == 2
 
 
 def test_gf_field_axioms_exhaustive_small():

@@ -8,6 +8,7 @@ import pytest
 
 from galoiskit.errors import NotASubgroup, OrderCap
 from galoiskit.numbers import QQ, PrimeField
+from galoiskit.cli import parse_poly
 from galoiskit.poly import Poly
 from galoiskit.splitting import splitting_field_fp, splitting_field_q
 from galoiskit.tower import TowerElem, min_poly
@@ -79,9 +80,18 @@ def test_irreducible_degree_divides_order():
         assert G.order % f.degree == 0
 
 
+def _check_axioms(g):
+    """Identity at index 0 on both sides, and an inverse in every row (the
+    associativity spot check is separate: a full check is O(n^3))."""
+    t, n = g.table, g.order
+    if any(t[0][j] != j or t[j][0] != j for j in range(n)):
+        return False
+    return all(any(t[i][j] == 0 for j in range(n)) for i in range(n))
+
+
 def test_group_axioms_from_table(gal_t4):
     g = gal_t4.group
-    assert g.check_axioms()
+    assert _check_axioms(g)
     rng = random.Random(3)
     for _ in range(40):
         a, b, c = (rng.randrange(g.order) for _ in range(3))
@@ -393,7 +403,7 @@ def test_subgroup_table_and_check(gal_t4):
         assert check_subgroup(h, gal_t4)
         tbl = subgroup_table(gal_t4, h)
         assert tbl.order == h.order
-        assert tbl.check_axioms()
+        assert _check_axioms(tbl)
 
 
 def test_cycle_notation():
@@ -476,3 +486,66 @@ def test_roots_are_accepted_by_counting(monkeypatch):
     monkeypatch.setattr(Poly, "eval", lambda self, a: calls.append(1) or evaluate(self, a))
     assert automorphisms(s4).order == 24 and not calls
     assert automorphisms(d6).order == 12 and calls
+
+
+def _random_irreducible(rng, F, d, avoid):
+    from galoiskit.factor import is_irreducible_ff
+
+    while True:
+        g = Poly(F, [rng.randrange(F.p) for _ in range(d)] + [1])
+        if g not in avoid and is_irreducible_ff(g):
+            return g
+
+
+def _frobenius_sources():
+    """The F_p `galois` inputs of GOLDEN_JSON, and seeded products of
+    distinct irreducibles over F_2, F_3, F_5 and F_7 whose degrees have lcm
+    at most 8."""
+    from test_cli import GOLDEN_JSON
+
+    out = [
+        parse_poly(argv[-1], PrimeField(int(argv[2][1:])))
+        for argv, _ in GOLDEN_JSON
+        if argv[1:2] == ["--field"] and argv[3] == "galois"
+    ]
+    rng = random.Random(41)
+    shapes = {2: [(8,), (1, 2, 4), (2, 3), (1, 3), (4, 4)], 3: [(2, 4), (1, 3), (2, 2)],
+              5: [(2, 3), (4,)], 7: [(3,), (1, 2)]}
+    for p, degree_lists in shapes.items():
+        F = PrimeField(p)
+        for degrees in degree_lists:
+            factors = []
+            for d in degrees:
+                factors.append(_random_irreducible(rng, F, d, factors))
+            f = Poly.one(F)
+            for g in factors:
+                f = f * g
+            out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("f", _frobenius_sources(), ids=str)
+def test_fp_automorphisms_are_the_frobenius_powers(f):
+    # oracle: Gal over F_p is generated by x -> x^p; element j = phi^j maps
+    # basis vector b to b^(p^j), root r to r^(p^j) and each generator g to
+    # g^(p^j), and the group is exactly phi^0 .. phi^(n-1), sorted by root
+    # permutation
+    sf = splitting_field_fp(f)
+    G = automorphisms(sf)
+    field, roots, p = sf.field, sf.roots, f.dom.p
+    n = sf.degree()
+    assert n > 1
+    index = {field.sort_key(r): i for i, r in enumerate(roots)}
+    basis = [field.unflatten([int(i == b) for i in range(n)]) for b in range(n)]
+    expected = []
+    for j in range(n):
+        e = p**j
+        cols = [field.flatten(b**e) for b in basis]
+        expected.append((
+            tuple(index[field.sort_key(r**e)] for r in roots),
+            tuple(g**e for g in field.generators()),
+            [[col[r] for col in cols] for r in range(n)],
+        ))
+    expected.sort(key=lambda x: x[0])
+    assert len({perm for perm, _, _ in expected}) == n == G.order
+    assert [(a.root_perm, a.generator_images, a.matrix) for a in G.elements] == expected

@@ -28,6 +28,14 @@ from galoiskit.poly import (
 from galoiskit.tower import adjoin_root
 
 F2 = PrimeField(2)
+
+
+def _compose(f, inner):
+    """f(inner), by Horner."""
+    out = Poly.zero(f.dom)
+    for coeff in reversed(f.coeffs):
+        out = out * inner + Poly.constant(f.dom, coeff)
+    return out
 F3 = PrimeField(3)
 F7 = PrimeField(7)
 

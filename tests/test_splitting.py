@@ -195,8 +195,8 @@ def test_permuted_factor_order_same_degree():
     f2 = q([-2, 0, 1]) * q([1, 0, 1])
     sf1, sf2 = splitting_field_q(f1), splitting_field_q(f2)
     assert sf1.degree() == sf2.degree()
-    mp1 = sorted(str(m) for m in sf1.root_min_polys())
-    mp2 = sorted(str(m) for m in sf2.root_min_polys())
+    mp1 = sorted(str(min_poly(sf1.field, r)) for r in sf1.roots)
+    mp2 = sorted(str(min_poly(sf2.field, r)) for r in sf2.roots)
     assert mp1 == mp2
 
 
@@ -232,10 +232,16 @@ def test_json_shape():
     lambda: splitting_field_q(q([-2, 0, 1]) * q([-3, 0, 1]) * q([-1, 1]) * q([1, 1]) * q([-2, 0, 0, 1])),
     lambda: splitting_field_fp(Poly(F3, [1, 0, 1]) * Poly(F3, [1, -1, 0, 1]) * Poly(F3, [0, 1])),
     lambda: splitting_field_fp(Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 0, 1]) * Poly(F2, [1, 0, 1, 1])),
+    # over F_4 the quartic splits into quadratics, so its roots are found
+    # before the cubic's: an orbit of 4 meets a factor of degree 3 unmatched
+    lambda: splitting_field_fp(Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 0, 1]) * Poly(F2, [1, 1, 0, 0, 1])),
 ])
 def test_each_factor_is_tested_until_it_has_its_roots(monkeypatch, build):
-    # once the roots are found, a factor of degree d is evaluated at roots
-    # until d of them are its zeros, and never after
+    # once the roots are found, over Q a factor of degree d is evaluated at
+    # roots until d of them are its zeros, and never after; over F_p a root
+    # stands for its whole Frobenius orbit, so only factors of the orbit's
+    # size are evaluated there, each at most once per orbit, and each factor
+    # has exactly one zero
     import galoiskit.splitting as splitting
 
     record, split = None, splitting._split_squarefree
@@ -251,15 +257,64 @@ def test_each_factor_is_tested_until_it_has_its_roots(monkeypatch, build):
     def eval_recorded(self, a):
         value = evaluate(self, a)
         if record is not None:
-            record.append((self, not value))
+            record.append((self, a, not value))
         return value
 
     monkeypatch.setattr(splitting, "_split_squarefree", split_then_record)
     monkeypatch.setattr(Poly, "eval", eval_recorded)
     sf = build()
     zeros = {}
-    for g, is_zero in record:
+    p = sf.field.characteristic
+    if p:
+        key = sf.field.sort_key
+        seen = set()
+        for g, a, is_zero in record:
+            orbit, c = {key(a)}, a**p
+            while key(c) not in orbit:
+                orbit.add(key(c))
+                c = c**p
+            assert g.degree == len(orbit)
+            assert (g, frozenset(orbit)) not in seen  # once per orbit
+            seen.add((g, frozenset(orbit)))
+            zeros[g] = zeros.get(g, 0) + is_zero
+        assert all(zeros[g] == 1 for g in zeros)
+        assert len(zeros) == len(factor_fp(sf.source).factors)
+        assert sum(g.degree for g in zeros) == len(sf.roots)
+        return
+    for g, _, is_zero in record:
         assert zeros.get(g, 0) < g.degree  # a full factor is not tested again
         zeros[g] = zeros.get(g, 0) + is_zero
     assert all(zeros[g] == g.degree for g in zeros)
     assert sum(zeros.values()) == len(sf.roots)
+
+
+def _synthetic_cases():
+    rng = random.Random(29)
+    T, _ = adjoin_root(QQ, q([-2, 0, 0, 1]), "a")
+    F = Tower(F3, Poly(F3, [1, 0, 1]), "a")
+    picks = {
+        QQ: lambda: QQ.coerce(rng.randint(-5, 5)),
+        F7: lambda: rng.choice(F7.elements()),
+        T: lambda: T.unflatten([rng.randint(-4, 4) for _ in range(3)]),
+        F: lambda: rng.choice(_tower_elements(F)),
+    }
+    cases = []
+    for dom, pick in picks.items():
+        for _ in range(6):
+            f = Poly(dom, [pick() for _ in range(rng.randint(1, 5))] + [dom.one()])
+            c = pick()
+            cases += [(f, c), (f * Poly(dom, [-c, dom.one()]), c)]
+    return cases
+
+
+def test_synthetic_division_is_division_by_a_linear_factor():
+    # quotient * (t - c) + value == f, on Q, F_7 and towers over both, and
+    # the value is zero exactly when c is a root
+    from galoiskit.splitting import _synthetic_division
+
+    for f, c in _synthetic_cases():
+        dom = f.dom
+        quot, value = _synthetic_division(f, c)
+        assert quot.degree == f.degree - 1
+        assert quot * Poly(dom, [-c, dom.one()]) + Poly.constant(dom, value) == f
+        assert value == f.eval(c)

@@ -86,6 +86,12 @@ def test_tower_mismatch(sqrt2):
         T1.coerce(r5)
 
 
+def _degree_over(T, sub):
+    """[T : sub] for an ancestor level (or the base) sub of T."""
+    assert sub == T.base or sub in T.chain()
+    return T.absolute_degree() // sub.absolute_degree()
+
+
 def test_degrees(sqrt23):
     T2, _ = sqrt23
     assert tower_degree(T2) == 4
@@ -93,8 +99,8 @@ def test_degrees(sqrt23):
     T, xi = adjoin_root(QQ, q([-2, 0, 0, 1]), "x")
     Tw, om = adjoin_root(T, Poly(T, [1, 1, 1]), "w")
     assert tower_degree(Tw) == 6
-    assert Tw.degree_over(T) == 2
-    assert Tw.degree_over(QQ) == 6
+    assert _degree_over(Tw, T) == 2
+    assert _degree_over(Tw, QQ) == 6
     assert tower_degree(QQ) == 1
 
 
@@ -296,7 +302,7 @@ def test_tower_law_random():
         T1, _ = adjoin_root(QQ, base_poly, "u")
         up = Poly(T1, up_coeffs)
         T2, _ = adjoin_root(T1, up, "v")
-        assert tower_degree(T2) == T2.degree_over(T1) * tower_degree(T1)
+        assert tower_degree(T2) == _degree_over(T2, T1) * tower_degree(T1)
 
 
 def test_sum_and_product_stay_algebraic():
@@ -349,6 +355,29 @@ def test_base_fields_are_towers_of_height_0(sqrt23):
     assert T2.chain() == [T2.lower, T2] and T2.lower.chain() == [T2.lower]
     assert (a * a, b * b) == (2, 3)
     assert [level["label"] for level in T2.describe()] == ["a", "b"]
+
+
+def test_equal_elements_hash_equal_across_levels():
+    # a lower element embeds as its coordinates followed by zeros, and a
+    # one-coordinate value equals its base scalar: each pair that is == must
+    # hash alike, so sets and dicts that mix levels keep one copy
+    A, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    B, _ = adjoin_root(A, Poly(A, [-3, 0, 1]), "b")
+    F3 = PrimeField(3)
+    FA, fa = adjoin_root(F3, Poly(F3, [1, 0, 1]), "a")
+    FB, _ = adjoin_root(FA, Poly(FA, [-1, -1, 0, 1]), "b")
+    cases = [
+        (A, B, [a, a + 1, a * Fraction(-2, 5)], [Fraction(0), Fraction(1), Fraction(-7, 3), 5]),
+        (FA, FB, [fa, fa + 1, fa * 2], F3.elements()),
+    ]
+    for lower, upper, elems, scalars in cases:
+        for x in elems:
+            y = upper.coerce(x)
+            assert x == y and hash(x) == hash(y) and len({x, y}) == 1
+        for c in scalars:
+            for T in (lower, upper):
+                x = T.coerce(c)
+                assert x == c and hash(x) == hash(c) and len({x, c}) == 1
 
 
 def _poly_route_product(x, y):
