@@ -77,9 +77,6 @@ def _candidate_roots(field, roots, center):
 def _synthetic_division(f: Poly, c):
     """(f div (t - c), f(c)) for deg f >= 1 by one synthetic-division pass:
     Horner's running values are the quotient's coefficients, then f(c)."""
-    if isinstance(f.dom, PrimeField):  # the residue kernel's pass
-        quot, rem = divmod(f, Poly(f.dom, [-c, 1]))
-        return quot, rem.coeff(0)
     run = [f.coeffs[-1]]
     for a in reversed(f.coeffs[:-1]):
         run.append(a + c * run[-1])

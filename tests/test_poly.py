@@ -28,6 +28,8 @@ from galoiskit.poly import (
 from galoiskit.tower import adjoin_root
 
 F2 = PrimeField(2)
+F3 = PrimeField(3)
+F7 = PrimeField(7)
 
 
 def _compose(f, inner):
@@ -36,8 +38,6 @@ def _compose(f, inner):
     for coeff in reversed(f.coeffs):
         out = out * inner + Poly.constant(f.dom, coeff)
     return out
-F3 = PrimeField(3)
-F7 = PrimeField(7)
 
 
 def q(coeffs):

@@ -276,6 +276,7 @@ def test_each_factor_is_tested_until_it_has_its_roots(monkeypatch, build):
             assert g.degree == len(orbit)
             assert (g, frozenset(orbit)) not in seen  # once per orbit
             seen.add((g, frozenset(orbit)))
+            assert not zeros.get(g)  # a matched factor is not tested again
             zeros[g] = zeros.get(g, 0) + is_zero
         assert all(zeros[g] == 1 for g in zeros)
         assert len(zeros) == len(factor_fp(sf.source).factors)
