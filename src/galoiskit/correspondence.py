@@ -3,9 +3,12 @@
 Intermediate fields are base-linear subspaces of the splitting field in its
 flattened power-product coordinates, canonically represented by reduced row
 echelon bases (so equality of subfields is equality of bases, sidestepping
-the isomorphic-but-distinct-subset trap).  Fixed fields come from kernels of
-automorphism matrices; Galois groups over an intermediate field come from
-pointwise fixing of its basis.  `verify_correspondence` checks that the two
+the isomorphic-but-distinct-subset trap).  Fix(H) is the image of the trace
+sum over H, since Gal(M : Fix(H)) = H and the trace of a finite separable
+extension is onto (Lang, Algebra, VI.5): one n x n sum and one elimination
+per subgroup.  An intermediate field is K(theta) for its certified primitive
+element theta, so an automorphism fixes it, maps it into itself or restricts
+to it as it acts on theta alone.  `verify_correspondence` checks that the two
 maps are mutually inverse on the whole lattice and that degrees match orders.
 """
 
@@ -24,7 +27,7 @@ from .galois import (
     subgroups,
     FiniteGroup,
 )
-from .linalg import Echelon, in_row_space, mat_mul_vec, nullspace, row_space_basis
+from .linalg import Echelon, in_row_space, mat_mul_vec, row_space_basis
 from .poly import Poly, render
 
 
@@ -73,7 +76,7 @@ def _candidates(base, basis):
         for c, row in zip(coeffs, basis):
             if c:
                 cc = base.from_int(c)
-                vec = [a + cc * b for a, b in zip(vec, row)]
+                vec = [a + cc * b if b else a for a, b in zip(vec, row)]
         yield vec
 
 
@@ -81,17 +84,22 @@ def _find_primitive(field, basis, outside=None):
     """First of `_candidates` to generate the subspace, certified by its
     minimal polynomial of degree dim.  A `min_poly_over_base` costs up to n
     tower products and n reductions against an echelon of up to n rows, so
-    when `outside` (the matrices of every automorphism not fixing the
-    subspace) is given, a candidate fixed by one of them is rejected first at
-    O(|outside| n^2) base-field operations."""
-    base = field.base
+    when the subspace is Fix(H) and `outside` holds the matrices of one
+    representative of each non-trivial coset of H, a candidate fixed by one of
+    them is rejected first, at O([G:H] n^2) base-field operations.
+
+    The filter is exact.  A candidate x lies in Fix(H), so it generates Fix(H)
+    exactly when no g outside H fixes it.  If g(x) = x, write g = g_i h (or
+    h g_i, whichever side the cosets were taken on) with h in H; h and its
+    inverse fix x, so g_i(x) = x, and x is rejected on g_i."""
+    base, zero = field.base, field.base.zero()
     seen = set()
     for vec in _candidates(base, basis):
         key = tuple(base.sort_key(c) for c in vec)
         if key in seen:
             continue
         seen.add(key)
-        if outside and any(mat_mul_vec(m, vec, base.zero()) == vec for m in outside):
+        if outside and any(mat_mul_vec(m, vec, zero) == vec for m in outside):
             continue
         elem = field.unflatten(list(vec))
         mp = field.min_poly_over_base(elem)
@@ -109,31 +117,34 @@ def _make_subfield(sf, rows, outside=None) -> Subfield:
     return Subfield(sf, basis, elem, mp)
 
 
+def _coset_representatives(H: Subgroup, G: GaloisGroup) -> list:
+    """The least element of each coset {g h : h in H} other than H itself."""
+    table = G.table
+    reps, seen = [], set(H.member_indices)
+    for g in range(G.order):
+        if g not in seen:
+            reps.append(g)
+            seen.update(table[g][h] for h in H.member_indices)
+    return reps
+
+
 def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
-    """Fix(H): the subspace killed by (matrix(h) - I) for every h in H,
-    with dimension exactly degree/|H|.
+    """Fix(H) as the image of the trace sum S = sum of matrix(h) over H: the
+    span of S's columns (column j of a matrix is the image of basis vector
+    j), of dimension exactly degree/|H|.
 
     An x in Fix(H) has minimal polynomial of degree [G : Stab(x)], so it
     generates Fix(H) exactly when no automorphism outside H fixes it; the
-    primitive search rejects candidates on that test, at O(|G| n^2) each,
-    and certifies only the element it accepts."""
+    primitive search rejects candidates on that test, one coset
+    representative at a time, and certifies only the element it accepts."""
     n = G.sf.field.absolute_degree()
-    base = G.sf.field.base
-    stacked = []
+    zero = G.sf.field.base.zero()
+    total = [[zero] * n for _ in range(n)]
     for idx in H.member_indices:
-        if idx == 0:
-            continue
-        mat = G.matrix_of(idx)
-        for r in range(n):
-            row = list(mat[r])
-            row[r] = row[r] - base.one()
-            stacked.append(row)
-    if not stacked:
-        vecs = [[base.one() if i == j else base.zero() for j in range(n)] for i in range(n)]
-    else:
-        vecs = nullspace(base, stacked, ncols=n)
-    outside = [G.matrix_of(i) for i in range(G.order) if i not in H.member_indices]
-    sub = _make_subfield(G.sf, vecs, outside)
+        for row, mat_row in zip(total, G.matrix_of(idx)):
+            row[:] = [a + b if b else a for a, b in zip(row, mat_row)]
+    outside = [G.matrix_of(g) for g in _coset_representatives(H, G)]
+    sub = _make_subfield(G.sf, list(zip(*total)), outside)
     if sub.dim * H.order != n:
         raise InternalInvariant(
             f"fixed field dimension {sub.dim} times |H| = {H.order} != degree {n}"
@@ -157,61 +168,43 @@ def subfield_generated_by(sf, elems) -> Subfield:
     return _make_subfield(sf, [row for _, row, _ in echelon.rows])
 
 
+def _images_of_primitive(L: Subfield, G: GaloisGroup):
+    """sigma(theta) for each sigma in G in order, flattened, with theta the
+    certified primitive element of L: sigma acts on L = K(theta) as it acts on
+    theta."""
+    field = G.sf.field
+    theta, zero = field.flatten(L.primitive), field.base.zero()
+    return (mat_mul_vec(G.matrix_of(idx), theta, zero) for idx in range(G.order))
+
+
 def gal_over(L: Subfield, G: GaloisGroup) -> Subgroup:
-    """Gal(M : L): the subgroup fixing L pointwise (checked on its basis)."""
-    base = G.sf.field.base
-    members = []
-    for idx in range(G.order):
-        mat = G.matrix_of(idx)
-        ok = True
-        for v in L.basis:
-            if mat_mul_vec(mat, v, base.zero()) != list(v):
-                ok = False
-                break
-        if ok:
-            members.append(idx)
-    return Subgroup(tuple(members))
+    """Gal(M : L): the automorphisms fixing the primitive element of L."""
+    theta = G.sf.field.flatten(L.primitive)
+    images = _images_of_primitive(L, G)
+    return Subgroup(tuple(idx for idx, image in enumerate(images) if image == theta))
 
 
 def is_normal_intermediate(L: Subfield, G: GaloisGroup) -> bool:
-    """True iff every automorphism maps L onto itself setwise."""
+    """True iff every automorphism maps L onto itself: sigma(L) = K(sigma(theta))
+    has dimension dim L, so it is L exactly when sigma(theta) lies in L."""
     base = G.sf.field.base
-    for idx in range(G.order):
-        mat = G.matrix_of(idx)
-        for v in L.basis:
-            if not in_row_space(base, L.basis, mat_mul_vec(mat, v, base.zero())):
-                return False
-    return True
+    return all(in_row_space(base, L.basis, image) for image in _images_of_primitive(L, G))
 
 
 def restriction_group(L: Subfield, G: GaloisGroup):
     """The group of distinct restrictions to L (the image of the restriction
-    homomorphism), as its own composition table."""
+    homomorphism), as its own composition table.  A restriction is fixed by
+    the image of the primitive element, which is its fingerprint; the
+    identity (element 0 of G) comes first."""
     base = G.sf.field.base
-    zero = base.zero()
-
-    def fingerprint(idx):
-        mat = G.matrix_of(idx)
-        return tuple(tuple(base.sort_key(c) for c in mat_mul_vec(mat, v, zero)) for v in L.basis)
-
+    prints = [tuple(map(base.sort_key, image)) for image in _images_of_primitive(L, G)]
     fps = {}
     reps = []
-    for idx in range(G.order):
-        fp = fingerprint(idx)
+    for idx, fp in enumerate(prints):
         if fp not in fps:
             fps[fp] = len(reps)
             reps.append(idx)
-    # identity restriction first
-    id_fp = fingerprint(0)
-    id_pos = fps[id_fp]
-    if id_pos != 0:
-        reps[0], reps[id_pos] = reps[id_pos], reps[0]
-        fps = {}
-        for pos, r in enumerate(reps):
-            fps[fingerprint(r)] = pos
-    table = [
-        [fps[fingerprint(G.table[a][b])] for b in reps] for a in reps
-    ]
+    table = [[fps[prints[G.table[a][b]]] for b in reps] for a in reps]
     return FiniteGroup(table)
 
 

@@ -3,10 +3,10 @@
 Matrices are lists of row lists of field elements.  Everything pivots with
 exact field division, so results are exact for Fraction, FpElem and tower
 scalars alike.  `rref` gives the canonical bases that subfields are compared
-by, and the kernels of fixed fields.  `Echelon` reduces one vector at a time
-and keeps each row's combination of the vectors added so far: minimal
-polynomials (the first dependency among powers), coordinates in the powers
-of a primitive element and generated subfields all run on it.
+by, fixed fields (images of trace sums) among them.  `Echelon` reduces one
+vector at a time and keeps each row's combination of the vectors added so
+far: minimal polynomials (the first dependency among powers), coordinates in
+the powers of a primitive element and generated subfields all run on it.
 """
 
 from __future__ import annotations
@@ -61,32 +61,15 @@ def in_row_space(field, basis_rref, vec):
     return not any(v)
 
 
-def nullspace(field, rows, ncols=None):
-    """Basis of {x : A x = 0} as a list of vectors (RREF-canonical)."""
-    if ncols is None:
-        if not rows:
-            raise ValueError("nullspace of empty matrix needs ncols")
-        ncols = len(rows[0])
-    reduced, pivots = rref(field, rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    zero, one = field.zero(), field.one()
-    for fc in free:
-        v = [zero] * ncols
-        v[fc] = one
-        for i, pc in enumerate(pivots):
-            v[pc] = -reduced[i][fc]
-        basis.append(v)
-    return basis
-
-
 def mat_mul_vec(rows, vec, zero):
+    """rows times vec, over the nonzero entries of vec only."""
+    support = [(j, b) for j, b in enumerate(vec) if b]
     out = []
     for row in rows:
         acc = zero
-        for a, b in zip(row, vec):
-            if a and b:
+        for j, b in support:
+            a = row[j]
+            if a:
                 acc = acc + a * b
         out.append(acc)
     return out

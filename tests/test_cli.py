@@ -793,11 +793,259 @@ GOLDEN_JSON = [
         've":"1","primitive_min_poly":"t - 1"},"gal_over_matches":true,"nor'
         'mal":true,"order":8,"subgroup":[0,1,2,3,4,5,6,7]}]}\n',
     ),
+    # the correspondence of a finite field (C6), of F20 (degree 20) and of
+    # S4 (degree 24, about a second)
+    (
+        ["--json", "--field", "F3", "correspondence", "(t^2+1)*(t^3+2*t+1)"],
+        '{"degree":6,"group_order":6,"mutually_inverse":true,"pair_count":4'
+        ',"pairs":[{"fixed_field":{"dim":6,"primitive":"a*b","primitive_min'
+        '_poly":"t^6 + 2*t^4 + t^2 + 1"},"gal_over_matches":true,"normal":t'
+        'rue,"order":1,"subgroup":[0]},{"fixed_field":{"dim":3,"primitive":'
+        '"b","primitive_min_poly":"t^3 + 2*t + 1"},"gal_over_matches":true,'
+        '"normal":true,"order":2,"subgroup":[0,3]},{"fixed_field":{"dim":2,'
+        '"primitive":"a","primitive_min_poly":"t^2 + 1"},"gal_over_matches"'
+        ':true,"normal":true,"order":3,"subgroup":[0,1,2]},{"fixed_field":{'
+        '"dim":1,"primitive":"1","primitive_min_poly":"t + 2"},"gal_over_ma'
+        'tches":true,"normal":true,"order":6,"subgroup":[0,1,2,3,4,5]}]}\n',
+    ),
+    (
+        ["--json", "correspondence", "t^5-2"],
+        '{"degree":20,"group_order":20,"mutually_inverse":true,"pair_count"'
+        ':14,"pairs":[{"fixed_field":{"dim":20,"primitive":"-b + a","primit'
+        'ive_min_poly":"t^20 + 2500*t^10 + 50000"},"gal_over_matches":true,'
+        '"normal":true,"order":1,"subgroup":[0]},{"fixed_field":{"dim":10,"'
+        'primitive":"1/2*a^3*b^3 + a","primitive_min_poly":"t^10 + 22*t^5 -'
+        ' 4"},"gal_over_matches":true,"normal":false,"order":2,"subgroup":['
+        '0,3]},{"fixed_field":{"dim":10,"primitive":"1/2*a^4*b^2 + a","prim'
+        'itive_min_poly":"t^10 + 22*t^5 - 4"},"gal_over_matches":true,"norm'
+        'al":false,"order":2,"subgroup":[0,4]},{"fixed_field":{"dim":10,"pr'
+        'imitive":"b + a","primitive_min_poly":"t^10 + 22*t^5 - 4"},"gal_ov'
+        'er_matches":true,"normal":false,"order":2,"subgroup":[0,9]},{"fixe'
+        'd_field":{"dim":10,"primitive":"1/2*a^4*b^3 + b^2","primitive_min_'
+        'poly":"t^10 + 44*t^5 - 16"},"gal_over_matches":true,"normal":false'
+        ',"order":2,"subgroup":[0,14]},{"fixed_field":{"dim":10,"primitive"'
+        ':"1/2*a^4*b^3 + a^2","primitive_min_poly":"t^10 + 44*t^5 - 16"},"g'
+        'al_over_matches":true,"normal":false,"order":2,"subgroup":[0,19]},'
+        '{"fixed_field":{"dim":5,"primitive":"1/2*a^3*b^3 + 1/2*a^4*b^2 + b'
+        ' + a","primitive_min_poly":"t^5 + 2"},"gal_over_matches":true,"nor'
+        'mal":false,"order":4,"subgroup":[0,1,2,3]},{"fixed_field":{"dim":5'
+        ',"primitive":"a*b^3 + a^2*b^2 + a^3*b + a^4","primitive_min_poly":'
+        '"t^5 + 16"},"gal_over_matches":true,"normal":false,"order":4,"subg'
+        'roup":[0,4,11,18]},{"fixed_field":{"dim":5,"primitive":"a","primit'
+        'ive_min_poly":"t^5 - 2"},"gal_over_matches":true,"normal":false,"o'
+        'rder":4,"subgroup":[0,6,8,14]},{"fixed_field":{"dim":5,"primitive"'
+        ':"1/2*a^4*b^3 + b^2 + a*b + a^2","primitive_min_poly":"t^5 + 4"},"'
+        'gal_over_matches":true,"normal":false,"order":4,"subgroup":[0,7,12'
+        ',19]},{"fixed_field":{"dim":5,"primitive":"b^3 + a*b^2 + a^2*b + a'
+        '^3","primitive_min_poly":"t^5 + 8"},"gal_over_matches":true,"norma'
+        'l":false,"order":4,"subgroup":[0,9,13,17]},{"fixed_field":{"dim":4'
+        ',"primitive":"a^4*b","primitive_min_poly":"t^4 + 2*t^3 + 4*t^2 + 8'
+        '*t + 16"},"gal_over_matches":true,"normal":true,"order":5,"subgrou'
+        'p":[0,5,10,15,16]},{"fixed_field":{"dim":2,"primitive":"a^2*b^3 + '
+        'a^3*b^2","primitive_min_poly":"t^2 + 2*t - 4"},"gal_over_matches":'
+        'true,"normal":true,"order":10,"subgroup":[0,3,4,5,9,10,14,15,16,19'
+        ']},{"fixed_field":{"dim":1,"primitive":"1","primitive_min_poly":"t'
+        ' - 1"},"gal_over_matches":true,"normal":true,"order":20,"subgroup"'
+        ':[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19]}]}\n',
+    ),
+    (
+        ["--json", "correspondence", "t^4-t-1"],
+        '{"degree":24,"group_order":24,"mutually_inverse":true,"pair_count"'
+        ':30,"pairs":[{"fixed_field":{"dim":24,"primitive":"a^3*b^2*c","pri'
+        'mitive_min_poly":"t^24 + 3*t^23 + 10*t^22 + 14*t^21 + 17*t^20 + 4*'
+        't^19 + 18*t^18 + 13*t^17 + 142*t^16 + 79*t^15 + 295*t^14 + 59*t^13'
+        ' + 362*t^12 - 59*t^11 + 295*t^10 - 79*t^9 + 142*t^8 - 13*t^7 + 18*'
+        't^6 - 4*t^5 + 17*t^4 - 14*t^3 + 10*t^2 - 3*t + 1"},"gal_over_match'
+        'es":true,"normal":true,"order":1,"subgroup":[0]},{"fixed_field":{"'
+        'dim":12,"primitive":"(b + a)*c","primitive_min_poly":"t^12 - t^9 +'
+        ' 8*t^8 - 2*t^7 - t^6 + 4*t^5 + 18*t^4 + 9*t^3 + 2*t^2 - 1"},"gal_o'
+        'ver_matches":true,"normal":false,"order":2,"subgroup":[0,1]},{"fix'
+        'ed_field":{"dim":12,"primitive":"a*c + a*b","primitive_min_poly":"'
+        't^12 - t^9 + 8*t^8 - 2*t^7 - t^6 + 4*t^5 + 18*t^4 + 9*t^3 + 2*t^2 '
+        '- 1"},"gal_over_matches":true,"normal":false,"order":2,"subgroup":'
+        '[0,2]},{"fixed_field":{"dim":12,"primitive":"(-a^2*b^2 - a^3*b)*c '
+        '+ a","primitive_min_poly":"t^12 + t^10 - 4*t^9 - 4*t^8 + 2*t^7 + 4'
+        '*t^6 + 3*t^5 - 3*t^4 - 7*t^3 - 6*t^2 - 3*t - 1"},"gal_over_matches'
+        '":true,"normal":false,"order":2,"subgroup":[0,5]},{"fixed_field":{'
+        '"dim":12,"primitive":"a^2*b","primitive_min_poly":"t^12 + 3*t^11 +'
+        ' 6*t^10 + 7*t^9 + 3*t^8 - 3*t^7 - 4*t^6 - 2*t^5 + 4*t^4 + 4*t^3 - '
+        't^2 - 1"},"gal_over_matches":true,"normal":false,"order":2,"subgro'
+        'up":[0,6]},{"fixed_field":{"dim":12,"primitive":"(2*a*b^2 + 2*a^3 '
+        '- 1)*c + a","primitive_min_poly":"t^12 + 32*t^10 + 252*t^8 - 66*t^'
+        '6 + 1104*t^4 + 4*t^2 + 1"},"gal_over_matches":true,"normal":false,'
+        '"order":2,"subgroup":[0,7]},{"fixed_field":{"dim":12,"primitive":"'
+        '((a^3 - 1)*b)*c + (a^3 - 1)*b^2 + b","primitive_min_poly":"t^12 + '
+        't^10 - 4*t^9 - 4*t^8 + 2*t^7 + 4*t^6 + 3*t^5 - 3*t^4 - 7*t^3 - 6*t'
+        '^2 - 3*t - 1"},"gal_over_matches":true,"normal":false,"order":2,"s'
+        'ubgroup":[0,14]},{"fixed_field":{"dim":12,"primitive":"-2*b*c + -b'
+        '^2 + a^2","primitive_min_poly":"t^12 + 8*t^10 - 2*t^9 + 80*t^8 + 4'
+        '0*t^7 + 540*t^6 + 128*t^5 + 976*t^4 + 970*t^3 + 576*t^2 + 283"},"g'
+        'al_over_matches":true,"normal":false,"order":2,"subgroup":[0,16]},'
+        '{"fixed_field":{"dim":12,"primitive":"-a*b^2*c + a^3*b","primitive'
+        '_min_poly":"t^12 + 8*t^11 + 32*t^10 + 79*t^9 + 130*t^8 + 142*t^7 +'
+        ' 93*t^6 + 16*t^5 - 32*t^4 - 35*t^3 - 18*t^2 - 6*t - 1"},"gal_over_'
+        'matches":true,"normal":false,"order":2,"subgroup":[0,21]},{"fixed_'
+        'field":{"dim":12,"primitive":"(a*b^2 - a^3)*c + 2*a^2*b^2 + a","pr'
+        'imitive_min_poly":"t^12 - 8*t^10 - 32*t^9 + 107*t^8 + 155*t^7 + 17'
+        '5*t^6 - 715*t^5 + 1426*t^4 - 611*t^3 - 30*t^2 + 849*t + 283"},"gal'
+        '_over_matches":true,"normal":false,"order":2,"subgroup":[0,23]},{"'
+        'fixed_field":{"dim":8,"primitive":"((-3*a^3 - a^2)*b^2 - 2*a^3*b +'
+        ' 1)*c + -3*a^3*b^2 + a","primitive_min_poly":"t^8 - 3*t^7 + 31*t^6'
+        ' + 218*t^5 + 791*t^4 + 2734*t^3 + 6438*t^2 + 8000*t + 3977"},"gal_'
+        'over_matches":true,"normal":false,"order":3,"subgroup":[0,3,4]},{"'
+        'fixed_field":{"dim":8,"primitive":"((3*a^3 - 3)*b^2 + 2*b + a)*c +'
+        ' b^2","primitive_min_poly":"t^8 - 3*t^7 + 21*t^6 + 55*t^5 + 56*t^4'
+        ' + 377*t^3 + 523*t^2 + 98*t + 773"},"gal_over_matches":true,"norma'
+        'l":false,"order":3,"subgroup":[0,8,12]},{"fixed_field":{"dim":8,"p'
+        'rimitive":"(-a^2*b^2 + (2*a^3 - 1)*b + 1)*c + a^3*b^2 + a*b + a","'
+        'primitive_min_poly":"t^8 + 2*t^6 + 2*t^5 + 151*t^4 + 2*t^3 + 151*t'
+        '^2 - 133*t + 4493"},"gal_over_matches":true,"normal":false,"order"'
+        ':3,"subgroup":[0,11,19]},{"fixed_field":{"dim":8,"primitive":"(-a^'
+        '2*b^2 - 2*a^3*b - a)*c + (a^3 - 1)*b^2 + a","primitive_min_poly":"'
+        't^8 - 7*t^6 + 20*t^5 + 34*t^4 - 70*t^3 + 130*t^2 - 490*t + 671"},"'
+        'gal_over_matches":true,"normal":false,"order":3,"subgroup":[0,15,2'
+        '0]},{"fixed_field":{"dim":6,"primitive":"b + a","primitive_min_pol'
+        'y":"t^6 + 4*t^2 - 1"},"gal_over_matches":true,"normal":false,"orde'
+        'r":4,"subgroup":[0,1,6,7]},{"fixed_field":{"dim":6,"primitive":"a*'
+        'c + a*b + a^2","primitive_min_poly":"t^6 + t^4 + t^3 - t^2 - 1"},"'
+        'gal_over_matches":true,"normal":false,"order":4,"subgroup":[0,2,21'
+        ',23]},{"fixed_field":{"dim":6,"primitive":"c + a","primitive_min_p'
+        'oly":"t^6 + 4*t^2 - 1"},"gal_over_matches":true,"normal":false,"or'
+        'der":4,"subgroup":[0,5,14,16]},{"fixed_field":{"dim":6,"primitive"'
+        ':"(-2*b + 2*a)*c + -b^2 + a^2","primitive_min_poly":"t^6 + 24*t^4 '
+        '+ 144*t^2 + 283"},"gal_over_matches":true,"normal":true,"order":4,'
+        '"subgroup":[0,7,16,23]},{"fixed_field":{"dim":6,"primitive":"(2*a*'
+        'b^2 + 2*a^3 - 1)*c + a^2*b^2 + a","primitive_min_poly":"t^6 + 2*t^'
+        '5 + 15*t^4 + 62*t^3 + 97*t^2 + 53*t + 10"},"gal_over_matches":true'
+        ',"normal":false,"order":4,"subgroup":[0,7,17,22]},{"fixed_field":{'
+        '"dim":6,"primitive":"(2*a^2*b^2 + a)*c + (2*a^3 - 1)*b^2 + a^2","p'
+        'rimitive_min_poly":"t^6 - t^4 + 34*t^3 + 71*t^2 - 17*t + 6"},"gal_'
+        'over_matches":true,"normal":false,"order":4,"subgroup":[0,9,16,18]'
+        '},{"fixed_field":{"dim":6,"primitive":"(2*a*b^2 + a^2*b + -a^3 + 1'
+        ')*c + 2*a^2*b^2 + a^3*b + a","primitive_min_poly":"t^6 - 2*t^5 + 1'
+        '5*t^4 - 62*t^3 + 97*t^2 - 53*t + 10"},"gal_over_matches":true,"nor'
+        'mal":false,"order":4,"subgroup":[0,10,13,23]},{"fixed_field":{"dim'
+        '":4,"primitive":"c + b + a","primitive_min_poly":"t^4 + t - 1"},"g'
+        'al_over_matches":true,"normal":false,"order":6,"subgroup":[0,1,2,3'
+        ',4,5]},{"fixed_field":{"dim":4,"primitive":"(b + a)*c + b^2 + a*b '
+        '+ a^2","primitive_min_poly":"t^4 - 2*t^2 + t + 1"},"gal_over_match'
+        'es":true,"normal":false,"order":6,"subgroup":[0,1,14,15,20,21]},{"'
+        'fixed_field":{"dim":4,"primitive":"a","primitive_min_poly":"t^4 - '
+        't - 1"},"gal_over_matches":true,"normal":false,"order":6,"subgroup'
+        '":[0,2,6,8,12,14]},{"fixed_field":{"dim":4,"primitive":"a*b^2 + a^'
+        '2*b + a^3","primitive_min_poly":"t^4 - t^3 - 1"},"gal_over_matches'
+        '":true,"normal":false,"order":6,"subgroup":[0,5,6,11,19,21]},{"fix'
+        'ed_field":{"dim":3,"primitive":"2*a^2*b^2 + b + a","primitive_min_'
+        'poly":"t^3 + 2*t^2 - 4*t - 9"},"gal_over_matches":true,"normal":fa'
+        'lse,"order":8,"subgroup":[0,1,6,7,16,17,22,23]},{"fixed_field":{"d'
+        'im":3,"primitive":"(-b + a)*c + a*b + a^2","primitive_min_poly":"t'
+        '^3 + 4*t + 1"},"gal_over_matches":true,"normal":false,"order":8,"s'
+        'ubgroup":[0,2,7,10,13,16,21,23]},{"fixed_field":{"dim":3,"primitiv'
+        'e":"(2*a^2*b + 2*a^3 - 1)*c + 2*a^2*b^2 + 2*a^3*b + a","primitive_'
+        'min_poly":"t^3 + 4*t^2 + 1"},"gal_over_matches":true,"normal":fals'
+        'e,"order":8,"subgroup":[0,5,7,9,14,16,18,23]},{"fixed_field":{"dim'
+        '":2,"primitive":"((-3*a^3 + 3/4)*b^2 + (-3/2*a - 2)*b + -3/4*a^2 -'
+        ' a)*c + (-3/4*a - 1)*b^2 + -3/4*a^3 + a^2","primitive_min_poly":"t'
+        '^2 + 3/4*t + 73/16"},"gal_over_matches":true,"normal":true,"order"'
+        ':12,"subgroup":[0,3,4,7,8,11,12,15,16,19,20,23]},{"fixed_field":{"'
+        'dim":1,"primitive":"1","primitive_min_poly":"t - 1"},"gal_over_mat'
+        'ches":true,"normal":true,"order":24,"subgroup":[0,1,2,3,4,5,6,7,8,'
+        '9,10,11,12,13,14,15,16,17,18,19,20,21,22,23]}]}\n',
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, expected", GOLDEN_JSON)
 def test_json_golden_bytes(capsys, argv, expected):
+    assert dispatch(argv) == 0
+    assert capsys.readouterr().out == expected
+
+
+# The F42 correspondence of t^7 - 2 (degree 42, 26 subgroups): a few seconds.
+SLOW_GOLDEN_JSON = (
+    ["--json", "--max-degree", "48", "correspondence", "t^7-2"],
+    '{"degree":42,"group_order":42,"mutually_inverse":true,"pair_count"'
+    ':26,"pairs":[{"fixed_field":{"dim":42,"primitive":"-b + a","primit'
+    'ive_min_poly":"t^42 + 48020*t^28 + 96001584*t^14 + 52706752"},"gal'
+    '_over_matches":true,"normal":true,"order":1,"subgroup":[0]},{"fixe'
+    'd_field":{"dim":21,"primitive":"1/2*a^3*b^5 + a","primitive_min_po'
+    'ly":"t^21 + 114*t^14 - 1156*t^7 - 8"},"gal_over_matches":true,"nor'
+    'mal":false,"order":2,"subgroup":[0,5]},{"fixed_field":{"dim":21,"p'
+    'rimitive":"1/2*a^4*b^4 + a","primitive_min_poly":"t^21 + 114*t^14 '
+    '- 1156*t^7 - 8"},"gal_over_matches":true,"normal":false,"order":2,'
+    '"subgroup":[0,6]},{"fixed_field":{"dim":21,"primitive":"1/2*a^5*b^'
+    '3 + a","primitive_min_poly":"t^21 + 114*t^14 - 1156*t^7 - 8"},"gal'
+    '_over_matches":true,"normal":false,"order":2,"subgroup":[0,13]},{"'
+    'fixed_field":{"dim":21,"primitive":"1/2*a^6*b^2 + a","primitive_mi'
+    'n_poly":"t^21 + 114*t^14 - 1156*t^7 - 8"},"gal_over_matches":true,'
+    '"normal":false,"order":2,"subgroup":[0,20]},{"fixed_field":{"dim":'
+    '21,"primitive":"b + a","primitive_min_poly":"t^21 + 114*t^14 - 115'
+    '6*t^7 - 8"},"gal_over_matches":true,"normal":false,"order":2,"subg'
+    'roup":[0,27]},{"fixed_field":{"dim":21,"primitive":"1/2*a^4*b^5 + '
+    'b^2","primitive_min_poly":"t^21 + 228*t^14 - 4624*t^7 - 64"},"gal_'
+    'over_matches":true,"normal":false,"order":2,"subgroup":[0,34]},{"f'
+    'ixed_field":{"dim":21,"primitive":"1/2*a^4*b^5 + a^2","primitive_m'
+    'in_poly":"t^21 + 228*t^14 - 4624*t^7 - 64"},"gal_over_matches":tru'
+    'e,"normal":false,"order":2,"subgroup":[0,41]},{"fixed_field":{"dim'
+    '":14,"primitive":"1/2*a^5*b^3 + b + a","primitive_min_poly":"t^14 '
+    '- 26*t^7 + 512"},"gal_over_matches":true,"normal":false,"order":3,'
+    '"subgroup":[0,1,3]},{"fixed_field":{"dim":14,"primitive":"1/2*a^4*'
+    'b^4 + 1/2*a^6*b^2 + b","primitive_min_poly":"t^14 - 26*t^7 + 512"}'
+    ',"gal_over_matches":true,"normal":false,"order":3,"subgroup":[0,8,'
+    '18]},{"fixed_field":{"dim":14,"primitive":"1/2*a^5*b^3 + 1/2*a^6*b'
+    '^2 + a","primitive_min_poly":"t^14 - 26*t^7 + 512"},"gal_over_matc'
+    'hes":true,"normal":false,"order":3,"subgroup":[0,10,30]},{"fixed_f'
+    'ield":{"dim":14,"primitive":"1/2*a^4*b^5 + a*b + a^2","primitive_m'
+    'in_poly":"t^14 - 52*t^7 + 2048"},"gal_over_matches":true,"normal":'
+    'false,"order":3,"subgroup":[0,15,39]},{"fixed_field":{"dim":14,"pr'
+    'imitive":"1/2*a^3*b^5 + b + a","primitive_min_poly":"t^14 - 26*t^7'
+    ' + 512"},"gal_over_matches":true,"normal":false,"order":3,"subgrou'
+    'p":[0,17,22]},{"fixed_field":{"dim":14,"primitive":"1/2*a^4*b^5 + '
+    '1/2*a^5*b^4 + a^2","primitive_min_poly":"t^14 - 52*t^7 + 2048"},"g'
+    'al_over_matches":true,"normal":false,"order":3,"subgroup":[0,25,37'
+    ']},{"fixed_field":{"dim":14,"primitive":"1/2*a^3*b^5 + 1/2*a^4*b^4'
+    ' + a","primitive_min_poly":"t^14 - 26*t^7 + 512"},"gal_over_matche'
+    's":true,"normal":false,"order":3,"subgroup":[0,29,32]},{"fixed_fie'
+    'ld":{"dim":7,"primitive":"1/2*a^3*b^5 + 1/2*a^4*b^4 + 1/2*a^5*b^3 '
+    '+ 1/2*a^6*b^2 + b + a","primitive_min_poly":"t^7 + 2"},"gal_over_m'
+    'atches":true,"normal":false,"order":6,"subgroup":[0,1,2,3,4,5]},{"'
+    'fixed_field":{"dim":7,"primitive":"1/2*a^5*b^5 + 1/2*a^6*b^4 + b^3'
+    ' + a*b^2 + a^2*b + a^3","primitive_min_poly":"t^7 + 8"},"gal_over_'
+    'matches":true,"normal":false,"order":6,"subgroup":[0,6,17,22,33,38'
+    ']},{"fixed_field":{"dim":7,"primitive":"a","primitive_min_poly":"t'
+    '^7 - 2"},"gal_over_matches":true,"normal":false,"order":6,"subgrou'
+    'p":[0,8,16,18,26,34]},{"fixed_field":{"dim":7,"primitive":"1/2*a^4'
+    '*b^5 + 1/2*a^5*b^4 + 1/2*a^6*b^3 + b^2 + a*b + a^2","primitive_min'
+    '_poly":"t^7 + 4"},"gal_over_matches":true,"normal":false,"order":6'
+    ',"subgroup":[0,9,12,29,32,41]},{"fixed_field":{"dim":7,"primitive"'
+    ':"b^5 + a*b^4 + a^2*b^3 + a^3*b^2 + a^4*b + a^5","primitive_min_po'
+    'ly":"t^7 + 32"},"gal_over_matches":true,"normal":false,"order":6,"'
+    'subgroup":[0,10,23,27,30,40]},{"fixed_field":{"dim":7,"primitive":'
+    '"a*b^5 + a^2*b^4 + a^3*b^3 + a^4*b^2 + a^5*b + a^6","primitive_min'
+    '_poly":"t^7 + 64"},"gal_over_matches":true,"normal":false,"order":'
+    '6,"subgroup":[0,11,15,20,24,39]},{"fixed_field":{"dim":7,"primitiv'
+    'e":"1/2*a^6*b^5 + b^4 + a*b^3 + a^2*b^2 + a^3*b + a^4","primitive_'
+    'min_poly":"t^7 + 16"},"gal_over_matches":true,"normal":false,"orde'
+    'r":6,"subgroup":[0,13,19,25,31,37]},{"fixed_field":{"dim":6,"primi'
+    'tive":"a^6*b","primitive_min_poly":"t^6 + 2*t^5 + 4*t^4 + 8*t^3 + '
+    '16*t^2 + 32*t + 64"},"gal_over_matches":true,"normal":true,"order"'
+    ':7,"subgroup":[0,7,14,21,28,35,36]},{"fixed_field":{"dim":3,"primi'
+    'tive":"a^2*b^5 + a^5*b^2","primitive_min_poly":"t^3 + 2*t^2 - 8*t '
+    '- 8"},"gal_over_matches":true,"normal":true,"order":14,"subgroup":'
+    '[0,5,6,7,13,14,20,21,27,28,34,35,36,41]},{"fixed_field":{"dim":2,"'
+    'primitive":"a^3*b^4 + a^5*b^2 + a^6*b","primitive_min_poly":"t^2 +'
+    ' 2*t + 8"},"gal_over_matches":true,"normal":true,"order":21,"subgr'
+    'oup":[0,1,3,7,8,10,14,15,17,18,21,22,25,28,29,30,32,35,36,37,39]},'
+    '{"fixed_field":{"dim":1,"primitive":"1","primitive_min_poly":"t - '
+    '1"},"gal_over_matches":true,"normal":true,"order":42,"subgroup":[0'
+    ',1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25'
+    ',26,27,28,29,30,31,32,33,34,35,36,37,38,39,40,41]}]}\n',
+)
+
+
+@pytest.mark.slow
+def test_json_golden_bytes_at_degree_42(capsys):
+    argv, expected = SLOW_GOLDEN_JSON
     assert dispatch(argv) == 0
     assert capsys.readouterr().out == expected
 

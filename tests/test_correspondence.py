@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from galoiskit.cli import parse_poly
 from galoiskit.errors import InternalInvariant, NotNormal
-from galoiskit.numbers import QQ
+from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.splitting import splitting_field_q
+from galoiskit.splitting import splitting_field_fp, splitting_field_q
 from galoiskit.galois import (
     Subgroup,
     automorphisms,
@@ -18,6 +19,7 @@ from galoiskit.galois import (
     subgroups,
 )
 from galoiskit.correspondence import (
+    _coset_representatives,
     _find_primitive,
     fixed_field,
     gal_over,
@@ -27,7 +29,7 @@ from galoiskit.correspondence import (
     subfield_generated_by,
     verify_correspondence,
 )
-from galoiskit.linalg import in_row_space, mat_mul_vec, row_space_basis
+from galoiskit.linalg import in_row_space, mat_mul_vec, row_space_basis, rref
 
 
 def q(coeffs):
@@ -367,3 +369,104 @@ def test_primitive_filter_that_accepts_a_non_generator_raises(t4_setup):
         _find_primitive(field, basis, outside=[])
     elem, mp = _find_primitive(field, basis)
     assert mp.degree == 8
+
+
+# ---------------------------------------------------------------------------
+# the trace, coset and primitive-element routes against the plain definitions
+# ---------------------------------------------------------------------------
+
+
+def _nullspace(field, rows, ncols):
+    """Basis of {x : A x = 0} (RREF-canonical): one vector per free column."""
+    reduced, pivots = rref(field, rows)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for i, pc in enumerate(pivots):
+            v[pc] = -reduced[i][fc]
+        basis.append(v)
+    return basis
+
+
+def _fixed_space_by_kernels(H, G):
+    """Fix(H) by its definition: the common kernel of matrix(h) - I over H,
+    stacked as (|H| - 1) n rows, as an RREF basis."""
+    base = G.sf.field.base
+    n = G.sf.field.absolute_degree()
+    stacked = []
+    for idx in H.member_indices[1:]:
+        for r, row in enumerate(G.matrix_of(idx)):
+            stacked.append([c - base.one() if j == r else c for j, c in enumerate(row)])
+    return row_space_basis(base, _nullspace(base, stacked, n))
+
+
+def _basis_images(L, G, idx):
+    base = G.sf.field.base
+    return [mat_mul_vec(G.matrix_of(idx), v, base.zero()) for v in L.basis]
+
+
+_TRACE_FIELDS = {
+    "t^4-2 (D4)": lambda: splitting_field_q(q([-2, 0, 0, 0, 1])),
+    "(t^2-2)(t^2-3)(t^2-5) (C2^3)": lambda: splitting_field_q(q([-30, 0, 31, 0, -10, 0, 1])),
+    "t^5-2 (F20)": lambda: splitting_field_q(q([-2, 0, 0, 0, 0, 1])),
+    "F3 (t^2+1)(t^3+2t+1) (C6)": lambda: splitting_field_fp(parse_poly("(t^2+1)*(t^3+2*t+1)", PrimeField(3))),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(_TRACE_FIELDS))
+def lattice(request):
+    sf = _TRACE_FIELDS[request.param]()
+    G = automorphisms(sf)
+    return sf, G, subgroups(G)
+
+
+def test_trace_image_is_the_common_kernel(lattice):
+    # the same subspace, so the same canonical RREF basis, on every subgroup
+    sf, G, subs = lattice
+    for H in subs:
+        assert fixed_field(H, G).basis == _fixed_space_by_kernels(H, G), H
+
+
+def test_coset_representatives_meet_each_other_coset_once(lattice):
+    sf, G, subs = lattice
+    for H in subs:
+        reps = _coset_representatives(H, G)
+        cosets = [frozenset(G.table[g][h] for h in H.member_indices) for g in reps]
+        assert len(reps) == G.order // H.order - 1
+        assert all(c.isdisjoint(H.member_indices) for c in cosets)
+        assert frozenset().union(H.member_indices, *cosets) == frozenset(range(G.order))
+
+
+def test_primitive_route_matches_the_basis_route(lattice):
+    # Gal(M:L), normality and the restriction table read off the primitive
+    # element agree with the definitions on the whole basis of L, for the
+    # fixed fields and for fields generated by roots
+    sf, G, subs = lattice
+    base = sf.field.base
+    fields = [fixed_field(H, G) for H in subs] + [subfield_generated_by(sf, [r]) for r in sf.roots[:3]]
+    for L in fields:
+        fixing = tuple(i for i in range(G.order) if _basis_images(L, G, i) == L.basis)
+        assert gal_over(L, G).member_indices == fixing
+        normal = all(in_row_space(base, L.basis, v) for i in range(G.order) for v in _basis_images(L, G, i))
+        assert is_normal_intermediate(L, G) == normal
+        if normal:
+            prints = [tuple(tuple(map(base.sort_key, v)) for v in _basis_images(L, G, i)) for i in range(G.order)]
+            reps = [i for i in range(G.order) if prints.index(prints[i]) == i]
+            table = [[reps.index(prints.index(prints[G.table[a][b]])) for b in reps] for a in reps]
+            assert [list(row) for row in restriction_group(L, G).table] == table
+
+
+def test_primitive_filter_missing_a_coset_raises():
+    # Fix(1) of (t^2-2)(t^2-3)(t^2-5) is the whole field and its candidates
+    # run through sums of two square roots, each fixed by one automorphism
+    # alone; leaving out that automorphism's coset lets such a candidate
+    # through the filter, and the certificate must then refuse it
+    sf = splitting_field_q(q([-30, 0, 31, 0, -10, 0, 1]))
+    G = automorphisms(sf)
+    top = Subgroup((0,))
+    basis = fixed_field(top, G).basis
+    reps = _coset_representatives(top, G)
+    for skipped in reps:
+        with pytest.raises(InternalInvariant):
+            _find_primitive(sf.field, basis, [G.matrix_of(g) for g in reps if g != skipped])
