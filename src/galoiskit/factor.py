@@ -216,9 +216,9 @@ class _TowerPolys:
     read = wrap = staticmethod(lambda f: f)
 
     def deflate(self, a):
-        """h with a(t) = h(t^p) = h^p, h taking the p-th root of every
-        coefficient."""
-        return Poly(self.dom, [self.dom.pth_root(c) for c in a.coeffs[:: self.p]], normalize=False)
+        """h with a(t) = h(t^p) = h^p, h taking the p-th root c^(q/p) of
+        every coefficient c."""
+        return Poly(self.dom, [c ** (self.q // self.p) for c in a.coeffs[:: self.p]], normalize=False)
 
     def elem(self, coords):
         return self.dom.unflatten(coords)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import Budget, InvalidDegree, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
+from .errors import Budget, InternalInvariant, InvalidDegree, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
 from .numbers import PrimeField, divisors, factor_integer, is_prime
 from .poly import Poly
 from .factor import is_irreducible_ff
@@ -151,7 +151,7 @@ def frobenius_order(F: GF) -> int:
         y = frobenius(F, y)
         m += 1
         if m > F.n:
-            raise RuntimeError("Frobenius order exceeded the field degree")
+            raise InternalInvariant("Frobenius order exceeded the field degree")
     return m
 
 
@@ -206,7 +206,7 @@ def subfields(F: GF, budget: int = ELEMENT_BUDGET):
                 cur = F.mul(cur, h)
                 steps += 1
             if steps != sub_order - 1:
-                raise RuntimeError("subfield has the wrong size")
+                raise InternalInvariant("subfield has the wrong size")
         out.append((m, SubfieldOfGF(F, m, sub_order)))
     return out
 
@@ -231,7 +231,7 @@ def _first_generator(F: GF):
     for a in itertools.product(range(F.p), repeat=F.n):
         if any(a) and a != one and all(F.pow(a, q1 // ell) != one for ell in prime_divs):
             return a
-    raise RuntimeError("no multiplicative generator found")
+    raise InternalInvariant("no multiplicative generator found")
 
 
 def is_primitive_root(a: int, p: int) -> bool:

@@ -4,12 +4,14 @@ Over Q automorphisms are found by the recursive extension principle: the
 image of each tower generator must be a stored root annihilating the mapped
 minimal polynomial of that level.  Over F_p the group is cyclic, generated
 by the Frobenius x -> x^p, so its elements are the powers of Frobenius and
-nothing is searched.  Because the action on roots is faithful, the group is
-carried as a table of root permutations (canonically sorted, identity
-first).  Each automorphism also carries its matrix on the flattened
-power-product basis, built from powers of the generator images (about n
-tower products and n^2 base entries for a field of degree n), which the
-fixed-field linear algebra reads.
+nothing is searched: they permute the roots as the powers of the Frobenius
+permutation the splitting field keeps, and each generator, a stored root,
+with them.  Because the action on roots is faithful, the group is carried
+as a table of root permutations (canonically sorted, identity first).  Each
+automorphism also carries its matrix on the flattened power-product basis,
+built from powers of the generator images (about n tower products and n^2
+base entries for a field of degree n), which the fixed-field linear algebra
+reads.
 
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
@@ -21,10 +23,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariant, NotASubgroup, OrderCap
+from .errors import InternalInvariant, NotASubgroup, NotNormal, OrderCap
 from .linalg import mat_mul_vec
 from .poly import Poly
-from .splitting import SplittingField
+from .splitting import SplittingField, root_permutation
 
 SUBGROUP_ORDER_CAP = 60
 
@@ -50,12 +52,12 @@ class FiniteGroup:
         raise InternalInvariant("element without inverse")
 
     def element_order(self, i: int) -> int:
-        n = 1
         acc = i
-        while acc != 0:
+        for n in range(1, self.order + 1):
+            if acc == 0:
+                return n
             acc = self.table[acc][i]
-            n += 1
-        return n
+        raise InternalInvariant("no power of the element is the identity")
 
     def element_orders(self):
         return sorted(self.element_order(i) for i in range(self.order))
@@ -179,15 +181,6 @@ def _matrix(field, basis):
     return [[col[r] for col in cols] for r in range(field.absolute_degree())]
 
 
-def _permutation(index, keys):
-    """The root indices `index` gives the images' `keys`; they must be a
-    permutation of the roots."""
-    perm = tuple(index.get(key, -1) for key in keys)
-    if sorted(perm) != list(range(len(index))):
-        raise InternalInvariant("automorphism does not permute the roots")
-    return perm
-
-
 def _searched(sf):
     """(generator images, matrix, root permutation) of each automorphism."""
     field = sf.field
@@ -229,43 +222,40 @@ def _searched(sf):
     root_index = {tuple(v): i for i, v in enumerate(root_coords)}
     for images, mat in found:
         keys = (tuple(mat_mul_vec(mat, v, zero)) for v in root_coords)
-        yield images, mat, _permutation(root_index, keys)
+        yield images, mat, root_permutation(root_index, keys)
 
 
 def _frobenius_powers(sf):
     """(generator images, matrix, root permutation) of phi^j, j = 0 .. n-1,
-    for the Frobenius phi: one `** p` per generator per step, and the j-th
-    power of phi's root permutation, which looks up r^p once per root."""
+    for the Frobenius phi: the j-th power of `sf.frobenius`, which also
+    moves each generator, a stored root, to its image among the roots."""
     field, roots = sf.field, sf.roots
-    p, n = field.characteristic, field.absolute_degree()
-    index = {field.sort_key(r): i for i, r in enumerate(roots)}
-    step = _permutation(index, (field.sort_key(r**p) for r in roots))
-    images, perm = field.generators(), tuple(range(len(roots)))
-    for _ in range(n):
+    gens = [roots.index(g) for g in field.generators()]
+    perm = tuple(range(len(roots)))
+    for _ in range(field.absolute_degree()):
+        images = tuple(roots[perm[i]] for i in gens)
         basis = [field.one()]
         for level, r in zip(field.chain(), images):
             basis = _basis_up(basis, r, level.level_degree)
-        yield tuple(images), _matrix(field, basis), perm
-        images = [r**p for r in images]
-        perm = tuple(step[i] for i in perm)
+        yield images, _matrix(field, basis), perm
+        perm = tuple(sf.frobenius[i] for i in perm)
 
 
 def automorphisms(sf: SplittingField) -> GaloisGroup:
     """Enumerate Gal(M : base) for a splitting field M; the count must equal
     the tower degree (fields here are normal and separable).
 
-    Over F_p the elements are the powers of Frobenius.  Over Q (and on a
-    field that is the base itself) a search sends each level's generator to
-    a root of its mapped minimal polynomial m_phi, bottom-up.  m_phi divides
-    f and splits in the normal field M; for d > 1 it is irreducible over the
-    image of the level below, so none of its roots is an image of a lower
-    generator.  So the candidates -- the roots, less those images when
-    d > 1 -- hold exactly d roots of m_phi: the scan tests them in order and
-    takes the untested rest unevaluated once they are as many as the roots
-    still missing.  The matrix columns are the flattened basis images."""
-    field = sf.field
-    n = field.absolute_degree()
-    route = _frobenius_powers if field.characteristic and n > 1 else _searched
+    Over F_p the elements are the powers of Frobenius.  Over Q a search
+    sends each level's generator to a root of its mapped minimal polynomial
+    m_phi, bottom-up.  m_phi divides f and splits in the normal field M; for
+    d > 1 it is irreducible over the image of the level below, so none of
+    its roots is an image of a lower generator.  So the candidates -- the
+    roots, less those images when d > 1 -- hold exactly d roots of m_phi:
+    the scan tests them in order and takes the untested rest unevaluated
+    once they are as many as the roots still missing.  The matrix columns
+    are the flattened basis images."""
+    n = sf.field.absolute_degree()
+    route = _searched if sf.frobenius is None else _frobenius_powers
     elems = [Automorphism(images, perm, mat) for images, mat, perm in route(sf)]
     if len({a.root_perm for a in elems}) != len(elems):
         raise InternalInvariant("two automorphisms act alike on the roots")
@@ -431,6 +421,8 @@ def subgroup_table(G, H: Subgroup):
 
 def quotient_group(G, N: Subgroup):
     """Quotient by a normal subgroup: (FiniteGroup, coset list)."""
+    if not is_normal_subgroup(N, G):
+        raise NotNormal("quotient by a subgroup that is not normal")
     g = _as_group(G)
     nset = set(N.member_indices)
     cosets = []

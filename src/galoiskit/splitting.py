@@ -14,14 +14,16 @@ alpha^(q^2), ... of each adjoined root alpha (q the order of the coefficient
 field) are divided out the same way.  One synthetic-division pass gives
 both rem div (t - c) and rem(c), and a hit is certified by a zero remainder,
 so this is purely a shortcut.  Roots are then matched to the irreducible
-factors over the base, one Frobenius orbit at a time over F_p.
+factors over the base.  Over F_p that reads the cycles of the permutation
+x -> x^p makes of the roots, computed here once and kept for the Galois
+group as `SplittingField.frobenius`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegreeCap, ZeroPolynomial
+from .errors import DegreeCap, InternalInvariant, ZeroPolynomial
 from .numbers import QQ, PrimeField
 from .poly import Poly
 from .factor import factor_over_extension, field_order
@@ -38,6 +40,7 @@ class SplittingField:
     multiplicities: list
     source: Poly
     unit: object
+    frobenius: tuple = None  # root i goes to root frobenius[i] under x -> x^p; None over Q
 
     def degree(self) -> int:
         return self.field.absolute_degree()
@@ -135,7 +138,7 @@ def _split_squarefree(sq: Poly, cap: int):
             if g.degree > 1:
                 nonlinear.append(g)
             elif not take(-g.coeff(0)):
-                raise ValueError("division is not exact")
+                raise InternalInvariant("division is not exact")
         if not nonlinear:
             continue
 
@@ -152,7 +155,7 @@ def _split_squarefree(sq: Poly, cap: int):
         roots = [current.coerce(r) for r in roots]
         rem = rem.map_domain(current, current.coerce)
         if not take(alpha):
-            raise ValueError("division is not exact")
+            raise InternalInvariant("division is not exact")
         center = current.coerce(center)
 
         # Frobenius pre-pass: alpha's conjugates are roots of sq, and none of
@@ -171,7 +174,7 @@ def _build(f: Poly, cap: int) -> SplittingField:
         raise ZeroPolynomial("splitting field of the zero polynomial")
     unit = f.lc()
     if f.degree == 0:
-        return SplittingField(f.dom, [], [], f, unit)
+        return SplittingField(f.dom, [], [], f, unit, () if f.dom.characteristic else None)
     fact = factor_over_extension(f)
     sq = Poly.one(f.dom)
     for g, _ in fact.factors:
@@ -181,19 +184,20 @@ def _build(f: Poly, cap: int) -> SplittingField:
     # sort by that factor's degree (= the root's degree over the base), then
     # by coordinates.  The factors are distinct separable irreducibles, so a
     # factor of degree d owns exactly d roots and is not tested once it has
-    # them.  Over F_p they are one orbit of x -> x^p, which goes whole to the
-    # one unmatched factor of the orbit's size that vanishes at one of them
+    # them.  Over F_p they are one cycle of the step x -> x^p (over Q the
+    # step is the identity), which goes whole to the one unmatched factor of
+    # the cycle's size that vanishes at one of them
     lifted = [[g.map_domain(field, field.coerce), mult, g.degree] for g, mult in fact.factors]
     p = field.characteristic
     index = {field.sort_key(r): i for i, r in enumerate(roots)}
+    step = root_permutation(index, (field.sort_key(r**p if p else r) for r in roots))
     owner = [None] * len(roots)
     for i, r in enumerate(roots):
         if owner[i]:
             continue
-        orbit, c = [i], r**p if p else r
-        while c != r:
-            orbit.append(index[field.sort_key(c)])
-            c = c**p
+        orbit = [i]
+        while step[orbit[-1]] != i:
+            orbit.append(step[orbit[-1]])
         for entry in lifted:
             g, _, missing = entry
             if missing and (not p or g.degree == len(orbit)) and not g.eval(r):
@@ -204,7 +208,18 @@ def _build(f: Poly, cap: int) -> SplittingField:
         for j in orbit:
             owner[j] = entry
     order = sorted(range(len(roots)), key=lambda i: (owner[i][0].degree, field.sort_key(roots[i])))
-    return SplittingField(field, [roots[i] for i in order], [owner[i][1] for i in order], f, unit)
+    place = {i: k for k, i in enumerate(order)}  # step, re-indexed to the canonical order
+    frobenius = tuple(place[step[i]] for i in order) if p else None
+    return SplittingField(field, [roots[i] for i in order], [owner[i][1] for i in order], f, unit, frobenius)
+
+
+def root_permutation(index, keys):
+    """The root indices `index` gives the images' `keys`; they must be a
+    permutation of the roots."""
+    perm = tuple(index.get(key, -1) for key in keys)
+    if sorted(perm) != list(range(len(index))):
+        raise InternalInvariant("the images do not permute the roots")
+    return perm
 
 
 def splitting_field_q(f: Poly, max_degree: int = SPLITTING_DEGREE_CAP) -> SplittingField:

@@ -225,13 +225,6 @@ class Tower:
     def sort_key(self, x):
         return self.coerce(x).v
 
-    def pth_root(self, x):
-        """Unique p-th root in a finite tower (inverse Frobenius)."""
-        p = self.characteristic
-        if p == 0:
-            raise TypeError("pth_root needs positive characteristic")
-        return x ** (p ** (self.absolute_degree() - 1))
-
     # -- structure --------------------------------------------------------------
 
     def _add(self, a, b) -> tuple:

@@ -1130,6 +1130,16 @@ def test_parser_shape_limits():
         parse_poly(f") + t^{d + 1}")
 
 
+def test_internal_failure_exits_4(monkeypatch, capsys):
+    # a synthetic division that never divides exactly breaks an invariant
+    import galoiskit.splitting as splitting
+
+    divide = splitting._synthetic_division
+    monkeypatch.setattr(splitting, "_synthetic_division", lambda f, c: (divide(f, c)[0], f.dom.one()))
+    assert dispatch(["splitting-field", "t^2-2"]) == 4
+    assert "internal invariant violated: division is not exact" in capsys.readouterr().err
+
+
 def test_shape_limit_is_a_cap_exit_code(capsys):
     t0 = time.monotonic()
     assert dispatch(["--json", "factor", f"t^{MAX_PARSE_DEGREE + 1} + 1"]) == 3

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit.errors import NotASubgroup, OrderCap
+from galoiskit.errors import InternalInvariant, NotASubgroup, NotNormal, OrderCap
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.cli import parse_poly
 from galoiskit.poly import Poly
@@ -381,6 +381,21 @@ def test_quotient_group():
     assert isomorphism_type(quo) == "C2"
 
 
+def test_quotient_by_a_non_normal_subgroup_raises(gal_t4):
+    N = next(H for H in subgroups(gal_t4) if H.order == 2 and not is_normal_subgroup(H, gal_t4))
+    with pytest.raises(NotNormal):
+        quotient_group(gal_t4, N)
+
+
+def test_element_order_on_a_table_that_is_not_a_group_raises():
+    # the powers of element 1 run 1, 2, 2, ... and never reach the identity
+    g = FiniteGroup([[0, 1, 2], [1, 2, 0], [2, 2, 2]])
+    with pytest.raises(InternalInvariant):
+        g.element_order(1)
+    with pytest.raises(InternalInvariant):
+        isomorphism_type(g)
+
+
 def _parity(p):
     seen = [False] * len(p)
     parity = 0
@@ -524,14 +539,27 @@ def _frobenius_sources():
     return out
 
 
+def test_fp_base_field_takes_the_frobenius_route(monkeypatch):
+    # F_p itself has one automorphism, the identity, and nothing is searched
+    import galoiskit.galois as galois
+
+    monkeypatch.setattr(galois, "_searched", None)
+    G = automorphisms(splitting_field_fp(Poly(PrimeField(5), [-1, 0, 1])))
+    assert [(a.root_perm, a.generator_images) for a in G.elements] == [((0, 1), ())]
+
+
 @pytest.mark.parametrize("f", _frobenius_sources(), ids=str)
-def test_fp_automorphisms_are_the_frobenius_powers(f):
+def test_fp_automorphisms_are_the_frobenius_powers(monkeypatch, f):
     # oracle: Gal over F_p is generated by x -> x^p; element j = phi^j maps
     # basis vector b to b^(p^j), root r to r^(p^j) and each generator g to
     # g^(p^j), and the group is exactly phi^0 .. phi^(n-1), sorted by root
-    # permutation
+    # permutation.  automorphisms reads sf.frobenius and takes no powers
     sf = splitting_field_fp(f)
+    calls, power = [], TowerElem.__pow__
+    monkeypatch.setattr(TowerElem, "__pow__", lambda self, n: calls.append(n) or power(self, n))
     G = automorphisms(sf)
+    monkeypatch.undo()
+    assert calls == []
     field, roots, p = sf.field, sf.roots, f.dom.p
     n = sf.degree()
     assert n > 1

@@ -5,7 +5,8 @@ from math import lcm
 
 import pytest
 
-from galoiskit.errors import DegreeCap, ZeroPolynomial
+from galoiskit.cli import parse_poly
+from galoiskit.errors import DegreeCap, InternalInvariant, ZeroPolynomial
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly
 from galoiskit.splitting import (
@@ -228,14 +229,17 @@ def test_json_shape():
     assert data["degree"] == 2
 
 
-@pytest.mark.parametrize("build", [
+_MATCHING_BUILDS = [
     lambda: splitting_field_q(q([-2, 0, 1]) * q([-3, 0, 1]) * q([-1, 1]) * q([1, 1]) * q([-2, 0, 0, 1])),
     lambda: splitting_field_fp(Poly(F3, [1, 0, 1]) * Poly(F3, [1, -1, 0, 1]) * Poly(F3, [0, 1])),
     lambda: splitting_field_fp(Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 0, 1]) * Poly(F2, [1, 0, 1, 1])),
     # over F_4 the quartic splits into quadratics, so its roots are found
     # before the cubic's: an orbit of 4 meets a factor of degree 3 unmatched
     lambda: splitting_field_fp(Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 0, 1]) * Poly(F2, [1, 1, 0, 0, 1])),
-])
+]
+
+
+@pytest.mark.parametrize("build", _MATCHING_BUILDS)
 def test_each_factor_is_tested_until_it_has_its_roots(monkeypatch, build):
     # once the roots are found, over Q a factor of degree d is evaluated at
     # roots until d of them are its zeros, and never after; over F_p a root
@@ -287,6 +291,62 @@ def test_each_factor_is_tested_until_it_has_its_roots(monkeypatch, build):
         zeros[g] = zeros.get(g, 0) + is_zero
     assert all(zeros[g] == g.degree for g in zeros)
     assert sum(zeros.values()) == len(sf.roots)
+
+
+def _fp_golden_builds():
+    """The F_p inputs of GOLDEN_JSON that build a splitting field, and the
+    F_p builds of the orbit-matching test."""
+    from test_cli import GOLDEN_JSON
+
+    sources = [
+        parse_poly(argv[-1], PrimeField(int(argv[2][1:])))
+        for argv, _ in GOLDEN_JSON
+        if argv[1:2] == ["--field"] and argv[3] in ("galois", "splitting-field", "correspondence")
+    ]
+    return [lambda f=f: splitting_field_fp(f) for f in sources] + _MATCHING_BUILDS[1:]
+
+
+@pytest.mark.parametrize("build", _fp_golden_builds())
+def test_frobenius_is_x_to_the_p_and_its_cycles_are_the_factors(build):
+    # root i goes to the root r_i^p, and the cycles are the root sets of the
+    # irreducible factors over F_p
+    sf = build()
+    field, step = sf.field, sf.frobenius
+    assert step == tuple(sf.roots.index(r**field.characteristic) for r in sf.roots)
+    cycles = set()
+    for i in range(len(step)):
+        cycle, j = {i}, step[i]
+        while j != i:
+            cycle.add(j)
+            j = step[j]
+        cycles.add(frozenset(cycle))
+    root_sets = {
+        frozenset(i for i, r in enumerate(sf.roots) if not g.map_domain(field, field.coerce).eval(r))
+        for g, _ in factor_fp(sf.source).factors
+    }
+    assert cycles == root_sets
+
+
+def test_roots_not_closed_under_frobenius_raise(monkeypatch):
+    # a root list missing a conjugate is an internal failure, not a KeyError
+    import galoiskit.splitting as splitting
+
+    split = splitting._split_squarefree
+
+    def split_less_one(*args):
+        field, roots = split(*args)
+        return field, roots[:-1]
+
+    monkeypatch.setattr(splitting, "_split_squarefree", split_less_one)
+    with pytest.raises(InternalInvariant):
+        splitting_field_fp(Poly(F3, [1, 0, 1]))
+
+
+def test_frobenius_is_none_over_q_and_empty_for_a_constant():
+    assert _MATCHING_BUILDS[0]().frobenius is None
+    assert splitting_field_q(q([-2, 0, 0, 1])).frobenius is None
+    assert splitting_field_q(q([3])).frobenius is None
+    assert splitting_field_fp(Poly(F3, [2])).frobenius == ()
 
 
 def _synthetic_cases():
