@@ -31,7 +31,9 @@ Three coefficient worlds are covered:
   the problem down to Q through a resultant.  It runs in the primitive
   element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the tower:
   only the irreducible factors are mapped back.  The shift is chosen, and
-  its norm proved squarefree, mod NORM_PRIME; one norm is computed over Q.
+  its norm proved squarefree, mod NORM_PRIME; the norm over Z is rebuilt by
+  CRT from that image and images mod further primes below 2^61, up to a
+  Goldstein-Graham bound, with no resultant over Q.
 
 `factor_over_extension(g)` is the one entry point for all three: it
 dispatches on the coefficient field g.dom.
@@ -61,7 +63,6 @@ from .errors import (
 from .numbers import QQ, PrimeField, factor_integer, is_prime
 from .poly import (
     Poly,
-    PolyRing,
     _deriv_mod,
     _divmod_mod,
     _from_numerators,
@@ -70,6 +71,7 @@ from .poly import (
     _monic_mod,
     _mul_mod,
     _numerators,
+    _positive_primitive,
     _pseudo_divmod,
     _rem_mod,
     _sturm_ints,
@@ -78,7 +80,6 @@ from .poly import (
     _xgcd_mod,
     content_primitive,
     poly_gcd,
-    resultant,
     squarefree_part,
 )
 
@@ -819,28 +820,6 @@ def cyclotomic_p(p: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _norm_resultant(mgamma: Poly, g_reps, s: int) -> Poly:
-    """Res_x(mgamma(x), sum_j c_j(x) (t - s x)^j) as a polynomial in t."""
-    R = PolyRing(QQ)
-    # build H(x, t) = sum_j c_j(x) * (t - s x)^j as Poly over R in x
-    acc = Poly.zero(R)
-    for j, cj in enumerate(g_reps):
-        if cj.is_zero():
-            continue
-        # (t - s x)^j expanded in x: coefficient of x^k is C(j,k)(-s)^k t^(j-k)
-        binom_x = Poly(
-            R,
-            [
-                Poly(QQ, [Fraction(0)] * (j - k) + [Fraction(comb(j, k) * (-s) ** k)])
-                for k in range(j + 1)
-            ],
-        )
-        cj_x = Poly(R, [Poly(QQ, [c]) for c in cj.coeffs])
-        acc = acc + cj_x * binom_x
-    m_x = Poly(R, [Poly(QQ, [c]) for c in mgamma.coeffs])
-    return resultant(m_x, acc)
-
-
 def _resultant_mod(a, b, p):
     """Res(a, b) mod p of trimmed residue lists, deg a >= 1, by Euclid:
     Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, a mod b)."""
@@ -857,10 +836,10 @@ def _resultant_mod(a, b, p):
 
 
 def _norm_mod(mgamma: Poly, reps, s: int, p: int) -> list:
-    """`_norm_resultant(mgamma, reps, s)` mod a prime p > nd dividing no
-    denominator (n = deg mgamma, d = len(reps) - 1), as a residue list: the
-    values at t = 0..nd, each by `_resultant_mod`, interpolated (Newton).
-    O(nd n^2) residue operations."""
+    """The norm Res_y(mgamma, sum_j c_j(y) (t - s*y)^j), c_j the coordinates
+    in `reps`, mod a prime p > nd dividing no denominator (n = deg mgamma,
+    d = len(reps) - 1), as a residue list: the values at t = 0..nd, each by
+    `_resultant_mod`, interpolated (Newton).  O(nd n^2) residue operations."""
     red = lambda f: [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
     m, cs = red(mgamma), [red(c) for c in reps]
     coef = []
@@ -879,20 +858,94 @@ def _norm_mod(mgamma: Poly, reps, s: int, p: int) -> list:
     return _trim(out)
 
 
-def _squarefree_shift(mgamma: Poly, reps, tries: int) -> int:
-    """The first s in `_shift_order(tries)` with N_s squarefree, proved mod p:
-    N_s mod p keeps the degree nd and a nonzero discriminant, and a repeated
-    factor over Q survives a reduction that keeps the degree.  p is NORM_PRIME
-    unless that divides a denominator of mgamma or `reps`; then the least
-    such prime above nd.  Skipping an s for an unlucky p changes no factor."""
+def _is_prime_mr(n: int) -> bool:
+    """Miller-Rabin for odd n > 37 with the twelve prime bases up to 37,
+    deterministic below 3.18 * 10^23, the least strong pseudoprime to all of
+    them (Sorenson & Webster, Math. Comp. 86 (2017))."""
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):  # a 1 not preceded by n - 1 stays 1: composite
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
+
+
+_NORM_PRIMES = [NORM_PRIME]
+
+
+def _norm_primes(den: int):
+    """The primes below 2^61 that do not divide den, in decreasing order from
+    NORM_PRIME = 2^61 - 1; found lazily by `_is_prime_mr` and cached."""
+    for i in itertools.count():
+        if i == len(_NORM_PRIMES):
+            n = _NORM_PRIMES[-1] - 2
+            while not _is_prime_mr(n):
+                n -= 2
+            _NORM_PRIMES.append(n)
+        if den % _NORM_PRIMES[i]:
+            yield _NORM_PRIMES[i]
+
+
+def _squarefree_shift(mgamma: Poly, reps, tries: int):
+    """(s, N_s mod p) for the first s in `_shift_order(tries)` with N_s
+    squarefree, proved mod p: N_s mod p keeps the degree nd and a nonzero
+    discriminant, and a repeated factor over Q survives a reduction that
+    keeps the degree.  p is the first of `_norm_primes` dividing no
+    denominator of mgamma or `reps` (NORM_PRIME unless it divides one), and
+    the image is the first one `_norm_by_crt` uses.  Skipping an s for an
+    unlucky p changes no factor."""
     nd = mgamma.degree * (len(reps) - 1)
     den = _numerators([c for f in (mgamma, *reps) for c in f.coeffs])[1]
-    p = next(p for p in itertools.chain([NORM_PRIME], _primes()) if p > nd and den % p)
+    p = next(_norm_primes(den))
     for s in _shift_order(tries):
         nbar = _norm_mod(mgamma, reps, s, p)
         if len(nbar) == nd + 1 and _resultant_mod(nbar, _deriv_mod(nbar, p), p):
-            return s
+            return s, nbar
     raise SearchExhausted("no squarefree norm shift found")
+
+
+def _norm_by_crt(mgamma: Poly, reps, s: int, image) -> list:
+    """The norm N_s = Res_y(mgamma, G), G = sum_j c_j(y) (t - s*y)^j for the
+    coordinates c_j in `reps`, as a primitive int list with positive lc: by
+    CRT of its images mod `_norm_primes`, the first of them `image` (from
+    `_squarefree_shift`).  Each image is scaled by md^e * cden^n (md and
+    cden the denominators of mgamma and of `reps`, n = deg mgamma,
+    e = n - 1 + d), which makes it the image of the determinant of the
+    integer Sylvester matrix of md*mgamma and cden*G, taken of degree e in y.
+    Images are added until their product exceeds 2B, for the Goldstein-Graham
+    bound B = ||md*mgamma||_2^e * (sum_k ||G_k||_1^2)^(n/2) on its
+    coefficients, G_k the y^k coefficient of cden*G (bounded termwise)."""
+    m_int, md = _numerators(mgamma.coeffs)
+    nums, cden = _numerators([c for f in reps for c in f.coeffs])
+    n, d = len(m_int) - 1, len(reps) - 1
+    e, nd = n - 1 + d, n * d
+    g1 = [0] * (e + 1)  # termwise bounds on ||G_k||_1
+    for j, f in enumerate(reps):
+        for k, c in enumerate(nums[: len(f.coeffs)]):
+            for i in range(j + 1):
+                g1[k + i] += abs(c) * comb(j, i) * abs(s) ** i
+        nums = nums[len(f.coeffs) :]
+    bound_sq = sum(c * c for c in m_int) ** e * sum(c * c for c in g1) ** n  # B^2
+    scale, crt, modulus = md**e * cden**n, [0] * (nd + 1), 1
+    for p in _norm_primes(md * cden):
+        if modulus > 1:
+            image = _norm_mod(mgamma, reps, s, p)
+        step, image = pow(modulus, -1, p) * modulus, image + [0] * (nd + 1 - len(image))
+        crt = [r + (c * scale - r) * step % (p * modulus) for r, c in zip(crt, image)]
+        modulus *= p
+        if modulus * modulus > 4 * bound_sq:
+            break
+    half = modulus // 2
+    out = _positive_primitive([c - modulus if c > half else c for c in crt])
+    return out if out[-1] > 0 else [-c for c in out]
 
 
 def _shift_into(field, h: Poly, s: int) -> Poly:
@@ -919,9 +972,10 @@ def factor_over_extension(g: Poly) -> Factorization:
     is one rational product and one reduction mod m_gamma: squarefree part,
     norm Res_y(m_gamma, g(t - s*y)), shifts h(t + s*y) of its factors h,
     gcds, reassembly check and multiplicities.  s is chosen mod a prime
-    (`_squarefree_shift`); the one norm over Q, of degree at most
-    NORM_DEGREE_CAP, is factored as it stands, proved squarefree.  Only the
-    irreducible factors are mapped back to the tower."""
+    (`_squarefree_shift`); the norm, of degree at most NORM_DEGREE_CAP, is
+    rebuilt over Z from that image by CRT (`_norm_by_crt`) and factored as it
+    stands, proved squarefree.  Only the irreducible factors are mapped back
+    to the tower."""
     if g.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     dom = g.dom
@@ -952,10 +1006,9 @@ def factor_over_extension(g: Poly) -> Factorization:
     sq = squarefree_part(work_k)
     reps = [Poly(QQ, c.coeffs) for c in sq.coeffs]
 
-    s = _squarefree_shift(mgamma, reps, NORM_SHIFT_TRIES)
-    _, norm = content_primitive(_norm_resultant(mgamma, reps, s))
+    s, image = _squarefree_shift(mgamma, reps, NORM_SHIFT_TRIES)
     irreducibles = []
-    for h in _factor_sqfree_primitive_z(norm):
+    for h in _factor_sqfree_primitive_z(_norm_by_crt(mgamma, reps, s, image)):
         cand = poly_gcd(sq, _shift_into(K, Poly(QQ, h), s))
         if cand.degree > 0:
             irreducibles.append(cand)

