@@ -337,7 +337,7 @@ def _cmd_factor(args, dom):
     if dom == QQ:
         fact = factor.factor_q(f, max_degree=args.max_degree)
     else:
-        fact = factor.factor_fp(f)
+        fact = factor.factor_fp(f, max_degree=args.max_degree)
     lines = [f"unit: {fact.unit}"] + [
         f"({render(g)})^{m}" for g, m in fact.factors
     ]
@@ -561,7 +561,8 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         dom = _field_from_flag(args.field)
-        if args.max_degree is None:
+        # over F_p, factor is capped only by an explicit --max-degree
+        if args.max_degree is None and (args.command != "factor" or dom == QQ):
             args.max_degree = splitting.SPLITTING_DEGREE_CAP if args.command in (
                 "splitting-field",
                 "galois",

@@ -370,10 +370,13 @@ def factor_ff(f: Poly) -> Factorization:
     return Factorization(unit, _multiplicities(work, irreducibles, R.divmod, R.one, R.wrap))
 
 
-def factor_fp(f: Poly) -> Factorization:
-    """Complete factorization over a prime field F_p."""
+def factor_fp(f: Poly, max_degree: int | None = None) -> Factorization:
+    """Complete factorization over a prime field F_p; a degree above
+    max_degree (None: no cap) raises DegreeCap before any work."""
     if not isinstance(f.dom, PrimeField):
         raise TypeError("factor_fp expects coefficients in a prime field")
+    if max_degree is not None and f.degree > max_degree:
+        raise DegreeCap(f"degree {f.degree} exceeds factor cap {max_degree}")
     return factor_ff(f)
 
 

@@ -11,8 +11,11 @@ No structure query lists the field (Lidl & Niederreiter, *Finite Fields*,
 ch. 2).  The subfield of order p^m, for each m | n, is the fixed set
 {a : a^(p^m) = a} of the m-th Frobenius power, so membership costs one
 exponentiation.  The multiplicative generator is the first element in
-canonical order whose order is certified to be p^n - 1; candidates are made
-one at a time, and the answer is kept on the field.  Only `GF.elements` and
+canonical order whose order is certified to be q - 1 = p^n - 1
+(x^((q-1)/l) != 1 for every prime l | q - 1); candidates are made one at a
+time, and the answer is kept on the field.  Each proper subfield's size is
+certified the same way: h = g^((q-1)/N), N = p^m - 1, has h^N = 1 and
+h^(N/l) != 1 for every prime l | N, so ord h = N.  Only `GF.elements` and
 `SubfieldOfGF.elements` enumerate, within ELEMENT_BUDGET.
 
 The defining polynomial is the least monic irreducible of degree n in the
@@ -190,8 +193,9 @@ class SubfieldOfGF:
 def subfields(F: GF, budget: int = ELEMENT_BUDGET):
     """One subfield per divisor m of n: the fixed set {a : a^(p^m) = a} of
     the m-th Frobenius power, which has p^m elements.  Nothing is listed.
-    For m < n the size is still checked: h = g^((q-1)/(p^m-1)) must take
-    exactly p^m - 1 products to return to 1 (at most p^(n/2) steps)."""
+    For m < n the size is still checked: h = g^((q-1)/N), N = p^m - 1, must
+    have order exactly N, certified by h^N = 1 and h^(N/l) != 1 for every
+    prime l | N (O(n log p) products per subfield)."""
     if F.order > budget:
         raise Budget(f"field order {F.order} exceeds budget {budget}")
     g = multiplicative_generator(F)
@@ -200,12 +204,9 @@ def subfields(F: GF, budget: int = ELEMENT_BUDGET):
     for m in divisors(F.n):
         sub_order = F.p**m
         if m < F.n:
-            h = F.pow(g, (F.order - 1) // (sub_order - 1))
-            steps, cur = 1, h
-            while cur != one:
-                cur = F.mul(cur, h)
-                steps += 1
-            if steps != sub_order - 1:
+            N = sub_order - 1
+            h = F.pow(g, (F.order - 1) // N)
+            if F.pow(h, N) != one or any(F.pow(h, N // ell) == one for ell in set(factor_integer(N))):
                 raise InternalInvariant("subfield has the wrong size")
         out.append((m, SubfieldOfGF(F, m, sub_order)))
     return out

@@ -11,14 +11,16 @@ power-product basis a^i * b_j * ... over the base (i of the top level
 outermost), in kernel form -- `Fraction`s over Q, int residues in [0, p)
 over F_p.  An element of an ancestor level is its own tuple followed by
 zeros, so embedding is padding.  Sums and differences are coordinatewise.
-A product (`Tower._mul`) over F_p is the schoolbook product of the residue
-lists, then reduction by the monic minimal polynomial; over Q it multiplies
-the integer numerators and reduces once by pseudo-division; over a lower level it convolves the
-length-[lower : base] slices with the lower product and reduces by the
-minimal polynomial, whose coefficients are cached as lower tuples.  Powers
-(`Tower._pow`) square and multiply those tuples.  GF(p^n)
-(`galoiskit.finitefield`) is a one-level tower over F_p and runs on these
-same kernels.  No element object is built below the top, and no `FpElem`
+A product (`Tower._mul`) over F_p packs each residue tuple into one
+integer, multiplies once and reduces by adding multiples of the packed
+x^k mod m, rows built with the level (Kronecker substitution; von zur
+Gathen & Gerhard, *Modern Computer Algebra*, 8.4); over Q it multiplies
+the integer numerators and reduces once by pseudo-division; over a lower
+level it convolves the length-[lower : base] slices with the lower product
+and reduces by the minimal polynomial, whose coefficients are cached as
+lower tuples.  Powers (`Tower._pow`) square and multiply those tuples.
+GF(p^n) (`galoiskit.finitefield`) is a one-level tower over F_p and runs on
+these same kernels.  No element object is built below the top, and no `FpElem`
 at all.  The base scalars of `flatten` and the level view `TowerElem.coeffs`
 (coefficients over the lower level, for printing, inversion and `Poly`) are
 made only when asked for.  The flat coordinates are what all the linear
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -210,8 +213,17 @@ class Tower:
         # the monic minimal polynomial in the product kernel's form
         if isinstance(lower, Tower):  # (j, coordinates) of the nonzero lower coefficients
             self._modulus = [(j, c.v) for j, c in enumerate(minpoly.coeffs[:-1]) if c]
-        elif self.characteristic:
-            self._modulus = [lower._flat(c) for c in minpoly.coeffs]
+        elif p := self.characteristic:  # the packed product's slot width and rows
+            d = self.level_degree
+            # 2^w > 2d(p-1)^2; a slot narrower than a byte is widened to one
+            w = self._slot = max(8, (2 * d * (p - 1) ** 2).bit_length())
+            # from three slots up, bytes in and out, with residues by table
+            self._residues = bytes([i % p for i in range(256)]) if w == 8 and d > 2 else None
+            m = [lower._flat(c) for c in minpoly.coeffs[:-1]]
+            row, self._rows = [-c % p for c in m], []  # x^d mod m, then x^(d+1) ...
+            for _ in range(d - 1):
+                self._rows.append(sum(c << i * w for i, c in enumerate(row)))
+                row = [(c - row[-1] * mj) % p for c, mj in zip([0] + row[:-1], m)]
         else:  # integer numerators; the leading one is the common denominator
             self._modulus = _numerators(minpoly.coeffs)[0]
         self._hash = hash(("Tower", self.level_degree, lower, minpoly.coeffs))
@@ -262,7 +274,22 @@ class Tower:
 
     def _mul(self, a, b) -> tuple:
         """Product of two coordinate tuples, reduced mod the minimal
-        polynomial (see the module docstring)."""
+        polynomial (see the module docstring).
+
+        On a level of degree d >= 2 over F_p, with residues in [0, p) and a
+        monic modulus m, a and b are packed as x = sum a_i 2^(wi) and
+        y = sum b_i 2^(wi), where 2^w > 2d(p-1)^2 (`_slot`).  Slot k of x*y
+        is the sum of a_i b_j over i + j = k: at most d terms, each at most
+        (p-1)^2, so below 2^w, and no slot carries into the next; the slots
+        are the coefficients of the product polynomial.  Its d-1 high slots
+        mod p give c_k in [0, p) for k = d .. 2d-2, and `_rows[k-d]` is
+        x^k mod m packed with residues in [0, p).  Adding every c_k times
+        its row adds at most (d-1)(p-1)^2 to a low slot, which then holds at
+        most (2d-1)(p-1)^2 < 2d(p-1)^2 < 2^w, again without a carry, and
+        whose residue mod p is that coefficient of a*b mod m.  From d = 3
+        with slots of one byte, tuples are packed and read as bytes and the
+        residues come from a 256-entry table; otherwise by shifts and masks.
+        At d = 1 the product is one residue product."""
         d, m, lower = self.level_degree, self._m, self.lower
         if isinstance(lower, Tower):
             mul, add, sub = lower._mul, lower._add, lower._sub
@@ -278,18 +305,29 @@ class Tower:
                     for j, mj in self._modulus:
                         out[k - d + j] = sub(out[k - d + j], mul(c, mj))
             return tuple(itertools.chain.from_iterable(out[:d]))
-        if p := self.characteristic:  # schoolbook, then reduce by the monic modulus
-            out = [0] * (2 * d - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b):
-                        out[i + j] += x * y
-            mod = self._modulus
-            for k in range(2 * d - 2, d - 1, -1):
-                if c := out[k] % p:
-                    for j in range(d):
-                        out[k - d + j] -= c * mod[j]
-            return tuple([c % p for c in out[:d]])
+        if p := self.characteristic:  # packed (see the docstring)
+            if d == 1:
+                return (a[0] * b[0] % p,)
+            if residues := self._residues:  # a byte a slot
+                z = int.from_bytes(bytes(a), "little") * int.from_bytes(bytes(b), "little")
+                z = z.to_bytes(2 * d - 1, "little")
+                high = z[d:].translate(residues)  # c_k, k = d .. 2d-2
+                lo = int.from_bytes(z[:d], "little") + sum(map(operator.mul, high, self._rows))
+                return tuple(lo.to_bytes(d, "little").translate(residues))
+            w, x, y = self._slot, 0, 0
+            for u, v in zip(reversed(a), reversed(b)):
+                x, y = x << w | u, y << w | v
+            z, mask, n = x * y, (1 << w) - 1, d * w
+            lo, z = z & (1 << n) - 1, z >> n
+            for row in self._rows:  # slot k of z times x^k mod m, k = d .. 2d-2
+                if c := (z & mask) % p:
+                    lo += c * row
+                z >>= w
+            out = []
+            for _ in range(d):
+                out.append((lo & mask) % p)
+                lo >>= w
+            return tuple(out)
         (na, da), (nb, db) = _numerators(a), _numerators(b)
         r, s = _mul_int(na, nb), 1
         if len(r) > d:  # s * r = q * m + remainder

@@ -329,6 +329,17 @@ def test_factor_command_fp(capsys):
     assert "t^2 + 1" in out
 
 
+def test_factor_fp_honours_an_explicit_max_degree(capsys):
+    # refused before factoring; without the flag there is no cap over F_p
+    t0 = time.monotonic()
+    assert dispatch(["--max-degree", "100", "--field", "F2", "factor", "t^2048+t+1"]) == 3
+    assert time.monotonic() - t0 < 1.0
+    assert "degree 2048 exceeds factor cap 100" in capsys.readouterr().err
+    assert dispatch(["--max-degree", "5", "--field", "F2", "factor", "t^5+t^2+1"]) == 0
+    assert dispatch(["--field", "F2", "factor", "t^13+t+1"]) == 0  # above the Q default of 12
+    assert "(t^8 + t^7 + t^5 + t^3 + 1)^1" in capsys.readouterr().out
+
+
 def test_irreducible_command(capsys):
     assert dispatch(["irreducible", "t^3 - 10"]) == 0
     out = capsys.readouterr().out
@@ -568,6 +579,27 @@ GOLDEN_JSON = [
         '4096],"subfields":[{"m":1,"order":2},{"m":2,"order":4},{"m":3,"ord'
         'er":8},{"m":4,"order":16},{"m":6,"order":64},{"m":12,"order":4096}'
         ']}\n',
+    ),
+    # recorded before the F_p extension product ran on packed integers:
+    # wide slots (p = 127, 16381) and degrees 1, 2 and 6
+    (
+        ["--json", "gf", "127", "2", "--subfields", "--generator"],
+        '{"frobenius_order":2,"generator":"8*a + 1","modulus":"t^2 + 1","n'
+        '":2,"order":16129,"p":127,"subfield_orders":[127,16129],"subfield'
+        's":[{"m":1,"order":127},{"m":2,"order":16129}]}\n',
+    ),
+    (
+        ["--json", "gf", "16381", "1", "--subfields", "--generator"],
+        '{"frobenius_order":1,"generator":"2","modulus":"t","n":1,"order":1'
+        '6381,"p":16381,"subfield_orders":[16381],"subfields":[{"m":1,"orde'
+        'r":16381}]}\n',
+    ),
+    (
+        ["--json", "gf", "5", "6", "--subfields", "--generator"],
+        '{"frobenius_order":6,"generator":"a^5","modulus":"t^6 + t + 2","n"'
+        ':6,"order":15625,"p":5,"subfield_orders":[5,25,125,15625],"subfie'
+        'lds":[{"m":1,"order":5},{"m":2,"order":25},{"m":3,"order":125},{"'
+        'm":6,"order":15625}]}\n',
     ),
     # recorded before Zassenhaus chose its prime from the distinct-degree
     # pattern and F_p gcd and powmod ran on int residues

@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from galoiskit.errors import Budget, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
+from galoiskit.errors import Budget, InternalInvariant, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
 from galoiskit.numbers import PrimeField, divisors, is_prime
 from galoiskit.poly import Poly, render
 from galoiskit.tower import Tower
@@ -263,6 +263,35 @@ def test_structure_of_gf_2_20_lists_no_field():
     finally:
         tracemalloc.stop()
     assert peak < 8 << 20
+
+
+def test_subfield_size_certificate_can_fail():
+    """`subfields` proves ord(h) = N = p^m - 1 for h = g^((q-1)/N): h^N = 1
+    and h^(N/l) != 1 for each prime l | N.  A wrong generator must make it
+    fail.  In GF(2^4), g^3 gives h = 1 for the subfield of order 4 (N = 3).
+    In GF(2^12), g^3 gives h of order 5 at N = 15, caught by l = 3, and g^7
+    gives h of order 9 at N = 63, caught only by l = 7.  Zero gives h = 0,
+    whose only failing test is h^N = 1 (at N = 1 no prime divides N)."""
+    for n, exponents in ((4, (3,)), (12, (3, 7))):
+        F = gf(2, n)
+        g = multiplicative_generator(F)
+        for bad in [F.pow(g, e) for e in exponents] + [F.zero()]:
+            F._generator = bad
+            with pytest.raises(InternalInvariant, match="wrong size"):
+                subfields(F)
+        F._generator = g
+        assert [s.order for _, s in subfields(F)] == [2**m for m in divisors(n)]
+
+
+def test_subfields_of_gf_2_20_take_few_products(monkeypatch):
+    calls = []
+    mul = Tower._mul
+    monkeypatch.setattr(Tower, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    F = gf(2, 20)  # built after the patch: GF.mul binds Tower._mul at construction
+    multiplicative_generator(F)
+    calls.clear()
+    assert [s.order for _, s in subfields(F)] == [2**m for m in (1, 2, 4, 5, 10, 20)]
+    assert len(calls) < 300  # walking each h back to 1 took about 1,190
 
 
 def test_subfield_count_is_divisor_count():

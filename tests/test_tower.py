@@ -585,3 +585,65 @@ def test_one_level_inverse_finds_a_zero_divisor():
     with pytest.raises(NotIrreducible):
         (y - 1).inv()
     assert (y + 2).inv() * (y + 2) == T.one()
+
+
+def _schoolbook_fp_product(a, b, p, m):
+    """The F_p extension product before it ran on packed integers: the
+    schoolbook product of the residue tuples a and b, then reduction by the
+    monic modulus whose lower coefficients are m.  The oracle for
+    `Tower._mul` on a level over F_p."""
+    d = len(a)
+    out = [0] * (2 * d - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    for k in range(2 * d - 2, d - 1, -1):
+        if c := out[k] % p:
+            for j in range(d):
+                out[k - d + j] -= c * m[j]
+    return tuple([c % p for c in out[:d]])
+
+
+def _check_fp_products(p, m, rng, count):
+    """Tower._mul on F_p[a]/(a^d + m_(d-1) a^(d-1) + ... + m_0) against the
+    schoolbook oracle: zero, one, all-(p-1) and `count` seeded operands,
+    every pair."""
+    d, F = len(m), PrimeField(p)
+    T = Tower(F, Poly(F, list(m) + [1]), "a", certify=False)  # any monic modulus
+    zero, top = (0,) * d, (p - 1,) * d
+    xs = [zero, (1,) + zero[1:], top] + [tuple(rng.randrange(p) for _ in range(d)) for _ in range(count)]
+    for x in xs:
+        for y in xs:
+            assert T._mul(x, y) == _schoolbook_fp_product(x, y, p, m), (p, m, x, y)
+
+
+def _moduli(p, d, rng):
+    """A dense random modulus, a sparse one (zero coefficients) and x^d - 1."""
+    sparse = [0] * d
+    sparse[0], sparse[rng.randrange(d)] = rng.randrange(1, p), rng.randrange(1, p)
+    return [[rng.randrange(p) for _ in range(d)], sparse, [p - 1] + [0] * (d - 1)]
+
+
+def test_fp_product_matches_the_schoolbook_oracle():
+    rng = random.Random(25)
+    for p in (2, 3, 5, 7, 11, 31, 127, 1031, 4099, 16381):
+        for d in range(1, 21):
+            for m in _moduli(p, d, rng):
+                _check_fp_products(p, m, rng, 3)
+
+
+# (p, d) on either side of the one-byte slot: 2^8 > 2d(p-1)^2 for the first
+# of each pair (the largest such d), not for the second; then the same about
+# 2^16, and slots of more than 64 bits
+SLOT_BOUNDARY_SHAPES = [
+    (2, 127), (2, 128), (3, 31), (3, 32), (5, 7), (5, 8), (7, 3), (7, 4), (11, 1), (11, 2),
+    (127, 2), (131, 2), (127, 3), (2**31 - 1, 3), (999999999989, 2),
+]
+
+
+def test_fp_product_at_slot_width_boundaries():
+    rng = random.Random(26)
+    for p, d in SLOT_BOUNDARY_SHAPES:
+        for m in _moduli(p, d, rng):
+            _check_fp_products(p, m, rng, 12 if d < 20 else 4)
