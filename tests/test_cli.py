@@ -580,27 +580,6 @@ GOLDEN_JSON = [
         'er":8},{"m":4,"order":16},{"m":6,"order":64},{"m":12,"order":4096}'
         ']}\n',
     ),
-    # recorded before the F_p extension product ran on packed integers:
-    # wide slots (p = 127, 16381) and degrees 1, 2 and 6
-    (
-        ["--json", "gf", "127", "2", "--subfields", "--generator"],
-        '{"frobenius_order":2,"generator":"8*a + 1","modulus":"t^2 + 1","n'
-        '":2,"order":16129,"p":127,"subfield_orders":[127,16129],"subfield'
-        's":[{"m":1,"order":127},{"m":2,"order":16129}]}\n',
-    ),
-    (
-        ["--json", "gf", "16381", "1", "--subfields", "--generator"],
-        '{"frobenius_order":1,"generator":"2","modulus":"t","n":1,"order":1'
-        '6381,"p":16381,"subfield_orders":[16381],"subfields":[{"m":1,"orde'
-        'r":16381}]}\n',
-    ),
-    (
-        ["--json", "gf", "5", "6", "--subfields", "--generator"],
-        '{"frobenius_order":6,"generator":"a^5","modulus":"t^6 + t + 2","n"'
-        ':6,"order":15625,"p":5,"subfield_orders":[5,25,125,15625],"subfie'
-        'lds":[{"m":1,"order":5},{"m":2,"order":25},{"m":3,"order":125},{"'
-        'm":6,"order":15625}]}\n',
-    ),
     # recorded before Zassenhaus chose its prime from the distinct-degree
     # pattern and F_p gcd and powmod ran on int residues
     (
@@ -983,6 +962,27 @@ GOLDEN_JSON = [
         'dim":1,"primitive":"1","primitive_min_poly":"t - 1"},"gal_over_mat'
         'ches":true,"normal":true,"order":24,"subgroup":[0,1,2,3,4,5,6,7,8,'
         '9,10,11,12,13,14,15,16,17,18,19,20,21,22,23]}]}\n',
+    ),
+    # recorded before the F_p extension product ran on packed integers:
+    # wide slots (p = 127, 16381) and degrees 1, 2 and 6
+    (
+        ["--json", "gf", "127", "2", "--subfields", "--generator"],
+        '{"frobenius_order":2,"generator":"8*a + 1","modulus":"t^2 + 1","n'
+        '":2,"order":16129,"p":127,"subfield_orders":[127,16129],"subfield'
+        's":[{"m":1,"order":127},{"m":2,"order":16129}]}\n',
+    ),
+    (
+        ["--json", "gf", "16381", "1", "--subfields", "--generator"],
+        '{"frobenius_order":1,"generator":"2","modulus":"t","n":1,"order":1'
+        '6381,"p":16381,"subfield_orders":[16381],"subfields":[{"m":1,"orde'
+        'r":16381}]}\n',
+    ),
+    (
+        ["--json", "gf", "5", "6", "--subfields", "--generator"],
+        '{"frobenius_order":6,"generator":"a^5","modulus":"t^6 + t + 2","n"'
+        ':6,"order":15625,"p":5,"subfield_orders":[5,25,125,15625],"subfie'
+        'lds":[{"m":1,"order":5},{"m":2,"order":25},{"m":3,"order":125},{"'
+        'm":6,"order":15625}]}\n',
     ),
 ]
 
