@@ -1,0 +1,6 @@
+"""`python -m galoiskit ...` runs the command-line front end."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    main()

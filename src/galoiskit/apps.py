@@ -15,7 +15,6 @@ constructibility, a power of 2 only leaves the necessary condition standing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
@@ -103,12 +102,14 @@ def count_real_roots_in(f: Poly, lo: Fraction, hi: Fraction) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class SolvabilityVerdict:
-    polynomial: Poly
-    verdict: str
-    evidence_kind: str  # "sp_criterion" | "degree_rule" | "group_computed"
-    evidence: dict
+    __slots__ = ("polynomial", "verdict", "evidence_kind", "evidence")
+
+    def __init__(self, polynomial: Poly, verdict: str, evidence_kind: str, evidence: dict):
+        self.polynomial = polynomial
+        self.verdict = verdict
+        self.evidence_kind = evidence_kind  # "sp_criterion" | "degree_rule" | "group_computed"
+        self.evidence = evidence
 
     @property
     def solvable(self) -> bool:
@@ -223,11 +224,13 @@ def kummer_abelian_checks(max_n: int = 12, binomials=((2, 2), (3, 2), (4, 3))):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ConstructibilityVerdict:
-    target: str
-    degree: int
-    verdict: str
+    __slots__ = ("target", "degree", "verdict")
+
+    def __init__(self, target: str, degree: int, verdict: str):
+        self.target = target
+        self.degree = degree
+        self.verdict = verdict
 
     def to_json(self):
         return {"target": self.target, "degree": self.degree, "verdict": self.verdict}

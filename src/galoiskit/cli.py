@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from fractions import Fraction
@@ -326,6 +325,8 @@ def _field_from_flag(flag: str):
 
 def _emit(args, payload: dict, text_lines):
     if args.json:
+        import json  # here, not at the top: output without --json never loads it
+
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     else:
         for line in text_lines:

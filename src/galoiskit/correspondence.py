@@ -15,7 +15,6 @@ maps are mutually inverse on the whole lattice and that degrees match orders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import InternalInvariant, NotNormal, SearchExhausted
 from .galois import (
@@ -31,15 +30,17 @@ from .linalg import Echelon, in_row_space, mat_mul_vec, row_space_basis
 from .poly import Poly, render
 
 
-@dataclass
 class Subfield:
     """An intermediate field of the splitting-field extension, as an RREF
     subspace basis plus a certified primitive element."""
 
-    sf: object
-    basis: list  # RREF rows over the base field, each of length n
-    primitive: object
-    min_poly_of_primitive: Poly
+    __slots__ = ("sf", "basis", "primitive", "min_poly_of_primitive")
+
+    def __init__(self, sf, basis: list, primitive, min_poly_of_primitive: Poly):
+        self.sf = sf
+        self.basis = basis  # RREF rows over the base field, each of length n
+        self.primitive = primitive
+        self.min_poly_of_primitive = min_poly_of_primitive
 
     @property
     def dim(self) -> int:

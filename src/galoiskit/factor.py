@@ -6,7 +6,7 @@ Three coefficient worlds are covered:
   distinct-degree splitting via gcd(f, t^(q^k) - t), then deterministic
   equal-degree splitting (trace witnesses b*t^j in characteristic 2, a lazy
   sweep of (u)^((q^d-1)/2) in odd characteristic), then multiplicities by
-  division; Rabin's test decides irreducibility alone.  Each algorithm is
+  division; Ben-Or's test decides irreducibility alone.  Each algorithm is
   written once, against a small polynomial ring picked by the coefficient
   field (`_polys`): `_FpPolys` computes on int residue lists bound to the
   residue kernel of `poly`, one per p, `_TowerPolys` on `Poly` over a
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd as _int_gcd, isqrt
@@ -94,13 +93,30 @@ IRREDUCIBLE = "irreducible"
 REDUCIBLE = "reducible"
 
 
-@dataclass(frozen=True)
 class Factorization:
     """unit * prod(factor^mult) = the factored polynomial; factors are monic
-    irreducible and canonically sorted."""
+    irreducible and canonically sorted.  Immutable and hashable; the repr is
+    part of the CLI's `irreducible` text output."""
 
-    unit: object
-    factors: tuple  # of (Poly, int)
+    __slots__ = ("unit", "factors")
+
+    def __init__(self, unit, factors: tuple):  # factors: of (Poly, int)
+        object.__setattr__(self, "unit", unit)
+        object.__setattr__(self, "factors", factors)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Factorization is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Factorization):
+            return NotImplemented
+        return (self.unit, self.factors) == (other.unit, other.factors)
+
+    def __hash__(self):
+        return hash((self.unit, self.factors))
+
+    def __repr__(self):
+        return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
     def expand(self, dom) -> Poly:
         out = Poly.constant(dom, self.unit)
@@ -140,11 +156,13 @@ def _multiplicities(work, irreducibles, divide, one, wrap):
     return tuple(sorted(pairs, key=lambda fm: fm[0].sort_key()))
 
 
-@dataclass(frozen=True)
 class IrreducibilityCertificate:
-    verdict: str
-    witness_kind: str
-    witness_data: dict
+    __slots__ = ("verdict", "witness_kind", "witness_data")
+
+    def __init__(self, verdict: str, witness_kind: str, witness_data: dict):
+        self.verdict = verdict
+        self.witness_kind = witness_kind
+        self.witness_data = witness_data
 
     @property
     def irreducible(self) -> bool:
@@ -380,29 +398,30 @@ def factor_fp(f: Poly, max_degree: int | None = None) -> Factorization:
     return factor_ff(f)
 
 
-def _rabin(R, f):
-    """Rabin's test for a monic f of degree n >= 1 in R: f is irreducible iff
-    t^(q^n) = t mod f and gcd(f, t^(q^(n/l)) - t) = 1 for each prime l | n."""
-    n = R.deg(f)
-    if n == 1:
-        return True
-    chain = [R.t]  # chain[k] = t^(q^k) mod f
-    for _ in range(n):
-        chain.append(_powmod(R, chain[-1], R.q, f))
-    return chain[n] == R.t and all(
-        R.deg(R.gcd(f, R.sub(chain[n // ell], R.t))) == 0 for ell in set(factor_integer(n))
-    )
+def _ben_or(R, f):
+    """Ben-Or's test for a monic f of degree n >= 1 in R: f is irreducible
+    iff gcd(f, t^(q^k) - t) = 1 for k = 1 .. n/2.  A reducible f has an
+    irreducible factor g of degree k <= n/2, and g divides t^(q^k) - t; an
+    irreducible f shares no factor with t^(q^k) - t for k < n.  The powers
+    t^(q^k) mod f are built one at a time, so the test stops at the least
+    degree of a factor of f."""
+    h = R.t
+    for _ in range(R.deg(f) // 2):
+        h = _powmod(R, h, R.q, f)
+        if R.deg(R.gcd(f, R.sub(h, R.t))) > 0:
+            return False
+    return True
 
 
 def is_irreducible_ff(f: Poly) -> bool:
-    """Rabin's deterministic test over a finite field (F_p or a finite
+    """Ben-Or's deterministic test over a finite field (F_p or a finite
     tower)."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial is neither reducible nor irreducible")
     if f.degree == 0:
         raise ConstantPolynomial("constants are neither reducible nor irreducible")
     R = _polys(f.dom)
-    return _rabin(R, R.monic(R.read(f)))
+    return _ben_or(R, R.monic(R.read(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +743,7 @@ def mod_p_certificate(f: Poly, prime_bound: int = MOD_P_SCAN_BOUND):
         if prim[-1] % p == 0:
             continue
         R = _fp_polys(p)
-        if _rabin(R, R.monic([c % p for c in prim])):
+        if _ben_or(R, R.monic([c % p for c in prim])):
             return p
     return None
 

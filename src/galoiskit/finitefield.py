@@ -25,7 +25,6 @@ canonical order, so construction is deterministic.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import Budget, InternalInvariant, InvalidDegree, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
 from .numbers import PrimeField, divisors, factor_integer, is_prime
@@ -163,13 +162,15 @@ def unique_pth_root(F: GF, a):
     return F.pow(a, F.p ** (F.n - 1))
 
 
-@dataclass
 class SubfieldOfGF:
     """The subfield of F of order p^m: the fixed set of x -> x^(p^m)."""
 
-    field: GF
-    m: int
-    order: int
+    __slots__ = ("field", "m", "order")
+
+    def __init__(self, field: GF, m: int, order: int):
+        self.field = field
+        self.m = m
+        self.order = order
 
     def __contains__(self, x):
         return self.field.pow(x, self.order) == x

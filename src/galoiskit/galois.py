@@ -21,8 +21,6 @@ and the quotient checks of the correspondence module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInvariant, NotASubgroup, NotNormal, OrderCap
 from .linalg import mat_mul_vec
 from .poly import Poly
@@ -116,15 +114,18 @@ def from_permutations(gens):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class Automorphism:
     """A field automorphism over the base: generator images, the induced
     permutation of the stored roots, and its matrix on the flattened
     power-product basis (column j = coordinates of the image of basis j)."""
 
-    generator_images: tuple  # image of each tower level's generator, bottom-up
-    root_perm: tuple  # root i maps to root root_perm[i]
-    matrix: list  # n x n over the base; [[one]] over a bare base field
+    __slots__ = ("generator_images", "root_perm", "matrix")
+
+    def __init__(self, generator_images: tuple, root_perm: tuple, matrix: list):
+        # the image of each tower level's generator, bottom-up
+        self.generator_images = generator_images
+        self.root_perm = root_perm  # root i maps to root root_perm[i]
+        self.matrix = matrix  # n x n over the base; [[one]] over a bare base field
 
     def __repr__(self):
         return f"Automorphism({cycle_notation(self.root_perm)})"
@@ -313,9 +314,25 @@ def is_transitive(G: GaloisGroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Subgroup:
-    member_indices: tuple  # sorted
+    """A subgroup as the sorted tuple of its member indices; immutable and
+    hashable, so subgroups key dicts and sets."""
+
+    __slots__ = ("member_indices",)
+
+    def __init__(self, member_indices: tuple):
+        object.__setattr__(self, "member_indices", member_indices)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Subgroup is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Subgroup):
+            return NotImplemented
+        return self.member_indices == other.member_indices
+
+    def __hash__(self):
+        return hash(self.member_indices)
 
     @property
     def order(self):

@@ -21,8 +21,6 @@ group as `SplittingField.frobenius`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DegreeCap, InternalInvariant, ZeroPolynomial
 from .numbers import QQ, PrimeField
 from .poly import Poly
@@ -33,14 +31,17 @@ SPLITTING_DEGREE_CAP = 24
 _LABELS = "abcdefghijkl"
 
 
-@dataclass
 class SplittingField:
-    field: object  # base field or Tower
-    roots: list  # distinct roots, canonical order
-    multiplicities: list
-    source: Poly
-    unit: object
-    frobenius: tuple = None  # root i goes to root frobenius[i] under x -> x^p; None over Q
+    __slots__ = ("field", "roots", "multiplicities", "source", "unit", "frobenius")
+
+    def __init__(self, field, roots: list, multiplicities: list, source: Poly, unit,
+                 frobenius: tuple = None):
+        self.field = field  # base field or Tower
+        self.roots = roots  # distinct roots, canonical order
+        self.multiplicities = multiplicities
+        self.source = source
+        self.unit = unit
+        self.frobenius = frobenius  # root i goes to root frobenius[i] under x -> x^p; None over Q
 
     def degree(self) -> int:
         return self.field.absolute_degree()

@@ -323,6 +323,14 @@ def test_gf_command(capsys):
     assert "generator: a" in out
 
 
+def test_irreducible_text_prints_the_factorization_witness(capsys):
+    assert dispatch(["irreducible", "(t^2+1)^2"]) == 0
+    assert capsys.readouterr().out == (
+        "reducible (witness: full_factorization {'factorization': "
+        "Factorization(unit=Fraction(1, 1), factors=((Poly(QQ, 't^2 + 1'), 2),))})\n"
+    )
+
+
 def test_factor_command_fp(capsys):
     assert dispatch(["--field", "F3", "factor", "t^2-2"]) == 0
     out = capsys.readouterr().out
@@ -402,6 +410,32 @@ def _run_cli(*argv):
         [sys.executable, "-c", "from galoiskit.cli import main; main()", *argv],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_import_loads_no_dataclasses_inspect_or_json():
+    # these cost most of a process's start-up; only --json output needs json
+    src = str(Path(galoiskit.__file__).resolve().parent.parent)
+    loaded = "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json'} & set(sys.modules)))"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import galoiskit; {loaded}; "
+        f"galoiskit.cli.dispatch(['factor', 't^2-2']); {loaded}"
+    )
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\nunit: 1\n(t^2 - 2)^1\n[]\n"
+
+
+def test_python_m_galoiskit_runs_the_cli():
+    src = str(Path(galoiskit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv, out in (
+        (["--json", "factor", "t^2-2"], '{"factors":[{"multiplicity":1,"poly":"t^2 - 2"}],"unit":"1"}\n'),
+        (["factor", "t^2-2"], "unit: 1\n(t^2 - 2)^1\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "galoiskit", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
 
 
 def test_gf_degree_below_one_is_an_input_error():

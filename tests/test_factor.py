@@ -206,7 +206,7 @@ def test_ddf_pattern_counts_the_modular_factors():
 
 
 def _squarefree_factor_degrees(f):
-    """factor_ff(f), checked by re-multiplication and Rabin's test; returns
+    """factor_ff(f), checked by re-multiplication and Ben-Or's test; returns
     how many factors of each degree it found."""
     fact = factor_ff(f)
     assert fact.expand(f.dom) == f
@@ -311,7 +311,40 @@ def test_prime_field_and_degree_one_tower_rings_agree():
                             is_irreducible_ff(g)
 
 
-def test_rabin_over_fp_builds_no_poly(monkeypatch):
+def test_ben_or_matches_trial_division():
+    # every monic polynomial of degree 1..6 over F_2 and F_3 and 1..4 over
+    # F_5: irreducible iff no monic polynomial of degree <= n/2 divides it
+    for p, top in ((2, 6), (3, 6), (5, 4)):
+        F = PrimeField(p)
+        divisors = [
+            Poly(F, list(low) + [1])
+            for d in range(1, top // 2 + 1)
+            for low in itertools.product(range(p), repeat=d)
+        ]
+        for deg in range(1, top + 1):
+            for low in itertools.product(range(p), repeat=deg):
+                f = Poly(F, list(low) + [1])
+                by_trial = not any(
+                    (f % g).is_zero() for g in divisors if 2 * g.degree <= deg
+                )
+                assert is_irreducible_ff(f) == by_trial, f
+
+
+def test_gf_3_9_takes_few_powers(monkeypatch, capsys):
+    # find_irreducible(3, 9) tries 65 candidates; Rabin's test, which builds
+    # all nine powers t^(3^k) mod f first, takes 585 powers for them.  Ben-Or's
+    # stops at the least degree of a factor: at most half that
+    import galoiskit.factor as factor_mod
+    from galoiskit.cli import dispatch
+
+    calls = []
+    monkeypatch.setattr(factor_mod, "_powmod", lambda *a: calls.append(1) or _powmod(*a))
+    assert dispatch(["gf", "3", "9"]) == 0
+    assert "t^9 + 2*t^3 + t^2 + 1" in capsys.readouterr().out
+    assert 0 < len(calls) <= 292
+
+
+def test_ben_or_over_fp_builds_no_poly(monkeypatch):
     built = []
     init = Poly.__init__
     monkeypatch.setattr(Poly, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
@@ -477,6 +510,13 @@ def test_eisenstein_matches_shift_oracle():
                 assert shift == c and check_eisenstein(f, p, c)
                 found += 1
     assert found >= 20, found
+
+
+def test_factorizations_are_immutable_hashable_values():
+    a, b = factor_q(q([-1, 0, 1])), factor_q(q([-1, 0, 1]))
+    assert a == b and hash(a) == hash(b) and a != factor_q(q([1, 0, 1]))
+    with pytest.raises(AttributeError):
+        a.unit = 2
 
 
 def test_factor_q_non_monic_recombination():

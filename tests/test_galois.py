@@ -421,6 +421,13 @@ def test_subgroup_table_and_check(gal_t4):
         assert _check_axioms(tbl)
 
 
+def test_subgroups_are_immutable_hashable_values():
+    a, b = Subgroup((0, 1)), Subgroup((0, 1))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1 and a != Subgroup((0,))
+    with pytest.raises(AttributeError):
+        a.member_indices = (0,)
+
+
 def test_cycle_notation():
     assert cycle_notation((1, 0, 2)) == "(1 2)"
     assert cycle_notation((0, 1, 2)) == "()"
