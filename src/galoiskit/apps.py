@@ -194,7 +194,7 @@ def kummer_abelian_checks(max_n: int = 12, binomials=((2, 2), (3, 2), (4, 3))):
         f = Poly(QQ, [-1] + [0] * (n - 1) + [1])
         G = automorphisms(splitting_field_q(f))
         report["roots_of_unity"].append(
-            {"n": n, "order": G.order, "abelian": G.group.is_abelian()}
+            {"n": n, "order": G.order, "abelian": G.is_abelian()}
         )
     from .correspondence import gal_over, subfield_generated_by
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from fractions import Fraction
 
@@ -34,7 +33,7 @@ from .errors import (
     ShapeCap,
 )
 from .numbers import QQ, PrimeField
-from .poly import Poly, _from_residues, render
+from .poly import Poly, _from_residues, _numerators, render
 from . import apps, correspondence, factor, finitefield, galois, splitting, tower
 
 # ---------------------------------------------------------------------------
@@ -106,12 +105,8 @@ def _height_bits(terms) -> int:
     """Height bits of rational coefficients written over their common
     denominator D: _bits(max(D, max |c*D|)), which bounds every reduced
     numerator and denominator."""
-    den = 1
-    for c in terms.values():
-        if den % c.denominator:
-            den = den // math.gcd(den, c.denominator) * c.denominator
-    top = max(abs(c.numerator) * (den // c.denominator) for c in terms.values())
-    return _bits(max(top, den))
+    ints, den = _numerators(terms.values())
+    return _bits(max(den, *map(abs, ints)))
 
 
 def _convolve(a, b, p):

@@ -87,6 +87,7 @@ NORM_DEGREE_CAP = 64
 NORM_SHIFT_TRIES = 40
 EISENSTEIN_SHIFT_BOUND = 5
 MOD_P_SCAN_BOUND = 31
+RATIONAL_ROOT_BOUND = 10**6  # candidate pairs (u, v) times (degree + 1)
 NORM_PRIME = 2**61 - 1
 
 IRREDUCIBLE = "irreducible"
@@ -296,22 +297,27 @@ def roots_fp(f: Poly):
 
 
 def _ddf(R, f):
-    """Distinct-degree split of a squarefree monic f in R: the pairs
-    (product of the irreducible factors of degree k, k), by
-    gcd(f, t^(q^k) - t)."""
-    out, h, k = [], R.t, 0
+    """Distinct-degree split of a monic f of degree >= 1 in R: yields the
+    pairs (product of the irreducible factors of degree k, k), by
+    gcd(f, t^(q^k) - t), with the powers t^(q^k) mod f built one at a time.
+    The products are right for a squarefree f.  For any f the first pair is
+    (f, deg f) exactly when f is irreducible (Ben-Or): a reducible f has an
+    irreducible factor g of degree k <= n/2, and g divides t^(q^k) - t; an
+    irreducible f shares no factor with t^(q^k) - t for k < n.  So `next`
+    on the generator is Ben-Or's test, and it stops at the least degree of
+    a factor of f."""
+    h, k = R.t, 0
     while R.deg(f) > 0:
         k += 1
         if 2 * k > R.deg(f):
-            out.append((f, R.deg(f)))
-            break
+            yield f, R.deg(f)
+            return
         h = _powmod(R, h, R.q, f)
         g = R.gcd(f, R.sub(h, R.t))
         if R.deg(g) > 0:
-            out.append((g, k))
+            yield g, k
             f = R.divmod(f, g)[0]
             h = R.rem(h, f)
-    return out
 
 
 def _witnesses(R, d, bound):
@@ -398,30 +404,15 @@ def factor_fp(f: Poly, max_degree: int | None = None) -> Factorization:
     return factor_ff(f)
 
 
-def _ben_or(R, f):
-    """Ben-Or's test for a monic f of degree n >= 1 in R: f is irreducible
-    iff gcd(f, t^(q^k) - t) = 1 for k = 1 .. n/2.  A reducible f has an
-    irreducible factor g of degree k <= n/2, and g divides t^(q^k) - t; an
-    irreducible f shares no factor with t^(q^k) - t for k < n.  The powers
-    t^(q^k) mod f are built one at a time, so the test stops at the least
-    degree of a factor of f."""
-    h = R.t
-    for _ in range(R.deg(f) // 2):
-        h = _powmod(R, h, R.q, f)
-        if R.deg(R.gcd(f, R.sub(h, R.t))) > 0:
-            return False
-    return True
-
-
 def is_irreducible_ff(f: Poly) -> bool:
     """Ben-Or's deterministic test over a finite field (F_p or a finite
-    tower)."""
+    tower): the first pair of the distinct-degree split (`_ddf`)."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial is neither reducible nor irreducible")
     if f.degree == 0:
         raise ConstantPolynomial("constants are neither reducible nor irreducible")
     R = _polys(f.dom)
-    return _ben_or(R, R.monic(R.read(f)))
+    return next(_ddf(R, R.monic(R.read(f))))[1] == f.degree
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +557,7 @@ def _factor_sqfree_primitive_z(ints, start=2):
                 raise InternalInvariant("Zassenhaus input is not squarefree")
             continue
         R = _fp_polys(p)
-        pieces = _ddf(R, R.monic(fbar))
+        pieces = list(_ddf(R, R.monic(fbar)))
         count = sum((len(g) - 1) // k for g, k in pieces)
         if count == 1:
             return [list(ints)]  # irreducible mod p => irreducible over Q
@@ -743,7 +734,7 @@ def mod_p_certificate(f: Poly, prime_bound: int = MOD_P_SCAN_BOUND):
         if prim[-1] % p == 0:
             continue
         R = _fp_polys(p)
-        if _ben_or(R, R.monic([c % p for c in prim])):
+        if next(_ddf(R, R.monic([c % p for c in prim])))[1] == f.degree:
             return p
     return None
 
@@ -752,7 +743,9 @@ def rational_roots(f: Poly):
     """All rational roots of a nonzero f over Q (ignoring multiplicity),
     by the rational root theorem on the primitive integer form a_0..a_n: a
     candidate u/v is a root iff v^n f(u/v) = sum a_i u^i v^(n-i) is 0,
-    evaluated by Horner on ints; a Fraction is built only for a root."""
+    evaluated by Horner on ints; a Fraction is built only for a root.
+    Raises Budget before the search when the pairs times (degree + 1)
+    exceed RATIONAL_ROOT_BOUND."""
     from .numbers import divisors
 
     if f.is_zero():
@@ -766,8 +759,10 @@ def rational_roots(f: Poly):
             prim.pop(0)
     if len(prim) <= 1:
         return roots
-    n, us = len(prim) - 1, divisors(abs(prim[0]))
-    for v in divisors(abs(prim[-1])):
+    n, us, vs = len(prim) - 1, divisors(abs(prim[0])), divisors(abs(prim[-1]))
+    if len(us) * len(vs) * (n + 1) > RATIONAL_ROOT_BOUND:
+        raise Budget(f"{len(us)} x {len(vs)} rational root candidates at degree {n}")
+    for v in vs:
         scaled = [a * v ** (n - i) for i, a in enumerate(prim)]  # a_i v^(n-i)
         for u in us:
             if _int_gcd(u, v) != 1:

@@ -6,8 +6,9 @@ minimal polynomial of that level.  Over F_p the group is cyclic, generated
 by the Frobenius x -> x^p, so its elements are the powers of Frobenius and
 nothing is searched: they permute the roots as the powers of the Frobenius
 permutation the splitting field keeps, and each generator, a stored root,
-with them.  Because the action on roots is faithful, the group is carried
-as a table of root permutations (canonically sorted, identity first).  Each
+with them.  Because the action on roots is faithful, a `GaloisGroup` is the
+`FiniteGroup` of its root permutations (canonically sorted, identity first),
+whose table `_perm_table` composes, as it does for `from_permutations`.  Each
 automorphism also carries its matrix on the flattened power-product basis,
 built from powers of the generator images (about n tower products and n^2
 base entries for a field of degree n), which the fixed-field linear algebra
@@ -102,11 +103,16 @@ def from_permutations(gens):
                     nxt.append(q)
         frontier = nxt
     perms = sorted(seen)
+    return FiniteGroup(_perm_table(perms)), perms
+
+
+def _perm_table(perms):
+    """The composition table of distinct permutations (tuples) that are
+    closed under composition: entry [i][j] is the index of perms[i] after
+    perms[j]."""
+    k = len(perms[0])
     index = {p: i for i, p in enumerate(perms)}
-    table = [
-        [index[tuple(p[q[i]] for i in range(k))] for q in perms] for p in perms
-    ]
-    return FiniteGroup(table), perms
+    return [[index[tuple(p[q[i]] for i in range(k))] for q in perms] for p in perms]
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +137,14 @@ class Automorphism:
         return f"Automorphism({cycle_notation(self.root_perm)})"
 
 
-class GaloisGroup:
-    def __init__(self, sf: SplittingField, elements, table):
+class GaloisGroup(FiniteGroup):
+    """Gal(M : base) as the finite group of its root permutations: element i
+    of the table is the automorphism elements[i]."""
+
+    def __init__(self, sf: SplittingField, elements):
+        super().__init__(_perm_table([a.root_perm for a in elements]))
         self.sf = sf
         self.elements = elements  # Automorphism list, canonical order, id first
-        self.group = FiniteGroup(table)
-        self.order = self.group.order
-
-    @property
-    def table(self):
-        return self.group.table
 
     def apply(self, phi: Automorphism, x):
         return apply_automorphism(self.sf.field, phi, x)
@@ -261,20 +265,11 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
     if len({a.root_perm for a in elems}) != len(elems):
         raise InternalInvariant("two automorphisms act alike on the roots")
     elems.sort(key=lambda a: a.root_perm)
-    k = len(sf.roots)
-    if elems[0].root_perm != tuple(range(k)):
+    if elems[0].root_perm != tuple(range(len(sf.roots))):
         raise InternalInvariant("identity automorphism missing")
     if len(elems) != n:
         raise InternalInvariant(f"|Gal| = {len(elems)} but [M:K] = {n}")
-    index = {a.root_perm: i for i, a in enumerate(elems)}
-    table = []
-    for a in elems:
-        row = []
-        for b in elems:
-            comp = tuple(a.root_perm[b.root_perm[i]] for i in range(k))
-            row.append(index[comp])
-        table.append(row)
-    return GaloisGroup(sf, elems, table)
+    return GaloisGroup(sf, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +337,21 @@ class Subgroup:
         return frozenset(self.member_indices)
 
 
-def _as_group(G):
-    return G.group if isinstance(G, GaloisGroup) else G
-
-
 def check_subgroup(H: Subgroup, G) -> bool:
-    g = _as_group(G)
     mem = set(H.member_indices)
     if 0 not in mem:
         return False
-    return all(g.table[a][b] in mem for a in mem for b in mem)
+    return all(G.table[a][b] in mem for a in mem for b in mem)
 
 
 def subgroups(G, cap: int = SUBGROUP_ORDER_CAP):
     """The complete subgroup lattice: cyclic seeds closed under pairwise
     join, iterated to a fixed point; sorted by (order, members)."""
-    g = _as_group(G)
-    if g.order > cap:
+    if G.order > cap:
         raise OrderCap(f"subgroup enumeration capped at order {cap}")
     found = set()
-    for i in range(g.order):
-        found.add(g.generated_subgroup([i]))
+    for i in range(G.order):
+        found.add(G.generated_subgroup([i]))
     changed = True
     while changed:
         changed = False
@@ -372,7 +361,7 @@ def subgroups(G, cap: int = SUBGROUP_ORDER_CAP):
                 a, b = current[i], current[j]
                 if a <= b or b <= a:
                     continue
-                join = g.generated_subgroup(a | b)
+                join = G.generated_subgroup(a | b)
                 if join not in found:
                     found.add(join)
                     changed = True
@@ -382,35 +371,32 @@ def subgroups(G, cap: int = SUBGROUP_ORDER_CAP):
 
 
 def is_normal_subgroup(H: Subgroup, G) -> bool:
-    g = _as_group(G)
     if not check_subgroup(H, G):
         raise NotASubgroup("member set is not a subgroup")
     mem = set(H.member_indices)
-    for a in range(g.order):
-        inv = g.inverse(a)
+    for a in range(G.order):
+        inv = G.inverse(a)
         for h in mem:
-            if g.table[g.table[a][h]][inv] not in mem:
+            if G.table[G.table[a][h]][inv] not in mem:
                 return False
     return True
 
 
 def commutator_subgroup(G, H: Subgroup) -> Subgroup:
-    g = _as_group(G)
     mem = list(H.member_indices)
     comms = set()
     for a in mem:
-        ia = g.inverse(a)
+        ia = G.inverse(a)
         for b in mem:
-            ib = g.inverse(b)
+            ib = G.inverse(b)
             # a b a^-1 b^-1
-            comms.add(g.table[g.table[g.table[a][b]][ia]][ib])
-    return Subgroup(tuple(sorted(g.generated_subgroup(comms))))
+            comms.add(G.table[G.table[G.table[a][b]][ia]][ib])
+    return Subgroup(tuple(sorted(G.generated_subgroup(comms))))
 
 
 def derived_series(G):
     """G >= G' >= G'' >= ... until stable."""
-    g = _as_group(G)
-    series = [Subgroup(tuple(range(g.order)))]
+    series = [Subgroup(tuple(range(G.order)))]
     while True:
         nxt = commutator_subgroup(G, series[-1])
         if nxt.member_indices == series[-1].member_indices:
@@ -427,12 +413,11 @@ def is_solvable(G) -> bool:
 
 def subgroup_table(G, H: Subgroup):
     """The composition table of a subgroup, as its own FiniteGroup."""
-    g = _as_group(G)
     mem = list(H.member_indices)
     pos = {m: i for i, m in enumerate(mem)}
     # reorder so identity (global index 0) is local index 0
     assert mem[0] == 0
-    table = [[pos[g.table[a][b]] for b in mem] for a in mem]
+    table = [[pos[G.table[a][b]] for b in mem] for a in mem]
     return FiniteGroup(table)
 
 
@@ -440,14 +425,13 @@ def quotient_group(G, N: Subgroup):
     """Quotient by a normal subgroup: (FiniteGroup, coset list)."""
     if not is_normal_subgroup(N, G):
         raise NotNormal("quotient by a subgroup that is not normal")
-    g = _as_group(G)
     nset = set(N.member_indices)
     cosets = []
     assigned = {}
-    for a in range(g.order):
+    for a in range(G.order):
         if a in assigned:
             continue
-        coset = frozenset(g.table[a][h] for h in nset)
+        coset = frozenset(G.table[a][h] for h in nset)
         idx = len(cosets)
         cosets.append(coset)
         for x in coset:
@@ -459,7 +443,7 @@ def quotient_group(G, N: Subgroup):
         assigned = {x: i for i, c in enumerate(cosets) for x in c}
     reps = [min(c) for c in cosets]
     table = [
-        [assigned[g.table[reps[i]][reps[j]]] for j in range(len(cosets))]
+        [assigned[G.table[reps[i]][reps[j]]] for j in range(len(cosets))]
         for i in range(len(cosets))
     ]
     return FiniteGroup(table), cosets
@@ -480,12 +464,11 @@ _NONABELIAN_FINGERPRINTS = {
 def isomorphism_type(G, cap: int = 120) -> str:
     """Name the isomorphism type from the fingerprint (order, abelian flag,
     element-order multiset); honest 'unidentified' otherwise."""
-    g = _as_group(G)
-    n = g.order
+    n = G.order
     if n > cap:
         raise OrderCap(f"type identification capped at order {cap}")
-    orders = tuple(g.element_orders())
-    if g.is_abelian():
+    orders = tuple(G.element_orders())
+    if G.is_abelian():
         if orders[-1] == n:
             return f"C{n}"
         if n == 4:
@@ -512,15 +495,14 @@ def isomorphism_type(G, cap: int = 120) -> str:
 
 def minimal_generators(G):
     """A small generating set of element indices (greedy)."""
-    g = _as_group(G)
     gens = []
-    span = g.generated_subgroup([])
-    for i in sorted(range(g.order), key=lambda j: -g.element_order(j)):
+    span = G.generated_subgroup([])
+    for i in sorted(range(G.order), key=lambda j: -G.element_order(j)):
         if i in span:
             continue
         gens.append(i)
-        span = g.generated_subgroup(gens)
-        if len(span) == g.order:
+        span = G.generated_subgroup(gens)
+        if len(span) == G.order:
             break
     return gens
 

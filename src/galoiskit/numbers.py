@@ -13,8 +13,9 @@ questions too -- its base is itself, its degree 1, its chain of levels empty,
 its coordinates the one scalar -- and `adjoin` starts a `Tower` over it, so
 no caller asks whether a field is a base field or a tower.
 
-Primality and factorization are deterministic trial division, capped by
-`TRIAL_DIVISION_CAP`; there is nothing probabilistic here.
+Primality, factorization and divisors all run on one deterministic
+trial-division loop, `factor_integer`, capped by `TRIAL_DIVISION_CAP`; there
+is nothing probabilistic here.
 """
 
 from __future__ import annotations
@@ -29,30 +30,13 @@ Rational = Fraction
 TRIAL_DIVISION_CAP = 10**12
 
 
-def is_prime(n: int, cap: int = TRIAL_DIVISION_CAP) -> bool:
-    """Deterministic trial-division primality test (n >= 0)."""
-    if n > cap:
-        raise Budget(f"trial division capped at {cap}, got {n}")
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def factor_integer(n: int, cap: int = TRIAL_DIVISION_CAP) -> list[int]:
-    """Prime factor multiset of n >= 1, ascending, by trial division."""
+def factor_integer(n: int) -> list[int]:
+    """Prime factor multiset of n >= 1, ascending, by trial division: the one
+    trial-division loop here, capped at TRIAL_DIVISION_CAP."""
     if n < 1:
         raise ValueError("factor_integer needs n >= 1")
-    if n > cap:
-        raise Budget(f"trial division capped at {cap}, got {n}")
+    if n > TRIAL_DIVISION_CAP:
+        raise Budget(f"trial division capped at {TRIAL_DIVISION_CAP}, got {n}")
     out = []
     while n % 2 == 0:
         out.append(2)
@@ -68,17 +52,21 @@ def factor_integer(n: int, cap: int = TRIAL_DIVISION_CAP) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    """Deterministic primality test (n >= 0): n is its own factorization."""
+    return n >= 2 and factor_integer(n) == [n]
+
+
 def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    """All positive divisors of n >= 1, ascending: the products of the prime
+    powers in `factor_integer(n)`.  A repeated prime q multiplies only the
+    divisors that the previous q made."""
+    divs, last, prev = [1], [], None
+    for q in factor_integer(n):
+        last = [d * q for d in (last if q == prev else divs)]
+        divs += last
+        prev = q
+    return sorted(divs)
 
 
 def is_fermat_prime(q: int) -> bool:

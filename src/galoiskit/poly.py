@@ -693,19 +693,24 @@ def discriminant(f: Poly):
 
 def render(f: Poly, var: str = "t") -> str:
     """Canonical text form a_n*t^n + ... + a_0 with exact coefficients."""
-    if f.is_zero():
-        return "0"
-    dom = f.dom
+    return _sum_str(f.coeffs, f.dom.element_str, var, True)
+
+
+def _sum_str(coeffs, element_str, var, wrap_constant):
+    """The sum of the nonzero c_i*var^i, highest power first ("0" if none).
+    A coefficient whose text has a space is compound: it goes in
+    parentheses, the constant term only when wrap_constant is set, and its
+    sign stays inside; a simple negative coefficient is printed as "- "."""
     parts = []
-    for i in range(len(f.coeffs) - 1, -1, -1):
-        c = f.coeffs[i]
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
         if not c:
             continue
-        cs = dom.element_str(c)
+        cs = element_str(c)
         compound = " " in cs
-        if compound:
+        if compound and (i > 0 or wrap_constant):
             cs = f"({cs})"
-        negative = cs.startswith("-")
+        negative = cs.startswith("-") and not compound
         if negative:
             cs = cs[1:]
         if i == 0:
@@ -717,4 +722,4 @@ def render(f: Poly, var: str = "t") -> str:
             parts.append(("-" if negative else "") + term)
         else:
             parts.append(("- " if negative else "+ ") + term)
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"

@@ -48,7 +48,7 @@ from .errors import (
     ZeroInverse,
 )
 from .linalg import Echelon
-from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, _trim, gcd_ext
+from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, _sum_str, _trim, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 
@@ -467,31 +467,7 @@ class Tower:
     # -- presentation ---------------------------------------------------------
 
     def element_str(self, x) -> str:
-        coeffs = self.coerce(x).coeffs
-        parts = []
-        for i in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[i]
-            if not c:
-                continue
-            cs = self.lower.element_str(c)
-            compound = " " in cs
-            if compound and i > 0:
-                cs = f"({cs})"
-            negative = cs.startswith("-") and not compound
-            if negative:
-                cs = cs[1:]
-            if i == 0:
-                term = cs
-            else:
-                power = self.label if i == 1 else f"{self.label}^{i}"
-                term = power if cs == "1" else f"{cs}*{power}"
-            if not parts:
-                parts.append(("-" if negative else "") + term)
-            else:
-                parts.append(("- " if negative else "+ ") + term)
-        if not parts:
-            return "0"
-        return " ".join(parts)
+        return _sum_str(self.coerce(x).coeffs, self.lower.element_str, self.label, False)
 
     def describe(self):
         """JSON-ready description: one {label, min_poly} entry per level."""

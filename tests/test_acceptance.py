@@ -284,7 +284,7 @@ def test_criterion_10_property_suites():
             assert set(H.member_indices) <= set(H_back.member_indices)
             L_back = fixed_field(H_back, G)
             assert all(in_row_space(base, L_back.basis, v) for v in L.basis)
-        tbl = G.group
+        tbl = G
         for H in subs:
             if H.order != 2:
                 continue

@@ -354,6 +354,22 @@ def test_irreducible_command(capsys):
     assert "irreducible" in out
 
 
+@pytest.mark.parametrize("poly, answer", [
+    # a constant term past the trial-division cap
+    ("t^4+3*t+1000000000000000000000000000000",
+     '{"verdict":"irreducible","witness_data":{"prime":31},"witness_kind":"mod_p"}'),
+    # 6,720 x 6,720 candidate rational roots
+    ("963761198400*t^4+t+963761198400",
+     '{"verdict":"irreducible","witness_data":{"factorization":{"factors":[{"multiplicity":1,'
+     '"poly":"t^4 + 1/963761198400*t + 1"}],"unit":"963761198400"}},"witness_kind":"full_factorization"}'),
+], ids=["constant_past_cap", "many_divisors"])
+def test_irreducible_skips_a_rational_root_search_past_its_bound(capsys, poly, answer):
+    t0 = time.monotonic()
+    assert dispatch(["--json", "irreducible", poly]) == 0
+    assert time.monotonic() - t0 < 2.0
+    assert capsys.readouterr().out == answer + "\n"
+
+
 def test_minpoly_command(capsys):
     assert dispatch(["minpoly", "t^2-2", "t^2-3"]) == 0
     out = capsys.readouterr().out

@@ -244,7 +244,7 @@ def test_conjugation_covariance(t4_setup):
     sf, G, subs = t4_setup
     base = sf.field.base
     zero = base.zero()
-    g_tbl = G.group
+    g_tbl = G
     for H in subs:
         if H.order not in (2, 4):
             continue

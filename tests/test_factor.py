@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from galoiskit.errors import (
+    Budget,
     ConstantPolynomial,
     DegreeCap,
     InternalInvariant,
@@ -18,9 +19,10 @@ from galoiskit.errors import (
     SearchExhausted,
     ZeroPolynomial,
 )
-from galoiskit.numbers import QQ, PrimeField
+from galoiskit.numbers import QQ, PrimeField, divisors
 from galoiskit.poly import Poly, poly_gcd
 from galoiskit.factor import (
+    RATIONAL_ROOT_BOUND,
     _ddf,
     _factor_sqfree_primitive_z,
     _polys,
@@ -344,6 +346,18 @@ def test_gf_3_9_takes_few_powers(monkeypatch, capsys):
     assert 0 < len(calls) <= 292
 
 
+def test_ben_or_takes_only_the_first_pair_of_the_split(monkeypatch):
+    # on (t + 1) g with deg g = 10 the first power, t^7 mod f, already finds
+    # the linear factor; splitting the rest would take four more powers
+    import galoiskit.factor as factor_mod
+
+    calls = []
+    monkeypatch.setattr(factor_mod, "_powmod", lambda *a: calls.append(1) or _powmod(*a))
+    g = Poly(F7, [3, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+    assert not is_irreducible_ff(Poly(F7, [1, 1]) * g)
+    assert len(calls) == 1
+
+
 def test_ben_or_over_fp_builds_no_poly(monkeypatch):
     built = []
     init = Poly.__init__
@@ -426,6 +440,18 @@ def test_rational_roots_match_fraction_evaluation():
         got = rational_roots(f)
         assert got == _fraction_roots(f), f
         assert got == set(built)
+
+
+def test_rational_root_search_is_bounded():
+    # 500 and 504 divisors: 500 * 500 pairs at degree 3 is the bound itself
+    a, b = 2**4 * 3**4 * 5**4 * 7 * 11, 2**6 * 3**2 * 5**2 * 7 * 11 * 13
+    assert (len(divisors(a)), len(divisors(b))) == (500, 504)
+    assert 500 * 500 * (3 + 1) == RATIONAL_ROOT_BOUND
+    assert rational_roots(q([a, 1, 0, a])) == set()
+    with pytest.raises(Budget):
+        rational_roots(q([a, 1, 0, b]))
+    with pytest.raises(Budget):  # the constant term is past the trial-division cap
+        rational_roots(q([10**30, 3, 0, 0, 1]))
 
 
 def test_rational_roots():

@@ -350,7 +350,7 @@ def test_gal_ff_cross_check_with_enumeration():
         G = automorphisms(sf)
         assert G.order == n == gal_ff(p, n, 1).order
         assert isomorphism_type(G) == f"C{n}"
-        assert G.group.is_abelian()
+        assert G.is_abelian()
 
 
 def test_classification_independence_of_modulus():

@@ -90,7 +90,7 @@ def _check_axioms(g):
 
 
 def test_group_axioms_from_table(gal_t4):
-    g = gal_t4.group
+    g = gal_t4
     assert _check_axioms(g)
     rng = random.Random(3)
     for _ in range(40):
@@ -98,11 +98,22 @@ def test_group_axioms_from_table(gal_t4):
         assert g.table[g.table[a][b]][c] == g.table[a][g.table[b][c]]
 
 
+@pytest.mark.parametrize("f", ["t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1"])
+def test_galois_group_is_the_closure_of_its_generators(f):
+    # closing the generators' root permutations by direct composition gives
+    # the elements in the same order and the same table
+    G = automorphisms(splitting_field_q(parse_poly(f)))
+    assert isinstance(G, FiniteGroup)
+    group, perms = from_permutations([G.elements[i].root_perm for i in minimal_generators(G)])
+    assert perms == [a.root_perm for a in G.elements]
+    assert group.table == G.table
+
+
 def test_faithful_injective_action(gal_t4):
     perms = [a.root_perm for a in gal_t4.elements]
     assert len(set(perms)) == len(perms)
     # homomorphism into S_k: table composition matches permutation composition
-    g = gal_t4.group
+    g = gal_t4
     for i in range(g.order):
         for j in range(g.order):
             composed = tuple(
@@ -288,7 +299,7 @@ def test_solvability():
 
 def test_d4_derived_series_vs_table_oracle(gal_t4):
     # oracle: the commutator subgroup computed by brute force over all pairs
-    g = gal_t4.group
+    g = gal_t4
     comms = set()
     for a in range(g.order):
         for b in range(g.order):
@@ -436,7 +447,7 @@ def test_cycle_notation():
 
 def test_minimal_generators(gal_t4):
     gens = minimal_generators(gal_t4)
-    assert gal_t4.group.generated_subgroup(gens) == frozenset(range(8))
+    assert gal_t4.generated_subgroup(gens) == frozenset(range(8))
     assert len(gens) <= 2
 
 

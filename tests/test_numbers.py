@@ -8,6 +8,7 @@ import pytest
 
 from galoiskit.errors import Budget, ZeroInverse
 from galoiskit.numbers import (
+    TRIAL_DIVISION_CAP,
     FpElem,
     PrimeField,
     QQ,
@@ -121,6 +122,16 @@ def test_divisors():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
     assert divisors(97) == [1, 97]
+
+
+def test_divisors_match_brute_force():
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
+
+
+def test_divisors_are_capped():
+    with pytest.raises(Budget):
+        divisors(TRIAL_DIVISION_CAP + 1)
 
 
 def test_is_fermat_prime():

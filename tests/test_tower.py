@@ -56,6 +56,15 @@ def test_adjoin_examples(sqrt2):
     assert set(elems) == {T4.zero(), T4.one(), alpha, alpha + 1}
 
 
+def test_element_str_leaves_a_compound_constant_bare(sqrt2, sqrt23):
+    # render puts a compound constant term in parentheses, element_str not
+    A, a = sqrt2
+    T, b = sqrt23
+    assert T.element_str(a * b + a + 1) == "a*b + a + 1"
+    assert T.element_str(a * b - a + 1) == "a*b + -a + 1"
+    assert render(Poly(A, [a + 1, a]), "b") == "a*b + (a + 1)"
+
+
 def test_adjoin_requires_irreducible():
     with pytest.raises(NotIrreducible):
         adjoin_root(QQ, q([-1, 0, 1]), "x")  # t^2 - 1 factors
