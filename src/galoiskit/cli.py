@@ -340,15 +340,20 @@ def _cmd_factor(args, dom):
     _emit(args, fact.to_json(), lines)
 
 
+def _witness_str(value):
+    """A `to_json` witness entry as text; a factorization as unit*(f)^m*..., 1s left out."""
+    if not isinstance(value, dict):
+        return value
+    unit, parts = value["unit"], [(g["poly"], g["multiplicity"]) for g in value["factors"]]
+    return "*".join([unit] * (unit != "1") + [f"({f})" + f"^{m}" * (m > 1) for f, m in parts])
+
+
 def _cmd_irreducible(args, dom):
     f = parse_poly(args.poly, dom)
     if dom == QQ:
-        cert = factor.is_irreducible_q(f, max_degree=args.max_degree)
-        _emit(
-            args,
-            cert.to_json(),
-            [f"{cert.verdict} (witness: {cert.witness_kind} {cert.witness_data})"],
-        )
+        cert = factor.is_irreducible_q(f, max_degree=args.max_degree).to_json()
+        witness = ", ".join(f"{k}={_witness_str(v)}" for k, v in cert["witness_data"].items())
+        _emit(args, cert, [f"{cert['verdict']} (witness: {cert['witness_kind']} {witness})"])
     else:
         verdict = factor.is_irreducible_ff(f)
         _emit(

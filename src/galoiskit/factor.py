@@ -96,8 +96,7 @@ REDUCIBLE = "reducible"
 
 class Factorization:
     """unit * prod(factor^mult) = the factored polynomial; factors are monic
-    irreducible and canonically sorted.  Immutable and hashable; the repr is
-    part of the CLI's `irreducible` text output."""
+    irreducible and canonically sorted.  Immutable and hashable."""
 
     __slots__ = ("unit", "factors")
 
@@ -115,9 +114,6 @@ class Factorization:
 
     def __hash__(self):
         return hash((self.unit, self.factors))
-
-    def __repr__(self):
-        return f"Factorization(unit={self.unit!r}, factors={self.factors!r})"
 
     def expand(self, dom) -> Poly:
         out = Poly.constant(dom, self.unit)

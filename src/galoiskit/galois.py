@@ -8,11 +8,12 @@ nothing is searched: they permute the roots as the powers of the Frobenius
 permutation the splitting field keeps, and each generator, a stored root,
 with them.  Because the action on roots is faithful, a `GaloisGroup` is the
 `FiniteGroup` of its root permutations (canonically sorted, identity first),
-whose table `_perm_table` composes, as it does for `from_permutations`.  Each
-automorphism also carries its matrix on the flattened power-product basis,
-built from powers of the generator images (about n tower products and n^2
-base entries for a field of degree n), which the fixed-field linear algebra
-reads.
+whose table `_perm_table` composes, as it does for `from_permutations`.  The
+search reads the root permutation off the images of the top-level basis
+monomials on which some root has a nonzero coordinate.  The matrix of an
+automorphism on the flattened power-product basis (about n tower products
+and n^2 base entries for degree n), which only the fixed-field linear
+algebra reads, is built on first read from the generator images.
 
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
@@ -123,15 +124,30 @@ def _perm_table(perms):
 class Automorphism:
     """A field automorphism over the base: generator images, the induced
     permutation of the stored roots, and its matrix on the flattened
-    power-product basis (column j = coordinates of the image of basis j)."""
+    power-product basis (column j = coordinates of the image of basis j),
+    built from the generator images on first read."""
 
-    __slots__ = ("generator_images", "root_perm", "matrix")
+    __slots__ = ("generator_images", "root_perm", "_field", "_lower", "_matrix")
 
-    def __init__(self, generator_images: tuple, root_perm: tuple, matrix: list):
+    def __init__(self, field, generator_images: tuple, root_perm: tuple, lower=None):
         # the image of each tower level's generator, bottom-up
         self.generator_images = generator_images
         self.root_perm = root_perm  # root i maps to root root_perm[i]
-        self.matrix = matrix  # n x n over the base; [[one]] over a bare base field
+        self._field = field
+        self._lower = lower  # images of the basis below the top level, if the search kept them
+        self._matrix = None
+
+    @property
+    def matrix(self):
+        """n x n over the base; [[one]] over a bare base field."""
+        if self._matrix is None:
+            chain = self._field.chain()
+            k = len(chain) - 1 if self._lower else 0
+            basis = self._lower or [self._field.one()]
+            for level, r in zip(chain[k:], self.generator_images[k:]):
+                basis = _basis_up(basis, r, level.level_degree)
+            self._matrix = _matrix(self._field, basis)
+        return self._matrix
 
     def __repr__(self):
         return f"Automorphism({cycle_notation(self.root_perm)})"
@@ -186,21 +202,34 @@ def _matrix(field, basis):
     return [[col[r] for col in cols] for r in range(field.absolute_degree())]
 
 
+def _images_of(basis, r, indices):
+    """The images one level up of the basis monomials `indices` (ascending,
+    numbered as in `_basis_up`) when its generator maps to r."""
+    powers = [basis[0], r]  # basis[0], the image of 1, is 1
+    while len(powers) <= indices[-1] // len(basis):
+        powers.append(powers[-1] * r)
+    return [basis[j] if not i else powers[i] if not j else powers[i] * basis[j]
+            for i, j in (divmod(k, len(basis)) for k in indices)]
+
+
 def _searched(sf):
-    """(generator images, matrix, root permutation) of each automorphism."""
+    """(generator images, images of the basis below the top level, root
+    permutation) of each automorphism."""
     field = sf.field
     chain = field.chain()
     roots = sf.roots
+    if not chain:  # a bare base field: the identity alone
+        yield (), None, tuple(range(len(roots)))
+        return
     zero = field.base.zero()
-    found = []
+    root_coords = [field.flatten(r) for r in roots]
+    root_index = {tuple(v): i for i, v in enumerate(root_coords)}
+    support = [j for j in range(field.absolute_degree()) if any(v[j] for v in root_coords)]
+    coords = [[v[j] for j in support] for v in root_coords]
 
     def extend(images, basis):
         # basis: images of the power-product basis of chain[k-1] ([1] below level 0)
-        mat = _matrix(field, basis)  # n x dim(chain[k-1])
         k = len(images)
-        if k == len(chain):
-            found.append((tuple(images), mat))
-            return
         level = chain[k]
         d = level.level_degree
         cands = [r for r in roots if not (d > 1 and r in images)]
@@ -212,6 +241,7 @@ def _searched(sf):
                 hits += cands[i:]
                 break
             if m_phi is None:  # the minimal polynomial's coefficients live in chain[k-1]
+                mat = _matrix(field, basis)
                 m_phi = Poly(field, [
                     field.unflatten(mat_mul_vec(mat, level.lower.flatten(c), zero))
                     for c in level.minpoly.coeffs
@@ -219,30 +249,25 @@ def _searched(sf):
             if not m_phi.eval(r):
                 hits.append(r)
         for r in hits:
-            extend(images + [r], _basis_up(basis, r, d))
+            if k + 1 < len(chain):
+                yield from extend(images + [r], _basis_up(basis, r, d))
+                continue
+            cols = _matrix(field, _images_of(basis, r, support))
+            keys = (tuple(mat_mul_vec(cols, v, zero)) for v in coords)
+            yield (*images, r), basis, root_permutation(root_index, keys)
 
-    extend([], [field.one()])
-
-    root_coords = [field.flatten(r) for r in roots]
-    root_index = {tuple(v): i for i, v in enumerate(root_coords)}
-    for images, mat in found:
-        keys = (tuple(mat_mul_vec(mat, v, zero)) for v in root_coords)
-        yield images, mat, root_permutation(root_index, keys)
+    yield from extend([], [field.one()])
 
 
 def _frobenius_powers(sf):
-    """(generator images, matrix, root permutation) of phi^j, j = 0 .. n-1,
+    """(generator images, None, root permutation) of phi^j, j = 0 .. n-1,
     for the Frobenius phi: the j-th power of `sf.frobenius`, which also
     moves each generator, a stored root, to its image among the roots."""
     field, roots = sf.field, sf.roots
     gens = [roots.index(g) for g in field.generators()]
     perm = tuple(range(len(roots)))
     for _ in range(field.absolute_degree()):
-        images = tuple(roots[perm[i]] for i in gens)
-        basis = [field.one()]
-        for level, r in zip(field.chain(), images):
-            basis = _basis_up(basis, r, level.level_degree)
-        yield images, _matrix(field, basis), perm
+        yield tuple(roots[perm[i]] for i in gens), None, perm
         perm = tuple(sf.frobenius[i] for i in perm)
 
 
@@ -257,11 +282,10 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
     its roots is an image of a lower generator.  So the candidates -- the
     roots, less those images when d > 1 -- hold exactly d roots of m_phi:
     the scan tests them in order and takes the untested rest unevaluated
-    once they are as many as the roots still missing.  The matrix columns
-    are the flattened basis images."""
+    once they are as many as the roots still missing."""
     n = sf.field.absolute_degree()
     route = _searched if sf.frobenius is None else _frobenius_powers
-    elems = [Automorphism(images, perm, mat) for images, mat, perm in route(sf)]
+    elems = [Automorphism(sf.field, images, perm, lower) for images, lower, perm in route(sf)]
     if len({a.root_perm for a in elems}) != len(elems):
         raise InternalInvariant("two automorphisms act alike on the roots")
     elems.sort(key=lambda a: a.root_perm)

@@ -325,10 +325,14 @@ def test_gf_command(capsys):
 
 def test_irreducible_text_prints_the_factorization_witness(capsys):
     assert dispatch(["irreducible", "(t^2+1)^2"]) == 0
-    assert capsys.readouterr().out == (
-        "reducible (witness: full_factorization {'factorization': "
-        "Factorization(unit=Fraction(1, 1), factors=((Poly(QQ, 't^2 + 1'), 2),))})\n"
-    )
+    assert capsys.readouterr().out == "reducible (witness: full_factorization factorization=(t^2 + 1)^2)\n"
+    for poly, line in [
+        ("3*(t^2+1)*(t^2+2)", "reducible (witness: full_factorization factorization=3*(t^2 + 1)*(t^2 + 2))"),
+        ("2*t^2+3*t", "reducible (witness: rational_root root=-3/2)"),
+        ("t^4+2", "irreducible (witness: eisenstein prime=2, shift=0)"),
+    ]:
+        assert dispatch(["irreducible", poly]) == 0
+        assert capsys.readouterr().out == line + "\n"
 
 
 def test_factor_command_fp(capsys):

@@ -1,5 +1,6 @@
 """Galois groups: enumeration, action on roots, group structure."""
 
+import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from galoiskit.errors import InternalInvariant, NotASubgroup, NotNormal, OrderCap
+from galoiskit.linalg import mat_mul_vec
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.cli import parse_poly
 from galoiskit.poly import Poly
@@ -595,3 +597,71 @@ def test_fp_automorphisms_are_the_frobenius_powers(monkeypatch, f):
     expected.sort(key=lambda x: x[0])
     assert len({perm for perm, _, _ in expected}) == n == G.order
     assert [(a.root_perm, a.generator_images, a.matrix) for a in G.elements] == expected
+
+
+# The seven ROADMAP ladder polynomials and the fifteen splitting fields of the
+# benchmark's correspondence workload, less the three they share.
+LADDER = ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1")
+CORRESPONDENCE_FIELDS = (
+    "t^2-2", "t^3-3*t+1", "(t^2-2)*(t^2-3)", "t^4-4*t^2+2", "t^4+5*t^2+5", "t^3-3", "t^3-5",
+    "t^3-7", "t^3-t-1", "t^4+2", "t^4-3", "(t^2+1)*(t^2-2)*(t^2-3)",
+)
+
+
+@functools.cache
+def _splitting_field(src):
+    """Over Q with a degree cap of 48, which t^7-2 needs; a prefix "F<p>:" selects F_p."""
+    if ":" in src:
+        p, f = src.split(":")
+        return splitting_field_fp(parse_poly(f, PrimeField(int(p[1:]))))
+    return splitting_field_q(parse_poly(src), max_degree=48)
+
+
+def _eager_matrix(field, images):
+    """The oracle: every basis image, level by level (a^i * b_j goes to
+    r^i * image of b_j, i outer), as the columns of the matrix."""
+    basis = [field.one()]
+    for level, r in zip(field.chain(), images):
+        powers = [field.one()]
+        for _ in range(1, level.level_degree):
+            powers.append(powers[-1] * r)
+        basis = [x * b for x in powers for b in basis]
+    cols = [field.flatten(b) for b in basis]
+    return [[col[i] for col in cols] for i in range(field.absolute_degree())]
+
+
+@pytest.mark.parametrize("src", LADDER + CORRESPONDENCE_FIELDS + ("t^7-2", "F2:t^4+t+1", "F2:(t^2+t+1)*(t^3+t+1)"))
+def test_lazy_matrices_match_the_eager_construction(src):
+    sf = _splitting_field(src)
+    G = automorphisms(sf)
+    field, zero = sf.field, sf.field.base.zero()
+    roots = [field.flatten(r) for r in sf.roots]
+    assert G.order == sf.degree() > 1
+    for a in G.elements:
+        assert a.matrix == _eager_matrix(field, a.generator_images)
+        for i, v in enumerate(roots):
+            assert mat_mul_vec(a.matrix, v, zero) == roots[a.root_perm[i]]
+
+
+@pytest.mark.parametrize("src", LADDER)
+def test_group_answers_build_no_matrix(src):
+    # galois, solvable and the ladder read only the root permutations
+    G = automorphisms(_splitting_field(src))
+    G.to_json()
+    derived_series(G)
+    assert all(a._matrix is None for a in G.elements)
+
+
+@pytest.mark.parametrize("src", LADDER)
+def test_a_monomial_dropped_from_the_support_is_caught(monkeypatch, src):
+    # the root permutation is checked: with the image of the last monomial of
+    # the roots' support taken as zero, some root maps to no root
+    import galoiskit.galois as galois
+
+    sf = _splitting_field(src)
+    images_of = galois._images_of
+    monkeypatch.setattr(
+        galois, "_images_of", lambda basis, r, indices: images_of(basis, r, indices)[:-1] + [sf.field.zero()]
+    )
+    with pytest.raises(InternalInvariant, match="do not permute the roots"):
+        automorphisms(sf)
