@@ -18,8 +18,10 @@ Three coefficient worlds are covered:
   by the factor count r that its distinct-degree split gives (sum of
   deg(g)/k): the scan stops at the first prime with r <= 4 and otherwise
   looks at 3 primes, or at 10 while the least r is above 8.  Then
-  equal-degree split only that prime's pieces, Hensel lift past the
-  Landau-Mignotte bound, and recombine by subset search, where each subset
+  equal-degree split only that prime's pieces, Hensel lift to p^k > 2B for
+  B = C(n-1, (n-1)//2) (isqrt(sum c_i^2) + 1), since a rebuilt lc(h)/lc(g) g
+  (g a proper factor of h | f) has |coefficient j| <= C(deg g, j) M(h) <=
+  C(n-1, j) ||f||_2, and recombine by subset search, where each subset
   first passes the constant-term test (the symmetric residue of lc(f) times
   the product of the factors' constant terms must divide lc(f) f(0)) before
   its product is formed.  Multiplicities come from exact division of the
@@ -506,11 +508,13 @@ def _hensel_lift_list(p, k, f, factors):
 
 
 def _mignotte_bound(ints):
-    """Bound on |coefficient| of any monic-scaled divisor times lc: the
-    classical 2^n sqrt(n+1) H(f) |lc| envelope."""
+    """Bound on |coefficient| of every candidate lc(h)/lc(g) g rebuilt by
+    recombination, for f = ints of degree n, h | f over Z and g | h proper.
+    Coefficient j of g/lc(g) is a symmetric function of its deg g <= n-1
+    roots, at most C(deg g, j) times the product of max(1, |root|); with
+    |lc h| that is at most M(h) <= M(f) <= ||f||_2 (Landau)."""
     n = len(ints) - 1
-    height = max(abs(c) for c in ints)
-    return (isqrt(n + 1) + 1) * (1 << n) * height * abs(ints[-1])
+    return comb(n - 1, (n - 1) // 2) * (isqrt(sum(c * c for c in ints)) + 1)
 
 
 def _primes(start=2):
@@ -529,11 +533,11 @@ def _squarefree_mod(a, p):
     return len(_gcd_mod(a, _deriv_mod(a, p), p)) == 1
 
 
-def _factor_sqfree_primitive_z(ints, start=2):
+def _factor_sqfree_primitive_z(ints, start=None):
     """Irreducible integer factors (each primitive, positive lc) of a
     squarefree primitive integer polynomial of degree >= 1.  The prime search
-    begins at `start`, which callers set only when every smaller prime
-    divides lc or gives a reduction that is not squarefree."""
+    begins at `start` when given: a prime not dividing lc, with a squarefree
+    reduction not tested again, where no smaller prime is both."""
     n = len(ints) - 1
     if n == 1:
         return [list(ints)]
@@ -541,11 +545,11 @@ def _factor_sqfree_primitive_z(ints, start=2):
     # factors, counted from the distinct-degree split alone as sum deg(g)/k
     best = None
     tried, skipped = 0, 1
-    for p in _primes(start):
+    for p in _primes(start or 2):
         if ints[-1] % p == 0:
             continue
         fbar = [c % p for c in ints]
-        if not _squarefree_mod(fbar, p):
+        if p != start and not _squarefree_mod(fbar, p):
             # p divides disc(f), and 0 < |disc(f)| <= n^n ||f||_2^(2n-2)
             # (Mahler) if f is squarefree
             skipped *= p
@@ -646,7 +650,7 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
     # f is squarefree if it is mod some p not dividing lc(f): each factor g
     # keeps its degree mod p (lc(g) divides lc(f)), so a repeated factor g^2
     # would stay a repeated factor of degree >= 1.  Zassenhaus would skip the
-    # primes before that p, so its search starts there.
+    # primes before that p, so its search starts there, and takes p as good.
     small = itertools.takewhile(lambda p: p <= MOD_P_SCAN_BOUND, _primes())
     start = next((p for p in small if prim[-1] % p and _squarefree_mod(_z_mod(prim, p), p)), None)
     sqf = prim
@@ -654,7 +658,6 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
         # f / gcd(f, f'), with the gcd from the end of the remainder sequence
         g = _sturm_ints(prim)[-1]
         sqf = _pseudo_divmod(prim, g if g[-1] > 0 else [-c for c in g], exact=True)[0]
-        start = 2
     raw = _factor_sqfree_primitive_z(sqf, start)
     # each g is primitive with lc > 0, so exact division over Z leaves [1]
     wrap = lambda g: Poly(QQ, g).monic()

@@ -11,18 +11,19 @@ Over Q and over a prime field the coefficient objects exist only at rest;
 products and division with remainder read each operand once as plain ints,
 compute on ints and wrap only the output coefficients:
 
-* over F_p, int residues (`_mul_mod`, `_divmod_mod`, shared with Hensel
-  lifting mod p^k), with no `FpElem` arithmetic per coefficient product;
-  `%` uses the remainder-only `_rem_mod`, and `poly_gcd` and `gcd_ext`
-  run their whole loop on residues (`_gcd_mod`, `_xgcd_mod`).  The
-  finite-field algorithms of `factor` and Zassenhaus call these residue
-  functions directly and wrap only their results;
+* over F_p, int residues (`_mul_mod`, one product of packed integers, and
+  `_divmod_mod`, both shared with Hensel lifting mod p^k), with no `FpElem`
+  arithmetic per coefficient product; `%` uses the remainder-only
+  `_rem_mod`, and `poly_gcd` and `gcd_ext` run their whole loop on residues
+  (`_gcd_mod`, `_xgcd_mod`).  The finite-field algorithms of `factor` and
+  Zassenhaus call these residue functions directly and wrap only their
+  results;
 * over Q, integer numerators over one common denominator (`_numerators`):
-  the unreduced product `_mul_int` (which `_mul_mod` reduces) and the
-  fraction-free pseudo-division `_pseudo_divmod`, rescaled once at the end
-  (`%` rescales only the remainder), with no `Fraction` arithmetic per
-  coefficient product.  Every rational polynomial takes this path: parsing,
-  gcds, Zassenhaus and the bottom level of every rational tower.
+  the unreduced product `_mul_int` and the fraction-free pseudo-division
+  `_pseudo_divmod`, rescaled once at the end (`%` rescales only the
+  remainder), with no `Fraction` arithmetic per coefficient product.
+  Every rational polynomial takes this path: parsing, gcds, Zassenhaus
+  and the bottom level of every rational tower.
 
 Division, gcd and friends require the domain to be a field; ring-only
 operations (+ - *, evaluation, resultants via the subresultant PRS) work over
@@ -329,9 +330,25 @@ def _mul_int(a, b):
 
 
 def _mul_mod(a, b, m):
-    """Product of int coefficient lists mod m, trimmed; each output
-    coefficient is reduced once."""
-    return _trim([c % m for c in _mul_int(a, b)])
+    """Product of int coefficient lists mod m, trimmed: coefficients of any
+    sign are reduced into [0, m) and packed as x = sum a_i 2^(wi) and
+    y = sum b_j 2^(wj), 2^w > N (m-1)^2 for N = min(len a, len b).  Slot k of
+    x*y, the sum of a_i b_j over i + j = k, has at most N terms of at most
+    (m-1)^2, so it is below 2^w: no slot carries, and slot k mod m is
+    coefficient k of a*b mod m (Kronecker substitution)."""
+    if not a or not b:
+        return []
+    w = (min(len(a), len(b)) * (m - 1) ** 2).bit_length()
+    x = y = 0
+    for c in reversed(a):
+        x = x << w | c % m
+    for c in reversed(b):
+        y = y << w | c % m
+    z, mask, out = x * y, (1 << w) - 1, []
+    for _ in range(len(a) + len(b) - 1):
+        out.append((z & mask) % m)
+        z >>= w
+    return _trim(out)
 
 
 def _divmod_mod(a, b, m):

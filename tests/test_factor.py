@@ -20,7 +20,7 @@ from galoiskit.errors import (
     ZeroPolynomial,
 )
 from galoiskit.numbers import QQ, PrimeField, divisors
-from galoiskit.poly import Poly, poly_gcd
+from galoiskit.poly import Poly, content_primitive, poly_gcd
 from galoiskit.factor import (
     RATIONAL_ROOT_BOUND,
     _ddf,
@@ -698,12 +698,12 @@ def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
     monkeypatch.setattr(
         factor_mod,
         "_factor_sqfree_primitive_z",
-        lambda ints, start=2: calls.append((list(ints), start)) or real_z(ints, start),
+        lambda ints, start=None: calls.append((list(ints), start)) or real_z(ints, start),
     )
     for src in _GOLDEN_FACTOR_INPUTS:
         factor_q(parse_poly(src), max_degree=22)
     assert len(calls) == len(_GOLDEN_FACTOR_INPUTS)
-    assert sum(start > 2 for _, start in calls) >= 2
+    assert sum((start or 2) > 2 for _, start in calls) >= 2
     monkeypatch.setattr(factor_mod, "_ddf", lambda R, f: tried.append(R.p) or real_ddf(R, f))
     for ints, start in calls:
         tried.clear()
@@ -712,6 +712,130 @@ def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
         tried.clear()
         assert real_z(ints) == got
         assert tried == from_start
+
+
+def test_factor_q_tests_its_start_prime_once(monkeypatch):
+    # factor_q proves its start prime good (p does not divide lc, squarefree
+    # reduction); Zassenhaus searches from there and does not test it again
+    import galoiskit.factor as factor_mod
+    from galoiskit.cli import parse_poly
+
+    real, tested = factor_mod._squarefree_mod, []
+    monkeypatch.setattr(factor_mod, "_squarefree_mod", lambda a, p: tested.append(p) or real(a, p))
+    small = [p for p in range(2, factor_mod.MOD_P_SCAN_BOUND + 1) if all(p % d for d in range(2, p))]
+    starts = []
+    for src in _GOLDEN_FACTOR_INPUTS + ["(t^3+t+1)*(t^2+t-1)", "6*t^5+10*t^2-15", "(t^2-30)*(t^3-2)*(t+7)"]:
+        f = parse_poly(src)
+        ints = content_primitive(f)[1]
+        start = next((p for p in small if ints[-1] % p and real([c % p for c in ints], p)), None)
+        if start is None:
+            continue  # not squarefree: the gcd(f, f') branch tests every prime
+        tested.clear()
+        factor_q(f, max_degree=22)
+        assert tested.count(start) == 1 and len(tested) == len(set(tested)), (src, tested)
+        starts.append(start)
+    assert len(starts) == 7 and {2, 7} <= set(starts)  # the first prime, and one after skipped primes
+
+
+def test_mignotte_bound_hand_values():
+    from galoiskit.factor import _mignotte_bound
+
+    # C(n-1, floor((n-1)/2)) (isqrt(sum c_i^2) + 1)
+    assert _mignotte_bound([6, 0, -5, 0, 1]) == 3 * (7 + 1)  # sum c_i^2 = 62
+    assert _mignotte_bound([4, 0, 0, 0, 0, 3]) == 6 * (5 + 1)  # 3t^5 + 4
+    assert _mignotte_bound([-2, 1]) == 1 * (2 + 1)
+
+
+def _lifts_at_top_level(monkeypatch):
+    """Record (p, k, f) for every multifactor Hensel lift that Zassenhaus
+    starts (not its recursive halves)."""
+    import sys
+    import galoiskit.factor as factor_mod
+
+    real, lifts = factor_mod._hensel_lift_list, []
+
+    def recorded(p, k, f, factors):
+        if sys._getframe(1).f_code.co_name == "_factor_sqfree_primitive_z":
+            lifts.append((p, k, list(f)))
+        return real(p, k, f, factors)
+
+    monkeypatch.setattr(factor_mod, "_hensel_lift_list", recorded)
+    return lifts
+
+
+def _assert_precision_covers(pk, f, factors):
+    """p^k > 2 |coefficient| of lc(f)/lc(g) g for every product g of a
+    nonempty proper subset of the exact factors of f."""
+    assert _mul_all(factors) == f
+    for size in range(1, len(factors)):
+        for combo in itertools.combinations(factors, size):
+            g = _mul_all(combo)
+            scale, rem = divmod(f[-1], g[-1])
+            assert rem == 0
+            assert pk > 2 * max(abs(scale * c) for c in g), (pk, f, combo)
+
+
+def _mul_all(polys):
+    out = [1]
+    for g in polys:
+        out = [int(c) for c in (q(out) * q(g)).coeffs]
+    return out
+
+
+def test_lift_precision_bounds_every_true_factor(monkeypatch):
+    # products of 2-4 random integer polynomials, each irreducible by its
+    # reduction mod a small prime (Ben-Or over F_p, not Zassenhaus), so the
+    # exact factors are known; the lift must recover every subset product
+    rng = random.Random(29)
+    lifts = _lifts_at_top_level(monkeypatch)
+    checked = 0
+    while checked < 300:
+        factors = []
+        for _ in range(rng.randint(2, 4)):
+            d = rng.randint(1, 4)
+            height = rng.choice((3, 30, 1000))
+            g = [rng.randint(-height, height) for _ in range(d)] + [rng.randint(1, height)]
+            if math.gcd(*g) != 1 or g in factors:
+                continue
+            if not any(
+                g[-1] % p and is_irreducible_ff(Poly(PrimeField(p), [c % p for c in g]))
+                for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+            ):
+                continue
+            factors.append(g)
+        f = _mul_all(factors)
+        if len(factors) < 2 or len(f) > 13:
+            continue
+        lifts.clear()
+        assert factor_q(q(f)).expand(QQ) == q(f)
+        ((p, k, lifted),) = lifts
+        assert lifted == f
+        _assert_precision_covers(p**k, f, factors)
+        checked += 1
+
+
+def test_lift_precision_bounds_the_ladder_norm_factors(monkeypatch):
+    # every multifactor lift of the Trager norms that splitting the seven
+    # ladder polynomials factors, against the norm's exact factors
+    import galoiskit.factor as factor_mod
+    from galoiskit.cli import parse_poly
+    from galoiskit.splitting import splitting_field_q
+
+    lifts = _lifts_at_top_level(monkeypatch)
+    real, answers = factor_mod._factor_sqfree_primitive_z, {}
+
+    def recorded(ints, start=None):
+        answers[tuple(ints)] = out = real(ints, start)
+        return out
+
+    monkeypatch.setattr(factor_mod, "_factor_sqfree_primitive_z", recorded)
+    for f in ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1"):
+        splitting_field_q(parse_poly(f))
+    assert len(lifts) >= 7 and max(len(f) - 1 for _, _, f in lifts) >= 24
+    for p, k, f in list(lifts):
+        factors = answers[tuple(f)]
+        assert all(is_irreducible_q(q(g), max_degree=len(g)).irreducible for g in factors)
+        _assert_precision_covers(p**k, f, factors)
 
 
 def test_factor_q_degree_cap():

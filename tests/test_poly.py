@@ -316,6 +316,38 @@ def test_int_residue_kernel_mod_prime_powers():
             assert _divmod_mod(a, b, m) == (_residues(quo, m), _residues(rem, m))
 
 
+def _schoolbook_mul_mod(a, b, m):
+    """The product before packing: every a_i b_j added into coefficient
+    i + j, each coefficient reduced once at the end."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    out = [c % m for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def test_packed_mul_mod_matches_the_schoolbook_product():
+    # every length 0-65 against a random one and itself; m = 2, small primes
+    # and prime powers up to 2^200; residues, and signed unreduced ints
+    rng = random.Random(29)
+    moduli = (2, 3, 7, 31, 2**61 - 1, 3**20, 7**71, 2**200)
+    for m in moduli:
+        for la in range(66):
+            for lb in (la, rng.randrange(66)):
+                for lo, hi in ((0, m - 1), (-3 * m, 3 * m)):
+                    a = [rng.randint(lo, hi) for _ in range(la)]
+                    b = [rng.randint(lo, hi) for _ in range(lb)]
+                    assert _mul_mod(a, b, m) == _schoolbook_mul_mod(a, b, m), (m, a, b)
+        # the tight case: slot k of the packed product peaks at
+        # min(len a, len b) (m-1)^2, reached when every coefficient is m-1
+        for la, lb in ((65, 65), (65, 64), (1, 65), (2, 2)):
+            for a, b in (([m - 1] * la, [m - 1] * lb), ([-1] * la, [m - 1] * lb)):
+                assert _mul_mod(a, b, m) == _schoolbook_mul_mod(a, b, m), (m, la, lb)
+
+
 def _euclid_gcd(f, g):
     """The plain Euclid loop on `Poly` remainders: the monic gcd oracle."""
     while not g.is_zero():
