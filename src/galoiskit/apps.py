@@ -186,11 +186,12 @@ def solvable_by_radicals(
     )
 
 
-def kummer_abelian_checks(max_n: int = 12, binomials=((2, 2), (3, 2), (4, 3))):
-    """Abelian-Galois-group checks for t^n - 1 (n <= max_n) and, over the
-    field generated by the relevant roots of unity, for t^n - a."""
+def kummer_abelian_checks():
+    """Abelian-Galois-group checks for t^n - 1 (n <= 12) and, over the field
+    generated by the relevant roots of unity, for t^n - a with (n, a) in
+    (2, 2), (3, 2), (4, 3)."""
     report = {"roots_of_unity": [], "binomials": []}
-    for n in range(2, max_n + 1):
+    for n in range(2, 13):
         f = Poly(QQ, [-1] + [0] * (n - 1) + [1])
         G = automorphisms(splitting_field_q(f))
         report["roots_of_unity"].append(
@@ -198,7 +199,7 @@ def kummer_abelian_checks(max_n: int = 12, binomials=((2, 2), (3, 2), (4, 3))):
         )
     from .correspondence import gal_over, subfield_generated_by
 
-    for n, a in binomials:
+    for n, a in ((2, 2), (3, 2), (4, 3)):
         f = Poly(QQ, [-a] + [0] * (n - 1) + [1])
         sf = splitting_field_q(f)
         G = automorphisms(sf)

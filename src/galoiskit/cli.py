@@ -33,7 +33,7 @@ from .errors import (
     ShapeCap,
 )
 from .numbers import QQ, PrimeField
-from .poly import Poly, _from_residues, _numerators, render
+from .poly import Poly, _from_residues, _numerators, _power, render
 from . import apps, correspondence, factor, finitefield, galois, splitting, tower
 
 # ---------------------------------------------------------------------------
@@ -243,14 +243,7 @@ class _Parser:
         if len(base) == 1:  # (c*t^j)^k = c^k*t^(jk)
             ((j, c),) = base.items()
             return {j * k: pow(c, k, p) if p else c**k}
-        result = None
-        while k:
-            if k & 1:
-                result = base if result is None else _convolve(result, base, p)
-            k >>= 1
-            if k:
-                base = _convolve(base, base, p)
-        return result
+        return _power(base, k, lambda a, b: _convolve(a, b, p), None)
 
     def atom(self):
         tok = self.peek()

@@ -20,11 +20,11 @@ from .errors import InternalInvariant, NotNormal, SearchExhausted
 from .galois import (
     GaloisGroup,
     Subgroup,
+    class_table,
     isomorphism_type,
     is_normal_subgroup,
     quotient_group,
     subgroups,
-    FiniteGroup,
 )
 from .linalg import Echelon, in_row_space, mat_mul_vec, row_space_basis
 from .poly import Poly, render
@@ -120,13 +120,8 @@ def _make_subfield(sf, rows, outside=None) -> Subfield:
 
 def _coset_representatives(H: Subgroup, G: GaloisGroup) -> list:
     """The least element of each coset {g h : h in H} other than H itself."""
-    table = G.table
-    reps, seen = [], set(H.member_indices)
-    for g in range(G.order):
-        if g not in seen:
-            reps.append(g)
-            seen.update(table[g][h] for h in H.member_indices)
-    return reps
+    cosets = class_table(G, lambda g: (G.table[g][h] for h in H.member_indices))[1]
+    return [min(c) for c in cosets[1:]]
 
 
 def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
@@ -199,14 +194,10 @@ def restriction_group(L: Subfield, G: GaloisGroup):
     identity (element 0 of G) comes first."""
     base = G.sf.field.base
     prints = [tuple(map(base.sort_key, image)) for image in _images_of_primitive(L, G)]
-    fps = {}
-    reps = []
+    alike = {}
     for idx, fp in enumerate(prints):
-        if fp not in fps:
-            fps[fp] = len(reps)
-            reps.append(idx)
-    table = [[fps[prints[G.table[a][b]]] for b in reps] for a in reps]
-    return FiniteGroup(table)
+        alike.setdefault(fp, []).append(idx)
+    return class_table(G, lambda a: alike[prints[a]])[0]
 
 
 def quotient_check(L: Subfield, G: GaloisGroup):

@@ -73,6 +73,7 @@ from .poly import (
     _mul_mod,
     _numerators,
     _positive_primitive,
+    _power,
     _pseudo_divmod,
     _rem_mod,
     _sturm_ints,
@@ -257,15 +258,8 @@ def _polys(dom):
 
 
 def _powmod(R, b, e, m):
-    """b^e mod m in R, left to right from the top bit: no squaring after the
-    last one."""
-    b = R.rem(b, m)
-    result = b if e else R.one
-    for bit in bin(e)[3:]:
-        result = R.rem(R.mul(result, result), m)
-        if bit == "1":
-            result = R.rem(R.mul(result, b), m)
-    return result
+    """b^e mod m in R."""
+    return _power(R.rem(b, m), e, lambda u, v: R.rem(R.mul(u, v), m), R.one)
 
 
 def _squarefree_part(R, g):
@@ -775,12 +769,7 @@ def rational_roots(f: Poly):
     return roots
 
 
-def is_irreducible_q(
-    f: Poly,
-    shift_bound: int = EISENSTEIN_SHIFT_BOUND,
-    prime_bound: int = MOD_P_SCAN_BOUND,
-    max_degree: int = FACTOR_DEGREE_CAP,
-) -> IrreducibilityCertificate:
+def is_irreducible_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> IrreducibilityCertificate:
     """Decide irreducibility over Q, recording which rule fired.
 
     Stage order: degree-1 rule; rational-root rule (conclusive for degrees
@@ -805,7 +794,7 @@ def is_irreducible_q(
         return IrreducibilityCertificate(
             IRREDUCIBLE, "low_degree", {"degree": f.degree}
         )
-    eis = eisenstein(f, list(_shift_order(shift_bound)))
+    eis = eisenstein(f)
     if eis is not None:
         p, c = eis
         return IrreducibilityCertificate(
@@ -813,7 +802,7 @@ def is_irreducible_q(
         )
     fact = factor_q(f, max_degree=max_degree) if f.degree <= max_degree else None
     if fact is None or fact.is_irreducible():
-        p = mod_p_certificate(f, prime_bound)
+        p = mod_p_certificate(f)
         if p is not None:
             return IrreducibilityCertificate(IRREDUCIBLE, "mod_p", {"prime": p})
     if fact is None:

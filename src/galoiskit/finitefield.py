@@ -35,7 +35,7 @@ from .tower import Tower
 ELEMENT_BUDGET = 1 << 20
 
 
-def find_irreducible(p: int, n: int, budget: int = ELEMENT_BUDGET) -> Poly:
+def find_irreducible(p: int, n: int) -> Poly:
     """Least monic irreducible of degree n over F_p in canonical order."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
@@ -43,8 +43,8 @@ def find_irreducible(p: int, n: int, budget: int = ELEMENT_BUDGET) -> Poly:
         raise InvalidDegree(f"field degree must be at least 1, got {n}")
     # p >= 2, so p^n > budget already when 2^n is; refuse that without
     # forming p^n, whose cost grows with n
-    if n >= budget.bit_length() or p**n > budget:
-        raise Budget(f"field order {p}^{n} exceeds budget {budget}")
+    if n >= ELEMENT_BUDGET.bit_length() or p**n > ELEMENT_BUDGET:
+        raise Budget(f"field order {p}^{n} exceeds budget {ELEMENT_BUDGET}")
     F = PrimeField(p)
     # canonical order: ascending (a_(n-1), ..., a_0)
     for high_to_low in itertools.product(range(p), repeat=n):
@@ -191,14 +191,14 @@ class SubfieldOfGF:
         return frozenset(members)
 
 
-def subfields(F: GF, budget: int = ELEMENT_BUDGET):
+def subfields(F: GF):
     """One subfield per divisor m of n: the fixed set {a : a^(p^m) = a} of
     the m-th Frobenius power, which has p^m elements.  Nothing is listed.
     For m < n the size is still checked: h = g^((q-1)/N), N = p^m - 1, must
     have order exactly N, certified by h^N = 1 and h^(N/l) != 1 for every
     prime l | N (O(n log p) products per subfield)."""
-    if F.order > budget:
-        raise Budget(f"field order {F.order} exceeds budget {budget}")
+    if F.order > ELEMENT_BUDGET:
+        raise Budget(f"field order {F.order} exceeds budget {ELEMENT_BUDGET}")
     g = multiplicative_generator(F)
     one = F.one()
     out = []

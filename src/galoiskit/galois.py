@@ -18,7 +18,12 @@ algebra reads, is built on first read from the generator images.
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
 composition table, so it also serves abstract permutation groups in tests
-and the quotient checks of the correspondence module.
+and the quotient checks of the correspondence module.  It has one orbit
+routine, `closure`, for generated subgroups, `from_permutations` and
+`orbits`, and one class numbering, `class_table`, which numbers classes by
+their least elements and composes those: cosets for `quotient_group`, the
+members of a subgroup for `subgroup_table`, and the restrictions and cosets
+of the correspondence module.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .poly import Poly
 from .splitting import SplittingField, root_permutation
 
 SUBGROUP_ORDER_CAP = 60
+TYPE_ORDER_CAP = 120
 
 
 # ---------------------------------------------------------------------------
@@ -69,20 +75,24 @@ class FiniteGroup:
         )
 
     def generated_subgroup(self, gens):
-        """Indices of the subgroup generated by `gens` (BFS closure)."""
-        seen = {0}
-        frontier = [0]
-        gens = list(gens)
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in gens:
-                    y = self.table[g][x]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return frozenset(seen)
+        """Indices of the subgroup generated by `gens`."""
+        table = self.table
+        return frozenset(closure(0, list(gens), lambda g, x: table[g][x]))
+
+
+def closure(start, gens, act):
+    """Every point reachable from `start` by act(g, .) for g in `gens`: the
+    orbit of `start` under the group they generate (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 4.1)."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def from_permutations(gens):
@@ -90,20 +100,8 @@ def from_permutations(gens):
     (FiniteGroup, list of permutations in canonical order)."""
     if not gens:
         raise ValueError("need at least one permutation")
-    k = len(gens[0])
-    identity = tuple(range(k))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = tuple(g[p[i]] for i in range(k))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    perms = sorted(seen)
+    identity = tuple(range(len(gens[0])))
+    perms = sorted(closure(identity, gens, lambda g, p: tuple(g[i] for i in p)))
     return FiniteGroup(_perm_table(perms)), perms
 
 
@@ -303,24 +301,12 @@ def automorphisms(sf: SplittingField) -> GaloisGroup:
 
 def orbits(G: GaloisGroup):
     """Partition of root indices under the group action."""
-    k = len(G.sf.roots)
-    seen = [False] * k
-    parts = []
-    for start in range(k):
-        if seen[start]:
-            continue
-        orbit = set()
-        frontier = [start]
-        seen[start] = True
-        while frontier:
-            x = frontier.pop()
-            orbit.add(x)
-            for a in G.elements:
-                y = a.root_perm[x]
-                if not seen[y]:
-                    seen[y] = True
-                    frontier.append(y)
-        parts.append(sorted(orbit))
+    perms = [a.root_perm for a in G.elements]
+    parts, seen = [], set()
+    for start in range(len(G.sf.roots)):
+        if start not in seen:
+            parts.append(sorted(closure(start, perms, tuple.__getitem__)))
+            seen.update(parts[-1])
     return parts
 
 
@@ -357,9 +343,6 @@ class Subgroup:
     def order(self):
         return len(self.member_indices)
 
-    def members(self):
-        return frozenset(self.member_indices)
-
 
 def check_subgroup(H: Subgroup, G) -> bool:
     mem = set(H.member_indices)
@@ -368,14 +351,16 @@ def check_subgroup(H: Subgroup, G) -> bool:
     return all(G.table[a][b] in mem for a in mem for b in mem)
 
 
-def subgroups(G, cap: int = SUBGROUP_ORDER_CAP):
+def subgroups(G):
     """The complete subgroup lattice: cyclic seeds closed under pairwise
-    join, iterated to a fixed point; sorted by (order, members)."""
-    if G.order > cap:
-        raise OrderCap(f"subgroup enumeration capped at order {cap}")
-    found = set()
+    join, iterated to a fixed point; sorted by (order, members).  Each
+    subgroup keeps the generators it was found from, so a join is closed
+    under those of its two parts, not under all their members."""
+    if G.order > SUBGROUP_ORDER_CAP:
+        raise OrderCap(f"subgroup enumeration capped at order {SUBGROUP_ORDER_CAP}")
+    found = {}
     for i in range(G.order):
-        found.add(G.generated_subgroup([i]))
+        found.setdefault(G.generated_subgroup([i]), (i,))
     changed = True
     while changed:
         changed = False
@@ -385,9 +370,10 @@ def subgroups(G, cap: int = SUBGROUP_ORDER_CAP):
                 a, b = current[i], current[j]
                 if a <= b or b <= a:
                     continue
-                join = G.generated_subgroup(a | b)
+                gens = found[a] + found[b]
+                join = G.generated_subgroup(gens)
                 if join not in found:
-                    found.add(join)
+                    found[join] = gens
                     changed = True
     out = [Subgroup(tuple(sorted(s))) for s in found]
     out.sort(key=lambda h: (h.order, h.member_indices))
@@ -435,42 +421,31 @@ def is_solvable(G) -> bool:
     return derived_series(G)[-1].order == 1
 
 
+def class_table(G, class_of, elements=None):
+    """Number the classes class_of(a) (each an iterable holding a) of the
+    `elements` (all of G by default, ascending) by their least elements,
+    and compose those: (FiniteGroup on the classes, classes as frozensets).
+    Class 0 holds the identity, the least element."""
+    number, classes, reps = {}, [], []
+    for a in range(G.order) if elements is None else elements:
+        if a not in number:
+            classes.append(frozenset(class_of(a)))
+            number.update(dict.fromkeys(classes[-1], len(reps)))
+            reps.append(a)
+    return FiniteGroup([[number[G.table[a][b]] for b in reps] for a in reps]), classes
+
+
 def subgroup_table(G, H: Subgroup):
     """The composition table of a subgroup, as its own FiniteGroup."""
-    mem = list(H.member_indices)
-    pos = {m: i for i, m in enumerate(mem)}
-    # reorder so identity (global index 0) is local index 0
-    assert mem[0] == 0
-    table = [[pos[G.table[a][b]] for b in mem] for a in mem]
-    return FiniteGroup(table)
+    return class_table(G, lambda a: (a,), H.member_indices)[0]
 
 
 def quotient_group(G, N: Subgroup):
-    """Quotient by a normal subgroup: (FiniteGroup, coset list)."""
+    """Quotient by a normal subgroup: (FiniteGroup, coset list), the cosets
+    aN numbered by their least elements, N first."""
     if not is_normal_subgroup(N, G):
         raise NotNormal("quotient by a subgroup that is not normal")
-    nset = set(N.member_indices)
-    cosets = []
-    assigned = {}
-    for a in range(G.order):
-        if a in assigned:
-            continue
-        coset = frozenset(G.table[a][h] for h in nset)
-        idx = len(cosets)
-        cosets.append(coset)
-        for x in coset:
-            assigned[x] = idx
-    # put the identity coset first
-    id_idx = assigned[0]
-    if id_idx != 0:
-        cosets[0], cosets[id_idx] = cosets[id_idx], cosets[0]
-        assigned = {x: i for i, c in enumerate(cosets) for x in c}
-    reps = [min(c) for c in cosets]
-    table = [
-        [assigned[G.table[reps[i]][reps[j]]] for j in range(len(cosets))]
-        for i in range(len(cosets))
-    ]
-    return FiniteGroup(table), cosets
+    return class_table(G, lambda a: (G.table[a][h] for h in N.member_indices))
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +460,12 @@ _NONABELIAN_FINGERPRINTS = {
 }
 
 
-def isomorphism_type(G, cap: int = 120) -> str:
+def isomorphism_type(G) -> str:
     """Name the isomorphism type from the fingerprint (order, abelian flag,
     element-order multiset); honest 'unidentified' otherwise."""
     n = G.order
-    if n > cap:
-        raise OrderCap(f"type identification capped at order {cap}")
+    if n > TYPE_ORDER_CAP:
+        raise OrderCap(f"type identification capped at order {TYPE_ORDER_CAP}")
     orders = tuple(G.element_orders())
     if G.is_abelian():
         if orders[-1] == n:

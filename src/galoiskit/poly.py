@@ -189,14 +189,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative polynomial power")
-        result = Poly.one(self.dom)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _power(self, n, Poly.__mul__, Poly.one(self.dom))
 
     def scale(self, c):
         c = self.dom.coerce(c)
@@ -316,6 +309,20 @@ def _trim(a):
     while a and not a[-1]:
         a.pop()
     return a
+
+
+def _power(x, e: int, mul, one):
+    """x^e for e >= 0 by left-to-right square-and-multiply (Knuth, TAOCP 2,
+    4.6.3): e.bit_length() - 1 squarings and popcount(e) - 1 products by x,
+    none by `one` and no squaring after the last bit."""
+    if not e:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def _mul_int(a, b):

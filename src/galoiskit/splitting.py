@@ -87,8 +87,9 @@ def _synthetic_division(f: Poly, c):
     return Poly(f.dom, run[-2::-1], normalize=False), run[-1]
 
 
-def _split_squarefree(sq: Poly, cap: int):
-    """Split a squarefree polynomial; returns (field, roots in found order)."""
+def _split_squarefree(sq: Poly, cap: int, factors):
+    """Split a squarefree polynomial whose factorization over its domain has
+    the `factors`; returns (field, roots in found order)."""
     current = base = sq.dom
     rem = sq.monic()
     roots = []
@@ -135,11 +136,12 @@ def _split_squarefree(sq: Poly, cap: int):
             )
 
         nonlinear = []
-        for g, _ in factor_over_extension(rem).factors:
+        for g, _ in factors or factor_over_extension(rem).factors:
             if g.degree > 1:
                 nonlinear.append(g)
             elif not take(-g.coeff(0)):
                 raise InternalInvariant("division is not exact")
+        factors = None  # the base factors serve the first round only
         if not nonlinear:
             continue
 
@@ -180,7 +182,7 @@ def _build(f: Poly, cap: int) -> SplittingField:
     sq = Poly.one(f.dom)
     for g, _ in fact.factors:
         sq = sq * g
-    field, roots = _split_squarefree(sq, cap)
+    field, roots = _split_squarefree(sq, cap, fact.factors)
     # multiplicity of a root = multiplicity of its irreducible factor; roots
     # sort by that factor's degree (= the root's degree over the base), then
     # by coordinates.  The factors are distinct separable irreducibles, so a

@@ -48,7 +48,7 @@ from .errors import (
     ZeroInverse,
 )
 from .linalg import Echelon
-from .poly import Poly, _mul_int, _numerators, _pseudo_divmod, _sum_str, _trim, gcd_ext
+from .poly import Poly, _mul_int, _numerators, _power, _pseudo_divmod, _sum_str, _trim, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 
@@ -336,15 +336,8 @@ class Tower:
         return tuple([Fraction(c, den) for c in r]) + self._zero[len(r) :]
 
     def _pow(self, v, e: int) -> tuple:
-        """v^e for e >= 0, by square-and-multiply on coordinate tuples."""
-        result = self._one
-        while e:
-            if e & 1:
-                result = self._mul(result, v)
-            e >>= 1
-            if e:
-                v = self._mul(v, v)
-        return result
+        """v^e for e >= 0 on coordinate tuples."""
+        return _power(v, e, self._mul, self._one)
 
     def _from_poly(self, poly: Poly) -> TowerElem:
         vec = [c for x in poly.coeffs for c in self.lower.flatten(x)]

@@ -244,7 +244,7 @@ def test_low_degree_groups_are_solvable_when_computed():
 
 
 def test_kummer_abelian():
-    report = kummer_abelian_checks(max_n=12)
+    report = kummer_abelian_checks()
     assert len(report["roots_of_unity"]) == 11
     assert all(entry["abelian"] for entry in report["roots_of_unity"])
     by_n = {e["n"]: e for e in report["roots_of_unity"]}

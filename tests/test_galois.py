@@ -665,3 +665,100 @@ def test_a_monomial_dropped_from_the_support_is_caught(monkeypatch, src):
     )
     with pytest.raises(InternalInvariant, match="do not permute the roots"):
         automorphisms(sf)
+
+
+def _quotient_oracle(G, N):
+    """The coset quotient as first written, the identity coset swapped to the
+    front if needed: (table, cosets)."""
+    nset = set(N.member_indices)
+    cosets, assigned = [], {}
+    for a in range(G.order):
+        if a in assigned:
+            continue
+        coset = frozenset(G.table[a][h] for h in nset)
+        for x in coset:
+            assigned[x] = len(cosets)
+        cosets.append(coset)
+    id_idx = assigned[0]
+    if id_idx != 0:
+        cosets[0], cosets[id_idx] = cosets[id_idx], cosets[0]
+        assigned = {x: i for i, c in enumerate(cosets) for x in c}
+    reps = [min(c) for c in cosets]
+    return [[assigned[G.table[r][s]] for s in reps] for r in reps], cosets
+
+
+def _restriction_oracle(L, G):
+    """The restriction table as first written: elements numbered by the first
+    appearance of the image of L's primitive element."""
+    field = G.sf.field
+    theta, zero = field.flatten(L.primitive), field.base.zero()
+    prints = [tuple(map(field.base.sort_key, mat_mul_vec(G.matrix_of(i), theta, zero))) for i in range(G.order)]
+    fps, reps = {}, []
+    for idx, fp in enumerate(prints):
+        if fp not in fps:
+            fps[fp] = len(reps)
+            reps.append(idx)
+    return [[fps[prints[G.table[a][b]]] for b in reps] for a in reps]
+
+
+def _coset_representatives_oracle(H, G):
+    reps, seen = [], set(H.member_indices)
+    for g in range(G.order):
+        if g not in seen:
+            reps.append(g)
+            seen.update(G.table[g][h] for h in H.member_indices)
+    return reps
+
+
+@pytest.mark.parametrize("src", LADDER + CORRESPONDENCE_FIELDS)
+def test_class_numbering_matches_the_first_written_quotients(src):
+    from galoiskit.correspondence import _coset_representatives, fixed_field, is_normal_intermediate, restriction_group
+
+    G = automorphisms(_splitting_field(src))
+    for H in subgroups(G):
+        assert _coset_representatives(H, G) == _coset_representatives_oracle(H, G)
+        if not is_normal_subgroup(H, G):
+            continue
+        quo, cosets = quotient_group(G, H)
+        assert ([list(row) for row in quo.table], cosets) == _quotient_oracle(G, H)
+        assert cosets[0] == frozenset(H.member_indices)
+        L = fixed_field(H, G)
+        assert is_normal_intermediate(L, G)
+        assert [list(row) for row in restriction_group(L, G).table] == _restriction_oracle(L, G)
+
+
+@pytest.mark.parametrize("src", LADDER + CORRESPONDENCE_FIELDS)
+def test_orbits_are_the_roots_of_the_irreducible_factors(src):
+    from galoiskit.factor import factor_q
+
+    sf = _splitting_field(src)
+    field = sf.field
+    parts = sorted(
+        [i for i, r in enumerate(sf.roots) if not g.map_domain(field, field.coerce).eval(r)]
+        for g, _ in factor_q(sf.source).factors
+    )
+    assert orbits(automorphisms(sf)) == parts
+    assert is_transitive(automorphisms(sf)) == (len(parts) == 1)
+
+
+def _subgroups_oracle(G):
+    """The lattice closed under pairwise joins, each join generated by every
+    member of both parts."""
+    found = {G.generated_subgroup([i]) for i in range(G.order)}
+    while True:
+        joins = {G.generated_subgroup(a | b) for a in found for b in found if not (a <= b or b <= a)}
+        if joins <= found:
+            return sorted((len(h), sorted(h)) for h in found)
+        found |= joins
+
+
+@pytest.mark.parametrize("src", ("S4", "A4") + LADDER)
+def test_subgroups_match_the_join_oracle(src):
+    gens = {"S4": [(1, 0, 2, 3), (1, 2, 3, 0)], "A4": [(1, 2, 0, 3), (1, 0, 3, 2)]}
+    G = from_permutations(gens[src])[0] if src in gens else automorphisms(_splitting_field(src))
+    assert [(h.order, list(h.member_indices)) for h in subgroups(G)] == _subgroups_oracle(G)
+
+
+def test_a5_has_59_subgroups():
+    a5, _ = from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)])
+    assert Counter(h.order for h in subgroups(a5)) == {1: 1, 2: 15, 3: 10, 4: 5, 5: 6, 6: 10, 10: 6, 12: 5, 60: 1}

@@ -379,3 +379,23 @@ def test_synthetic_division_is_division_by_a_linear_factor():
         assert quot.degree == f.degree - 1
         assert quot * Poly(dom, [-c, dom.one()]) + Poly.constant(dom, value) == f
         assert value == f.eval(c)
+
+
+@pytest.mark.parametrize("src", [
+    "t^3-2", "(t^2-2)*(t^2-3)", "(t^2-2)^2*(t-1)", "t^5-5*t+12", "(t-1)*(t-2)",
+    "F2:(t^2+t+1)*(t^3+t+1)", "F2:t^4+t+1", "F3:(t^2+1)^2*(t+1)", "F5:(t-1)*(t-2)",
+])
+def test_the_input_is_factored_over_the_base_once(monkeypatch, src):
+    # the factorization of f also serves as the first round of the splitting
+    import galoiskit.splitting as splitting
+
+    dom = PrimeField(int(src[1:src.index(":")])) if ":" in src else QQ
+    f = parse_poly(src.split(":")[-1], dom)
+    calls = []
+    factor = splitting.factor_over_extension
+    monkeypatch.setattr(
+        splitting, "factor_over_extension", lambda g: calls.append(g.dom == dom) or factor(g)
+    )
+    sf = (splitting_field_fp if dom != QQ else splitting_field_q)(f)
+    assert verify_splits(sf)
+    assert calls.count(True) == 1

@@ -627,6 +627,24 @@ def _check_fp_products(p, m, rng, count):
             assert T._mul(x, y) == _schoolbook_fp_product(x, y, p, m), (p, m, x, y)
 
 
+def test_powers_make_one_product_per_bit_after_the_top_one(monkeypatch):
+    # left to right from the top bit: a squaring for each bit after it and a
+    # product by x for each 1 among those bits; no product at all for e = 0
+    from galoiskit.finitefield import gf
+
+    T, F = next(_q_kernel_towers()), gf(3, 5)
+    x = T.unflatten([Fraction(1, 2), 0, -1, Fraction(2, 3)]).v
+    for tower, x, power in ((T, x, T._pow), (F._tower, (1, 2, 0, 1, 2), F.pow)):
+        mul, calls = tower._mul, []
+        monkeypatch.setattr(tower, "_mul", lambda a, b: calls.append(1) or mul(a, b))
+        expected = tower._one
+        for e in range(40):
+            calls.clear()
+            assert power(x, e) == expected
+            assert len(calls) == (e.bit_length() - 1 + bin(e).count("1") - 1 if e else 0)
+            expected = mul(expected, x)
+
+
 def _moduli(p, d, rng):
     """A dense random modulus, a sparse one (zero coefficients) and x^d - 1."""
     sparse = [0] * d
