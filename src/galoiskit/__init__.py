@@ -27,7 +27,6 @@ from .poly import (
     render,
     resultant,
     squarefree_part,
-    sylvester_resultant,
 )
 from .factor import (
     Factorization,

@@ -65,6 +65,7 @@ from .numbers import QQ, PrimeField, factor_integer, is_prime
 from .poly import (
     Poly,
     _deriv_mod,
+    _divide_packed,
     _divmod_mod,
     _from_numerators,
     _from_residues,
@@ -72,6 +73,7 @@ from .poly import (
     _monic_mod,
     _mul_mod,
     _numerators,
+    _pack,
     _positive_primitive,
     _power,
     _pseudo_divmod,
@@ -79,6 +81,7 @@ from .poly import (
     _sturm_ints,
     _sub_mod,
     _trim,
+    _unpack,
     _xgcd_mod,
     content_primitive,
     poly_gcd,
@@ -444,23 +447,38 @@ def _z_sym(a, m):
 
 def _hensel_step(m, f, g, h, s, t):
     """One quadratic Hensel step: from f = g h (mod m), s g + t h = 1 (mod m),
-    h monic, to g1, h1 with f = g1 h1 (mod m^2), h1 monic."""
+    h monic, to g1, h1 with f = g1 h1 (mod m^2), h1 monic: e = f - g h,
+    s e = q h + r, g1 = g + t e + q g, h1 = h + r, on operands packed once.
+    A packed sum is two products, or a product and the division by h, plus a
+    residue; each term adds at most (mm-1)^2 times the length of one of g, h,
+    s, t to a slot (`_divide_packed`), a different one each: none reaches 2^w."""
     mm = m * m
-    e = _sub_mod(f, _mul_mod(g, h, mm), mm)
-    q, r = _divmod_mod(_mul_mod(s, e, mm), h, mm)
-    g1 = _z_mod(_z_add(g, _z_add(_mul_mod(t, e, mm), _mul_mod(q, g, mm))), mm)
-    h1 = _z_mod(_z_add(h, r), mm)
+    w = ((len(g) + len(h) + len(s) + len(t)) * (mm - 1) * (mm - 1) + mm).bit_length()
+    G, H = _pack(g, mm, w), _pack(h, mm, w)
+    e = _sub_mod(f, _unpack(G * H, len(g) + len(h) - 1, mm, w), mm)
+    E = _pack(e, mm, w)
+    q = []
+    x = _divide_packed(_pack(s, mm, w) * E, len(s) + len(e) - 1, h, H, mm, w, q)
+    n = max(len(t) + len(e), len(q) + len(g))  # slots of t e + q g + g
+    g1 = _unpack(_pack(t, mm, w) * E + _pack(q[::-1], mm, w) * G + G, n, mm, w)
+    h1 = _unpack(H + (x & ((1 << w * (len(h) - 1)) - 1)), len(h), mm, w)
     return g1, h1
 
 
 def _bezout_step(m, g1, h1, s, t):
-    """Lift s g + t h = 1 (mod m) to s1 g1 + t1 h1 = 1 (mod m^2), for the
-    g1, h1 of the Hensel step from g, h."""
+    """Lift s g + t h = 1 (mod m) to s1 g1 + t1 h1 = 1 (mod m^2) for the g1, h1
+    of the Hensel step from g, h: b = s g1 + t h1 - 1, s b = c h1 + d,
+    s1 = s - d, t1 = t - t b - c g1, packed as in `_hensel_step`."""
     mm = m * m
-    b = _sub_mod(_z_add(_mul_mod(s, g1, mm), _mul_mod(t, h1, mm)), [1], mm)
-    c, d = _divmod_mod(_mul_mod(s, b, mm), h1, mm)
-    s1 = _sub_mod(s, d, mm)
-    t1 = _sub_mod(t, _z_add(_mul_mod(t, b, mm), _mul_mod(c, g1, mm)), mm)
+    w = ((len(g1) + len(h1) + len(s) + len(t)) * (mm - 1) * (mm - 1) + mm).bit_length()
+    S, T, G1, H1 = _pack(s, mm, w), _pack(t, mm, w), _pack(g1, mm, w), _pack(h1, mm, w)
+    b = _unpack(S * G1 + T * H1 + mm - 1, max(len(s) + len(g1), len(t) + len(h1)), mm, w)
+    B = _pack(b, mm, w)
+    c = []
+    x = _divide_packed(S * B, len(s) + len(b) - 1, h1, H1, mm, w, c)
+    s1 = _sub_mod(s, _unpack(x, len(h1) - 1, mm, w), mm)
+    n = max(len(t) + len(b), len(c) + len(g1))  # slots of t b + c g1
+    t1 = _sub_mod(t, _unpack(T * B + _pack(c[::-1], mm, w) * G1, n, mm, w), mm)
     return s1, t1
 
 

@@ -11,13 +11,15 @@ Over Q and over a prime field the coefficient objects exist only at rest;
 products and division with remainder read each operand once as plain ints,
 compute on ints and wrap only the output coefficients:
 
-* over F_p, int residues (`_mul_mod`, one product of packed integers, and
-  `_divmod_mod`, both shared with Hensel lifting mod p^k), with no `FpElem`
-  arithmetic per coefficient product; `%` uses the remainder-only
-  `_rem_mod`, and `poly_gcd` and `gcd_ext` run their whole loop on residues
-  (`_gcd_mod`, `_xgcd_mod`).  The finite-field algorithms of `factor` and
-  Zassenhaus call these residue functions directly and wrap only their
-  results;
+* over F_p (and Z/m for Hensel lifting), int residues packed into one
+  integer each, in w-bit slots (`_pack`, `_unpack`, Kronecker substitution):
+  a product is one integer product (`_mul_mod`), and a division reads the
+  top slot and adds a multiple of the packed divisor per quotient digit
+  (`_divide_packed`, behind `_rem_mod` and `_divmod_mod`), with w wide
+  enough that no slot carries.  `%` builds no quotient, and `poly_gcd` and
+  `gcd_ext` run their whole loop on residues (`_gcd_mod`, `_xgcd_mod`).
+  The finite-field algorithms of `factor` and Zassenhaus call these
+  residue functions directly and wrap only their results;
 * over Q, integer numerators over one common denominator (`_numerators`):
   the unreduced product `_mul_int` and the fraction-free pseudo-division
   `_pseudo_divmod`, rescaled once at the end (`%` rescales only the
@@ -336,56 +338,87 @@ def _mul_int(a, b):
     return out
 
 
+def _pack(a, m, w):
+    """sum (a_i mod m) 2^(wi): the coefficients of any sign, reduced into
+    [0, m), in w-bit slots (Kronecker substitution).  Long lists are packed
+    by halves, so no shift copies more than half the result."""
+    if len(a) > 32:
+        h = len(a) // 2
+        return _pack(a[h:], m, w) << w * h | _pack(a[:h], m, w)
+    x = 0
+    for c in reversed(a):
+        x = x << w | c % m
+    return x
+
+
+def _unpack(x, n, m, w):
+    """Slots 0..n-1 of the packed x, each mod m, trimmed; long runs are
+    split in halves as in `_pack`.  No slot may have carried into the next."""
+    if n > 32:
+        h = n // 2
+        low = _unpack(x & ((1 << w * h) - 1), h, m, w)
+        high = _unpack(x >> w * h, n - h, m, w)
+        return low + [0] * (h - len(low)) + high if high else low
+    mask, out = (1 << w) - 1, []
+    for _ in range(n):
+        out.append((x & mask) % m)
+        x >>= w
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
 def _mul_mod(a, b, m):
-    """Product of int coefficient lists mod m, trimmed: coefficients of any
-    sign are reduced into [0, m) and packed as x = sum a_i 2^(wi) and
-    y = sum b_j 2^(wj), 2^w > N (m-1)^2 for N = min(len a, len b).  Slot k of
-    x*y, the sum of a_i b_j over i + j = k, has at most N terms of at most
-    (m-1)^2, so it is below 2^w: no slot carries, and slot k mod m is
-    coefficient k of a*b mod m (Kronecker substitution)."""
+    """Product of int coefficient lists mod m, trimmed: the operands are
+    packed into w-bit slots, 2^w > N (m-1)^2 for N = min(len a, len b).
+    Slot k of x*y, the sum of a_i b_j over i + j = k, has at most N terms
+    of at most (m-1)^2, so it is below 2^w: no slot carries, and slot k
+    mod m is coefficient k of a*b mod m."""
     if not a or not b:
         return []
     w = (min(len(a), len(b)) * (m - 1) ** 2).bit_length()
-    x = y = 0
-    for c in reversed(a):
-        x = x << w | c % m
-    for c in reversed(b):
-        y = y << w | c % m
-    z, mask, out = x * y, (1 << w) - 1, []
-    for _ in range(len(a) + len(b) - 1):
-        out.append((z & mask) % m)
-        z >>= w
-    return _trim(out)
+    x = _pack(a, m, w)
+    return _unpack(x * (x if b is a else _pack(b, m, w)), len(a) + len(b) - 1, m, w)
+
+
+def _divide_packed(x, n, b, y, m, w, quotient=None):
+    """Schoolbook division mod m of a packed dividend x of n slots by the int
+    list b, packed as y by `_pack`, lc(b) a unit mod m: x with the remainder
+    in its low deg b slots, each slot congruent to its coefficient; the
+    quotient digits in [0, m), high to low, are appended to the list
+    `quotient` if given.  Step i reads the top slot v = slot i,
+    c = v lc(b)^(-1) mod m, and adds (m - c) y 2^(w(i - deg b)), which makes
+    slot i 0 mod m.  Slots only grow, slot j by at most (m-1)^2 at each of
+    at most min(steps, len b) steps, so w with 2^w above that plus its start
+    keeps them apart."""
+    k = len(b) - 1
+    inv = pow(b[-1], -1, m) if b[-1] % m != 1 else 1
+    mask, wk = (1 << w) - 1, w * k
+    for s in range(w * (n - 1), wk - 1, -w):  # s = w i
+        c = (x >> s & mask) * inv % m
+        if quotient is not None:
+            quotient.append(c)
+        if c:
+            x += (m - c) * y << s - wk
+    return x
+
+
+def _rem_mod(a, b, m, quotient=None):
+    """Remainder of int coefficient lists mod m, trimmed, for any signs;
+    lc(b) a unit mod m, `quotient` as in `_divide_packed`.  Slots start below
+    m, so 2^w > min(steps, len b) (m-1)^2 + m holds every sum."""
+    k = len(b) - 1
+    if len(a) <= k:
+        return _trim([c % m for c in a])
+    w = (min(len(a) - k, k + 1) * (m - 1) * (m - 1) + m).bit_length()
+    return _unpack(_divide_packed(_pack(a, m, w), len(a), b, _pack(b, m, w), m, w, quotient), k, m, w)
 
 
 def _divmod_mod(a, b, m):
-    """(quotient, remainder) of int coefficient lists mod m, both trimmed.
-    lc(b) must be a unit mod m; it is inverted only when it is not 1."""
-    dg = len(b) - 1
-    if len(a) <= dg:
-        return [], _trim([c % m for c in a])
-    inv = pow(b[-1], -1, m) if b[-1] % m != 1 else 1
-    r = list(a)
-    q = [0] * (len(a) - dg)
-    for i in range(len(a) - 1, dg - 1, -1):
-        c = r[i] * inv % m
-        if c:
-            q[i - dg] = c
-            r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
-    return _trim(q), _trim([c % m for c in r[:dg]])
-
-
-def _rem_mod(a, b, m):
-    """Remainder of int coefficient lists mod m, trimmed: `_divmod_mod`
-    without building the quotient, for the callers that drop it."""
-    dg = len(b) - 1
-    inv = pow(b[-1], -1, m) if b[-1] % m != 1 else 1
-    r = list(a)
-    for i in range(len(a) - 1, dg - 1, -1):
-        c = r[i] * inv % m
-        if c:
-            r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
-    return _trim([c % m for c in r[:dg]])
+    """(quotient, remainder) of int coefficient lists mod m, both trimmed."""
+    q = []
+    r = _rem_mod(a, b, m, q)
+    return _trim(q[::-1]), r
 
 
 def _sub_mod(a, b, m):
@@ -607,10 +640,7 @@ def _pseudo_rem(f: Poly, g: Poly) -> Poly:
 def resultant(f: Poly, g: Poly):
     """Resultant of two nonzero polynomials over an exact integral domain,
     via the subresultant polynomial remainder sequence (fraction-free).
-
-    Equals det of the Sylvester matrix; the plain determinant is kept as an
-    independent oracle in `sylvester_resultant`.
-    """
+    It equals the determinant of the Sylvester matrix."""
     if f.is_zero() or g.is_zero():
         raise ZeroPolynomial("resultant of zero polynomial")
     dom = f.dom
@@ -648,56 +678,6 @@ def resultant(f: Poly, g: Poly):
                 return sign * B.lc()
             res = dom.exact_div(B.lc() ** dA, h_ ** (dA - 1))
             return sign * res
-
-
-def sylvester_matrix(f: Poly, g: Poly):
-    """The (m+n) x (m+n) Sylvester matrix of f (degree n) and g (degree m)."""
-    if f.is_zero() or g.is_zero():
-        raise ZeroPolynomial("Sylvester matrix of zero polynomial")
-    dom = f.dom
-    n, m = f.degree, g.degree
-    size = n + m
-    zero = dom.zero()
-    rows = []
-    fc = list(reversed(f.coeffs))
-    gc = list(reversed(g.coeffs))
-    for i in range(m):
-        rows.append([zero] * i + fc + [zero] * (size - i - len(fc)))
-    for i in range(n):
-        rows.append([zero] * i + gc + [zero] * (size - i - len(gc)))
-    return rows
-
-
-def sylvester_resultant(f: Poly, g: Poly):
-    """Resultant as a division-free determinant of the Sylvester matrix.
-
-    Expansion over column subsets is exponential but division-free, so it
-    works over any commutative ring: this is the test oracle for `resultant`.
-    """
-    rows = sylvester_matrix(f, g)
-    dom = f.dom
-    n = len(rows)
-    if n == 0:
-        return dom.one()
-
-    from functools import lru_cache
-
-    @lru_cache(maxsize=None)
-    def minor(row, cols):
-        if row == n:
-            return dom.one()
-        total = dom.zero()
-        sign = 1
-        for idx, col in enumerate(cols):
-            a = rows[row][col]
-            if a:
-                rest = cols[:idx] + cols[idx + 1 :]
-                term = a * minor(row + 1, rest)
-                total = total + term if sign > 0 else total - term
-            sign = -sign
-        return total
-
-    return minor(0, tuple(range(n)))
 
 
 def discriminant(f: Poly):

@@ -125,11 +125,13 @@ def _split_squarefree(sq: Poly, cap: int, factors):
                 continue
 
         # any nonlinear adjunction at least doubles the degree, so bail out
-        # before paying for a factorization that cannot be used
+        # before paying for a factorization that cannot be used; the first
+        # round holds the base factorization and bails only if it must adjoin
         if (
             rem.degree >= 2
             and current.characteristic == 0
             and 2 * current.absolute_degree() > cap
+            and (factors is None or any(g.degree > 1 for g, _ in factors))
         ):
             raise DegreeCap(
                 f"splitting degree would exceed cap {cap}", partial=current

@@ -392,6 +392,26 @@ def test_minpoly_honours_max_degree(capsys):
     assert "tower degree would reach 35 > cap 24" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, out", [
+    (["splitting-field", "(t-1)*(t-2)"], "degree 1\nroots: 1, 2\nmultiplicities: 1, 1\n"),
+    (["splitting-field", "t^3-t"], "degree 1\nroots: -1, 0, 1\nmultiplicities: 1, 1, 1\n"),
+    (["galois", "t^2-4"], "order 1, type C1\ngenerators: ()\nroots: -2, 2\n"),
+    (["--json", "galois", "t^2-4"],
+     '{"action":["-2","2"],"elements":["()"],"generators":[],"order":1,"type":"C1"}\n'),
+], ids=["two_roots", "three_roots", "galois_text", "galois_json"])
+def test_a_cap_of_one_splits_what_factors_into_linear_factors(capsys, args, out):
+    # the splitting field is Q: nothing is adjoined, so a cap of 1 holds
+    assert dispatch(["--max-degree", "1"] + args) == 0
+    assert capsys.readouterr() == (out, "")
+
+
+@pytest.mark.parametrize("cap, poly", [("1", "t^2-2"), ("1", "(t-1)*(t^2-2)"), ("2", "(t^2-2)*(t^2-3)")],
+                         ids=["quadratic", "linear_times_quadratic", "second_quadratic"])
+def test_a_cap_below_the_first_adjunction_still_bails_early(capsys, cap, poly):
+    assert dispatch(["--max-degree", cap, "galois", poly]) == 3
+    assert capsys.readouterr() == ("", f"cap exceeded: splitting degree would exceed cap {cap}\n")
+
+
 def test_splitting_field_command(capsys):
     assert dispatch(["splitting-field", "t^3-2"]) == 0
     out = capsys.readouterr().out

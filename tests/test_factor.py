@@ -20,13 +20,17 @@ from galoiskit.errors import (
     ZeroPolynomial,
 )
 from galoiskit.numbers import QQ, PrimeField, divisors
-from galoiskit.poly import Poly, content_primitive, poly_gcd
+from galoiskit.poly import Poly, _mul_mod, _sub_mod, _xgcd_mod, content_primitive, poly_gcd
 from galoiskit.factor import (
     RATIONAL_ROOT_BOUND,
+    _bezout_step,
     _ddf,
     _factor_sqfree_primitive_z,
+    _hensel_step,
     _polys,
     _powmod,
+    _z_add,
+    _z_mod,
     check_eisenstein,
     cyclotomic_p,
     eisenstein,
@@ -41,7 +45,7 @@ from galoiskit.factor import (
     roots_fp,
 )
 from galoiskit.tower import adjoin_root
-from test_poly import _compose, _norm_resultant, _trager_norm_cases
+from test_poly import _compose, _list_divmod_mod, _norm_resultant, _trager_norm_cases
 from test_tower import _tower_elements
 
 F2 = PrimeField(2)
@@ -744,6 +748,51 @@ def test_mignotte_bound_hand_values():
     assert _mignotte_bound([6, 0, -5, 0, 1]) == 3 * (7 + 1)  # sum c_i^2 = 62
     assert _mignotte_bound([4, 0, 0, 0, 0, 3]) == 6 * (5 + 1)  # 3t^5 + 4
     assert _mignotte_bound([-2, 1]) == 1 * (2 + 1)
+
+
+def _list_hensel_step(m, f, g, h, s, t):
+    """The Hensel step before packing: each product its own `_mul_mod`, the
+    division by h the list schoolbook, sums and reductions on lists."""
+    mm = m * m
+    e = _sub_mod(f, _mul_mod(g, h, mm), mm)
+    quo, r = _list_divmod_mod(_mul_mod(s, e, mm), h, mm)
+    g1 = _z_mod(_z_add(g, _z_add(_mul_mod(t, e, mm), _mul_mod(quo, g, mm))), mm)
+    return g1, _z_mod(_z_add(h, r), mm)
+
+
+def _list_bezout_step(m, g1, h1, s, t):
+    """The Bezout step before packing, in the same list form."""
+    mm = m * m
+    b = _sub_mod(_z_add(_mul_mod(s, g1, mm), _mul_mod(t, h1, mm)), [1], mm)
+    c, d = _list_divmod_mod(_mul_mod(s, b, mm), h1, mm)
+    return _sub_mod(s, d, mm), _sub_mod(t, _z_add(_mul_mod(t, b, mm), _mul_mod(c, g1, mm)), mm)
+
+
+def test_packed_lifting_steps_match_the_list_form():
+    # random coprime g (any unit lc) and monic h mod p, f = g h + p * noise
+    # (noise 0 a quarter of the time), lifted four quadratic steps: p^16
+    rng = random.Random(41)
+    for p in (2, 3, 5, 7, 31, 1031):
+        lifted = 0
+        while lifted < 40:
+            g = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [rng.randrange(1, p)]
+            h = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
+            d, s, t = _xgcd_mod(g, h, p)
+            if d != [1]:
+                continue
+            height = rng.choice((0, 1, p, 10**30))
+            f = [c + p * rng.randint(-height, height) for c in _mul_mod(g, h, p)]
+            m = p
+            for _ in range(4):
+                mm = m * m
+                g1, h1 = _hensel_step(m, f, g, h, s, t)
+                assert (g1, h1) == _list_hensel_step(m, f, g, h, s, t), (m, f, g, h, s, t)
+                assert _sub_mod(f, _mul_mod(g1, h1, mm), mm) == [] and len(h1) == len(h) and h1[-1] == 1
+                s1, t1 = _bezout_step(m, g1, h1, s, t)
+                assert (s1, t1) == _list_bezout_step(m, g1, h1, s, t), (m, g1, h1, s, t)
+                assert _sub_mod(_z_add(_mul_mod(s1, g1, mm), _mul_mod(t1, h1, mm)), [1], mm) == []
+                g, h, s, t, m = g1, h1, s1, t1, mm
+            lifted += 1
 
 
 def _lifts_at_top_level(monkeypatch):

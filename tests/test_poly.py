@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
+from itertools import zip_longest
 from math import comb, gcd
 
 import pytest
@@ -14,6 +16,7 @@ from galoiskit.poly import (
     Poly,
     _divmod_mod,
     _mul_mod,
+    _rem_mod,
     _xgcd_mod,
     content_primitive,
     discriminant,
@@ -22,7 +25,6 @@ from galoiskit.poly import (
     render,
     resultant,
     squarefree_part,
-    sylvester_resultant,
 )
 from galoiskit.tower import adjoin_root
 
@@ -348,6 +350,97 @@ def test_packed_mul_mod_matches_the_schoolbook_product():
                 assert _mul_mod(a, b, m) == _schoolbook_mul_mod(a, b, m), (m, la, lb)
 
 
+def _list_divmod_mod(a, b, m):
+    """The list schoolbook division the packed one replaced: one list update
+    of the running remainder per quotient digit; (quotient, remainder)
+    trimmed."""
+    dg = len(b) - 1
+    if len(a) <= dg:
+        return [], _trim_list([c % m for c in a])
+    inv = pow(b[-1], -1, m) if b[-1] % m != 1 else 1
+    r = list(a)
+    q = [0] * (len(a) - dg)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = r[i] * inv % m
+        if c:
+            q[i - dg] = c
+            r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
+    return _trim_list(q), _trim_list([c % m for c in r[:dg]])
+
+
+def _list_rem_mod(a, b, m):
+    """`_list_divmod_mod` without building the quotient."""
+    dg = len(b) - 1
+    inv = pow(b[-1], -1, m) if b[-1] % m != 1 else 1
+    r = list(a)
+    for i in range(len(a) - 1, dg - 1, -1):
+        c = r[i] * inv % m
+        if c:
+            r[i - dg : i] = [x - c * y for x, y in zip(r[i - dg : i], b)]
+    return _trim_list([c % m for c in r[:dg]])
+
+
+def _trim_list(a):
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divisor(rng, length, m, lo, hi):
+    """A random int list of the given length whose leading coefficient is a
+    unit mod m, 1 mod m a quarter of the time."""
+    b = [rng.randint(lo, hi) for _ in range(length)]
+    while gcd(b[-1], m) != 1:
+        b[-1] = rng.randint(lo, hi)
+    if rng.random() < 0.25:
+        b[-1] = 1 + m * rng.randint(lo // m - 1, hi // m)
+    return b
+
+
+def _check_division(a, b, m):
+    expected = _list_divmod_mod(a, b, m)
+    assert _divmod_mod(a, b, m) == expected, (m, a, b)
+    assert _rem_mod(a, b, m) == _list_rem_mod(a, b, m) == expected[1], (m, a, b)
+
+
+def test_packed_division_matches_the_list_schoolbook():
+    # every dividend length 0-40 by every divisor length 1-12, mostly
+    # non-monic, for m = 2, small primes and prime powers up to the size of
+    # the Hensel moduli; residues, and signed unreduced ints
+    rng = random.Random(31)
+    moduli = (2, 3, 4, 9, 7**3, 2**61 - 1, 3**40, 7**71, 2**200)
+    for m in moduli:
+        for la in range(41):
+            for lb in range(1, 13):
+                for lo, hi in ((0, m - 1), (-3 * m, 3 * m)):
+                    a = [rng.randint(lo, hi) for _ in range(la)]
+                    _check_division(a, _divisor(rng, lb, m, lo, hi), m)
+
+
+def test_packed_division_at_degrees_up_to_3000():
+    # dividend degrees 0-3000 by divisors of every size up to the dividend's
+    # for p = 2, 3 and the 61-bit prime, signed and unreduced
+    rng = random.Random(37)
+    for m in (2, 3, 2**61 - 1):
+        for la in (0, 1, 2, 3, 65, 257, 1000, 2049, 3001):
+            for lb in sorted({1, 2, max(1, la // 2), max(1, la - 1), la + 1}):
+                a = [rng.randint(-2 * m, 2 * m) for _ in range(la)]
+                _check_division(a, _divisor(rng, lb, m, -2 * m, 2 * m), m)
+
+
+def test_packed_division_at_its_slot_bound():
+    # b = (m-1)(1 + t + ... + t^k) and a = q b + r with every quotient digit 1:
+    # each step adds (m-1)^2 to every slot it touches, so the slots reach
+    # their bound, min(steps, len b) (m-1)^2 plus a residue
+    for m in (2, 3, 7, 2**61 - 1, 3**40):
+        for k in range(70):
+            for steps in {1, k, k + 1, k + 2, 2 * k + 3} - {0}:
+                b, quo, rem = [m - 1] * (k + 1), [1] * steps, [m - 1] * k
+                a = [(x + y) % m for x, y in zip_longest(_schoolbook_mul_mod(quo, b, m), rem, fillvalue=0)]
+                assert _divmod_mod(a, b, m) == (quo, _trim_list([c % m for c in rem])), (m, k, steps)
+                assert _rem_mod(a, b, m) == _trim_list([c % m for c in rem]), (m, k, steps)
+
+
 def _euclid_gcd(f, g):
     """The plain Euclid loop on `Poly` remainders: the monic gcd oracle."""
     while not g.is_zero():
@@ -523,6 +616,54 @@ def test_resultant_examples():
         assert resultant(q([-a, 1]), g) == g.eval(a)
     with pytest.raises(ZeroPolynomial):
         resultant(q([]), q([1]))
+
+
+def sylvester_matrix(f: Poly, g: Poly):
+    """The (m+n) x (m+n) Sylvester matrix of f (degree n) and g (degree m)."""
+    if f.is_zero() or g.is_zero():
+        raise ZeroPolynomial("Sylvester matrix of zero polynomial")
+    dom = f.dom
+    n, m = f.degree, g.degree
+    size = n + m
+    zero = dom.zero()
+    rows = []
+    fc = list(reversed(f.coeffs))
+    gc = list(reversed(g.coeffs))
+    for i in range(m):
+        rows.append([zero] * i + fc + [zero] * (size - i - len(fc)))
+    for i in range(n):
+        rows.append([zero] * i + gc + [zero] * (size - i - len(gc)))
+    return rows
+
+
+def sylvester_resultant(f: Poly, g: Poly):
+    """Resultant as a division-free determinant of the Sylvester matrix.
+
+    Expansion over column subsets is exponential but division-free, so it
+    works over any commutative ring: the oracle for `resultant`.
+    """
+    rows = sylvester_matrix(f, g)
+    dom = f.dom
+    n = len(rows)
+    if n == 0:
+        return dom.one()
+
+    @lru_cache(maxsize=None)
+    def minor(row, cols):
+        if row == n:
+            return dom.one()
+        total = dom.zero()
+        sign = 1
+        for idx, col in enumerate(cols):
+            a = rows[row][col]
+            if a:
+                rest = cols[:idx] + cols[idx + 1 :]
+                term = a * minor(row + 1, rest)
+                total = total + term if sign > 0 else total - term
+            sign = -sign
+        return total
+
+    return minor(0, tuple(range(n)))
 
 
 def test_resultant_matches_sylvester_oracle():
