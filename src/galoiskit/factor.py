@@ -30,12 +30,13 @@ Three coefficient worlds are covered:
   FpElem is built between the primitive integer form and the printed
   factors;
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
-  the problem down to Q through a resultant.  It runs in the primitive
-  element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the tower:
-  only the irreducible factors are mapped back.  The shift is chosen, and
-  its norm proved squarefree, mod NORM_PRIME; the norm over Z is rebuilt by
-  CRT from that image and images mod further primes below 2^61, up to a
-  Goldstein-Graham bound, with no resultant over Q.
+  the problem down to Q through the norm, a resultant.  It runs in the
+  primitive element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the
+  tower: only the irreducible factors are mapped back.  The norm of g of
+  degree d over a field of degree n is built from power sums, with no
+  resultant: n*(nd)^2 integer operations for a table of traces, then
+  (nd)^2 operations mod NORM_PRIME for each shift tried until one is proved
+  squarefree, and one exact pass over Q for that shift.
 
 `factor_over_extension(g)` is the one entry point for all three: it
 dispatches on the coefficient field g.dom.
@@ -50,7 +51,7 @@ import itertools
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd as _int_gcd, isqrt
+from math import comb, gcd as _int_gcd, isqrt, lcm
 
 from .errors import (
     Budget,
@@ -71,6 +72,7 @@ from .poly import (
     _from_residues,
     _gcd_mod,
     _monic_mod,
+    _mul_int,
     _mul_mod,
     _numerators,
     _pack,
@@ -843,44 +845,6 @@ def cyclotomic_p(p: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _resultant_mod(a, b, p):
-    """Res(a, b) mod p of trimmed residue lists, deg a >= 1, by Euclid:
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, a mod b)."""
-    res = 1
-    while len(b) > 1:
-        r = _rem_mod(a, b, p)
-        if not r:
-            return 0
-        if (len(a) - 1) * (len(b) - 1) % 2:
-            res = -res
-        res = res * pow(b[-1], len(a) - len(r), p) % p
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, p) % p if b else 0
-
-
-def _norm_mod(mgamma: Poly, reps, s: int, p: int) -> list:
-    """The norm Res_y(mgamma, sum_j c_j(y) (t - s*y)^j), c_j the coordinates
-    in `reps`, mod a prime p > nd dividing no denominator (n = deg mgamma,
-    d = len(reps) - 1), as a residue list: the values at t = 0..nd, each by
-    `_resultant_mod`, interpolated (Newton).  O(nd n^2) residue operations."""
-    red = lambda f: [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
-    m, cs = red(mgamma), [red(c) for c in reps]
-    coef = []
-    for a in range((len(m) - 1) * (len(cs) - 1) + 1):
-        h = []
-        for c in reversed(cs):
-            h = _rem_mod(_z_add(_mul_mod(h, [a, -s], p), c), m, p)
-        coef.append(_resultant_mod(m, h, p))
-    for j in range(1, len(coef)):  # nodes i and i - j differ by j
-        inv = pow(j, -1, p)
-        for i in range(len(coef) - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) * inv % p
-    out = []
-    for i in range(len(coef) - 1, -1, -1):  # out = out * (t - i) + coef[i]
-        out = [(lo - i * hi) % p for lo, hi in zip([coef[i]] + out, out + [0])]
-    return _trim(out)
-
-
 def _is_prime_mr(n: int) -> bool:
     """Miller-Rabin for odd n > 37 with the twelve prime bases up to 37,
     deterministic below 3.18 * 10^23, the least strong pseudoprime to all of
@@ -917,58 +881,75 @@ def _norm_primes(den: int):
             yield _NORM_PRIMES[i]
 
 
-def _squarefree_shift(mgamma: Poly, reps, tries: int):
-    """(s, N_s mod p) for the first s in `_shift_order(tries)` with N_s
-    squarefree, proved mod p: N_s mod p keeps the degree nd and a nonzero
-    discriminant, and a repeated factor over Q survives a reduction that
-    keeps the degree.  p is the first of `_norm_primes` dividing no
-    denominator of mgamma or `reps` (NORM_PRIME unless it divides one), and
-    the image is the first one `_norm_by_crt` uses.  Skipping an s for an
-    unlucky p changes no factor."""
-    nd = mgamma.degree * (len(reps) - 1)
-    den = _numerators([c for f in (mgamma, *reps) for c in f.coeffs])[1]
-    p = next(_norm_primes(den))
-    for s in _shift_order(tries):
-        nbar = _norm_mod(mgamma, reps, s, p)
-        if len(nbar) == nd + 1 and _resultant_mod(nbar, _deriv_mod(nbar, p), p):
-            return s, nbar
+def _trager_norm(mgamma: Poly, reps, shifts):
+    """(s, N_s) for the first s of `shifts` whose norm
+    N_s = Res_y(mgamma, g(t - s*y)) is squarefree, N_s as a primitive int
+    list with positive lc.  mgamma is monic of degree n, `reps` are the
+    coordinates of a monic squarefree g of degree d over K = Q[y]/(mgamma),
+    and nd = n*d.
+
+    N_s is monic, with roots b + s*c for each root c of mgamma and each root
+    b of g's conjugate at c, so its power sums are traces of those of g's
+    roots (Bostan, Flajolet, Salvy & Schost, JSC 41 (2006)).  Coordinates are
+    taken in y' = md*y, md the denominator of mgamma, whose minimal
+    polynomial mu is monic over Z; cden is the denominator of g's
+    coefficients there.  The roots are scaled by L = md*cden (by md alone
+    when that keeps the table T integral) to L*b + (L/md)*s*y', with power
+    sums P_r = sum_i C(r, i) ((L/md)*s)^i T[r-i][i], T[a][i] = L^a Tr(y'^i S_a).
+    Newton's identities give the power sums S_a in K of g's roots, a <= nd
+    (nd*d products in K, each S_a in lowest terms over Z[y']/(mu)), and
+    Tr(y'^e), e < n + nd; T costs n*(nd)^2 integer operations.  Each shift
+    then costs (nd)^2 operations mod p: the P_r, the scaled N_s by Newton's
+    identities, and its gcd with its derivative.  p, the first of
+    `_norm_primes`, divides neither md nor cden, so N_s mod p keeps its
+    degree and would keep a repeated factor.  Only the accepted s gets N_s
+    over Q, by the same identities."""
+    m, md = _numerators(mgamma.coeffs)
+    n, d = len(m) - 1, len(reps) - 1
+    nd = n * d
+    mu = [c * md ** (n - 1 - k) for k, c in enumerate(m[:-1])] + [1]
+    nums, cden = _numerators([c / md**k for f in reps[:-1] for k, c in enumerate(f.coeffs)])
+    nums = iter(nums)  # cs: g's coefficients below t^d in y', numerators over cden
+    cs = [list(itertools.islice(nums, len(f.coeffs))) for f in reps[:-1]]
+    # Newton, for the roots of t^k + c_(k-1) t^(k-1) + ... + c_0:
+    # P_a = -sum_(i = 1 .. min(a, k)) c_(k-i) (P_(a-i) if i < a else a)
+    q = [n]  # Tr(y'^e)
+    for e in range(1, n + nd):
+        q.append(-sum(mu[n - i] * (q[e - i] if i < e else e) for i in range(1, min(e, n) + 1)))
+    S = [([d], 1)]  # S_a = A_a / D_a, D_a | cden^a
+    for a in range(1, nd + 1):
+        terms = [(cs[d - i], S[a - i] if i < a else ([a], 1)) for i in range(1, min(a, d) + 1)]
+        den = cden * lcm(*(D for _, (_, D) in terms))
+        num = []
+        for c, (A, D) in terms:
+            num = _z_add(num, _mul_int(c, [x * (den // (cden * D)) for x in A]))
+        if len(num) > n:
+            num = _pseudo_divmod(num, mu)[1]
+        g = _int_gcd(den, *num)
+        S.append(([-x // g for x in num], den // g))
+    T = [[sum(map(operator.mul, A, q[i:])) for i in range(nd + 1 - a)] for a, (A, _) in enumerate(S)]
+    # L = md when that makes every L^a Tr(y'^i S_a) an integer: always, when
+    # g's coefficients are algebraic integers
+    L = md if all(x * md**a % D == 0 for a, (_, D) in enumerate(S) for x in T[a]) else md * cden
+    T = [[x * L**a // D for x in row] for a, (row, (_, D)) in enumerate(zip(T, S))]
+    V = [[comb(r, i) * T[r - i][i] for i in range(r + 1)] for r in range(1, nd + 1)]
+
+    def scaled_norm(V, powers, div):  # L^nd N_s(u/L), c_k its u^(nd-k) coefficient
+        P = [sum(map(operator.mul, row, powers)) for row in V]
+        c = [1]  # k c_k = -sum_(i = 1 .. k) c_(k-i) P_i
+        for k in range(1, nd + 1):
+            c.append(div(-sum(map(operator.mul, reversed(c), P)), k))
+        return c[::-1]
+
+    p = next(_norm_primes(md * cden))
+    V_p = [[x % p for x in row] for row in V]
+    for s in shifts:
+        powers = [pow(L // md * s, i, p) for i in range(nd + 1)]
+        if _squarefree_mod(scaled_norm(V_p, powers, lambda x, k: x * pow(k, -1, p) % p), p):
+            div = lambda x, k: x // k if x % k == 0 else Fraction(x, k)  # ints while they stay so
+            c = scaled_norm(V, [(L // md * s) ** i for i in range(nd + 1)], div)
+            return s, _positive_primitive(_numerators([x * L**j for j, x in enumerate(c)])[0])
     raise SearchExhausted("no squarefree norm shift found")
-
-
-def _norm_by_crt(mgamma: Poly, reps, s: int, image) -> list:
-    """The norm N_s = Res_y(mgamma, G), G = sum_j c_j(y) (t - s*y)^j for the
-    coordinates c_j in `reps`, as a primitive int list with positive lc: by
-    CRT of its images mod `_norm_primes`, the first of them `image` (from
-    `_squarefree_shift`).  Each image is scaled by md^e * cden^n (md and
-    cden the denominators of mgamma and of `reps`, n = deg mgamma,
-    e = n - 1 + d), which makes it the image of the determinant of the
-    integer Sylvester matrix of md*mgamma and cden*G, taken of degree e in y.
-    Images are added until their product exceeds 2B, for the Goldstein-Graham
-    bound B = ||md*mgamma||_2^e * (sum_k ||G_k||_1^2)^(n/2) on its
-    coefficients, G_k the y^k coefficient of cden*G (bounded termwise)."""
-    m_int, md = _numerators(mgamma.coeffs)
-    nums, cden = _numerators([c for f in reps for c in f.coeffs])
-    n, d = len(m_int) - 1, len(reps) - 1
-    e, nd = n - 1 + d, n * d
-    g1 = [0] * (e + 1)  # termwise bounds on ||G_k||_1
-    for j, f in enumerate(reps):
-        for k, c in enumerate(nums[: len(f.coeffs)]):
-            for i in range(j + 1):
-                g1[k + i] += abs(c) * comb(j, i) * abs(s) ** i
-        nums = nums[len(f.coeffs) :]
-    bound_sq = sum(c * c for c in m_int) ** e * sum(c * c for c in g1) ** n  # B^2
-    scale, crt, modulus = md**e * cden**n, [0] * (nd + 1), 1
-    for p in _norm_primes(md * cden):
-        if modulus > 1:
-            image = _norm_mod(mgamma, reps, s, p)
-        step, image = pow(modulus, -1, p) * modulus, image + [0] * (nd + 1 - len(image))
-        crt = [r + (c * scale - r) * step % (p * modulus) for r, c in zip(crt, image)]
-        modulus *= p
-        if modulus * modulus > 4 * bound_sq:
-            break
-    half = modulus // 2
-    out = _positive_primitive([c - modulus if c > half else c for c in crt])
-    return out if out[-1] > 0 else [-c for c in out]
 
 
 def _shift_into(field, h: Poly, s: int) -> Poly:
@@ -994,11 +975,12 @@ def factor_over_extension(g: Poly) -> Factorization:
     element's field K = Q[y]/(m_gamma) (`primitive_field`), where a product
     is one rational product and one reduction mod m_gamma: squarefree part,
     norm Res_y(m_gamma, g(t - s*y)), shifts h(t + s*y) of its factors h,
-    gcds, reassembly check and multiplicities.  s is chosen mod a prime
-    (`_squarefree_shift`); the norm, of degree at most NORM_DEGREE_CAP, is
-    rebuilt over Z from that image by CRT (`_norm_by_crt`) and factored as it
-    stands, proved squarefree.  Only the irreducible factors are mapped back
-    to the tower."""
+    gcds, reassembly check and multiplicities.  The norm, of degree nd at
+    most NORM_DEGREE_CAP for n = [K : Q] and d = deg g, comes from power sums
+    (`_trager_norm`): O(n (nd)^2) integer operations, then O((nd)^2) mod a
+    prime per shift s tried, and it is factored as it stands, proved
+    squarefree.  Only the irreducible factors are mapped back to the
+    tower."""
     if g.is_zero():
         raise ZeroPolynomial("cannot factor the zero polynomial")
     dom = g.dom
@@ -1029,9 +1011,9 @@ def factor_over_extension(g: Poly) -> Factorization:
     sq = squarefree_part(work_k)
     reps = [Poly(QQ, c.coeffs) for c in sq.coeffs]
 
-    s, image = _squarefree_shift(mgamma, reps, NORM_SHIFT_TRIES)
+    s, norm = _trager_norm(mgamma, reps, _shift_order(NORM_SHIFT_TRIES))
     irreducibles = []
-    for h in _factor_sqfree_primitive_z(_norm_by_crt(mgamma, reps, s, image)):
+    for h in _factor_sqfree_primitive_z(norm):
         cand = poly_gcd(sq, _shift_into(K, Poly(QQ, h), s))
         if cand.degree > 0:
             irreducibles.append(cand)

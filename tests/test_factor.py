@@ -20,15 +20,30 @@ from galoiskit.errors import (
     ZeroPolynomial,
 )
 from galoiskit.numbers import QQ, PrimeField, divisors
-from galoiskit.poly import Poly, _mul_mod, _sub_mod, _xgcd_mod, content_primitive, poly_gcd
+from galoiskit.poly import (
+    Poly,
+    _deriv_mod,
+    _mul_mod,
+    _rem_mod,
+    _sub_mod,
+    _trim,
+    _xgcd_mod,
+    content_primitive,
+    poly_gcd,
+)
 from galoiskit.factor import (
+    NORM_PRIME,
+    NORM_SHIFT_TRIES,
     RATIONAL_ROOT_BOUND,
     _bezout_step,
     _ddf,
     _factor_sqfree_primitive_z,
     _hensel_step,
+    _norm_primes,
     _polys,
     _powmod,
+    _shift_order,
+    _trager_norm,
     _z_add,
     _z_mod,
     check_eisenstein,
@@ -1039,7 +1054,6 @@ def _tower_trager_oracle(g, T):
     through Q(gamma): squarefree part, shift h(t + s*gamma) by `Poly.shift`,
     gcds and multiplicities all over T.  Returns (Counter of (factor,
     multiplicity), the norm shift s)."""
-    from galoiskit.factor import _shift_order
     from galoiskit.poly import squarefree_part
 
     work = g.monic()
@@ -1136,11 +1150,81 @@ def _mod(c, p):
     return c.numerator * pow(c.denominator, -1, p) % p
 
 
-def test_norm_mod_is_the_exact_norm_mod_p():
-    """On coordinates with denominators (and an m_gamma with one), for
-    shifts of both signs."""
-    from galoiskit.factor import NORM_PRIME, _norm_mod
+def _resultant_mod(a, b, p):
+    """Res(a, b) mod p of trimmed residue lists, deg a >= 1, by Euclid:
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, a mod b)."""
+    res = 1
+    while len(b) > 1:
+        r = _rem_mod(a, b, p)
+        if not r:
+            return 0
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            res = -res
+        res = res * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p if b else 0
 
+
+def _norm_mod(mgamma, reps, s, p):
+    """The shift oracle: the norm Res_y(mgamma, sum_j c_j(y) (t - s*y)^j),
+    c_j the coordinates in `reps`, mod a prime p > nd dividing no denominator
+    (n = deg mgamma, d = len(reps) - 1), as a residue list: the values at
+    t = 0..nd, each by `_resultant_mod`, interpolated (Newton)."""
+    red = lambda f: [_mod(c, p) for c in f.coeffs]
+    m, cs = red(mgamma), [red(c) for c in reps]
+    coef = []
+    for a in range((len(m) - 1) * (len(cs) - 1) + 1):
+        h = []
+        for c in reversed(cs):
+            h = _rem_mod(_z_add(_mul_mod(h, [a, -s], p), c), m, p)
+        coef.append(_resultant_mod(m, h, p))
+    for j in range(1, len(coef)):  # nodes i and i - j differ by j
+        inv = pow(j, -1, p)
+        for i in range(len(coef) - 1, j - 1, -1):
+            coef[i] = (coef[i] - coef[i - 1]) * inv % p
+    out = []
+    for i in range(len(coef) - 1, -1, -1):  # out = out * (t - i) + coef[i]
+        out = [(lo - i * hi) % p for lo, hi in zip([coef[i]] + out, out + [0])]
+    return _trim(out)
+
+
+def _oracle_accepts(image, nd, p):
+    """The shift predicate on an oracle image: degree nd and a nonzero
+    discriminant mod p."""
+    return len(image) == nd + 1 and _resultant_mod(image, _deriv_mod(image, p), p) != 0
+
+
+def _oracle_shift(mgamma, reps, tries=NORM_SHIFT_TRIES):
+    """(s, image, p) for the first s of `_shift_order(tries)` whose
+    `_norm_mod` image mod p, the first norm prime dividing no denominator,
+    passes `_oracle_accepts`; None if there is none."""
+    nd = mgamma.degree * (len(reps) - 1)
+    p = next(_norm_primes(math.lcm(*(c.denominator for f in (mgamma, *reps) for c in f.coeffs))))
+    for s in _shift_order(tries):
+        image = _norm_mod(mgamma, reps, s, p)
+        if _oracle_accepts(image, nd, p):
+            return s, image, p
+    return None
+
+
+def _oracle_norm(mgamma, reps, s):
+    return content_primitive(_norm_resultant(mgamma, reps, s))[1]
+
+
+def _check_against_the_oracles(mgamma, reps):
+    """`_trager_norm` over the shifts `factor_over_extension` tries: the
+    accepted shift is the oracle's, and the integer norm is the
+    subresultant's, whose image mod p is the oracle's image."""
+    s, norm = _trager_norm(mgamma, reps, _shift_order(NORM_SHIFT_TRIES))
+    oracle_s, image, p = _oracle_shift(mgamma, reps)
+    assert s == oracle_s and norm == _oracle_norm(mgamma, reps, s)
+    assert [c * pow(norm[-1], -1, p) % p for c in norm] == image
+    return s, norm
+
+
+def test_norm_mod_is_the_exact_norm_mod_p():
+    """The shift oracle, on coordinates with denominators (and an m_gamma
+    with one), for shifts of both signs."""
     rng = random.Random(15)
     dens = set()
     # towers built without certificates, so that no factoring runs first
@@ -1166,72 +1250,73 @@ def test_norm_mod_is_the_exact_norm_mod_p():
 
 
 def test_a_norm_whose_degree_drops_mod_p_proves_nothing():
-    # over Q itself (m = y), the norm of g is g for every shift; the
-    # reduction t - 2 of (p*t + 1)^2 (t - 2) is squarefree, g is not
-    from galoiskit.factor import NORM_PRIME, _squarefree_shift
-
-    g = q([1, NORM_PRIME]) ** 2 * q([-2, 1])
+    # over Q itself (m = y), the norm of g is g for every shift.  For
+    # P = NORM_PRIME the integer form (P*t + 1)^2 (t - 2) of the monic
+    # g = (t + 1/P)^2 (t - 2) drops to the squarefree t - 2 mod P; P divides
+    # a denominator, so it is not used, and no shift is accepted
+    P = NORM_PRIME
+    g = q([Fraction(1, P), 1]) ** 2 * q([-2, 1])
+    assert _norm_mod(q([0, 1]), [q([c * P * P]) for c in g.coeffs], 0, P) == [P - 2, 1]
+    reps = [q([c]) for c in g.coeffs]
     with pytest.raises(SearchExhausted):
-        _squarefree_shift(q([0, 1]), [q([c]) for c in g.coeffs], 3)
+        _trager_norm(q([0, 1]), reps, _shift_order(3))
+    assert _oracle_shift(q([0, 1]), reps, 3) is None
     g = q([3, 1]) * q([-2, 1])
-    # the accepted shift, with the norm's image mod NORM_PRIME
-    assert _squarefree_shift(q([0, 1]), [q([c]) for c in g.coeffs], 3) == (0, [NORM_PRIME - 6, 1, 1])
+    # the accepted shift, with the norm over Z
+    assert _trager_norm(q([0, 1]), [q([c]) for c in g.coeffs], _shift_order(3)) == (0, [-6, 1, 1])
 
 
-def _crt_norm(mgamma, reps, s):
-    """`_norm_by_crt` from the image at the first prime `_squarefree_shift`
-    would use, and the number of images it took."""
-    import galoiskit.factor as factor_mod
-
-    den = math.lcm(*(c.denominator for f in (mgamma, *reps) for c in f.coeffs))
-    image = factor_mod._norm_mod(mgamma, reps, s, next(factor_mod._norm_primes(den)))
-    images = [1]
-    norm_mod = factor_mod._norm_mod
-    factor_mod._norm_mod = lambda *a: images.append(1) or norm_mod(*a)
-    try:
-        return factor_mod._norm_by_crt(mgamma, reps, s, image), len(images)
-    finally:
-        factor_mod._norm_mod = norm_mod
-
-
-def _oracle_norm(mgamma, reps, s):
-    from galoiskit.poly import content_primitive
-
-    return content_primitive(_norm_resultant(mgamma, reps, s))[1]
-
-
-def test_crt_norm_matches_the_subresultant_oracle():
-    """On the 16 norms of `_trager_norm_cases` (one m_gamma is t^2 - 1/2, so
-    the md^e cden^n scale is needed) and on rational minimal polynomials with
-    reps that have denominators, for shifts of both signs."""
-    checked, dens = 0, set()
-    for mgamma, reps in _trager_norm_cases():
-        for s in (0, 1, -1, 2):
-            assert _crt_norm(mgamma, reps, s)[0] == _oracle_norm(mgamma, reps, s)
-            checked += 1
-    assert checked == 16
+def _rational_norm_cases():
+    """(m_gamma, reps) for two rational minimal polynomials, with reps whose
+    denominators include 2, 3 and 5; and over Q itself (m = y) for
+    t^2 - t + 1/2, whose power sums up to nd = 2 are integers though its
+    coefficients are not."""
     for m in (q([Fraction(-1, 2), 0, 1]), q([Fraction(1, 3), 0, Fraction(-2, 5), 1])):
         T, x = adjoin_root(QQ, m, "x", certify=False)
         g = [x * Fraction(1, 3) + Fraction(2, 7), x * x * Fraction(-5, 4), T.one() * 3, T.one()]
-        reps = [T.express_in_primitive(c) for c in g]
-        dens |= {c.denominator for f in (m, *reps) for c in f.coeffs}
-        for s in (-2, 0, 3):
-            assert _crt_norm(m, reps, s)[0] == _oracle_norm(m, reps, s)
-    assert {2, 3, 5} <= dens
+        yield m, [T.express_in_primitive(c) for c in g]
+    yield q([0, 1]), [q([Fraction(1, 2)]), q([-1]), q([1])]
 
 
-def test_crt_norm_takes_images_up_to_the_bound():
-    """Over Q itself (m = y) the norm of t^2 + C is t^2 + C and the bound
-    is C + 1 at s = 0, so C just above half the product of two primes needs
-    a third image: one image fewer reconstructs C - P."""
-    from galoiskit.factor import _norm_primes
+def test_trager_norm_matches_the_subresultant_oracle():
+    """On the 16 norms of `_trager_norm_cases` (one m_gamma is t^2 - 1/2) and
+    on rational minimal polynomials with reps that have denominators, for
+    shifts of both signs: a shift tried alone is accepted exactly when the
+    oracle accepts it, with the subresultant's norm; and the search over
+    `_shift_order` accepts the oracle's shift."""
+    cases = list(_trager_norm_cases()) + list(_rational_norm_cases())
+    verdicts, dens = Counter(), set()
+    for mgamma, reps in cases:
+        nd = mgamma.degree * (len(reps) - 1)
+        dens |= {c.denominator for f in (mgamma, *reps) for c in f.coeffs}
+        oracle_p = _oracle_shift(mgamma, reps)[2]
+        for s in (0, 1, -1, 2, -2, 3):
+            accepted = _oracle_accepts(_norm_mod(mgamma, reps, s, oracle_p), nd, oracle_p)
+            verdicts[accepted] += 1
+            if accepted:
+                assert _trager_norm(mgamma, reps, [s]) == (s, _oracle_norm(mgamma, reps, s))
+            else:
+                with pytest.raises(SearchExhausted):
+                    _trager_norm(mgamma, reps, [s])
+        _check_against_the_oracles(mgamma, reps)
+    assert verdicts[True] >= 16 and verdicts[False] and {2, 3, 5} <= dens
 
+
+def test_trager_norm_is_exact_beyond_the_norm_primes():
+    """Coefficients above the product of the first two norm primes come out
+    exact: over Q itself (m = y) the norm of t^2 + C is t^2 + C, and over
+    Q(sqrt 2) the norm of t^2 + C sqrt 2 is t^4 - 2 C^2, with C just above
+    half the product, where two CRT images would have rebuilt C minus it."""
     p1, p2 = itertools.islice(_norm_primes(1), 2)
     C = p1 * p2 // 2 + 1
     reps = [q([C]), q([]), q([1])]
-    norm, images = _crt_norm(q([0, 1]), reps, 0)
-    assert norm == [C, 0, 1] == _oracle_norm(q([0, 1]), reps, 0)
-    assert images == 3
+    assert _trager_norm(q([0, 1]), reps, _shift_order(3)) == (0, [C, 0, 1]) == (0, _oracle_norm(q([0, 1]), reps, 0))
+    A, a = adjoin_root(QQ, q([-2, 0, 1]), "a", certify=False)
+    mgamma = A.primitive_element()[1]
+    reps = [A.express_in_primitive(c) for c in (a * C, A.zero(), A.one())]
+    expected = _oracle_norm(mgamma, reps, 0)
+    assert expected == [-2 * C * C, 0, 0, 0, 1]
+    assert _check_against_the_oracles(mgamma, reps) == (0, expected)
 
 
 def test_norm_primes_are_the_primes_below_2_61():
@@ -1239,7 +1324,7 @@ def test_norm_primes_are_the_primes_below_2_61():
     a small factor or fails a Fermat test) and the primes dividing den; its
     Miller-Rabin test agrees with trial division on small odd numbers and
     rejects strong pseudoprimes to many bases."""
-    from galoiskit.factor import NORM_PRIME, _is_prime_mr, _norm_primes
+    from galoiskit.factor import _is_prime_mr
     from galoiskit.numbers import is_prime
 
     primes = list(itertools.islice(_norm_primes(1), 6))
@@ -1255,30 +1340,32 @@ def test_norm_primes_are_the_primes_below_2_61():
         assert not _is_prime_mr(n)
 
 
-def test_crt_norm_matches_the_oracle_on_the_ladder(monkeypatch):
-    """Every norm that splitting the seven ladder polynomials factors."""
+def test_trager_norm_matches_the_oracle_on_the_ladder(monkeypatch):
+    """Every norm that splitting the seven ladder polynomials factors: the
+    accepted shift is the first whose oracle image mod the first norm prime
+    is squarefree of degree nd, and the integer norm is the subresultant's."""
     import galoiskit.factor as factor_mod
     from galoiskit.cli import parse_poly
     from galoiskit.splitting import splitting_field_q
 
-    crt, seen = factor_mod._norm_by_crt, []
+    seen = []
 
-    def checked(mgamma, reps, s, image):
-        norm = crt(mgamma, reps, s, image)
-        assert norm == _oracle_norm(mgamma, reps, s)
-        seen.append(len(norm) - 1)
-        return norm
+    def checked(mgamma, reps, shifts):
+        out = _trager_norm(mgamma, reps, shifts)
+        assert out == _check_against_the_oracles(mgamma, reps)
+        seen.append(len(out[1]) - 1)
+        return out
 
-    monkeypatch.setattr(factor_mod, "_norm_by_crt", checked)
+    monkeypatch.setattr(factor_mod, "_trager_norm", checked)
     for f in ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1"):
         splitting_field_q(parse_poly(f))
     assert len(seen) >= 7 and max(seen) >= 24
 
 
 def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
-    """No subresultant runs, and the norm's image mod NORM_PRIME at the
-    accepted shift is computed once, by `_squarefree_shift`, and is the image
-    `_norm_by_crt` starts from; every further image is at that shift."""
+    """No subresultant runs, and a factorization that needs a norm builds
+    one: a single `_trager_norm` call, which tries the shifts in
+    `_shift_order` and stops at the first the oracle accepts."""
     import galoiskit.factor as factor_mod
     import galoiskit.poly as poly_mod
 
@@ -1287,30 +1374,83 @@ def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
 
     monkeypatch.setattr(poly_mod, "resultant", no_subresultant)
     assert not hasattr(factor_mod, "resultant")
-    calls, starts = [], []
-    norm_mod, crt = factor_mod._norm_mod, factor_mod._norm_by_crt
+    calls, runs = [], []
 
-    def recorded(mgamma, reps, s, p):
-        calls.append((s, p, norm_mod(mgamma, reps, s, p)))
-        return calls[-1][2]
+    def recorded(mgamma, reps, shifts):
+        tried = []
+        out = _trager_norm(mgamma, reps, (tried.append(s) or s for s in shifts))
+        calls.append((mgamma, reps, tried, out))
+        return out
 
-    monkeypatch.setattr(factor_mod, "_norm_mod", recorded)
-    monkeypatch.setattr(factor_mod, "_norm_by_crt", lambda *a: starts.append(a[2:]) or crt(*a))
-    shifts = []
+    monkeypatch.setattr(factor_mod, "_trager_norm", recorded)
     for T, _, rational in _trager_towers():
         for f in rational:
-            calls.clear(), starts.clear()
+            calls.clear()
             g = f.map_domain(T, T.coerce)
             assert factor_over_extension(g).expand(T) == g
-            if not calls:
-                continue  # decided without a norm
-            ((s, image),) = starts
-            tried = [c for c in calls if c[1] == factor_mod.NORM_PRIME]
-            assert [c[0] for c in tried] == list(itertools.islice(factor_mod._shift_order(len(tried)), len(tried)))
-            assert tried[-1][0] == s and tried[-1][2] is image
-            assert all(c[0] == s for c in calls[len(tried) :]) and calls[: len(tried)] == tried
-            shifts.append(s)
+            assert len(calls) <= 1  # or decided without a norm
+            runs += calls
+    monkeypatch.undo()
+    shifts = []
+    for mgamma, reps, tried, (s, norm) in runs:
+        assert tried == list(itertools.islice(_shift_order(NORM_SHIFT_TRIES), len(tried)))
+        assert tried[-1] == s == _oracle_shift(mgamma, reps)[0]
+        assert norm == _oracle_norm(mgamma, reps, s)
+        shifts.append(s)
     assert set(shifts) - {0}  # inputs whose first shifts are refused
+
+
+# Each mutant drops one term of a Newton recurrence (Tr(y'^e) from m_gamma,
+# the power sums S_a from g, the norm's coefficients from its power sums),
+# reads the trace table one index off, or divides by k in Z where the
+# norm's coefficients are not integers.
+_NORM_MUTANTS = (
+    ("q[e - i] if i < e else e", "q[e - i] if i < e else 0"),
+    ("for i in range(1, min(e, n) + 1)", "for i in range(1, min(e, n))"),
+    ("S[a - i] if i < a else ([a], 1)", "S[a - i] if i < a else ([], 1)"),
+    ("for i in range(1, min(a, d) + 1)", "for i in range(2, min(a, d) + 1)"),
+    ("map(operator.mul, reversed(c), P)", "map(operator.mul, reversed(c[1:]), P)"),
+    ("q[i:]", "q[i + 1 :]"),
+    ("x // k if x % k == 0 else Fraction(x, k)", "x // k"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _mutation_cases():
+    """(m_gamma, reps, the oracles' shift and norm) for `_trager_norm_cases`
+    and `_rational_norm_cases`."""
+    out = []
+    for mgamma, reps in list(_trager_norm_cases()) + list(_rational_norm_cases()):
+        s = _oracle_shift(mgamma, reps)[0]
+        out.append((mgamma, reps, (s, _oracle_norm(mgamma, reps, s))))
+    return out
+
+
+def _agrees_on_every_case(norm_fn):
+    for mgamma, reps, expected in _mutation_cases():
+        try:
+            if norm_fn(mgamma, reps, _shift_order(NORM_SHIFT_TRIES)) != expected:
+                return False
+        except Exception:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("old, new", [(None, None), *_NORM_MUTANTS])
+def test_a_trager_norm_mutant_fails_the_oracles(old, new):
+    """The source of `_trager_norm`, recompiled with one mutation, disagrees
+    with the oracles on some case; unmutated, it agrees on all."""
+    import inspect
+
+    import galoiskit.factor as factor_mod
+
+    source = inspect.getsource(factor_mod._trager_norm)
+    if old is not None:
+        assert source.count(old) == 1
+        source = source.replace(old, new)
+    namespace = dict(vars(factor_mod))
+    exec(source, namespace)
+    assert _agrees_on_every_case(namespace["_trager_norm"]) == (old is None)
 
 
 def test_zassenhaus_stage_rejects_an_input_that_is_not_squarefree():
