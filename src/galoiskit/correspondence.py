@@ -1,15 +1,17 @@
 """The fundamental theorem made executable.
 
 Intermediate fields are base-linear subspaces of the splitting field in its
-flattened power-product coordinates, canonically represented by reduced row
-echelon bases (so equality of subfields is equality of bases, sidestepping
-the isomorphic-but-distinct-subset trap).  Fix(H) is the image of the trace
-sum over H, since Gal(M : Fix(H)) = H and the trace of a finite separable
-extension is onto (Lang, Algebra, VI.5): one n x n sum and one elimination
-per subgroup.  An intermediate field is K(theta) for its certified primitive
-element theta, so an automorphism fixes it, maps it into itself or restricts
-to it as it acts on theta alone.  `verify_correspondence` checks that the two
-maps are mutually inverse on the whole lattice and that degrees match orders.
+flattened power-product coordinates, each held in the `Echelon` that spans
+it: membership is a zero residual against it, and its reduced row echelon
+basis is canonical (so equality of subfields is equality of bases,
+sidestepping the isomorphic-but-distinct-subset trap).  Fix(H) is the image
+of the trace sum over H, since Gal(M : Fix(H)) = H and the trace of a finite
+separable extension is onto (Lang, Algebra, VI.5): one n x n sum and one
+elimination per subgroup.  An intermediate field is K(theta) for its
+certified primitive element theta, so an automorphism fixes it, maps it into
+itself or restricts to it as it acts on theta alone.  `verify_correspondence`
+checks that the two maps are mutually inverse on the whole lattice and that
+degrees match orders.
 """
 
 from __future__ import annotations
@@ -26,19 +28,20 @@ from .galois import (
     quotient_group,
     subgroups,
 )
-from .linalg import Echelon, in_row_space, mat_mul_vec, row_space_basis
+from .linalg import Echelon, mat_mul_vec
 from .poly import Poly, render
 
 
 class Subfield:
-    """An intermediate field of the splitting-field extension, as an RREF
-    subspace basis plus a certified primitive element."""
+    """An intermediate field of the splitting-field extension, as the echelon
+    spanning it, its RREF basis and a certified primitive element."""
 
-    __slots__ = ("sf", "basis", "primitive", "min_poly_of_primitive")
+    __slots__ = ("sf", "echelon", "basis", "primitive", "min_poly_of_primitive")
 
-    def __init__(self, sf, basis: list, primitive, min_poly_of_primitive: Poly):
+    def __init__(self, sf, echelon: Echelon, basis: list, primitive, min_poly_of_primitive: Poly):
         self.sf = sf
-        self.basis = basis  # RREF rows over the base field, each of length n
+        self.echelon = echelon
+        self.basis = basis  # echelon.basis(): RREF rows over the base field, each of length n
         self.primitive = primitive
         self.min_poly_of_primitive = min_poly_of_primitive
 
@@ -47,8 +50,7 @@ class Subfield:
         return len(self.basis)
 
     def contains(self, x) -> bool:
-        field = self.sf.field
-        return in_row_space(field.base, self.basis, field.flatten(x))
+        return not any(self.echelon.reduce(self.sf.field.flatten(x))[0])
 
     def same_as(self, other: "Subfield") -> bool:
         return self.basis == other.basis
@@ -112,10 +114,10 @@ def _find_primitive(field, basis, outside=None):
     raise SearchExhausted("no primitive element found for subfield")
 
 
-def _make_subfield(sf, rows, outside=None) -> Subfield:
-    basis = row_space_basis(sf.field.base, rows)
+def _make_subfield(sf, echelon: Echelon, outside=None) -> Subfield:
+    basis = echelon.basis()
     elem, mp = _find_primitive(sf.field, basis, outside)
-    return Subfield(sf, basis, elem, mp)
+    return Subfield(sf, echelon, basis, elem, mp)
 
 
 def _coset_representatives(H: Subgroup, G: GaloisGroup) -> list:
@@ -139,8 +141,11 @@ def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
     for idx in H.member_indices:
         for row, mat_row in zip(total, G.matrix_of(idx)):
             row[:] = [a + b if b else a for a, b in zip(row, mat_row)]
+    echelon = Echelon(G.sf.field.base)
+    for col in zip(*total):
+        echelon.add(col)
     outside = [G.matrix_of(g) for g in _coset_representatives(H, G)]
-    sub = _make_subfield(G.sf, list(zip(*total)), outside)
+    sub = _make_subfield(G.sf, echelon, outside)
     if sub.dim * H.order != n:
         raise InternalInvariant(
             f"fixed field dimension {sub.dim} times |H| = {H.order} != degree {n}"
@@ -161,7 +166,7 @@ def subfield_generated_by(sf, elems) -> Subfield:
         x = queue.pop()
         if echelon.add(field.flatten(x)) is None:
             queue.extend(x * e for e in elems)
-    return _make_subfield(sf, [row for _, row, _ in echelon.rows])
+    return _make_subfield(sf, echelon)
 
 
 def _images_of_primitive(L: Subfield, G: GaloisGroup):
@@ -183,8 +188,7 @@ def gal_over(L: Subfield, G: GaloisGroup) -> Subgroup:
 def is_normal_intermediate(L: Subfield, G: GaloisGroup) -> bool:
     """True iff every automorphism maps L onto itself: sigma(L) = K(sigma(theta))
     has dimension dim L, so it is L exactly when sigma(theta) lies in L."""
-    base = G.sf.field.base
-    return all(in_row_space(base, L.basis, image) for image in _images_of_primitive(L, G))
+    return all(not any(L.echelon.reduce(image)[0]) for image in _images_of_primitive(L, G))
 
 
 def restriction_group(L: Subfield, G: GaloisGroup):

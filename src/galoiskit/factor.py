@@ -845,36 +845,16 @@ def cyclotomic_p(p: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def _is_prime_mr(n: int) -> bool:
-    """Miller-Rabin for odd n > 37 with the twelve prime bases up to 37,
-    deterministic below 3.18 * 10^23, the least strong pseudoprime to all of
-    them (Sorenson & Webster, Math. Comp. 86 (2017))."""
-    d, r = n - 1, 0
-    while not d & 1:
-        d, r = d >> 1, r + 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x == 1:
-            continue
-        for _ in range(r):  # a 1 not preceded by n - 1 stays 1: composite
-            if x == n - 1:
-                break
-            x = x * x % n
-        else:
-            return False
-    return True
-
-
 _NORM_PRIMES = [NORM_PRIME]
 
 
 def _norm_primes(den: int):
     """The primes below 2^61 that do not divide den, in decreasing order from
-    NORM_PRIME = 2^61 - 1; found lazily by `_is_prime_mr` and cached."""
+    NORM_PRIME = 2^61 - 1; found lazily by `is_prime` and cached."""
     for i in itertools.count():
         if i == len(_NORM_PRIMES):
             n = _NORM_PRIMES[-1] - 2
-            while not _is_prime_mr(n):
+            while not is_prime(n):
                 n -= 2
             _NORM_PRIMES.append(n)
         if den % _NORM_PRIMES[i]:

@@ -146,7 +146,7 @@ class Automorphism:
             k = len(chain) - 1 if self._lower else 0
             basis = self._lower or [self._field.one()]
             for level, r in zip(chain[k:], self.generator_images[k:]):
-                basis = _basis_up(basis, r, level.level_degree)
+                basis = _images_of(basis, r, range(level.level_degree * len(basis)))
             self._matrix = _matrix(self._field, basis)
         return self._matrix
 
@@ -188,15 +188,6 @@ def apply_automorphism(field, phi: Automorphism, x):
     return field.unflatten(mat_mul_vec(phi.matrix, field.flatten(x), field.base.zero()))
 
 
-def _basis_up(basis, r, d):
-    """Images of the basis one level up (degree d) when its generator maps to
-    r: a^i * b_j goes to r^i * basis[j], i outer as in `Tower.flatten`."""
-    up = list(basis)
-    for _ in range(1, d):
-        up += [r * b for b in up[-len(basis) :]]
-    return up
-
-
 def _matrix(field, basis):
     """The matrix whose columns are the flattened images of `basis`."""
     cols = [field.flatten(b) for b in basis]
@@ -204,8 +195,10 @@ def _matrix(field, basis):
 
 
 def _images_of(basis, r, indices):
-    """The images one level up of the basis monomials `indices` (ascending,
-    numbered as in `_basis_up`) when its generator maps to r."""
+    """The images one level up of the basis monomials `indices` (ascending)
+    when its generator a maps to r and the basis below maps to `basis`:
+    monomial k = i * len(basis) + j is a^i * b_j (i outer, as in
+    `Tower.flatten`) and goes to r^i * basis[j]."""
     powers = [basis[0], r]  # basis[0], the image of 1, is 1
     while len(powers) <= indices[-1] // len(basis):
         powers.append(powers[-1] * r)
@@ -261,7 +254,7 @@ def _searched(sf):
                 hits.append(r)
         for r in hits:
             if k + 1 < len(chain):
-                yield from extend(images + [r], _basis_up(basis, r, d))
+                yield from extend(images + [r], _images_of(basis, r, range(d * len(basis))))
                 continue
             ints, den = _numerators([x for b in _images_of(basis, r, support) for x in field.flatten(b)])
             rows = list(zip(*(ints[i : i + n] for i in range(0, len(ints), n))))

@@ -2,63 +2,17 @@
 
 Matrices are lists of row lists of field elements.  Everything pivots with
 exact field division, so results are exact for Fraction, FpElem and tower
-scalars alike.  `rref` gives the canonical bases that subfields are compared
-by, fixed fields (images of trace sums) among them.  `Echelon` reduces one
+scalars alike.  `Echelon` is the one Gaussian elimination: it reduces one
 vector at a time and keeps each row's combination of the vectors added so
-far: minimal polynomials (the first dependency among powers), coordinates in
-the powers of a primitive element and generated subfields all run on it.
+far.  Minimal polynomials (the first dependency among powers), coordinates
+in the powers of a primitive element, membership in a subspace (a zero
+residual) and the canonical reduced row echelon bases that subfields are
+compared by (`Echelon.basis`) all run on it.
 """
 
 from __future__ import annotations
 
 from .errors import InternalInvariant
-
-
-def rref(field, rows):
-    """Reduced row echelon form.  Returns (new_rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = field.one() / rows[r][c]
-        rows[r] = [inv * v for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r] + rows[r:], pivots
-
-
-def row_space_basis(field, rows):
-    """Canonical (RREF, zero rows dropped) basis of the row space."""
-    reduced, pivots = rref(field, rows)
-    return [reduced[i] for i in range(len(pivots))]
-
-
-def in_row_space(field, basis_rref, vec):
-    """Membership test against an RREF basis: reduce vec and check for zero."""
-    v = list(vec)
-    for row in basis_rref:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is not None and v[lead]:
-            factor = v[lead]
-            v = [a - factor * b for a, b in zip(v, row)]
-    return not any(v)
 
 
 def mat_mul_vec(rows, vec, zero):
@@ -109,3 +63,16 @@ class Echelon:
         inv = self.field.one() / v[pivot]
         self.rows.append((pivot, [inv * a for a in v], [-inv * c for c in comb] + [inv]))
         return None
+
+    def basis(self):
+        """The reduced row echelon basis of the span, rows by ascending pivot.
+        A row is zero left of its pivot, so in descending pivot order each
+        row only needs clearing at the later pivots, whose rows are done."""
+        done = []
+        for pivot, row, _ in sorted(self.rows, key=lambda r: r[0], reverse=True):
+            for p, other in done:
+                f = row[p]
+                if f:
+                    row = [a - f * b for a, b in zip(row, other)]
+            done.append((pivot, row))
+        return [row for _, row in reversed(done)]

@@ -13,9 +13,11 @@ questions too -- its base is itself, its degree 1, its chain of levels empty,
 its coordinates the one scalar -- and `adjoin` starts a `Tower` over it, so
 no caller asks whether a field is a base field or a tower.
 
-Primality, factorization and divisors all run on one deterministic
-trial-division loop, `factor_integer`, capped by `TRIAL_DIVISION_CAP`; there
-is nothing probabilistic here.
+Factorization and divisors run on one trial-division loop, `factor_integer`,
+capped by `TRIAL_DIVISION_CAP`; `is_prime` divides by the primes up to 37 and
+then runs strong pseudoprime tests to those twelve bases, a proof below
+`STRONG_TEST_BOUND` (Sorenson & Webster, Math. Comp. 86 (2017)).  Nothing
+here is probabilistic.
 """
 
 from __future__ import annotations
@@ -28,6 +30,8 @@ from .errors import Budget, NotPrime, ZeroInverse
 Rational = Fraction
 
 TRIAL_DIVISION_CAP = 10**12
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+STRONG_TEST_BOUND = 318665857834031151167461  # least strong pseudoprime to all SMALL_PRIMES
 
 
 def factor_integer(n: int) -> list[int]:
@@ -53,8 +57,30 @@ def factor_integer(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (n >= 0): n is its own factorization."""
-    return n >= 2 and factor_integer(n) == [n]
+    """Deterministic primality test for 0 <= n < STRONG_TEST_BOUND (`Budget`
+    above): trial division by the SMALL_PRIMES (n < 41^2 is then prime), else
+    a strong pseudoprime test to each of them as a base."""
+    if n >= STRONG_TEST_BOUND:
+        raise Budget(f"primality is proved only below {STRONG_TEST_BOUND}, got {n}")
+    for q in SMALL_PRIMES:
+        if n % q == 0:
+            return n == q
+    if n < 41 * 41:
+        return n > 1
+    d, r = n - 1, 0
+    while not d & 1:
+        d, r = d >> 1, r + 1
+    for a in SMALL_PRIMES:
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(r):  # a 1 not preceded by n - 1 stays 1: composite
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def divisors(n: int) -> list[int]:

@@ -38,7 +38,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _int_gcd
 
-from .errors import DivisionByZeroPoly, ZeroPolynomial
+from .errors import DivisionByZeroPoly, InternalInvariant, ZeroPolynomial
 from .numbers import QQ, PrimeField, RationalField, _fp_elems
 
 
@@ -448,13 +448,16 @@ def _gcd_mod(a, b, p):
 
 def _xgcd_mod(a, b, p):
     """Extended gcd of trimmed residue lists mod a prime p: (d, s, t) with
-    s*a + t*b = d, d monic ([] iff a = b = [], then s = [1], t = [])."""
-    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    s*a + t*b = d, d monic ([] iff a = b = [], then s = [1], t = []).  The
+    loop keeps s alone; t = (d - s*a)/b is one exact division ([] if b is)."""
+    r0, r1, s0, s1 = a, b, [1], []
     while r1:
         q, r = _divmod_mod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
-        t0, t1 = t1, _sub_mod(t0, _mul_mod(q, t1, p), p)
+    t0, rem = _divmod_mod(_sub_mod(r0, _mul_mod(s0, a, p), p), b, p) if b else ([], [])
+    if rem:
+        raise InternalInvariant(f"d - s*a is not a multiple of b mod {p}")
     if not r0 or r0[-1] == 1:
         return r0, s0, t0
     inv = pow(r0[-1], -1, p)

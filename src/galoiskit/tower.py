@@ -503,12 +503,3 @@ def tower_degree(field) -> int:
 def min_poly(field, x) -> Poly:
     """Monic minimal polynomial of x over the base of its field."""
     return field.min_poly_over_base(x)
-
-
-def contains(subspace_rref, field, x) -> bool:
-    """Membership of x in a base-linear subspace of the tower, given the
-    subspace by an RREF basis of flattened coordinate vectors."""
-    from .linalg import in_row_space
-
-    vec = field.flatten(x)
-    return in_row_space(field.base, subspace_rref, vec)

@@ -29,7 +29,8 @@ from galoiskit.correspondence import (
     subfield_generated_by,
     verify_correspondence,
 )
-from galoiskit.linalg import in_row_space, mat_mul_vec, row_space_basis, rref
+from galoiskit.linalg import mat_mul_vec
+from linalg_oracles import in_row_space, row_space_basis, rref
 
 
 def q(coeffs):
@@ -426,6 +427,28 @@ def test_trace_image_is_the_common_kernel(lattice):
     sf, G, subs = lattice
     for H in subs:
         assert fixed_field(H, G).basis == _fixed_space_by_kernels(H, G), H
+
+
+def test_subfield_contains_matches_the_row_space_oracle(lattice):
+    # a zero residual against the subfield's echelon is membership in its
+    # RREF basis: sums of basis rows (inside), and those plus a random
+    # element (inside only when that element is)
+    sf, G, subs = lattice
+    field, base = sf.field, sf.field.base
+    rng = random.Random(35)
+    fields = [fixed_field(H, G) for H in subs] + [subfield_generated_by(sf, [r]) for r in sf.roots[:3]]
+    counts = [0, 0]
+    for L in fields:
+        for _ in range(4):
+            inside = field.unflatten([sum((base.from_int(rng.randint(-2, 2)) * v[j] for v in L.basis), base.zero())
+                                      for j in range(len(L.basis[0]))])
+            other = field.unflatten([base.from_int(rng.randint(-2, 2)) for _ in L.basis[0]])
+            for x in (inside, inside + other):
+                member = L.contains(x)
+                assert member == in_row_space(base, L.basis, field.flatten(x))
+                counts[member] += 1
+        assert L.contains(L.primitive) and L.contains(field.one())
+    assert min(counts) >= 4, counts
 
 
 def test_coset_representatives_meet_each_other_coset_once(lattice):

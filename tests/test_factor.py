@@ -1321,11 +1321,10 @@ def test_trager_norm_is_exact_beyond_the_norm_primes():
 
 def test_norm_primes_are_the_primes_below_2_61():
     """`_norm_primes` skips exactly the composites below NORM_PRIME (each has
-    a small factor or fails a Fermat test) and the primes dividing den; its
-    Miller-Rabin test agrees with trial division on small odd numbers and
-    rejects strong pseudoprimes to many bases."""
-    from galoiskit.factor import _is_prime_mr
-    from galoiskit.numbers import is_prime
+    a small factor or fails a Fermat test) and the primes dividing den; the
+    primality test it runs, `is_prime`, agrees with trial division on small
+    odd numbers and rejects strong pseudoprimes to many bases."""
+    from galoiskit.numbers import factor_integer, is_prime
 
     primes = list(itertools.islice(_norm_primes(1), 6))
     assert primes[0] == NORM_PRIME and primes == sorted(primes, reverse=True)
@@ -1334,10 +1333,10 @@ def test_norm_primes_are_the_primes_below_2_61():
         composite = any(n % p == 0 for p in small) or any(pow(a, n - 1, n) != 1 for a in (2, 3, 5))
         assert composite != (n in primes)
     assert list(itertools.islice(_norm_primes(primes[1] * primes[3]), 4)) == [primes[0], primes[2], primes[4], primes[5]]
-    assert all(_is_prime_mr(n) == is_prime(n) for n in range(39, 20000, 2))
+    assert all(is_prime(n) == (factor_integer(n) == [n]) for n in range(39, 20000))
     # strong pseudoprimes to the prime bases up to 7 and up to 23
     for n in (3215031751, 3825123056546413051):
-        assert not _is_prime_mr(n)
+        assert not is_prime(n)
 
 
 def test_trager_norm_matches_the_oracle_on_the_ladder(monkeypatch):

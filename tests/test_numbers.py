@@ -112,8 +112,12 @@ def test_factor_integer():
 
 
 def test_trial_division_cap():
+    # factorization stops at the cap; primality is proved by strong tests
+    # up to STRONG_TEST_BOUND and refused from there on
+    assert not is_prime(10**13)
+    assert is_prime(2**61 - 1)
     with pytest.raises(Budget):
-        is_prime(10**13)
+        is_prime(10**24)
     with pytest.raises(Budget):
         factor_integer(10**13)
 

@@ -8,10 +8,11 @@ import pytest
 
 from galoiskit.errors import NotIrreducible, TowerMismatch, ZeroInverse
 from galoiskit.finitefield import find_irreducible
-from galoiskit.linalg import rref, row_space_basis
+from galoiskit.linalg import Echelon
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.tower import Tower, adjoin_root, contains, min_poly, tower_degree
+from galoiskit.tower import Tower, adjoin_root, min_poly, tower_degree
+from linalg_oracles import in_row_space, rref, row_space_basis
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -265,13 +266,17 @@ def test_min_poly_and_coordinates_match_the_solve_oracles():
 def test_contains(sqrt23):
     T2, r3 = sqrt23
     r2 = T2.generators()[0]
-    # span of Q(sqrt2) inside Q(sqrt2, sqrt3)
-    basis = row_space_basis(
-        QQ, [T2.flatten(T2.one()), T2.flatten(r2)]
-    )
-    assert contains(basis, T2, r2)
-    assert not contains(basis, T2, r3)
-    assert contains(basis, T2, T2.coerce(Fraction(7, 3)))
+    # span of Q(sqrt2) inside Q(sqrt2, sqrt3): membership is a zero residual
+    # against the echelon, as against the oracle's RREF basis
+    echelon = Echelon(QQ)
+    for x in (T2.one(), r2):
+        echelon.add(T2.flatten(x))
+    basis = row_space_basis(QQ, [T2.flatten(T2.one()), T2.flatten(r2)])
+    assert echelon.basis() == basis
+    cases = [(r2, True), (r3, False), (T2.coerce(Fraction(7, 3)), True), (r2 * r3, False), (r2 * r2 + r2, True)]
+    for x, inside in cases:
+        vec = T2.flatten(x)
+        assert (not any(echelon.reduce(vec)[0])) == inside == in_row_space(QQ, basis, vec)
 
 
 def test_field_axioms_random_towers(sqrt23):
