@@ -7,17 +7,21 @@ per divisor of the degree.
 """
 
 from galoiskit import (
+    Subgroup,
+    automorphisms,
     find_irreducible,
     frobenius,
     frobenius_order,
-    gal_ff,
     gf,
     is_primitive_root,
     multiplicative_generator,
+    isomorphism_type,
     render,
+    splitting_field_fp,
     subfields,
     unique_pth_root,
 )
+from galoiskit.galois import subgroup_table
 
 F4 = gf(2, 2)
 a = F4.gen()
@@ -40,8 +44,13 @@ print("GF(2^3) has no 4-element subfield:",
 print()
 F = gf(3, 4)
 print(f"GF(3^4): Frobenius has order {frobenius_order(F)}; the Galois group")
-g = gal_ff(3, 4, 2)
-print(f"over the order-9 subfield is {g.type_name} generated by frobenius^2")
+# Gal(GF(3^4) : F_3) is the group of Frobenius powers on the roots of the
+# defining polynomial; the subgroup frobenius^2 generates fixes GF(9)
+sf = splitting_field_fp(F.modulus)
+G = automorphisms(sf)
+frob = [phi.root_perm for phi in G.elements].index(sf.frobenius)
+H = Subgroup(tuple(sorted(G.generated_subgroup([G.table[frob][frob]]))))
+print(f"over the order-9 subfield is {isomorphism_type(subgroup_table(G, H))} generated by frobenius^2")
 
 print()
 F8 = gf(2, 3)

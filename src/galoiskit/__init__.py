@@ -81,7 +81,6 @@ from .finitefield import (
     find_irreducible,
     frobenius,
     frobenius_order,
-    gal_ff,
     gf,
     is_primitive_root,
     multiplicative_generator,

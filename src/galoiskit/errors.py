@@ -84,10 +84,6 @@ class NotNormal(GaloisKitError):
     pass
 
 
-class NotADivisor(GaloisKitError):
-    pass
-
-
 class InvalidDegree(GaloisKitError):
     pass
 

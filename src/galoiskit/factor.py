@@ -947,6 +947,26 @@ def _shift_into(field, h: Poly, s: int) -> Poly:
     return Poly(field, out, normalize=False)
 
 
+def _split_by_norm(sq: Poly, norm_factors, s: int) -> list:
+    """Trager's back end: the monic irreducible factors of the monic
+    squarefree sq over K = Q[y]/(m_gamma), one for each irreducible factor h
+    (an int list) of its squarefree norm at the shift s, in their order.
+    Each h but the last gives gcd(c, h(t + s*y)) for the cofactor c still
+    left, which must divide c exactly; the last factor is c itself, so an
+    irreducible norm needs no gcd.  Then deg h = [K : Q] deg(factor) for all."""
+    K, cof, out = sq.dom, sq, []
+    for h in norm_factors[:-1]:
+        g = poly_gcd(cof, _shift_into(K, Poly(QQ, h), s))
+        cof, r = divmod(cof, g)
+        if r:
+            raise InternalInvariant("a gcd with a norm factor does not divide the input")
+        out.append(g)
+    out.append(cof)
+    if [len(h) - 1 for h in norm_factors] != [K.absolute_degree() * g.degree for g in out]:
+        raise InternalInvariant("a norm factor's degree is not [K : Q] times its factor's")
+    return out
+
+
 def factor_over_extension(g: Poly) -> Factorization:
     """Complete factorization of g over its coefficient field g.dom, whichever
     field that is: the one factoring entry point.  Over Q it is `factor_q`
@@ -954,8 +974,8 @@ def factor_over_extension(g: Poly) -> Factorization:
     Over a tower of characteristic 0, Trager's method runs in the primitive
     element's field K = Q[y]/(m_gamma) (`primitive_field`), where a product
     is one rational product and one reduction mod m_gamma: squarefree part,
-    norm Res_y(m_gamma, g(t - s*y)), shifts h(t + s*y) of its factors h,
-    gcds, reassembly check and multiplicities.  The norm, of degree nd at
+    norm Res_y(m_gamma, g(t - s*y)), one factor per factor of the norm
+    (`_split_by_norm`) and multiplicities.  The norm, of degree nd at
     most NORM_DEGREE_CAP for n = [K : Q] and d = deg g, comes from power sums
     (`_trager_norm`): O(n (nd)^2) integer operations, then O((nd)^2) mod a
     prime per shift s tried, and it is factored as it stands, proved
@@ -992,16 +1012,7 @@ def factor_over_extension(g: Poly) -> Factorization:
     reps = [Poly(QQ, c.coeffs) for c in sq.coeffs]
 
     s, norm = _trager_norm(mgamma, reps, _shift_order(NORM_SHIFT_TRIES))
-    irreducibles = []
-    for h in _factor_sqfree_primitive_z(norm):
-        cand = poly_gcd(sq, _shift_into(K, Poly(QQ, h), s))
-        if cand.degree > 0:
-            irreducibles.append(cand)
-    prod = Poly.one(K)
-    for gi in irreducibles:
-        prod = prod * gi
-    if prod != sq:
-        raise InternalInvariant("norm factorization did not reassemble input")
+    irreducibles = _split_by_norm(sq, _factor_sqfree_primitive_z(norm), s)
     back = lambda f: f.map_domain(dom, lambda c: dom.eval_primitive_poly(Poly(QQ, c.coeffs)))
     return Factorization(unit, _multiplicities(work_k, irreducibles, divmod, Poly.one(K), back))
 

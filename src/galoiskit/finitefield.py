@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import Budget, InternalInvariant, InvalidDegree, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
+from .errors import Budget, InternalInvariant, InvalidDegree, NotIrreducible, NotPrime, ZeroInverse
 from .numbers import PrimeField, divisors, factor_integer, is_prime
 from .poly import Poly
 from .factor import is_irreducible_ff
@@ -247,51 +247,3 @@ def is_primitive_root(a: int, p: int) -> bool:
         if pow(a, (p - 1) // ell, p) == 1:
             return False
     return True
-
-
-class FFGaloisGroup:
-    """Gal(GF(p^n) : GF(p^m)) = C_(n/m), generated by the m-th Frobenius
-    power; the concrete field is built lazily (only `apply` needs it)."""
-
-    def __init__(self, p: int, n: int, m: int):
-        self.p = p
-        self.n = n
-        self.m = m
-        self._field = None
-
-    @property
-    def field(self) -> GF:
-        if self._field is None:
-            self._field = gf(self.p, self.n)
-        return self._field
-
-    @property
-    def order(self) -> int:
-        return self.n // self.m
-
-    @property
-    def type_name(self) -> str:
-        return f"C{self.order}"
-
-    def apply(self, k: int, a):
-        """The k-th power of the generating automorphism x -> x^(p^m)."""
-        return self.field.pow(a, self.p ** (self.m * (k % self.order)))
-
-    def to_json(self):
-        return {
-            "p": self.p,
-            "n": self.n,
-            "m": self.m,
-            "order": self.order,
-            "type": self.type_name,
-            "generator": f"frobenius^{self.m}",
-        }
-
-
-def gal_ff(p: int, n: int, m: int) -> FFGaloisGroup:
-    """The (cyclic) Galois group of GF(p^n) over its subfield of order p^m."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    if n % m != 0:
-        raise NotADivisor(f"{m} does not divide {n}")
-    return FFGaloisGroup(p, n, m)

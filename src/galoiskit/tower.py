@@ -11,14 +11,20 @@ power-product basis a^i * b_j * ... over the base (i of the top level
 outermost), in kernel form -- `Fraction`s over Q, int residues in [0, p)
 over F_p.  An element of an ancestor level is its own tuple followed by
 zeros, so embedding is padding.  Sums and differences are coordinatewise.
-A product (`Tower._mul`) over F_p packs each residue tuple into one
-integer, multiplies once and reduces by adding multiples of the packed
-x^k mod m, rows built with the level (Kronecker substitution; von zur
-Gathen & Gerhard, *Modern Computer Algebra*, 8.4); over Q it multiplies
-the integer numerators and reduces once by pseudo-division; over a lower
-level it convolves the length-[lower : base] slices with the lower product
-and reduces by the minimal polynomial, whose coefficients are cached as
-lower tuples.  Powers (`Tower._pow`) square and multiply those tuples.
+A product (`Tower._mul`) runs on integers through every level.  On the
+bottom level over F_p it packs each residue tuple into one integer,
+multiplies once and reduces by adding multiples of the packed x^k mod m,
+rows built with the level (Kronecker substitution; von zur Gathen &
+Gerhard, *Modern Computer Algebra*, 8.4).  Over Q each operand becomes
+integer numerators over one denominator, once; the bottom level multiplies
+them and reduces once by pseudo-division.  A level above convolves the
+length-[lower : base] slices with the lower integer product (`_mul_z`) and
+reduces by the minimal polynomial, cached as integer numerators over one
+denominator; every level's result carries that level's fixed scale
+(`_scale`), so one `Fraction` is built per coordinate, at the top (one
+denominator per value; von zur Gathen & Gerhard, ch. 6).  Over F_p the same
+recursion keeps residues.  Powers (`Tower._pow`) square and multiply the
+tuples.
 GF(p^n) (`galoiskit.finitefield`) is a one-level tower over F_p and runs on
 these same kernels.  No element object is built below the top, and no `FpElem`
 at all.  The base scalars of `flatten` and the level view `TowerElem.coeffs`
@@ -212,8 +218,15 @@ class Tower:
         self._one = (self.base._flat(1),) + self._zero[1:]
         # the monic minimal polynomial in the product kernel's form
         if isinstance(lower, Tower):  # (j, coordinates) of the nonzero lower coefficients
-            self._modulus = [(j, c.v) for j, c in enumerate(minpoly.coeffs[:-1]) if c]
+            vs, den = [c.v for c in minpoly.coeffs[:-1]], 1
+            if not self.characteristic:  # integer numerators over one denominator
+                nums, den = _numerators([c for v in vs for c in v])
+                vs = [nums[j * self._m : j * self._m + self._m] for j in range(len(vs))]
+            self._modulus = [(j, v) for j, v in enumerate(vs) if any(v)]
+            self._step = lower._scale * den  # one reduction step's factor
+            self._scale = lower._scale * self._step ** (self.level_degree - 1)
         elif p := self.characteristic:  # the packed product's slot width and rows
+            self._scale = 1
             d = self.level_degree
             # 2^w > 2d(p-1)^2; a slot narrower than a byte is widened to one
             w = self._slot = max(8, (2 * d * (p - 1) ** 2).bit_length())
@@ -226,6 +239,7 @@ class Tower:
                 row = [(c - row[-1] * mj) % p for c, mj in zip([0] + row[:-1], m)]
         else:  # integer numerators; the leading one is the common denominator
             self._modulus = _numerators(minpoly.coeffs)[0]
+            self._scale = self._modulus[-1] ** (self.level_degree - 1)
         self._hash = hash(("Tower", self.level_degree, lower, minpoly.coeffs))
         self._primitive = None
         self._primitive_echelon = None
@@ -274,7 +288,9 @@ class Tower:
 
     def _mul(self, a, b) -> tuple:
         """Product of two coordinate tuples, reduced mod the minimal
-        polynomial (see the module docstring).
+        polynomial (see the module docstring).  Over Q, each operand becomes
+        integer numerators over one denominator, `_mul_z` multiplies them
+        through every level, and one `Fraction` is built per coordinate.
 
         On a level of degree d >= 2 over F_p, with residues in [0, p) and a
         monic modulus m, a and b are packed as x = sum a_i 2^(wi) and
@@ -290,22 +306,10 @@ class Tower:
         with slots of one byte, tuples are packed and read as bytes and the
         residues come from a 256-entry table; otherwise by shifts and masks.
         At d = 1 the product is one residue product."""
-        d, m, lower = self.level_degree, self._m, self.lower
-        if isinstance(lower, Tower):
-            mul, add, sub = lower._mul, lower._add, lower._sub
-            b_terms = [(j, y) for j in range(d) if any(y := b[j * m : j * m + m])]
-            out = [lower._zero] * (2 * d - 1)
-            for i in range(d):
-                if any(x := a[i * m : i * m + m]):
-                    for j, y in b_terms:  # a first term is stored, not added to zero
-                        xy = mul(x, y)
-                        out[i + j] = add(out[i + j], xy) if any(out[i + j]) else xy
-            for k in range(2 * d - 2, d - 1, -1):
-                if any(c := out[k]):
-                    for j, mj in self._modulus:
-                        out[k - d + j] = sub(out[k - d + j], mul(c, mj))
-            return tuple(itertools.chain.from_iterable(out[:d]))
-        if p := self.characteristic:  # packed (see the docstring)
+        d = self.level_degree
+        if p := self.characteristic:
+            if isinstance(self.lower, Tower):
+                return tuple(self._mul_z(a, b))
             if d == 1:
                 return (a[0] * b[0] % p,)
             if residues := self._residues:  # a byte a slot
@@ -329,11 +333,48 @@ class Tower:
                 lo >>= w
             return tuple(out)
         (na, da), (nb, db) = _numerators(a), _numerators(b)
-        r, s = _mul_int(na, nb), 1
-        if len(r) > d:  # s * r = q * m + remainder
-            _, r, s = _pseudo_divmod(r, self._modulus)
-        den = s * da * db
-        return tuple([Fraction(c, den) for c in r]) + self._zero[len(r) :]
+        r, den = self._mul_z(na, nb), self._scale * da * db
+        return tuple(map(Fraction, r) if den == 1 else [Fraction(c, den) if c else self._zero[0] for c in r])
+
+    def _mul_z(self, a, b) -> list:
+        """a*b*`_scale` on integer coordinate lists.  On the bottom level over
+        Q, s*r = q*m + rem for the integer modulus m of leading coefficient
+        D, s | D^(d-1), and the result is rem * D^(d-1)/s.  A level above
+        convolves slices with the lower `_mul_z`, of scale S, then reduces by
+        t^d + sum M_j t^j / D (integer slices M_j): the products c*M_j of a
+        top coefficient c have scale S*S*D, so the coefficients below c are
+        first multiplied by the step S*D (deferred while c is zero); the
+        scale ends at S^d D^(d-1).  Over F_p (`_scale` = 1) the lower products
+        are `_mul` on residues, so sums are reduced mod p before them and at
+        the end."""
+        d, m, lower = self.level_degree, self._m, self.lower
+        if not isinstance(lower, Tower):  # over Q; a bottom level over F_p runs `_mul`
+            r, s = _mul_int(a, b), 1
+            if len(r) > d:  # s * r = q * m + remainder
+                _, r, s = _pseudo_divmod(r, self._modulus)
+            if s != self._scale:
+                r = [c * (self._scale // s) for c in r]
+            return r + [0] * (d - len(r))
+        p, step = self.characteristic, self._step
+        mul = lower._mul if p else lower._mul_z
+        b_terms = [(j, y) for j in range(d) if any(y := b[j * m : j * m + m])]
+        out = [[0] * m] * (2 * d - 1)  # every slot is replaced, never changed in place
+        for i in range(d):
+            if any(x := a[i * m : i * m + m]):
+                for j, y in b_terms:
+                    out[i + j] = list(map(operator.add, out[i + j], mul(x, y)))
+        deferred = 1
+        for k in range(2 * d - 2, d - 1, -1):
+            if not any(c := [x % p for x in out[k]] if p else out[k]):
+                deferred *= step
+                continue
+            if step != 1:
+                out[:k] = [[x * step for x in v] for v in out[:k]]
+            for j, mj in self._modulus:
+                out[k - d + j] = list(map(operator.sub, out[k - d + j], mul(c, mj)))
+        if p:
+            return [x % p for v in out[:d] for x in v]
+        return [x * deferred for v in out[:d] for x in v]
 
     def _pow(self, v, e: int) -> tuple:
         """v^e for e >= 0 on coordinate tuples."""

@@ -42,7 +42,9 @@ from galoiskit.factor import (
     _norm_primes,
     _polys,
     _powmod,
+    _shift_into,
     _shift_order,
+    _split_by_norm,
     _trager_norm,
     _z_add,
     _z_mod,
@@ -1397,6 +1399,76 @@ def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
         assert norm == _oracle_norm(mgamma, reps, s)
         shifts.append(s)
     assert set(shifts) - {0}  # inputs whose first shifts are refused
+
+
+def _all_gcd_split(sq, norm_factors, s):
+    """Trager's back end as it ran before exact division: gcd(sq, h(t + s*y))
+    for every factor h of the norm, kept when not constant, and the product
+    of those checked against sq.  The oracle for `_split_by_norm`."""
+    K = sq.dom
+    out = [poly_gcd(sq, _shift_into(K, Poly(QQ, h), s)) for h in norm_factors]
+    out = [g for g in out if g.degree > 0]
+    prod = Poly.one(K)
+    for g in out:
+        prod = prod * g
+    assert prod == sq
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _ladder_norm_splits():
+    """(sq, norm factors, shift) of every `_split_by_norm` call while the
+    ladder splits: norms with one, two and three factors among them."""
+    import galoiskit.factor as factor_mod
+    from galoiskit.cli import parse_poly
+    from galoiskit.splitting import splitting_field_q
+
+    calls, real = [], factor_mod._split_by_norm
+
+    def recorded(sq, norm_factors, s):
+        calls.append((sq, norm_factors, s))
+        return real(sq, norm_factors, s)
+
+    factor_mod._split_by_norm = recorded
+    try:
+        for f in ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1"):
+            splitting_field_q(parse_poly(f))
+    finally:
+        factor_mod._split_by_norm = real
+    return calls
+
+
+def test_norm_split_matches_the_all_gcd_oracle(monkeypatch):
+    import galoiskit.factor as factor_mod
+
+    gcds = []
+    monkeypatch.setattr(factor_mod, "poly_gcd", lambda f, g: gcds.append(1) or poly_gcd(f, g))
+    counts = Counter()
+    for sq, norm_factors, s in _ladder_norm_splits():
+        gcds.clear()
+        assert _split_by_norm(sq, norm_factors, s) == _all_gcd_split(sq, norm_factors, s)
+        assert len(gcds) == len(norm_factors) - 1  # none for an irreducible norm
+        counts[len(norm_factors)] += 1
+    assert set(counts) == {1, 2, 3}
+
+
+def test_a_wrong_cofactor_fails_the_norm_split_checks(monkeypatch):
+    import galoiskit.factor as factor_mod
+
+    # one more linear factor: the last cofactor is a degree too high, which
+    # only the degree check sees
+    sq, norm_factors, s = next(c for c in _ladder_norm_splits() if len(c[1]) == 3)
+    K = sq.dom
+    with pytest.raises(InternalInvariant):
+        _split_by_norm(sq * Poly(K, [K.one(), K.one()]), norm_factors, s)
+    # with two norm factors, a first factor of the right degree that does not
+    # divide leaves a cofactor of the right degree: only the division sees it
+    # (t^5 - 5t + 12 over the field of one root; in the C2^3 split of
+    # (t^2 - 2)(t^2 - 3), the planted t^2 - 3 + 1 is the other factor)
+    sq, norm_factors, s = next(c for c in _ladder_norm_splits() if len(c[1]) == 2 and c[0].dom.absolute_degree() == 5)
+    monkeypatch.setattr(factor_mod, "poly_gcd", lambda f, g: poly_gcd(f, g) + 1)
+    with pytest.raises(InternalInvariant):
+        _split_by_norm(sq, norm_factors, s)
 
 
 # Each mutant drops one term of a Newton recurrence (Tr(y'^e) from m_gamma,

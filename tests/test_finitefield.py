@@ -6,17 +6,18 @@ import tracemalloc
 
 import pytest
 
-from galoiskit.errors import Budget, InternalInvariant, NotADivisor, NotIrreducible, NotPrime, ZeroInverse
+from galoiskit.errors import Budget, InternalInvariant, NotIrreducible, NotPrime, ZeroInverse
 from galoiskit.numbers import PrimeField, divisors, is_prime
 from galoiskit.poly import Poly, render
 from galoiskit.tower import Tower
 from galoiskit.factor import factor_fp, is_irreducible_ff
+from galoiskit.galois import Subgroup, automorphisms, isomorphism_type, subgroup_table
+from galoiskit.splitting import splitting_field_fp
 from galoiskit.finitefield import (
     GF,
     find_irreducible,
     frobenius,
     frobenius_order,
-    gal_ff,
     gf,
     is_primitive_root,
     multiplicative_generator,
@@ -322,33 +323,48 @@ def test_is_primitive_root():
         is_primitive_root(2, 8)
 
 
+def _relative_galois_group(p, n, m):
+    """Gal(GF(p^n) : GF(p^m)) as the subgroup of Gal(GF(p^n) : F_p) that the
+    m-th power of Frobenius generates; Gal(GF(p^n) : F_p) is `automorphisms`
+    of the splitting field of the defining polynomial of gf(p, n).  Returns
+    (splitting field, its Galois group, the subgroup's member indices)."""
+    sf = splitting_field_fp(find_irreducible(p, n))
+    G = automorphisms(sf)
+    frob = [phi.root_perm for phi in G.elements].index(sf.frobenius)
+    power = 0
+    for _ in range(m):
+        power = G.table[power][frob]
+    return sf, G, G.generated_subgroup([power])
+
+
 def test_gal_ff():
-    g = gal_ff(5, 12, 4)
-    assert g.order == 3 and g.type_name == "C3"
-    assert gal_ff(3, 6, 6).order == 1
-    assert gal_ff(3, 6, 1).order == 6
-    with pytest.raises(NotADivisor):
-        gal_ff(3, 6, 4)
-    # the automorphisms really fix the subfield of order p^m pointwise
-    g = gal_ff(2, 6, 2)
-    F = g.field
+    sf, G, H = _relative_galois_group(2, 12, 4)
+    assert G.order == 12 and len(H) == 3
+    assert isomorphism_type(subgroup_table(G, Subgroup(tuple(sorted(H))))) == "C3"
+    assert len(_relative_galois_group(3, 6, 6)[2]) == 1
+    assert len(_relative_galois_group(3, 6, 1)[2]) == 6
+    # frobenius^4 generates what frobenius^gcd(4, 6) does: Gal(GF(3^6) : GF(3^2))
+    assert _relative_galois_group(3, 6, 4)[2] == _relative_galois_group(3, 6, 2)[2]
+    # the automorphisms really fix the subfield of order p^m pointwise, and
+    # nothing else: the splitting field is gf(2, 6)'s own tower
+    sf, G, H = _relative_galois_group(2, 6, 2)
+    F = gf(2, 6)
+    assert sf.field.minpoly == F.modulus and sf.field.absolute_degree() == 6
     sub = dict(subfields(F))[2]
-    for k in range(g.order):
+    for i in H:
         for a in sub.elements:
-            assert g.apply(k, a) == a
+            x = sf.field.unflatten(list(a))
+            assert G.apply(G.elements[i], x) == x
+    moved = [a for a in F.elements() if a not in set(sub.elements)]
+    assert all(any(G.apply(G.elements[i], sf.field.unflatten(list(a))).v != a for i in H) for a in moved)
 
 
 def test_gal_ff_cross_check_with_enumeration():
-    # the abstract C_n description matches the automorphism enumeration of
-    # the splitting field of the defining polynomial, for small fields
-    from galoiskit.splitting import splitting_field_fp
-    from galoiskit.galois import automorphisms, isomorphism_type
-
+    # Frobenius generates the automorphism enumeration of the splitting
+    # field of the defining polynomial, a cyclic group of order n
     for p, n in ((2, 2), (2, 3), (3, 2), (2, 4)):
-        f = find_irreducible(p, n)
-        sf = splitting_field_fp(f.map_domain(PrimeField(p), lambda c: c))
-        G = automorphisms(sf)
-        assert G.order == n == gal_ff(p, n, 1).order
+        _, G, H = _relative_galois_group(p, n, 1)
+        assert G.order == n == len(H)
         assert isomorphism_type(G) == f"C{n}"
         assert G.is_abelian()
 

@@ -13,6 +13,7 @@ from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
 from galoiskit.tower import Tower, adjoin_root, min_poly, tower_degree
 from linalg_oracles import in_row_space, rref, row_space_basis
+from tower_oracles import fraction_product
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -420,7 +421,10 @@ def _ff_kernel_towers():
     yield adjoin_root(F9, Poly(F9, [-(s + 1), 0, 1]), "u")[0]  # F_81 over F_9
     yield adjoin_root(F9, Poly(F9, [-(s + 1), -1, 0, 1]), "v")[0]  # F_3 tower [2, 3]
     F1031 = PrimeField(1031)  # p >= 1024: FpElems are built on demand, not looked up
-    yield adjoin_root(F1031, Poly(F1031, [1, 0, 1]), "i")[0]
+    I, i = adjoin_root(F1031, Poly(F1031, [1, 0, 1]), "i")
+    yield I
+    # a level over it: the level recursion over F_p with wide packed slots below
+    yield adjoin_root(I, Poly(I, [-(i + 1), 0, 0, 0, 0, 1]), "u")[0]
     F7 = PrimeField(7)
     yield Tower(F7, Poly.t(F7), "a", certify=False)  # F_7[a]/(a), the level of GF(7, 1)
     yield Tower(F2, find_irreducible(2, 20), "a", certify=False)  # the level of GF(2^20)
@@ -522,6 +526,42 @@ def test_arithmetic_matches_the_level_view():
                 for y in xs[2:4] + xs[-1:] if big else xs[:4] + rng.sample(xs[4:], 2):
                     _check_level_view(T, x, y, invert=not big or x is xs[-1])
                 _check_ancestors(T, x, rng)
+
+
+LADDER = ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1")
+
+
+def _integer_product_towers():
+    """Towers whose level minimal polynomials are not integral: t^2 - a/3
+    over Q(a), a = sqrt2, a cube root of (a + b)/5 over that, and a tower
+    over Q(r), 3r^2 = 5; then the splitting fields of the ladder and of the
+    second C2^3 field of the correspondence benchmark."""
+    from galoiskit.cli import parse_poly
+    from galoiskit.splitting import splitting_field_q
+
+    A, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    B, b = adjoin_root(A, Poly(A, [-a / 3, 0, 1]), "b")
+    yield B
+    yield adjoin_root(B, Poly(B, [-(a + b) / 5, 0, 0, 1]), "c")[0]
+    yield from itertools.islice(_q_kernel_towers(), 3, None)
+    for f in LADDER + ("(t^2+1)*(t^2-2)*(t^2-3)",):
+        yield splitting_field_q(parse_poly(f)).field
+
+
+def test_product_matches_the_fraction_oracle():
+    rng = random.Random(34)
+    heights, denominators = set(), set()
+    for top in _integer_product_towers():
+        for T in top.chain():
+            heights.add(len(T.chain()))
+            denominators.add(T._step if len(T.chain()) > 1 else T._modulus[-1])
+            xs = _sample(T, rng, 3 if T.absolute_degree() > 12 else 6)
+            for x in xs:
+                for y in xs[1:4] + rng.sample(xs[4:], 2):
+                    prod = T._mul(x.v, y.v)
+                    assert prod == fraction_product(T, x.v, y.v)
+                    assert all(type(c) is Fraction for c in prod) and len(prod) == len(x.v)
+    assert heights >= {1, 2, 3} and max(denominators) > 1
 
 
 def test_finite_tower_arithmetic_builds_no_fpelem(monkeypatch):
