@@ -8,12 +8,10 @@ All arithmetic is exact; there is no floating point anywhere.
 
 from .numbers import (
     QQ,
-    FpElem,
     PrimeField,
     Rational,
     divisors,
     factor_integer,
-    fp_inv,
     is_fermat_prime,
     is_prime,
 )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import InvalidPolygon, NotIrreducible, ZeroPolynomial
-from .numbers import QQ, factor_integer, is_fermat_prime, is_prime
+from .numbers import QQ, is_prime
 from .poly import (
     Poly,
     _numerators,
@@ -254,14 +254,22 @@ def constructible_degree_check(m: Poly, target: str = "") -> ConstructibilityVer
 
 def ngon_constructible(n: int) -> bool:
     """Gauss-Wantzel rule: the regular n-gon is constructible iff the odd
-    part of n is a product of distinct Fermat primes."""
+    part m of n is a product of distinct Fermat primes.  Fermat numbers
+    F_k = 2^(2^k) + 1 are pairwise coprime, so every Fermat prime dividing m
+    is an F_k <= m that divides it, and a composite F_k dividing m brings a
+    prime that is no Fermat prime; no factoring is needed."""
     if n < 3:
         raise InvalidPolygon(f"a polygon needs at least 3 vertices, got {n}")
-    m = n
-    while m % 2 == 0:
-        m //= 2
-    primes = factor_integer(m)
-    return len(set(primes)) == len(primes) and all(is_fermat_prime(q) for q in primes)
+    m, k = n // (n & -n), 0
+    while (f := (1 << (1 << k)) + 1) <= m:
+        if m % f == 0:
+            if not is_prime(f):
+                return False
+            m //= f
+            if m % f == 0:
+                return False
+        k += 1
+    return m == 1
 
 
 def trisection_min_poly() -> Poly:

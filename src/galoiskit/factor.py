@@ -9,8 +9,9 @@ Three coefficient worlds are covered:
   division; Ben-Or's test decides irreducibility alone.  Each algorithm is
   written once, against a small polynomial ring picked by the coefficient
   field (`_polys`): `_FpPolys` computes on int residue lists bound to the
-  residue kernel of `poly`, one per p, `_TowerPolys` on `Poly` over a
-  finite tower.  Only the irreducible factors are wrapped as `Poly`;
+  residue kernel of `poly`, one per p (it reads the one residue `c.v[0]` of
+  each F_p coefficient), `_TowerPolys` on `Poly` over a finite tower.  Only
+  the irreducible factors are wrapped as `Poly`;
 * the rationals: Zassenhaus — primitive + squarefree reduction (proved by
   a squarefree reduction mod some p <= MOD_P_SCAN_BOUND not dividing lc;
   only when no such p exists is f divided by gcd(f, f'), the end of its
@@ -27,7 +28,7 @@ Three coefficient worlds are covered:
   its product is formed.  Multiplicities come from exact division of the
   primitive input over Z.  The modular stage calls the residue functions
   directly (and `poly._xgcd_mod` for the Hensel cofactors): no Poly or
-  FpElem is built between the primitive integer form and the printed
+  F_p scalar is built between the primitive integer form and the printed
   factors;
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
   the problem down to Q through the norm, a resultant.  It runs in the
@@ -215,7 +216,7 @@ class _FpPolys:
         self.monic = lambda a: _monic_mod(a, p)
 
     deg = staticmethod(lambda a: len(a) - 1)
-    read = staticmethod(lambda f: [c.r for c in f.coeffs])
+    read = staticmethod(lambda f: [c.v[0] for c in f.coeffs])
     elem, poly = staticmethod(operator.itemgetter(0)), staticmethod(list)
 
     def deflate(self, a):

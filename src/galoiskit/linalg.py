@@ -1,13 +1,14 @@
 """Exact linear algebra over a field object (QQ, F_p, or a tower).
 
 Matrices are lists of row lists of field elements.  Everything pivots with
-exact field division, so results are exact for Fraction, FpElem and tower
-scalars alike.  `Echelon` is the one Gaussian elimination: it reduces one
-vector at a time and keeps each row's combination of the vectors added so
-far.  Minimal polynomials (the first dependency among powers), coordinates
-in the powers of a primitive element, membership in a subspace (a zero
-residual) and the canonical reduced row echelon bases that subfields are
-compared by (`Echelon.basis`) all run on it.
+exact field division, so results are exact for `Fraction` and `TowerElem`
+scalars alike (an F_p scalar is the one-residue `TowerElem`).  `Echelon` is
+the one Gaussian elimination: it reduces one vector at a time and keeps each
+row's combination of the vectors added so far.  Minimal polynomials (the
+first dependency among powers), coordinates in the powers of a primitive
+element, membership in a subspace (a zero residual) and the canonical
+reduced row echelon bases that subfields are compared by (`Echelon.basis`)
+all run on it.
 """
 
 from __future__ import annotations

@@ -1,12 +1,12 @@
 """Exact scalar arithmetic: rationals, prime fields, elementary number theory.
 
 Rational numbers are `fractions.Fraction` values (always normalized, positive
-denominator, zero is 0/1).  Prime-field scalars are `FpElem` instances that
-carry their modulus.  Both kinds of scalar, together with tower elements from
-`galoiskit.tower`, satisfy one informal protocol: they support `+ - * /`,
-equality, hashing, and truthiness (nonzero test).  Code generic over the
-scalar type talks to a *field object* instead (`QQ`, `PrimeField(p)`, towers),
-which knows how to build and coerce its own scalars.
+denominator, zero is 0/1).  An F_p scalar is the degree-1 finite-field
+element `TowerElem(PrimeField(p), (r,))`, one residue r in [0, p) (Lidl &
+Niederreiter, *Finite Fields*, ch. 2); `galoiskit.tower` re-exports the
+class.  Every scalar supports `+ - * /`, equality, hashing and truthiness
+(nonzero test).  Generic code talks to a *field object* (`QQ`,
+`PrimeField(p)`, towers), which builds and coerces its own scalars.
 
 A base field is the tower of height 0 (`BaseField`): it answers the tower
 questions too -- its base is itself, its degree 1, its chain of levels empty,
@@ -23,9 +23,8 @@ here is probabilistic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import Budget, NotPrime, ZeroInverse
+from .errors import Budget, NotPrime, TowerMismatch, ZeroInverse
 
 Rational = Fraction
 
@@ -105,110 +104,116 @@ def is_fermat_prime(q: int) -> bool:
     return is_prime(q)
 
 
-class FpElem:
-    """A residue mod a prime p.  Immutable value, arithmetic stays mod p."""
+class TowerElem:
+    """An element of a `galoiskit.tower.Tower` or of a `PrimeField` (one
+    residue): `v` is its flat coordinate tuple over the base, and the field
+    `tower` computes on tuples (`_zero`, `_one`, `_add`, `_sub`, `_mul`,
+    `_pow`, `_inv`)."""
 
-    __slots__ = ("r", "p")
+    __slots__ = ("tower", "v")
 
-    def __init__(self, r: int, p: int):
-        self.r = r % p
-        self.p = p
+    def __init__(self, tower, v: tuple):
+        self.tower = tower
+        self.v = v  # length tower.absolute_degree(), kernel form
 
-    def _check(self, other):
-        if isinstance(other, FpElem):
-            if other.p != self.p:
-                raise ValueError(f"mixed moduli {self.p} and {other.p}")
-            return other.r
-        if isinstance(other, int):
-            return other
-        return NotImplemented
+    @property
+    def coeffs(self) -> list:
+        """The level view: coefficients over the lower level, lowest first."""
+        return self.tower.lower._view(self.v)
+
+    def _operands(self, other):
+        """(field, coordinates of self, coordinates of other) in this
+        element's field, or in the other operand's field when this one lies
+        below it (in its base field or a lower level); None if neither holds
+        both."""
+        t = self.tower
+        if type(other) is TowerElem and other.tower is t:
+            return t, self.v, other.v
+        try:
+            return t, self.v, t.coerce(other).v
+        except (TypeError, TowerMismatch):
+            pass
+        if type(other) is TowerElem and (t == other.tower.base or t in other.tower.chain()):
+            # Python tries no reflected method between two TowerElems
+            return other.tower, other.tower.coerce(self).v, other.v
+        return None
 
     def __add__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return FpElem(self.r + v, self.p)
+        t, x, y = ops
+        return TowerElem(t, t._add(x, y))
 
     __radd__ = __add__
 
+    def __neg__(self):
+        t = self.tower
+        return TowerElem(t, t._sub(t._zero, self.v))
+
     def __sub__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return FpElem(self.r - v, self.p)
+        t, x, y = ops
+        return TowerElem(t, t._sub(x, y))
 
     def __rsub__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return FpElem(v - self.r, self.p)
+        t, x, y = ops
+        return TowerElem(t, t._sub(y, x))
 
     def __mul__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return FpElem(self.r * v, self.p)
+        t, x, y = ops
+        return TowerElem(t, t._mul(x, y))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return self * FpElem(v, self.p).inv()
+        t, x, y = ops
+        return TowerElem(t, x) * TowerElem(t, y).inv()
 
     def __rtruediv__(self, other):
-        v = self._check(other)
-        if v is NotImplemented:
+        if (ops := self._operands(other)) is None:
             return NotImplemented
-        return FpElem(v, self.p) * self.inv()
-
-    def __neg__(self):
-        return FpElem(-self.r, self.p)
+        t, x, y = ops
+        return TowerElem(t, y) * TowerElem(t, x).inv()
 
     def __pow__(self, n: int):
-        return FpElem(pow(self.r, n, self.p), self.p)
+        if n < 0:
+            return self.inv() ** (-n)
+        return TowerElem(self.tower, self.tower._pow(self.v, n))
 
-    def inv(self) -> "FpElem":
-        if self.r == 0:
-            raise ZeroInverse(f"0 has no inverse mod {self.p}")
-        return FpElem(pow(self.r, -1, self.p), self.p)
+    def inv(self) -> "TowerElem":
+        """The inverse, by the field's `_inv` kernel."""
+        if not self:
+            raise ZeroInverse(f"zero has no inverse in {self.tower!r}")
+        return TowerElem(self.tower, self.tower._inv(self.v))
 
     def __eq__(self, other):
-        if isinstance(other, FpElem):
-            return self.p == other.p and self.r == other.r
-        if isinstance(other, int):
-            return self.r == other % self.p
-        return NotImplemented
+        if (ops := self._operands(other)) is None:
+            return NotImplemented
+        return ops[1] == ops[2]
 
     def __hash__(self):
-        return hash((self.r, self.p))
+        """The coordinates with trailing zeros stripped, and a one-coordinate
+        value as (residue, p) over F_p and as its `Fraction` over Q, so that
+        equal elements of any level hash alike; an F_p residue does not hash
+        as a plain int (3 and 8 are equal mod 5)."""
+        v = self.v[: max((i for i, c in enumerate(self.v) if c), default=0) + 1]
+        if len(v) > 1:
+            return hash(v)
+        p = self.tower.characteristic
+        return hash((v[0], p) if p else v[0])
 
     def __bool__(self):
-        return self.r != 0
+        return any(self.v)
 
     def __repr__(self):
-        return f"{self.r}"
-
-
-@lru_cache(maxsize=None)  # at most one table per prime below 1024
-def _residue_table(p):
-    return tuple(FpElem(r, p) for r in range(p))
-
-
-def _fp_elems(p, ints):
-    """FpElems from reduced int residues; for p < 1024 each residue is one
-    shared FpElem, looked up, not constructed (a table costs p objects, so
-    larger primes construct each one)."""
-    if p >= 1024:
-        return [FpElem(c, p) for c in ints]
-    table = _residue_table(p)
-    return [table[c] for c in ints]
-
-
-def fp_inv(a: FpElem) -> FpElem:
-    """Multiplicative inverse in F_p; raises ZeroInverse on a = 0."""
-    return a.inv()
+        return self.tower.element_str(self)
 
 
 class BaseField:
@@ -295,53 +300,71 @@ QQ = RationalField()
 
 
 class PrimeField(BaseField):
-    """The field F_p of integers mod a prime p; elements are FpElem."""
+    """The field F_p of integers mod a prime p, the degree-1 case of a finite
+    field: an element is `TowerElem(F, (r,))`, its one residue r in [0, p),
+    and the kernel below is what `TowerElem` calls."""
 
     def __init__(self, p: int):
         if not is_prime(p):
             raise NotPrime(f"{p} is not prime")
         self.p = p
         self.characteristic = p
+        self._zero, self._one = (0,), (1,)
 
-    def zero(self) -> FpElem:
-        return FpElem(0, self.p)
+    def zero(self) -> TowerElem:
+        return TowerElem(self, self._zero)
 
-    def one(self) -> FpElem:
-        return FpElem(1, self.p)
+    def one(self) -> TowerElem:
+        return TowerElem(self, self._one)
 
-    def from_int(self, n: int) -> FpElem:
-        return FpElem(n, self.p)
+    def from_int(self, n: int) -> TowerElem:
+        return TowerElem(self, (n % self.p,))
 
     def coerce(self, x):
-        if isinstance(x, FpElem):
-            if x.p != self.p:
-                raise ValueError(f"element of F_{x.p} is not in F_{self.p}")
+        if type(x) is TowerElem:
+            if x.tower is not self and x.tower != self:
+                raise TypeError(f"element of {x.tower!r} is not in {self!r}")
             return x
         if isinstance(x, int):
-            return FpElem(x, self.p)
+            return TowerElem(self, (x % self.p,))
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroInverse(f"denominator divisible by {self.p}")
-            return FpElem(x.numerator, self.p) / FpElem(x.denominator, self.p)
+            return TowerElem(self, (x.numerator * pow(x.denominator, -1, self.p) % self.p,))
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
 
     def exact_div(self, a, b):
         return a / b
 
+    def _add(self, a, b) -> tuple:
+        return ((a[0] + b[0]) % self.p,)
+
+    def _sub(self, a, b) -> tuple:
+        return ((a[0] - b[0]) % self.p,)
+
+    def _mul(self, a, b) -> tuple:
+        return (a[0] * b[0] % self.p,)
+
+    def _pow(self, v, e: int) -> tuple:
+        return (pow(v[0], e, self.p),)
+
+    def _inv(self, v) -> tuple:
+        return (pow(v[0], -1, self.p),)
+
     def _flat(self, x) -> int:
-        return x % self.p if type(x) is int else self.coerce(x).r
+        return x % self.p if type(x) is int else self.coerce(x).v[0]
 
     def _view(self, coords) -> list:
-        return _fp_elems(self.p, coords)
+        return [TowerElem(self, (c,)) for c in coords]
 
     def sort_key(self, x):
-        return x.r
+        return x.v[0]
 
     def element_str(self, x) -> str:
-        return str(x.r)
+        return str(x.v[0])
 
     def elements(self):
-        return [FpElem(r, self.p) for r in range(self.p)]
+        return self._view(range(self.p))
 
     def __repr__(self):
         return f"F_{self.p}"

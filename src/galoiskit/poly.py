@@ -11,8 +11,10 @@ Over Q and over a prime field the coefficient objects exist only at rest;
 products and division with remainder read each operand once as plain ints,
 compute on ints and wrap only the output coefficients:
 
-* over F_p (and Z/m for Hensel lifting), int residues packed into one
-  integer each, in w-bit slots (`_pack`, `_unpack`, Kronecker substitution):
+* over F_p (and Z/m for Hensel lifting), int residues (the one coordinate
+  `c.v[0]` of each F_p coefficient, a `TowerElem` of the prime field, and
+  `PrimeField._view` wraps them back) packed into one integer each, in
+  w-bit slots (`_pack`, `_unpack`, Kronecker substitution):
   a product is one integer product (`_mul_mod`), and a division reads the
   top slot and adds a multiple of the packed divisor per quotient digit
   (`_divide_packed`, behind `_rem_mod` and `_divmod_mod`), with w wide
@@ -39,7 +41,7 @@ from itertools import zip_longest
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroPoly, InternalInvariant, ZeroPolynomial
-from .numbers import QQ, PrimeField, RationalField, _fp_elems
+from .numbers import QQ, PrimeField, RationalField
 
 
 class _NegInfinity:
@@ -172,7 +174,7 @@ class Poly:
         if not a or not b:
             return Poly.zero(self.dom)
         if isinstance(self.dom, PrimeField):
-            prod = _mul_mod([c.r for c in a], [c.r for c in b], self.dom.p)
+            prod = _mul_mod([c.v[0] for c in a], [c.v[0] for c in b], self.dom.p)
             return _from_residues(self.dom, prod)
         if isinstance(self.dom, RationalField):
             (na, da), (nb, db) = _numerators(a), _numerators(b)
@@ -205,7 +207,7 @@ class Poly:
             raise DivisionByZeroPoly("polynomial division by zero")
         dom = self.dom
         if isinstance(dom, PrimeField):
-            q, r = _divmod_mod([c.r for c in self.coeffs], [c.r for c in other.coeffs], dom.p)
+            q, r = _divmod_mod([c.v[0] for c in self.coeffs], [c.v[0] for c in other.coeffs], dom.p)
             return _from_residues(dom, q), _from_residues(dom, r)
         r = list(self.coeffs)
         dg = len(other.coeffs) - 1
@@ -238,7 +240,7 @@ class Poly:
             raise DivisionByZeroPoly("polynomial division by zero")
         dom = self.dom
         if isinstance(dom, PrimeField):
-            r = _rem_mod([c.r for c in self.coeffs], [c.r for c in other.coeffs], dom.p)
+            r = _rem_mod([c.v[0] for c in self.coeffs], [c.v[0] for c in other.coeffs], dom.p)
             return _from_residues(dom, r)
         if isinstance(dom, RationalField) and len(self.coeffs) >= len(other.coeffs):
             # s*A = Q*B + R on numerators and a = A/da, so a mod b = R / (s*da)
@@ -539,7 +541,7 @@ def _from_numerators(ints, den):
 
 
 def _from_residues(dom, ints):
-    return Poly(dom, _fp_elems(dom.p, ints), normalize=False)
+    return Poly(dom, dom._view(ints), normalize=False)
 
 
 def gcd_ext(f: Poly, g: Poly):
@@ -548,7 +550,7 @@ def gcd_ext(f: Poly, g: Poly):
     dom = f.dom
     if isinstance(dom, PrimeField):
         g = f._coerce_operand(g)
-        d, a, b = _xgcd_mod([c.r for c in f.coeffs], [c.r for c in g.coeffs], dom.p)
+        d, a, b = _xgcd_mod([c.v[0] for c in f.coeffs], [c.v[0] for c in g.coeffs], dom.p)
         return _from_residues(dom, d), _from_residues(dom, a), _from_residues(dom, b)
     r0, r1 = f, g
     a0, a1 = Poly.one(dom), Poly.zero(dom)
@@ -568,7 +570,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     """Monic gcd over a field (zero iff both inputs are zero)."""
     if isinstance(f.dom, PrimeField):
         g = f._coerce_operand(g)
-        a, b = [c.r for c in f.coeffs], [c.r for c in g.coeffs]
+        a, b = [c.v[0] for c in f.coeffs], [c.v[0] for c in g.coeffs]
         return _from_residues(f.dom, _gcd_mod(a, b, f.dom.p))
     while not g.is_zero():
         f, g = g, f % g

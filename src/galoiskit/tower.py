@@ -6,11 +6,14 @@ A base field (QQ / PrimeField) is the tower of height 0 (`numbers.BaseField`):
 it answers the same structural questions, so `chain` and the degrees recurse
 into `lower` and stop there.
 
-An element (`TowerElem`) is stored flat: the tuple of its coordinates in the
-power-product basis a^i * b_j * ... over the base (i of the top level
-outermost), in kernel form -- `Fraction`s over Q, int residues in [0, p)
-over F_p.  An element of an ancestor level is its own tuple followed by
-zeros, so embedding is padding.  Sums and differences are coordinatewise.
+An element (`TowerElem`, defined in `galoiskit.numbers` and re-exported
+here) is stored flat: the tuple of its coordinates in the power-product
+basis a^i * b_j * ... over the base (i of the top level outermost), in
+kernel form -- `Fraction`s over Q, int residues in [0, p) over F_p.  An F_p
+scalar is the same class with one residue, its field the `PrimeField`, so a
+finite field of any degree has one element class.  An element of an
+ancestor level or of the base F_p is its own tuple followed by zeros, so
+embedding is padding.  Sums and differences are coordinatewise.
 A product (`Tower._mul`) runs on integers through every level.  On the
 bottom level over F_p it packs each residue tuple into one integer,
 multiplies once and reduces by adding multiples of the packed x^k mod m,
@@ -26,10 +29,11 @@ denominator per value; von zur Gathen & Gerhard, ch. 6).  Over F_p the same
 recursion keeps residues.  Powers (`Tower._pow`) square and multiply the
 tuples.
 GF(p^n) (`galoiskit.finitefield`) is a one-level tower over F_p and runs on
-these same kernels.  No element object is built below the top, and no `FpElem`
-at all.  The base scalars of `flatten` and the level view `TowerElem.coeffs`
-(coefficients over the lower level, for printing, inversion and `Poly`) are
-made only when asked for.  The flat coordinates are what all the linear
+these same kernels.  No element object is built below the top.  The base
+scalars of `flatten` and the level view `TowerElem.coeffs` (coefficients
+over the lower level, for printing, inversion and `Poly`) are made only when
+asked for.  Each field object inverts its own tuples (`Tower._inv`,
+`PrimeField._inv`).  The flat coordinates are what all the linear
 algebra (minimal polynomials, fixed fields, subfield membership) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
@@ -51,144 +55,12 @@ from .errors import (
     NotMonic,
     SearchExhausted,
     TowerMismatch,
-    ZeroInverse,
 )
 from .linalg import Echelon
+from .numbers import TowerElem
 from .poly import Poly, _mul_int, _numerators, _power, _pseudo_divmod, _sum_str, _trim, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
-
-
-class TowerElem:
-    """An element of a Tower: `v` is its flat coordinate tuple over the base
-    (see the module docstring)."""
-
-    __slots__ = ("tower", "v")
-
-    def __init__(self, tower, v: tuple):
-        self.tower = tower
-        self.v = v  # length tower.absolute_degree(), kernel form
-
-    @property
-    def coeffs(self) -> list:
-        """The level view: coefficients over the lower level, lowest first."""
-        return self.tower.lower._view(self.v)
-
-    def _operands(self, other):
-        """(tower, coordinates of self, coordinates of other) in this
-        element's tower, or in the other operand's tower when this one lies
-        below it; None if neither holds both."""
-        t = self.tower
-        if type(other) is TowerElem and other.tower is t:
-            return t, self.v, other.v
-        try:
-            return t, self.v, t.coerce(other).v
-        except (TypeError, TowerMismatch, ValueError):
-            pass
-        if type(other) is TowerElem and t in other.tower.chain():
-            # Python tries no reflected method between two TowerElems
-            return other.tower, other.tower.coerce(self).v, other.v
-        return None
-
-    def __add__(self, other):
-        if (ops := self._operands(other)) is None:
-            return NotImplemented
-        t, x, y = ops
-        return TowerElem(t, t._add(x, y))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        t = self.tower
-        return TowerElem(t, t._sub(t._zero, self.v))
-
-    def __sub__(self, other):
-        if (ops := self._operands(other)) is None:
-            return NotImplemented
-        t, x, y = ops
-        return TowerElem(t, t._sub(x, y))
-
-    def __rsub__(self, other):
-        if (ops := self._operands(other)) is None:
-            return NotImplemented
-        t, x, y = ops
-        return TowerElem(t, t._sub(y, x))
-
-    def __mul__(self, other):
-        if (ops := self._operands(other)) is None:
-            return NotImplemented
-        t, x, y = ops
-        return TowerElem(t, t._mul(x, y))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if (ops := self._operands(other)) is None:
-            return NotImplemented
-        t, x, y = ops
-        return TowerElem(t, x) * TowerElem(t, y).inv()
-
-    def __rtruediv__(self, other):
-        if (ops := self._operands(other)) is None:
-            return NotImplemented
-        t, x, y = ops
-        return TowerElem(t, y) * TowerElem(t, x).inv()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inv() ** (-n)
-        return TowerElem(self.tower, self.tower._pow(self.v, n))
-
-    def inv(self) -> "TowerElem":
-        """The inverse.  In a one-level field over Q, by a primitive extended
-        PRS on integer lists: pseudo-division from the integer modulus and
-        the numerators a of this element (x = a/den), tracking only the
-        cofactor u of a in u*a = r (mod m), each (r, u) divided by its joint
-        content, until r is a constant c; then x^-1 = u*den/c, built as
-        `Fraction`s once.  Elsewhere, by `gcd_ext` over the lower level mod
-        the minimal polynomial, whose divisions invert lower elements the
-        same way down to the bottom level.  A zero remainder before a
-        constant is a zero divisor: NotIrreducible."""
-        t = self.tower
-        if not self:
-            raise ZeroInverse("zero tower element")
-        if isinstance(t.lower, Tower) or t.characteristic:
-            d, a, _ = gcd_ext(Poly(t.lower, self.coeffs), t.minpoly)
-            if d.degree != 0:
-                raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
-            return t._from_poly(a % t.minpoly)
-        nums, den = _numerators(self.v)
-        r0, r1, u0, u1 = t._modulus, _trim(nums), [], [1]
-        while len(r1) > 1:
-            q, r, s = _pseudo_divmod(r0, r1)  # s*r0 = q*r1 + r
-            if not r:
-                raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
-            qu = _mul_int(q, u1)
-            u = _trim([s * x - y for x, y in itertools.zip_longest(u0, qu, fillvalue=0)])
-            g = math.gcd(*r, *u)
-            r0, r1, u0, u1 = r1, [c // g for c in r], u1, [c // g for c in u]
-        return TowerElem(t, tuple([Fraction(c * den, r1[0]) for c in u1]) + t._zero[len(u1) :])
-
-    def __eq__(self, other):
-        if (ops := self._operands(other)) is None:
-            return NotImplemented
-        return ops[1] == ops[2]
-
-    def __hash__(self):
-        """The coordinates with trailing zeros stripped, and a one-coordinate
-        value as its base scalar, so that equal elements of any level hash
-        alike; but not as a plain int over F_p (3 and 8 are equal mod 5)."""
-        v = self.v[: max((i for i, c in enumerate(self.v) if c), default=0) + 1]
-        if len(v) > 1:
-            return hash(v)
-        p = self.tower.characteristic  # an FpElem hashes as (r, p); none is built
-        return hash((v[0], p) if p else v[0])
-
-    def __bool__(self):
-        return any(self.v)
-
-    def __repr__(self):
-        return self.tower.element_str(self)
 
 
 class Tower:
@@ -261,7 +133,7 @@ class Tower:
         if isinstance(x, TowerElem):
             if x.tower == self:
                 return x
-            if x.tower not in self.lower.chain():
+            if x.tower is not self.base and x.tower not in self.lower.chain() + [self.base]:
                 raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
             return TowerElem(self, x.v + self._zero[len(x.v) :])
         return TowerElem(self, (self.base._flat(x),) + self._zero[1:])
@@ -379,6 +251,34 @@ class Tower:
     def _pow(self, v, e: int) -> tuple:
         """v^e for e >= 0 on coordinate tuples."""
         return _power(v, e, self._mul, self._one)
+
+    def _inv(self, v) -> tuple:
+        """The inverse of a nonzero coordinate tuple.  In a one-level field
+        over Q, by a primitive extended PRS on integer lists: pseudo-division
+        from the integer modulus and the numerators a of the element
+        (x = a/den), tracking only the cofactor u of a in u*a = r (mod m),
+        each (r, u) divided by its joint content, until r is a constant c;
+        then x^-1 = u*den/c, built as `Fraction`s once.  Elsewhere, by
+        `gcd_ext` over the lower level mod the minimal polynomial, whose
+        divisions invert lower elements the same way down to the bottom
+        level.  A zero remainder before a constant is a zero divisor:
+        NotIrreducible."""
+        if isinstance(self.lower, Tower) or self.characteristic:
+            d, a, _ = gcd_ext(Poly(self.lower, self.lower._view(v)), self.minpoly)
+            if d.degree != 0:
+                raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
+            return self._from_poly(a % self.minpoly).v
+        nums, den = _numerators(v)
+        r0, r1, u0, u1 = self._modulus, _trim(nums), [], [1]
+        while len(r1) > 1:
+            q, r, s = _pseudo_divmod(r0, r1)  # s*r0 = q*r1 + r
+            if not r:
+                raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
+            qu = _mul_int(q, u1)
+            u = _trim([s * x - y for x, y in itertools.zip_longest(u0, qu, fillvalue=0)])
+            g = math.gcd(*r, *u)
+            r0, r1, u0, u1 = r1, [c // g for c in r], u1, [c // g for c in u]
+        return tuple([Fraction(c * den, r1[0]) for c in u1]) + self._zero[len(u1) :]
 
     def _from_poly(self, poly: Poly) -> TowerElem:
         vec = [c for x in poly.coeffs for c in self.lower.flatten(x)]
@@ -501,7 +401,10 @@ class Tower:
     # -- presentation ---------------------------------------------------------
 
     def element_str(self, x) -> str:
-        return _sum_str(self.coerce(x).coeffs, self.lower.element_str, self.label, False)
+        v, lower = self.coerce(x).v, self.lower
+        if isinstance(lower, Tower):
+            return _sum_str(lower._view(v), lower.element_str, self.label, False)
+        return _sum_str(v, str, self.label, False)  # a base coordinate prints as itself
 
     def describe(self):
         """JSON-ready description: one {label, min_poly} entry per level."""

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit.errors import NotIrreducible, ZeroPolynomial
-from galoiskit.numbers import QQ
+from galoiskit.errors import Budget, NotIrreducible, ZeroPolynomial
+from galoiskit.numbers import QQ, factor_integer, is_fermat_prime
 from galoiskit.poly import Poly, poly_gcd, squarefree_part
 from galoiskit.factor import is_irreducible_q
 from test_poly import _compose
@@ -286,6 +286,28 @@ def test_ngon_constructible():
     assert ngon_constructible(60)  # 2^2 * 3 * 5
     assert not ngon_constructible(7)
     assert not ngon_constructible(9)  # 3^2 repeats a Fermat prime
+
+
+def _ngon_by_factoring(n):
+    """Oracle: the Gauss-Wantzel rule on the prime factors of the odd part."""
+    m = n
+    while m % 2 == 0:
+        m //= 2
+    primes = factor_integer(m)
+    return len(set(primes)) == len(primes) and all(is_fermat_prime(q) for q in primes)
+
+
+def test_ngon_rule_matches_the_factoring_oracle():
+    assert [n for n in range(3, 10**5 + 1) if ngon_constructible(n) != _ngon_by_factoring(n)] == []
+
+
+def test_ngon_rule_needs_no_factoring():
+    assert not ngon_constructible(10**40)  # 5^2 divides it
+    assert not ngon_constructible(3 * 5 * 641 * 2**40)  # 641 divides F_5
+    assert not ngon_constructible(2**32 + 1)  # F_5 = 641 * 6700417
+    assert ngon_constructible(2**200 * 3 * 5 * 17 * 257 * 65537)
+    with pytest.raises(Budget):
+        ngon_constructible(2**128 + 1)  # F_7: past the primality proof bound
 
 
 def test_classic_problems():

@@ -434,6 +434,15 @@ def test_construct_commands(capsys):
     assert "not_constructible" in out
 
 
+def test_ngon_verdict_past_the_trial_division_cap(capsys):
+    # 5^2 divides 10^40: decided without factoring; F_7 = 2^128 + 1 needs a
+    # primality proof past the strong-test bound
+    assert dispatch(["construct", "ngon", str(10**40)]) == 0
+    assert capsys.readouterr().out.rstrip().endswith("constructible: False")
+    assert dispatch(["construct", "ngon", str(2**128 + 1)]) == 3
+    assert capsys.readouterr().err.startswith("cap exceeded: primality is proved only below")
+
+
 def test_exit_codes(capsys):
     assert dispatch(["factor", "2t"]) == 2  # parse error
     capsys.readouterr()

@@ -198,7 +198,7 @@ def test_powmod_matches_repeated_multiplication():
             for _ in range(d):
                 want = power(want, p, f)
             got = powmod(b, p**d, f)
-            assert got == want and all(c.p == p for c in got.coeffs)
+            assert got == want and all(c.tower == F for c in got.coeffs)
 
 
 def test_ddf_pattern_counts_the_modular_factors():

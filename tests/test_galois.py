@@ -170,7 +170,7 @@ def test_apply_conjugation_style(gal_klein):
 def _apply_by_generator_images(chain, images, field, x):
     """Oracle: map x through generator_k -> images[k] by recursing down the
     tower, with no matrix involved."""
-    if not isinstance(x, TowerElem):
+    if not isinstance(x, TowerElem) or x.tower == field.base:  # a base scalar
         return field.coerce(x)
     img = images[chain.index(x.tower)]
     acc = field.zero()

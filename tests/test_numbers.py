@@ -9,12 +9,10 @@ import pytest
 from galoiskit.errors import Budget, ZeroInverse
 from galoiskit.numbers import (
     TRIAL_DIVISION_CAP,
-    FpElem,
     PrimeField,
     QQ,
     divisors,
     factor_integer,
-    fp_inv,
     is_fermat_prime,
     is_prime,
 )
@@ -31,22 +29,24 @@ def exhaustive_inverse(a, p):
 
 
 def test_fp_inv_examples():
-    assert fp_inv(FpElem(3, 7)) == FpElem(exhaustive_inverse(3, 7), 7)
-    assert fp_inv(FpElem(3, 7)).r == 5
+    F7 = PrimeField(7)
+    assert F7.from_int(3).inv() == F7.from_int(exhaustive_inverse(3, 7))
+    assert F7.from_int(3).inv().v == (5,)
     for p in [2, 3, 5, 97]:
-        assert fp_inv(FpElem(1, p)) == FpElem(1, p)
-    assert fp_inv(FpElem(2, 3)) == FpElem(2, 3)
+        assert PrimeField(p).one().inv() == PrimeField(p).one()
+    assert PrimeField(3).from_int(2).inv() == PrimeField(3).from_int(2)
 
 
 def test_fp_inv_matches_exhaustive_search():
     for p in SMALL_PRIMES:
+        F = PrimeField(p)
         for a in range(1, p):
-            assert fp_inv(FpElem(a, p)).r == exhaustive_inverse(a, p)
+            assert F.from_int(a).inv().v == (exhaustive_inverse(a, p),)
 
 
 def test_fp_inv_zero_raises():
     with pytest.raises(ZeroInverse):
-        fp_inv(FpElem(0, 5))
+        PrimeField(5).zero().inv()
 
 
 def test_field_axioms_random_fp():
@@ -60,7 +60,7 @@ def test_field_axioms_random_fp():
             assert a * (b + c) == a * b + a * c
             assert a + (-a) == F.zero()
             if a:
-                assert a * fp_inv(a) == F.one()
+                assert a * a.inv() == F.one()
 
 
 def test_field_axioms_random_rationals():
@@ -157,6 +157,6 @@ def test_qq_coerce():
 
 def test_fp_coerce_fraction():
     F = PrimeField(7)
-    assert F.coerce(Fraction(1, 2)) == FpElem(4, 7)  # 2*4 = 8 = 1 mod 7
+    assert F.coerce(Fraction(1, 2)) == F.from_int(4)  # 2*4 = 8 = 1 mod 7
     with pytest.raises(ZeroInverse):
         F.coerce(Fraction(1, 7))

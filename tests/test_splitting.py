@@ -92,7 +92,7 @@ def test_fp_examples():
 
     sf = splitting_field_fp(Poly(F7, [-2, 0, 1]))  # 3^2 = 2 mod 7
     assert sf.degree() == 1
-    assert {r.r for r in sf.roots} == {3, 4}
+    assert {r.v[0] for r in sf.roots} == {3, 4}
     assert verify_splits(sf)
 
 

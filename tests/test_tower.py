@@ -1,6 +1,7 @@
 """Tower layer: adjunction, element arithmetic, degrees, minimal polynomials."""
 
 import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -11,9 +12,9 @@ from galoiskit.finitefield import find_irreducible
 from galoiskit.linalg import Echelon
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.tower import Tower, adjoin_root, min_poly, tower_degree
+from galoiskit.tower import Tower, TowerElem, adjoin_root, min_poly, tower_degree
 from linalg_oracles import in_row_space, rref, row_space_basis
-from tower_oracles import fraction_product
+from tower_oracles import fraction_product, residue_product
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -420,7 +421,7 @@ def _ff_kernel_towers():
     yield F9
     yield adjoin_root(F9, Poly(F9, [-(s + 1), 0, 1]), "u")[0]  # F_81 over F_9
     yield adjoin_root(F9, Poly(F9, [-(s + 1), -1, 0, 1]), "v")[0]  # F_3 tower [2, 3]
-    F1031 = PrimeField(1031)  # p >= 1024: FpElems are built on demand, not looked up
+    F1031 = PrimeField(1031)  # a prime past one-byte slots
     I, i = adjoin_root(F1031, Poly(F1031, [1, 0, 1]), "i")
     yield I
     # a level over it: the level recursion over F_p with wide packed slots below
@@ -565,19 +566,78 @@ def test_product_matches_the_fraction_oracle():
 
 
 def test_finite_tower_arithmetic_builds_no_fpelem(monkeypatch):
-    from galoiskit.numbers import FpElem
-
+    # no F_p scalar, the TowerElem of a PrimeField, is built by tower arithmetic
     rng = random.Random(20)
     cases = [(T, _sample(T, rng, 4)) for top in _ff_kernel_towers() for T in top.chain()]
     built = []
-    init = FpElem.__init__
-    monkeypatch.setattr(FpElem, "__init__", lambda self, *a: built.append(1) or init(self, *a))
+    init = TowerElem.__init__
+
+    def counting_init(self, field, v):
+        if isinstance(field, PrimeField):
+            built.append(field)
+        init(self, field, v)
+
+    monkeypatch.setattr(TowerElem, "__init__", counting_init)
     for T, xs in cases:
         for x in xs:
             for y in xs:
                 x * y, x + y, x - y, -x, x**5, x == y, hash(x), bool(x), T.sort_key(x)
                 x + 1, 2 * x, x == 1
     assert not built
+
+
+def test_prime_field_scalars_act_as_tower_elements():
+    # an F_p scalar is the degree-1 TowerElem; against a tower over F_p it
+    # is that tower's element of the same residue, in either operand order
+    for T in _ff_kernel_towers():
+        F, g = T.base, T.generator()
+        xs = [x for x in (g + 1, g) if x]  # g is 0 on the level F_7[a]/(a)
+        x_inv = xs[0].inv()
+        for c in range(F.characteristic):
+            a, b = F.from_int(c), T.coerce(c)
+            assert a == b and b == a and hash(a) == hash(b)
+            for x in xs:
+                for op in (operator.add, operator.sub, operator.mul):
+                    assert op(a, x) == op(b, x) and op(x, a) == op(x, b)
+                    assert op(a, x).tower is T and op(x, a).tower is T
+            x = xs[0]  # each division inverts in T: one operand keeps it quick
+            assert a / x == b * x_inv and (a / x).tower is T
+            if c:
+                assert x / a == x * T.coerce(a.inv()) and (x / a).tower is T
+
+
+def test_scalars_of_different_primes_do_not_mix():
+    F4 = next(_ff_kernel_towers())
+    F9 = adjoin_root(F3, Poly(F3, [1, 0, 1]), "s")[0]
+    pairs = [
+        (F2.one(), F3.one()),
+        (PrimeField(5).from_int(2), PrimeField(7).from_int(2)),
+        (F2.one(), F9.generator()),
+        (F3.one(), F4.generator()),
+        (F4.generator(), F9.generator()),  # two unrelated towers
+    ]
+    for x, y in pairs:
+        assert x != y and y != x
+        for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+            with pytest.raises(TypeError):
+                op(x, y)
+            with pytest.raises(TypeError):
+                op(y, x)
+
+
+def test_fp_level_reduces_its_top_sums_before_the_lower_product():
+    # On u^5 = i + 1 over F_1031(i), slot 5 of the product of
+    # s = 1 + u + ... + u^4 and -(i + 1) s sums four lower products equal to
+    # -(i + 1) = (1030, 1030).  Unreduced, (4120, 4120) times the modulus
+    # coefficient -(i + 1) passes the 23-bit packed slots of F_1031(i).
+    F = PrimeField(1031)
+    I, i = adjoin_root(F, Poly(F, [1, 0, 1]), "i")
+    U, u = adjoin_root(I, Poly(I, [-(i + 1), 0, 0, 0, 0, 1]), "u")
+    assert I._slot == 23 and 2 * 4120 * 1030 >= 1 << I._slot
+    s = sum((u**k for k in range(5)), U.zero())
+    top = U.unflatten([F.from_int(1030)] * U.absolute_degree())
+    for x, y in [(s, s * -(i + 1)), (s * -(i + 1), s * -(i + 1)), (top, top), (s, top)]:
+        assert U._mul(x.v, y.v) == residue_product(U, x.v, y.v)
 
 
 @pytest.mark.slow
