@@ -24,10 +24,10 @@ from galoiskit import (
 from galoiskit.galois import subgroup_table
 
 F4 = gf(2, 2)
-a = F4.gen()
+a = F4.generator()
 print(f"GF(4) built from the canonical irreducible {render(F4.modulus)}")
 print("elements:", ", ".join(F4.element_str(x) for x in F4.elements()))
-print("alpha^2 =", F4.element_str(F4.mul(a, a)), " (the defining relation)")
+print("alpha^2 =", F4.element_str(a * a), " (the defining relation)")
 print("Frobenius x -> x^2 swaps alpha and 1 + alpha:",
       F4.element_str(frobenius(F4, a)))
 print("every element has exactly one square root; sqrt(alpha) =",
@@ -59,7 +59,7 @@ print(f"GF(8)* is cyclic; generator {F8.element_str(gen)} has order 7:")
 cur = F8.one()
 powers = []
 for _ in range(7):
-    cur = F8.mul(cur, gen)
+    cur = cur * gen
     powers.append(F8.element_str(cur))
 print("  powers:", ", ".join(powers))
 print("3 is a primitive root mod 7:", is_primitive_root(3, 7))

@@ -1,11 +1,11 @@
 """GF(p^n): construction, Frobenius, subfield lattice, multiplicative structure.
 
 GF(p^n) is F_p[a]/(m), the one-level `Tower` over F_p with the defining
-polynomial m, and GF(p) is its degree-1 level F_p[a]/(a).  An element is the
-tower element's coordinate tuple: n ints mod p, lowest power first.  Sums,
-products and powers are the tower's tuple kernels (`Tower._add`, `_sub`,
-`_mul`, `_pow`), so the splitting and Galois machinery and GF share one F_p
-extension product; `GF.tower()` is that tower.
+polynomial m, and GF(p) is its degree-1 level F_p[a]/(a).  `GF` is that
+tower, so an element is a `TowerElem` of it, as every finite-field element
+of the library is, and `+`, `-`, `*`, `**` and `inv` are the tower's
+kernels; the splitting and Galois machinery and GF share one F_p extension
+product and one inverse.
 
 No structure query lists the field (Lidl & Niederreiter, *Finite Fields*,
 ch. 2).  The subfield of order p^m, for each m | n, is the fixed set
@@ -26,8 +26,8 @@ from __future__ import annotations
 
 import itertools
 
-from .errors import Budget, InternalInvariant, InvalidDegree, NotIrreducible, NotPrime, ZeroInverse
-from .numbers import PrimeField, divisors, factor_integer, is_prime
+from .errors import Budget, InternalInvariant, InvalidDegree, NotIrreducible, NotPrime
+from .numbers import PrimeField, TowerElem, divisors, factor_integer, is_prime
 from .poly import Poly
 from .factor import is_irreducible_ff
 from .tower import Tower
@@ -54,10 +54,10 @@ def find_irreducible(p: int, n: int) -> Poly:
     raise NotPrime(f"no irreducible of degree {n} over F_{p}")  # unreachable
 
 
-class GF:
-    """The field of order p^n as its one-level tower F_p[a]/(modulus);
-    elements are length-n tuples of ints mod p, the tower's coordinates.
-    `add`, `sub` and `mul` are the tower's tuple kernels."""
+class GF(Tower):
+    """The field of order p^n as its one-level tower F_p[a]/(modulus); its
+    elements are the tower's `TowerElem`s, n residues mod p each, lowest
+    power first."""
 
     def __init__(self, p: int, n: int, modulus: Poly | None = None):
         if not is_prime(p):
@@ -67,52 +67,18 @@ class GF:
         elif not (modulus.dom == PrimeField(p) and modulus.degree == n
                   and modulus.is_monic() and is_irreducible_ff(modulus)):
             raise NotIrreducible(f"{modulus} is not a monic irreducible of degree {n} over F_{p}")
+        super().__init__(PrimeField(p), modulus, "a", certify=False)
         self.p = p
         self.n = n
         self.order = p**n
         self.modulus = modulus
-        self._tower = Tower(PrimeField(p), modulus, "a", certify=False)
-        self.add, self.sub, self.mul = self._tower._add, self._tower._sub, self._tower._mul
         self._generator = None  # multiplicative_generator, once found
-
-    # -- element helpers ------------------------------------------------------
-
-    def zero(self):
-        return self._tower._zero
-
-    def one(self):
-        return self._tower._one
-
-    def gen(self):
-        """The residue class of t (a root of the defining polynomial)."""
-        return self._tower.generator().v
 
     def elements(self):
         """All elements in canonical (ascending coordinate) order."""
         if self.order > ELEMENT_BUDGET:
             raise Budget(f"enumerating {self.order} elements")
-        return list(itertools.product(range(self.p), repeat=self.n))
-
-    def neg(self, a):
-        return self.sub(self.zero(), a)
-
-    def pow(self, a, e: int):
-        if e < 0:
-            a, e = self.inv(a), -e
-        return self._tower._pow(a, e)
-
-    def inv(self, a):
-        if not any(a):
-            raise ZeroInverse("zero has no inverse")
-        return self._tower._pow(a, self.order - 2)
-
-    # -- structure -------------------------------------------------------------
-
-    def tower(self) -> Tower:
-        return self._tower
-
-    def element_str(self, a) -> str:
-        return self._tower.element_str(self._tower.unflatten(a))
+        return [TowerElem(self, v) for v in itertools.product(range(self.p), repeat=self.n)]
 
     def to_json(self):
         gen = multiplicative_generator(self)
@@ -137,7 +103,7 @@ def gf(p: int, n: int) -> GF:
 
 def frobenius(F: GF, a):
     """x -> x^p, the generator of the Galois group over F_p."""
-    return F.pow(a, F.p)
+    return a**F.p
 
 
 def frobenius_order(F: GF) -> int:
@@ -146,7 +112,7 @@ def frobenius_order(F: GF) -> int:
     Tested on the defining generator alpha alone: an automorphism fixing
     F_p and alpha pointwise fixes F_p(alpha), which is the whole field.
     """
-    alpha = F.gen()
+    alpha = F.generator()
     y = frobenius(F, alpha)
     m = 1
     while y != alpha:
@@ -159,11 +125,11 @@ def frobenius_order(F: GF) -> int:
 
 def unique_pth_root(F: GF, a):
     """The unique y with y^p = a (inverse of Frobenius): a^(p^(n-1))."""
-    return F.pow(a, F.p ** (F.n - 1))
+    return a ** (F.p ** (F.n - 1))
 
 
 class SubfieldOfGF:
-    """The subfield of F of order p^m: the fixed set of x -> x^(p^m)."""
+    """The subfield of F of order p^m: the elements of F fixed by x -> x^(p^m)."""
 
     __slots__ = ("field", "m", "order")
 
@@ -173,7 +139,8 @@ class SubfieldOfGF:
         self.order = order
 
     def __contains__(self, x):
-        return self.field.pow(x, self.order) == x
+        x = self.field.coerce(x)
+        return x**self.order == x
 
     @property
     def elements(self) -> frozenset:
@@ -182,12 +149,12 @@ class SubfieldOfGF:
         if self.order > ELEMENT_BUDGET:
             raise Budget(f"enumerating {self.order} elements")
         F = self.field
-        h = F.pow(multiplicative_generator(F), (F.order - 1) // (self.order - 1))
+        h = multiplicative_generator(F) ** ((F.order - 1) // (self.order - 1))
         members = {F.zero()}
         cur = F.one()
         for _ in range(self.order - 1):
             members.add(cur)
-            cur = F.mul(cur, h)
+            cur = cur * h
         return frozenset(members)
 
 
@@ -206,8 +173,8 @@ def subfields(F: GF):
         sub_order = F.p**m
         if m < F.n:
             N = sub_order - 1
-            h = F.pow(g, (F.order - 1) // N)
-            if F.pow(h, N) != one or any(F.pow(h, N // ell) == one for ell in set(factor_integer(N))):
+            h = g ** ((F.order - 1) // N)
+            if h**N != one or any(h ** (N // ell) == one for ell in set(factor_integer(N))):
                 raise InternalInvariant("subfield has the wrong size")
         out.append((m, SubfieldOfGF(F, m, sub_order)))
     return out
@@ -230,8 +197,9 @@ def _first_generator(F: GF):
     if q1 == 1:
         return one
     prime_divs = sorted(set(factor_integer(q1)))
-    for a in itertools.product(range(F.p), repeat=F.n):
-        if any(a) and a != one and all(F.pow(a, q1 // ell) != one for ell in prime_divs):
+    for v in itertools.product(range(F.p), repeat=F.n):
+        a = TowerElem(F, v)
+        if a and a != one and all(a ** (q1 // ell) != one for ell in prime_divs):
             return a
     raise InternalInvariant("no multiplicative generator found")
 

@@ -27,14 +27,14 @@ denominator; every level's result carries that level's fixed scale
 (`_scale`), so one `Fraction` is built per coordinate, at the top (one
 denominator per value; von zur Gathen & Gerhard, ch. 6).  Over F_p the same
 recursion keeps residues.  Powers (`Tower._pow`) square and multiply the
-tuples.
-GF(p^n) (`galoiskit.finitefield`) is a one-level tower over F_p and runs on
-these same kernels.  No element object is built below the top.  The base
-scalars of `flatten` and the level view `TowerElem.coeffs` (coefficients
-over the lower level, for printing, inversion and `Poly`) are made only when
-asked for.  Each field object inverts its own tuples (`Tower._inv`,
-`PrimeField._inv`).  The flat coordinates are what all the linear
-algebra (minimal polynomials, fixed fields, subfield membership) runs on.
+tuples.  GF(p^n) (`galoiskit.finitefield.GF`) is a one-level tower over F_p,
+so its elements are `TowerElem`s on these same kernels.  No element object
+is built below the top.  The base scalars of `flatten` and the level view
+`TowerElem.coeffs` (coefficients over the lower level, for printing,
+inversion and `Poly`) are made only when asked for.  Each field object
+inverts its own tuples (`Tower._inv`, `PrimeField._inv`).  The flat
+coordinates are what all the linear algebra (minimal polynomials, fixed
+fields, subfield membership) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
@@ -261,9 +261,11 @@ class Tower:
         then x^-1 = u*den/c, built as `Fraction`s once.  Elsewhere, by
         `gcd_ext` over the lower level mod the minimal polynomial, whose
         divisions invert lower elements the same way down to the bottom
-        level.  A zero remainder before a constant is a zero divisor:
-        NotIrreducible."""
+        level; an element of the lower level is inverted there and padded.
+        A zero remainder before a constant is a zero divisor: NotIrreducible."""
         if isinstance(self.lower, Tower) or self.characteristic:
+            if not any(v[(m := self._m) :]):
+                return self.lower._inv(v[:m]) + self._zero[m:]
             d, a, _ = gcd_ext(Poly(self.lower, self.lower._view(v)), self.minpoly)
             if d.degree != 0:
                 raise NotIrreducible("minpoly is not irreducible: found a zero divisor")

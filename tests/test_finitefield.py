@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from galoiskit.errors import Budget, InternalInvariant, NotIrreducible, NotPrime, ZeroInverse
-from galoiskit.numbers import PrimeField, divisors, is_prime
+from galoiskit.numbers import PrimeField, TowerElem, divisors, is_prime
 from galoiskit.poly import Poly, render
 from galoiskit.tower import Tower
 from galoiskit.factor import factor_fp, is_irreducible_ff
@@ -24,6 +24,7 @@ from galoiskit.finitefield import (
     subfields,
     unique_pth_root,
 )
+from tower_oracles import residue_product
 
 F2 = PrimeField(2)
 
@@ -46,13 +47,15 @@ def test_find_irreducible_examples():
 def test_gf_construction():
     F4 = gf(2, 2)
     assert F4.order == 4
+    assert isinstance(F4, Tower)
     elems = F4.elements()
     assert len(elems) == 4
-    a = F4.gen()
+    assert all(type(x) is TowerElem and x.tower is F4 for x in elems)
+    a = F4.generator()
     # alpha^2 = 1 + alpha and (1 + alpha)^2 = alpha
-    assert F4.mul(a, a) == F4.add(F4.one(), a)
-    one_plus_a = F4.add(F4.one(), a)
-    assert F4.mul(one_plus_a, one_plus_a) == a
+    assert a * a == F4.one() + a
+    one_plus_a = F4.one() + a
+    assert one_plus_a * one_plus_a == a
     assert gf(3, 2).order == 9
     assert gf(7, 1).order == 7
     with pytest.raises(NotPrime):
@@ -83,15 +86,24 @@ def test_gf_field_axioms_exhaustive_small():
         F = gf(p, n)
         elems = F.elements()
         for a in elems:
-            assert F.add(a, F.neg(a)) == F.zero()
-            if any(a):
-                assert F.mul(a, F.inv(a)) == F.one()
+            assert a + -a == F.zero()
+            if a:
+                assert a * a.inv() == F.one()
         for a in elems:
             for b in elems:
-                assert F.add(a, b) == F.add(b, a)
-                assert F.mul(a, b) == F.mul(b, a)
+                assert a + b == b + a
+                assert a * b == b * a
         with pytest.raises(ZeroInverse):
-            F.inv(F.zero())
+            F.zero().inv()
+
+
+def test_every_nonzero_element_times_its_inverse_is_one():
+    for p, n in ((2, 4), (3, 3), (5, 2), (7, 1)):
+        F = gf(p, n)
+        nonzero = [x for x in F.elements() if x]
+        assert len(nonzero) == F.order - 1
+        for x in nonzero:
+            assert x * x.inv() == F.one()
 
 
 # the GF shapes of degree <= 10 that the ff_structure benchmark asks, and GF(7)
@@ -99,27 +111,39 @@ KERNEL_SHAPES = ((2, 5), (3, 3), (7, 2), (2, 10), (5, 4), (31, 2), (4099, 1),
                  (3, 9), (5, 6), (127, 2), (16381, 1), (7, 1))
 
 
+def _oracle_power(F, v, e):
+    """v^e by right-to-left square and multiply on `residue_product`."""
+    out = F._one
+    while e:
+        if e & 1:
+            out = residue_product(F, out, v)
+        v, e = residue_product(F, v, v), e >> 1
+    return out
+
+
 def test_gf_arithmetic_is_its_one_level_tower():
-    """F.mul, F.pow and F.inv on random elements agree with *, ** and inv of
-    the same coordinates in the tower F_p[a]/(modulus)."""
+    """*, ** and inv on random elements of GF(p^n), the one-level tower
+    F_p[a]/(modulus), agree with the schoolbook product of
+    `tower_oracles.residue_product` on their coordinates: a product
+    directly, a power by that product's square and multiply, and an
+    inverse by its oracle product with x being one."""
     rng = random.Random(20)
     for p, n in KERNEL_SHAPES:
         F = gf(p, n)
-        T = Tower(PrimeField(p), F.modulus, "a", certify=False)
+        assert F.level_degree == n and F.minpoly == F.modulus and F.lower == PrimeField(p)
         for _ in range(12):
-            a, b = (tuple(rng.randrange(p) for _ in range(n)) for _ in range(2))
-            x, y = T.unflatten(list(a)), T.unflatten(list(b))
+            x, y = (F.unflatten([rng.randrange(p) for _ in range(n)]) for _ in range(2))
             e = rng.randrange(2, 3 * F.order)
-            assert F.mul(a, b) == (x * y).v
-            assert F.pow(a, e) == (x**e).v
-            if any(a):
-                assert F.inv(a) == x.inv().v
+            assert (x * y).v == residue_product(F, x.v, y.v)
+            assert (x**e).v == _oracle_power(F, x.v, e)
+            if x:
+                assert residue_product(F, x.v, x.inv().v) == F._one
 
 
 def test_frobenius_swaps_f4():
     F4 = gf(2, 2)
-    a = F4.gen()
-    one_plus_a = F4.add(F4.one(), a)
+    a = F4.generator()
+    one_plus_a = F4.one() + a
     assert frobenius(F4, a) == one_plus_a
     assert frobenius(F4, one_plus_a) == a
     assert frobenius(F4, F4.zero()) == F4.zero()
@@ -148,22 +172,22 @@ def test_frobenius_additive_homomorphism_exhaustive():
     for p, n in small:
         F = gf(p, n)
         elems = F.elements()
-        frob = {a: F.pow(a, p) for a in elems}
+        frob = {a: a**p for a in elems}
         for x in elems:
             fx = frob[x]
             for y in elems:
-                assert frob[F.add(x, y)] == F.add(fx, frob[y])
+                assert frob[x + y] == fx + frob[y]
     larger = [(2, 10), (2, 12), (3, 6), (3, 7), (5, 4), (7, 4), (11, 3), (13, 3)]
     for p, n in larger:
         F = gf(p, n)
         if F.order > 1 << 12:
             continue
-        basis = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
-        frob_basis = [F.pow(b, p) for b in basis]
+        basis = [F.generator() ** j for j in range(n)]
+        frob_basis = [b**p for b in basis]
         for x in F.elements():
-            fx = F.pow(x, p)
+            fx = x**p
             for b, fb in zip(basis, frob_basis):
-                assert F.pow(F.add(x, b), p) == F.add(fx, fb)
+                assert (x + b) ** p == fx + fb
 
 
 def test_every_element_is_qth_root_of_itself():
@@ -171,7 +195,7 @@ def test_every_element_is_qth_root_of_itself():
     for p, n in ((2, 2), (2, 6), (2, 12), (3, 4), (3, 7), (5, 4), (7, 3), (11, 3)):
         F = gf(p, n)
         elems = F.elements()
-        frob = {a: F.pow(a, p) for a in elems}
+        frob = {a: a**p for a in elems}
         for x in elems:
             y = x
             for _ in range(n):
@@ -181,9 +205,9 @@ def test_every_element_is_qth_root_of_itself():
 
 def test_unique_pth_root():
     F4 = gf(2, 2)
-    a = F4.gen()
+    a = F4.generator()
     assert unique_pth_root(F4, F4.one()) == F4.one()
-    assert unique_pth_root(F4, a) == F4.add(F4.one(), a)  # (1+a)^2 = a
+    assert unique_pth_root(F4, a) == F4.one() + a  # (1+a)^2 = a
     Fp = gf(7, 1)
     for x in Fp.elements():
         assert unique_pth_root(Fp, x) == x
@@ -191,7 +215,7 @@ def test_unique_pth_root():
         F = gf(p, n)
         for x in F.elements():
             y = unique_pth_root(F, x)
-            assert F.pow(y, p) == x
+            assert y**p == x
 
 
 def test_subfields_lattice():
@@ -214,11 +238,11 @@ def test_subfield_subsets_are_subfields():
         assert len(elems) == 2**m
         for a in elems:
             for b in elems:
-                assert F.add(a, b) in elems
-                assert F.mul(a, b) in elems
+                assert a + b in elems
+                assert a * b in elems
         # the fixed-set description: a^(p^m) = a for members
         for a in elems:
-            assert F.pow(a, 2**m) == a
+            assert a ** (2**m) == a
 
 
 def _fields_up_to(limit):
@@ -240,12 +264,12 @@ def test_subfield_membership_matches_generator_powers():
         elems = F.elements()
         g = multiplicative_generator(F)
         for m, sub in subfields(F):
-            h = F.pow(g, (F.order - 1) // (p**m - 1))
+            h = g ** ((F.order - 1) // (p**m - 1))
             listed = {F.zero()}
             cur = F.one()
             for _ in range(p**m - 1):
                 listed.add(cur)
-                cur = F.mul(cur, h)
+                cur = cur * h
             assert cur == F.one() and len(listed) == p**m
             members = {a for a in elems if a in sub}
             assert len(members) == sub.order == p**m
@@ -276,7 +300,7 @@ def test_subfield_size_certificate_can_fail():
     for n, exponents in ((4, (3,)), (12, (3, 7))):
         F = gf(2, n)
         g = multiplicative_generator(F)
-        for bad in [F.pow(g, e) for e in exponents] + [F.zero()]:
+        for bad in [g**e for e in exponents] + [F.zero()]:
             F._generator = bad
             with pytest.raises(InternalInvariant, match="wrong size"):
                 subfields(F)
@@ -288,7 +312,7 @@ def test_subfields_of_gf_2_20_take_few_products(monkeypatch):
     calls = []
     mul = Tower._mul
     monkeypatch.setattr(Tower, "_mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
-    F = gf(2, 20)  # built after the patch: GF.mul binds Tower._mul at construction
+    F = gf(2, 20)
     multiplicative_generator(F)
     calls.clear()
     assert [s.order for _, s in subfields(F)] == [2**m for m in (1, 2, 4, 5, 10, 20)]
@@ -302,14 +326,14 @@ def test_subfield_count_is_divisor_count():
 
 def test_multiplicative_generator():
     F4 = gf(2, 2)
-    assert multiplicative_generator(F4) == F4.gen()
+    assert multiplicative_generator(F4) == F4.generator()
     for p, n in ((2, 4), (3, 2), (5, 2), (7, 1), (2, 8)):
         F = gf(p, n)
         g = multiplicative_generator(F)
         seen = set()
         cur = F.one()
         for _ in range(F.order - 1):
-            cur = F.mul(cur, g)
+            cur = cur * g
             seen.add(cur)
         assert len(seen) == F.order - 1
 
@@ -353,10 +377,10 @@ def test_gal_ff():
     sub = dict(subfields(F))[2]
     for i in H:
         for a in sub.elements:
-            x = sf.field.unflatten(list(a))
+            x = TowerElem(sf.field, a.v)
             assert G.apply(G.elements[i], x) == x
     moved = [a for a in F.elements() if a not in set(sub.elements)]
-    assert all(any(G.apply(G.elements[i], sf.field.unflatten(list(a))).v != a for i in H) for a in moved)
+    assert all(any(G.apply(G.elements[i], TowerElem(sf.field, a.v)).v != a.v for i in H) for a in moved)
 
 
 def test_gal_ff_cross_check_with_enumeration():

@@ -701,6 +701,45 @@ def test_one_level_inverse_finds_a_zero_divisor():
     assert (y + 2).inv() * (y + 2) == T.one()
 
 
+def _lower_level_inverses():
+    """(level L, nonzero x of L embedded in the tower T, the `_gcd_ext_inverse`
+    of x in T) for every kernel tower T: base scalars (L the base field) and
+    a few elements of each level below the top."""
+    rng = random.Random(35)
+    for T in _kernel_towers():
+        base = T.base
+        for L in [base] + T.chain()[:-1]:
+            if L is base:
+                xs = [base.from_int(c) for c in (1, -2, 5)] + [_coord(base, rng) for _ in range(3)]
+            else:
+                xs = _sample(L, rng, 2)
+            for x in (T.coerce(x) for x in xs if x):
+                yield L, x, _gcd_ext_inverse(x)
+
+
+def test_lower_level_inverses_match_the_gcd_ext_route():
+    cases = list(_lower_level_inverses())
+    assert len(cases) > 100
+    for _, x, y in cases:
+        assert x.inv() == y
+
+
+def test_lower_level_inverses_run_no_euclid_at_or_above_their_level(monkeypatch):
+    # Tower._inv of an element of the lower level L inverts it in L itself,
+    # so gcd_ext runs over no field at or above L: over none at all for a
+    # base scalar
+    import galoiskit.tower as tower_module
+
+    cases = list(_lower_level_inverses())  # the oracle runs gcd_ext at every level
+    gcd_ext, over = tower_module.gcd_ext, []
+    monkeypatch.setattr(tower_module, "gcd_ext", lambda f, g: over.append(f.dom) or gcd_ext(f, g))
+    for L, x, y in cases:
+        over.clear()
+        assert x.inv() == y
+        levels = [x.tower.base] + x.tower.chain()
+        assert not any(dom in levels[levels.index(L) :] for dom in over)
+
+
 def _schoolbook_fp_product(a, b, p, m):
     """The F_p extension product before it ran on packed integers: the
     schoolbook product of the residue tuples a and b, then reduction by the
@@ -739,7 +778,8 @@ def test_powers_make_one_product_per_bit_after_the_top_one(monkeypatch):
 
     T, F = next(_q_kernel_towers()), gf(3, 5)
     x = T.unflatten([Fraction(1, 2), 0, -1, Fraction(2, 3)]).v
-    for tower, x, power in ((T, x, T._pow), (F._tower, (1, 2, 0, 1, 2), F.pow)):
+    gf_power = lambda v, e: (TowerElem(F, v) ** e).v  # a GF element's `**`
+    for tower, x, power in ((T, x, T._pow), (F, (1, 2, 0, 1, 2), gf_power)):
         mul, calls = tower._mul, []
         monkeypatch.setattr(tower, "_mul", lambda a, b: calls.append(1) or mul(a, b))
         expected = tower._one
