@@ -360,7 +360,6 @@ def _cmd_minpoly(args, dom):
     if dom != QQ:
         raise ParseError("minpoly towers are built over Q", expected=["--field Q"])
     current = QQ
-    labels = "abcdefgh"
     for i, src in enumerate(args.polys):
         f = parse_poly(src, QQ).map_domain(current, current.coerce)
         fact = factor.factor_over_extension(f)
@@ -371,7 +370,8 @@ def _cmd_minpoly(args, dom):
         new_degree = current.absolute_degree() * g.degree
         if new_degree > args.max_degree:
             raise DegreeCap(f"tower degree would reach {new_degree} > cap {args.max_degree}")
-        current, _ = tower.adjoin_root(current, g, labels[i], certify=False)
+        # a level is labelled by its argument's position
+        current, _ = tower.adjoin_root(current, g, tower.level_label(i), certify=False)
     if current == QQ:
         _emit(args, {"degree": 1, "tower": []}, ["degree 1 (everything split)"])
         return

@@ -10,13 +10,15 @@ product and one inverse.
 No structure query lists the field (Lidl & Niederreiter, *Finite Fields*,
 ch. 2).  The subfield of order p^m, for each m | n, is the fixed set
 {a : a^(p^m) = a} of the m-th Frobenius power, so membership costs one
-exponentiation.  The multiplicative generator is the first element in
-canonical order whose order is certified to be q - 1 = p^n - 1
-(x^((q-1)/l) != 1 for every prime l | q - 1); candidates are made one at a
-time, and the answer is kept on the field.  Each proper subfield's size is
-certified the same way: h = g^((q-1)/N), N = p^m - 1, has h^N = 1 and
-h^(N/l) != 1 for every prime l | N, so ord h = N.  Only `GF.elements` and
-`SubfieldOfGF.elements` enumerate, within ELEMENT_BUDGET.
+exponentiation.  One certificate, `_order_is`, proves every multiplicative
+order: an x with x^N = 1 has order N iff x^(N/l) != 1 for every prime
+l | N.  It finds the multiplicative generator, the first element in
+canonical order of order q - 1 = p^n - 1 (candidates are made one at a
+time; the answer is kept on the field), certifies each proper subfield's
+size by h = g^((q-1)/N), N = p^m - 1, having h^N = 1 and order N, and
+answers `is_primitive_root`.  Only `GF.elements` and
+`SubfieldOfGF.elements` (the powers of h, by `closure`) enumerate, within
+ELEMENT_BUDGET.
 
 The defining polynomial is the least monic irreducible of degree n in the
 canonical order, so construction is deterministic.
@@ -25,11 +27,13 @@ canonical order, so construction is deterministic.
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .errors import Budget, InternalInvariant, InvalidDegree, NotIrreducible, NotPrime
 from .numbers import PrimeField, TowerElem, divisors, factor_integer, is_prime
 from .poly import Poly
 from .factor import is_irreducible_ff
+from .splitting import closure
 from .tower import Tower
 
 ELEMENT_BUDGET = 1 << 20
@@ -60,8 +64,7 @@ class GF(Tower):
     power first."""
 
     def __init__(self, p: int, n: int, modulus: Poly | None = None):
-        if not is_prime(p):
-            raise NotPrime(f"{p} is not prime")
+        # find_irreducible and PrimeField raise NotPrime for a composite p
         if modulus is None:
             modulus = find_irreducible(p, n)  # certified by construction
         elif not (modulus.dom == PrimeField(p) and modulus.degree == n
@@ -150,20 +153,15 @@ class SubfieldOfGF:
             raise Budget(f"enumerating {self.order} elements")
         F = self.field
         h = multiplicative_generator(F) ** ((F.order - 1) // (self.order - 1))
-        members = {F.zero()}
-        cur = F.one()
-        for _ in range(self.order - 1):
-            members.add(cur)
-            cur = cur * h
-        return frozenset(members)
+        return frozenset(closure(F.one(), (h,), operator.mul) | {F.zero()})
 
 
 def subfields(F: GF):
     """One subfield per divisor m of n: the fixed set {a : a^(p^m) = a} of
     the m-th Frobenius power, which has p^m elements.  Nothing is listed.
     For m < n the size is still checked: h = g^((q-1)/N), N = p^m - 1, must
-    have order exactly N, certified by h^N = 1 and h^(N/l) != 1 for every
-    prime l | N (O(n log p) products per subfield)."""
+    have order exactly N, certified by h^N = 1 and `_order_is`
+    (O(n log p) products per subfield)."""
     if F.order > ELEMENT_BUDGET:
         raise Budget(f"field order {F.order} exceeds budget {ELEMENT_BUDGET}")
     g = multiplicative_generator(F)
@@ -174,44 +172,38 @@ def subfields(F: GF):
         if m < F.n:
             N = sub_order - 1
             h = g ** ((F.order - 1) // N)
-            if h**N != one or any(h ** (N // ell) == one for ell in set(factor_integer(N))):
+            if h**N != one or not _order_is(h, N, one):
                 raise InternalInvariant("subfield has the wrong size")
         out.append((m, SubfieldOfGF(F, m, sub_order)))
     return out
 
 
+def _order_is(x, N: int, one) -> bool:
+    """For an x with x^N = 1: whether its order is N, that is x^(N/l) != 1
+    for every prime l | N."""
+    return all(x ** (N // ell) != one for ell in sorted(set(factor_integer(N))))
+
+
 def multiplicative_generator(F: GF):
-    """First element (canonical order) of multiplicative order p^n - 1,
-    certified by checking x^((q-1)/l) != 1 for every prime l | q-1.
-    Candidates are made one at a time; the answer is kept on F."""
+    """First element (canonical order) of multiplicative order q - 1 = p^n - 1,
+    certified by `_order_is` (every nonzero x has x^(q-1) = 1).  Candidates
+    are made one at a time; the answer is kept on F."""
     if F._generator is None:
-        F._generator = _first_generator(F)
+        if F.order > ELEMENT_BUDGET:
+            raise Budget(f"enumerating {F.order} elements")
+        one = F.one()
+        for v in itertools.product(range(F.p), repeat=F.n):
+            a = TowerElem(F, v)
+            # 0 is no unit, and 1 has order q - 1 only in GF(2): no power is tried on either
+            if a and (a != one or F.order == 2) and _order_is(a, F.order - 1, one):
+                F._generator = a
+                break
+        else:
+            raise InternalInvariant("no multiplicative generator found")
     return F._generator
-
-
-def _first_generator(F: GF):
-    if F.order > ELEMENT_BUDGET:
-        raise Budget(f"enumerating {F.order} elements")
-    q1 = F.order - 1
-    one = F.one()
-    if q1 == 1:
-        return one
-    prime_divs = sorted(set(factor_integer(q1)))
-    for v in itertools.product(range(F.p), repeat=F.n):
-        a = TowerElem(F, v)
-        if a and a != one and all(a ** (q1 // ell) != one for ell in prime_divs):
-            return a
-    raise InternalInvariant("no multiplicative generator found")
 
 
 def is_primitive_root(a: int, p: int) -> bool:
     """True iff a generates the multiplicative group mod the prime p."""
-    if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
-    a %= p
-    if a == 0:
-        return False
-    for ell in sorted(set(factor_integer(p - 1))):
-        if pow(a, (p - 1) // ell, p) == 1:
-            return False
-    return True
+    F = PrimeField(p)  # NotPrime unless p is prime
+    return a % p != 0 and _order_is(F.from_int(a), p - 1, F.one())

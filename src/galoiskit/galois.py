@@ -18,12 +18,14 @@ algebra reads, is built on first read from the generator images.
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
 composition table, so it also serves abstract permutation groups in tests
-and the quotient checks of the correspondence module.  It has one orbit
-routine, `closure`, for generated subgroups, `from_permutations` and
-`orbits`, and one class numbering, `class_table`, which numbers classes by
-their least elements and composes those: cosets for `quotient_group`, the
-members of a subgroup for `subgroup_table`, and the restrictions and cosets
-of the correspondence module.
+and the quotient checks of the correspondence module.  The one orbit
+routine, `closure` (defined in `galoiskit.splitting`), serves generated
+subgroups, `from_permutations`, `orbits`, the Frobenius cycles of a
+splitting field and `SubfieldOfGF.elements`; one class numbering,
+`class_table`, numbers classes by their least elements and composes those:
+cosets for `quotient_group`, the members of a subgroup for
+`subgroup_table`, and the restrictions and cosets of the correspondence
+module.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import gcd
 from .errors import InternalInvariant, NotASubgroup, NotNormal, OrderCap
 from .linalg import mat_mul_vec
 from .poly import Poly, _numerators
-from .splitting import SplittingField, root_permutation
+from .splitting import SplittingField, closure, root_permutation
 
 SUBGROUP_ORDER_CAP = 60
 TYPE_ORDER_CAP = 120
@@ -81,21 +83,6 @@ class FiniteGroup:
         """Indices of the subgroup generated by `gens`."""
         table = self.table
         return frozenset(closure(0, list(gens), lambda g, x: table[g][x]))
-
-
-def closure(start, gens, act):
-    """Every point reachable from `start` by act(g, .) for g in `gens`: the
-    orbit of `start` under the group they generate (Holt, Eick & O'Brien,
-    Handbook of Computational Group Theory, 4.1)."""
-    seen, frontier = {start}, [start]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = act(g, x)
-            if y not in seen:
-                seen.add(y)
-                frontier.append(y)
-    return seen
 
 
 def from_permutations(gens):
@@ -162,9 +149,6 @@ class GaloisGroup(FiniteGroup):
         super().__init__(_perm_table([a.root_perm for a in elements]))
         self.sf = sf
         self.elements = elements  # Automorphism list, canonical order, id first
-
-    def apply(self, phi: Automorphism, x):
-        return apply_automorphism(self.sf.field, phi, x)
 
     def matrix_of(self, i: int):
         """Matrix of element i on the flattened power-product basis."""

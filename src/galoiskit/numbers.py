@@ -10,8 +10,9 @@ class.  Every scalar supports `+ - * /`, equality, hashing and truthiness
 
 A base field is the tower of height 0 (`BaseField`): it answers the tower
 questions too -- its base is itself, its degree 1, its chain of levels empty,
-its coordinates the one scalar -- and `adjoin` starts a `Tower` over it, so
-no caller asks whether a field is a base field or a tower.
+its coordinates the one scalar -- and a `Tower` takes it as its lower level
+as it takes another tower, so no caller asks whether a field is a base field
+or a tower.
 
 Factorization and divisors run on one trial-division loop, `factor_integer`,
 capped by `TRIAL_DIVISION_CAP`; `is_prime` divides by the primes up to 37 and
@@ -203,9 +204,11 @@ class TowerElem:
         value as (residue, p) over F_p and as its `Fraction` over Q, so that
         equal elements of any level hash alike; an F_p residue does not hash
         as a plain int (3 and 8 are equal mod 5)."""
-        v = self.v[: max((i for i, c in enumerate(self.v) if c), default=0) + 1]
-        if len(v) > 1:
-            return hash(v)
+        v, k = self.v, len(self.v)
+        while k > 1 and not v[k - 1]:
+            k -= 1
+        if k > 1:
+            return hash(v[:k])
         p = self.tower.characteristic
         return hash((v[0], p) if p else v[0])
 
@@ -240,15 +243,13 @@ class BaseField:
     def unflatten(self, vec):
         return self.coerce(vec[0])
 
+    def exact_div(self, a, b):
+        return a / b
+
     def min_poly_over_base(self, x):
         from .poly import Poly
 
         return Poly(self, [-self.coerce(x), self.one()])
-
-    def adjoin(self, minpoly, label: str, certify: bool = True):
-        from .tower import Tower
-
-        return Tower(self, minpoly, label, certify=certify)
 
 
 class RationalField(BaseField):
@@ -271,9 +272,6 @@ class RationalField(BaseField):
         if isinstance(x, int):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
-
-    def exact_div(self, a, b):
-        return a / b
 
     _flat = coerce
 
@@ -332,9 +330,6 @@ class PrimeField(BaseField):
                 raise ZeroInverse(f"denominator divisible by {self.p}")
             return TowerElem(self, (x.numerator * pow(x.denominator, -1, self.p) % self.p,))
         raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def exact_div(self, a, b):
-        return a / b
 
     def _add(self, a, b) -> tuple:
         return ((a[0] + b[0]) % self.p,)

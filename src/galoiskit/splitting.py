@@ -16,7 +16,7 @@ both rem div (t - c) and rem(c), and a hit is certified by a zero remainder,
 so this is purely a shortcut.  Roots are then matched to the irreducible
 factors over the base.  Over F_p that reads the cycles of the permutation
 x -> x^p makes of the roots, computed here once and kept for the Galois
-group as `SplittingField.frobenius`.
+group as `SplittingField.frobenius`, each cycle an orbit of `closure`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,9 @@ from .errors import DegreeCap, InternalInvariant, ZeroPolynomial
 from .numbers import QQ, PrimeField
 from .poly import Poly
 from .factor import factor_over_extension, field_order
-from .tower import adjoin_root
+from .tower import adjoin_root, level_label
 
 SPLITTING_DEGREE_CAP = 24
-_LABELS = "abcdefghijkl"
 
 
 class SplittingField:
@@ -93,7 +92,6 @@ def _split_squarefree(sq: Poly, cap: int, factors):
     current = base = sq.dom
     rem = sq.monic()
     roots = []
-    level = 0
     # x -> x^order fixes sq's coefficients (order 0 over Q), so permutes roots
     order = field_order(base)
 
@@ -154,9 +152,7 @@ def _split_squarefree(sq: Poly, cap: int, factors):
                 f"splitting degree would reach {new_degree} > cap {cap}",
                 partial=current,
             )
-        label = _LABELS[level] if level < len(_LABELS) else f"g{level}"
-        level += 1
-        current, alpha = adjoin_root(current, g, label, certify=False)
+        current, alpha = adjoin_root(current, g, level_label(len(current.chain())), certify=False)
         roots = [current.coerce(r) for r in roots]
         rem = rem.map_domain(current, current.coerce)
         if not take(alpha):
@@ -200,9 +196,7 @@ def _build(f: Poly, cap: int) -> SplittingField:
     for i, r in enumerate(roots):
         if owner[i]:
             continue
-        orbit = [i]
-        while step[orbit[-1]] != i:
-            orbit.append(step[orbit[-1]])
+        orbit = closure(i, (step,), tuple.__getitem__)
         for entry in lifted:
             g, _, missing = entry
             if missing and (not p or g.degree == len(orbit)) and not g.eval(r):
@@ -216,6 +210,21 @@ def _build(f: Poly, cap: int) -> SplittingField:
     place = {i: k for k, i in enumerate(order)}  # step, re-indexed to the canonical order
     frobenius = tuple(place[step[i]] for i in order) if p else None
     return SplittingField(field, [roots[i] for i in order], [owner[i][1] for i in order], f, unit, frobenius)
+
+
+def closure(start, gens, act):
+    """Every point reachable from `start` by act(g, .) for g in `gens`: the
+    orbit of `start` under the group they generate (Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 4.1)."""
+    seen, frontier = {start}, [start]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            y = act(g, x)
+            if y not in seen:
+                seen.add(y)
+                frontier.append(y)
+    return seen
 
 
 def root_permutation(index, keys):

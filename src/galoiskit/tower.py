@@ -32,15 +32,16 @@ so its elements are `TowerElem`s on these same kernels.  No element object
 is built below the top.  The base scalars of `flatten` and the level view
 `TowerElem.coeffs` (coefficients over the lower level, for printing,
 inversion and `Poly`) are made only when asked for.  Each field object
-inverts its own tuples (`Tower._inv`, `PrimeField._inv`).  The flat
-coordinates are what all the linear algebra (minimal polynomials, fixed
-fields, subfield membership) runs on.
+inverts its own tuples (`Tower._inv`, `PrimeField._inv`), building no `Poly`
+over F_p and no F_p scalar.  The flat coordinates are what all the linear
+algebra (minimal polynomials, fixed fields, subfield membership) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
 tower.  A certified primitive element gamma also gives the one-level field
 base[y]/(m_gamma) (`primitive_field`), with one cached change of basis each
-way; Trager factoring runs there instead of on the tower.
+way; Trager factoring runs there instead of on the tower.  Splitting fields
+and `minpoly` label level k by `level_label(k)`.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ from .errors import (
     SearchExhausted,
     TowerMismatch,
 )
-from .linalg import Echelon
+from .factor import _shift_order, is_irreducible_over
+from .linalg import Echelon, mat_mul_vec
 from .numbers import TowerElem
-from .poly import Poly, _mul_int, _numerators, _power, _pseudo_divmod, _sum_str, _trim, gcd_ext
+from .poly import Poly, _mul_int, _numerators, _power, _pseudo_divmod, _sum_str, _trim, _xgcd_mod, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 
@@ -73,11 +75,8 @@ class Tower:
             raise NotIrreducible("defining polynomial must be nonconstant")
         if minpoly.dom != lower:
             raise TowerMismatch("defining polynomial must live over the lower level")
-        if certify:
-            from .factor import is_irreducible_over
-
-            if not is_irreducible_over(minpoly):
-                raise NotIrreducible(f"{minpoly} is reducible over {lower!r}")
+        if certify and not is_irreducible_over(minpoly):
+            raise NotIrreducible(f"{minpoly} is reducible over {lower!r}")
         self.lower = lower
         self.minpoly = minpoly
         self.label = label
@@ -104,8 +103,8 @@ class Tower:
             w = self._slot = max(8, (2 * d * (p - 1) ** 2).bit_length())
             # from three slots up, bytes in and out, with residues by table
             self._residues = bytes([i % p for i in range(256)]) if w == 8 and d > 2 else None
-            m = [lower._flat(c) for c in minpoly.coeffs[:-1]]
-            row, self._rows = [-c % p for c in m], []  # x^d mod m, then x^(d+1) ...
+            m = self._modulus = [lower._flat(c) for c in minpoly.coeffs]  # residues, for `_inv`
+            row, self._rows = [-c % p for c in m[:-1]], []  # x^d mod m, then x^(d+1) ...
             for _ in range(d - 1):
                 self._rows.append(sum(c << i * w for i, c in enumerate(row)))
                 row = [(c - row[-1] * mj) % p for c, mj in zip([0] + row[:-1], m)]
@@ -115,7 +114,7 @@ class Tower:
         self._hash = hash(("Tower", self.level_degree, lower, minpoly.coeffs))
         self._primitive = None
         self._primitive_echelon = None
-        self._primitive_powers = None
+        self._primitive_rows = None
         self._primitive_field = None
 
     # -- field-object protocol ------------------------------------------------
@@ -126,9 +125,6 @@ class Tower:
     def one(self):
         return TowerElem(self, self._one)
 
-    def from_int(self, n: int):
-        return self.coerce(n)
-
     def coerce(self, x):
         if isinstance(x, TowerElem):
             if x.tower == self:
@@ -137,6 +133,8 @@ class Tower:
                 raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
             return TowerElem(self, x.v + self._zero[len(x.v) :])
         return TowerElem(self, (self.base._flat(x),) + self._zero[1:])
+
+    from_int = coerce
 
     def exact_div(self, a, b):
         return a / b
@@ -258,18 +256,23 @@ class Tower:
         from the integer modulus and the numerators a of the element
         (x = a/den), tracking only the cofactor u of a in u*a = r (mod m),
         each (r, u) divided by its joint content, until r is a constant c;
-        then x^-1 = u*den/c, built as `Fraction`s once.  Elsewhere, by
-        `gcd_ext` over the lower level mod the minimal polynomial, whose
-        divisions invert lower elements the same way down to the bottom
-        level; an element of the lower level is inverted there and padded.
-        A zero remainder before a constant is a zero divisor: NotIrreducible."""
+        then x^-1 = u*den/c, built as `Fraction`s once.  On a bottom level
+        over F_p, by `_xgcd_mod` on the residues.  Elsewhere, the cofactor's
+        coordinates from `gcd_ext` over the lower level mod the minimal
+        polynomial, which inverts lower elements the same way; an element
+        of the lower level is inverted there and padded.  A zero remainder
+        before a constant is a zero divisor: NotIrreducible."""
         if isinstance(self.lower, Tower) or self.characteristic:
             if not any(v[(m := self._m) :]):
                 return self.lower._inv(v[:m]) + self._zero[m:]
-            d, a, _ = gcd_ext(Poly(self.lower, self.lower._view(v)), self.minpoly)
-            if d.degree != 0:
+            if isinstance(self.lower, Tower):
+                d, a, _ = gcd_ext(Poly(self.lower, self.lower._view(v)), self.minpoly)
+                d, u = d.coeffs, [c for x in (a % self.minpoly).coeffs for c in x.v]
+            else:  # d and u as residue lists
+                d, u, _ = _xgcd_mod(_trim(list(v)), self._modulus, self.characteristic)
+            if len(d) != 1:
                 raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
-            return self._from_poly(a % self.minpoly).v
+            return tuple(u) + self._zero[len(u) :]
         nums, den = _numerators(v)
         r0, r1, u0, u1 = self._modulus, _trim(nums), [], [1]
         while len(r1) > 1:
@@ -302,9 +305,6 @@ class Tower:
 
     def absolute_degree(self) -> int:
         return self._n
-
-    def adjoin(self, minpoly: Poly, label: str, certify: bool = True) -> "Tower":
-        return Tower(self, minpoly, label, certify=certify)
 
     # -- coordinates ------------------------------------------------------------
 
@@ -357,10 +357,7 @@ class Tower:
             return self._primitive
         gens = self.generators()
         for bound in range(1, PRIMITIVE_SEARCH_BOUND + 1):
-            sweep = [0]
-            for c in range(1, bound + 1):
-                sweep.extend((c, -c))
-            for rest in itertools.product(sweep, repeat=len(gens) - 1):
+            for rest in itertools.product(_shift_order(bound), repeat=len(gens) - 1):
                 if max((abs(c) for c in rest), default=0) != bound and bound > 1:
                     continue
                 gamma = gens[0]
@@ -371,7 +368,8 @@ class Tower:
                 if mp.degree == self._n:
                     # deg mp = [tower : base] proves mp irreducible
                     self._primitive_field = Tower(self.base, mp, "y", certify=False)
-                    self._primitive_echelon, self._primitive_powers = echelon, powers
+                    self._primitive_echelon = echelon
+                    self._primitive_rows = list(zip(*powers))
                     self._primitive = (gamma, mp)
                     return self._primitive
         raise SearchExhausted("no primitive element found within coefficient bound")
@@ -394,11 +392,7 @@ class Tower:
         f mod m_gamma times the matrix whose columns are the flattened
         1, gamma, ..., gamma^(n-1) (n^2 base operations)."""
         _, mgamma = self.primitive_element()
-        vec = [self.base.zero()] * self._n
-        for c, power in zip((f % mgamma).coeffs, self._primitive_powers):
-            if c:
-                vec = [v + c * x if x else v for v, x in zip(vec, power)]
-        return self.unflatten(vec)
+        return self.unflatten(mat_mul_vec(self._primitive_rows, (f % mgamma).coeffs, self.base.zero()))
 
     # -- presentation ---------------------------------------------------------
 
@@ -434,10 +428,15 @@ class Tower:
         return self._hash
 
 
+def level_label(k: int) -> str:
+    """The label of tower level k (from 0): "a" ... "l", then "g12", "g13", ..."""
+    return "abcdefghijkl"[k] if k < 12 else f"g{k}"
+
+
 def adjoin_root(field, minpoly: Poly, label: str, certify: bool = True):
     """Adjoin a root of a monic irreducible polynomial to a base field or
     tower; returns (new_tower, root)."""
-    ext = field.adjoin(minpoly, label, certify=certify)
+    ext = Tower(field, minpoly, label, certify=certify)
     return ext, ext.generator()
 
 

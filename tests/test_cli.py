@@ -27,6 +27,7 @@ from galoiskit.cli import (
     dispatch,
     parse_poly,
 )
+from galoiskit.tower import level_label
 
 
 def q(coeffs):
@@ -379,6 +380,22 @@ def test_minpoly_command(capsys):
     out = capsys.readouterr().out
     assert "degree 4" in out
     assert "t^4 - 10*t^2 + 1" in out
+
+
+def test_minpoly_labels_a_ninth_argument(capsys):
+    # a level is labelled by its argument's position; the ninth is "i"
+    argv = ["minpoly"] + [f"t-{k}" for k in range(1, 9)] + ["t^2-2"]
+    assert dispatch(argv) == 0
+    assert "primitive element: i" in capsys.readouterr().out
+    assert dispatch(["--json"] + argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["tower"] == [{"label": "i", "min_poly": "t^2 - 2"}]
+    assert payload["primitive_element"] == "i"
+
+
+def test_level_labels():
+    assert [level_label(k) for k in range(12)] == list("abcdefghijkl")
+    assert [level_label(k) for k in (12, 13, 40)] == ["g12", "g13", "g40"]
 
 
 def test_minpoly_honours_max_degree(capsys):

@@ -12,6 +12,7 @@ from galoiskit.poly import Poly, render
 from galoiskit.splitting import splitting_field_fp, splitting_field_q
 from galoiskit.galois import (
     Subgroup,
+    apply_automorphism,
     automorphisms,
     is_normal_subgroup,
     isomorphism_type,
@@ -354,7 +355,7 @@ def test_fixed_field_primitive_is_fixed_by_exactly_h(coeffs):
     for H in subgroups(G):
         L = fixed_field(H, G)
         x = L.primitive
-        stab = tuple(i for i in range(G.order) if G.apply(G.elements[i], x) == x)
+        stab = tuple(i for i in range(G.order) if apply_automorphism(sf.field, G.elements[i], x) == x)
         assert stab == H.member_indices
         assert L.min_poly_of_primitive.degree == G.order // H.order
 

@@ -11,7 +11,7 @@ from galoiskit.numbers import PrimeField, TowerElem, divisors, is_prime
 from galoiskit.poly import Poly, render
 from galoiskit.tower import Tower
 from galoiskit.factor import factor_fp, is_irreducible_ff
-from galoiskit.galois import Subgroup, automorphisms, isomorphism_type, subgroup_table
+from galoiskit.galois import Subgroup, apply_automorphism, automorphisms, isomorphism_type, subgroup_table
 from galoiskit.splitting import splitting_field_fp
 from galoiskit.finitefield import (
     GF,
@@ -347,6 +347,37 @@ def test_is_primitive_root():
         is_primitive_root(2, 8)
 
 
+def _order_mod(a, p):
+    """The multiplicative order of a mod p by repeated products; 0 for a = 0."""
+    if a % p == 0:
+        return 0
+    k, x = 1, a % p
+    while x != 1:
+        k, x = k + 1, x * a % p
+    return k
+
+
+def test_is_primitive_root_by_brute_force():
+    for p in filter(is_prime, range(100)):
+        for a in range(p):
+            assert is_primitive_root(a, p) == (_order_mod(a, p) == p - 1), (a, p)
+
+
+@pytest.mark.parametrize("p, n", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (3, 1), (3, 2), (3, 3), (3, 4), (5, 2)])
+def test_multiplicative_generator_is_the_first_of_full_order(p, n):
+    F = gf(p, n)
+    one = F.one()
+
+    def order(x):
+        k, y = 1, x
+        while y != one:
+            k, y = k + 1, y * x
+        return k
+
+    first = next(x for x in F.elements() if x and order(x) == F.order - 1)
+    assert multiplicative_generator(F) == first
+
+
 def _relative_galois_group(p, n, m):
     """Gal(GF(p^n) : GF(p^m)) as the subgroup of Gal(GF(p^n) : F_p) that the
     m-th power of Frobenius generates; Gal(GF(p^n) : F_p) is `automorphisms`
@@ -378,9 +409,10 @@ def test_gal_ff():
     for i in H:
         for a in sub.elements:
             x = TowerElem(sf.field, a.v)
-            assert G.apply(G.elements[i], x) == x
+            assert apply_automorphism(sf.field, G.elements[i], x) == x
     moved = [a for a in F.elements() if a not in set(sub.elements)]
-    assert all(any(G.apply(G.elements[i], TowerElem(sf.field, a.v)).v != a.v for i in H) for a in moved)
+    assert all(any(apply_automorphism(sf.field, G.elements[i], TowerElem(sf.field, a.v)).v != a.v for i in H)
+               for a in moved)
 
 
 def test_gal_ff_cross_check_with_enumeration():

@@ -361,7 +361,7 @@ def test_base_fields_are_towers_of_height_0(sqrt23):
         c = base.from_int(rng.randint(-9, 9)) / base.from_int(3)
         assert field.min_poly_over_base(field.coerce(c)) == Poly(base, [-c, base.one()])
         m = Poly(field, [field.from_int(-5), field.zero(), field.one()])
-        assert field.adjoin(m, "z") == Tower(field, m, "z")
+        assert adjoin_root(field, m, "z") == (Tower(field, m, "z"), Tower(field, m, "z").generator())
     for field in (QQ, F7):
         assert field.base is field
         assert field.chain() == field.generators() == field.describe() == []
@@ -378,13 +378,16 @@ def test_equal_elements_hash_equal_across_levels():
     # one-coordinate value equals its base scalar: each pair that is == must
     # hash alike, so sets and dicts that mix levels keep one copy
     A, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
-    B, _ = adjoin_root(A, Poly(A, [-3, 0, 1]), "b")
+    B, b = adjoin_root(A, Poly(A, [-3, 0, 1]), "b")
+    C, _ = adjoin_root(B, Poly(B, [-5, 0, 1]), "c")
     F3 = PrimeField(3)
     FA, fa = adjoin_root(F3, Poly(F3, [1, 0, 1]), "a")
     FB, _ = adjoin_root(FA, Poly(FA, [-1, -1, 0, 1]), "b")
     cases = [
         (A, B, [a, a + 1, a * Fraction(-2, 5)], [Fraction(0), Fraction(1), Fraction(-7, 3), 5]),
         (FA, FB, [fa, fa + 1, fa * 2], F3.elements()),
+        # coordinates (1, 0, 1, 0) and (0, 1, 0, 1): a zero between nonzeros
+        (B, C, [b + 1, a * b + a], [Fraction(2)]),
     ]
     for lower, upper, elems, scalars in cases:
         for x in elems:
@@ -583,6 +586,8 @@ def test_finite_tower_arithmetic_builds_no_fpelem(monkeypatch):
             for y in xs:
                 x * y, x + y, x - y, -x, x**5, x == y, hash(x), bool(x), T.sort_key(x)
                 x + 1, 2 * x, x == 1
+            if x:
+                x.inv()
     assert not built
 
 
