@@ -31,12 +31,12 @@ module.
 from __future__ import annotations
 
 import operator
-from math import gcd
 
 from .errors import InternalInvariant, NotASubgroup, NotNormal, OrderCap
 from .linalg import mat_mul_vec
-from .poly import Poly, _numerators
+from .poly import Poly
 from .splitting import SplittingField, closure, root_permutation
+from .tower import _lowest
 
 SUBGROUP_ORDER_CAP = 60
 TYPE_ORDER_CAP = 120
@@ -190,17 +190,11 @@ def _images_of(basis, r, indices):
             for i, j in (divmod(k, len(basis)) for k in indices)]
 
 
-def _root_key(ints, den) -> tuple:
-    """The dict key of the coordinates ints/den: numerators over the least
-    denominator, then that denominator, so no Fraction is hashed."""
-    g = gcd(den, *ints)
-    return (*[c // g for c in ints], den // g)
-
-
 def _searched(sf):
     """(generator images, images of the basis below the top level, root
     permutation) of each automorphism.  Roots and their images are keyed by
-    `_root_key`; an image's coordinates are integer products with the
+    their kernel coordinates, integer numerators over the least
+    denominator; an image's numerators are integer products with the
     support coordinates of the roots."""
     field = sf.field
     chain = field.chain()
@@ -210,10 +204,9 @@ def _searched(sf):
         return
     zero = field.base.zero()
     n = field.absolute_degree()
-    root_coords = [_numerators(field.flatten(r)) for r in roots]
-    root_index = {_root_key(v, den): i for i, (v, den) in enumerate(root_coords)}
-    support = [j for j in range(n) if any(v[j] for v, _ in root_coords)]
-    coords = [([v[j] for j in support], den) for v, den in root_coords]
+    root_index = {r.v: i for i, r in enumerate(roots)}
+    support = [j for j in range(n) if any(r.v[j] for r in roots)]
+    coords = [([r.v[j] for j in support], r.v[-1]) for r in roots]
 
     def extend(images, basis):
         # basis: images of the power-product basis of chain[k-1] ([1] below level 0)
@@ -240,9 +233,9 @@ def _searched(sf):
             if k + 1 < len(chain):
                 yield from extend(images + [r], _images_of(basis, r, range(d * len(basis))))
                 continue
-            ints, den = _numerators([x for b in _images_of(basis, r, support) for x in field.flatten(b)])
+            *ints, den = field._concat(_images_of(basis, r, support))
             rows = list(zip(*(ints[i : i + n] for i in range(0, len(ints), n))))
-            keys = (_root_key([sum(map(operator.mul, row, v)) for row in rows], den * vden) for v, vden in coords)
+            keys = (_lowest([sum(map(operator.mul, row, v)) for row in rows], den * vden) for v, vden in coords)
             yield (*images, r), basis, root_permutation(root_index, keys)
 
     yield from extend([], [field.one()])

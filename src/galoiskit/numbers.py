@@ -1,12 +1,14 @@
 """Exact scalar arithmetic: rationals, prime fields, elementary number theory.
 
 Rational numbers are `fractions.Fraction` values (always normalized, positive
-denominator, zero is 0/1).  An F_p scalar is the degree-1 finite-field
-element `TowerElem(PrimeField(p), (r,))`, one residue r in [0, p) (Lidl &
-Niederreiter, *Finite Fields*, ch. 2); `galoiskit.tower` re-exports the
-class.  Every scalar supports `+ - * /`, equality, hashing and truthiness
-(nonzero test).  Generic code talks to a *field object* (`QQ`,
-`PrimeField(p)`, towers), which builds and coerces its own scalars.
+denominator, zero is 0/1); a tower element over Q holds int numerators over
+one such denominator instead (`QQ._view` makes its `Fraction`s).  An F_p
+scalar is the degree-1 finite-field element `TowerElem(PrimeField(p), (r,))`,
+one residue r in [0, p) (Lidl & Niederreiter, *Finite Fields*, ch. 2);
+`galoiskit.tower` re-exports the class.  Every scalar supports `+ - * /`,
+equality, hashing and truthiness (nonzero test).  Generic code talks to a
+*field object* (`QQ`, `PrimeField(p)`, towers), which builds and coerces its
+own scalars.
 
 A base field is the tower of height 0 (`BaseField`): it answers the tower
 questions too -- its base is itself, its degree 1, its chain of levels empty,
@@ -200,20 +202,20 @@ class TowerElem:
         return ops[1] == ops[2]
 
     def __hash__(self):
-        """The coordinates with trailing zeros stripped, and a one-coordinate
-        value as (residue, p) over F_p and as its `Fraction` over Q, so that
-        equal elements of any level hash alike; an F_p residue does not hash
-        as a plain int (3 and 8 are equal mod 5)."""
-        v, k = self.v, len(self.v)
+        """The numerators with trailing zeros stripped (then, over Q, the
+        denominator), and a one-coordinate value as (residue, p) over F_p and
+        as its `Fraction` over Q: equal elements of any level hash alike, and
+        an F_p residue not as a plain int (3 and 8 are equal mod 5)."""
+        v, p = self.v, self.tower.characteristic
+        k = len(v) if p else len(v) - 1
         while k > 1 and not v[k - 1]:
             k -= 1
         if k > 1:
-            return hash(v[:k])
-        p = self.tower.characteristic
-        return hash((v[0], p) if p else v[0])
+            return hash(v[:k] if p else v[:k] + v[-1:])
+        return hash((v[0], p) if p else Fraction(v[0], v[-1]))
 
     def __bool__(self):
-        return any(self.v)
+        return self.v != self.tower._zero
 
     def __repr__(self):
         return self.tower.element_str(self)
@@ -221,9 +223,10 @@ class TowerElem:
 
 class BaseField:
     """The tower protocol of `galoiskit.tower.Tower` for a field of degree 1
-    over itself.  `_flat` and `_view` convert between scalars and the kernel
-    coordinates that tower elements store: the `Fraction` itself over Q, the
-    int residue in [0, p) over F_p."""
+    over itself.  `_view` turns the kernel coordinates that tower elements
+    store into scalars: over Q, int numerators followed by their one
+    denominator become `Fraction`s; over F_p, each int residue in [0, p)
+    becomes its `TowerElem` (`_flat` is the way back)."""
 
     @property
     def base(self):
@@ -273,10 +276,9 @@ class RationalField(BaseField):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
-    _flat = coerce
-
     def _view(self, coords) -> list:
-        return list(coords)
+        *nums, den = coords
+        return [Fraction(c, den) for c in nums] if den != 1 else list(map(Fraction, nums))
 
     def sort_key(self, x):
         return x

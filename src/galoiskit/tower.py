@@ -9,32 +9,33 @@ into `lower` and stop there.
 An element (`TowerElem`, defined in `galoiskit.numbers` and re-exported
 here) is stored flat: the tuple of its coordinates in the power-product
 basis a^i * b_j * ... over the base (i of the top level outermost), in
-kernel form -- `Fraction`s over Q, int residues in [0, p) over F_p.  An F_p
-scalar is the same class with one residue, its field the `PrimeField`, so a
-finite field of any degree has one element class.  An element of an
-ancestor level or of the base F_p is its own tuple followed by zeros, so
-embedding is padding.  Sums and differences are coordinatewise.
+kernel form: int residues in [0, p) over F_p; over Q, int numerators and
+then one positive denominator, in lowest terms (Cohen, GTM 138, 4.2).  An
+F_p scalar is the same class with one residue, its field the `PrimeField`,
+so a finite field of any degree has one element class.  An element of an
+ancestor level or of the base is its own tuple with zero numerators padded
+in.  Sums and differences are coordinatewise (over Q, one gcd at the end).
 A product (`Tower._mul`) runs on integers through every level.  On the
 bottom level over F_p it packs each residue tuple into one integer,
 multiplies once and reduces by adding multiples of the packed x^k mod m,
 rows built with the level (Kronecker substitution; von zur Gathen &
-Gerhard, *Modern Computer Algebra*, 8.4).  Over Q each operand becomes
-integer numerators over one denominator, once; the bottom level multiplies
-them and reduces once by pseudo-division.  A level above convolves the
-length-[lower : base] slices with the lower integer product (`_mul_z`) and
-reduces by the minimal polynomial, cached as integer numerators over one
-denominator; every level's result carries that level's fixed scale
-(`_scale`), so one `Fraction` is built per coordinate, at the top (one
-denominator per value; von zur Gathen & Gerhard, ch. 6).  Over F_p the same
-recursion keeps residues.  Powers (`Tower._pow`) square and multiply the
-tuples.  GF(p^n) (`galoiskit.finitefield.GF`) is a one-level tower over F_p,
-so its elements are `TowerElem`s on these same kernels.  No element object
-is built below the top.  The base scalars of `flatten` and the level view
-`TowerElem.coeffs` (coefficients over the lower level, for printing,
-inversion and `Poly`) are made only when asked for.  Each field object
-inverts its own tuples (`Tower._inv`, `PrimeField._inv`), building no `Poly`
-over F_p and no F_p scalar.  The flat coordinates are what all the linear
-algebra (minimal polynomials, fixed fields, subfield membership) runs on.
+Gerhard, *Modern Computer Algebra*, 8.4).  Over Q the bottom level
+multiplies the numerators and reduces once by pseudo-division.  A level
+above convolves the length-[lower : base] slices with the lower integer
+product (`_mul_z`) and reduces by the minimal polynomial, cached as integer
+numerators over one denominator; every level's result carries that level's
+fixed scale (`_scale`), which joins the operands' denominators before one
+gcd (von zur Gathen & Gerhard, ch. 6).  Over F_p the same recursion keeps
+residues.  Powers (`Tower._pow`) square and multiply the tuples.  GF(p^n)
+(`galoiskit.finitefield.GF`) is a one-level tower over F_p, so its elements
+are `TowerElem`s on these same kernels.  No element object is built below
+the top.  `Fraction`s and F_p scalars are made only at the boundary, when
+asked for: the base scalars of `flatten` (and of `sort_key` over Q) and the
+level view `TowerElem.coeffs` (coefficients over the lower level, for
+printing, inversion and `Poly`).  Each field object inverts its own tuples
+(`Tower._inv`, `PrimeField._inv`), building no `Poly` over F_p and no F_p
+scalar.  The flat coordinates are what all the linear algebra (minimal
+polynomials, fixed fields, subfield membership) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
@@ -49,7 +50,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from fractions import Fraction
 
 from .errors import (
     NotIrreducible,
@@ -85,16 +85,14 @@ class Tower:
         self.characteristic = self.base.characteristic
         self._m = lower.absolute_degree()
         self._n = self.level_degree * self._m
-        self._zero = (self.base._flat(0),) * self._n
-        self._one = (self.base._flat(1),) + self._zero[1:]
+        self._zero = (0,) * self._n + (() if self.characteristic else (1,))  # over Q, denominator 1
+        self._one = (1,) + self._zero[1:]
         # the monic minimal polynomial in the product kernel's form
         if isinstance(lower, Tower):  # (j, coordinates) of the nonzero lower coefficients
-            vs, den = [c.v for c in minpoly.coeffs[:-1]], 1
-            if not self.characteristic:  # integer numerators over one denominator
-                nums, den = _numerators([c for v in vs for c in v])
-                vs = [nums[j * self._m : j * self._m + self._m] for j in range(len(vs))]
+            flat, m = lower._concat(minpoly.coeffs[:-1]), self._m  # over Q, then one denominator
+            vs = [flat[j * m : j * m + m] for j in range(self.level_degree)]
             self._modulus = [(j, v) for j, v in enumerate(vs) if any(v)]
-            self._step = lower._scale * den  # one reduction step's factor
+            self._step = lower._scale * (flat[-1] if not self.characteristic else 1)  # one reduction step's factor
             self._scale = lower._scale * self._step ** (self.level_degree - 1)
         elif p := self.characteristic:  # the packed product's slot width and rows
             self._scale = 1
@@ -131,8 +129,11 @@ class Tower:
                 return x
             if x.tower is not self.base and x.tower not in self.lower.chain() + [self.base]:
                 raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
-            return TowerElem(self, x.v + self._zero[len(x.v) :])
-        return TowerElem(self, (self.base._flat(x),) + self._zero[1:])
+            return TowerElem(self, self._embed(x.v))
+        if self.characteristic:
+            return TowerElem(self, (self.base._flat(x),) + self._zero[1:])
+        x = self.base.coerce(x)  # a Fraction, in lowest terms
+        return TowerElem(self, (x.numerator,) + self._zero[1:-1] + (x.denominator,))
 
     from_int = coerce
 
@@ -140,27 +141,31 @@ class Tower:
         return a / b
 
     def sort_key(self, x):
-        return self.coerce(x).v
+        """The base coordinates: residues over F_p, `Fraction`s over Q."""
+        v = self.coerce(x).v
+        return v if self.characteristic else tuple(self.base._view(v))
 
     # -- structure --------------------------------------------------------------
 
     def _add(self, a, b) -> tuple:
-        p = self.characteristic
-        if p:
+        if p := self.characteristic:
             return tuple([(x + y) % p for x, y in zip(a, b)])
-        return tuple([x + y for x, y in zip(a, b)])
+        if (da := a[-1]) == (db := b[-1]):
+            return _lowest(list(map(operator.add, a[:-1], b[:-1])), da)
+        return _lowest([x * db + y * da for x, y in zip(a[:-1], b[:-1])], da * db)
 
     def _sub(self, a, b) -> tuple:
-        p = self.characteristic
-        if p:
+        if p := self.characteristic:
             return tuple([(x - y) % p for x, y in zip(a, b)])
-        return tuple([x - y for x, y in zip(a, b)])
+        if (da := a[-1]) == (db := b[-1]):
+            return _lowest(list(map(operator.sub, a[:-1], b[:-1])), da)
+        return _lowest([x * db - y * da for x, y in zip(a[:-1], b[:-1])], da * db)
 
     def _mul(self, a, b) -> tuple:
         """Product of two coordinate tuples, reduced mod the minimal
-        polynomial (see the module docstring).  Over Q, each operand becomes
-        integer numerators over one denominator, `_mul_z` multiplies them
-        through every level, and one `Fraction` is built per coordinate.
+        polynomial (see the module docstring).  Over Q, `_mul_z` multiplies
+        the integer numerators through every level, and the result goes over
+        the product of the denominators and `_scale`, in lowest terms.
 
         On a level of degree d >= 2 over F_p, with residues in [0, p) and a
         monic modulus m, a and b are packed as x = sum a_i 2^(wi) and
@@ -202,9 +207,7 @@ class Tower:
                 out.append((lo & mask) % p)
                 lo >>= w
             return tuple(out)
-        (na, da), (nb, db) = _numerators(a), _numerators(b)
-        r, den = self._mul_z(na, nb), self._scale * da * db
-        return tuple(map(Fraction, r) if den == 1 else [Fraction(c, den) if c else self._zero[0] for c in r])
+        return _lowest(self._mul_z(a[:-1], b[:-1]), self._scale * a[-1] * b[-1])
 
     def _mul_z(self, a, b) -> list:
         """a*b*`_scale` on integer coordinate lists.  On the bottom level over
@@ -256,25 +259,25 @@ class Tower:
         from the integer modulus and the numerators a of the element
         (x = a/den), tracking only the cofactor u of a in u*a = r (mod m),
         each (r, u) divided by its joint content, until r is a constant c;
-        then x^-1 = u*den/c, built as `Fraction`s once.  On a bottom level
-        over F_p, by `_xgcd_mod` on the residues.  Elsewhere, the cofactor's
-        coordinates from `gcd_ext` over the lower level mod the minimal
-        polynomial, which inverts lower elements the same way; an element
-        of the lower level is inverted there and padded.  A zero remainder
-        before a constant is a zero divisor: NotIrreducible."""
+        then x^-1 = u*den/c, in kernel form.  On a bottom level over F_p, by
+        `_xgcd_mod` on the residues.  Elsewhere, the cofactor's coordinates
+        from `gcd_ext` over the lower level mod the minimal polynomial,
+        which inverts lower elements the same way; an element of the lower
+        level is inverted there and padded.  A zero remainder before a
+        constant is a zero divisor: NotIrreducible."""
         if isinstance(self.lower, Tower) or self.characteristic:
-            if not any(v[(m := self._m) :]):
-                return self.lower._inv(v[:m]) + self._zero[m:]
+            if not any(v[(m := self._m) : self._n]):  # over Q, v[n] is the denominator
+                return self._embed(self.lower._inv(v[:m] + v[self._n :]))
             if isinstance(self.lower, Tower):
                 d, a, _ = gcd_ext(Poly(self.lower, self.lower._view(v)), self.minpoly)
-                d, u = d.coeffs, [c for x in (a % self.minpoly).coeffs for c in x.v]
+                d, u = d.coeffs, self.lower._concat((a % self.minpoly).coeffs)
             else:  # d and u as residue lists
                 d, u, _ = _xgcd_mod(_trim(list(v)), self._modulus, self.characteristic)
             if len(d) != 1:
                 raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
-            return tuple(u) + self._zero[len(u) :]
-        nums, den = _numerators(v)
-        r0, r1, u0, u1 = self._modulus, _trim(nums), [], [1]
+            return self._embed(tuple(u))
+        den = v[-1]
+        r0, r1, u0, u1 = self._modulus, _trim(list(v[:-1])), [], [1]
         while len(r1) > 1:
             q, r, s = _pseudo_divmod(r0, r1)  # s*r0 = q*r1 + r
             if not r:
@@ -283,7 +286,7 @@ class Tower:
             u = _trim([s * x - y for x, y in itertools.zip_longest(u0, qu, fillvalue=0)])
             g = math.gcd(*r, *u)
             r0, r1, u0, u1 = r1, [c // g for c in r], u1, [c // g for c in u]
-        return tuple([Fraction(c * den, r1[0]) for c in u1]) + self._zero[len(u1) :]
+        return self._embed(_lowest([c * den * r1[0] for c in u1], r1[0] ** 2))  # u*den*c / c^2
 
     def _from_poly(self, poly: Poly) -> TowerElem:
         vec = [c for x in poly.coeffs for c in self.lower.flatten(x)]
@@ -313,12 +316,32 @@ class Tower:
         return self.base._view(self.coerce(x).v)
 
     def unflatten(self, vec) -> TowerElem:
-        return TowerElem(self, tuple(map(self.base._flat, vec)))
+        if self.characteristic:
+            return TowerElem(self, tuple(map(self.base._flat, vec)))
+        nums, den = _numerators(list(map(self.base.coerce, vec)))  # in lowest terms
+        return TowerElem(self, (*nums, den))
+
+    def _embed(self, v) -> tuple:
+        """The kernel tuple v of a lower level's (or the base's) element, padded."""
+        k = len(v) - (not self.characteristic)  # the coordinates, without a denominator
+        return v[:k] + self._zero[k : self._n] + v[k:]
 
     def _view(self, coords) -> list:
-        """The elements whose concatenated coordinates are `coords`."""
+        """The elements whose concatenated coordinates are `coords` (over Q, then one denominator)."""
         n = self._n
-        return [TowerElem(self, coords[i : i + n]) for i in range(0, len(coords), n)]
+        if self.characteristic:
+            return [TowerElem(self, coords[i : i + n]) for i in range(0, len(coords), n)]
+        den = coords[-1]
+        return [TowerElem(self, _lowest(coords[i : i + n], den)) for i in range(0, len(coords) - 1, n)]
+
+    def _concat(self, elems) -> tuple:
+        """The inverse of `_view`: over Q, the numerators over their least
+        common denominator, in lowest terms as each element is."""
+        vs = [self.coerce(x).v for x in elems]
+        if self.characteristic:
+            return tuple([c for v in vs for c in v])
+        den = math.lcm(*[v[-1] for v in vs])
+        return (*[c * (den // v[-1]) for v in vs for c in v[:-1]], den)
 
     def try_lower_to_base(self, f: Poly):
         """Rewrite a polynomial over this tower as one over the base field,
@@ -326,9 +349,9 @@ class Tower:
         out = []
         for c in f.coeffs:
             v = self.coerce(c).v
-            if any(v[1:]):
+            if any(v[1 : self._n]):
                 return None
-            out.append(v[0])
+            out.append(self.base._view(v[:1] + v[self._n :])[0])  # over Q, with its denominator
         return Poly(self.base, out)
 
     # -- minimal polynomials & primitive elements -------------------------------
@@ -400,7 +423,7 @@ class Tower:
         v, lower = self.coerce(x).v, self.lower
         if isinstance(lower, Tower):
             return _sum_str(lower._view(v), lower.element_str, self.label, False)
-        return _sum_str(v, str, self.label, False)  # a base coordinate prints as itself
+        return _sum_str(v if self.characteristic else lower._view(v), str, self.label, False)
 
     def describe(self):
         """JSON-ready description: one {label, min_poly} entry per level."""
@@ -426,6 +449,13 @@ class Tower:
 
     def __hash__(self):
         return self._hash
+
+
+def _lowest(nums, den) -> tuple:
+    """The Q kernel tuple of nums/den, den > 0: all divided by their gcd."""
+    if (g := math.gcd(den, *nums)) == 1:
+        return (*nums, den)
+    return (*[c // g for c in nums], den // g)
 
 
 def level_label(k: int) -> str:

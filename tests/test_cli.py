@@ -1084,6 +1084,31 @@ GOLDEN_JSON = [
         'lds":[{"m":1,"order":5},{"m":2,"order":25},{"m":3,"order":125},{"'
         'm":6,"order":15625}]}\n',
     ),
+    # recorded before tower elements over Q stored integer numerators over
+    # one denominator: the three ladder rungs not pinned above
+    (
+        ["--json", "galois", "t^3-2"],
+        '{"action":["-b - a","b","a"],"elements":["()","(2 3)","(1 2)","(1 '
+        '2 3)","(1 3 2)","(1 3)"],"generators":["(1 2 3)","(2 3)"],"order":'
+        '6,"type":"S3"}\n',
+    ),
+    (
+        ["--json", "galois", "(t^2-2)*(t^2-3)*(t^2-5)"],
+        '{"action":["-a","-b","-c","c","b","a"],"elements":["()","(3 4)","('
+        '2 5)","(2 5)(3 4)","(1 6)","(1 6)(3 4)","(1 6)(2 5)","(1 6)(2 5)(3'
+        ' 4)"],"generators":["(3 4)","(2 5)","(1 6)"],"order":8,"type":"uni'
+        'dentified abelian group of order 8"}\n',
+    ),
+    (
+        ["--json", "galois", "t^5-2"],
+        '{"action":["-1/2*a^3*b^3 - 1/2*a^4*b^2 - b - a","1/2*a^3*b^3","1/2'
+        '*a^4*b^2","b","a"],"elements":["()","(2 3 5 4)","(2 4 5 3)","(2 5)'
+        '(3 4)","(1 2)(3 5)","(1 2 3 4 5)","(1 2 4 3)","(1 2 5 4)","(1 3 4 '
+        '2)","(1 3)(4 5)","(1 3 5 2 4)","(1 3 2 5)","(1 4 5 2)","(1 4 3 5)"'
+        ',"(1 4)(2 3)","(1 4 2 5 3)","(1 5 4 3 2)","(1 5 3 4)","(1 5 2 3)",'
+        '"(1 5)(2 4)"],"generators":["(1 2 3 4 5)","(2 3 5 4)"],"order":20,'
+        '"type":"unidentified group of order 20"}\n',
+    ),
 ]
 
 

@@ -1,6 +1,7 @@
 """Tower layer: adjunction, element arithmetic, degrees, minimal polynomials."""
 
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -562,10 +563,54 @@ def test_product_matches_the_fraction_oracle():
             xs = _sample(T, rng, 3 if T.absolute_degree() > 12 else 6)
             for x in xs:
                 for y in xs[1:4] + rng.sample(xs[4:], 2):
-                    prod = T._mul(x.v, y.v)
-                    assert prod == fraction_product(T, x.v, y.v)
-                    assert all(type(c) is Fraction for c in prod) and len(prod) == len(x.v)
+                    prod = TowerElem(T, T._mul(x.v, y.v))
+                    assert T.sort_key(prod) == fraction_product(T, T.sort_key(x), T.sort_key(y))
+                    _check_q_kernel_form(T, prod.v)
     assert heights >= {1, 2, 3} and max(denominators) > 1
+
+
+def _check_q_kernel_form(T, v):
+    """v is an element of the tower T over Q in kernel form: n int
+    numerators, then a positive int denominator, in lowest terms."""
+    assert len(v) == T.absolute_degree() + 1 and all(type(c) is int for c in v)
+    assert v[-1] > 0 and math.gcd(*v) == 1
+
+
+def test_q_kernel_keeps_integer_numerators_in_lowest_terms(monkeypatch):
+    # every operation of 1-, 2- and 3-level towers over Q with mixed
+    # denominators returns the kernel form, products agree with the
+    # `Fraction` oracle, the order is that of the `Fraction` coordinates,
+    # equal values reached by different routes are one dict key, and the
+    # kernels build no `Fraction`
+    rng = random.Random(38)
+    C = list(itertools.islice(_integer_product_towers(), 2))[-1]  # over Q(a)(b), b^2 = a/3
+    towers = C.chain() + [adjoin_root(QQ, q([Fraction(-5, 3), 0, 1]), "r")[0]]
+    assert [len(T.chain()) for T in towers] == [1, 2, 3, 1]
+    built, new = [], Fraction.__new__
+    counting_new = staticmethod(lambda cls, *a, **k: built.append(1) or new(cls, *a, **k))
+    for T in towers:
+        xs = _sample(T, rng, 4) + [T.coerce(Fraction(1, 2)), T.coerce(Fraction(1, 3))]
+        for x in xs:
+            for y in xs[1:4] + xs[-3:]:
+                monkeypatch.setattr(Fraction, "__new__", counting_new)
+                vs = [T._add(x.v, y.v), T._sub(x.v, y.v), T._mul(x.v, y.v), T._pow(x.v, 3), T._sub(T._zero, x.v)]
+                if y:
+                    vs.append(T._inv(y.v))
+                monkeypatch.undo()
+                assert not built
+                for v in vs:
+                    _check_q_kernel_form(T, v)
+                for z in (x + y, x - y, x * y, x**3, -x) + ((y.inv(), x / y) if y else ()):
+                    _check_q_kernel_form(T, z.v)
+                assert T.flatten(x * y) == list(fraction_product(T, T.sort_key(x), T.sort_key(y)))
+                assert len(dict.fromkeys([x * y, y * x])) == 1
+                assert len(dict.fromkeys([(x + y) - y, x, (x - y) + y])) == 1
+                if y:
+                    assert len(dict.fromkeys([x * y * y.inv(), x, x / y * y])) == 1
+        rng.shuffle(xs)
+        keys = [T.sort_key(x) for x in sorted(xs, key=T.sort_key)]
+        assert keys == sorted(tuple(T.flatten(x)) for x in xs)
+        assert all(type(c) is Fraction for key in keys for c in key)
 
 
 def test_finite_tower_arithmetic_builds_no_fpelem(monkeypatch):
@@ -691,8 +736,8 @@ def test_one_level_inverse_matches_the_gcd_ext_route():
             elems.append(K.unflatten([Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]))
         for x in elems:
             y = x.inv()
-            assert x * y == K.one() and y == _gcd_ext_inverse(x)
-            assert all(type(c) is Fraction for c in y.v) and len(y.v) == n
+            assert x * y == K.one() and K.flatten(y) == K.flatten(_gcd_ext_inverse(x))
+            _check_q_kernel_form(K, y.v)
         with pytest.raises(ZeroInverse):
             K.zero().inv()
     assert degrees == [3, 2, 10, 24]

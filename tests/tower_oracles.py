@@ -16,17 +16,18 @@ from galoiskit.tower import Tower
 
 
 def fraction_product(T, a, b):
-    """a*b for the `Fraction` coordinate tuples a and b of the tower T over Q
-    (unreduced integers for residue tuples over F_p)."""
+    """a*b for the `Fraction` coordinate tuples a and b of the tower T over Q,
+    as `T.sort_key` gives them (unreduced integers for residue tuples over
+    F_p)."""
     lower, d = T.lower, T.level_degree
     m = T.absolute_degree() // d
     if isinstance(lower, Tower):
         mul = lambda x, y: fraction_product(lower, x, y)
-        mod = [lower.coerce(c).v for c in T.minpoly.coeffs[:-1]]
+        mod = [lower.sort_key(c) for c in T.minpoly.coeffs[:-1]]
     else:
         mul = lambda x, y: (x[0] * y[0],)
-        mod = [(lower._flat(c),) for c in T.minpoly.coeffs[:-1]]
-    zero = T._zero[:m]
+        mod = [(lower.sort_key(c),) for c in T.minpoly.coeffs[:-1]]
+    zero = (0,) * m
     out = [zero] * (2 * d - 1)
     for i, j in itertools.product(range(d), repeat=2):
         xy = mul(a[i * m : i * m + m], b[j * m : j * m + m])
