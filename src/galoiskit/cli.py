@@ -348,6 +348,7 @@ def _cmd_irreducible(args, dom):
         witness = ", ".join(f"{k}={_witness_str(v)}" for k, v in cert["witness_data"].items())
         _emit(args, cert, [f"{cert['verdict']} (witness: {cert['witness_kind']} {witness})"])
     else:
+        _explicit_cap(args, f.degree)
         verdict = factor.is_irreducible_ff(f)
         _emit(
             args,
@@ -475,13 +476,21 @@ def _cmd_construct(args, dom):
         )
     elif args.what == "degree":
         m = parse_poly(args.arg, QQ)
+        _explicit_cap(args, m.degree)
         verdict = apps.constructible_degree_check(m)
         _emit(args, verdict.to_json(), [f"{verdict.target}: {verdict.verdict}"])
     else:  # pragma: no cover - argparse restricts choices
         raise ParseError(f"unknown construct target {args.what!r}")
 
 
+def _explicit_cap(args, degree):
+    """An explicit --max-degree, before any work; these have no default cap."""
+    if args.max_degree is not None and degree > args.max_degree:
+        raise DegreeCap(f"degree {degree} exceeds cap {args.max_degree}")
+
+
 def _cmd_gf(args, dom):
+    _explicit_cap(args, args.n)
     F = finitefield.gf(args.p, args.n)
     payload = F.to_json()
     lines = [f"GF({args.p}^{args.n}), modulus {payload['modulus']}"]
@@ -555,8 +564,8 @@ def dispatch(argv) -> int:
         return int(exc.code or 0)
     try:
         dom = _field_from_flag(args.field)
-        # over F_p, factor is capped only by an explicit --max-degree
-        if args.max_degree is None and (args.command != "factor" or dom == QQ):
+        explicit = args.command in ("gf", "construct") or (dom != QQ and args.command in ("factor", "irreducible"))
+        if args.max_degree is None and not explicit:  # those take only an explicit --max-degree
             args.max_degree = splitting.SPLITTING_DEGREE_CAP if args.command in (
                 "splitting-field",
                 "galois",

@@ -1,22 +1,24 @@
 """The fundamental theorem made executable.
 
 Intermediate fields are base-linear subspaces of the splitting field in its
-flattened power-product coordinates, each held in the `Echelon` that spans
-it: membership is a zero residual against it, and its reduced row echelon
-basis is canonical (so equality of subfields is equality of bases,
-sidestepping the isomorphic-but-distinct-subset trap).  Fix(H) is the image
-of the trace sum over H, since Gal(M : Fix(H)) = H and the trace of a finite
-separable extension is onto (Lang, Algebra, VI.5): one n x n sum and one
-elimination per subgroup.  An intermediate field is K(theta) for its
-certified primitive element theta, so an automorphism fixes it, maps it into
-itself or restricts to it as it acts on theta alone.  `verify_correspondence`
-checks that the two maps are mutually inverse on the whole lattice and that
-degrees match orders.
+power-product coordinates, each held in the `Echelon` that spans it:
+membership is a zero residual against it, and its reduced row echelon basis
+is canonical (so equality of subfields is equality of bases, sidestepping
+the isomorphic-but-distinct-subset trap).  Fix(H) is the image of the trace
+sum over H, since Gal(M : Fix(H)) = H and the trace of a finite separable
+extension is onto (Lang, Algebra, VI.5): one n x n sum and one elimination
+per subgroup.  An intermediate field is K(theta) for its certified primitive
+element theta, so an automorphism fixes it, maps it into itself or
+restricts to it as it acts on theta alone.  `verify_correspondence` checks
+that the two maps are mutually inverse on the whole lattice and that
+degrees match orders.  It all runs on the kernel tuples of `linalg`, with
+`Fraction`s only in `Subfield.basis`, `min_poly_of_primitive` and printing.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 from .errors import InternalInvariant, NotNormal, SearchExhausted
 from .galois import (
@@ -28,32 +30,40 @@ from .galois import (
     quotient_group,
     subgroups,
 )
-from .linalg import Echelon, mat_mul_vec
+from .linalg import Echelon, fixes, kernel, mat_mul_vec, matrix
+from .numbers import TowerElem
 from .poly import Poly, render
+from .tower import relation_poly
 
 
 class Subfield:
-    """An intermediate field of the splitting-field extension, as the echelon
-    spanning it, its RREF basis and a certified primitive element."""
+    """An intermediate field of the splitting-field extension: the echelon
+    spanning it, its RREF basis (kernel tuples), and a certified primitive
+    element with the relation of its minimal polynomial (`_find_primitive`)."""
 
-    __slots__ = ("sf", "echelon", "basis", "primitive", "min_poly_of_primitive")
+    __slots__ = ("sf", "echelon", "rows", "primitive", "relation")
 
-    def __init__(self, sf, echelon: Echelon, basis: list, primitive, min_poly_of_primitive: Poly):
-        self.sf = sf
-        self.echelon = echelon
-        self.basis = basis  # echelon.basis(): RREF rows over the base field, each of length n
-        self.primitive = primitive
-        self.min_poly_of_primitive = min_poly_of_primitive
+    def __init__(self, sf, echelon: Echelon, outside=None):
+        self.sf, self.echelon, self.rows = sf, echelon, echelon.basis()
+        self.primitive, self.relation = _find_primitive(sf.field, self.rows, outside)
+
+    @property
+    def basis(self) -> list:  # base scalars
+        return [self.sf.field.base._view(v) for v in self.rows]
+
+    @property
+    def min_poly_of_primitive(self) -> Poly:
+        return relation_poly(self.sf.field.base, self.relation)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def contains(self, x) -> bool:
-        return not any(self.echelon.reduce(self.sf.field.flatten(x))[0])
+        return self.echelon.contains(self.sf.field._concat([x]))
 
     def same_as(self, other: "Subfield") -> bool:
-        return self.basis == other.basis
+        return self.rows == other.rows
 
     def to_json(self):
         return {
@@ -63,61 +73,53 @@ class Subfield:
         }
 
 
-def _candidates(base, basis):
-    """Small integer combinations of the basis rows, lazily and in search
-    order: the rows, then pairwise sums and differences, then every
-    coefficient vector in {0, 1, 2}^dim (3^dim of them, never listed)."""
-    yield from basis
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            yield [a + b for a, b in zip(basis[i], basis[j])]
-            yield [a - b for a, b in zip(basis[i], basis[j])]
-    for coeffs in itertools.product(range(3), repeat=len(basis)):
-        if not any(coeffs):
-            continue
-        vec = [base.zero()] * len(basis[0])
-        for c, row in zip(coeffs, basis):
-            if c:
-                cc = base.from_int(c)
-                vec = [a + cc * b if b else a for a, b in zip(vec, row)]
-        yield vec
+def _candidates(dim):
+    """The coefficients of small integer combinations of dim basis rows,
+    lazily and in search order: each row, then pairwise sums and
+    differences, then every vector in {0, 1, 2}^dim (3^dim, never listed)."""
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    yield from rows
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            yield [a + b for a, b in zip(rows[i], rows[j])]
+            yield [a - b for a, b in zip(rows[i], rows[j])]
+    for coeffs in itertools.product(range(3), repeat=dim):
+        if any(coeffs):
+            yield coeffs
 
 
 def _find_primitive(field, basis, outside=None):
-    """First of `_candidates` to generate the subspace, certified by its
-    minimal polynomial of degree dim.  A `min_poly_over_base` costs up to n
-    tower products and n reductions against an echelon of up to n rows, so
-    when the subspace is Fix(H) and `outside` holds the matrices of one
-    representative of each non-trivial coset of H, a candidate fixed by one of
-    them is rejected first, at O([G:H] n^2) base-field operations.
+    """(x, relation): the first of `_candidates` (1 for the base field) to
+    generate the subspace, certified by its minimal polynomial of degree dim.
+    That costs up to n tower products and n reductions against an echelon of
+    up to n rows, so when the subspace is Fix(H) and `outside` holds the
+    matrices of one representative of each non-trivial coset of H, a
+    candidate fixed by one of them is rejected first, at O([G:H] n^2) integer
+    operations.
 
     The filter is exact.  A candidate x lies in Fix(H), so it generates Fix(H)
     exactly when no g outside H fixes it.  If g(x) = x, write g = g_i h (or
     h g_i, whichever side the cosets were taken on) with h in H; h and its
     inverse fix x, so g_i(x) = x, and x is rejected on g_i."""
-    base, zero = field.base, field.base.zero()
+    p = field.characteristic
+    if len(basis) == 1:
+        return field.one(), kernel([1], 1, p)
+    mat = matrix(basis, p)
     seen = set()
-    for vec in _candidates(base, basis):
-        key = tuple(base.sort_key(c) for c in vec)
-        if key in seen:
+    for coeffs in _candidates(len(basis)):
+        v = mat_mul_vec(mat, coeffs if p else (*coeffs, 1), p)
+        if v in seen:
             continue
-        seen.add(key)
-        if outside and any(mat_mul_vec(m, vec, zero) == vec for m in outside):
+        seen.add(v)
+        if outside and any(fixes(m, v, p) for m in outside):
             continue
-        elem = field.unflatten(list(vec))
-        mp = field.min_poly_over_base(elem)
-        if mp.degree == len(basis):
-            return elem, mp
+        relation, _, powers = field._power_echelon(TowerElem(field, v))
+        if len(powers) == len(basis):
+            return TowerElem(field, v), relation
         if outside is not None:
             raise InternalInvariant(
-                f"filter passed a degree-{mp.degree} element of a degree-{len(basis)} subfield")
+                f"filter passed a degree-{len(powers)} element of a degree-{len(basis)} subfield")
     raise SearchExhausted("no primitive element found for subfield")
-
-
-def _make_subfield(sf, echelon: Echelon, outside=None) -> Subfield:
-    basis = echelon.basis()
-    elem, mp = _find_primitive(sf.field, basis, outside)
-    return Subfield(sf, echelon, basis, elem, mp)
 
 
 def _coset_representatives(H: Subgroup, G: GaloisGroup) -> list:
@@ -135,17 +137,13 @@ def fixed_field(H: Subgroup, G: GaloisGroup) -> Subfield:
     generates Fix(H) exactly when no automorphism outside H fixes it; the
     primitive search rejects candidates on that test, one coset
     representative at a time, and certifies only the element it accepts."""
-    n = G.sf.field.absolute_degree()
-    zero = G.sf.field.base.zero()
-    total = [[zero] * n for _ in range(n)]
-    for idx in H.member_indices:
-        for row, mat_row in zip(total, G.matrix_of(idx)):
-            row[:] = [a + b if b else a for a, b in zip(row, mat_row)]
-    echelon = Echelon(G.sf.field.base)
-    for col in zip(*total):
-        echelon.add(col)
-    outside = [G.matrix_of(g) for g in _coset_representatives(H, G)]
-    sub = _make_subfield(G.sf, echelon, outside)
+    n, p = G.sf.field.absolute_degree(), G.sf.field.characteristic
+    mats = [G.matrix_of(idx) for idx in H.member_indices]
+    den = math.lcm(*[d for _, d in mats])
+    echelon = Echelon(n, p)
+    for j in range(n):  # column j of S, over den
+        echelon.insert(kernel([sum(rows[i][j] * (den // d) for rows, d in mats) for i in range(n)], den, p))
+    sub = Subfield(G.sf, echelon, [G.matrix_of(g) for g in _coset_representatives(H, G)])
     if sub.dim * H.order != n:
         raise InternalInvariant(
             f"fixed field dimension {sub.dim} times |H| = {H.order} != degree {n}"
@@ -160,35 +158,35 @@ def subfield_generated_by(sf, elems) -> Subfield:
     generators, so each spanning element is multiplied out once."""
     field = sf.field
     elems = [field.coerce(e) for e in elems]
-    echelon = Echelon(field.base)
+    echelon = Echelon(field.absolute_degree(), field.characteristic)
     queue = [field.one()]
     while queue:
         x = queue.pop()
-        if echelon.add(field.flatten(x)) is None:
+        if echelon.insert(field._concat([x])):
             queue.extend(x * e for e in elems)
-    return _make_subfield(sf, echelon)
+    return Subfield(sf, echelon)
 
 
 def _images_of_primitive(L: Subfield, G: GaloisGroup):
-    """sigma(theta) for each sigma in G in order, flattened, with theta the
-    certified primitive element of L: sigma acts on L = K(theta) as it acts on
-    theta."""
+    """sigma(theta) for each sigma in G in order, as kernel tuples, with theta
+    the certified primitive element of L: sigma acts on L = K(theta) as it
+    acts on theta."""
     field = G.sf.field
-    theta, zero = field.flatten(L.primitive), field.base.zero()
-    return (mat_mul_vec(G.matrix_of(idx), theta, zero) for idx in range(G.order))
+    theta = field._concat([L.primitive])
+    return (mat_mul_vec(G.matrix_of(idx), theta, field.characteristic) for idx in range(G.order))
 
 
 def gal_over(L: Subfield, G: GaloisGroup) -> Subgroup:
     """Gal(M : L): the automorphisms fixing the primitive element of L."""
-    theta = G.sf.field.flatten(L.primitive)
-    images = _images_of_primitive(L, G)
-    return Subgroup(tuple(idx for idx, image in enumerate(images) if image == theta))
+    field = G.sf.field
+    theta = field._concat([L.primitive])
+    return Subgroup(tuple(idx for idx in range(G.order) if fixes(G.matrix_of(idx), theta, field.characteristic)))
 
 
 def is_normal_intermediate(L: Subfield, G: GaloisGroup) -> bool:
     """True iff every automorphism maps L onto itself: sigma(L) = K(sigma(theta))
     has dimension dim L, so it is L exactly when sigma(theta) lies in L."""
-    return all(not any(L.echelon.reduce(image)[0]) for image in _images_of_primitive(L, G))
+    return all(L.echelon.contains(image) for image in _images_of_primitive(L, G))
 
 
 def restriction_group(L: Subfield, G: GaloisGroup):
@@ -196,8 +194,7 @@ def restriction_group(L: Subfield, G: GaloisGroup):
     homomorphism), as its own composition table.  A restriction is fixed by
     the image of the primitive element, which is its fingerprint; the
     identity (element 0 of G) comes first."""
-    base = G.sf.field.base
-    prints = [tuple(map(base.sort_key, image)) for image in _images_of_primitive(L, G)]
+    prints = list(_images_of_primitive(L, G))
     alike = {}
     for idx, fp in enumerate(prints):
         alike.setdefault(fp, []).append(idx)

@@ -27,9 +27,9 @@ Three coefficient worlds are covered:
   the product of the factors' constant terms must divide lc(f) f(0)) before
   its product is formed.  Multiplicities come from exact division of the
   primitive input over Z.  The modular stage calls the residue functions
-  directly (and `poly._xgcd_mod` for the Hensel cofactors): no Poly or
-  F_p scalar is built between the primitive integer form and the printed
-  factors;
+  directly (`poly._xgcd_mod` and `_cofactor_mod` for the Hensel cofactors):
+  no Poly or F_p scalar is built between the primitive integer form and the
+  printed factors;
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
   the problem down to Q through the norm, a resultant.  It runs in the
   primitive element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the
@@ -66,6 +66,7 @@ from .errors import (
 from .numbers import QQ, PrimeField, factor_integer, is_prime
 from .poly import (
     Poly,
+    _cofactor_mod,
     _deriv_mod,
     _divide_packed,
     _divmod_mod,
@@ -488,9 +489,10 @@ def _bezout_step(m, g1, h1, s, t):
 def _hensel_lift_pair(p, k, f, g, h):
     """Lift f = g h (mod p) to mod p^k (h monic mod p); the Bezout cofactors
     are lifted for every step but the last."""
-    d, s, t = _xgcd_mod(g, h, p)
+    d, s = _xgcd_mod(g, h, p)
     if d != [1]:
         raise InternalInvariant("Hensel pair is not coprime mod p")
+    t = _cofactor_mod(d, s, g, h, p)
     m, pk = p, p**k
     while m < pk:
         g, h = _hensel_step(m, f, g, h, s, t)

@@ -11,9 +11,10 @@ with them.  Because the action on roots is faithful, a `GaloisGroup` is the
 whose table `_perm_table` composes, as it does for `from_permutations`.  The
 search reads the root permutation off the images of the top-level basis
 monomials on which some root has a nonzero coordinate.  The matrix of an
-automorphism on the flattened power-product basis (about n tower products
-and n^2 base entries for degree n), which only the fixed-field linear
-algebra reads, is built on first read from the generator images.
+automorphism on the power-product basis (about n tower products for degree
+n; int rows over one denominator, `galoiskit.linalg`), which only the
+fixed-field linear algebra reads, is built on first read from the generator
+images.
 
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
@@ -30,13 +31,10 @@ module.
 
 from __future__ import annotations
 
-import operator
-
 from .errors import InternalInvariant, NotASubgroup, NotNormal, OrderCap
-from .linalg import mat_mul_vec
+from .linalg import mat_mul_vec, matrix
 from .poly import Poly
 from .splitting import SplittingField, closure, root_permutation
-from .tower import _lowest
 
 SUBGROUP_ORDER_CAP = 60
 TYPE_ORDER_CAP = 120
@@ -111,8 +109,8 @@ def _perm_table(perms):
 
 class Automorphism:
     """A field automorphism over the base: generator images, the induced
-    permutation of the stored roots, and its matrix on the flattened
-    power-product basis (column j = coordinates of the image of basis j),
+    permutation of the stored roots, and its matrix on the power-product
+    basis (column j = coordinates of the image of basis j; `linalg.matrix`),
     built from the generator images on first read."""
 
     __slots__ = ("generator_images", "root_perm", "_field", "_lower", "_matrix")
@@ -127,7 +125,7 @@ class Automorphism:
 
     @property
     def matrix(self):
-        """n x n over the base; [[one]] over a bare base field."""
+        """n x n over the base, as (int rows, den); ([(1,)], 1) over a bare base field."""
         if self._matrix is None:
             chain = self._field.chain()
             k = len(chain) - 1 if self._lower else 0
@@ -151,7 +149,7 @@ class GaloisGroup(FiniteGroup):
         self.elements = elements  # Automorphism list, canonical order, id first
 
     def matrix_of(self, i: int):
-        """Matrix of element i on the flattened power-product basis."""
+        """Matrix of element i on the power-product basis."""
         return self.elements[i].matrix
 
     def to_json(self):
@@ -169,13 +167,12 @@ class GaloisGroup(FiniteGroup):
 
 def apply_automorphism(field, phi: Automorphism, x):
     """Apply an automorphism to an arbitrary element of the splitting field."""
-    return field.unflatten(mat_mul_vec(phi.matrix, field.flatten(x), field.base.zero()))
+    return field._view(mat_mul_vec(phi.matrix, field._concat([x]), field.characteristic))[0]
 
 
 def _matrix(field, basis):
-    """The matrix whose columns are the flattened images of `basis`."""
-    cols = [field.flatten(b) for b in basis]
-    return [[col[r] for col in cols] for r in range(field.absolute_degree())]
+    """The matrix whose columns are the coordinates of the elements `basis`."""
+    return matrix([field._concat([b]) for b in basis], field.characteristic)
 
 
 def _images_of(basis, r, indices):
@@ -193,20 +190,18 @@ def _images_of(basis, r, indices):
 def _searched(sf):
     """(generator images, images of the basis below the top level, root
     permutation) of each automorphism.  Roots and their images are keyed by
-    their kernel coordinates, integer numerators over the least
-    denominator; an image's numerators are integer products with the
-    support coordinates of the roots."""
+    their kernel tuples; an image is the matrix of the support monomials'
+    images times the support coordinates of the root."""
     field = sf.field
     chain = field.chain()
     roots = sf.roots
     if not chain:  # a bare base field: the identity alone
         yield (), None, tuple(range(len(roots)))
         return
-    zero = field.base.zero()
     n = field.absolute_degree()
     root_index = {r.v: i for i, r in enumerate(roots)}
     support = [j for j in range(n) if any(r.v[j] for r in roots)]
-    coords = [([r.v[j] for j in support], r.v[-1]) for r in roots]
+    coords = [(*[r.v[j] for j in support], r.v[-1]) for r in roots]
 
     def extend(images, basis):
         # basis: images of the power-product basis of chain[k-1] ([1] below level 0)
@@ -224,7 +219,7 @@ def _searched(sf):
             if m_phi is None:  # the minimal polynomial's coefficients live in chain[k-1]
                 mat = _matrix(field, basis)
                 m_phi = Poly(field, [
-                    field.unflatten(mat_mul_vec(mat, level.lower.flatten(c), zero))
+                    field._view(mat_mul_vec(mat, level.lower._concat([c]), 0))[0]
                     for c in level.minpoly.coeffs
                 ])
             if not m_phi.eval(r):
@@ -233,9 +228,8 @@ def _searched(sf):
             if k + 1 < len(chain):
                 yield from extend(images + [r], _images_of(basis, r, range(d * len(basis))))
                 continue
-            *ints, den = field._concat(_images_of(basis, r, support))
-            rows = list(zip(*(ints[i : i + n] for i in range(0, len(ints), n))))
-            keys = (_lowest([sum(map(operator.mul, row, v)) for row in rows], den * vden) for v, vden in coords)
+            mat = _matrix(field, _images_of(basis, r, support))
+            keys = (mat_mul_vec(mat, v, 0) for v in coords)
             yield (*images, r), basis, root_permutation(root_index, keys)
 
     yield from extend([], [field.one()])

@@ -25,6 +25,7 @@ here is probabilistic.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import Budget, NotPrime, TowerMismatch, ZeroInverse
@@ -280,6 +281,10 @@ class RationalField(BaseField):
         *nums, den = coords
         return [Fraction(c, den) for c in nums] if den != 1 else list(map(Fraction, nums))
 
+    def _concat(self, elems) -> tuple:  # the inverse of `_view`, for ints and Fractions
+        den = math.lcm(*[x.denominator for x in elems])
+        return (*[x.numerator * (den // x.denominator) for x in elems], den)
+
     def sort_key(self, x):
         return x
 
@@ -353,6 +358,9 @@ class PrimeField(BaseField):
 
     def _view(self, coords) -> list:
         return [TowerElem(self, (c,)) for c in coords]
+
+    def _concat(self, elems) -> tuple:
+        return tuple(map(self._flat, elems))
 
     def sort_key(self, x):
         return x.v[0]

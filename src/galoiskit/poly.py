@@ -449,21 +449,26 @@ def _gcd_mod(a, b, p):
 
 
 def _xgcd_mod(a, b, p):
-    """Extended gcd of trimmed residue lists mod a prime p: (d, s, t) with
-    s*a + t*b = d, d monic ([] iff a = b = [], then s = [1], t = []).  The
-    loop keeps s alone; t = (d - s*a)/b is one exact division ([] if b is)."""
+    """Extended gcd of trimmed residue lists mod a prime p, one cofactor:
+    (d, s) with s*a = d (mod b), d monic ([] iff a = b = [], then s = [1]).
+    `_cofactor_mod` gives the t of s*a + t*b = d when a caller needs it."""
     r0, r1, s0, s1 = a, b, [1], []
     while r1:
         q, r = _divmod_mod(r0, r1, p)
         r0, r1 = r1, r
         s0, s1 = s1, _sub_mod(s0, _mul_mod(q, s1, p), p)
-    t0, rem = _divmod_mod(_sub_mod(r0, _mul_mod(s0, a, p), p), b, p) if b else ([], [])
+    if not r0 or r0[-1] == 1:
+        return r0, s0
+    inv = pow(r0[-1], -1, p)
+    return [c * inv % p for c in r0], [c * inv % p for c in s0]
+
+
+def _cofactor_mod(d, s, a, b, p):
+    """t = (d - s*a)/b mod p ([] if b is), for (d, s) = `_xgcd_mod(a, b, p)`."""
+    t, rem = _divmod_mod(_sub_mod(d, _mul_mod(s, a, p), p), b, p) if b else ([], [])
     if rem:
         raise InternalInvariant(f"d - s*a is not a multiple of b mod {p}")
-    if not r0 or r0[-1] == 1:
-        return r0, s0, t0
-    inv = pow(r0[-1], -1, p)
-    return tuple([c * inv % p for c in x] for x in (r0, s0, t0))
+    return t
 
 
 def _pseudo_divmod(a, b, exact=False):
@@ -550,8 +555,8 @@ def gcd_ext(f: Poly, g: Poly):
     dom = f.dom
     if isinstance(dom, PrimeField):
         g = f._coerce_operand(g)
-        d, a, b = _xgcd_mod([c.v[0] for c in f.coeffs], [c.v[0] for c in g.coeffs], dom.p)
-        return _from_residues(dom, d), _from_residues(dom, a), _from_residues(dom, b)
+        d, s = _xgcd_mod(a := [c.v[0] for c in f.coeffs], b := [c.v[0] for c in g.coeffs], dom.p)
+        return _from_residues(dom, d), _from_residues(dom, s), _from_residues(dom, _cofactor_mod(d, s, a, b, dom.p))
     r0, r1 = f, g
     a0, a1 = Poly.one(dom), Poly.zero(dom)
     b0, b1 = Poly.zero(dom), Poly.one(dom)

@@ -34,8 +34,8 @@ asked for: the base scalars of `flatten` (and of `sort_key` over Q) and the
 level view `TowerElem.coeffs` (coefficients over the lower level, for
 printing, inversion and `Poly`).  Each field object inverts its own tuples
 (`Tower._inv`, `PrimeField._inv`), building no `Poly` over F_p and no F_p
-scalar.  The flat coordinates are what all the linear algebra (minimal
-polynomials, fixed fields, subfield membership) runs on.
+scalar.  The kernel tuples are what all the linear algebra (minimal
+polynomials, fixed fields, subfield membership; `galoiskit.linalg`) runs on.
 
 A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
@@ -58,7 +58,7 @@ from .errors import (
     TowerMismatch,
 )
 from .factor import _shift_order, is_irreducible_over
-from .linalg import Echelon, mat_mul_vec
+from .linalg import Echelon, kernel, mat_mul_vec, matrix
 from .numbers import TowerElem
 from .poly import Poly, _mul_int, _numerators, _power, _pseudo_divmod, _sum_str, _trim, _xgcd_mod, gcd_ext
 
@@ -110,10 +110,8 @@ class Tower:
             self._modulus = _numerators(minpoly.coeffs)[0]
             self._scale = self._modulus[-1] ** (self.level_degree - 1)
         self._hash = hash(("Tower", self.level_degree, lower, minpoly.coeffs))
-        self._primitive = None
-        self._primitive_echelon = None
-        self._primitive_rows = None
-        self._primitive_field = None
+        # gamma with its minimal polynomial, the echelon and matrix of its powers, base[y]/(m_gamma)
+        self._primitive = self._primitive_echelon = self._primitive_matrix = self._primitive_field = None
 
     # -- field-object protocol ------------------------------------------------
 
@@ -151,15 +149,15 @@ class Tower:
         if p := self.characteristic:
             return tuple([(x + y) % p for x, y in zip(a, b)])
         if (da := a[-1]) == (db := b[-1]):
-            return _lowest(list(map(operator.add, a[:-1], b[:-1])), da)
-        return _lowest([x * db + y * da for x, y in zip(a[:-1], b[:-1])], da * db)
+            return kernel(list(map(operator.add, a[:-1], b[:-1])), da)
+        return kernel([x * db + y * da for x, y in zip(a[:-1], b[:-1])], da * db)
 
     def _sub(self, a, b) -> tuple:
         if p := self.characteristic:
             return tuple([(x - y) % p for x, y in zip(a, b)])
         if (da := a[-1]) == (db := b[-1]):
-            return _lowest(list(map(operator.sub, a[:-1], b[:-1])), da)
-        return _lowest([x * db - y * da for x, y in zip(a[:-1], b[:-1])], da * db)
+            return kernel(list(map(operator.sub, a[:-1], b[:-1])), da)
+        return kernel([x * db - y * da for x, y in zip(a[:-1], b[:-1])], da * db)
 
     def _mul(self, a, b) -> tuple:
         """Product of two coordinate tuples, reduced mod the minimal
@@ -207,7 +205,7 @@ class Tower:
                 out.append((lo & mask) % p)
                 lo >>= w
             return tuple(out)
-        return _lowest(self._mul_z(a[:-1], b[:-1]), self._scale * a[-1] * b[-1])
+        return kernel(self._mul_z(a[:-1], b[:-1]), self._scale * a[-1] * b[-1])
 
     def _mul_z(self, a, b) -> list:
         """a*b*`_scale` on integer coordinate lists.  On the bottom level over
@@ -272,7 +270,7 @@ class Tower:
                 d, a, _ = gcd_ext(Poly(self.lower, self.lower._view(v)), self.minpoly)
                 d, u = d.coeffs, self.lower._concat((a % self.minpoly).coeffs)
             else:  # d and u as residue lists
-                d, u, _ = _xgcd_mod(_trim(list(v)), self._modulus, self.characteristic)
+                d, u = _xgcd_mod(_trim(list(v)), self._modulus, self.characteristic)
             if len(d) != 1:
                 raise NotIrreducible("minpoly is not irreducible: found a zero divisor")
             return self._embed(tuple(u))
@@ -286,11 +284,10 @@ class Tower:
             u = _trim([s * x - y for x, y in itertools.zip_longest(u0, qu, fillvalue=0)])
             g = math.gcd(*r, *u)
             r0, r1, u0, u1 = r1, [c // g for c in r], u1, [c // g for c in u]
-        return self._embed(_lowest([c * den * r1[0] for c in u1], r1[0] ** 2))  # u*den*c / c^2
+        return self._embed(kernel([c * den * r1[0] for c in u1], r1[0] ** 2))  # u*den*c / c^2
 
     def _from_poly(self, poly: Poly) -> TowerElem:
-        vec = [c for x in poly.coeffs for c in self.lower.flatten(x)]
-        return self.unflatten(vec + [self.base.zero()] * (self._n - len(vec)))
+        return TowerElem(self, self._embed(self.lower._concat(poly.coeffs)))
 
     def generator(self) -> TowerElem:
         if self.level_degree == 1:
@@ -316,10 +313,7 @@ class Tower:
         return self.base._view(self.coerce(x).v)
 
     def unflatten(self, vec) -> TowerElem:
-        if self.characteristic:
-            return TowerElem(self, tuple(map(self.base._flat, vec)))
-        nums, den = _numerators(list(map(self.base.coerce, vec)))  # in lowest terms
-        return TowerElem(self, (*nums, den))
+        return TowerElem(self, self.base._concat(vec))
 
     def _embed(self, v) -> tuple:
         """The kernel tuple v of a lower level's (or the base's) element, padded."""
@@ -332,7 +326,7 @@ class Tower:
         if self.characteristic:
             return [TowerElem(self, coords[i : i + n]) for i in range(0, len(coords), n)]
         den = coords[-1]
-        return [TowerElem(self, _lowest(coords[i : i + n], den)) for i in range(0, len(coords) - 1, n)]
+        return [TowerElem(self, kernel(coords[i : i + n], den)) for i in range(0, len(coords) - 1, n)]
 
     def _concat(self, elems) -> tuple:
         """The inverse of `_view`: over Q, the numerators over their least
@@ -357,20 +351,20 @@ class Tower:
     # -- minimal polynomials & primitive elements -------------------------------
 
     def _power_echelon(self, x):
-        """(monic minimal polynomial of x over the base, Echelon of the
-        flattened 1, x, ..., x^(d-1), those flattened powers): powers are
-        added until the first one that depends on those before it."""
-        x = self.coerce(x)
-        echelon = Echelon(self.base)
-        power, powers = self.one(), []
-        while (comb := echelon.add(vec := self.flatten(power))) is None:
-            powers.append(vec)
-            power = power * x
-        return Poly(self.base, [-c for c in comb] + [self.base.one()]), echelon, powers
+        """(the combination of x^d in 1, x, ..., x^(d-1), the Echelon of
+        those powers, the powers), all kernel tuples: powers are added until
+        the first one, x^d, that depends on those before it; d = deg of x."""
+        x = self.coerce(x).v
+        echelon = Echelon(self._n, self.characteristic)
+        power, powers = self._one, []
+        while (comb := echelon.add(power)) is None:
+            powers.append(power)
+            power = self._mul(power, x)
+        return comb, echelon, powers
 
     def min_poly_over_base(self, x) -> Poly:
         """Monic minimal polynomial of x over the base field."""
-        return self._power_echelon(x)[0]
+        return relation_poly(self.base, self._power_echelon(x)[0])
 
     def primitive_element(self):
         """A single generator gamma with base(gamma) = the whole tower,
@@ -387,12 +381,13 @@ class Tower:
                 for c, g in zip(rest, gens[1:]):
                     if c:
                         gamma = gamma + g * self.from_int(c)
-                mp, echelon, powers = self._power_echelon(gamma)
-                if mp.degree == self._n:
+                comb, echelon, powers = self._power_echelon(gamma)
+                if len(powers) == self._n:
                     # deg mp = [tower : base] proves mp irreducible
+                    mp = relation_poly(self.base, comb)
                     self._primitive_field = Tower(self.base, mp, "y", certify=False)
                     self._primitive_echelon = echelon
-                    self._primitive_rows = list(zip(*powers))
+                    self._primitive_matrix = matrix(powers, self.characteristic)
                     self._primitive = (gamma, mp)
                     return self._primitive
         raise SearchExhausted("no primitive element found within coefficient bound")
@@ -407,15 +402,16 @@ class Tower:
     def express_in_primitive(self, x) -> Poly:
         """x as a base-coefficient polynomial in the primitive element: its
         combination of the powers of gamma."""
-        self.primitive_element()  # finds gamma and keeps the echelon of its powers
-        return Poly(self.base, self._primitive_echelon.reduce(self.flatten(x))[1])
+        self.primitive_element()  # finds gamma and keeps the echelon of its powers, a basis
+        return Poly(self.base, self.base._view(self._primitive_echelon.add(self.coerce(x).v)))
 
     def eval_primitive_poly(self, f: Poly) -> TowerElem:
         """Evaluate a base-coefficient polynomial at the primitive element:
-        f mod m_gamma times the matrix whose columns are the flattened
-        1, gamma, ..., gamma^(n-1) (n^2 base operations)."""
+        f mod m_gamma times the matrix whose columns are the kernel tuples of
+        1, gamma, ..., gamma^(n-1) (n^2 integer products)."""
         _, mgamma = self.primitive_element()
-        return self.unflatten(mat_mul_vec(self._primitive_rows, (f % mgamma).coeffs, self.base.zero()))
+        y = self._primitive_field._from_poly(f % mgamma).v
+        return TowerElem(self, mat_mul_vec(self._primitive_matrix, y, self.characteristic))
 
     # -- presentation ---------------------------------------------------------
 
@@ -451,11 +447,10 @@ class Tower:
         return self._hash
 
 
-def _lowest(nums, den) -> tuple:
-    """The Q kernel tuple of nums/den, den > 0: all divided by their gcd."""
-    if (g := math.gcd(den, *nums)) == 1:
-        return (*nums, den)
-    return (*[c // g for c in nums], den // g)
+def relation_poly(base, comb) -> Poly:
+    """t^d - sum of c_i t^i over the base, for the kernel tuple comb of the
+    c_i: the minimal polynomial of an x with x^d = sum of c_i x^i."""
+    return Poly(base, [-c for c in base._view(comb)] + [base.one()])
 
 
 def level_label(k: int) -> str:

@@ -353,6 +353,32 @@ def test_factor_fp_honours_an_explicit_max_degree(capsys):
     assert "(t^8 + t^7 + t^5 + t^3 + 1)^1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, degree", [
+    (["gf", "2", "4"], 4),
+    (["gf", "3", "10000000"], 10000000),
+    (["construct", "degree", "t^3-2"], 3),
+    (["--field", "F2", "irreducible", "t^5+t^2+1"], 5),
+    (["--field", "F3", "irreducible", "t^13+2*t+1"], 13),
+])
+def test_an_explicit_max_degree_caps_gf_construct_and_fp_irreducible(capsys, argv, degree):
+    # refused before any work just over the cap, answered at the cap; these
+    # commands have no default cap, so `gf 2 20` still runs without the flag
+    t0 = time.monotonic()
+    assert dispatch(["--max-degree", str(degree - 1)] + argv) == 3
+    assert time.monotonic() - t0 < 1.0
+    assert capsys.readouterr().err == f"cap exceeded: degree {degree} exceeds cap {degree - 1}\n"
+    if degree < 100:
+        assert dispatch(["--max-degree", str(degree)] + argv) == 0
+        with_cap = capsys.readouterr()
+        assert dispatch(argv) == 0
+        assert capsys.readouterr() == with_cap
+
+
+def test_gf_has_no_default_degree_cap(capsys):
+    assert dispatch(["gf", "2", "20"]) == 0  # past FACTOR_DEGREE_CAP and SPLITTING_DEGREE_CAP
+    assert capsys.readouterr().out == "GF(2^20), modulus t^20 + t^3 + 1\n"
+
+
 def test_irreducible_command(capsys):
     assert dispatch(["irreducible", "t^3 - 10"]) == 0
     out = capsys.readouterr().out

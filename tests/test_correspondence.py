@@ -30,8 +30,7 @@ from galoiskit.correspondence import (
     subfield_generated_by,
     verify_correspondence,
 )
-from galoiskit.linalg import mat_mul_vec
-from linalg_oracles import in_row_space, row_space_basis, rref
+from linalg_oracles import in_row_space, mat_mul_vec, row_space_basis, rref, scalar_matrix
 
 
 def q(coeffs):
@@ -257,7 +256,7 @@ def test_conjugation_covariance(t4_setup):
                 sorted(g_tbl.table[g_tbl.table[a][h]][inv] for h in H.member_indices)
             )
             L_conj = fixed_field(Subgroup(conj), G)
-            mat = G.matrix_of(a)
+            mat = scalar_matrix(base, G.matrix_of(a))
             mapped = [mat_mul_vec(mat, v, zero) for v in L.basis]
             assert all(in_row_space(base, L_conj.basis, v) for v in mapped)
             assert len(mapped) == L_conj.dim
@@ -366,11 +365,36 @@ def test_primitive_filter_that_accepts_a_non_generator_raises(t4_setup):
     # silently as a generator of the degree-8 field
     sf, G, subs = t4_setup
     field = sf.field
-    basis = [[field.base.one() if i == j else field.base.zero() for j in range(8)] for i in range(8)]
+    basis = [tuple(int(i == j) for j in range(8)) + (1,) for i in range(8)]  # kernel tuples
     with pytest.raises(InternalInvariant):
         _find_primitive(field, basis, outside=[])
-    elem, mp = _find_primitive(field, basis)
-    assert mp.degree == 8
+    elem, relation = _find_primitive(field, basis)
+    assert field.min_poly_over_base(elem).degree == 8 == len(relation) - 1
+
+
+@pytest.mark.parametrize("coeffs", [
+    [-2, 0, 0, 0, 1],  # t^4 - 2, D4
+    [-30, 0, 31, 0, -10, 0, 1],  # (t^2 - 2)(t^2 - 3)(t^2 - 5), C2^3
+    [-1, -1, 0, 0, 1],  # t^4 - t - 1, S4 of degree 24
+])
+def test_q_linear_algebra_builds_no_fraction(monkeypatch, coeffs):
+    # over Q the fixed fields, Gal(M : L), normality and the power echelon of
+    # a minimal polynomial run on integer numerators over one denominator
+    sf = splitting_field_q(q(coeffs))
+    G = automorphisms(sf)
+    subs = subgroups(G)
+    built, new = [], Fraction.__new__
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(lambda cls, *a, **k: built.append(1) or new(cls, *a, **k)))
+    found = []
+    for H in subs:
+        L = fixed_field(H, G)
+        found.append((H, L, gal_over(L, G), is_normal_intermediate(L, G), sf.field._power_echelon(L.primitive)))
+    monkeypatch.undo()
+    assert not built
+    for H, L, back, normal, (relation, _, powers) in found:
+        assert back.member_indices == H.member_indices and normal == is_normal_subgroup(H, G)
+        assert len(powers) == L.dim == L.min_poly_of_primitive.degree
+        assert L.min_poly_of_primitive == sf.field.min_poly_over_base(L.primitive)
 
 
 # ---------------------------------------------------------------------------
@@ -398,14 +422,14 @@ def _fixed_space_by_kernels(H, G):
     n = G.sf.field.absolute_degree()
     stacked = []
     for idx in H.member_indices[1:]:
-        for r, row in enumerate(G.matrix_of(idx)):
+        for r, row in enumerate(scalar_matrix(base, G.matrix_of(idx))):
             stacked.append([c - base.one() if j == r else c for j, c in enumerate(row)])
     return row_space_basis(base, _nullspace(base, stacked, n))
 
 
 def _basis_images(L, G, idx):
     base = G.sf.field.base
-    return [mat_mul_vec(G.matrix_of(idx), v, base.zero()) for v in L.basis]
+    return [mat_mul_vec(scalar_matrix(base, G.matrix_of(idx)), v, base.zero()) for v in L.basis]
 
 
 _TRACE_FIELDS = {
@@ -489,7 +513,7 @@ def test_primitive_filter_missing_a_coset_raises():
     sf = splitting_field_q(q([-30, 0, 31, 0, -10, 0, 1]))
     G = automorphisms(sf)
     top = Subgroup((0,))
-    basis = fixed_field(top, G).basis
+    basis = fixed_field(top, G).rows
     reps = _coset_representatives(top, G)
     for skipped in reps:
         with pytest.raises(InternalInvariant):

@@ -22,6 +22,7 @@ from galoiskit.errors import (
 from galoiskit.numbers import QQ, PrimeField, divisors
 from galoiskit.poly import (
     Poly,
+    _cofactor_mod,
     _deriv_mod,
     _mul_mod,
     _rem_mod,
@@ -794,9 +795,10 @@ def test_packed_lifting_steps_match_the_list_form():
         while lifted < 40:
             g = [rng.randrange(p) for _ in range(rng.randint(0, 6))] + [rng.randrange(1, p)]
             h = [rng.randrange(p) for _ in range(rng.randint(1, 6))] + [1]
-            d, s, t = _xgcd_mod(g, h, p)
+            d, s = _xgcd_mod(g, h, p)
             if d != [1]:
                 continue
+            t = _cofactor_mod(d, s, g, h, p)
             height = rng.choice((0, 1, p, 10**30))
             f = [c + p * rng.randint(-height, height) for c in _mul_mod(g, h, p)]
             m = p

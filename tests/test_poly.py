@@ -14,6 +14,7 @@ from galoiskit.numbers import QQ, PrimeField, TowerElem
 from galoiskit.poly import (
     NEG_INFINITY,
     Poly,
+    _cofactor_mod,
     _divmod_mod,
     _mul_mod,
     _rem_mod,
@@ -472,8 +473,9 @@ def test_fp_gcd_matches_euclid_loop():
 
 
 def test_xgcd_mod_bezout():
-    # s*a + t*b = d with d monic and dividing both, on residue lists:
-    # coprime, equal, multiples of a common factor and zero inputs
+    # s*a + t*b = d with d monic and dividing both, on residue lists, t from
+    # `_cofactor_mod`: coprime, equal, multiples of a common factor and zero
+    # inputs
     rng = random.Random(79)
     counts = Counter()
     for p in (2, 3, 5, 7, 13, 1031):
@@ -493,7 +495,8 @@ def test_xgcd_mod_bezout():
             elif kind == "zero":
                 f = Poly.zero(F)
             a, b = [c.v[0] for c in f.coeffs], [c.v[0] for c in g.coeffs]
-            d, s, t = _xgcd_mod(a, b, p)
+            d, s = _xgcd_mod(a, b, p)
+            t = _cofactor_mod(d, s, a, b, p)
             D, S, T = Poly(F, d), Poly(F, s), Poly(F, t)
             assert S * f + T * g == D, (p, f, g)
             if f.is_zero() and g.is_zero():
@@ -504,7 +507,7 @@ def test_xgcd_mod_bezout():
             counts[kind] += 1
             counts["nontrivial"] += len(d) > 1
     assert min(counts.values()) >= 20, counts
-    assert _xgcd_mod([], [], 7) == ([], [1], [])
+    assert _xgcd_mod([], [], 7) == ([], [1]) and _cofactor_mod([], [1], [], [], 7) == []
 
 
 def test_mixed_prime_fields_raise():
