@@ -41,7 +41,7 @@ from .factor import (
     rational_roots,
     roots_fp,
 )
-from .tower import Tower, TowerElem, adjoin_root, min_poly, tower_degree
+from .tower import Tower, TowerElem, adjoin_root
 from .splitting import (
     SplittingField,
     splitting_field_fp,

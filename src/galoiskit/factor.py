@@ -33,10 +33,12 @@ Three coefficient worlds are covered:
 * simple extensions of Q presented by a tower: Trager's norm method, pushing
   the problem down to Q through the norm, a resultant.  It runs in the
   primitive element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the
-  tower: only the irreducible factors are mapped back.  The norm of g of
-  degree d over a field of degree n is built from power sums, with no
-  resultant: n*(nd)^2 integer operations for a table of traces, then
-  (nd)^2 operations mod NORM_PRIME for each shift tried until one is proved
+  tower, on kernel tuples: the coefficients go in by `Tower.to_primitive`,
+  and only the irreducible factors come back, by `from_primitive`.  The
+  norm of g of degree d over a field of degree n is built from Q(gamma)'s
+  integer modulus and g's tuples by power sums, with no resultant:
+  n*(nd)^2 integer operations for a table of traces, then (nd)^2
+  operations mod NORM_PRIME for each shift tried until one is proved
   squarefree, and one exact pass over Q for that shift.
 
 `factor_over_extension(g)` is the one entry point for all three: it
@@ -63,14 +65,14 @@ from .errors import (
     SearchExhausted,
     ZeroPolynomial,
 )
-from .numbers import QQ, PrimeField, factor_integer, is_prime
+from .linalg import kernel
+from .numbers import QQ, PrimeField, TowerElem, factor_integer, is_prime
 from .poly import (
     Poly,
     _cofactor_mod,
     _deriv_mod,
     _divide_packed,
     _divmod_mod,
-    _from_numerators,
     _from_residues,
     _gcd_mod,
     _monic_mod,
@@ -864,12 +866,13 @@ def _norm_primes(den: int):
             yield _NORM_PRIMES[i]
 
 
-def _trager_norm(mgamma: Poly, reps, shifts):
+def _trager_norm(m, reps, shifts):
     """(s, N_s) for the first s of `shifts` whose norm
     N_s = Res_y(mgamma, g(t - s*y)) is squarefree, N_s as a primitive int
-    list with positive lc.  mgamma is monic of degree n, `reps` are the
-    coordinates of a monic squarefree g of degree d over K = Q[y]/(mgamma),
-    and nd = n*d.
+    list with positive lc.  mgamma, monic of degree n, is given as K's
+    integer modulus m (`Tower._modulus` of K = Q[y]/(mgamma): numerators
+    over the last one, md), `reps` are the kernel tuples of the coefficients
+    of a monic squarefree g of degree d over K, and nd = n*d.
 
     N_s is monic, with roots b + s*c for each root c of mgamma and each root
     b of g's conjugate at c, so its power sums are traces of those of g's
@@ -887,13 +890,13 @@ def _trager_norm(mgamma: Poly, reps, shifts):
     `_norm_primes`, divides neither md nor cden, so N_s mod p keeps its
     degree and would keep a repeated factor.  Only the accepted s gets N_s
     over Q, by the same identities."""
-    m, md = _numerators(mgamma.coeffs)
-    n, d = len(m) - 1, len(reps) - 1
+    n, d, md = len(m) - 1, len(reps) - 1, m[-1]
     nd = n * d
     mu = [c * md ** (n - 1 - k) for k, c in enumerate(m[:-1])] + [1]
-    nums, cden = _numerators([c / md**k for f in reps[:-1] for k, c in enumerate(f.coeffs)])
-    nums = iter(nums)  # cs: g's coefficients below t^d in y', numerators over cden
-    cs = [list(itertools.islice(nums, len(f.coeffs))) for f in reps[:-1]]
+    # cs: g's coefficients below t^d in y' (x/D at y^k is x/(D md^k) at y'^k), over cden
+    fracs = [[(x, v[-1] * md**k) for k, x in enumerate(v[:-1])] for v in reps[:-1]]
+    cden = lcm(*[D // _int_gcd(x, D) for f in fracs for x, D in f])
+    cs = [_trim([x * cden // D for x, D in f]) for f in fracs]
     # Newton, for the roots of t^k + c_(k-1) t^(k-1) + ... + c_0:
     # P_a = -sum_(i = 1 .. min(a, k)) c_(k-i) (P_(a-i) if i < a else a)
     q = [n]  # Tr(y'^e)
@@ -935,18 +938,16 @@ def _trager_norm(mgamma: Poly, reps, shifts):
     raise SearchExhausted("no squarefree norm shift found")
 
 
-def _shift_into(field, h: Poly, s: int) -> Poly:
-    """h(t + s*y) over field = Q[y]/(m) for h over Q of degree d: the
-    coefficient of t^k is sum_i h_(k+i) C(k+i, k) s^i y^i reduced mod m, so
-    O(d^2) integer operations and d reductions."""
-    nums, den = _numerators(h.coeffs)
-    d = len(nums) - 1
+def _shift_into(field, h, s: int) -> Poly:
+    """h(t + s*y) over field = Q[y]/(m) for h an int list of degree d: the
+    coefficient of t^k is a = sum_i h_(k+i) C(k+i, k) s^i y^i, and one
+    pseudo-division by the field's integer modulus, r*a = q*m + rem, makes
+    it the kernel tuple of rem/r: O(d^2) integer operations, d reductions."""
+    d, n = len(h) - 1, field.absolute_degree()
     out = []
     for k in range(d + 1):
-        y_poly = _from_numerators(
-            _trim([nums[k + i] * comb(k + i, k) * s**i for i in range(d - k + 1)]), den
-        )
-        out.append(field._from_poly(y_poly % field.minpoly))
+        _, rem, r = _pseudo_divmod([h[k + i] * comb(k + i, k) * s**i for i in range(d - k + 1)], field._modulus)
+        out.append(TowerElem(field, kernel(rem + [0] * (n - len(rem)), r)))
     return Poly(field, out, normalize=False)
 
 
@@ -959,7 +960,7 @@ def _split_by_norm(sq: Poly, norm_factors, s: int) -> list:
     irreducible norm needs no gcd.  Then deg h = [K : Q] deg(factor) for all."""
     K, cof, out = sq.dom, sq, []
     for h in norm_factors[:-1]:
-        g = poly_gcd(cof, _shift_into(K, Poly(QQ, h), s))
+        g = poly_gcd(cof, _shift_into(K, h, s))
         cof, r = divmod(cof, g)
         if r:
             raise InternalInvariant("a gcd with a norm factor does not divide the input")
@@ -975,8 +976,9 @@ def factor_over_extension(g: Poly) -> Factorization:
     field that is: the one factoring entry point.  Over Q it is `factor_q`
     with the cap raised to deg g, and over F_p or a finite tower `factor_ff`.
     Over a tower of characteristic 0, Trager's method runs in the primitive
-    element's field K = Q[y]/(m_gamma) (`primitive_field`), where a product
-    is one rational product and one reduction mod m_gamma: squarefree part,
+    element's field K = Q[y]/(m_gamma) (`primitive_field`, reached by
+    `to_primitive` and left by `from_primitive`), where a product is one
+    integer product and one reduction mod m_gamma: squarefree part,
     norm Res_y(m_gamma, g(t - s*y)), one factor per factor of the norm
     (`_split_by_norm`) and multiplicities.  The norm, of degree nd at
     most NORM_DEGREE_CAP for n = [K : Q] and d = deg g, comes from power sums
@@ -1009,14 +1011,11 @@ def factor_over_extension(g: Poly) -> Factorization:
         raise DegreeCap(f"norm degree {work.degree * n} exceeds cap {NORM_DEGREE_CAP}")
 
     K = dom.primitive_field()
-    mgamma = K.minpoly
-    work_k = work.map_domain(K, lambda c: K._from_poly(dom.express_in_primitive(c)))
+    work_k = work.map_domain(K, dom.to_primitive)
     sq = squarefree_part(work_k)
-    reps = [Poly(QQ, c.coeffs) for c in sq.coeffs]
-
-    s, norm = _trager_norm(mgamma, reps, _shift_order(NORM_SHIFT_TRIES))
+    s, norm = _trager_norm(K._modulus, [c.v for c in sq.coeffs], _shift_order(NORM_SHIFT_TRIES))
     irreducibles = _split_by_norm(sq, _factor_sqfree_primitive_z(norm), s)
-    back = lambda f: f.map_domain(dom, lambda c: dom.eval_primitive_poly(Poly(QQ, c.coeffs)))
+    back = lambda f: f.map_domain(dom, dom.from_primitive)
     return Factorization(unit, _multiplicities(work_k, irreducibles, divmod, Poly.one(K), back))
 
 

@@ -472,12 +472,12 @@ def _cofactor_mod(d, s, a, b, p):
 
 
 def _pseudo_divmod(a, b, exact=False):
-    """Fraction-free division of int coefficient lists, deg a >= deg b:
-    (q, r, s) with s*a = q*b + r and deg r < deg b.  A step whose leading
-    coefficient lc(b) does not divide first scales the remainder and the
-    quotient so far by the missing factor of lc(b), so s = 1 while every
-    step divides (always when lc(b) = 1).  With `exact`, such a step
-    returns None instead: trial division over Z."""
+    """Fraction-free division of int coefficient lists: (q, r, s) with
+    s*a = q*b + r and deg r < deg b (q = [] and s = 1 when deg a < deg b).
+    A step whose leading coefficient lc(b) does not divide first scales the
+    remainder and the quotient so far by the missing factor of lc(b), so
+    s = 1 while every step divides (always when lc(b) = 1).  With `exact`,
+    such a step returns None instead: trial division over Z."""
     dg = len(b) - 1
     lead = b[-1]
     r = list(a)

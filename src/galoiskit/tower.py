@@ -41,8 +41,10 @@ A Tower is itself a field object in the sense of `galoiskit.numbers`, so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
 tower.  A certified primitive element gamma also gives the one-level field
 base[y]/(m_gamma) (`primitive_field`), with one cached change of basis each
-way; Trager factoring runs there instead of on the tower.  Splitting fields
-and `minpoly` label level k by `level_label(k)`.
+way on kernel tuples: `to_primitive` reads an element's combination of the
+powers of gamma off their echelon, and `from_primitive` multiplies by the
+matrix of those powers.  Trager factoring runs there instead of on the
+tower.  Splitting fields and `minpoly` label level k by `level_label(k)`.
 """
 
 from __future__ import annotations
@@ -286,9 +288,6 @@ class Tower:
             r0, r1, u0, u1 = r1, [c // g for c in r], u1, [c // g for c in u]
         return self._embed(kernel([c * den * r1[0] for c in u1], r1[0] ** 2))  # u*den*c / c^2
 
-    def _from_poly(self, poly: Poly) -> TowerElem:
-        return TowerElem(self, self._embed(self.lower._concat(poly.coeffs)))
-
     def generator(self) -> TowerElem:
         if self.level_degree == 1:
             return self.coerce(-self.minpoly.coeff(0))
@@ -394,24 +393,23 @@ class Tower:
 
     def primitive_field(self) -> "Tower":
         """The one-level field base[y]/(m_gamma), isomorphic to this tower by
-        y -> gamma; cached.  `express_in_primitive` maps into it and
-        `eval_primitive_poly` maps back."""
+        y -> gamma; cached.  `to_primitive` maps into it and `from_primitive`
+        maps back."""
         self.primitive_element()
         return self._primitive_field
 
-    def express_in_primitive(self, x) -> Poly:
-        """x as a base-coefficient polynomial in the primitive element: its
-        combination of the powers of gamma."""
-        self.primitive_element()  # finds gamma and keeps the echelon of its powers, a basis
-        return Poly(self.base, self.base._view(self._primitive_echelon.add(self.coerce(x).v)))
+    def to_primitive(self, x) -> TowerElem:
+        """x in `primitive_field`: its kernel tuple is x's combination of the
+        powers 1, gamma, ..., gamma^(n-1), read off their echelon."""
+        K = self.primitive_field()
+        return TowerElem(K, self._primitive_echelon.add(self.coerce(x).v))
 
-    def eval_primitive_poly(self, f: Poly) -> TowerElem:
-        """Evaluate a base-coefficient polynomial at the primitive element:
-        f mod m_gamma times the matrix whose columns are the kernel tuples of
-        1, gamma, ..., gamma^(n-1) (n^2 integer products)."""
-        _, mgamma = self.primitive_element()
-        y = self._primitive_field._from_poly(f % mgamma).v
-        return TowerElem(self, mat_mul_vec(self._primitive_matrix, y, self.characteristic))
+    def from_primitive(self, y) -> TowerElem:
+        """The inverse of `to_primitive`: the element y of `primitive_field`
+        evaluated at gamma, the matrix whose columns are the kernel tuples of
+        1, gamma, ..., gamma^(n-1) times y's tuple (n^2 integer products)."""
+        self.primitive_element()
+        return TowerElem(self, mat_mul_vec(self._primitive_matrix, y.v, self.characteristic))
 
     # -- presentation ---------------------------------------------------------
 
@@ -463,13 +461,3 @@ def adjoin_root(field, minpoly: Poly, label: str, certify: bool = True):
     tower; returns (new_tower, root)."""
     ext = Tower(field, minpoly, label, certify=certify)
     return ext, ext.generator()
-
-
-def tower_degree(field) -> int:
-    """[field : base]; 1 for a bare base field."""
-    return field.absolute_degree()
-
-
-def min_poly(field, x) -> Poly:
-    """Monic minimal polynomial of x over the base of its field."""
-    return field.min_poly_over_base(x)

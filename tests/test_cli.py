@@ -1135,6 +1135,59 @@ GOLDEN_JSON = [
         '"(1 5)(2 4)"],"generators":["(1 2 3 4 5)","(2 3 5 4)"],"order":20,'
         '"type":"unidentified group of order 20"}\n',
     ),
+    # recorded before Trager's method took Q(gamma)'s kernel tuples: towers
+    # whose m_gamma has denominators
+    (
+        ["--json", "minpoly", "t^2-1/2", "t^3-1/3", "t^2+1/5"],
+        '{"degree":12,"primitive_element":"c + b + a","primitive_min_poly":'
+        '"t^12 - 9/5*t^10 - 4/3*t^9 + 51/20*t^8 - 197/150*t^6 + 178/25*t^5 '
+        '+ 3699/2000*t^4 - 7952/3375*t^3 + 198173/150000*t^2 - 5557/7500*t '
+        '+ 16523569/81000000","tower":[{"label":"a","min_poly":"t^2 - 1/2"}'
+        ',{"label":"b","min_poly":"t^3 - 1/3"},{"label":"c","min_poly":"t^2'
+        ' + 1/5"}]}\n',
+    ),
+    (
+        ["--json", "correspondence", "(t^2-1/2)*(t^2-1/3)*(t^2-1/5)"],
+        '{"degree":8,"group_order":8,"mutually_inverse":true,"pair_count":1'
+        '6,"pairs":[{"fixed_field":{"dim":8,"primitive":"((a + 1)*b + a)*c"'
+        ',"primitive_min_poly":"t^8 - 4/5*t^6 + 32/225*t^4 - 8/1125*t^2 + 4'
+        '/50625"},"gal_over_matches":true,"normal":true,"order":1,"subgroup'
+        '":[0]},{"fixed_field":{"dim":4,"primitive":"b + a","primitive_min_'
+        'poly":"t^4 - 5/3*t^2 + 1/36"},"gal_over_matches":true,"normal":tru'
+        'e,"order":2,"subgroup":[0,1]},{"fixed_field":{"dim":4,"primitive":'
+        '"c + a","primitive_min_poly":"t^4 - 7/5*t^2 + 9/100"},"gal_over_ma'
+        'tches":true,"normal":true,"order":2,"subgroup":[0,2]},{"fixed_fiel'
+        'd":{"dim":4,"primitive":"b*c + a","primitive_min_poly":"t^4 - 17/1'
+        '5*t^2 + 169/900"},"gal_over_matches":true,"normal":true,"order":2,'
+        '"subgroup":[0,3]},{"fixed_field":{"dim":4,"primitive":"c + b","pri'
+        'mitive_min_poly":"t^4 - 16/15*t^2 + 4/225"},"gal_over_matches":tru'
+        'e,"normal":true,"order":2,"subgroup":[0,4]},{"fixed_field":{"dim":'
+        '4,"primitive":"a*c + b","primitive_min_poly":"t^4 - 13/15*t^2 + 49'
+        '/900"},"gal_over_matches":true,"normal":true,"order":2,"subgroup":'
+        '[0,5]},{"fixed_field":{"dim":4,"primitive":"c + a*b","primitive_mi'
+        'n_poly":"t^4 - 11/15*t^2 + 1/900"},"gal_over_matches":true,"normal'
+        '":true,"order":2,"subgroup":[0,6]},{"fixed_field":{"dim":4,"primit'
+        'ive":"a*c + a*b","primitive_min_poly":"t^4 - 8/15*t^2 + 1/225"},"g'
+        'al_over_matches":true,"normal":true,"order":2,"subgroup":[0,7]},{"'
+        'fixed_field":{"dim":2,"primitive":"a","primitive_min_poly":"t^2 - '
+        '1/2"},"gal_over_matches":true,"normal":true,"order":4,"subgroup":['
+        '0,1,2,3]},{"fixed_field":{"dim":2,"primitive":"b","primitive_min_p'
+        'oly":"t^2 - 1/3"},"gal_over_matches":true,"normal":true,"order":4,'
+        '"subgroup":[0,1,4,5]},{"fixed_field":{"dim":2,"primitive":"a*b","p'
+        'rimitive_min_poly":"t^2 - 1/6"},"gal_over_matches":true,"normal":t'
+        'rue,"order":4,"subgroup":[0,1,6,7]},{"fixed_field":{"dim":2,"primi'
+        'tive":"c","primitive_min_poly":"t^2 - 1/5"},"gal_over_matches":tru'
+        'e,"normal":true,"order":4,"subgroup":[0,2,4,6]},{"fixed_field":{"d'
+        'im":2,"primitive":"a*c","primitive_min_poly":"t^2 - 1/10"},"gal_ov'
+        'er_matches":true,"normal":true,"order":4,"subgroup":[0,2,5,7]},{"f'
+        'ixed_field":{"dim":2,"primitive":"b*c","primitive_min_poly":"t^2 -'
+        ' 1/15"},"gal_over_matches":true,"normal":true,"order":4,"subgroup"'
+        ':[0,3,4,7]},{"fixed_field":{"dim":2,"primitive":"a*b*c","primitive'
+        '_min_poly":"t^2 - 1/30"},"gal_over_matches":true,"normal":true,"or'
+        'der":4,"subgroup":[0,3,5,6]},{"fixed_field":{"dim":1,"primitive":"'
+        '1","primitive_min_poly":"t - 1"},"gal_over_matches":true,"normal":'
+        'true,"order":8,"subgroup":[0,1,2,3,4,5,6,7]}]}\n',
+    ),
 ]
 
 

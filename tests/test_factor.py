@@ -63,7 +63,7 @@ from galoiskit.factor import (
     roots_fp,
 )
 from galoiskit.tower import adjoin_root
-from test_poly import _compose, _list_divmod_mod, _norm_resultant, _trager_norm_cases
+from test_poly import _compose, _list_divmod_mod, _norm_resultant, _poly_form, _primitive_reps, _trager_norm_cases
 from test_tower import _tower_elements
 
 F2 = PrimeField(2)
@@ -1062,8 +1062,8 @@ def _tower_trager_oracle(g, T):
 
     work = g.monic()
     sq = squarefree_part(work)
-    gamma, mgamma = T.primitive_element()
-    reps = [T.express_in_primitive(c) for c in sq.coeffs]
+    gamma, _ = T.primitive_element()
+    mgamma, reps = _poly_form(*_primitive_reps(T, sq.coeffs))
     for s in _shift_order(40):
         norm = _norm_resultant(mgamma, reps, s)
         if norm.degree == sq.degree * mgamma.degree and not poly_gcd(norm, norm.derivative()).degree:
@@ -1142,12 +1142,12 @@ def test_primitive_maps_are_inverse():
         assert K.lower == T.base and K.minpoly == T.primitive_element()[1]
         for _ in range(6):
             x = T.unflatten([Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
-            rep = T.express_in_primitive(x)
-            assert rep.degree < n and T.eval_primitive_poly(rep) == x
-        # a polynomial of degree >= n is reduced mod m_gamma first
+            rep = T.to_primitive(x)
+            assert len(K.flatten(rep)) == n and T.from_primitive(rep) == x
+        # a polynomial of degree >= n is reduced mod m_gamma in K first
         gamma, mgamma = T.primitive_element()
         f = q([rng.randint(-3, 3) for _ in range(n + 3)])
-        assert T.eval_primitive_poly(f) == f.map_domain(T, T.coerce).eval(gamma)
+        assert T.from_primitive(f.map_domain(K, K.coerce).eval(K.generator())) == f.map_domain(T, T.coerce).eval(gamma)
 
 
 def _mod(c, p):
@@ -1215,13 +1215,14 @@ def _oracle_norm(mgamma, reps, s):
     return content_primitive(_norm_resultant(mgamma, reps, s))[1]
 
 
-def _check_against_the_oracles(mgamma, reps):
+def _check_against_the_oracles(modulus, reps):
     """`_trager_norm` over the shifts `factor_over_extension` tries: the
     accepted shift is the oracle's, and the integer norm is the
     subresultant's, whose image mod p is the oracle's image."""
-    s, norm = _trager_norm(mgamma, reps, _shift_order(NORM_SHIFT_TRIES))
-    oracle_s, image, p = _oracle_shift(mgamma, reps)
-    assert s == oracle_s and norm == _oracle_norm(mgamma, reps, s)
+    s, norm = _trager_norm(modulus, reps, _shift_order(NORM_SHIFT_TRIES))
+    mgamma, polys = _poly_form(modulus, reps)
+    oracle_s, image, p = _oracle_shift(mgamma, polys)
+    assert s == oracle_s and norm == _oracle_norm(mgamma, polys, s)
     assert [c * pow(norm[-1], -1, p) % p for c in norm] == image
     return s, norm
 
@@ -1241,10 +1242,9 @@ def test_norm_mod_is_the_exact_norm_mod_p():
     ]
     for T in towers:
         n = T.absolute_degree()
-        mgamma = T.primitive_element()[1]
         elem = lambda: T.unflatten([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
         for g in (Poly(T, [elem(), elem(), T.one()]), Poly(T, [elem(), T.one()]) ** 2):
-            reps = [T.express_in_primitive(c) for c in g.coeffs]
+            mgamma, reps = _poly_form(*_primitive_reps(T, g.coeffs))
             dens |= {c.denominator for r in reps + [mgamma] for c in r.coeffs}
             for s in range(-3, 4):
                 exact = _norm_resultant(mgamma, reps, s)
@@ -1261,25 +1261,25 @@ def test_a_norm_whose_degree_drops_mod_p_proves_nothing():
     P = NORM_PRIME
     g = q([Fraction(1, P), 1]) ** 2 * q([-2, 1])
     assert _norm_mod(q([0, 1]), [q([c * P * P]) for c in g.coeffs], 0, P) == [P - 2, 1]
-    reps = [q([c]) for c in g.coeffs]
+    reps = [QQ._concat([c]) for c in g.coeffs]
     with pytest.raises(SearchExhausted):
-        _trager_norm(q([0, 1]), reps, _shift_order(3))
-    assert _oracle_shift(q([0, 1]), reps, 3) is None
+        _trager_norm([0, 1], reps, _shift_order(3))
+    assert _oracle_shift(*_poly_form([0, 1], reps), 3) is None
     g = q([3, 1]) * q([-2, 1])
     # the accepted shift, with the norm over Z
-    assert _trager_norm(q([0, 1]), [q([c]) for c in g.coeffs], _shift_order(3)) == (0, [-6, 1, 1])
+    assert _trager_norm([0, 1], [QQ._concat([c]) for c in g.coeffs], _shift_order(3)) == (0, [-6, 1, 1])
 
 
 def _rational_norm_cases():
-    """(m_gamma, reps) for two rational minimal polynomials, with reps whose
-    denominators include 2, 3 and 5; and over Q itself (m = y) for
-    t^2 - t + 1/2, whose power sums up to nd = 2 are integers though its
-    coefficients are not."""
+    """(K's integer modulus, kernel tuples of g's coefficients) for two
+    rational minimal polynomials m_gamma, t^2 - 1/2 and t^3 - 2/5 t^2 + 1/3,
+    with tuples whose denominators include 2, 3 and 5; and over Q itself
+    (m = y) for t^2 - t + 1/2, whose power sums up to nd = 2 are integers
+    though its coefficients are not."""
     for m in (q([Fraction(-1, 2), 0, 1]), q([Fraction(1, 3), 0, Fraction(-2, 5), 1])):
         T, x = adjoin_root(QQ, m, "x", certify=False)
-        g = [x * Fraction(1, 3) + Fraction(2, 7), x * x * Fraction(-5, 4), T.one() * 3, T.one()]
-        yield m, [T.express_in_primitive(c) for c in g]
-    yield q([0, 1]), [q([Fraction(1, 2)]), q([-1]), q([1])]
+        yield _primitive_reps(T, [x * Fraction(1, 3) + Fraction(2, 7), x * x * Fraction(-5, 4), T.one() * 3, T.one()])
+    yield [0, 1], [(1, 2), (-1, 1), (1, 1)]
 
 
 def test_trager_norm_matches_the_subresultant_oracle():
@@ -1290,7 +1290,8 @@ def test_trager_norm_matches_the_subresultant_oracle():
     `_shift_order` accepts the oracle's shift."""
     cases = list(_trager_norm_cases()) + list(_rational_norm_cases())
     verdicts, dens = Counter(), set()
-    for mgamma, reps in cases:
+    for modulus, kernel_reps in cases:
+        mgamma, reps = _poly_form(modulus, kernel_reps)
         nd = mgamma.degree * (len(reps) - 1)
         dens |= {c.denominator for f in (mgamma, *reps) for c in f.coeffs}
         oracle_p = _oracle_shift(mgamma, reps)[2]
@@ -1298,11 +1299,11 @@ def test_trager_norm_matches_the_subresultant_oracle():
             accepted = _oracle_accepts(_norm_mod(mgamma, reps, s, oracle_p), nd, oracle_p)
             verdicts[accepted] += 1
             if accepted:
-                assert _trager_norm(mgamma, reps, [s]) == (s, _oracle_norm(mgamma, reps, s))
+                assert _trager_norm(modulus, kernel_reps, [s]) == (s, _oracle_norm(mgamma, reps, s))
             else:
                 with pytest.raises(SearchExhausted):
-                    _trager_norm(mgamma, reps, [s])
-        _check_against_the_oracles(mgamma, reps)
+                    _trager_norm(modulus, kernel_reps, [s])
+        _check_against_the_oracles(modulus, kernel_reps)
     assert verdicts[True] >= 16 and verdicts[False] and {2, 3, 5} <= dens
 
 
@@ -1313,14 +1314,13 @@ def test_trager_norm_is_exact_beyond_the_norm_primes():
     half the product, where two CRT images would have rebuilt C minus it."""
     p1, p2 = itertools.islice(_norm_primes(1), 2)
     C = p1 * p2 // 2 + 1
-    reps = [q([C]), q([]), q([1])]
-    assert _trager_norm(q([0, 1]), reps, _shift_order(3)) == (0, [C, 0, 1]) == (0, _oracle_norm(q([0, 1]), reps, 0))
+    reps = [(C, 1), (0, 1), (1, 1)]
+    assert _trager_norm([0, 1], reps, _shift_order(3)) == (0, [C, 0, 1]) == (0, _oracle_norm(*_poly_form([0, 1], reps), 0))
     A, a = adjoin_root(QQ, q([-2, 0, 1]), "a", certify=False)
-    mgamma = A.primitive_element()[1]
-    reps = [A.express_in_primitive(c) for c in (a * C, A.zero(), A.one())]
-    expected = _oracle_norm(mgamma, reps, 0)
+    modulus, reps = _primitive_reps(A, (a * C, A.zero(), A.one()))
+    expected = _oracle_norm(*_poly_form(modulus, reps), 0)
     assert expected == [-2 * C * C, 0, 0, 0, 1]
-    assert _check_against_the_oracles(mgamma, reps) == (0, expected)
+    assert _check_against_the_oracles(modulus, reps) == (0, expected)
 
 
 def test_norm_primes_are_the_primes_below_2_61():
@@ -1353,9 +1353,9 @@ def test_trager_norm_matches_the_oracle_on_the_ladder(monkeypatch):
 
     seen = []
 
-    def checked(mgamma, reps, shifts):
-        out = _trager_norm(mgamma, reps, shifts)
-        assert out == _check_against_the_oracles(mgamma, reps)
+    def checked(modulus, reps, shifts):
+        out = _trager_norm(modulus, reps, shifts)
+        assert out == _check_against_the_oracles(modulus, reps)
         seen.append(len(out[1]) - 1)
         return out
 
@@ -1379,10 +1379,10 @@ def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
     assert not hasattr(factor_mod, "resultant")
     calls, runs = [], []
 
-    def recorded(mgamma, reps, shifts):
+    def recorded(modulus, reps, shifts):
         tried = []
-        out = _trager_norm(mgamma, reps, (tried.append(s) or s for s in shifts))
-        calls.append((mgamma, reps, tried, out))
+        out = _trager_norm(modulus, reps, (tried.append(s) or s for s in shifts))
+        calls.append((_poly_form(modulus, reps), tried, out))
         return out
 
     monkeypatch.setattr(factor_mod, "_trager_norm", recorded)
@@ -1395,7 +1395,7 @@ def test_factor_over_extension_computes_one_exact_norm(monkeypatch):
             runs += calls
     monkeypatch.undo()
     shifts = []
-    for mgamma, reps, tried, (s, norm) in runs:
+    for (mgamma, reps), tried, (s, norm) in runs:
         assert tried == list(itertools.islice(_shift_order(NORM_SHIFT_TRIES), len(tried)))
         assert tried[-1] == s == _oracle_shift(mgamma, reps)[0]
         assert norm == _oracle_norm(mgamma, reps, s)
@@ -1408,7 +1408,7 @@ def _all_gcd_split(sq, norm_factors, s):
     for every factor h of the norm, kept when not constant, and the product
     of those checked against sq.  The oracle for `_split_by_norm`."""
     K = sq.dom
-    out = [poly_gcd(sq, _shift_into(K, Poly(QQ, h), s)) for h in norm_factors]
+    out = [poly_gcd(sq, _shift_into(K, h, s)) for h in norm_factors]
     out = [g for g in out if g.degree > 0]
     prod = Poly.one(K)
     for g in out:
@@ -1454,6 +1454,27 @@ def test_norm_split_matches_the_all_gcd_oracle(monkeypatch):
     assert set(counts) == {1, 2, 3}
 
 
+def test_shift_into_matches_the_poly_shift():
+    """`_shift_into(K, h, s)` is h mapped into K = Q[y]/(m_gamma) and shifted
+    by `Poly.shift(s*y)`, for s in -3..3: on the norm factors of the
+    ladder's splits, and on the factors of the norms over the m_gamma of
+    `_rational_norm_cases` with denominators (t^2 - 1/2 and
+    t^3 - 2/5 t^2 + 1/3), where the reduction's scale is not 1."""
+    cases = [(sq.dom, norm_factors) for sq, norm_factors, _ in _ladder_norm_splits()]
+    for modulus, reps in list(_rational_norm_cases())[:2]:
+        K = adjoin_root(QQ, _poly_form(modulus, reps)[0], "y", certify=False)[0]
+        norm = _trager_norm(modulus, reps, _shift_order(NORM_SHIFT_TRIES))[1]
+        cases.append((K, _factor_sqfree_primitive_z(norm)))
+    dens = set()
+    for K, norm_factors in cases:
+        for h in norm_factors:
+            for s in range(-3, 4):
+                shifted = _shift_into(K, h, s)
+                assert shifted == q(h).map_domain(K, K.coerce).shift(K.generator() * s)
+                dens |= {c.v[-1] for c in shifted.coeffs}
+    assert {1, 2, 5, 25} <= dens  # 2 over t^2 - 1/2, powers of 5 over the cubic
+
+
 def test_a_wrong_cofactor_fails_the_norm_split_checks(monkeypatch):
     import galoiskit.factor as factor_mod
 
@@ -1490,19 +1511,19 @@ _NORM_MUTANTS = (
 
 @functools.lru_cache(maxsize=None)
 def _mutation_cases():
-    """(m_gamma, reps, the oracles' shift and norm) for `_trager_norm_cases`
-    and `_rational_norm_cases`."""
+    """(K's integer modulus, reps, the oracles' shift and norm) for
+    `_trager_norm_cases` and `_rational_norm_cases`."""
     out = []
-    for mgamma, reps in list(_trager_norm_cases()) + list(_rational_norm_cases()):
-        s = _oracle_shift(mgamma, reps)[0]
-        out.append((mgamma, reps, (s, _oracle_norm(mgamma, reps, s))))
+    for modulus, reps in list(_trager_norm_cases()) + list(_rational_norm_cases()):
+        s = _oracle_shift(*_poly_form(modulus, reps))[0]
+        out.append((modulus, reps, (s, _oracle_norm(*_poly_form(modulus, reps), s))))
     return out
 
 
 def _agrees_on_every_case(norm_fn):
-    for mgamma, reps, expected in _mutation_cases():
+    for modulus, reps, expected in _mutation_cases():
         try:
-            if norm_fn(mgamma, reps, _shift_order(NORM_SHIFT_TRIES)) != expected:
+            if norm_fn(modulus, reps, _shift_order(NORM_SHIFT_TRIES)) != expected:
                 return False
         except Exception:
             return False

@@ -87,6 +87,19 @@ def _norm_resultant(mgamma, g_reps, s):
     return resultant(Poly(R, [Poly(QQ, [c]) for c in mgamma.coeffs]), acc)
 
 
+def _poly_form(modulus, reps):
+    """The inputs of `factor._trager_norm` as the oracles take them: m_gamma
+    from K's integer modulus (numerators over the last one), and g's
+    coefficients, kernel tuples over K, as polynomials over Q in y."""
+    return Poly(QQ, [Fraction(c, modulus[-1]) for c in modulus]), [Poly(QQ, QQ._view(v)) for v in reps]
+
+
+def _primitive_reps(T, coeffs):
+    """(K's integer modulus, the coefficients' kernel tuples over K) for
+    K = T.primitive_field(): `_trager_norm`'s inputs for a polynomial over T."""
+    return T.primitive_field()._modulus, [T.to_primitive(c).v for c in coeffs]
+
+
 def _compose(f, inner):
     """f(inner), by Horner."""
     out = Poly.zero(f.dom)
@@ -840,22 +853,22 @@ def test_qq_arithmetic_matches_fraction_schoolbook():
 
 
 def _trager_norm_cases():
-    """(mgamma, reps of g's coefficients in gamma) for a few towers over Q,
-    one of them with a rational minimal polynomial."""
+    """(K's integer modulus, kernel tuples of g's coefficients over K) for a
+    few towers over Q, K their primitive field; one m_gamma is rational."""
     T3, a = adjoin_root(QQ, q([-2, 0, 0, 1]), "a")
-    yield T3.primitive_element()[1], [T3.express_in_primitive(c) for c in (a * a, a, T3.one())]
-    yield T3.primitive_element()[1], [T3.express_in_primitive(T3.from_int(c)) for c in (-2, 0, 0, 1)]
+    yield _primitive_reps(T3, (a * a, a, T3.one()))
+    yield _primitive_reps(T3, [T3.from_int(c) for c in (-2, 0, 0, 1)])
     T4, basis = _sqrt2_sqrt3_tower()
-    g4 = [-basis[2], basis[1], T4.one()]  # t^2 + sqrt2*t - sqrt3
-    yield T4.primitive_element()[1], [T4.express_in_primitive(c) for c in g4]
+    yield _primitive_reps(T4, (-basis[2], basis[1], T4.one()))  # t^2 + sqrt2*t - sqrt3
     Th, h = adjoin_root(QQ, q([Fraction(-1, 2), 0, 1]), "h")  # h^2 = 1/2
-    yield Th.primitive_element()[1], [Th.express_in_primitive(c) for c in (h * Fraction(1, 3), Th.one() * 2, Th.one())]
+    yield _primitive_reps(Th, (h * Fraction(1, 3), Th.one() * 2, Th.one()))
 
 
 def test_norm_resultant_matches_sylvester_oracle():
     R = PolyRing(QQ)
     checked = 0
-    for mgamma, reps in _trager_norm_cases():
+    for case in _trager_norm_cases():
+        mgamma, reps = _poly_form(*case)
         for s in (0, 1, -1, 2):
             acc = Poly.zero(R)
             for j, cj in enumerate(reps):

@@ -13,7 +13,7 @@ from galoiskit.finitefield import find_irreducible
 from galoiskit.linalg import Echelon
 from galoiskit.numbers import QQ, PrimeField
 from galoiskit.poly import Poly, render
-from galoiskit.tower import Tower, TowerElem, adjoin_root, min_poly, tower_degree
+from galoiskit.tower import Tower, TowerElem, adjoin_root
 from linalg_oracles import in_row_space, rref, row_space_basis
 from tower_oracles import fraction_product, residue_product
 
@@ -47,11 +47,11 @@ def sqrt23(sqrt2):
 
 def test_adjoin_examples(sqrt2):
     T1, r2 = sqrt2
-    assert tower_degree(T1) == 2
+    assert T1.absolute_degree() == 2
     assert r2 * r2 == 2
 
     T9, s2 = adjoin_root(F3, Poly(F3, [-2, 0, 1]), "s")
-    assert tower_degree(T9) == 2
+    assert T9.absolute_degree() == 2
     assert len(_tower_elements(T9)) == 9
 
     T4, alpha = adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")
@@ -107,51 +107,51 @@ def _degree_over(T, sub):
 
 def test_degrees(sqrt23):
     T2, _ = sqrt23
-    assert tower_degree(T2) == 4
+    assert T2.absolute_degree() == 4
     # Q(cbrt2, omega) has degree 6
     T, xi = adjoin_root(QQ, q([-2, 0, 0, 1]), "x")
     Tw, om = adjoin_root(T, Poly(T, [1, 1, 1]), "w")
-    assert tower_degree(Tw) == 6
+    assert Tw.absolute_degree() == 6
     assert _degree_over(Tw, T) == 2
     assert _degree_over(Tw, QQ) == 6
-    assert tower_degree(QQ) == 1
+    assert QQ.absolute_degree() == 1
 
 
 def test_degree_60_product_bound():
     T5, _ = adjoin_root(QQ, q([-12, 0, 0, 0, 1]), "a")
     T60, _ = adjoin_root(T5, Poly(T5, [-6] + [0] * 14 + [1]), "b")
-    assert tower_degree(T60) == 60
+    assert T60.absolute_degree() == 60
 
 
 def test_min_poly(sqrt23):
     T2, r3 = sqrt23
     r2 = T2.generators()[0]
     s = r2 + r3
-    assert render(min_poly(T2, s)) == "t^4 - 10*t^2 + 1"
+    assert render(T2.min_poly_over_base(s)) == "t^4 - 10*t^2 + 1"
     # sanity: the reported polynomial annihilates the element
-    mp = min_poly(T2, s)
+    mp = T2.min_poly_over_base(s)
     assert not mp.map_domain(T2, T2.coerce).eval(s)
     # base scalars have linear minimal polynomials
-    assert min_poly(T2, T2.coerce(Fraction(5, 2))) == q([Fraction(-5, 2), 1])
+    assert T2.min_poly_over_base(T2.coerce(Fraction(5, 2))) == q([Fraction(-5, 2), 1])
     # the generator of Q[t]/(t^3 - 2) has minimal polynomial t^3 - 2
     T, xi = adjoin_root(QQ, q([-2, 0, 0, 1]), "x")
-    assert min_poly(T, xi) == q([-2, 0, 0, 1])
+    assert T.min_poly_over_base(xi) == q([-2, 0, 0, 1])
 
 
 def test_min_poly_degree_divides(sqrt23):
     T2, _ = sqrt23
     rng = random.Random(3)
-    n = tower_degree(T2)
+    n = T2.absolute_degree()
     for _ in range(10):
         x = T2.unflatten([Fraction(rng.randint(-3, 3)) for _ in range(n)])
-        d = min_poly(T2, x).degree
+        d = T2.min_poly_over_base(x).degree
         assert n % d == 0
 
 
 def test_degree_monotonicity(sqrt23):
     # [L(beta):L] <= [Q(beta):Q] for beta = sqrt3 over L = Q(sqrt2)
     T2, r3 = sqrt23
-    over_base = min_poly(T2, r3).degree
+    over_base = T2.min_poly_over_base(r3).degree
     level = T2.minpoly.degree  # degree of sqrt3 over Q(sqrt2)
     assert level <= over_base or over_base <= level  # both are 2 here
     assert level == 2 and over_base == 2
@@ -179,8 +179,8 @@ def test_express_in_primitive(sqrt23):
     rng = random.Random(5)
     for _ in range(8):
         x = T2.unflatten([Fraction(rng.randint(-4, 4)) for _ in range(4)])
-        rep = T2.express_in_primitive(x)
-        assert T2.eval_primitive_poly(rep) == x
+        rep = T2.to_primitive(x)
+        assert rep.tower is T2.primitive_field() and T2.from_primitive(rep) == x
 
 
 def _solve_oracle(field, rows, rhs):
@@ -259,11 +259,53 @@ def test_min_poly_and_coordinates_match_the_solve_oracles():
                 assert mp == _min_poly_oracle(T, x)
                 assert d % mp.degree == 0
                 degrees.add(mp.degree)
-                assert T.express_in_primitive(x) == _coords_oracle(T, x)
+                assert Poly(base, T.primitive_field().flatten(T.to_primitive(x))) == _coords_oracle(T, x)
         for c in range(-2, 3):
             assert T.min_poly_over_base(T.from_int(c)) == Poly(base, [base.from_int(-c), base.one()])
-            assert T.express_in_primitive(T.from_int(c)) == Poly(base, [base.from_int(c)])
+            assert T.to_primitive(T.from_int(c)) == T.primitive_field().from_int(c)
         assert degrees == {d for d in range(1, n + 1) if n % d == 0}
+
+
+def _primitive_map_towers():
+    """The splitting fields of the ladder, then Q(a)(b), a^2 = 1/2 and
+    b^2 = 1/3, whose m_gamma has denominators."""
+    from galoiskit.cli import parse_poly
+    from galoiskit.splitting import splitting_field_q
+
+    for f in LADDER:
+        yield splitting_field_q(parse_poly(f)).field
+    A, _ = adjoin_root(QQ, q([Fraction(-1, 2), 0, 1]), "a")
+    yield adjoin_root(A, Poly(A, [Fraction(-1, 3), 0, 1]), "b")[0]
+
+
+def test_to_primitive_and_from_primitive_are_inverse_isomorphisms():
+    """On seeded elements of a tower T and of K = `primitive_field`: the two
+    maps undo each other, keep sums and products, send gamma to the
+    generator y of K, and take f(y) to f(gamma) for an f of degree above
+    [K : Q]; `to_primitive` gives the coordinates of `_coords_oracle`."""
+    rng = random.Random(40)
+    degrees = []
+    for T in _primitive_map_towers():
+        K, n = T.primitive_field(), T.absolute_degree()
+        gamma, mgamma = T.primitive_element()
+        degrees.append(n)
+        assert K.lower == T.base and K.minpoly == mgamma
+        assert T.to_primitive(gamma) == K.generator() and T.from_primitive(K.generator()) == gamma
+        xs, ys = _sample(T, rng, 2 if n > 12 else 4), _sample(K, rng, 2 if n > 12 else 4)
+        for x in xs[4:5]:
+            assert Poly(QQ, K.flatten(T.to_primitive(x))) == _coords_oracle(T, x)
+        for x in xs:
+            assert T.from_primitive(T.to_primitive(x)) == x
+        for y in ys:
+            assert T.to_primitive(T.from_primitive(y)) == y
+        for (x, u), (y, v) in itertools.combinations(list(zip(xs, ys))[1:], 2):
+            assert T.to_primitive(x + y) == T.to_primitive(x) + T.to_primitive(y)
+            assert T.to_primitive(x * y) == T.to_primitive(x) * T.to_primitive(y)
+            assert T.from_primitive(u + v) == T.from_primitive(u) + T.from_primitive(v)
+            assert T.from_primitive(u * v) == T.from_primitive(u) * T.from_primitive(v)
+        f = q([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n + 2)] + [1])
+        assert T.from_primitive(f.map_domain(K, K.coerce).eval(K.generator())) == f.map_domain(T, T.coerce).eval(gamma)
+    assert degrees == [6, 8, 8, 10, 12, 20, 24, 4]
 
 
 def test_contains(sqrt23):
@@ -291,7 +333,7 @@ def test_field_axioms_random_towers(sqrt23):
     T4f, _ = adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")
     towers.append(T4f)
     for Tw in towers:
-        n = tower_degree(Tw)
+        n = Tw.absolute_degree()
         base = Tw.base
         for _ in range(12):
             xs = []
@@ -318,7 +360,7 @@ def test_tower_law_random():
         T1, _ = adjoin_root(QQ, base_poly, "u")
         up = Poly(T1, up_coeffs)
         T2, _ = adjoin_root(T1, up, "v")
-        assert tower_degree(T2) == _degree_over(T2, T1) * tower_degree(T1)
+        assert T2.absolute_degree() == _degree_over(T2, T1) * T1.absolute_degree()
 
 
 def test_sum_and_product_stay_algebraic():
@@ -329,7 +371,7 @@ def test_sum_and_product_stay_algebraic():
     T2, b = adjoin_root(T, Poly(T, [-3, 0, 0, 1]), "b")  # cbrt3
     a_up = T2.coerce(a)
     for elem in (a_up + b, a_up * b):
-        mp = min_poly(T2, elem)
+        mp = T2.min_poly_over_base(elem)
         assert 1 <= mp.degree <= 9
         assert not mp.map_domain(T2, T2.coerce).eval(elem)
 
@@ -399,11 +441,17 @@ def test_equal_elements_hash_equal_across_levels():
                 assert x == c and hash(x) == hash(c) and len({x, c}) == 1
 
 
+def _from_level_poly(T, f):
+    """The element of T whose level view is f, a polynomial over T.lower of
+    degree below the level's: its coefficients' tuples, concatenated."""
+    return TowerElem(T, T._embed(T.lower._concat(f.coeffs)))
+
+
 def _poly_route_product(x, y):
     """Oracle for the product kernel: the product as polynomials over the
     lower level, reduced mod the level's minimal polynomial."""
     T = x.tower
-    return T._from_poly(Poly(T.lower, x.coeffs) * Poly(T.lower, y.coeffs) % T.minpoly)
+    return _from_level_poly(T, Poly(T.lower, x.coeffs) * Poly(T.lower, y.coeffs) % T.minpoly)
 
 
 def _q_kernel_towers():
@@ -477,7 +525,7 @@ def _check_level_view(T, x, y, invert=True):
     view: polynomials over T.lower of degree below the level's degree."""
     L, m, flat = T.lower, T.minpoly, T.flatten
     X, Y = Poly(L, x.coeffs), Poly(L, y.coeffs)
-    back = T._from_poly
+    back = lambda f: _from_level_poly(T, f)
     assert flat(x) == [c for lc in x.coeffs for c in L.flatten(lc)]
     assert T.unflatten(flat(x)) == x and back(X) == x
     assert flat(x + y) == flat(back(X + Y))
@@ -709,7 +757,7 @@ def _gcd_ext_inverse(x):
     T = x.tower
     d, a, _ = gcd_ext(Poly(T.lower, x.coeffs), T.minpoly)
     assert d == Poly.one(T.lower)
-    return T._from_poly(a % T.minpoly)
+    return _from_level_poly(T, a % T.minpoly)
 
 
 def _one_level_q_fields():
