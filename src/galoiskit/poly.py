@@ -7,27 +7,27 @@ integer).  The coefficient domain is carried explicitly as a field object
 (QQ, PrimeField(p) or a Tower), so the same class serves every level of the
 engine.
 
-Over Q and over a prime field the coefficient objects exist only at rest;
-products and division with remainder read each operand once as plain ints,
-compute on ints and wrap only the output coefficients:
+Every operation has one implementation over every field: `*`, `divmod`,
+`%`, `gcd_ext` and `poly_gcd` compute through the coefficient field's own
+element operators, the division algorithm and Euclid's loop of von zur
+Gathen & Gerhard, *Modern Computer Algebra*, ch. 2-3.
 
-* over F_p (and Z/m for Hensel lifting), int residues (the one coordinate
-  `c.v[0]` of each F_p coefficient, a `TowerElem` of the prime field, and
-  `PrimeField._view` wraps them back) packed into one integer each, in
-  w-bit slots (`_pack`, `_unpack`, Kronecker substitution):
-  a product is one integer product (`_mul_mod`), and a division reads the
-  top slot and adds a multiple of the packed divisor per quotient digit
-  (`_divide_packed`, behind `_rem_mod` and `_divmod_mod`), with w wide
-  enough that no slot carries.  `%` builds no quotient, and `poly_gcd` and
-  `gcd_ext` run their whole loop on residues (`_gcd_mod`, `_xgcd_mod`).
-  The finite-field algorithms of `factor` and Zassenhaus call these
-  residue functions directly and wrap only their results;
-* over Q, integer numerators over one common denominator (`_numerators`):
-  the unreduced product `_mul_int` and the fraction-free pseudo-division
-  `_pseudo_divmod`, rescaled once at the end (`%` rescales only the
-  remainder), with no `Fraction` arithmetic per coefficient product.
-  Every rational polynomial takes this path: parsing, gcds, Zassenhaus
-  and the bottom level of every rational tower.
+Below `Poly` sit the int-list kernels, which take and return plain int
+coefficient lists (low to high) and never a `Poly`.  `factor` (its F_p
+polynomial rings, Zassenhaus, Hensel lifting and Trager's norm), `tower`,
+`apps` and the parser call them directly and wrap only their results:
+
+* mod m (F_p, and Z/m for Hensel lifting): residues packed into one
+  integer each, in w-bit slots (`_pack`, `_unpack`, Kronecker
+  substitution, ch. 8): a product is one integer product (`_mul_mod`),
+  and a division reads the top slot and adds a multiple of the packed
+  divisor per quotient digit (`_divide_packed`, behind `_rem_mod` and
+  `_divmod_mod`), with w wide enough that no slot carries; Euclid runs on
+  residues in `_gcd_mod` and `_xgcd_mod`;
+* over Z: the unreduced product `_mul_int`, the fraction-free
+  pseudo-division `_pseudo_divmod` and the signed remainder sequence
+  `_sturm_ints`; `_numerators` reads rational coefficients as int
+  numerators over one common denominator.
 
 Division, gcd and friends require the domain to be a field; ring-only
 operations (+ - *, evaluation, resultants via the subresultant PRS) work over
@@ -41,7 +41,7 @@ from itertools import zip_longest
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroPoly, InternalInvariant, ZeroPolynomial
-from .numbers import QQ, PrimeField, RationalField
+from .numbers import QQ
 
 
 class _NegInfinity:
@@ -173,12 +173,6 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly.zero(self.dom)
-        if isinstance(self.dom, PrimeField):
-            prod = _mul_mod([c.v[0] for c in a], [c.v[0] for c in b], self.dom.p)
-            return _from_residues(self.dom, prod)
-        if isinstance(self.dom, RationalField):
-            (na, da), (nb, db) = _numerators(a), _numerators(b)
-            return _from_numerators(_mul_int(na, nb), da * db)
         zero = self.dom.zero()
         out = [zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
@@ -206,19 +200,10 @@ class Poly:
         if other.is_zero():
             raise DivisionByZeroPoly("polynomial division by zero")
         dom = self.dom
-        if isinstance(dom, PrimeField):
-            q, r = _divmod_mod([c.v[0] for c in self.coeffs], [c.v[0] for c in other.coeffs], dom.p)
-            return _from_residues(dom, q), _from_residues(dom, r)
         r = list(self.coeffs)
         dg = len(other.coeffs) - 1
         if len(r) - 1 < dg:
             return Poly.zero(dom), self
-        if isinstance(dom, RationalField):
-            # s*A = Q*B + R on numerators, a = A/da and b = B/db, so
-            # a = (Q*db / (s*da)) * b + R / (s*da)
-            (na, da), (nb, db) = _numerators(r), _numerators(other.coeffs)
-            q, r, s = _pseudo_divmod(na, nb)
-            return _from_numerators([c * db for c in q], s * da), _from_numerators(r, s * da)
         # a monic divisor (every tower reduction) needs no inverse of lc
         inv_lc = None if other.lc() == dom.one() else dom.one() / other.lc()
         q = [dom.zero()] * (len(r) - dg)
@@ -235,18 +220,6 @@ class Poly:
         return divmod(self, other)[0]
 
     def __mod__(self, other):
-        other = self._coerce_operand(other)
-        if other.is_zero():
-            raise DivisionByZeroPoly("polynomial division by zero")
-        dom = self.dom
-        if isinstance(dom, PrimeField):
-            r = _rem_mod([c.v[0] for c in self.coeffs], [c.v[0] for c in other.coeffs], dom.p)
-            return _from_residues(dom, r)
-        if isinstance(dom, RationalField) and len(self.coeffs) >= len(other.coeffs):
-            # s*A = Q*B + R on numerators and a = A/da, so a mod b = R / (s*da)
-            (na, da), (nb, _) = _numerators(self.coeffs), _numerators(other.coeffs)
-            _, r, s = _pseudo_divmod(na, nb)
-            return _from_numerators(r, s * da)
         return divmod(self, other)[1]
 
     def exact_div(self, other):
@@ -537,27 +510,15 @@ def _numerators(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
-def _from_numerators(ints, den):
-    """The polynomial over QQ with coefficients ints[i]/den (ints trimmed);
-    Fraction normalises each one."""
-    if den == 1:
-        return Poly(QQ, [Fraction(c) for c in ints], normalize=False)
-    return Poly(QQ, [Fraction(c, den) for c in ints], normalize=False)
-
-
 def _from_residues(dom, ints):
     return Poly(dom, dom._view(ints), normalize=False)
 
 
 def gcd_ext(f: Poly, g: Poly):
     """Extended gcd over a field: returns (d, a, b) with d = a*f + b*g,
-    d the monic generator of <f, g> (zero iff f = g = 0)."""
+    d the monic generator of <f, g> (zero iff f = g = 0); g may be a scalar."""
     dom = f.dom
-    if isinstance(dom, PrimeField):
-        g = f._coerce_operand(g)
-        d, s = _xgcd_mod(a := [c.v[0] for c in f.coeffs], b := [c.v[0] for c in g.coeffs], dom.p)
-        return _from_residues(dom, d), _from_residues(dom, s), _from_residues(dom, _cofactor_mod(d, s, a, b, dom.p))
-    r0, r1 = f, g
+    r0, r1 = f, f._coerce_operand(g)
     a0, a1 = Poly.one(dom), Poly.zero(dom)
     b0, b1 = Poly.zero(dom), Poly.one(dom)
     while not r1.is_zero():
@@ -572,11 +533,9 @@ def gcd_ext(f: Poly, g: Poly):
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over a field (zero iff both inputs are zero)."""
-    if isinstance(f.dom, PrimeField):
-        g = f._coerce_operand(g)
-        a, b = [c.v[0] for c in f.coeffs], [c.v[0] for c in g.coeffs]
-        return _from_residues(f.dom, _gcd_mod(a, b, f.dom.p))
+    """Monic gcd over a field (zero iff both inputs are zero); g may be a
+    scalar."""
+    g = f._coerce_operand(g)
     while not g.is_zero():
         f, g = g, f % g
     return f.monic()

@@ -1188,6 +1188,24 @@ GOLDEN_JSON = [
         '1","primitive_min_poly":"t - 1"},"gal_over_matches":true,"normal":'
         'true,"order":8,"subgroup":[0,1,2,3,4,5,6,7]}]}\n',
     ),
+    # a repeated F_p factor: the squarefree part that the splitting field
+    # splits, the product of the distinct factors, is a Poly * over F_3
+    (
+        ["--json", "--field", "F3", "splitting-field", "(t^2+1)^2*(t^3-t+1)"],
+        '{"degree":6,"multiplicities":[2,2,1,1,1],"polynomial":"t^7 + t^5 +'
+        ' t^4 + 2*t^3 + 2*t^2 + 2*t + 1","roots":["a","2*a","b","b + 1","b '
+        '+ 2"],"tower":[{"label":"a","min_poly":"t^2 + 1"},{"label":"b","mi'
+        'n_poly":"t^3 + 2*t + 1"}]}\n',
+    ),
+    # non-monic rational factors: the same product over QQ
+    (
+        ["--json", "splitting-field", "(2*t^2-1)*(t^3-2)*(3*t-1)"],
+        '{"degree":12,"multiplicities":[1,1,1,1,1,1],"polynomial":"6*t^6 - '
+        '2*t^5 - 3*t^4 - 11*t^3 + 4*t^2 + 6*t - 2","roots":["1/3","-a","a",'
+        '"-c - b","c","b"],"tower":[{"label":"a","min_poly":"t^2 - 1/2"},{"'
+        'label":"b","min_poly":"t^3 - 2"},{"label":"c","min_poly":"t^2 + b*'
+        't + b^2"}]}\n',
+    ),
 ]
 
 

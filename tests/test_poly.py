@@ -16,7 +16,10 @@ from galoiskit.poly import (
     Poly,
     _cofactor_mod,
     _divmod_mod,
+    _gcd_mod,
     _mul_mod,
+    _numerators,
+    _pseudo_divmod,
     _rem_mod,
     _xgcd_mod,
     content_primitive,
@@ -240,7 +243,7 @@ def test_gcd_ext_random_bezout():
                 assert (f % d).is_zero() if not d.is_zero() else f.is_zero()
 
 
-# -- F_p arithmetic on int residues, against QQ reduced mod p -----------------
+# -- F_p arithmetic, against QQ reduced mod p and the residue kernels ---------
 
 # 1031 is past the shared residue table, so its coefficients are constructed
 KERNEL_PRIMES = (2, 3, 5, 7, 13, 31, 1031)
@@ -455,34 +458,91 @@ def test_packed_division_at_its_slot_bound():
                 assert _rem_mod(a, b, m) == _trim_list([c % m for c in rem]), (m, k, steps)
 
 
-def _euclid_gcd(f, g):
-    """The plain Euclid loop on `Poly` remainders: the monic gcd oracle."""
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
+def _read(f):
+    """The residue list of a polynomial over F_p, as `factor` reads it."""
+    return [c.v[0] for c in f.coeffs]
 
 
-def test_fp_gcd_matches_euclid_loop():
+def test_fp_arithmetic_matches_the_residue_kernels():
+    # `Poly` over F_p computes through the field's element operators; the
+    # packed residue kernels that `factor` calls directly are its oracle
     rng = random.Random(73)
-    counts = {"zero": 0, "constant": 0, "non_monic": 0, "nontrivial": 0}
+    counts = Counter()
     for p in KERNEL_PRIMES:
         F = PrimeField(p)
         for f, g in _kernel_cases(rng):
             fp, gp = Poly(F, list(f.coeffs)), Poly(F, list(g.coeffs))
             for a, b in ((fp, gp), (gp, fp)):
+                ra, rb = _read(a), _read(b)
+                assert a * b == Poly(F, _mul_mod(ra, rb, p)), (p, a, b)
                 got = poly_gcd(a, b)
-                assert got == _euclid_gcd(a, b), (p, a, b)
+                assert got == Poly(F, _gcd_mod(ra, rb, p)), (p, a, b)
                 assert got.dom == F and all(type(c) is TowerElem and c.tower == F for c in got.coeffs)
-                assert got.is_zero() or got.is_monic()
+                d, s = _xgcd_mod(ra, rb, p)
+                expected = tuple(Poly(F, x) for x in (d, s, _cofactor_mod(d, s, ra, rb, p)))
+                assert gcd_ext(a, b) == expected, (p, a, b)
                 counts["zero"] += a.is_zero() or b.is_zero()
                 counts["constant"] += a.degree == 0 or b.degree == 0
                 counts["non_monic"] += not a.is_zero() and not a.is_monic()
                 counts["nontrivial"] += got.degree >= 1
+                if b.is_zero():
+                    continue
+                quo, rem = _divmod_mod(ra, rb, p)
+                assert divmod(a, b) == (Poly(F, quo), Poly(F, rem)), (p, a, b)
+                assert a % b == Poly(F, _rem_mod(ra, rb, p)), (p, a, b)
+                counts["divmod"] += 1
+                counts["quotient"] += a.degree > b.degree >= 1
     # the comparisons are not vacuous
     assert min(counts.values()) >= 40, counts
     assert poly_gcd(Poly.zero(F7), Poly.zero(F7)) == Poly.zero(F7)
     with pytest.raises(ValueError):
         poly_gcd(Poly(PrimeField(5), [1, 2, 1]), Poly(F7, [3, 1]))
+
+
+def test_qq_division_matches_the_pseudo_division_kernel():
+    # s*A = Q*B + R on the numerators of a = A/da and b = B/db, so
+    # a = (Q*db / (s*da)) * b + R / (s*da)
+    rng = random.Random(83)
+    counts = Counter()
+    for f, g in _qq_kernel_cases(rng):
+        if g.is_zero():
+            continue
+        (na, da), (nb, db) = _numerators(f.coeffs), _numerators(g.coeffs)
+        quo, rem, s = _pseudo_divmod(na, nb)
+        expected = q([Fraction(c * db, s * da) for c in quo]), q([Fraction(c, s * da) for c in rem])
+        assert divmod(f, g) == expected, (f, g)
+        assert f % g == expected[1], (f, g)
+        counts["divmod"] += 1
+        counts["scaled"] += s != 1
+        counts["rational"] += da != 1 or db != 1
+        counts["lower_dividend"] += f.degree < g.degree
+        counts["exact"] += not rem and not f.is_zero()
+    # the comparisons are not vacuous
+    floors = {"divmod": 140, "scaled": 60, "rational": 120, "lower_dividend": 10, "exact": 20}
+    assert all(counts[k] >= v for k, v in floors.items()), counts
+
+
+def test_gcd_with_a_scalar_operand():
+    # a scalar second operand is the constant polynomial, over every field;
+    # a polynomial over another field is refused
+    T, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    for dom, f in (
+        (QQ, q([Fraction(3, 2), 0, -2])),
+        (F7, Poly(F7, [3, 5, 2])),
+        (T, Poly(T, [a, T.one(), a + T.one()])),
+    ):
+        for poly in (f, Poly.zero(dom)):
+            three = Poly.constant(dom, 3)
+            assert poly_gcd(poly, 3) == Poly.one(dom)
+            d, u, v = gcd_ext(poly, 3)
+            assert d == Poly.one(dom) and u * poly + v * three == d
+            assert poly_gcd(poly, 0) == poly.monic()
+            d, u, v = gcd_ext(poly, 0)
+            assert d == poly.monic() and u * poly == d and v.is_zero()
+        other = Poly(F7 if dom is QQ else QQ, [1, 1])
+        for op in (poly_gcd, gcd_ext):
+            with pytest.raises(ValueError, match="different domains"):
+                op(f, other)
 
 
 def test_xgcd_mod_bezout():
@@ -741,9 +801,9 @@ def test_monic_and_pow():
     assert q([1, 1]) ** 0 == q([1])
 
 
-# -- Q[t] on integer numerators -----------------------------------------------
-# The Fraction schoolbook `*` and `divmod` that Poly ran over QQ before the
-# integer-numerator kernel, kept as the oracle for it.
+# -- Q[t] against the Fraction schoolbook -------------------------------------
+# The Fraction schoolbook `*` and `divmod`, written out apart from `Poly`, as
+# the oracle for it over QQ.
 
 
 def _trimmed(coeffs):
