@@ -21,8 +21,8 @@ derived series, quotients, isomorphism fingerprinting) works on any finite
 composition table, so it also serves abstract permutation groups in tests
 and the quotient checks of the correspondence module.  The one orbit
 routine, `closure` (defined in `galoiskit.splitting`), serves generated
-subgroups, `from_permutations`, `orbits`, the Frobenius cycles of a
-splitting field and `SubfieldOfGF.elements`; one class numbering,
+subgroups, `from_permutations`, `orbits` and `SubfieldOfGF.elements`; one
+class numbering,
 `class_table`, numbers classes by their least elements and composes those:
 cosets for `quotient_group`, the members of a subgroup for
 `subgroup_table`, and the restrictions and cosets of the correspondence

@@ -1,10 +1,12 @@
 """Splitting fields as explicit towers with all roots attached.
 
-The construction is the classic induction: factor the polynomial over the
-tower built so far, adjoin a root of the lowest-degree nonlinear irreducible
-factor, and repeat until everything splits.  Each tower generator is by
-construction one of the stored roots, which is what the automorphism
-enumeration in `galoiskit.galois` relies on.
+The construction is the classic induction: factor over the tower built so
+far, adjoin a root of the lowest-degree nonlinear irreducible factor, and
+repeat until everything splits.  Each irreducible factor of the input over
+the base keeps its own remainder, which is factored on its own; the
+remainders are coprime, so together they factor as their product would.
+Each tower generator is by construction one of the stored roots, which is
+what the automorphism enumeration in `galoiskit.galois` relies on.
 
 Before paying for a factorization over the extension, a cheap pre-pass hunts
 for roots among products, ratios and powers of roots already found
@@ -13,10 +15,11 @@ for roots among products, ratios and powers of roots already found
 alpha^(q^2), ... of each adjoined root alpha (q the order of the coefficient
 field) are divided out the same way.  One synthetic-division pass gives
 both rem div (t - c) and rem(c), and a hit is certified by a zero remainder,
-so this is purely a shortcut.  Roots are then matched to the irreducible
-factors over the base.  Over F_p that reads the cycles of the permutation
-x -> x^p makes of the roots, computed here once and kept for the Galois
-group as `SplittingField.frobenius`, each cycle an orbit of `closure`.
+so this is purely a shortcut.  A root is found in its factor's remainder,
+so it carries that factor's degree and multiplicity.  Over F_p the
+permutation x -> x^p makes of the roots is computed once and kept for the
+Galois group as `SplittingField.frobenius`; its cycles are the factors'
+root sets.
 """
 
 from __future__ import annotations
@@ -86,62 +89,66 @@ def _synthetic_division(f: Poly, c):
     return Poly(f.dom, run[-2::-1], normalize=False), run[-1]
 
 
-def _split_squarefree(sq: Poly, cap: int, factors):
-    """Split a squarefree polynomial whose factorization over its domain has
-    the `factors`; returns (field, roots in found order)."""
-    current = base = sq.dom
-    rem = sq.monic()
-    roots = []
-    # x -> x^order fixes sq's coefficients (order 0 over Q), so permutes roots
+def _split_factors(factors, cap: int):
+    """Split the distinct monic irreducible `factors` of a polynomial over
+    their domain; returns (field, the roots of each factor)."""
+    current = base = factors[0][0].dom
+    rems = [g for g, _ in factors]  # what is left of each factor: monic, pairwise coprime
+    found = [[] for _ in rems]
+    # x -> x^order fixes the factors' coefficients (order 0 over Q), so permutes their roots
     order = field_order(base)
 
-    def take(c) -> bool:  # divide out t - c and record the root c if rem(c) = 0
-        nonlocal rem
-        quot, value = _synthetic_division(rem, c)
-        if value:
-            return False
-        rem = quot
-        roots.append(c)
-        return True
+    def take(c) -> bool:  # divide t - c out of the remainder c is a root of, if any
+        for i, g in enumerate(rems):
+            if g.degree > 0:
+                quot, value = _synthetic_division(g, c)
+                if not value:
+                    rems[i] = quot
+                    found[i].append(c)
+                    return True
+        return False
 
-    # depressed-form center: pre-pass combinations are formed around it
-    if base == QQ and sq.degree >= 1:
-        center = -sq.coeff(sq.degree - 1) / (QQ.from_int(sq.degree) * sq.lc())
-    else:
-        center = base.zero()
+    # depressed-form center of the factors' product: pre-pass combinations
+    # are formed around it
+    center = base.zero()
+    if base == QQ:
+        center = -sum(g.coeff(g.degree - 1) for g in rems) / sum(g.degree for g in rems)
 
-    while rem.degree > 0:
-        if rem.degree == 1:
-            roots.append(-rem.coeff(0) / rem.coeff(1))
-            break
+    while True:
+        for i, g in enumerate(rems):  # a monic remainder of degree 1 is t - root
+            if g.degree == 1:
+                found[i].append(-g.coeff(0))
+                rems[i] = Poly.one(current)
+        if all(g.degree == 0 for g in rems):
+            return current, found
 
-        # candidate pre-pass over the current field
-        if current.characteristic == 0:
-            while rem.degree > 1 and any(take(c) for c in _candidate_roots(current, roots, center)):
+        # candidate pre-pass over the current field; at the base every root
+        # found is rational and a root of a linear factor, so none are combined
+        if current.characteristic == 0 and current is not base:
+            while any(g.degree > 1 for g in rems) and any(
+                take(c) for c in _candidate_roots(current, [r for rs in found for r in rs], center)
+            ):
                 pass
-            if rem.degree == 1:
+            if all(g.degree < 2 for g in rems):
                 continue
 
         # any nonlinear adjunction at least doubles the degree, so bail out
-        # before paying for a factorization that cannot be used; the first
-        # round holds the base factorization and bails only if it must adjoin
-        if (
-            rem.degree >= 2
-            and current.characteristic == 0
-            and 2 * current.absolute_degree() > cap
-            and (factors is None or any(g.degree > 1 for g, _ in factors))
-        ):
+        # before paying for a factorization that cannot be used
+        if current.characteristic == 0 and 2 * current.absolute_degree() > cap:
             raise DegreeCap(
                 f"splitting degree would exceed cap {cap}", partial=current
             )
 
+        # each remainder is factored on its own: they are coprime, so the
+        # union of their factorizations is the factorization of the product
         nonlinear = []
-        for g, _ in factors or factor_over_extension(rem).factors:
-            if g.degree > 1:
-                nonlinear.append(g)
-            elif not take(-g.coeff(0)):
-                raise InternalInvariant("division is not exact")
-        factors = None  # the base factors serve the first round only
+        for g in [g for g in rems if g.degree > 1]:
+            # the base factors are irreducible
+            for h, _ in ((g, 1),) if current is base else factor_over_extension(g).factors:
+                if h.degree > 1:
+                    nonlinear.append(h)
+                elif not take(-h.coeff(0)):
+                    raise InternalInvariant("division is not exact")
         if not nonlinear:
             continue
 
@@ -153,21 +160,19 @@ def _split_squarefree(sq: Poly, cap: int, factors):
                 partial=current,
             )
         current, alpha = adjoin_root(current, g, level_label(len(current.chain())), certify=False)
-        roots = [current.coerce(r) for r in roots]
-        rem = rem.map_domain(current, current.coerce)
+        found[:] = [[current.coerce(r) for r in rs] for rs in found]
+        rems[:] = [g.map_domain(current, current.coerce) for g in rems]
         if not take(alpha):
             raise InternalInvariant("division is not exact")
         center = current.coerce(center)
 
-        # Frobenius pre-pass: alpha's conjugates are roots of sq, and none of
-        # them lies in the previous field
+        # Frobenius pre-pass: alpha's conjugates are roots of the same base
+        # factor, and none of them lies in the previous field
         if order:
             c = alpha**order
             while c != alpha:
                 take(c)
                 c = c**order
-
-    return current, roots
 
 
 def _build(f: Poly, cap: int) -> SplittingField:
@@ -177,39 +182,21 @@ def _build(f: Poly, cap: int) -> SplittingField:
     if f.degree == 0:
         return SplittingField(f.dom, [], [], f, unit, () if f.dom.characteristic else None)
     fact = factor_over_extension(f)
-    sq = Poly.one(f.dom)
-    for g, _ in fact.factors:
-        sq = sq * g
-    field, roots = _split_squarefree(sq, cap, fact.factors)
-    # multiplicity of a root = multiplicity of its irreducible factor; roots
-    # sort by that factor's degree (= the root's degree over the base), then
-    # by coordinates.  The factors are distinct separable irreducibles, so a
-    # factor of degree d owns exactly d roots and is not tested once it has
-    # them.  Over F_p they are one cycle of the step x -> x^p (over Q the
-    # step is the identity), which goes whole to the one unmatched factor of
-    # the cycle's size that vanishes at one of them
-    lifted = [[g.map_domain(field, field.coerce), mult, g.degree] for g, mult in fact.factors]
+    field, found = _split_factors(fact.factors, cap)
+    # a root has its factor's multiplicity, and its degree over the base is
+    # its factor's degree: roots sort by that degree, then by coordinates
+    ranked = sorted(
+        (g.degree, field.sort_key(r), r, mult)
+        for (g, mult), roots in zip(fact.factors, found)
+        for r in roots
+    )
+    roots = [r for *_, r, _ in ranked]
     p = field.characteristic
-    index = {field.sort_key(r): i for i, r in enumerate(roots)}
-    step = root_permutation(index, (field.sort_key(r**p if p else r) for r in roots))
-    owner = [None] * len(roots)
-    for i, r in enumerate(roots):
-        if owner[i]:
-            continue
-        orbit = closure(i, (step,), tuple.__getitem__)
-        for entry in lifted:
-            g, _, missing = entry
-            if missing and (not p or g.degree == len(orbit)) and not g.eval(r):
-                entry[2] -= len(orbit)
-                break
-        else:
-            raise ZeroPolynomial("root does not belong to any factor")
-        for j in orbit:
-            owner[j] = entry
-    order = sorted(range(len(roots)), key=lambda i: (owner[i][0].degree, field.sort_key(roots[i])))
-    place = {i: k for k, i in enumerate(order)}  # step, re-indexed to the canonical order
-    frobenius = tuple(place[step[i]] for i in order) if p else None
-    return SplittingField(field, [roots[i] for i in order], [owner[i][1] for i in order], f, unit, frobenius)
+    frobenius = None
+    if p:
+        index = {key: i for i, (_, key, _, _) in enumerate(ranked)}
+        frobenius = root_permutation(index, (field.sort_key(r**p) for r in roots))
+    return SplittingField(field, roots, [mult for *_, mult in ranked], f, unit, frobenius)
 
 
 def closure(start, gens, act):

@@ -455,6 +455,14 @@ def test_a_cap_below_the_first_adjunction_still_bails_early(capsys, cap, poly):
     assert capsys.readouterr() == ("", f"cap exceeded: splitting degree would exceed cap {cap}\n")
 
 
+def test_a_product_names_the_splitting_cap(capsys):
+    # each factor's remainder is factored on its own, so the hidden norm cap
+    # is not met on a norm of their product (degree 72) before the splitting
+    # cap is
+    assert dispatch(["splitting-field", "(t^2-3)*(t^2-5)*(t^3-3*t+1)*(t^4-2)"]) == 3
+    assert capsys.readouterr() == ("", "cap exceeded: splitting degree would reach 48 > cap 24\n")
+
+
 def test_splitting_field_command(capsys):
     assert dispatch(["splitting-field", "t^3-2"]) == 0
     out = capsys.readouterr().out
@@ -1188,8 +1196,8 @@ GOLDEN_JSON = [
         '1","primitive_min_poly":"t - 1"},"gal_over_matches":true,"normal":'
         'true,"order":8,"subgroup":[0,1,2,3,4,5,6,7]}]}\n',
     ),
-    # a repeated F_p factor: the squarefree part that the splitting field
-    # splits, the product of the distinct factors, is a Poly * over F_3
+    # a repeated F_p factor: each distinct factor is split on its own, and
+    # the square's roots keep multiplicity 2
     (
         ["--json", "--field", "F3", "splitting-field", "(t^2+1)^2*(t^3-t+1)"],
         '{"degree":6,"multiplicities":[2,2,1,1,1],"polynomial":"t^7 + t^5 +'
@@ -1197,7 +1205,7 @@ GOLDEN_JSON = [
         '+ 2"],"tower":[{"label":"a","min_poly":"t^2 + 1"},{"label":"b","mi'
         'n_poly":"t^3 + 2*t + 1"}]}\n',
     ),
-    # non-monic rational factors: the same product over QQ
+    # non-monic rational factors, split one monic factor at a time over QQ
     (
         ["--json", "splitting-field", "(2*t^2-1)*(t^3-2)*(3*t-1)"],
         '{"degree":12,"multiplicities":[1,1,1,1,1,1],"polynomial":"6*t^6 - '
@@ -1205,6 +1213,26 @@ GOLDEN_JSON = [
         '"-c - b","c","b"],"tower":[{"label":"a","min_poly":"t^2 - 1/2"},{"'
         'label":"b","min_poly":"t^3 - 2"},{"label":"c","min_poly":"t^2 + b*'
         't + b^2"}]}\n',
+    ),
+    # over F_4 a later round factors two remainders, the cubic's (still
+    # irreducible) and the quartic's (two quadratics)
+    (
+        ["--json", "--field", "F2", "galois", "(t^2+t+1)*(t^3+t+1)*(t^4+t+1)"],
+        '{"action":["a","a + 1","c^2","c","c^2 + c","b","b + a","b + 1","b +'
+        ' a + 1"],"elements":["()","(6 8)(7 9)","(3 4 5)","(3 4 5)(6 8)(7 9)'
+        '","(3 5 4)","(3 5 4)(6 8)(7 9)","(1 2)(6 7 8 9)","(1 2)(6 9 8 7)","'
+        '(1 2)(3 4 5)(6 7 8 9)","(1 2)(3 4 5)(6 9 8 7)","(1 2)(3 5 4)(6 7 8 '
+        '9)","(1 2)(3 5 4)(6 9 8 7)"],"generators":["(1 2)(3 4 5)(6 7 8 9)"]'
+        ',"order":12,"type":"C12"}\n',
+    ),
+    # the quadratic's roots lie in the cubic's splitting field, and the
+    # cubic's roots have multiplicity 2
+    (
+        ["--json", "splitting-field", "(t^2+3)*(t^3-2)^2"],
+        '{"degree":6,"multiplicities":[1,1,2,2,2],"polynomial":"t^8 + 3*t^6 '
+        '- 4*t^5 - 12*t^3 + 4*t^2 + 12","roots":["-a","a","(-1/2*a - 1/2)*b"'
+        ',"(1/2*a - 1/2)*b","b"],"tower":[{"label":"a","min_poly":"t^2 + 3"}'
+        ',{"label":"b","min_poly":"t^3 - 2"}]}\n',
     ),
 ]
 

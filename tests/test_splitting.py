@@ -15,7 +15,7 @@ from galoiskit.splitting import (
     splitting_field_q,
     verify_splits,
 )
-from galoiskit.factor import factor_q, factor_fp
+from galoiskit.factor import factor_fp, factor_over_extension, factor_q
 from galoiskit.tower import Tower, adjoin_root
 from test_tower import _tower_elements
 
@@ -208,8 +208,6 @@ def test_resplit_over_intermediate():
     field = sf.field
     # remaining factorization over the full field is all linear
     lifted = f.map_domain(field, field.coerce)
-    from galoiskit.factor import factor_over_extension
-
     fact = factor_over_extension(lifted)
     assert all(g.degree == 1 for g, _ in fact.factors)
 
@@ -229,73 +227,19 @@ def test_json_shape():
     assert data["degree"] == 2
 
 
-_MATCHING_BUILDS = [
-    lambda: splitting_field_q(q([-2, 0, 1]) * q([-3, 0, 1]) * q([-1, 1]) * q([1, 1]) * q([-2, 0, 0, 1])),
+_FACTOR_BUILDS = [
+    lambda: splitting_field_q(q([-2, 0, 1]) * q([-3, 0, 1]) * q([-1, 1]) * q([1, 1]) ** 2 * q([-2, 0, 0, 1]) ** 3),
     lambda: splitting_field_fp(Poly(F3, [1, 0, 1]) * Poly(F3, [1, -1, 0, 1]) * Poly(F3, [0, 1])),
     lambda: splitting_field_fp(Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 0, 1]) * Poly(F2, [1, 0, 1, 1])),
-    # over F_4 the quartic splits into quadratics, so its roots are found
-    # before the cubic's: an orbit of 4 meets a factor of degree 3 unmatched
+    # over F_4 the quartic splits into quadratics, so one of them is adjoined
+    # before the cubic, and the quartic's roots are found before the cubic's
     lambda: splitting_field_fp(Poly(F2, [1, 1, 1]) * Poly(F2, [1, 1, 0, 1]) * Poly(F2, [1, 1, 0, 0, 1])),
 ]
 
 
-@pytest.mark.parametrize("build", _MATCHING_BUILDS)
-def test_each_factor_is_tested_until_it_has_its_roots(monkeypatch, build):
-    # once the roots are found, over Q a factor of degree d is evaluated at
-    # roots until d of them are its zeros, and never after; over F_p a root
-    # stands for its whole Frobenius orbit, so only factors of the orbit's
-    # size are evaluated there, each at most once per orbit, and each factor
-    # has exactly one zero
-    import galoiskit.splitting as splitting
-
-    record, split = None, splitting._split_squarefree
-
-    def split_then_record(*args):
-        nonlocal record
-        out = split(*args)
-        record = []
-        return out
-
-    evaluate = Poly.eval
-
-    def eval_recorded(self, a):
-        value = evaluate(self, a)
-        if record is not None:
-            record.append((self, a, not value))
-        return value
-
-    monkeypatch.setattr(splitting, "_split_squarefree", split_then_record)
-    monkeypatch.setattr(Poly, "eval", eval_recorded)
-    sf = build()
-    zeros = {}
-    p = sf.field.characteristic
-    if p:
-        key = sf.field.sort_key
-        seen = set()
-        for g, a, is_zero in record:
-            orbit, c = {key(a)}, a**p
-            while key(c) not in orbit:
-                orbit.add(key(c))
-                c = c**p
-            assert g.degree == len(orbit)
-            assert (g, frozenset(orbit)) not in seen  # once per orbit
-            seen.add((g, frozenset(orbit)))
-            assert not zeros.get(g)  # a matched factor is not tested again
-            zeros[g] = zeros.get(g, 0) + is_zero
-        assert all(zeros[g] == 1 for g in zeros)
-        assert len(zeros) == len(factor_fp(sf.source).factors)
-        assert sum(g.degree for g in zeros) == len(sf.roots)
-        return
-    for g, _, is_zero in record:
-        assert zeros.get(g, 0) < g.degree  # a full factor is not tested again
-        zeros[g] = zeros.get(g, 0) + is_zero
-    assert all(zeros[g] == g.degree for g in zeros)
-    assert sum(zeros.values()) == len(sf.roots)
-
-
 def _fp_golden_builds():
     """The F_p inputs of GOLDEN_JSON that build a splitting field, and the
-    F_p builds of the orbit-matching test."""
+    F_p builds of `_FACTOR_BUILDS`."""
     from test_cli import GOLDEN_JSON
 
     sources = [
@@ -303,7 +247,60 @@ def _fp_golden_builds():
         for argv, _ in GOLDEN_JSON
         if argv[1:2] == ["--field"] and argv[3] in ("galois", "splitting-field", "correspondence")
     ]
-    return [lambda f=f: splitting_field_fp(f) for f in sources] + _MATCHING_BUILDS[1:]
+    return [lambda f=f: splitting_field_fp(f) for f in sources] + _FACTOR_BUILDS[1:]
+
+
+def _ladder_builds():
+    from test_galois import LADDER
+
+    return [lambda src=src: splitting_field_q(parse_poly(src, QQ)) for src in LADDER]
+
+
+@pytest.mark.parametrize("build", _FACTOR_BUILDS[:1] + _ladder_builds() + _fp_golden_builds())
+def test_each_root_carries_its_factor(monkeypatch, build):
+    # exactly one irreducible factor over the base vanishes at each root, the
+    # root has that factor's multiplicity, and the roots are in (factor
+    # degree, coordinates) order; no polynomial is evaluated to find that out
+    # once the roots are split off
+    import galoiskit.splitting as splitting
+
+    evaluated, watching = [], [False]
+    split, assemble, evaluate = splitting._split_factors, splitting._build, Poly.eval
+
+    def split_then_watch(*args):
+        out = split(*args)
+        watching[0] = True
+        return out
+
+    def build_then_stop(*args):
+        out = assemble(*args)
+        watching[0] = False
+        return out
+
+    def eval_watched(self, a):
+        if watching[0]:
+            evaluated.append((self, a))
+        return evaluate(self, a)
+
+    monkeypatch.setattr(splitting, "_split_factors", split_then_watch)
+    monkeypatch.setattr(splitting, "_build", build_then_stop)
+    monkeypatch.setattr(Poly, "eval", eval_watched)
+    sf = build()
+    assert not watching[0] and not evaluated
+
+    field = sf.field
+    factors = [
+        (g.map_domain(field, field.coerce), mult, g.degree)
+        for g, mult in factor_over_extension(sf.source).factors
+    ]
+    keys = []
+    for r, mult in zip(sf.roots, sf.multiplicities):
+        owners = [(m, d) for g, m, d in factors if not g.eval(r)]
+        assert len(owners) == 1
+        assert owners[0][0] == mult
+        keys.append((owners[0][1], field.sort_key(r)))
+    assert keys == sorted(keys)
+    assert len(sf.roots) == sum(d for *_, d in factors)
 
 
 @pytest.mark.parametrize("build", _fp_golden_builds())
@@ -331,19 +328,19 @@ def test_roots_not_closed_under_frobenius_raise(monkeypatch):
     # a root list missing a conjugate is an internal failure, not a KeyError
     import galoiskit.splitting as splitting
 
-    split = splitting._split_squarefree
+    split = splitting._split_factors
 
     def split_less_one(*args):
-        field, roots = split(*args)
-        return field, roots[:-1]
+        field, found = split(*args)
+        return field, found[:-1] + [found[-1][:-1]]
 
-    monkeypatch.setattr(splitting, "_split_squarefree", split_less_one)
+    monkeypatch.setattr(splitting, "_split_factors", split_less_one)
     with pytest.raises(InternalInvariant):
         splitting_field_fp(Poly(F3, [1, 0, 1]))
 
 
 def test_frobenius_is_none_over_q_and_empty_for_a_constant():
-    assert _MATCHING_BUILDS[0]().frobenius is None
+    assert _FACTOR_BUILDS[0]().frobenius is None
     assert splitting_field_q(q([-2, 0, 0, 1])).frobenius is None
     assert splitting_field_q(q([3])).frobenius is None
     assert splitting_field_fp(Poly(F3, [2])).frobenius == ()
