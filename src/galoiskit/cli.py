@@ -6,9 +6,11 @@ rationals a/b, the indeterminate t, + - * ^ with nonnegative integer exponents, 
 so every well-formed input has exactly one reading.  Parentheses and unary
 minus nest at most MAX_NESTING levels deep.
 
-The parser evaluates onto sparse maps {exponent: coefficient} and builds one
-dense Poly per input, at the end.  Before a product or a power is expanded it
-computes the degree and (over Q) a coefficient height bound of the result,
+The parser reads a run of simple factors (t, an integer literal not followed
+by '/', either with ^k) as one monomial held as scalars, evaluates the rest
+onto sparse maps {exponent: coefficient}, and builds one dense Poly per
+input, at the end.  Before a product or a power is expanded it computes the
+degree and (over Q) a coefficient height bound of the result,
 and refuses with ShapeCap (exit 3) past MAX_PARSE_DEGREE or
 MAX_PARSE_HEIGHT_BITS, so that an input such as t^N or 2^N with a huge N
 costs nothing; so is an integer literal of more than MAX_LITERAL_DIGITS
@@ -40,7 +42,7 @@ from . import apps, correspondence, factor, finitefield, galois, splitting, towe
 # expression parser (recursive descent)
 # ---------------------------------------------------------------------------
 
-_TOKEN_CHARS = {"+", "-", "*", "^", "(", ")", "/"}
+_TOKEN_CHARS = frozenset("t+-*^()/")  # each its own token
 _DIGITS = frozenset("0123456789")  # ASCII only: str.isdigit also takes "²"
 # Each level of parentheses costs five parser frames, so this bound keeps the
 # recursive descent well inside Python's default recursion limit.
@@ -60,15 +62,15 @@ MAX_LITERAL_DIGITS = 640
 
 def _tokenize(src: str):
     tokens = []
-    i = 0
-    while i < len(src):
+    i, n = 0, len(src)
+    while i < n:
         c = src[i]
-        if c.isspace():
+        if c in _TOKEN_CHARS:
+            tokens.append((c, c, i))
             i += 1
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < len(src) and src[j] in _DIGITS:
+        elif c in _DIGITS:
+            j = i + 1
+            while j < n and src[j] in _DIGITS:
                 j += 1
             digits = src[i:j].lstrip("0") or "0"
             if len(digits) > MAX_LITERAL_DIGITS:
@@ -78,21 +80,15 @@ def _tokenize(src: str):
                 )
             tokens.append(("int", int(digits), i))
             i = j
-            continue
-        if c == "t":
-            tokens.append(("t", "t", i))
+        elif c.isspace():
             i += 1
-            continue
-        if c in _TOKEN_CHARS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ParseError(
-            f"unexpected character {c!r} at position {i}",
-            position=i,
-            expected=["digit", "t", "+", "-", "*", "^", "(", ")"],
-        )
-    tokens.append(("end", None, len(src)))
+        else:
+            raise ParseError(
+                f"unexpected character {c!r} at position {i}",
+                position=i,
+                expected=["digit", "t", "+", "-", "*", "^", "(", ")"],
+            )
+    tokens.append(("end", None, n))
     return tokens
 
 
@@ -122,10 +118,11 @@ def _convolve(a, b, p):
 
 
 class _Parser:
-    """Recursive descent onto sparse maps {exponent: nonzero coefficient}:
-    over Q the coefficients are ints, or Fractions where a literal a/b needs
-    one; over F_p (p = self.p) they are int residues, reduced after every
-    operation.  The one dense Poly is built in `parse`."""
+    """Recursive descent onto sparse maps {exponent: nonzero coefficient}
+    (a run of simple factors in `term` on scalars first): over Q the
+    coefficients are ints, or Fractions where a literal a/b needs one; over
+    F_p (p = self.p) they are int residues, reduced after every operation.
+    The one dense Poly is built in `parse`."""
 
     def __init__(self, src: str, dom):
         self.src = src
@@ -165,14 +162,13 @@ class _Parser:
     def check_shape(self, tok, degree, height):
         """Refuse, before it is expanded, an operation at `tok` whose result
         would have this degree and (over Q) this coefficient height bound."""
-        where = f"parsing: '{tok[0]}' at position {tok[2]} would need"
         if degree > MAX_PARSE_DEGREE:
-            raise ShapeCap(f"{where} degree {degree} > limit {MAX_PARSE_DEGREE} (MAX_PARSE_DEGREE)")
-        if height > MAX_PARSE_HEIGHT_BITS:
-            raise ShapeCap(
-                f"{where} coefficient height 2^{height} > limit "
-                f"2^{MAX_PARSE_HEIGHT_BITS} (MAX_PARSE_HEIGHT_BITS)"
-            )
+            need = f"degree {degree} > limit {MAX_PARSE_DEGREE} (MAX_PARSE_DEGREE)"
+        elif height > MAX_PARSE_HEIGHT_BITS:
+            need = f"coefficient height 2^{height} > limit 2^{MAX_PARSE_HEIGHT_BITS} (MAX_PARSE_HEIGHT_BITS)"
+        else:
+            return
+        raise ShapeCap(f"parsing: '{tok[0]}' at position {tok[2]} would need {need}")
 
     def parse(self) -> Poly:
         value = self.expr()
@@ -186,27 +182,72 @@ class _Parser:
         dense = [0] * (max(value) + 1 if value else 0)
         for e, c in value.items():
             dense[e] = c
-        if self.p:
-            return _from_residues(self.dom, dense)
-        return Poly(self.dom, dense)
+        return _from_residues(self.dom, dense) if self.p else Poly(QQ, list(map(Fraction, dense)), normalize=False)
 
     def expr(self):
         value = self.term()
-        p = self.p
-        while self.peek()[0] in ("+", "-"):
-            sign = 1 if self.take(self.peek()[0])[0] == "+" else -1
+        tokens, p = self.tokens, self.p
+        op = tokens[self.pos][0]
+        while op == "+" or op == "-":
+            self.pos += 1
             for e, c in self.term().items():
-                c = value.get(e, 0) + sign * c
+                c = value.get(e, 0) + c if op == "+" else value.get(e, 0) - c
                 if p:
                     c %= p
                 if c:
                     value[e] = c
                 else:
                     del value[e]
+            op = tokens[self.pos][0]
         return value
 
+    def simple_at(self, i):
+        """Whether a simple factor starts at token i: t, or an integer
+        literal not followed by '/' (either may carry ^k)."""
+        kind = self.tokens[i][0]
+        return kind == "t" or kind == "int" and self.tokens[i + 1][0] != "/"
+
+    def simple(self):
+        """Read a simple factor as (e, c), the monomial c*t^e (c = 0 for
+        zero), with the checks and the values of `power` on its map: t^k has
+        height 0 and c^k height k*_bits(|c|)."""
+        tokens, p = self.tokens, self.p
+        tok = tokens[self.pos]
+        e, c = (1, 1) if tok[0] == "t" else (0, tok[1] % p if p else tok[1])
+        self.pos += 1
+        hat = tokens[self.pos]
+        if hat[0] != "^":
+            return e, c
+        self.pos += 1
+        k = self.take("int")[1]
+        if not k:
+            return 0, 1
+        if not c:
+            return e, c
+        self.check_shape(hat, k * e, 0 if p else k * _bits(c))
+        return e * k, pow(c, k, p) if p else c**k
+
     def term(self):
-        value = self.factor()
+        """A product of factors.  A leading run of simple factors is one
+        monomial held as scalars, with the degree and height of each product
+        checked as on maps; a map is built where the run meets a
+        parenthesis, a unary minus or a rational literal, and that factor
+        and the rest of the product take the general path."""
+        tokens, p = self.tokens, self.p
+        if self.simple_at(self.pos):
+            e, c = self.simple()
+            while tokens[self.pos][0] == "*" and self.simple_at(self.pos + 1):
+                tok = tokens[self.pos]
+                self.pos += 1
+                e2, c2 = self.simple()
+                if c and c2:
+                    self.check_shape(tok, e + e2, 0 if p else _bits(c) + _bits(c2))
+                    e, c = e + e2, c * c2 % p if p else c * c2
+                else:
+                    c = 0
+            value = {e: c} if c else {}
+        else:
+            value = self.factor()
         while self.peek()[0] == "*":
             tok = self.take("*")
             rhs = self.factor()

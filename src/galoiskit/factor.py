@@ -78,6 +78,7 @@ from .poly import (
     _monic_mod,
     _mul_int,
     _mul_mod,
+    _mulrem_mod,
     _numerators,
     _pack,
     _positive_primitive,
@@ -212,6 +213,7 @@ class _FpPolys:
         self.n, self.dom, self.one, self.t = 1, PrimeField(p), [1], [0, 1]
         self.mul = lambda a, b: _mul_mod(a, b, p)
         self.rem = lambda a, b: _rem_mod(a, b, p)
+        self.mulrem = lambda m: _mulrem_mod(m, p)
         self.divmod = lambda a, b: _divmod_mod(a, b, p)
         self.sub = lambda a, b: _sub_mod(a, b, p)
         self.gcd = lambda a, b: _gcd_mod(a, b, p)
@@ -239,6 +241,7 @@ class _TowerPolys:
         self.q, self.one, self.t = self.p**self.n, Poly.one(dom), Poly.t(dom)
 
     mul, rem, divmod, sub = operator.mul, operator.mod, divmod, operator.sub
+    mulrem = staticmethod(lambda m: lambda u, v: u * v % m)
     gcd, deriv, monic = staticmethod(poly_gcd), staticmethod(Poly.derivative), staticmethod(Poly.monic)
     deg = staticmethod(lambda a: a.degree)
     read = wrap = staticmethod(lambda f: f)
@@ -267,8 +270,8 @@ def _polys(dom):
 
 
 def _powmod(R, b, e, m):
-    """b^e mod m in R."""
-    return _power(R.rem(b, m), e, lambda u, v: R.rem(R.mul(u, v), m), R.one)
+    """b^e mod m in R, every step one product-and-remainder (`R.mulrem`)."""
+    return _power(R.rem(b, m), e, R.mulrem(m), R.one)
 
 
 def _squarefree_part(R, g):
@@ -365,8 +368,9 @@ def _edf(R, f, d):
         for g in pieces:
             if R.p == 2:
                 acc = term = R.rem(u, g)
+                mulrem = R.mulrem(g)
                 for _ in range(d * R.n - 1):
-                    term = R.rem(R.mul(term, term), g)
+                    term = mulrem(term, term)
                     acc = R.sub(acc, term)  # + is - in characteristic 2
                 h = R.gcd(g, acc)
             else:

@@ -22,8 +22,10 @@ polynomial rings, Zassenhaus, Hensel lifting and Trager's norm), `tower`,
   substitution, ch. 8): a product is one integer product (`_mul_mod`),
   and a division reads the top slot and adds a multiple of the packed
   divisor per quotient digit (`_divide_packed`, behind `_rem_mod` and
-  `_divmod_mod`), with w wide enough that no slot carries; Euclid runs on
-  residues in `_gcd_mod` and `_xgcd_mod`;
+  `_divmod_mod`), with w wide enough that no slot carries; a chain of
+  products mod one modulus divides each packed product directly
+  (`_mulrem_mod`), and Euclid runs on residues in `_gcd_mod`, each divisor
+  packed once, and `_xgcd_mod`;
 * over Z: the unreduced product `_mul_int`, the fraction-free
   pseudo-division `_pseudo_divmod` and the signed remainder sequence
   `_sturm_ints`; `_numerators` reads rational coefficients as int
@@ -396,6 +398,25 @@ def _divmod_mod(a, b, m):
     return _trim(q[::-1]), r
 
 
+def _mulrem_mod(b, p):
+    """The step (u, v) -> u*v mod b of a chain of products mod b, for int
+    lists u, v of length at most k = deg b, lc(b) a unit mod p: b is packed
+    once, at a width w with 2^w > 2k (p-1)^2 + p.  The product's slots are
+    below k (p-1)^2 and `_divide_packed` adds at most (p-1)^2 to a slot at
+    each of at most k - 1 steps, so it divides the packed product directly
+    and only the k remainder slots are unpacked."""
+    k = len(b) - 1
+    w = (2 * k * (p - 1) * (p - 1) + p).bit_length()
+    y = _pack(b, p, w)
+
+    def step(u, v):
+        x = _pack(u, p, w)
+        x *= x if v is u else _pack(v, p, w)
+        return _unpack(_divide_packed(x, len(u) + len(v) - 1, b, y, p, w), k, p, w)
+
+    return step
+
+
 def _sub_mod(a, b, m):
     """a - b of int coefficient lists mod m, trimmed."""
     return _trim([(x - y) % m for x, y in zip_longest(a, b, fillvalue=0)])
@@ -415,9 +436,18 @@ def _monic_mod(a, p):
 
 
 def _gcd_mod(a, b, p):
-    """Monic gcd of trimmed residue lists mod a prime p ([] iff both are)."""
+    """Monic gcd of trimmed residue lists mod a prime p ([] iff both are).
+    No divisor of the chain is longer than s, the shorter input, so one
+    width w, 2^w > s (p-1)^2 + p as in `_rem_mod`, serves every division,
+    and each divisor, packed once, is the next step's packed dividend."""
+    if len(a) < len(b):
+        a, b = b, a
+    w = (len(b) * (p - 1) * (p - 1) + p).bit_length()
+    x, n = _pack(a, p, w), len(a)
     while b:
-        a, b = b, _rem_mod(a, b, p)
+        y = _pack(b, p, w)
+        a, b = b, _unpack(_divide_packed(x, n, b, y, p, w), len(b) - 1, p, w)
+        x, n = y, len(a)
     return _monic_mod(a, p)
 
 

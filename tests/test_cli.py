@@ -8,6 +8,7 @@ import string
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,9 @@ from galoiskit.cli import (
     parse_poly,
 )
 from galoiskit.tower import level_label
+
+
+F7 = PrimeField(7)
 
 
 def q(coeffs):
@@ -279,12 +283,34 @@ def _random_expr(rng, depth):
     return f"({_random_expr(rng, depth - 1)}){op}{_random_expr(rng, depth - 1)}"
 
 
+def _random_dense_sum(rng):
+    """A sum written the way verdict queries are: degree <= 12, literals of
+    up to 20 digits (most at least p), c*t^k, a/b*t^k, bare t^k and runs of
+    simple factors such as c*t^j*t^(k-j)."""
+    terms = []
+    for k in sorted(rng.sample(range(13), rng.randint(1, 6)), reverse=True):
+        literal = str(rng.randint(0, 10 ** rng.randint(1, 20)))
+        r = rng.random()
+        coeff = f"{literal}/{rng.randint(1, 10 ** rng.randint(1, 3))}" if r < 0.2 else literal if r < 0.7 else ""
+        mono = "" if k == 0 else "t" if k == 1 else f"t^{k}"
+        if mono and rng.random() < 0.15:
+            j = rng.randint(0, k)
+            mono = f"t^{j}*{rng.randint(0, 99)}^{rng.randint(0, 2)}*t^{k - j}"
+        terms.append("*".join(x for x in (coeff, mono) if x) or literal)
+    src = rng.choice(["", "-"]) + terms[0]
+    for term in terms[1:]:
+        src += rng.choice([" + ", " - ", "+", "-"]) + term
+    return src
+
+
 def _compare_with_dense_parser(seed, rounds):
     rng = random.Random(seed)
     sources = list(_PARSER_CASES)
     for _ in range(rounds):
         sources.append(_random_string(rng))
         sources.append(_random_expr(rng, 4))
+    dense = random.Random(f"dense sums:{seed}")
+    sources += [_random_dense_sum(dense) for _ in range(rounds)]
     for field in _FIELDS:
         oracle = lambda src, dom: _DenseParser(src, dom).parse()
         for src in sources:
@@ -1410,6 +1436,63 @@ def test_parser_shape_limits():
     # a parse error before the refused expansion still wins
     with pytest.raises(ParseError):
         parse_poly(f") + t^{d + 1}")
+
+
+# ShapeCap messages as the parser gave them when it built one sparse map per
+# factor (or the value, rendered, where F_7 needs no cap): a run of simple
+# factors must refuse at the same token, with the same degree and height
+_CAP_OUTCOMES = [
+    ("t^4097", "'^' at position 1 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("3*t^4097", "'^' at position 3 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("-3*t^4097", "'^' at position 4 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("2^1025", "'^' at position 1 would need coefficient height 2^1025 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "4"),
+    ("7^400*t", "'^' at position 1 would need coefficient height 2^1200 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "0"),
+    ("t^2048*t^2049", "'*' at position 6 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("2^1000*2^30*t", "'*' at position 6 would need coefficient height 2^1030 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "2*t"),
+    ("0^5000*t + t^4097", "'^' at position 12 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("2*3*t^4096*t", "'*' at position 10 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("3^646*3", "'^' at position 1 would need coefficient height 2^1292 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "5"),
+    ("2^1024*3^0*2", "'*' at position 10 would need coefficient height 2^1025 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "4"),
+    ("3*2^1023*t", "'*' at position 1 would need coefficient height 2^1025 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "3*t"),
+    ("7^365*7^5", "'^' at position 1 would need coefficient height 2^1095 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "0"),
+    ("5*7^364", "'^' at position 3 would need coefficient height 2^1092 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "0"),
+    ("1/2*t^4097", "'^' at position 5 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("(2*t)^1025", "'^' at position 5 would need coefficient height 2^1025 > limit 2^1024 (MAX_PARSE_HEIGHT_BITS)", "4*t^1025"),
+    ("-(3*t)*t^4096", "'*' at position 6 would need degree 4097 > limit 4096 (MAX_PARSE_DEGREE)", None),
+    ("t^4096*0*t^5000", "'^' at position 10 would need degree 5000 > limit 4096 (MAX_PARSE_DEGREE)", None),
+]
+
+
+@pytest.mark.parametrize("src, message, over_f7", _CAP_OUTCOMES, ids=[c[0] for c in _CAP_OUTCOMES])
+def test_cap_messages_are_pinned(src, message, over_f7):
+    with pytest.raises(ShapeCap) as info:
+        parse_poly(src)
+    assert str(info.value) == "parsing: " + message
+    if over_f7 is None:  # a degree cap holds over every field
+        with pytest.raises(ShapeCap) as info:
+            parse_poly(src, F7)
+        assert str(info.value) == "parsing: " + message
+    else:
+        assert render(parse_poly(src, F7)) == over_f7
+
+
+def test_a_flat_monomial_sum_builds_no_map_per_factor(monkeypatch):
+    # a run of simple factors is one monomial of scalars: no sparse product
+    # and no height of a map, whatever the field; a parenthesis still takes
+    # the general path
+    import galoiskit.cli as cli
+
+    calls = Counter()
+    for name in ("_convolve", "_height_bits"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real: calls.update([_name]) or _real(*a))
+    flat = ["t^9 + 4*t^8 - 12345678901234567890*t^3 + 7", "3*t^2 + 2*3*t^5*t - 0*t^4 - 13^2", "t"]
+    for src in flat:
+        for field in (QQ, F7):
+            parse_poly(src, field)
+    assert calls == Counter()
+    parse_poly("(t + 1)*(t - 1)")
+    assert calls == Counter({"_convolve": 1, "_height_bits": 2})
 
 
 def test_internal_failure_exits_4(monkeypatch, capsys):

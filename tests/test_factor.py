@@ -25,6 +25,7 @@ from galoiskit.poly import (
     _cofactor_mod,
     _deriv_mod,
     _mul_mod,
+    _power,
     _rem_mod,
     _sub_mod,
     _trim,
@@ -39,6 +40,7 @@ from galoiskit.factor import (
     _bezout_step,
     _ddf,
     _factor_sqfree_primitive_z,
+    _fp_polys,
     _hensel_step,
     _norm_primes,
     _polys,
@@ -200,6 +202,37 @@ def test_powmod_matches_repeated_multiplication():
                 want = power(want, p, f)
             got = powmod(b, p**d, f)
             assert got == want and all(c.tower == F for c in got.coeffs)
+
+
+def _powmod_by_product_then_remainder(R, b, e, m):
+    """`_powmod` with its step as two ring operations, a product and then a
+    remainder, each packing its own operands."""
+    return _power(R.rem(b, m), e, lambda u, v: R.rem(R.mul(u, v), m), R.one)
+
+
+def test_powmod_matches_the_product_then_remainder_loop():
+    # moduli of degree 1-40, monic or not, bases of length 0-80 and
+    # exponents 0-2^64, over F_p at the slot bound too (every coefficient
+    # p - 1); then over F_4 and F_9, whose rings multiply `Poly`s
+    rng = random.Random(41)
+    for p in (2, 3, 13, 2**61 - 1):
+        R = _fp_polys(p)
+        for k in range(1, 41):
+            m = [rng.randrange(p) for _ in range(k)] + [rng.choice([1, rng.randrange(1, p)])]
+            b = [rng.randrange(p) for _ in range(rng.randint(0, 2 * k))]
+            for e in (0, 1, 2, p, rng.randrange(2**64)):
+                assert _powmod(R, b, e, m) == _powmod_by_product_then_remainder(R, b, e, m), (p, m, b, e)
+            top = [p - 1] * (k + 1)
+            assert _powmod(R, top, p, top) == _powmod_by_product_then_remainder(R, top, p, top), (p, k)
+            assert _powmod(R, top[:k], 3, top) == _powmod_by_product_then_remainder(R, top[:k], 3, top), (p, k)
+    for F in (adjoin_root(F2, Poly(F2, [1, 1, 1]), "a")[0], adjoin_root(F3, Poly(F3, [1, 0, 1]), "i")[0]):
+        R = _polys(F)
+        elems = _tower_elements(F)
+        for k in range(1, 7):
+            m = Poly(F, [rng.choice(elems) for _ in range(k)] + [rng.choice(elems[1:])])
+            b = Poly(F, [rng.choice(elems) for _ in range(rng.randint(0, 2 * k))])
+            for e in (0, 1, 5, R.q**k):
+                assert _powmod(R, b, e, m) == _powmod_by_product_then_remainder(R, b, e, m), (F, m, b, e)
 
 
 def test_ddf_pattern_counts_the_modular_factors():

@@ -17,7 +17,9 @@ from galoiskit.poly import (
     _cofactor_mod,
     _divmod_mod,
     _gcd_mod,
+    _monic_mod,
     _mul_mod,
+    _mulrem_mod,
     _numerators,
     _pseudo_divmod,
     _rem_mod,
@@ -456,6 +458,83 @@ def test_packed_division_at_its_slot_bound():
                 a = [(x + y) % m for x, y in zip_longest(_schoolbook_mul_mod(quo, b, m), rem, fillvalue=0)]
                 assert _divmod_mod(a, b, m) == (quo, _trim_list([c % m for c in rem])), (m, k, steps)
                 assert _rem_mod(a, b, m) == _trim_list([c % m for c in rem]), (m, k, steps)
+
+
+# Chains of products and Euclid's loop keep their operands packed; the loops
+# they replaced, one `_mul_mod` or `_rem_mod` per step, are the oracles.
+CHAIN_PRIMES = (2, 3, 13, 2**61 - 1)
+
+
+def _mul_then_rem(u, v, b, p):
+    """A step of a product chain mod b as two kernels: the product unpacked,
+    then packed again at its own width for the remainder."""
+    return _rem_mod(_mul_mod(u, v, p), b, p)
+
+
+def _euclid_gcd_mod(a, b, p):
+    """Euclid's loop with one `_rem_mod`, and so one packing of each
+    operand, per step."""
+    while b:
+        a, b = b, _rem_mod(a, b, p)
+    return _monic_mod(a, p)
+
+
+def _residue_list(rng, length, p):
+    """A trimmed random residue list of the given length."""
+    return [rng.randrange(p) for _ in range(length - 1)] + [rng.randrange(1, p)] if length else []
+
+
+def test_mulrem_matches_the_product_then_the_remainder():
+    # every modulus degree 0-40, monic or not, by operands of every length
+    # up to it, both orders and the square; residues, and signed unreduced
+    # ints; then the slot bound, where every coefficient is p - 1
+    rng = random.Random(43)
+    for p in CHAIN_PRIMES:
+        for k in range(41):
+            b = _divisor(rng, k + 1, p, 0, p - 1)
+            step = _mulrem_mod(b, p)
+            for la in range(k + 1):
+                for lo, hi in ((0, p - 1), (-2 * p, 2 * p)):
+                    u = [rng.randint(lo, hi) for _ in range(la)]
+                    v = [rng.randint(lo, hi) for _ in range(rng.randint(0, k))]
+                    for x, y in ((u, v), (v, u), (u, u)):
+                        assert step(x, y) == _mul_then_rem(x, y, b, p), (p, b, x, y)
+            top = [p - 1] * k
+            for b in ([p - 1] * (k + 1), [1] * (k + 1), top + [1]):
+                step = _mulrem_mod(b, p)
+                for x, y in ((top, top), (top, top[: k // 2]), (top[: k // 2], top), ([1] * k, top)):
+                    assert step(x, y) == _mul_then_rem(x, y, b, p), (p, k, b, x, y)
+
+
+def test_packed_euclid_matches_the_remainder_loop():
+    # every pair of lengths 0-40, both orders: random residue lists, the
+    # slot bound (every coefficient p - 1), and for a quarter of the pairs
+    # lists with a common factor (long chains, nontrivial gcds)
+    rng = random.Random(47)
+    nontrivial = 0
+    for p in CHAIN_PRIMES:
+        for la in range(41):
+            for lb in range(la + 1):
+                a, b = _residue_list(rng, la, p), _residue_list(rng, lb, p)
+                cases = [(a, b), ([p - 1] * la, [p - 1] * lb)]
+                if lb > 1 and rng.random() < 0.25:
+                    common = _residue_list(rng, rng.randint(2, lb), p)
+                    cases.append((_mul_mod(a, common, p), _mul_mod(b[: lb - len(common) + 1] or [1], common, p)))
+                for x, y in cases:
+                    for x, y in ((x, y), (y, x)):
+                        got = _gcd_mod(x, y, p)
+                        assert got == _euclid_gcd_mod(x, y, p), (p, x, y)
+                        nontrivial += len(got) > 1
+        # a = quo*b + rem with every quotient digit 1 and b = (p-1)(1 + ... +
+        # t^k): the first division brings its slots to their bound,
+        # min(steps, len b) (p-1)^2 plus a residue
+        for lb in range(1, 21):
+            for steps in range(1, 42 - lb):
+                b, rem = [p - 1] * lb, [p - 1] * (lb - 1)
+                a = _trim_list([(x + y) % p for x, y in zip_longest(_schoolbook_mul_mod([1] * steps, b, p), rem, fillvalue=0)])
+                for x, y in ((a, b), (b, a)):
+                    assert _gcd_mod(x, y, p) == _euclid_gcd_mod(x, y, p), (p, x, y)
+    assert nontrivial >= 500, nontrivial
 
 
 def _read(f):
