@@ -1,5 +1,6 @@
 """CLI: expression parsing, dispatch, exit codes, JSON determinism."""
 
+import hashlib
 import json
 import os
 import random
@@ -324,6 +325,143 @@ def test_parser_matches_the_dense_oracle():
 @pytest.mark.slow
 def test_parser_matches_the_dense_oracle_at_length():
     _compare_with_dense_parser(seed=1016, rounds=10_000)
+
+
+# ---------------------------------------------------------------------------
+# parse-outcome digest: every outcome of a seeded sweep, hashed and pinned
+# ---------------------------------------------------------------------------
+
+_DIGEST_FIELDS = (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(13))
+# zero, and multiples of each prime of _DIGEST_FIELDS (not invertible there)
+_DIGEST_DENOMINATORS = ["0", "00", "1", "2", "3", "4", "6", "7", "9", "13", "14", "17", "21", "26", "39", "91", "1001"]
+_DIGEST_CAP_EXPONENTS = ["1024", "1025", "4095", "4096", "4097", "5000"]
+_DIGEST_MUTATIONS = "0123456789t+-*^()/ x"
+
+
+def _digest_literal(rng):
+    if rng.random() < 0.95:
+        return rng.choice(["", "", "", "0"]) + str(rng.randint(0, 20))
+    digits = rng.randint(1, 40)
+    return str(rng.randint(10 ** (digits - 1), 10**digits - 1))
+
+
+def _digest_exponent(rng, big):
+    if rng.random() < big:
+        return rng.choice(_DIGEST_CAP_EXPONENTS + [str(rng.randint(0, 5000))])
+    return str(rng.randint(0, 5))
+
+
+def _digest_factor(rng, depth):
+    r = rng.random()
+    if depth and r < 0.12:
+        return "-" + _digest_factor(rng, depth - 1)
+    if depth and r < 0.24:  # a parenthesised sum takes only small exponents
+        group = f"({_digest_expr(rng, depth - 1)})"
+        return group + (f"^{rng.randint(0, 5)}" if rng.random() < 0.4 else "")
+    if r < 0.40:
+        atom, big = f"{_digest_literal(rng)}/{rng.choice(_DIGEST_DENOMINATORS)}", 0.2
+    elif r < 0.70:
+        atom, big = "t", 0.005
+    else:
+        atom, big = _digest_literal(rng), 0.3
+    return atom + (f"^{_digest_exponent(rng, big)}" if rng.random() < 0.35 else "")
+
+
+def _digest_expr(rng, depth):
+    def term():
+        return "*".join(_digest_factor(rng, depth) for _ in range(rng.randint(1, 2)))
+
+    src = term()
+    for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+        src += rng.choice([" + ", " - ", "+", "-"]) + term()
+    return src
+
+
+def _digest_source(rng):
+    """A seeded input: integer literals of up to 40 digits, a/b with zero and
+    non-invertible denominators, t, unary minus, parentheses and exponents up
+    to 5000 (at the caps too), and in a quarter of them one character
+    replaced, inserted or deleted."""
+    src = _digest_expr(rng, 1)
+    if rng.random() < 0.25:
+        i = rng.randint(0, len(src))
+        edit = rng.random()
+        if edit < 0.4:
+            src = src[:i] + rng.choice(_DIGEST_MUTATIONS) + src[i + 1 :]
+        elif edit < 0.7:
+            src = src[:i] + rng.choice(_DIGEST_MUTATIONS) + src[i:]
+        else:
+            src = src[:i] + src[i + 1 :]
+    return src
+
+
+def _digest_features(src):
+    """Which of a unary minus, an a/b literal, and t or an integer literal
+    right after a parenthesised factor (`(...)*c`, `(...)^k*t`) src holds."""
+    try:
+        kinds = [tok[0] for tok in _tokenize(src)]
+    except (ParseError, ShapeCap):
+        return set()
+    found = set()
+    for i, kind in enumerate(kinds):
+        if kind == "-" and (i == 0 or kinds[i - 1] in "(+-*"):
+            found.add("unary minus")
+        if kinds[i : i + 3] == ["int", "/", "int"]:
+            found.add("a/b")
+        if kind == ")":
+            j = i + 3 if kinds[i + 1 : i + 3] == ["^", "int"] else i + 1
+            if kinds[j : j + 1] == ["*"] and kinds[j + 1] in ("t", "int"):
+                found.add("simple after parenthesis")
+    return found
+
+
+def _parse_digest(count):
+    """sha256 over every (input, field, outcome) of `count` seeded inputs,
+    with the tallies of outcomes and input features.  An outcome is the
+    nonzero coefficients (exponent with numerator and denominator over Q, or
+    with the residue over F_p),
+    or the error's class, message, position and expected tokens."""
+    rng = random.Random(count)
+    digest = hashlib.sha256()
+    tally = Counter()
+    for _ in range(count):
+        src = _digest_source(rng)
+        tally.update(_digest_features(src))
+        outcomes = []
+        for field in _DIGEST_FIELDS:
+            try:
+                f = parse_poly(src, field)
+            except (ParseError, ShapeCap) as exc:
+                outcome = (type(exc).__name__, str(exc), getattr(exc, "position", None), getattr(exc, "expected", None))
+            else:
+                outcome = [(e, c.numerator, c.denominator) if field is QQ else (e, c.v[0]) for e, c in enumerate(f.coeffs) if c]
+            tally["value" if isinstance(outcome, list) else outcome[0]] += 1
+            outcomes.append(outcome)
+        digest.update(repr((src, outcomes)).encode())
+    return digest.hexdigest(), tally
+
+
+def _check_parse_digest(count, expected, floors):
+    digest, tally = _parse_digest(count)
+    for name, floor in floors.items():
+        assert tally[name] >= floor, (name, tally)
+    assert digest == expected, tally
+
+
+def test_parse_outcomes_match_the_pinned_digest():
+    # recorded when a run of simple factors was read on scalars and every
+    # other factor on sparse maps; any change of value, error or message
+    # anywhere in the sweep changes the digest
+    floors = {"value": 45_000, "ParseError": 20_000, "ShapeCap": 1_500}
+    floors |= {"unary minus": 3_500, "a/b": 7_000, "simple after parenthesis": 1_000}
+    _check_parse_digest(15_000, "070bbee92e23aa4b87e873faf8891e10e44dad73099174a359b76c07dc90461f", floors)
+
+
+@pytest.mark.slow
+def test_parse_outcomes_match_the_pinned_digest_at_length():
+    floors = {"value": 600_000, "ParseError": 270_000, "ShapeCap": 20_000}
+    floors |= {"unary minus": 45_000, "a/b": 95_000, "simple after parenthesis": 12_000}
+    _check_parse_digest(200_000, "748facb0d5d628d30dfc4223a3e2d2535f5acaa35a2f7c699f820eca231f76f8", floors)
 
 
 # ---------------------------------------------------------------------------
