@@ -3,20 +3,23 @@
 The expression grammar is deliberately small: integers (ASCII digits),
 rationals a/b, the indeterminate t, + - * ^ with nonnegative integer exponents, parentheses.
 `^` binds tighter than unary minus and implicit multiplication is rejected,
-so every well-formed input has exactly one reading.  Parentheses and unary
-minus nest at most MAX_NESTING levels deep.
+so every well-formed input has exactly one reading.  a/b is one literal of
+two integers: 3/2^2 is (3/2)^2 = 9/4, and 3/(2^2) is a parse error.
+Parentheses and unary minus nest at most MAX_NESTING levels deep.  On the
+command line, argparse reads an input that begins with '-' as an option:
+write `galoiskit factor -- -t^2+1` or `galoiskit factor " -t^2+1"`.
 
-The parser reads a run of simple factors (t, an integer literal not followed
-by '/', either with ^k) as one monomial held as scalars, evaluates the rest
-onto sparse maps {exponent: coefficient}, and builds one dense Poly per
-input, at the end.  Before a product or a power is expanded it computes the
-degree and (over Q) a coefficient height bound of the result,
-and refuses with ShapeCap (exit 3) past MAX_PARSE_DEGREE or
-MAX_PARSE_HEIGHT_BITS, so that an input such as t^N or 2^N with a huge N
-costs nothing; so is an integer literal of more than MAX_LITERAL_DIGITS
-significant digits.  Exit codes: 0 success, 2 parse/usage error, 3 a configured
-cap was exceeded (also while parsing), 4 internal invariant violation (a
-bug).
+The parser reads every literal and t as a monomial held as scalars, and so
+every power, negation and product of monomials; only a sum of terms becomes
+a sparse map {exponent: coefficient}, and so does what a parenthesised sum
+enters.  It builds one dense Poly per input, at the end.  Before a product
+or a power is expanded it computes the degree and (over Q) a coefficient
+height bound of the result, and refuses with ShapeCap (exit 3) past
+MAX_PARSE_DEGREE or MAX_PARSE_HEIGHT_BITS, so that an input such as t^N or
+2^N with a huge N costs nothing; so is an integer literal of more than
+MAX_LITERAL_DIGITS significant digits.  Exit codes: 0 success, 2
+parse/usage error, 3 a configured cap was exceeded (also while parsing), 4
+internal invariant violation (a bug).
 """
 
 from __future__ import annotations
@@ -105,6 +108,21 @@ def _height_bits(terms) -> int:
     return _bits(max(den, *map(abs, ints)))
 
 
+def _scalar_bits(c) -> int:
+    """_height_bits({e: c}) of a nonzero rational c, without the map."""
+    if type(c) is int:
+        return (abs(c) - 1).bit_length()
+    return _bits(max(abs(c.numerator), c.denominator))
+
+
+def _as_map(value):
+    """A value as a sparse map: a monomial (e, c) becomes {e: c}, or {}."""
+    if type(value) is dict:
+        return value
+    e, c = value
+    return {e: c} if c else {}
+
+
 def _convolve(a, b, p):
     """The product of two nonzero sparse maps, reduced mod p when p > 0."""
     out = {}
@@ -118,22 +136,21 @@ def _convolve(a, b, p):
 
 
 class _Parser:
-    """Recursive descent onto sparse maps {exponent: nonzero coefficient}
-    (a run of simple factors in `term` on scalars first): over Q the
-    coefficients are ints, or Fractions where a literal a/b needs one; over
-    F_p (p = self.p) they are int residues, reduced after every operation.
-    The one dense Poly is built in `parse`."""
+    """Recursive descent.  A factor's value is a monomial (e, c), the scalar
+    c times t^e (c = 0 for zero): every literal and t, and every power,
+    negation and product of monomials.  A sum of two or more terms is a
+    sparse map {exponent: nonzero coefficient}, and so is every product or
+    power that involves one.  Over Q the coefficients are ints, or Fractions
+    where a literal a/b needs one; over F_p (p = self.p) they are int
+    residues, reduced after every operation.  The one dense Poly is built in
+    `parse`."""
 
     def __init__(self, src: str, dom):
-        self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
         self.dom = dom
         self.p = dom.characteristic
         self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
 
     def take(self, kind):
         tok = self.tokens[self.pos]
@@ -171,8 +188,8 @@ class _Parser:
         raise ShapeCap(f"parsing: '{tok[0]}' at position {tok[2]} would need {need}")
 
     def parse(self) -> Poly:
-        value = self.expr()
-        tok = self.peek()
+        value = _as_map(self.expr())
+        tok = self.tokens[self.pos]
         if tok[0] != "end":
             raise ParseError(
                 f"trailing input at position {tok[2]}: {tok[0]!r}",
@@ -185,114 +202,98 @@ class _Parser:
         return _from_residues(self.dom, dense) if self.p else Poly(QQ, list(map(Fraction, dense)), normalize=False)
 
     def expr(self):
+        """A sum of terms: one term as it is, two or more on a map, to which
+        a monomial term adds its one coefficient."""
         value = self.term()
         tokens, p = self.tokens, self.p
         op = tokens[self.pos][0]
+        if op != "+" and op != "-":
+            return value
+        value = _as_map(value)
         while op == "+" or op == "-":
             self.pos += 1
-            for e, c in self.term().items():
+            rhs = self.term()
+            for e, c in rhs.items() if type(rhs) is dict else (rhs,):
                 c = value.get(e, 0) + c if op == "+" else value.get(e, 0) - c
                 if p:
                     c %= p
                 if c:
                     value[e] = c
                 else:
-                    del value[e]
+                    value.pop(e, None)
             op = tokens[self.pos][0]
         return value
 
-    def simple_at(self, i):
-        """Whether a simple factor starts at token i: t, or an integer
-        literal not followed by '/' (either may carry ^k)."""
-        kind = self.tokens[i][0]
-        return kind == "t" or kind == "int" and self.tokens[i + 1][0] != "/"
-
-    def simple(self):
-        """Read a simple factor as (e, c), the monomial c*t^e (c = 0 for
-        zero), with the checks and the values of `power` on its map: t^k has
-        height 0 and c^k height k*_bits(|c|)."""
-        tokens, p = self.tokens, self.p
-        tok = tokens[self.pos]
-        e, c = (1, 1) if tok[0] == "t" else (0, tok[1] % p if p else tok[1])
-        self.pos += 1
-        hat = tokens[self.pos]
-        if hat[0] != "^":
-            return e, c
-        self.pos += 1
-        k = self.take("int")[1]
-        if not k:
-            return 0, 1
-        if not c:
-            return e, c
-        self.check_shape(hat, k * e, 0 if p else k * _bits(c))
-        return e * k, pow(c, k, p) if p else c**k
-
     def term(self):
-        """A product of factors.  A leading run of simple factors is one
-        monomial held as scalars, with the degree and height of each product
-        checked as on maps; a map is built where the run meets a
-        parenthesis, a unary minus or a rational literal, and that factor
-        and the rest of the product take the general path."""
+        """A product of factors, left to right: monomials multiply as scalars
+        and a map as a map, each product checked at its '*' with the degree
+        and height it would have on maps (a monomial's height is its one
+        coefficient's)."""
+        value = self.factor()
         tokens, p = self.tokens, self.p
-        if self.simple_at(self.pos):
-            e, c = self.simple()
-            while tokens[self.pos][0] == "*" and self.simple_at(self.pos + 1):
-                tok = tokens[self.pos]
-                self.pos += 1
-                e2, c2 = self.simple()
-                if c and c2:
-                    self.check_shape(tok, e + e2, 0 if p else _bits(c) + _bits(c2))
-                    e, c = e + e2, c * c2 % p if p else c * c2
-                else:
-                    c = 0
-            value = {e: c} if c else {}
-        else:
-            value = self.factor()
-        while self.peek()[0] == "*":
-            tok = self.take("*")
+        while tokens[self.pos][0] == "*":
+            tok = tokens[self.pos]
+            self.pos += 1
             rhs = self.factor()
+            if type(value) is tuple and type(rhs) is tuple:
+                e, c = value
+                e2, c2 = rhs
+                if c and c2:
+                    self.check_shape(tok, e + e2, 0 if p else _scalar_bits(c) + _scalar_bits(c2))
+                    value = e + e2, c * c2 % p if p else c * c2
+                else:
+                    value = 0, 0
+                continue
+            value, rhs = _as_map(value), _as_map(rhs)
             if not value or not rhs:
                 value = {}
                 continue
-            height = 0
-            if not self.p:
-                height = _height_bits(value) + _height_bits(rhs) + _bits(min(len(value), len(rhs)))
+            height = 0 if p else _height_bits(value) + _height_bits(rhs) + _bits(min(len(value), len(rhs)))
             self.check_shape(tok, max(value) + max(rhs), height)
-            value = _convolve(value, rhs, self.p)
+            value = _convolve(value, rhs, p)
         return value
 
     def factor(self):
-        if self.peek()[0] == "-":
-            value = self.nested(self.take("-"), self.factor)
-            return {e: -c % self.p if self.p else -c for e, c in value.items()}
-        return self.power()
-
-    def power(self):
+        """'-' factor, or an atom with an optional '^k'."""
+        tokens, p = self.tokens, self.p
+        tok = tokens[self.pos]
+        if tok[0] == "-":
+            self.pos += 1
+            value = self.nested(tok, self.factor)
+            if type(value) is tuple:
+                return value[0], -value[1] % p if p else -value[1]
+            return {e: -c % p if p else -c for e, c in value.items()}
         base = self.atom()
-        if self.peek()[0] != "^":
+        tok = tokens[self.pos]
+        if tok[0] != "^":
             return base
-        tok = self.take("^")
+        self.pos += 1
         k = self.take("int")[1]
         if k == 0:
-            return {0: 1}
+            return 0, 1
+        if type(base) is tuple:  # (c*t^e)^k = c^k*t^(ek)
+            e, c = base
+            if not c:
+                return base
+            self.check_shape(tok, k * e, 0 if p else k * _scalar_bits(c))
+            return e * k, pow(c, k, p) if p else c**k
         if not base:
             return base
-        p = self.p
         # A^k has coefficients of height at most H^k * len(A)^(k-1)
         height = 0 if p else k * _height_bits(base) + (k - 1) * _bits(len(base))
         self.check_shape(tok, k * max(base), height)
-        if len(base) == 1:  # (c*t^j)^k = c^k*t^(jk)
-            ((j, c),) = base.items()
-            return {j * k: pow(c, k, p) if p else c**k}
         return _power(base, k, lambda a, b: _convolve(a, b, p), None)
 
     def atom(self):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok[0] == "t":
+            self.pos += 1
+            return 1, 1
         if tok[0] == "int":
-            self.take("int")
+            self.pos += 1
             value = tok[1]
-            if self.peek()[0] == "/":
-                self.take("/")
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
                 den = self.take("int")
                 if den[1] == 0:
                     raise ParseError(
@@ -311,14 +312,10 @@ class _Parser:
                     value = value.numerator
                 elif self.p:
                     value = value.numerator * pow(value.denominator, -1, self.p)
-            if self.p:
-                value %= self.p
-            return {0: value} if value else {}
-        if tok[0] == "t":
-            self.take("t")
-            return {1: 1}
+            return 0, value % self.p if self.p else value
         if tok[0] == "(":
-            value = self.nested(self.take("("), self.expr)
+            self.pos += 1
+            value = self.nested(tok, self.expr)
             self.take(")")
             return value
         raise ParseError(

@@ -100,6 +100,12 @@ def test_parse_errors_carry_position_and_expected():
         parse_poly("1/0")
     with pytest.raises(ParseError):
         parse_poly("x + 1")
+    # a/b is one literal of two integers: ^ applies to the whole of it, and
+    # a denominator is never a parenthesised expression
+    assert parse_poly("3/2^2") == q([Fraction(9, 4)])
+    with pytest.raises(ParseError) as info:
+        parse_poly("3/(2^2)")
+    assert info.value.position == 2 and info.value.expected == ("int",)
 
 
 def test_parse_render_roundtrip_random():
@@ -661,6 +667,13 @@ def test_ngon_verdict_past_the_trial_division_cap(capsys):
 def test_exit_codes(capsys):
     assert dispatch(["factor", "2t"]) == 2  # parse error
     capsys.readouterr()
+    # argparse reads a polynomial that begins with '-' as an option: a usage
+    # error, unless '--' ends the options or the argument begins otherwise
+    assert dispatch(["factor", "-t^2+1"]) == 2
+    assert "usage: galoiskit factor" in capsys.readouterr().err
+    for argv in (["factor", "--", "-t^2+1"], ["factor", " -t^2+1"]):
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out == "unit: -1\n(t - 1)^1\n(t + 1)^1\n"
     assert dispatch(["solvable", "t^7 - 2*t + 2"]) == 3  # degree cap
     capsys.readouterr()
     assert dispatch(["--json", "galois", "t^4-2"]) == 0
@@ -1615,9 +1628,10 @@ def test_cap_messages_are_pinned(src, message, over_f7):
 
 
 def test_a_flat_monomial_sum_builds_no_map_per_factor(monkeypatch):
-    # a run of simple factors is one monomial of scalars: no sparse product
-    # and no height of a map, whatever the field; a parenthesis still takes
-    # the general path
+    # every literal, a/b and t is a monomial of scalars, and so is every
+    # power, negation and product of monomials: no sparse product and no
+    # height of a map, whatever the field; a product of parenthesised sums
+    # is expanded on maps
     import galoiskit.cli as cli
 
     calls = Counter()
@@ -1625,6 +1639,7 @@ def test_a_flat_monomial_sum_builds_no_map_per_factor(monkeypatch):
         real = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda *a, _name=name, _real=real: calls.update([_name]) or _real(*a))
     flat = ["t^9 + 4*t^8 - 12345678901234567890*t^3 + 7", "3*t^2 + 2*3*t^5*t - 0*t^4 - 13^2", "t"]
+    flat += ["-t^3 + 1/2*t^2*3/4 - 5", "-3^2*t"]
     for src in flat:
         for field in (QQ, F7):
             parse_poly(src, field)
