@@ -679,6 +679,100 @@ def test_exit_codes(capsys):
     assert dispatch(["--json", "galois", "t^4-2"]) == 0
 
 
+_USAGE = (
+    "usage: galoiskit [-h] [--field FIELD] [--json] [--max-degree MAX_DEGREE]\n"
+    "                 {factor,irreducible,splitting-field,galois,correspondence,solvable,minpoly,construct,gf}\n"
+    "                 ...\n"
+)
+_GF_USAGE = "usage: galoiskit gf [-h] [--subfields] [--generator] p n\n"
+
+# Exact (exit code, stdout, stderr) of argparse's reading of command lines
+# that are usage errors, help, or a form argparse reads in its own way (an
+# option prefix, an int that begins with '-'); recorded with a help width of
+# 80 columns.
+ARGPARSE_BYTES = [
+    ([], 2, "", _USAGE + "galoiskit: error: the following arguments are required: command\n"),
+    (
+        ["-h"], 0,
+        _USAGE + "\n"
+        "Exact Galois theory: factorization, splitting fields, Galois groups, the\n"
+        "Galois correspondence, solvability and constructibility verdicts, finite\n"
+        "fields.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {factor,irreducible,splitting-field,galois,correspondence,solvable,minpoly,construct,gf}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --field FIELD         coefficient field: Q or F<p>\n"
+        "  --json                machine-readable output\n"
+        "  --max-degree MAX_DEGREE\n"
+        "                        override the degree caps (splitting field, minpoly\n"
+        "                        tower, factor)\n",
+        "",
+    ),
+    (
+        ["factor", "-h"], 0,
+        "usage: galoiskit factor [-h] poly\n"
+        "\n"
+        "positional arguments:\n"
+        "  poly        polynomial expression in t\n"
+        "\n"
+        "options:\n"
+        "  -h, --help  show this help message and exit\n",
+        "",
+    ),
+    (
+        ["gf", "-h"], 0,
+        _GF_USAGE + "\n"
+        "positional arguments:\n"
+        "  p\n"
+        "  n\n"
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --subfields\n"
+        "  --generator\n",
+        "",
+    ),
+    (
+        ["factor"], 2, "",
+        "usage: galoiskit factor [-h] poly\n"
+        "galoiskit factor: error: the following arguments are required: poly\n",
+    ),
+    (["factor", "a", "b"], 2, "", _USAGE + "galoiskit: error: unrecognized arguments: b\n"),
+    (
+        ["factor", "-t^2+1"], 2, "",
+        "usage: galoiskit factor [-h] poly\n"
+        "galoiskit factor: error: the following arguments are required: poly\n",
+    ),
+    (["--js", "factor", "t"], 0, '{"factors":[{"multiplicity":1,"poly":"t"}],"unit":"1"}\n', ""),
+    (["--field"], 2, "", _USAGE + "galoiskit: error: argument --field: expected one argument\n"),
+    (
+        ["--max-degree", "x", "factor", "t"], 2, "",
+        _USAGE + "galoiskit: error: argument --max-degree: invalid int value: 'x'\n",
+    ),
+    (
+        ["construct", "foo"], 2, "",
+        "usage: galoiskit construct [-h] {classic,ngon,degree} [arg]\n"
+        "galoiskit construct: error: argument what: invalid choice: 'foo' "
+        "(choose from 'classic', 'ngon', 'degree')\n",
+    ),
+    (["gf", "2"], 2, "", _GF_USAGE + "galoiskit gf: error: the following arguments are required: n\n"),
+    (["gf", "2", "3", "--bogus"], 2, "", _USAGE + "galoiskit: error: unrecognized arguments: --bogus\n"),
+    (["--json", "factor", "--json", "t"], 2, "", _USAGE + "galoiskit: error: unrecognized arguments: --json\n"),
+    # argparse reads -1 as the positional n = -1
+    (["gf", "2", "-1"], 2, "", "error: field degree must be at least 1, got -1\n"),
+]
+
+
+@pytest.mark.parametrize("argv, code, out, err", ARGPARSE_BYTES)
+def test_argparse_usage_and_help_bytes_are_pinned(capsys, monkeypatch, argv, code, out, err):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    assert dispatch(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def _run_cli(*argv):
     """Run `galoiskit.cli.main` in a fresh interpreter, from the package under test."""
     src = str(Path(galoiskit.__file__).resolve().parent.parent)
