@@ -20,14 +20,19 @@ MAX_PARSE_DEGREE or MAX_PARSE_HEIGHT_BITS, so that an input such as t^N or
 MAX_LITERAL_DIGITS significant digits.  Exit codes: 0 success, 2
 parse/usage error, 3 a configured cap was exceeded (also while parsing), 4
 internal invariant violation (a bug).
+
+A well-formed command line (options before the command, then its
+positionals; gf's flags anywhere after gf) is read by _read_argv without
+argparse.  argparse is imported only for what _read_argv declines, so it
+prints usage errors and help, and reads the forms it reads in its own way.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import (
     CapExceeded,
@@ -513,11 +518,13 @@ def _cmd_construct(args, dom):
             [f"regular {n}-gon constructible: {ok}"],
         )
     elif args.what == "degree":
+        if dom != QQ:
+            raise ParseError("constructibility is decided over Q", expected=["--field Q"])
         m = parse_poly(args.arg, QQ)
         _explicit_cap(args, m.degree)
         verdict = apps.constructible_degree_check(m)
         _emit(args, verdict.to_json(), [f"{verdict.target}: {verdict.verdict}"])
-    else:  # pragma: no cover - argparse restricts choices
+    else:  # pragma: no cover - the command table restricts choices
         raise ParseError(f"unknown construct target {args.what!r}")
 
 
@@ -545,10 +552,92 @@ def _cmd_gf(args, dom):
     _emit(args, payload, lines)
 
 
+_POLY = (("poly", None, {"help": "polynomial expression in t"}),)
+
+# Every subcommand, in help order: name -> (handler, positionals, flags).  A
+# positional is (dest, nargs, further add_argument keywords); a flag is a
+# store_true option that may stand anywhere after the command.  build_parser
+# and _read_argv both read this table.
+_COMMANDS = {
+    "factor": (_cmd_factor, _POLY, ()),
+    "irreducible": (_cmd_irreducible, _POLY, ()),
+    "splitting-field": (_cmd_splitting_field, _POLY, ()),
+    "galois": (_cmd_galois, _POLY, ()),
+    "correspondence": (_cmd_correspondence, _POLY, ()),
+    "solvable": (_cmd_solvable, _POLY, ()),
+    "minpoly": (_cmd_minpoly, (("polys", "+", {"help": "adjoin a root of each polynomial"}),), ()),
+    "construct": (_cmd_construct, (("what", None, {"choices": ["classic", "ngon", "degree"]}),
+                                   ("arg", "?", {"help": "N for ngon, a polynomial for degree"})), ()),
+    "gf": (_cmd_gf, (("p", None, {"type": int}), ("n", None, {"type": int})), ("--subfields", "--generator")),
+}
+
+
+def _read_argv(argv):
+    """The namespace argparse would build for a plain command line, or None.
+
+    Plain means: --json, --field X and --max-degree N before the command
+    (the last of a repeated option wins), then exactly the command's
+    positionals, with its flags anywhere after it.  Every other form gives
+    None and is left to argparse, because argparse reads it in its own way:
+    an option prefix (--js), --opt=value, '--', -h, any other argument that
+    begins with '-' (-1 is a positional to argparse, -t^2+1 an option), or a
+    wrong count of positionals."""
+    ns = {"field": "Q", "json": False, "max_degree": None}
+    i = 0
+    while i < len(argv) and argv[i] in ("--json", "--field", "--max-degree"):
+        if argv[i] == "--json":
+            ns["json"] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        if argv[i] == "--field":
+            ns["field"] = argv[i + 1]
+        else:
+            try:
+                ns["max_degree"] = int(argv[i + 1])  # as argparse's type=int: "+5", " 5", "1_0"
+            except ValueError:
+                return None
+        i += 2
+    if i == len(argv) or argv[i] not in _COMMANDS:
+        return None
+    fn, positionals, flags = _COMMANDS[argv[i]]
+    ns.update(command=argv[i], fn=fn)
+    ns.update((flag[2:], False) for flag in flags)
+    words = []
+    for word in argv[i + 1 :]:
+        if word in flags:
+            ns[word[2:]] = True
+        elif word.startswith("-"):
+            return None
+        else:
+            words.append(word)
+    for dest, nargs, extra in positionals:
+        if not words:
+            if nargs != "?":
+                return None
+            ns[dest] = None
+        elif nargs == "+":
+            ns[dest], words = words, []
+        else:
+            try:
+                value = extra.get("type", str)(words.pop(0))
+            except ValueError:
+                return None
+            if "choices" in extra and value not in extra["choices"]:
+                return None
+            ns[dest] = value
+    return None if words else SimpleNamespace(**ns)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call and shared after;
-    not at import, which would add its cost to every `import galoiskit`."""
+    """The command-line parser, built on the first call and shared after.
+    It reads only what _read_argv declines: usage errors, help and the forms
+    argparse reads in its own way; so argparse is imported here, and a
+    well-formed command line never loads it."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="galoiskit",
         description="Exact Galois theory: factorization, splitting fields, "
@@ -564,42 +653,23 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the degree caps (splitting field, minpoly tower, factor)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name, fn, needs_poly in [
-        ("factor", _cmd_factor, True),
-        ("irreducible", _cmd_irreducible, True),
-        ("splitting-field", _cmd_splitting_field, True),
-        ("galois", _cmd_galois, True),
-        ("correspondence", _cmd_correspondence, True),
-        ("solvable", _cmd_solvable, True),
-    ]:
+    for name, (fn, positionals, flags) in _COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("poly", help="polynomial expression in t")
+        for dest, nargs, extra in positionals:
+            p.add_argument(dest, nargs=nargs, **extra)
+        for flag in flags:
+            p.add_argument(flag, action="store_true")
         p.set_defaults(fn=fn)
-
-    p = sub.add_parser("minpoly")
-    p.add_argument("polys", nargs="+", help="adjoin a root of each polynomial")
-    p.set_defaults(fn=_cmd_minpoly)
-
-    p = sub.add_parser("construct")
-    p.add_argument("what", choices=["classic", "ngon", "degree"])
-    p.add_argument("arg", nargs="?", help="N for ngon, a polynomial for degree")
-    p.set_defaults(fn=_cmd_construct)
-
-    p = sub.add_parser("gf")
-    p.add_argument("p", type=int)
-    p.add_argument("n", type=int)
-    p.add_argument("--subfields", action="store_true")
-    p.add_argument("--generator", action="store_true")
-    p.set_defaults(fn=_cmd_gf)
     return ap
 
 
 def dispatch(argv) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         dom = _field_from_flag(args.field)
         explicit = args.command in ("gf", "construct") or (dom != QQ and args.command in ("factor", "irreducible"))

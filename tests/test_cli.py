@@ -1,6 +1,8 @@
 """CLI: expression parsing, dispatch, exit codes, JSON determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
@@ -25,7 +27,9 @@ from galoiskit.cli import (
     MAX_NESTING,
     MAX_PARSE_DEGREE,
     MAX_PARSE_HEIGHT_BITS,
+    _read_argv,
     _tokenize,
+    build_parser,
     dispatch,
     parse_poly,
 )
@@ -655,6 +659,16 @@ def test_construct_commands(capsys):
     assert "not_constructible" in out
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solvable", "t^2-2"], "solvability is decided over Q"),
+    (["minpoly", "t^2-2"], "minpoly towers are built over Q"),
+    (["construct", "degree", "t^2-2"], "constructibility is decided over Q"),
+])
+def test_commands_decided_over_q_refuse_another_field(capsys, argv, message):
+    assert dispatch(["--field", "F3", *argv]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+
+
 def test_ngon_verdict_past_the_trial_division_cap(capsys):
     # 5^2 divides 10^40: decided without factoring; F_7 = 2^128 + 1 needs a
     # primality proof past the strong-test bound
@@ -773,6 +787,123 @@ def test_argparse_usage_and_help_bytes_are_pinned(capsys, monkeypatch, argv, cod
     assert capsys.readouterr() == (out, err)
 
 
+# One well-formed command line of every subcommand, each quick.
+_ONE_COMMAND_EACH = [
+    ["--json", "factor", "t^2-2"],
+    ["--field", "F5", "irreducible", "t^2+2"],
+    ["--max-degree", "8", "splitting-field", "t^2-2"],
+    ["--json", "galois", "t^3-2"],
+    ["correspondence", "t^2-2"],
+    ["solvable", "t^4-2"],
+    ["minpoly", "t^2-2", "t^2-3"],
+    ["construct", "classic"],
+    ["construct", "ngon", "17"],
+    ["--json", "construct", "degree", "t^3-2"],
+    ["gf", "2", "4", "--subfields", "--generator"],
+]
+
+
+_COMMAND_NAMES = [
+    "factor", "irreducible", "splitting-field", "galois", "correspondence", "solvable", "minpoly",
+    "construct", "gf",
+]
+# every subcommand and option, option prefixes, --opt=value, '--', -h,
+# negative numbers, int spellings and arguments with spaces
+_ARGV_TOKENS = _COMMAND_NAMES + [
+    "classic", "ngon", "degree", "foo",
+    "--json", "--field", "--max-degree", "--subfields", "--generator",
+    "--js", "--fi", "--max", "--sub", "--gen", "--help", "-h", "--", "-",
+    "--json=1", "--field=F2", "--max-degree=5", "--subfields=1",
+    "F2", "F3", "Q", "x", "5", "12", "0", "+5", " 5", "1_0", "-1", "-5",
+    "t", "t^2-2", "t^2 - 2", " -t^2+1", "-t^2+1", "-t^2 + 1", "a b", "",
+]
+_ARGV_POLYS = ["t^2-2", "t", "t^2 - 2", " -t^2+1", "", "5", "a b"]
+_ARGV_INTS = ["2", "5", "12", "+5", " 5", "1_0", "x", "5.0"]
+
+
+def _command_words(rng, name):
+    """Words after the command, of the command's own shape."""
+    if name == "minpoly":
+        return [rng.choice(_ARGV_POLYS) for _ in range(rng.randint(1, 3))]
+    if name == "construct":
+        what = rng.choice(["classic", "ngon", "degree", "foo"])
+        return [what] + [rng.choice(_ARGV_POLYS + _ARGV_INTS)] * rng.randint(0, 1)
+    if name == "gf":
+        words = [rng.choice(_ARGV_INTS), rng.choice(_ARGV_INTS)]
+        for flag in rng.sample(["--subfields", "--generator", "--subfields"], rng.randint(0, 3)):
+            words.insert(rng.randint(0, len(words)), flag)
+        return words
+    return [rng.choice(_ARGV_POLYS)]
+
+
+def _random_argv(rng):
+    """Half the time any tokens; else options, a command and words of its shape, perhaps one token
+    replaced, inserted or removed."""
+    if rng.random() < 0.5:
+        return [rng.choice(_ARGV_TOKENS) for _ in range(rng.randint(0, 6))]
+    argv = []
+    for _ in range(rng.randint(0, 3)):
+        argv += rng.choice((
+            ["--json"],
+            ["--field", rng.choice(["F2", "F3", "Q", "x", "-1", "", "t"])],
+            ["--max-degree", rng.choice(_ARGV_INTS + ["-1"])],
+        ))
+    name = rng.choice(_COMMAND_NAMES)
+    argv += [name, *_command_words(rng, name)]
+    edit = rng.randrange(6)
+    if edit == 0:
+        argv[rng.randrange(len(argv))] = rng.choice(_ARGV_TOKENS)
+    elif edit == 1:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(_ARGV_TOKENS))
+    elif edit == 2:
+        del argv[rng.randrange(len(argv))]
+    return argv
+
+
+def _argparse_reading(argv):
+    """vars() of argparse's namespace for argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def test_read_argv_agrees_with_argparse_on_random_command_lines():
+    rng = random.Random(45)
+    outcomes = Counter()
+    for _ in range(12000):
+        argv = _random_argv(rng)
+        ours, theirs = _read_argv(argv), _argparse_reading(argv)
+        if ours is not None:
+            assert vars(ours) == theirs, argv
+        outcomes["read" if ours else "argparse reads" if theirs else "usage error"] += 1
+    # every outcome is well represented (2,633, 470 and 8,897 of them when
+    # written): argparse also reads forms the reader declines (--js, -1 as
+    # gf's n, -t^2+1 after --)
+    assert outcomes["read"] >= 2000 and outcomes["argparse reads"] >= 350, outcomes
+    assert outcomes["usage error"] >= 5000, outcomes
+
+
+def test_read_argv_reads_every_workload_shape():
+    samples = {
+        "factor": ["t^2-2"], "irreducible": ["t^2-2"], "splitting-field": ["t^3-2"],
+        "galois": ["t^4-2"], "correspondence": ["t^4-t-1"], "solvable": ["t^5-5*t+12"],
+        "minpoly": ["t^2-2", "t^2-3"], "construct": ["degree", "t^3-2"], "gf": ["2", "4"],
+    }
+    argvs = [["construct", "classic"], ["construct", "ngon", "17"],
+             ["gf", "2", "4", "--subfields", "--generator"], ["gf", "2", "4", "--generator", "--subfields"],
+             ["--json", "gf", "3", "2", "--subfields", "--generator"], ["gf", "--subfields", "2", "4"]]
+    for name, words in samples.items():
+        for head in ([], ["--json"], ["--field", "F7"], ["--max-degree", "12"],
+                     ["--json", "--field", "F2", "--max-degree", "48"]):
+            argvs.append([*head, name, *words])
+    for argv in argvs:
+        ours = _read_argv(argv)
+        assert ours is not None, argv
+        assert vars(ours) == _argparse_reading(argv), argv
+
+
 def _run_cli(*argv):
     """Run `galoiskit.cli.main` in a fresh interpreter, from the package under test."""
     src = str(Path(galoiskit.__file__).resolve().parent.parent)
@@ -784,16 +915,26 @@ def _run_cli(*argv):
 
 
 def test_import_loads_no_dataclasses_inspect_or_json():
-    # these cost most of a process's start-up; only --json output needs json
+    # these cost most of a process's start-up; only --json output needs json,
+    # and only a usage error or help needs argparse (and its gettext)
     src = str(Path(galoiskit.__file__).resolve().parent.parent)
-    loaded = "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'json'} & set(sys.modules)))"
-    code = (
-        f"import sys; sys.path.insert(0, {src!r}); import galoiskit; {loaded}; "
-        f"galoiskit.cli.dispatch(['factor', 't^2-2']); {loaded}"
-    )
+    heavy = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "argparse", "gettext"}
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+import galoiskit
+print(sorted({heavy!r} & set(sys.modules)))
+galoiskit.cli.dispatch(["factor", "t^2-2"])
+print(sorted({heavy!r} & set(sys.modules)))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [galoiskit.cli.dispatch(argv) for argv in {_ONE_COMMAND_EACH!r}]
+print(codes, sorted({{"argparse", "gettext"}} & set(sys.modules)))
+"""
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == "[]\nunit: 1\n(t^2 - 2)^1\n[]\n"
+    assert proc.stdout == f"[]\nunit: 1\n(t^2 - 2)^1\n[]\n{[0] * len(_ONE_COMMAND_EACH)} []\n"
+    usage = _run_cli("factor")
+    assert usage.returncode == 2 and usage.stderr.startswith("usage: galoiskit factor")
 
 
 def test_python_m_galoiskit_runs_the_cli():
