@@ -9,7 +9,6 @@ All arithmetic is exact; there is no floating point anywhere.
 from .numbers import (
     QQ,
     PrimeField,
-    Rational,
     divisors,
     factor_integer,
     is_fermat_prime,

@@ -15,14 +15,12 @@ constructibility, a power of 2 only leaves the necessary condition standing.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 
 from .errors import InvalidPolygon, NotIrreducible, ZeroPolynomial
-from .numbers import QQ, is_prime
+from .numbers import QQ, TowerElem, is_prime
 from .poly import (
     Poly,
-    _numerators,
     _positive_primitive,
     _pseudo_divmod,
     _sturm_ints,
@@ -58,7 +56,7 @@ def _sturm_sequence(f: Poly):
     multiple of f, of f', and of each signed remainder after them."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    return _sturm_ints(_positive_primitive(_numerators(f.coeffs)[0]))
+    return _sturm_ints(_positive_primitive(list(QQ._concat(f.coeffs)[:-1])))
 
 
 def sturm_chain(f: Poly):
@@ -86,8 +84,9 @@ def count_real_roots(f: Poly) -> int:
     return neg - _variations([g[-1] for g in seq])
 
 
-def count_real_roots_in(f: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Distinct real roots in the half-open interval (lo, hi].  At a multiple
+def count_real_roots_in(f: Poly, lo, hi) -> int:
+    """Distinct real roots in the half-open interval (lo, hi] of rationals
+    (ints, `Fraction`s or rational scalars).  At a multiple
     root every element of the chain vanishes, so each is first divided by
     the last one, gcd(f, f'): exactly over Z, since both are primitive."""
     seq = _sturm_sequence(f)
@@ -275,7 +274,7 @@ def ngon_constructible(n: int) -> bool:
 def trisection_min_poly() -> Poly:
     """Minimal polynomial of cos(pi/9): t^3 - (3/4) t - 1/8, from the triple
     angle identity with cos(pi/3) = 1/2."""
-    return Poly(QQ, [Fraction(-1, 8), Fraction(-3, 4), 0, 1])
+    return Poly(QQ, [TowerElem(QQ, (-1, 8)), TowerElem(QQ, (-3, 4)), 0, 1])
 
 
 def classic_problems():
@@ -303,10 +302,10 @@ def classic_problems():
 # ---------------------------------------------------------------------------
 
 
-def _is_rational_square(x: Fraction) -> bool:
-    if x < 0:
+def _is_rational_square(x) -> bool:
+    n, d = QQ.coerce(x).v
+    if n < 0:
         return False
-    n, d = x.numerator, x.denominator
     rn, rd = isqrt(n), isqrt(d)
     return rn * rn == n and rd * rd == d
 

@@ -30,8 +30,8 @@ prints usage errors and help, and reads the forms it reads in its own way.
 from __future__ import annotations
 
 import functools
+import math
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .errors import (
@@ -42,8 +42,8 @@ from .errors import (
     ParseError,
     ShapeCap,
 )
-from .numbers import QQ, PrimeField
-from .poly import Poly, _from_residues, _numerators, _power, render
+from .numbers import QQ, PrimeField, TowerElem
+from .poly import Poly, _from_residues, _power, render
 from . import apps, correspondence, factor, finitefield, galois, splitting, tower
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def _height_bits(terms) -> int:
     """Height bits of rational coefficients written over their common
     denominator D: _bits(max(D, max |c*D|)), which bounds every reduced
     numerator and denominator."""
-    ints, den = _numerators(terms.values())
+    *ints, den = QQ._concat(terms.values())
     return _bits(max(den, *map(abs, ints)))
 
 
@@ -117,7 +117,7 @@ def _scalar_bits(c) -> int:
     """_height_bits({e: c}) of a nonzero rational c, without the map."""
     if type(c) is int:
         return (abs(c) - 1).bit_length()
-    return _bits(max(abs(c.numerator), c.denominator))
+    return _bits(max(abs(c.v[0]), c.v[1]))
 
 
 def _as_map(value):
@@ -145,8 +145,8 @@ class _Parser:
     c times t^e (c = 0 for zero): every literal and t, and every power,
     negation and product of monomials.  A sum of two or more terms is a
     sparse map {exponent: nonzero coefficient}, and so is every product or
-    power that involves one.  Over Q the coefficients are ints, or Fractions
-    where a literal a/b needs one; over F_p (p = self.p) they are int
+    power that involves one.  Over Q the coefficients are ints, or rational
+    scalars where a literal a/b needs one; over F_p (p = self.p) they are int
     residues, reduced after every operation.  The one dense Poly is built in
     `parse`."""
 
@@ -204,7 +204,9 @@ class _Parser:
         dense = [0] * (max(value) + 1 if value else 0)
         for e, c in value.items():
             dense[e] = c
-        return _from_residues(self.dom, dense) if self.p else Poly(QQ, list(map(Fraction, dense)), normalize=False)
+        if self.p:
+            return _from_residues(self.dom, dense)
+        return Poly(QQ, [c if type(c) is TowerElem else TowerElem(QQ, (c, 1)) for c in dense], normalize=False)
 
     def expr(self):
         """A sum of terms: one term as it is, two or more on a map, to which
@@ -306,17 +308,16 @@ class _Parser:
                         position=den[2],
                         expected=["nonzero integer"],
                     )
-                value = Fraction(tok[1], den[1])
-                if self.p and value.denominator % self.p == 0:
+                g = math.gcd(value, den[1])  # a/b in lowest terms, then read in the field
+                value, d = value // g, den[1] // g
+                if self.p and d % self.p == 0:
                     raise ParseError(
                         f"denominator not invertible in the field at position {tok[2]}",
                         position=tok[2],
                         expected=["denominator coprime to p"],
                     )
-                if value.denominator == 1:
-                    value = value.numerator
-                elif self.p:
-                    value = value.numerator * pow(value.denominator, -1, self.p)
+                if d != 1:
+                    value = value * pow(d, -1, self.p) if self.p else TowerElem(QQ, (value, d))
             return 0, value % self.p if self.p else value
         if tok[0] == "(":
             self.pos += 1
@@ -499,6 +500,12 @@ def _cmd_solvable(args, dom):
 
 
 def _cmd_construct(args, dom):
+    if args.what == "classic" and args.arg is not None:
+        raise ParseError("construct classic takes no argument")
+    if args.what != "classic" and args.arg is None:
+        raise ParseError(f"construct {args.what} needs an argument")
+    if dom != QQ:
+        raise ParseError("constructibility is decided over Q", expected=["--field Q"])
     if args.what == "classic":
         report = apps.classic_problems()
         lines = []
@@ -518,8 +525,6 @@ def _cmd_construct(args, dom):
             [f"regular {n}-gon constructible: {ok}"],
         )
     elif args.what == "degree":
-        if dom != QQ:
-            raise ParseError("constructibility is decided over Q", expected=["--field Q"])
         m = parse_poly(args.arg, QQ)
         _explicit_cap(args, m.degree)
         verdict = apps.constructible_degree_check(m)
@@ -535,6 +540,8 @@ def _explicit_cap(args, degree):
 
 
 def _cmd_gf(args, dom):
+    if dom != QQ:
+        raise ParseError("gf takes its field from p and n, not from --field", expected=["--field Q"])
     _explicit_cap(args, args.n)
     F = finitefield.gf(args.p, args.n)
     payload = F.to_json()
@@ -681,8 +688,6 @@ def dispatch(argv) -> int:
                 "solvable",
                 "minpoly",
             ) else factor.FACTOR_DEGREE_CAP
-        if args.command == "construct" and args.what in ("ngon", "degree") and args.arg is None:
-            raise ParseError(f"construct {args.what} needs an argument")
         args.fn(args, dom)
         return 0
     except ParseError as exc:

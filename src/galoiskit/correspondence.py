@@ -11,8 +11,8 @@ per subgroup.  An intermediate field is K(theta) for its certified primitive
 element theta, so an automorphism fixes it, maps it into itself or
 restricts to it as it acts on theta alone.  `verify_correspondence` checks
 that the two maps are mutually inverse on the whole lattice and that
-degrees match orders.  It all runs on the kernel tuples of `linalg`, with
-`Fraction`s only in `Subfield.basis`, `min_poly_of_primitive` and printing.
+degrees match orders.  It all runs on the kernel tuples of `linalg`; only
+`Subfield.basis` and `min_poly_of_primitive` build rational scalars.
 """
 
 from __future__ import annotations

@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd as _int_gcd, isqrt, lcm
 
@@ -79,7 +78,6 @@ from .poly import (
     _mul_int,
     _mul_mod,
     _mulrem_mod,
-    _numerators,
     _pack,
     _positive_primitive,
     _power,
@@ -183,7 +181,7 @@ class IrreducibilityCertificate:
         for k, v in self.witness_data.items():
             if isinstance(v, Factorization):
                 data[k] = v.to_json()
-            elif isinstance(v, Fraction):
+            elif isinstance(v, TowerElem):
                 data[k] = str(v)
             else:
                 data[k] = v
@@ -765,7 +763,7 @@ def rational_roots(f: Poly):
     """All rational roots of a nonzero f over Q (ignoring multiplicity),
     by the rational root theorem on the primitive integer form a_0..a_n: a
     candidate u/v is a root iff v^n f(u/v) = sum a_i u^i v^(n-i) is 0,
-    evaluated by Horner on ints; a Fraction is built only for a root.
+    evaluated by Horner on ints; a rational scalar is built only for a root.
     Raises Budget before the search when the pairs times (degree + 1)
     exceed RATIONAL_ROOT_BOUND."""
     from .numbers import divisors
@@ -776,7 +774,7 @@ def rational_roots(f: Poly):
     prim = list(prim)
     roots = set()
     if prim[0] == 0:
-        roots.add(Fraction(0))
+        roots.add(QQ.zero())
         while prim and prim[0] == 0:
             prim.pop(0)
     if len(prim) <= 1:
@@ -794,7 +792,7 @@ def rational_roots(f: Poly):
                 for c in reversed(scaled):
                     acc = acc * cand + c
                 if not acc:
-                    roots.add(Fraction(cand, v))
+                    roots.add(TowerElem(QQ, (cand, v)))
     return roots
 
 
@@ -936,9 +934,9 @@ def _trager_norm(m, reps, shifts):
     for s in shifts:
         powers = [pow(L // md * s, i, p) for i in range(nd + 1)]
         if _squarefree_mod(scaled_norm(V_p, powers, lambda x, k: x * pow(k, -1, p) % p), p):
-            div = lambda x, k: x // k if x % k == 0 else Fraction(x, k)  # ints while they stay so
+            div = lambda x, k: x // k if type(x) is int and x % k == 0 else QQ.coerce(x) / k  # ints while they stay so
             c = scaled_norm(V, [(L // md * s) ** i for i in range(nd + 1)], div)
-            return s, _positive_primitive(_numerators([x * L**j for j, x in enumerate(c)])[0])
+            return s, _positive_primitive(list(QQ._concat([x * L**j for j, x in enumerate(c)])[:-1]))
     raise SearchExhausted("no squarefree norm shift found")
 
 

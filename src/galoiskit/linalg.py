@@ -9,7 +9,7 @@ A matrix is (rows, den): int rows over one positive denominator, 1 over F_p.
 entry before the row is taken off, then divided by its content over Q or
 reduced mod p over F_p, in one loop for both fields.  Minimal polynomials,
 primitive-element coordinates, fixed and generated subfields, membership
-and the canonical bases of subfields run on it, with no `Fraction`.
+and the canonical bases of subfields run on it, building no element object.
 """
 
 from __future__ import annotations

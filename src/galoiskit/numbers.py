@@ -1,19 +1,29 @@
-"""Exact scalar arithmetic: rationals, prime fields, elementary number theory.
+"""Exact scalar arithmetic: the one element kernel, the rationals, prime
+fields, elementary number theory.
 
-Rational numbers are `fractions.Fraction` values (always normalized, positive
-denominator, zero is 0/1); a tower element over Q holds int numerators over
-one such denominator instead (`QQ._view` makes its `Fraction`s).  An F_p
-scalar is the degree-1 finite-field element `TowerElem(PrimeField(p), (r,))`,
-one residue r in [0, p) (Lidl & Niederreiter, *Finite Fields*, ch. 2);
-`galoiskit.tower` re-exports the class.  Every scalar supports `+ - * /`,
-equality, hashing and truthiness (nonzero test).  Generic code talks to a
-*field object* (`QQ`, `PrimeField(p)`, towers), which builds and coerces its
-own scalars.
+Every field element is a `TowerElem`: its field object and the flat tuple
+of its coordinates over the base field, in kernel form (`galoiskit.tower`
+re-exports the class).  A rational number is the degree-1 case over Q,
+`TowerElem(QQ, (n, D))` with n/D in lowest terms and D > 0, as a tower
+element over Q holds int numerators over one such denominator (Cohen,
+GTM 138, 4.2); an F_p scalar is `TowerElem(PrimeField(p), (r,))`, one
+residue r in [0, p) (Lidl & Niederreiter, *Finite Fields*, ch. 2).  Every
+element supports `+ - * /`, `**` (negative exponents too), equality,
+hashing and truthiness (nonzero test); a rational also `<` and `>`, by
+cross-multiplication, and it compares and hashes equal to the equal int
+or `fractions.Fraction`, which it takes as an operand.  Generic code talks
+to a *field object* (`QQ`, `PrimeField(p)`, towers), which builds and
+coerces its own elements.
 
-A base field is the tower of height 0 (`BaseField`): it answers the tower
-questions too -- its base is itself, its degree 1, its chain of levels empty,
-its coordinates the one scalar -- and a `Tower` takes it as its lower level
-as it takes another tower, so no caller asks whether a field is a base field
+`Field` holds the kernel code every field object shares: sums and
+differences of tuples, the level view and its inverse, zero, one, and
+coercion, which pads a lower element's tuple (`_embed`) or has the base
+field read an outside value.  A base field keeps only its one-coordinate
+product, power and inverse, that reading, printing and its sort key.  It
+is the tower of height 0 (`BaseField`): it answers the tower questions too
+-- its base is itself, its degree 1, its chain of levels empty, its
+coordinates the one scalar -- and a `Tower` takes it as its lower level as
+it takes another tower, so no caller asks whether a field is a base field
 or a tower.
 
 Factorization and divisors run on one trial-division loop, `factor_integer`,
@@ -26,11 +36,11 @@ here is probabilistic.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+import operator
+import sys
 
 from .errors import Budget, NotPrime, TowerMismatch, ZeroInverse
-
-Rational = Fraction
+from .linalg import kernel
 
 TRIAL_DIVISION_CAP = 10**12
 SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -108,11 +118,23 @@ def is_fermat_prime(q: int) -> bool:
     return is_prime(q)
 
 
+def _rational_hash(n: int, d: int) -> int:
+    """Python's hash of the rational n/d, in lowest terms with d > 0, as
+    `int` and `fractions.Fraction` compute it: |n| d^-1 modulo the prime
+    `sys.hash_info.modulus`, with n's sign (hash(n) when d = 1)."""
+    if d == 1:
+        return hash(n)
+    m = sys.hash_info.modulus
+    h = hash(abs(n) * pow(d, -1, m)) if d % m else sys.hash_info.inf
+    h = h if n >= 0 else -h
+    return -2 if h == -1 else h
+
+
 class TowerElem:
-    """An element of a `galoiskit.tower.Tower` or of a `PrimeField` (one
-    residue): `v` is its flat coordinate tuple over the base, and the field
-    `tower` computes on tuples (`_zero`, `_one`, `_add`, `_sub`, `_mul`,
-    `_pow`, `_inv`)."""
+    """An element of a field object (`QQ`, a `PrimeField` or a
+    `galoiskit.tower.Tower`): `v` is its flat coordinate tuple over the base
+    field, and the field `tower` computes on tuples (`_zero`, `_one`,
+    `_add`, `_sub`, `_mul`, `_pow`, `_inv`)."""
 
     __slots__ = ("tower", "v")
 
@@ -137,9 +159,11 @@ class TowerElem:
             return t, self.v, t.coerce(other).v
         except (TypeError, TowerMismatch):
             pass
-        if type(other) is TowerElem and (t == other.tower.base or t in other.tower.chain()):
-            # Python tries no reflected method between two TowerElems
-            return other.tower, other.tower.coerce(self).v, other.v
+        if type(other) is TowerElem:  # Python tries no reflected method between two TowerElems
+            try:
+                return other.tower, other.tower.coerce(self).v, other.v
+            except (TypeError, TowerMismatch):
+                pass
         return None
 
     def __add__(self, other):
@@ -202,18 +226,32 @@ class TowerElem:
             return NotImplemented
         return ops[1] == ops[2]
 
+    def _compare(self, other, cmp):
+        """cmp(n*E, m*D) for rationals n/D and m/E (D, E > 0): n/D cmp m/E."""
+        if (ops := self._operands(other)) is None or ops[0] is not QQ:
+            return NotImplemented
+        (n, d), (m, e) = ops[1], ops[2]
+        return cmp(n * e, m * d)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
+
+    def __gt__(self, other):
+        return self._compare(other, operator.gt)
+
     def __hash__(self):
         """The numerators with trailing zeros stripped (then, over Q, the
         denominator), and a one-coordinate value as (residue, p) over F_p and
-        as its `Fraction` over Q: equal elements of any level hash alike, and
-        an F_p residue not as a plain int (3 and 8 are equal mod 5)."""
+        as the rational it is over Q: equal elements of any level hash alike,
+        a rational as the equal int or `Fraction`, and an F_p residue not as
+        a plain int (3 and 8 are equal mod 5)."""
         v, p = self.v, self.tower.characteristic
         k = len(v) if p else len(v) - 1
         while k > 1 and not v[k - 1]:
             k -= 1
         if k > 1:
             return hash(v[:k] if p else v[:k] + v[-1:])
-        return hash((v[0], p) if p else Fraction(v[0], v[-1]))
+        return hash((v[0], p)) if p else _rational_hash(v[0], v[-1])
 
     def __bool__(self):
         return self.v != self.tower._zero
@@ -222,33 +260,97 @@ class TowerElem:
         return self.tower.element_str(self)
 
 
-class BaseField:
+class Field:
+    """The kernel code every field object shares (`QQ`, `PrimeField`,
+    `galoiskit.tower.Tower`).  A field sets `characteristic`, `base`, `_n`
+    (its absolute degree), `_zero` and `_one`, and has its own `chain` and
+    `_mul`, `_pow` and `_inv` on tuples; its base field reads outside values
+    (`_scalar`)."""
+
+    def zero(self) -> TowerElem:
+        return TowerElem(self, self._zero)
+
+    def one(self) -> TowerElem:
+        return TowerElem(self, self._one)
+
+    def coerce(self, x) -> TowerElem:
+        """x as an element of this field: its own element; an element of a
+        lower level or of the base field, padded by `_embed`; or a value
+        the base field reads (an int or a rational, which F_p reduces)."""
+        if type(x) is TowerElem:
+            t = x.tower
+            if t is self or t == self:
+                return x
+            if t in (self.base, *self.chain()):
+                return TowerElem(self, self._embed(x.v))
+            if t is not QQ:
+                raise TowerMismatch(f"element of {t!r} is not in {self!r}")
+        return TowerElem(self, self._embed(self.base._scalar(x)))
+
+    from_int = coerce
+
+    def absolute_degree(self) -> int:
+        return self._n
+
+    def flatten(self, x) -> list:
+        """Coordinates of x in the power-product basis over the base field."""
+        return self.base._view(self.coerce(x).v)
+
+    def unflatten(self, vec) -> TowerElem:
+        return TowerElem(self, self.base._concat(vec))
+
+    def _embed(self, v) -> tuple:
+        """The kernel tuple v of a lower level's (or the base's) element, padded."""
+        k = len(v) - (not self.characteristic)  # the coordinates, without a denominator
+        return v[:k] + self._zero[k : self._n] + v[k:]
+
+    def _add(self, a, b) -> tuple:
+        if p := self.characteristic:
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        if (da := a[-1]) == (db := b[-1]):
+            return kernel(list(map(operator.add, a[:-1], b[:-1])), da)
+        return kernel([x * db + y * da for x, y in zip(a[:-1], b[:-1])], da * db)
+
+    def _sub(self, a, b) -> tuple:
+        if p := self.characteristic:
+            return tuple([(x - y) % p for x, y in zip(a, b)])
+        if (da := a[-1]) == (db := b[-1]):
+            return kernel(list(map(operator.sub, a[:-1], b[:-1])), da)
+        return kernel([x * db - y * da for x, y in zip(a[:-1], b[:-1])], da * db)
+
+    def _view(self, coords) -> list:
+        """The elements whose concatenated coordinates are `coords` (over Q, then one denominator)."""
+        n = self._n
+        if self.characteristic:
+            return [TowerElem(self, tuple(coords[i : i + n])) for i in range(0, len(coords), n)]
+        den = coords[-1]
+        return [TowerElem(self, kernel(coords[i : i + n], den)) for i in range(0, len(coords) - 1, n)]
+
+    def _concat(self, elems) -> tuple:
+        """The inverse of `_view`: over Q, the numerators over their least
+        common denominator, in lowest terms as each element is."""
+        vs = [self.coerce(x).v for x in elems]
+        if self.characteristic:
+            return tuple([c for v in vs for c in v])
+        den = math.lcm(*[v[-1] for v in vs])
+        return (*[c * (den // v[-1]) for v in vs for c in v[:-1]], den)
+
+
+class BaseField(Field):
     """The tower protocol of `galoiskit.tower.Tower` for a field of degree 1
-    over itself.  `_view` turns the kernel coordinates that tower elements
-    store into scalars: over Q, int numerators followed by their one
-    denominator become `Fraction`s; over F_p, each int residue in [0, p)
-    becomes its `TowerElem` (`_flat` is the way back)."""
+    over itself, whose kernel tuple is one residue over F_p and a numerator
+    and its denominator over Q."""
+
+    _n = 1
 
     @property
     def base(self):
         return self
 
-    def absolute_degree(self) -> int:
-        return 1
-
     def chain(self) -> list:
         return []
 
     generators = describe = chain
-
-    def flatten(self, x) -> list:
-        return [self.coerce(x)]
-
-    def unflatten(self, vec):
-        return self.coerce(vec[0])
-
-    def exact_div(self, a, b):
-        return a / b
 
     def min_poly_over_base(self, x):
         from .poly import Poly
@@ -257,39 +359,38 @@ class BaseField:
 
 
 class RationalField(BaseField):
-    """The field of rational numbers; elements are `Fraction` values."""
+    """The field of rational numbers: n/D is `TowerElem(QQ, (n, D))`, in
+    lowest terms with D > 0."""
 
     characteristic = 0
+    _zero, _one = (0, 1), (1, 1)
 
-    def zero(self) -> Fraction:
-        return Fraction(0)
+    def _scalar(self, x) -> tuple:
+        """(n, D) of a rational: an int or a `Fraction`, read by duck typing
+        and in lowest terms with D > 0 as each is, or a rational scalar,
+        which only another field's coercion passes here."""
+        if type(x) is TowerElem:
+            return x.v
+        try:
+            return x.numerator, x.denominator
+        except AttributeError:
+            raise TypeError(f"cannot coerce {x!r} into {self!r}") from None
 
-    def one(self) -> Fraction:
-        return Fraction(1)
+    def _mul(self, a, b) -> tuple:
+        return kernel((a[0] * b[0],), a[1] * b[1])
 
-    def from_int(self, n: int) -> Fraction:
-        return Fraction(n)
+    def _pow(self, v, e: int) -> tuple:
+        return (v[0] ** e, v[1] ** e)  # powers of coprime ints stay coprime
 
-    def coerce(self, x):
-        if isinstance(x, Fraction):
-            return x
-        if isinstance(x, int):
-            return Fraction(x)
-        raise TypeError(f"cannot coerce {x!r} into QQ")
-
-    def _view(self, coords) -> list:
-        *nums, den = coords
-        return [Fraction(c, den) for c in nums] if den != 1 else list(map(Fraction, nums))
-
-    def _concat(self, elems) -> tuple:  # the inverse of `_view`, for ints and Fractions
-        den = math.lcm(*[x.denominator for x in elems])
-        return (*[x.numerator * (den // x.denominator) for x in elems], den)
+    def _inv(self, v) -> tuple:
+        return (v[1], v[0]) if v[0] > 0 else (-v[1], -v[0])
 
     def sort_key(self, x):
         return x
 
     def element_str(self, x) -> str:
-        return str(x)
+        n, d = x.v
+        return f"{n}/{d}" if d != 1 else str(n)
 
     def __repr__(self):
         return "QQ"
@@ -316,33 +417,12 @@ class PrimeField(BaseField):
         self.characteristic = p
         self._zero, self._one = (0,), (1,)
 
-    def zero(self) -> TowerElem:
-        return TowerElem(self, self._zero)
-
-    def one(self) -> TowerElem:
-        return TowerElem(self, self._one)
-
-    def from_int(self, n: int) -> TowerElem:
-        return TowerElem(self, (n % self.p,))
-
-    def coerce(self, x):
-        if type(x) is TowerElem:
-            if x.tower is not self and x.tower != self:
-                raise TypeError(f"element of {x.tower!r} is not in {self!r}")
-            return x
-        if isinstance(x, int):
-            return TowerElem(self, (x % self.p,))
-        if isinstance(x, Fraction):
-            if x.denominator % self.p == 0:
-                raise ZeroInverse(f"denominator divisible by {self.p}")
-            return TowerElem(self, (x.numerator * pow(x.denominator, -1, self.p) % self.p,))
-        raise TypeError(f"cannot coerce {x!r} into F_{self.p}")
-
-    def _add(self, a, b) -> tuple:
-        return ((a[0] + b[0]) % self.p,)
-
-    def _sub(self, a, b) -> tuple:
-        return ((a[0] - b[0]) % self.p,)
+    def _scalar(self, x) -> tuple:
+        """The residue of an int, or of a rational whose denominator p does not divide."""
+        n, d = RationalField._scalar(self, x)
+        if d % self.p == 0:
+            raise ZeroInverse(f"denominator divisible by {self.p}")
+        return (n * pow(d, -1, self.p) % self.p,)
 
     def _mul(self, a, b) -> tuple:
         return (a[0] * b[0] % self.p,)
@@ -353,15 +433,6 @@ class PrimeField(BaseField):
     def _inv(self, v) -> tuple:
         return (pow(v[0], -1, self.p),)
 
-    def _flat(self, x) -> int:
-        return x % self.p if type(x) is int else self.coerce(x).v[0]
-
-    def _view(self, coords) -> list:
-        return [TowerElem(self, (c,)) for c in coords]
-
-    def _concat(self, elems) -> tuple:
-        return tuple(map(self._flat, elems))
-
     def sort_key(self, x):
         return x.v[0]
 
@@ -369,7 +440,7 @@ class PrimeField(BaseField):
         return str(x.v[0])
 
     def elements(self):
-        return self._view(range(self.p))
+        return [TowerElem(self, (r,)) for r in range(self.p)]
 
     def __repr__(self):
         return f"F_{self.p}"

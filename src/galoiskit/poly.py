@@ -28,22 +28,22 @@ polynomial rings, Zassenhaus, Hensel lifting and Trager's norm), `tower`,
   packed once, and `_xgcd_mod`;
 * over Z: the unreduced product `_mul_int`, the fraction-free
   pseudo-division `_pseudo_divmod` and the signed remainder sequence
-  `_sturm_ints`; `_numerators` reads rational coefficients as int
+  `_sturm_ints`; `QQ._concat` reads rational coefficients as int
   numerators over one common denominator.
 
 Division, gcd and friends require the domain to be a field; ring-only
 operations (+ - *, evaluation, resultants via the subresultant PRS) work over
-any exact integral domain with exact division.
+any exact integral domain whose `/` divides exactly, as `Poly`'s own does.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import zip_longest
 from math import gcd as _int_gcd
 
 from .errors import DivisionByZeroPoly, InternalInvariant, ZeroPolynomial
-from .numbers import QQ
+from .linalg import kernel
+from .numbers import QQ, TowerElem
 
 
 class _NegInfinity:
@@ -229,6 +229,8 @@ class Poly:
         if not r.is_zero():
             raise ValueError("division is not exact")
         return q
+
+    __truediv__ = exact_div  # so that polynomials are a domain `resultant` runs over
 
     def monic(self):
         if self.is_zero() or self.is_monic():
@@ -529,17 +531,6 @@ def _sturm_ints(a):
     return seq
 
 
-def _numerators(coeffs):
-    """(int numerators, common denominator) of rational coefficients."""
-    den = 1
-    for c in coeffs:
-        if den % c.denominator:
-            den = den // _int_gcd(den, c.denominator) * c.denominator
-    if den == 1:
-        return [c.numerator for c in coeffs], 1
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _from_residues(dom, ints):
     return Poly(dom, dom._view(ints), normalize=False)
 
@@ -593,20 +584,21 @@ def content_primitive(f: Poly):
     """Split a nonzero rational polynomial as f = alpha * F with F a primitive
     integer polynomial whose leading coefficient is positive.
 
-    Returns (alpha, F) with alpha a Fraction and F a low-to-high int list.
+    Returns (alpha, F) with alpha a rational scalar and F a low-to-high int
+    list.
     """
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     if f.dom != QQ:
         raise TypeError("content_primitive is defined over QQ")
-    ints, den = _numerators(f.coeffs)
+    *ints, den = QQ._concat(f.coeffs)
     g = 0
     for c in ints:
         g = _int_gcd(g, c)
     if ints[-1] < 0:
         g = -g
     prim = [c // g for c in ints]
-    return Fraction(g, den), prim
+    return TowerElem(QQ, kernel((g,), den)), prim
 
 
 # -- resultants ---------------------------------------------------------------
@@ -661,22 +653,21 @@ def resultant(f: Poly, g: Poly):
         R = _pseudo_rem(A, B)
         A = B
         denom = g_ * h_**delta
-        B = Poly(A.dom, [dom.exact_div(c, denom) for c in R.coeffs])
+        B = Poly(A.dom, [c / denom for c in R.coeffs])
         g_ = A.lc()
         if delta == 0:
             pass  # h unchanged: h^(1-0) g^0 with previous h
         elif delta == 1:
             h_ = g_
         else:
-            h_ = dom.exact_div(g_**delta, h_ ** (delta - 1))
+            h_ = g_**delta / h_ ** (delta - 1)
         if B.is_zero():
             return dom.zero() if A.degree > 0 else sign * h_
         if B.degree == 0:
             dA = A.degree
             if dA == 0:
                 return sign * B.lc()
-            res = dom.exact_div(B.lc() ** dA, h_ ** (dA - 1))
-            return sign * res
+            return sign * (B.lc() ** dA / h_ ** (dA - 1))
 
 
 def discriminant(f: Poly):
@@ -685,7 +676,7 @@ def discriminant(f: Poly):
         raise ZeroPolynomial("discriminant needs a nonconstant polynomial")
     n = f.degree
     r = resultant(f, f.derivative())
-    r = f.dom.exact_div(r, f.lc())
+    r = r / f.lc()
     if (n * (n - 1) // 2) % 2:
         r = -r
     return r

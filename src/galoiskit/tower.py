@@ -12,7 +12,8 @@ basis a^i * b_j * ... over the base (i of the top level outermost), in
 kernel form: int residues in [0, p) over F_p; over Q, int numerators and
 then one positive denominator, in lowest terms (Cohen, GTM 138, 4.2).  An
 F_p scalar is the same class with one residue, its field the `PrimeField`,
-so a finite field of any degree has one element class.  An element of an
+and a rational one numerator and its denominator, its field `QQ`, so every
+field has one element class.  An element of an
 ancestor level or of the base is its own tuple with zero numerators padded
 in.  Sums and differences are coordinatewise (over Q, one gcd at the end).
 A product (`Tower._mul`) runs on integers through every level.  On the
@@ -29,7 +30,7 @@ gcd (von zur Gathen & Gerhard, ch. 6).  Over F_p the same recursion keeps
 residues.  Powers (`Tower._pow`) square and multiply the tuples.  GF(p^n)
 (`galoiskit.finitefield.GF`) is a one-level tower over F_p, so its elements
 are `TowerElem`s on these same kernels.  No element object is built below
-the top.  `Fraction`s and F_p scalars are made only at the boundary, when
+the top.  Base scalars are made only at the boundary, when
 asked for: the base scalars of `flatten` (and of `sort_key` over Q) and the
 level view `TowerElem.coeffs` (coefficients over the lower level, for
 printing, inversion and `Poly`).  Each field object inverts its own tuples
@@ -37,7 +38,8 @@ printing, inversion and `Poly`).  Each field object inverts its own tuples
 scalar.  The kernel tuples are what all the linear algebra (minimal
 polynomials, fixed fields, subfield membership; `galoiskit.linalg`) runs on.
 
-A Tower is itself a field object in the sense of `galoiskit.numbers`, so
+A Tower is itself a field object in the sense of `galoiskit.numbers`, whose
+sums, coercion and views it shares with the base fields (`numbers.Field`), so
 `Poly` works over it unchanged; that is how factoring and splitting climb the
 tower.  A certified primitive element gamma also gives the one-level field
 base[y]/(m_gamma) (`primitive_field`), with one cached change of basis each
@@ -61,13 +63,13 @@ from .errors import (
 )
 from .factor import _shift_order, is_irreducible_over
 from .linalg import Echelon, kernel, mat_mul_vec, matrix
-from .numbers import TowerElem
-from .poly import Poly, _mul_int, _numerators, _power, _pseudo_divmod, _sum_str, _trim, _xgcd_mod, gcd_ext
+from .numbers import Field, TowerElem
+from .poly import Poly, _mul_int, _power, _pseudo_divmod, _sum_str, _trim, _xgcd_mod, gcd_ext
 
 PRIMITIVE_SEARCH_BOUND = 8
 
 
-class Tower:
+class Tower(Field):
     """One simple-extension level over `lower` (a base field or a Tower)."""
 
     def __init__(self, lower, minpoly: Poly, label: str, certify: bool = True):
@@ -103,63 +105,26 @@ class Tower:
             w = self._slot = max(8, (2 * d * (p - 1) ** 2).bit_length())
             # from three slots up, bytes in and out, with residues by table
             self._residues = bytes([i % p for i in range(256)]) if w == 8 and d > 2 else None
-            m = self._modulus = [lower._flat(c) for c in minpoly.coeffs]  # residues, for `_inv`
+            m = self._modulus = list(lower._concat(minpoly.coeffs))  # residues, for `_inv`
             row, self._rows = [-c % p for c in m[:-1]], []  # x^d mod m, then x^(d+1) ...
             for _ in range(d - 1):
                 self._rows.append(sum(c << i * w for i, c in enumerate(row)))
                 row = [(c - row[-1] * mj) % p for c, mj in zip([0] + row[:-1], m)]
         else:  # integer numerators; the leading one is the common denominator
-            self._modulus = _numerators(minpoly.coeffs)[0]
+            self._modulus = list(lower._concat(minpoly.coeffs)[:-1])
             self._scale = self._modulus[-1] ** (self.level_degree - 1)
         self._hash = hash(("Tower", self.level_degree, lower, minpoly.coeffs))
         # gamma with its minimal polynomial, the echelon and matrix of its powers, base[y]/(m_gamma)
         self._primitive = self._primitive_echelon = self._primitive_matrix = self._primitive_field = None
 
-    # -- field-object protocol ------------------------------------------------
-
-    def zero(self):
-        return TowerElem(self, self._zero)
-
-    def one(self):
-        return TowerElem(self, self._one)
-
-    def coerce(self, x):
-        if isinstance(x, TowerElem):
-            if x.tower == self:
-                return x
-            if x.tower is not self.base and x.tower not in self.lower.chain() + [self.base]:
-                raise TowerMismatch(f"element of {x.tower!r} is not in {self!r}")
-            return TowerElem(self, self._embed(x.v))
-        if self.characteristic:
-            return TowerElem(self, (self.base._flat(x),) + self._zero[1:])
-        x = self.base.coerce(x)  # a Fraction, in lowest terms
-        return TowerElem(self, (x.numerator,) + self._zero[1:-1] + (x.denominator,))
-
-    from_int = coerce
-
-    def exact_div(self, a, b):
-        return a / b
+    # -- field-object protocol (the rest is `numbers.Field`'s) -----------------
 
     def sort_key(self, x):
-        """The base coordinates: residues over F_p, `Fraction`s over Q."""
+        """The base coordinates: residues over F_p, rationals over Q."""
         v = self.coerce(x).v
         return v if self.characteristic else tuple(self.base._view(v))
 
     # -- structure --------------------------------------------------------------
-
-    def _add(self, a, b) -> tuple:
-        if p := self.characteristic:
-            return tuple([(x + y) % p for x, y in zip(a, b)])
-        if (da := a[-1]) == (db := b[-1]):
-            return kernel(list(map(operator.add, a[:-1], b[:-1])), da)
-        return kernel([x * db + y * da for x, y in zip(a[:-1], b[:-1])], da * db)
-
-    def _sub(self, a, b) -> tuple:
-        if p := self.characteristic:
-            return tuple([(x - y) % p for x, y in zip(a, b)])
-        if (da := a[-1]) == (db := b[-1]):
-            return kernel(list(map(operator.sub, a[:-1], b[:-1])), da)
-        return kernel([x * db - y * da for x, y in zip(a[:-1], b[:-1])], da * db)
 
     def _mul(self, a, b) -> tuple:
         """Product of two coordinate tuples, reduced mod the minimal
@@ -302,39 +267,7 @@ class Tower:
         """Each level's generator, embedded into this (top) tower."""
         return [self.coerce(level.generator()) for level in self.chain()]
 
-    def absolute_degree(self) -> int:
-        return self._n
-
     # -- coordinates ------------------------------------------------------------
-
-    def flatten(self, x) -> list:
-        """Coordinates of x in the power-product basis over the base field."""
-        return self.base._view(self.coerce(x).v)
-
-    def unflatten(self, vec) -> TowerElem:
-        return TowerElem(self, self.base._concat(vec))
-
-    def _embed(self, v) -> tuple:
-        """The kernel tuple v of a lower level's (or the base's) element, padded."""
-        k = len(v) - (not self.characteristic)  # the coordinates, without a denominator
-        return v[:k] + self._zero[k : self._n] + v[k:]
-
-    def _view(self, coords) -> list:
-        """The elements whose concatenated coordinates are `coords` (over Q, then one denominator)."""
-        n = self._n
-        if self.characteristic:
-            return [TowerElem(self, coords[i : i + n]) for i in range(0, len(coords), n)]
-        den = coords[-1]
-        return [TowerElem(self, kernel(coords[i : i + n], den)) for i in range(0, len(coords) - 1, n)]
-
-    def _concat(self, elems) -> tuple:
-        """The inverse of `_view`: over Q, the numerators over their least
-        common denominator, in lowest terms as each element is."""
-        vs = [self.coerce(x).v for x in elems]
-        if self.characteristic:
-            return tuple([c for v in vs for c in v])
-        den = math.lcm(*[v[-1] for v in vs])
-        return (*[c * (den // v[-1]) for v in vs for c in v[:-1]], den)
 
     def try_lower_to_base(self, f: Poly):
         """Rewrite a polynomial over this tower as one over the base field,

@@ -65,7 +65,7 @@ def oracle_real_root_count(f):
     f = squarefree_part(f)
     if f.degree == 0:
         return 0
-    bound = 1 + max(abs(c) for c in f.coeffs) / abs(f.lc())  # Cauchy bound
+    bound = 1 + max(abs(Fraction(*c.v)) for c in f.coeffs) / abs(Fraction(*f.lc().v))  # Cauchy bound
     # map (-B, B) onto (0, 1): u -> f(2B u - B)
     g = _compose(f, Poly(QQ, [-bound, 2 * bound]))
     count = _count_roots_01(g, 0)

@@ -444,7 +444,7 @@ def _parse_digest(count):
             except (ParseError, ShapeCap) as exc:
                 outcome = (type(exc).__name__, str(exc), getattr(exc, "position", None), getattr(exc, "expected", None))
             else:
-                outcome = [(e, c.numerator, c.denominator) if field is QQ else (e, c.v[0]) for e, c in enumerate(f.coeffs) if c]
+                outcome = [(e, *c.v) if field is QQ else (e, c.v[0]) for e, c in enumerate(f.coeffs) if c]
             tally["value" if isinstance(outcome, list) else outcome[0]] += 1
             outcomes.append(outcome)
         digest.update(repr((src, outcomes)).encode())
@@ -663,9 +663,25 @@ def test_construct_commands(capsys):
     (["solvable", "t^2-2"], "solvability is decided over Q"),
     (["minpoly", "t^2-2"], "minpoly towers are built over Q"),
     (["construct", "degree", "t^2-2"], "constructibility is decided over Q"),
+    (["construct", "classic"], "constructibility is decided over Q"),
+    (["construct", "ngon", "17"], "constructibility is decided over Q"),
+    (["gf", "2", "4"], "gf takes its field from p and n, not from --field"),
 ])
 def test_commands_decided_over_q_refuse_another_field(capsys, argv, message):
     assert dispatch(["--field", "F3", *argv]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {message}\n")
+    # the default field, named, is no other field
+    assert dispatch(["--field", "Q", *argv]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["construct", "classic", "junk"], "construct classic takes no argument"),
+    (["construct", "ngon"], "construct ngon needs an argument"),
+    (["construct", "degree"], "construct degree needs an argument"),
+])
+def test_construct_takes_an_argument_exactly_when_it_uses_one(capsys, argv, message):
+    assert dispatch(argv) == 2
     assert capsys.readouterr() == ("", f"parse error: {message}\n")
 
 
@@ -933,6 +949,23 @@ print(codes, sorted({{"argparse", "gettext"}} & set(sys.modules)))
     proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == f"[]\nunit: 1\n(t^2 - 2)^1\n[]\n{[0] * len(_ONE_COMMAND_EACH)} []\n"
+    # nor fractions, with its decimal, numbers and re: a rational is a
+    # TowerElem.  -S keeps `site` from importing re itself.
+    rational = {"fractions", "decimal", "numbers", "re"}
+    plain = [argv for argv in _ONE_COMMAND_EACH if "--json" not in argv]
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {src!r})
+import galoiskit
+print(sorted({rational!r} & set(sys.modules)))
+for argv in {plain!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = galoiskit.cli.dispatch(argv)
+    print(code, sorted({rational!r} & set(sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[]\n" + "0 []\n" * len(plain)
     usage = _run_cli("factor")
     assert usage.returncode == 2 and usage.stderr.startswith("usage: galoiskit factor")
 

@@ -1,6 +1,7 @@
 """Scalar layer: rationals, F_p arithmetic, primes."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from galoiskit.numbers import (
     TRIAL_DIVISION_CAP,
     PrimeField,
     QQ,
+    TowerElem,
     divisors,
     factor_integer,
     is_fermat_prime,
@@ -160,3 +162,55 @@ def test_fp_coerce_fraction():
     assert F.coerce(Fraction(1, 2)) == F.from_int(4)  # 2*4 = 8 = 1 mod 7
     with pytest.raises(ZeroInverse):
         F.coerce(Fraction(1, 7))
+
+
+def _oracle_rationals(rng):
+    """0, +-1, integers and fractions with small or 100-digit numerators and
+    denominators, seeded."""
+    yield from (Fraction(0), Fraction(1), Fraction(-1), Fraction(12), Fraction(-3, 4))
+    for _ in range(50):
+        top = rng.choice((9, 9, 10**100))
+        yield Fraction(rng.randint(-top, top), rng.choice((1, rng.randint(1, top))))
+
+
+def _kernel_form(x, want):
+    """x is the rational scalar of the Fraction want: (n, D) in lowest terms, D > 0."""
+    return type(x) is TowerElem and x.tower is QQ and x.v == (want.numerator, want.denominator)
+
+
+def test_q_scalars_match_the_fraction_oracle():
+    # every operation of a Q scalar, with a scalar, an int or a Fraction on
+    # either side, gives the Fraction oracle's value in kernel form, and it
+    # compares, prints and hashes as that Fraction (an integer as its int)
+    rng = random.Random(46)
+    xs = list(_oracle_rationals(rng))
+    assert any(x.denominator == 1 for x in xs) and any(abs(x.numerator) > 10**90 for x in xs)
+    ops = (operator.add, operator.sub, operator.mul, operator.truediv)
+    for a in xs:
+        qa = QQ.coerce(a)
+        assert _kernel_form(qa, a) and str(qa) == str(a) and hash(qa) == hash(a)
+        assert a.denominator != 1 or hash(qa) == hash(a.numerator)
+        assert _kernel_form(-qa, -a) and bool(qa) == bool(a)
+        for e in (-3, -1, 0, 1, 2, 5):
+            if a or e >= 0:
+                assert _kernel_form(qa**e, a**e)
+        for b in rng.sample(xs, 12) + [Fraction(0), a]:
+            qb = QQ.coerce(b)
+            sides = [(qa, qb), (qa, b), (a, qb)]
+            if b.denominator == 1:
+                sides.append((qa, b.numerator))
+            if a.denominator == 1:
+                sides.append((a.numerator, qb))
+            for x, y in sides:
+                for op in ops:
+                    if op is operator.truediv and not b:
+                        with pytest.raises(ZeroDivisionError):
+                            op(x, y)
+                    else:
+                        assert _kernel_form(op(x, y), op(a, b)), (op, x, y)
+                assert (x == y) == (y == x) == (a == b)
+                assert (x < y) == (y > x) == (a < b)
+                assert (x > y) == (y < x) == (a > b)
+    assert sorted(map(QQ.coerce, xs)) == sorted(xs)
+    with pytest.raises(ZeroInverse):
+        QQ.zero().inv()
