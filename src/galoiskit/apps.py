@@ -132,11 +132,7 @@ def sp_criterion(f: Poly):
     p = f.degree
     if not is_prime(p):
         return None
-    try:
-        cert = is_irreducible_q(f)
-    except ZeroPolynomial:
-        return None
-    if not cert.irreducible:
+    if not is_irreducible_q(f).irreducible:
         return None
     if count_real_roots(f) != p - 2:
         return None

@@ -25,6 +25,12 @@ A well-formed command line (options before the command, then its
 positionals; gf's flags anywhere after gf) is read by _read_argv without
 argparse.  argparse is imported only for what _read_argv declines, so it
 prints usage errors and help, and reads the forms it reads in its own way.
+
+Each command is one row of _COMMANDS: its handler, its positionals and
+flags (which both argv readers read), its field rule and its default caps.
+dispatch applies the row, so it names no command: a command that reads only
+Q refuses another --field (exit 2) before its arguments are read, and
+--max-degree, if not given, takes the row's default over Q or over F_p.
 """
 
 from __future__ import annotations
@@ -402,8 +408,6 @@ def _cmd_irreducible(args, dom):
 
 
 def _cmd_minpoly(args, dom):
-    if dom != QQ:
-        raise ParseError("minpoly towers are built over Q", expected=["--field Q"])
     current = QQ
     for i, src in enumerate(args.polys):
         f = parse_poly(src, QQ).map_domain(current, current.coerce)
@@ -487,8 +491,6 @@ def _cmd_correspondence(args, dom):
 
 
 def _cmd_solvable(args, dom):
-    if dom != QQ:
-        raise ParseError("solvability is decided over Q", expected=["--field Q"])
     f = parse_poly(args.poly, QQ)
     verdict = apps.solvable_by_radicals(f, max_degree=args.max_degree)
     if verdict.solvable:
@@ -504,8 +506,6 @@ def _cmd_construct(args, dom):
         raise ParseError("construct classic takes no argument")
     if args.what != "classic" and args.arg is None:
         raise ParseError(f"construct {args.what} needs an argument")
-    if dom != QQ:
-        raise ParseError("constructibility is decided over Q", expected=["--field Q"])
     if args.what == "classic":
         report = apps.classic_problems()
         lines = []
@@ -524,13 +524,11 @@ def _cmd_construct(args, dom):
             {"n": n, "constructible": ok},
             [f"regular {n}-gon constructible: {ok}"],
         )
-    elif args.what == "degree":
+    else:  # degree: the command table allows no other choice
         m = parse_poly(args.arg, QQ)
         _explicit_cap(args, m.degree)
         verdict = apps.constructible_degree_check(m)
         _emit(args, verdict.to_json(), [f"{verdict.target}: {verdict.verdict}"])
-    else:  # pragma: no cover - the command table restricts choices
-        raise ParseError(f"unknown construct target {args.what!r}")
 
 
 def _explicit_cap(args, degree):
@@ -540,8 +538,6 @@ def _explicit_cap(args, degree):
 
 
 def _cmd_gf(args, dom):
-    if dom != QQ:
-        raise ParseError("gf takes its field from p and n, not from --field", expected=["--field Q"])
     _explicit_cap(args, args.n)
     F = finitefield.gf(args.p, args.n)
     payload = F.to_json()
@@ -561,21 +557,29 @@ def _cmd_gf(args, dom):
 
 _POLY = (("poly", None, {"help": "polynomial expression in t"}),)
 
-# Every subcommand, in help order: name -> (handler, positionals, flags).  A
-# positional is (dest, nargs, further add_argument keywords); a flag is a
-# store_true option that may stand anywhere after the command.  build_parser
-# and _read_argv both read this table.
+# Every subcommand, in help order: name -> (handler, positionals, flags,
+# field rule, default caps).  A positional is (dest, nargs, further
+# add_argument keywords); a flag is a store_true option that may stand
+# anywhere after the command.  build_parser and _read_argv both read these.
+# The field rule is None for a command that reads --field, else its parse
+# error for any field but Q.  The default caps are the --max-degree a command
+# gets over Q and over F_p when none is given; None leaves only an explicit
+# one, which the handler checks.  dispatch applies both, in that order.
 _COMMANDS = {
-    "factor": (_cmd_factor, _POLY, ()),
-    "irreducible": (_cmd_irreducible, _POLY, ()),
-    "splitting-field": (_cmd_splitting_field, _POLY, ()),
-    "galois": (_cmd_galois, _POLY, ()),
-    "correspondence": (_cmd_correspondence, _POLY, ()),
-    "solvable": (_cmd_solvable, _POLY, ()),
-    "minpoly": (_cmd_minpoly, (("polys", "+", {"help": "adjoin a root of each polynomial"}),), ()),
+    "factor": (_cmd_factor, _POLY, (), None, (factor.FACTOR_DEGREE_CAP, None)),
+    "irreducible": (_cmd_irreducible, _POLY, (), None, (factor.FACTOR_DEGREE_CAP, None)),
+    "splitting-field": (_cmd_splitting_field, _POLY, (), None, (splitting.SPLITTING_DEGREE_CAP,) * 2),
+    "galois": (_cmd_galois, _POLY, (), None, (splitting.SPLITTING_DEGREE_CAP,) * 2),
+    "correspondence": (_cmd_correspondence, _POLY, (), None, (splitting.SPLITTING_DEGREE_CAP,) * 2),
+    "solvable": (_cmd_solvable, _POLY, (),
+                 "solvability is decided over Q", (splitting.SPLITTING_DEGREE_CAP, None)),
+    "minpoly": (_cmd_minpoly, (("polys", "+", {"help": "adjoin a root of each polynomial"}),), (),
+                "minpoly towers are built over Q", (splitting.SPLITTING_DEGREE_CAP, None)),
     "construct": (_cmd_construct, (("what", None, {"choices": ["classic", "ngon", "degree"]}),
-                                   ("arg", "?", {"help": "N for ngon, a polynomial for degree"})), ()),
-    "gf": (_cmd_gf, (("p", None, {"type": int}), ("n", None, {"type": int})), ("--subfields", "--generator")),
+                                   ("arg", "?", {"help": "N for ngon, a polynomial for degree"})), (),
+                  "constructibility is decided over Q", (None, None)),
+    "gf": (_cmd_gf, (("p", None, {"type": int}), ("n", None, {"type": int})), ("--subfields", "--generator"),
+           "gf takes its field from p and n, not from --field", (None, None)),
 }
 
 
@@ -608,8 +612,8 @@ def _read_argv(argv):
         i += 2
     if i == len(argv) or argv[i] not in _COMMANDS:
         return None
-    fn, positionals, flags = _COMMANDS[argv[i]]
-    ns.update(command=argv[i], fn=fn)
+    _, positionals, flags, _, _ = _COMMANDS[argv[i]]
+    ns["command"] = argv[i]
     ns.update((flag[2:], False) for flag in flags)
     words = []
     for word in argv[i + 1 :]:
@@ -660,13 +664,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the degree caps (splitting field, minpoly tower, factor)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (fn, positionals, flags) in _COMMANDS.items():
+    for name, (_, positionals, flags, _, _) in _COMMANDS.items():
         p = sub.add_parser(name)
         for dest, nargs, extra in positionals:
             p.add_argument(dest, nargs=nargs, **extra)
         for flag in flags:
             p.add_argument(flag, action="store_true")
-        p.set_defaults(fn=fn)
     return ap
 
 
@@ -679,16 +682,12 @@ def dispatch(argv) -> int:
             return int(exc.code or 0)
     try:
         dom = _field_from_flag(args.field)
-        explicit = args.command in ("gf", "construct") or (dom != QQ and args.command in ("factor", "irreducible"))
-        if args.max_degree is None and not explicit:  # those take only an explicit --max-degree
-            args.max_degree = splitting.SPLITTING_DEGREE_CAP if args.command in (
-                "splitting-field",
-                "galois",
-                "correspondence",
-                "solvable",
-                "minpoly",
-            ) else factor.FACTOR_DEGREE_CAP
-        args.fn(args, dom)
+        fn, _, _, q_only, caps = _COMMANDS[args.command]
+        if q_only and dom != QQ:
+            raise ParseError(q_only, expected=["--field Q"])
+        if args.max_degree is None:
+            args.max_degree = caps[dom != QQ]
+        fn(args, dom)
         return 0
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

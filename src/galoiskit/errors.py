@@ -23,9 +23,7 @@ class CapExceeded(GaloisKitError):
 
 
 class DegreeCap(CapExceeded):
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    pass
 
 
 class OrderCap(CapExceeded):

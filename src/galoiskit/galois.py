@@ -435,6 +435,9 @@ _NONABELIAN_FINGERPRINTS = {
     (8, (1, 2, 2, 2, 2, 2, 4, 4)): "D4",
     (8, (1, 2, 4, 4, 4, 4, 4, 4)): "Q8",
     (12, (1, 2, 2, 2, 3, 3, 3, 3, 3, 3, 3, 3)): "A4",
+    (24, (1,) + (2,) * 9 + (3,) * 8 + (4,) * 6): "S4",
+    (60, (1,) + (2,) * 15 + (3,) * 20 + (5,) * 24): "A5",
+    (120, (1,) + (2,) * 25 + (3,) * 20 + (4,) * 30 + (5,) * 24 + (6,) * 20): "S5",
 }
 
 
@@ -451,23 +454,7 @@ def isomorphism_type(G) -> str:
         if n == 4:
             return "C2 x C2"
         return f"unidentified abelian group of order {n}"
-    key = (n, orders)
-    if key in _NONABELIAN_FINGERPRINTS:
-        return _NONABELIAN_FINGERPRINTS[key]
-    if n == 24 and orders.count(2) == 9 and orders.count(3) == 8 and orders.count(4) == 6:
-        return "S4"
-    if n == 60 and orders.count(2) == 15 and orders.count(3) == 20 and orders.count(5) == 24:
-        return "A5"
-    if (
-        n == 120
-        and orders.count(2) == 25
-        and orders.count(3) == 20
-        and orders.count(4) == 30
-        and orders.count(5) == 24
-        and orders.count(6) == 20
-    ):
-        return "S5"
-    return f"unidentified group of order {n}"
+    return _NONABELIAN_FINGERPRINTS.get((n, orders), f"unidentified group of order {n}")
 
 
 def minimal_generators(G):

@@ -135,9 +135,7 @@ def _split_factors(factors, cap: int):
         # any nonlinear adjunction at least doubles the degree, so bail out
         # before paying for a factorization that cannot be used
         if current.characteristic == 0 and 2 * current.absolute_degree() > cap:
-            raise DegreeCap(
-                f"splitting degree would exceed cap {cap}", partial=current
-            )
+            raise DegreeCap(f"splitting degree would exceed cap {cap}")
 
         # each remainder is factored on its own: they are coprime, so the
         # union of their factorizations is the factorization of the product
@@ -155,10 +153,7 @@ def _split_factors(factors, cap: int):
         g = min(nonlinear, key=lambda h: h.sort_key())
         new_degree = current.absolute_degree() * g.degree
         if new_degree > cap:
-            raise DegreeCap(
-                f"splitting degree would reach {new_degree} > cap {cap}",
-                partial=current,
-            )
+            raise DegreeCap(f"splitting degree would reach {new_degree} > cap {cap}")
         current, alpha = adjoin_root(current, g, level_label(len(current.chain())), certify=False)
         found[:] = [[current.coerce(r) for r in rs] for rs in found]
         rems[:] = [g.map_domain(current, current.coerce) for g in rems]

@@ -27,6 +27,7 @@ from galoiskit.cli import (
     MAX_NESTING,
     MAX_PARSE_DEGREE,
     MAX_PARSE_HEIGHT_BITS,
+    _COMMANDS,
     _read_argv,
     _tokenize,
     build_parser,
@@ -683,6 +684,61 @@ def test_commands_decided_over_q_refuse_another_field(capsys, argv, message):
 def test_construct_takes_an_argument_exactly_when_it_uses_one(capsys, argv, message):
     assert dispatch(argv) == 2
     assert capsys.readouterr() == ("", f"parse error: {message}\n")
+    # as for every command decided over Q, another field is refused first
+    assert dispatch(["--field", "F3", *argv]) == 2
+    assert capsys.readouterr() == ("", "parse error: constructibility is decided over Q\n")
+
+
+# Per command: words of a valid command line, the same with an unparsable
+# polynomial (None for gf, which reads none), and the default caps over Q and
+# over F_p.
+_ROWS = {
+    "factor": (["t^2-2"], ["t^"], (12, None)),
+    "irreducible": (["t^2-2"], ["t^"], (12, None)),
+    "splitting-field": (["t^3-2"], ["t^"], (24, 24)),
+    "galois": (["t^3-2"], ["t^"], (24, 24)),
+    "correspondence": (["t^2-2"], ["t^"], (24, 24)),
+    "solvable": (["t^4-2"], ["t^"], (24, None)),
+    "minpoly": (["t^2-2", "t^2-3"], ["t^2-2", "t^"], (24, None)),
+    "construct": (["degree", "t^3-2"], ["degree", "t^"], (None, None)),
+    "gf": (["2", "4", "--subfields"], None, (None, None)),
+}
+
+
+def _record_into(seen, name, monkeypatch):
+    """Replace the handler in `name`'s row by one that records (max_degree, field)."""
+    row = _COMMANDS[name]
+    monkeypatch.setitem(_COMMANDS, name, (lambda args, dom: seen.append((args.max_degree, dom)),) + row[1:])
+
+
+@pytest.mark.parametrize("name", list(_COMMANDS))
+def test_each_command_row_decides_the_field_and_default_cap(capsys, monkeypatch, name):
+    words, unparsable, caps = _ROWS[name]
+    q_only = _COMMANDS[name][3]
+    assert _COMMANDS[name][4] == caps
+    if q_only:  # refused before the handler parses anything
+        for argv in filter(None, (words, unparsable)):
+            assert dispatch(["--field", "F3", name, *argv]) == 2
+            assert capsys.readouterr() == ("", f"parse error: {q_only}\n")
+    seen = []
+    _record_into(seen, name, monkeypatch)
+    for field, dom, cap in [("Q", QQ, caps[0]), ("F3", PrimeField(3), caps[1])]:
+        for head, want in [([], cap), (["--max-degree", "7"], 7)]:
+            code = dispatch(["--field", field, *head, name, *words])
+            if q_only and field == "F3":
+                assert code == 2 and not seen
+            else:
+                assert code == 0 and seen.pop() == (want, dom)
+    assert capsys.readouterr().err.count("parse error") == 2 * bool(q_only)
+
+
+def test_a_new_row_needs_no_edit_to_dispatch(capsys, monkeypatch):
+    monkeypatch.setitem(_COMMANDS, "group", (None, _COMMANDS["galois"][1], (), "groups are named over Q", (24, None)))
+    seen = []
+    _record_into(seen, "group", monkeypatch)
+    assert dispatch(["--field", "F3", "group", "t^3-2"]) == 2
+    assert capsys.readouterr() == ("", "parse error: groups are named over Q\n")
+    assert dispatch(["group", "t^3-2"]) == 0 and seen == [(24, QQ)]
 
 
 def test_ngon_verdict_past_the_trial_division_cap(capsys):

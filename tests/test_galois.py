@@ -17,6 +17,7 @@ from galoiskit.poly import Poly
 from galoiskit.splitting import splitting_field_fp, splitting_field_q
 from galoiskit.tower import TowerElem
 from galoiskit.galois import (
+    _NONABELIAN_FINGERPRINTS,
     FiniteGroup,
     Subgroup,
     automorphisms,
@@ -345,6 +346,20 @@ def test_isomorphism_type_table():
     assert isomorphism_type(a5) == "A5"
     c2c2c2, _ = from_permutations([(1, 0, 2, 3, 4, 5), (0, 1, 3, 2, 4, 5), (0, 1, 2, 3, 5, 4)])
     assert isomorphism_type(c2c2c2) == "unidentified abelian group of order 8"
+
+
+def test_each_nonabelian_fingerprint_fixes_the_whole_multiset():
+    # a row lists the order of every element, so a group matches it only
+    # with exactly these counts
+    for (n, orders), name in _NONABELIAN_FINGERPRINTS.items():
+        assert len(orders) == n and list(orders) == sorted(orders), name
+    for gens, name in [
+        ([(1, 0, 2, 3), (1, 2, 3, 0)], "S4"),
+        ([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2)], "A5"),
+        ([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)], "S5"),
+    ]:
+        group, _ = from_permutations(gens)
+        assert isomorphism_type(group) == name
 
 
 def _quaternion_table():
