@@ -97,6 +97,14 @@ from .apps import (
     sp_criterion,
     sturm_chain,
 )
-from .cli import parse_poly
-
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """`cli` and its `parse_poly` load on first use (PEP 562): importing the
+    package leaves cli out, so `python -m galoiskit.cli` runs it only once."""
+    if name in ("cli", "parse_poly"):
+        import importlib
+        cli = importlib.import_module(".cli", __name__)
+        return cli if name == "cli" else cli.parse_poly
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

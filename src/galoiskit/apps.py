@@ -144,26 +144,26 @@ def solvable_by_radicals(
 ) -> SolvabilityVerdict:
     """Solvability verdict with re-checkable evidence.
 
-    Route 1: the S_p criterion with p >= 5 refutes solvability outright.
-    Route 2: degree <= 4 is always solvable (the group embeds in S_4).
-    Route 3: build the Galois group within the cap and test its derived
-    series.  DegreeCap propagates when no route applies."""
+    Route 1: degree <= 4 is always solvable (the group embeds in S_4).
+    Route 2: the S_p criterion, here with p >= 5, refutes solvability
+    outright.  Route 3: build the Galois group within the cap and test its
+    derived series.  DegreeCap propagates when no route applies."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
-    p = sp_criterion(f)
-    if p is not None and p >= 5:
-        return SolvabilityVerdict(
-            f,
-            NOT_SOLVABLE,
-            "sp_criterion",
-            {"prime": p, "real_roots": p - 2, "group": f"S{p}"},
-        )
     if f.degree <= 4:
         return SolvabilityVerdict(
             f,
             SOLVABLE,
             "degree_rule",
             {"degree": f.degree, "reason": "group embeds in the solvable S4"},
+        )
+    p = sp_criterion(f)
+    if p is not None:
+        return SolvabilityVerdict(
+            f,
+            NOT_SOLVABLE,
+            "sp_criterion",
+            {"prime": p, "real_roots": p - 2, "group": f"S{p}"},
         )
     sf = splitting_field_q(f, max_degree=max_degree)
     G = automorphisms(sf)

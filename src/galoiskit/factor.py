@@ -12,13 +12,19 @@ Three coefficient worlds are covered:
   residue kernel of `poly`, one per p (it reads the one residue `c.v[0]` of
   each F_p coefficient), `_TowerPolys` on `Poly` over a finite tower.  Only
   the irreducible factors are wrapped as `Poly`;
-* the rationals: Zassenhaus — primitive + squarefree reduction (proved by
-  a squarefree reduction mod some p <= MOD_P_SCAN_BOUND not dividing lc;
-  only when no such p exists is f divided by gcd(f, f'), the end of its
-  integer remainder sequence `poly._sturm_ints`), pick a good small prime
-  by the factor count r that its distinct-degree split gives (sum of
-  deg(g)/k): the scan stops at the first prime with r <= 4 and otherwise
-  looks at 3 primes, or at 10 while the least r is above 8.  Then
+* the rationals: one scan of reductions, `_reductions`, walks the primes p
+  not dividing lc(f) in order and says whether f mod p is squarefree; if
+  so it gives Ben-Or's first pair of the distinct-degree split at once and
+  the rest lazily.  Every reader over Q reads it.  `factor_q` proves f
+  squarefree by its first squarefree reduction with p <= MOD_P_SCAN_BOUND
+  (only when there is none is f divided by gcd(f, f'), the end of its
+  integer remainder sequence `poly._sturm_ints`); Zassenhaus reads on from
+  that p and picks a good prime by the factor count r of its split (sum of
+  deg(g)/k): it stops at the first prime with r <= 4 and otherwise looks
+  at 3 primes, or at 10 while the least r is above 8.  The mod-p
+  certificate is the first irreducible reduction with p <= MOD_P_SCAN_BOUND;
+  `is_irreducible_q` reads it from the reductions its factorization read,
+  then from the rest of the same scan.  Once the prime is chosen:
   equal-degree split only that prime's pieces, Hensel lift to p^k > 2B for
   B = C(n-1, (n-1)//2) (isqrt(sum c_i^2) + 1), since a rebuilt lc(h)/lc(g) g
   (g a proper factor of h | f) has |coefficient j| <= C(deg g, j) M(h) <=
@@ -52,7 +58,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd as _int_gcd, isqrt, lcm
 
 from .errors import (
@@ -177,14 +183,10 @@ class IrreducibilityCertificate:
         return self.verdict == IRREDUCIBLE
 
     def to_json(self):
-        data = {}
-        for k, v in self.witness_data.items():
-            if isinstance(v, Factorization):
-                data[k] = v.to_json()
-            elif isinstance(v, TowerElem):
-                data[k] = str(v)
-            else:
-                data[k] = v
+        data = {
+            k: v.to_json() if isinstance(v, Factorization) else str(v) if isinstance(v, TowerElem) else v
+            for k, v in self.witness_data.items()
+        }
         return {
             "verdict": self.verdict,
             "witness_kind": self.witness_kind,
@@ -443,14 +445,9 @@ def _z_taylor_shift(a, c):
 
 
 def _z_sym(a, m):
-    out = []
+    """a mod m, each coefficient in the symmetric range (-m/2, m/2]."""
     half = m // 2
-    for c in a:
-        c %= m
-        if c > half:
-            c -= m
-        out.append(c)
-    return _trim(out)
+    return _trim([r - m if (r := c % m) > half else r for c in a])
 
 
 def _hensel_step(m, f, g, h, s, t):
@@ -516,16 +513,10 @@ def _hensel_lift_list(p, k, f, factors):
         lc_inv = pow(f[-1] % pk, -1, pk)
         return [_z_mod([c * lc_inv for c in f], pk)]
     mid = r // 2
-    g0 = [f[-1] % p]
-    for fac in factors[:mid]:
-        g0 = _mul_mod(g0, fac, p)
-    h0 = [1]
-    for fac in factors[mid:]:
-        h0 = _mul_mod(h0, fac, p)
+    g0 = reduce(lambda a, b: _mul_mod(a, b, p), factors[:mid], [f[-1] % p])
+    h0 = reduce(lambda a, b: _mul_mod(a, b, p), factors[mid:], [1])
     g, h = _hensel_lift_pair(p, k, f, g0, h0)
-    return _hensel_lift_list(p, k, g, factors[:mid]) + _hensel_lift_list(
-        p, k, h, factors[mid:]
-    )
+    return _hensel_lift_list(p, k, g, factors[:mid]) + _hensel_lift_list(p, k, h, factors[mid:])
 
 
 def _mignotte_bound(ints):
@@ -538,50 +529,65 @@ def _mignotte_bound(ints):
     return comb(n - 1, (n - 1) // 2) * (isqrt(sum(c * c for c in ints)) + 1)
 
 
-def _primes(start=2):
-    """The primes >= start, in increasing order."""
-    if start <= 2:
-        yield 2
-    n = max(3, start | 1)
-    while True:
-        if is_prime(n):
-            yield n
-        n += 2
-
-
 def _squarefree_mod(a, p):
     """Whether a trimmed residue list is squarefree mod a prime p."""
     return len(_gcd_mod(a, _deriv_mod(a, p), p)) == 1
 
 
-def _factor_sqfree_primitive_z(ints, start=None):
+def _reductions(ints):
+    """The one scan of reductions over Q: for each prime p not dividing lc(f),
+    f = ints of degree n >= 1, in increasing order, (p, first, rest) with
+    first the first pair of the distinct-degree split `_ddf` of the monic f
+    mod p, (f mod p, n) exactly when f mod p is irreducible (Ben-Or), and
+    rest the lazy rest; both are None when f mod p is not squarefree.  Then
+    p divides disc(f), and 0 < |disc(f)| <= n^n ||f||_2^(2n-2) (Mahler) if f
+    is squarefree; so once the product of those p passes that bound, f is
+    not squarefree, no reduction is, and the scan ends."""
+    n, skipped = len(ints) - 1, 1
+    for p in filter(is_prime, itertools.count(2)):
+        if ints[-1] % p == 0:
+            continue
+        fbar = [c % p for c in ints]
+        if _squarefree_mod(fbar, p):
+            R = _fp_polys(p)
+            rest = _ddf(R, R.monic(fbar))
+            yield p, next(rest), rest
+            continue
+        skipped *= p
+        if skipped > n**n * sum(c * c for c in ints) ** (n - 1):
+            return
+        yield p, None, None
+
+
+def _irreducible_prime(scan, n, bound=MOD_P_SCAN_BOUND):
+    """The first prime p <= bound of a `_reductions` scan of a polynomial of
+    degree n at which the reduction is irreducible, or None.  It reads no
+    prime past the first one >= bound."""
+    for p, first, _ in scan:
+        if p <= bound and first is not None and first[1] == n:
+            return p
+        if p >= bound:
+            return None
+
+
+def _factor_sqfree_primitive_z(ints, scan=None):
     """Irreducible integer factors (each primitive, positive lc) of a
-    squarefree primitive integer polynomial of degree >= 1.  The prime search
-    begins at `start` when given: a prime not dividing lc, with a squarefree
-    reduction not tested again, where no smaller prime is both."""
+    squarefree primitive integer polynomial of degree >= 1.  Its primes are
+    the good ones of `scan`, the `_reductions` of ints (a new scan when
+    None), which a caller may have read up to a good prime it hands back."""
     n = len(ints) - 1
     if n == 1:
         return [list(ints)]
     # choose a prime: smallest few with good reduction, fewest modular
     # factors, counted from the distinct-degree split alone as sum deg(g)/k
-    best = None
-    tried, skipped = 0, 1
-    for p in _primes(start or 2):
-        if ints[-1] % p == 0:
+    best, tried = None, 0
+    for p, first, rest in scan or _reductions(ints):
+        if first is None:
             continue
-        fbar = [c % p for c in ints]
-        if p != start and not _squarefree_mod(fbar, p):
-            # p divides disc(f), and 0 < |disc(f)| <= n^n ||f||_2^(2n-2)
-            # (Mahler) if f is squarefree
-            skipped *= p
-            if skipped > n**n * sum(c * c for c in ints) ** (n - 1):
-                raise InternalInvariant("Zassenhaus input is not squarefree")
-            continue
-        R = _fp_polys(p)
-        pieces = list(_ddf(R, R.monic(fbar)))
-        count = sum((len(g) - 1) // k for g, k in pieces)
-        if count == 1:
+        if first[1] == n:
             return [list(ints)]  # irreducible mod p => irreducible over Q
+        pieces = [first, *rest]
+        count = sum((len(g) - 1) // k for g, k in pieces)
         if best is None or count < best[1]:
             best = (p, count, pieces)
         tried += 1
@@ -593,6 +599,8 @@ def _factor_sqfree_primitive_z(ints, start=None):
         # 11, 17 and 23, but 4 mod 61); in between it looks at 3.
         if best[1] <= 4 or tried >= (10 if best[1] > 8 else 3):
             break
+    if best is None:
+        raise InternalInvariant("Zassenhaus input is not squarefree")
     p, _, pieces = best
     parts = [g for prod, k in pieces for g in _edf(_fp_polys(p), prod, k)]
     bound = _mignotte_bound(ints)
@@ -619,9 +627,7 @@ def _factor_sqfree_primitive_z(ints, start=None):
         for i in combo:
             cand = _mul_mod(cand, modular[i], pk)
         cand = _z_sym(cand, pk)
-        g = 0
-        for c in cand:
-            g = _int_gcd(g, c)
+        g = _int_gcd(*cand)
         if g == 0 or len(cand) < 2:
             return None
         if cand[-1] < 0:
@@ -664,26 +670,34 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
         raise TypeError("factor_q expects rational coefficients")
     if f.degree > max_degree:
         raise DegreeCap(f"degree {f.degree} exceeds factor cap {max_degree}")
-    unit = f.lc()
     if f.degree == 0:
-        return Factorization(unit, ())
-    _, prim = content_primitive(f)
+        return Factorization(f.lc(), ())
+    prim = content_primitive(f)[1]
+    return _factor_q(f, prim, _reductions(prim))
+
+
+def _factor_q(f, prim, scan):
+    """`factor_q` of an f of degree >= 1 with primitive integer form prim,
+    reading `scan`, the `_reductions` of prim."""
     # f is squarefree if it is mod some p not dividing lc(f): each factor g
     # keeps its degree mod p (lc(g) divides lc(f)), so a repeated factor g^2
-    # would stay a repeated factor of degree >= 1.  Zassenhaus would skip the
-    # primes before that p, so its search starts there, and takes p as good.
-    small = itertools.takewhile(lambda p: p <= MOD_P_SCAN_BOUND, _primes())
-    start = next((p for p in small if prim[-1] % p and _squarefree_mod(_z_mod(prim, p), p)), None)
+    # would stay a repeated factor of degree >= 1.  The first such p is
+    # Zassenhaus's first good prime, so it reads the scan on from there.
+    head = next((e for e in scan if e[1] is not None or e[0] >= MOD_P_SCAN_BOUND), (0, None, None))
     sqf = prim
-    if start is None:
+    if head[1] is not None:
+        scan = itertools.chain([head], scan)
+    else:
         # f / gcd(f, f'), with the gcd from the end of the remainder sequence
         g = _sturm_ints(prim)[-1]
         sqf = _pseudo_divmod(prim, g if g[-1] > 0 else [-c for c in g], exact=True)[0]
-    raw = _factor_sqfree_primitive_z(sqf, start)
+        if sqf != prim:
+            scan = _reductions(sqf)
+    raw = _factor_sqfree_primitive_z(sqf, scan)
     # each g is primitive with lc > 0, so exact division over Z leaves [1]
     wrap = lambda g: Poly(QQ, g).monic()
     divide = lambda a, g: _pseudo_divmod(a, g, exact=True)
-    return Factorization(unit, _multiplicities(prim, raw, divide, [1], wrap))
+    return Factorization(f.lc(), _multiplicities(prim, raw, divide, [1], wrap))
 
 
 # ---------------------------------------------------------------------------
@@ -713,20 +727,15 @@ def eisenstein(f: Poly, shifts=None):
     _, prim = content_primitive(f)
     for c in shifts:
         ints = _z_taylor_shift(prim, c)
-        g = 0
-        for a in ints[:-1]:
-            g = _int_gcd(g, a)
+        g = _int_gcd(*ints[:-1])
         if g <= 1:
             continue
         try:
             candidates = sorted(set(factor_integer(g)))
         except Budget:
             continue
-        for p in candidates:
-            if ints[-1] % p == 0:
-                continue
-            if ints[0] % (p * p) == 0:
-                continue
+        p = next((p for p in candidates if ints[-1] % p and ints[0] % (p * p)), None)
+        if p is not None:
             return p, c
     return None
 
@@ -735,11 +744,7 @@ def check_eisenstein(f: Poly, p: int, shift: int) -> bool:
     """Independent re-check of an Eisenstein witness."""
     _, prim = content_primitive(f)
     ints = _z_taylor_shift(prim, shift)
-    if ints[-1] % p == 0:
-        return False
-    if any(a % p for a in ints[:-1]):
-        return False
-    return ints[0] % (p * p) != 0
+    return ints[-1] % p != 0 and not any(a % p for a in ints[:-1]) and ints[0] % (p * p) != 0
 
 
 def mod_p_certificate(f: Poly, prime_bound: int = MOD_P_SCAN_BOUND):
@@ -747,16 +752,7 @@ def mod_p_certificate(f: Poly, prime_bound: int = MOD_P_SCAN_BOUND):
     reduction mod p; a sound irreducibility certificate over Q."""
     if f.degree < 1:
         raise ConstantPolynomial("mod-p method needs degree >= 1")
-    _, prim = content_primitive(f)
-    for p in _primes():
-        if p > prime_bound:
-            return None
-        if prim[-1] % p == 0:
-            continue
-        R = _fp_polys(p)
-        if next(_ddf(R, R.monic([c % p for c in prim])))[1] == f.degree:
-            return p
-    return None
+    return _irreducible_prime(_reductions(content_primitive(f)[1]), f.degree, prime_bound)
 
 
 def rational_roots(f: Poly):
@@ -818,26 +814,22 @@ def is_irreducible_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Irreducibi
         r = min(roots)
         return IrreducibilityCertificate(REDUCIBLE, "rational_root", {"root": r})
     if roots is not None and f.degree <= 3:
-        return IrreducibilityCertificate(
-            IRREDUCIBLE, "low_degree", {"degree": f.degree}
-        )
+        return IrreducibilityCertificate(IRREDUCIBLE, "low_degree", {"degree": f.degree})
     eis = eisenstein(f)
     if eis is not None:
-        p, c = eis
-        return IrreducibilityCertificate(
-            IRREDUCIBLE, "eisenstein", {"prime": p, "shift": c}
-        )
-    fact = factor_q(f, max_degree=max_degree) if f.degree <= max_degree else None
+        return IrreducibilityCertificate(IRREDUCIBLE, "eisenstein", {"prime": eis[0], "shift": eis[1]})
+    prim = content_primitive(f)[1]
+    scan, replay = itertools.tee(_reductions(prim))
+    fact = _factor_q(f, prim, scan) if f.degree <= max_degree else None
     if fact is None or fact.is_irreducible():
-        p = mod_p_certificate(f)
+        # the reductions the factorization read, then the rest of its scan
+        p = _irreducible_prime(replay, f.degree)
         if p is not None:
             return IrreducibilityCertificate(IRREDUCIBLE, "mod_p", {"prime": p})
     if fact is None:
         fact = factor_q(f, max_degree=max_degree)
     verdict = IRREDUCIBLE if fact.is_irreducible() else REDUCIBLE
-    return IrreducibilityCertificate(
-        verdict, "full_factorization", {"factorization": fact}
-    )
+    return IrreducibilityCertificate(verdict, "full_factorization", {"factorization": fact})
 
 
 def cyclotomic_p(p: int) -> Poly:

@@ -509,9 +509,7 @@ def _pseudo_divmod(a, b, exact=False):
 def _positive_primitive(a):
     """A nonzero int list divided by its content, taken positive, so that
     every value keeps its sign."""
-    g = 0
-    for c in a:
-        g = _int_gcd(g, c)
+    g = _int_gcd(*a)
     return a if g == 1 else [c // g for c in a]
 
 
@@ -592,9 +590,7 @@ def content_primitive(f: Poly):
     if f.dom != QQ:
         raise TypeError("content_primitive is defined over QQ")
     *ints, den = QQ._concat(f.coeffs)
-    g = 0
-    for c in ints:
-        g = _int_gcd(g, c)
+    g = _int_gcd(*ints)
     if ints[-1] < 0:
         g = -g
     prim = [c // g for c in ints]

@@ -204,6 +204,22 @@ def test_solvable_by_radicals_routes():
         solvable_by_radicals(q([]))
 
 
+def test_solvable_decides_degree_at_most_4_before_the_sp_criterion(monkeypatch):
+    # the S_p route needs p >= 5, so below degree 5 no irreducibility test or
+    # Sturm chain is run
+    import galoiskit.apps as apps_mod
+
+    def refuse(f):
+        raise AssertionError(f"sp_criterion called at degree {f.degree}")
+
+    monkeypatch.setattr(apps_mod, "sp_criterion", refuse)
+    for coeffs in ([5], [5, 1], [-2, 0, 1], [-2, 0, 0, 1], [1, -3, 0, 1], [7, -1, 3, 0, 1]):
+        v = solvable_by_radicals(q(coeffs))
+        assert (v.verdict, v.evidence_kind, v.evidence["degree"]) == (SOLVABLE, "degree_rule", len(coeffs) - 1)
+    with pytest.raises(AssertionError):
+        solvable_by_radicals(q([3, -6, 0, 0, 0, 1]))
+
+
 def test_route_consistency_sp_vs_group():
     # where both routes apply (p = 3 cubics), verdicts agree
     from galoiskit.splitting import splitting_field_q

@@ -1039,6 +1039,21 @@ def test_python_m_galoiskit_runs_the_cli():
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out)
 
 
+def test_python_m_galoiskit_cli_runs_without_a_warning():
+    # the package leaves cli unloaded until it is used, so runpy does not warn
+    # that it found galoiskit.cli in sys.modules before running it
+    src = str(Path(galoiskit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    cli_run, package_run = (
+        subprocess.run([sys.executable, "-m", module, "irreducible", "t^4-1"],
+                       capture_output=True, text=True, env=env, timeout=60)
+        for module in ("galoiskit.cli", "galoiskit")
+    )
+    assert (cli_run.returncode, cli_run.stderr) == (0, "")
+    assert cli_run.stdout == package_run.stdout and package_run.stdout.startswith("reducible")
+    assert galoiskit.parse_poly is galoiskit.cli.parse_poly
+
+
 def test_gf_degree_below_one_is_an_input_error():
     for n in ("0", "-1"):
         proc = _run_cli("gf", "2", n)

@@ -742,19 +742,21 @@ _GOLDEN_FACTOR_INPUTS = [
 
 
 def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
-    # factor_q starts Zassenhaus's prime search at the prime that proved f
-    # squarefree; searched from 2 instead, it must try the same primes (every
+    # factor_q hands Zassenhaus its scan from the prime that proved f
+    # squarefree; from a new scan instead, it must try the same primes (every
     # smaller one is skipped) and so choose the same one and factor the same
     import galoiskit.factor as factor_mod
     from galoiskit.cli import parse_poly
 
     real_z, real_ddf = factor_mod._factor_sqfree_primitive_z, factor_mod._ddf
     calls, tried = [], []
-    monkeypatch.setattr(
-        factor_mod,
-        "_factor_sqfree_primitive_z",
-        lambda ints, start=None: calls.append((list(ints), start)) or real_z(ints, start),
-    )
+
+    def recorded(ints, scan=None):
+        head = None if scan is None else next(scan)
+        calls.append((list(ints), head and head[0]))
+        return real_z(ints, None if scan is None else itertools.chain([head], scan))
+
+    monkeypatch.setattr(factor_mod, "_factor_sqfree_primitive_z", recorded)
     for src in _GOLDEN_FACTOR_INPUTS:
         factor_q(parse_poly(src), max_degree=22)
     assert len(calls) == len(_GOLDEN_FACTOR_INPUTS)
@@ -762,7 +764,7 @@ def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
     monkeypatch.setattr(factor_mod, "_ddf", lambda R, f: tried.append(R.p) or real_ddf(R, f))
     for ints, start in calls:
         tried.clear()
-        got = real_z(ints, start)
+        got = real_z(ints, itertools.dropwhile(lambda e: e[0] < (start or 2), factor_mod._reductions(ints)))
         from_start = list(tried)
         tried.clear()
         assert real_z(ints) == got
@@ -770,26 +772,46 @@ def test_zassenhaus_from_the_scan_prime_chooses_the_same_prime(monkeypatch):
 
 
 def test_factor_q_tests_its_start_prime_once(monkeypatch):
-    # factor_q proves its start prime good (p does not divide lc, squarefree
-    # reduction); Zassenhaus searches from there and does not test it again
+    # one scan of reductions serves the squarefree proof, Zassenhaus and the
+    # mod-p witness: within one factor_q or is_irreducible_q call no prime has
+    # its squarefree test or its distinct-degree split run twice on the same
+    # integer polynomial
     import galoiskit.factor as factor_mod
     from galoiskit.cli import parse_poly
 
-    real, tested = factor_mod._squarefree_mod, []
-    monkeypatch.setattr(factor_mod, "_squarefree_mod", lambda a, p: tested.append(p) or real(a, p))
+    real_sqf, real_ddf, tested, split = factor_mod._squarefree_mod, factor_mod._ddf, [], []
+    monkeypatch.setattr(factor_mod, "_squarefree_mod", lambda a, p: tested.append((p, tuple(a))) or real_sqf(a, p))
+    monkeypatch.setattr(factor_mod, "_ddf", lambda R, f: split.append((R.p, tuple(f))) or real_ddf(R, f))
     small = [p for p in range(2, factor_mod.MOD_P_SCAN_BOUND + 1) if all(p % d for d in range(2, p))]
-    starts = []
-    for src in _GOLDEN_FACTOR_INPUTS + ["(t^3+t+1)*(t^2+t-1)", "6*t^5+10*t^2-15", "(t^2-30)*(t^3-2)*(t+7)"]:
+    starts, witnesses = [], {}
+    extra = ["(t^3+t+1)*(t^2+t-1)", "6*t^5+10*t^2-15", "(t^2-30)*(t^3-2)*(t+7)"]
+    for src in _GOLDEN_FACTOR_INPUTS + extra:
         f = parse_poly(src)
         ints = content_primitive(f)[1]
-        start = next((p for p in small if ints[-1] % p and real([c % p for c in ints], p)), None)
-        if start is None:
-            continue  # not squarefree: the gcd(f, f') branch tests every prime
         tested.clear()
+        split.clear()
         factor_q(f, max_degree=22)
-        assert tested.count(start) == 1 and len(tested) == len(set(tested)), (src, tested)
+        assert len(tested) == len(set(tested)) and len(split) == len(set(split)), (src, tested, split)
+        start = next((p for p in small if ints[-1] % p and real_sqf([c % p for c in ints], p)), None)
+        if start is None:
+            continue  # not squarefree mod p <= 31: f / gcd(f, f') is scanned
+        assert [p for p, _ in tested].count(start) == 1, (src, tested)
         starts.append(start)
     assert len(starts) == 7 and {2, 7} <= set(starts)  # the first prime, and one after skipped primes
+    # irreducible inputs of the verdicts shape (no rational root, no
+    # Eisenstein shift): t^5 - t - 1 splits mod 2, Zassenhaus's first good
+    # prime, so the witness 3 comes from the rest of the scan; t^4 - 10t^2 + 1
+    # splits mod every prime; the rest are proved at their first good prime;
+    # two reducible ones are decided by the factorization alone
+    for src, witness in (("t^5-t-1", 3), ("t^4-10*t^2+1", None), ("t^6+t+3", 2), ("t^4+t+1", 2),
+                         ("(t^2+t+1)*(t^3+t+1)", None), ("(t^2+1)^2*(t^2+3)", None)):
+        tested.clear()
+        split.clear()
+        cert = is_irreducible_q(parse_poly(src))
+        assert len(tested) == len(set(tested)) and len(split) == len(set(split)), (src, tested, split)
+        assert cert.witness_data.get("prime") == witness, (src, cert.to_json())
+        witnesses[src] = {p for p, _ in split}
+    assert 2 in witnesses["t^5-t-1"] and max(witnesses["t^4-10*t^2+1"]) <= factor_mod.MOD_P_SCAN_BOUND
 
 
 def test_mignotte_bound_hand_values():
@@ -1578,6 +1600,34 @@ def test_a_trager_norm_mutant_fails_the_oracles(old, new):
     namespace = dict(vars(factor_mod))
     exec(source, namespace)
     assert _agrees_on_every_case(namespace["_trager_norm"]) == (old is None)
+
+
+def test_reductions_scan_the_primes_not_dividing_lc_in_order():
+    # each prime not dividing lc(f), in order; None exactly where f mod p is
+    # not squarefree (a gcd with the derivative in Poly over F_p), else
+    # Ben-Or's first pair and the rest of the split, which multiply to the
+    # monic reduction; on an f that is not squarefree the scan ends (Mahler)
+    # after yielding only Nones
+    from galoiskit.factor import _reductions
+
+    squarefree = [[-1, -1, 0, 0, 0, 1], [-15, 0, 10, 0, 0, 6], [7, 1, 0, 0, 30], [30, 0, -31, 0, 10, 0, -1]]
+    for ints in squarefree:
+        scan = list(itertools.islice(_reductions(ints), 14))
+        primes = [p for p in range(2, 200) if all(p % d for d in range(2, p)) and ints[-1] % p]
+        assert [p for p, _, _ in scan] == primes[:14]
+        for p, first, rest in scan:
+            g = Poly(PrimeField(p), ints)
+            assert (first is None) == (poly_gcd(g, g.derivative()).degree > 0), (ints, p)
+            if first is not None:
+                pieces = [first, *rest]
+                assert functools.reduce(lambda a, b: a * b, (Poly(PrimeField(p), h) for h, _ in pieces)) == g.monic()
+                assert (first[1] == len(ints) - 1) == is_irreducible_ff(g)
+        assert sum(first is not None for _, first, _ in scan) >= 3
+    for f in (q([1, 2, 1]), q([-7, 6]) * q([1, 0, 3]) ** 2, q([-2, 0, 0, 1]) ** 2 * q([5, 1])):
+        ints = [QQ.coerce(c).v[0] for c in f.coeffs]
+        scan = list(itertools.islice(_reductions(ints), 500))
+        assert len(scan) < 500 and all(first is None for _, first, _ in scan), ints
+        assert all(ints[-1] % p for p, _, _ in scan)
 
 
 def test_zassenhaus_stage_rejects_an_input_that_is_not_squarefree():

@@ -126,6 +126,18 @@ def test_degree_sentinel():
     assert q([1]).degree == 0
     assert q([0, 0, 1]).degree == 2
     assert not (NEG_INFINITY < NEG_INFINITY)
+    # the other comparisons, both ways round, and the repr
+    assert NEG_INFINITY <= -1000 and NEG_INFINITY <= NEG_INFINITY and -1000 >= NEG_INFINITY
+    assert not (NEG_INFINITY > -1000) and not (NEG_INFINITY > NEG_INFINITY) and 0 > NEG_INFINITY
+    assert NEG_INFINITY >= NEG_INFINITY and not (NEG_INFINITY >= -1000) and not (-1000 <= NEG_INFINITY)
+    assert 5 + NEG_INFINITY is NEG_INFINITY and repr(NEG_INFINITY) == "-oo"
+
+
+def test_scalar_minus_poly():
+    f = q([1, 1])  # t + 1
+    assert 3 - f == q([2, -1]) and str(3 - f) == "-t + 2"
+    assert Fraction(1, 2) - f == q([Fraction(-1, 2), -1]) and str(Fraction(1, 2) - f) == "-t - 1/2"
+    assert 1 - f == -q([0, 1]) and (0 - f).degree == 1
 
 
 def test_degree_multiplicative_random():
