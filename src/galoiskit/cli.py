@@ -661,7 +661,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-degree",
         type=int,
         default=None,
-        help="override the degree caps (splitting field, minpoly tower, factor)",
+        help="degree cap, by command: factor, irreducible: the degree to factor (default 12 over Q, "
+        "none over F_p); splitting-field, galois, correspondence, solvable: the splitting field (24); "
+        "minpoly: the tower (24); construct degree: the input; gf: n (no default)",
     )
     sub = ap.add_subparsers(dest="command", required=True)
     for name, (_, positionals, flags, _, _) in _COMMANDS.items():

@@ -793,8 +793,11 @@ ARGPARSE_BYTES = [
         "  --field FIELD         coefficient field: Q or F<p>\n"
         "  --json                machine-readable output\n"
         "  --max-degree MAX_DEGREE\n"
-        "                        override the degree caps (splitting field, minpoly\n"
-        "                        tower, factor)\n",
+        "                        degree cap, by command: factor, irreducible: the\n"
+        "                        degree to factor (default 12 over Q, none over F_p);\n"
+        "                        splitting-field, galois, correspondence, solvable: the\n"
+        "                        splitting field (24); minpoly: the tower (24);\n"
+        "                        construct degree: the input; gf: n (no default)\n",
         "",
     ),
     (
