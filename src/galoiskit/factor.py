@@ -576,8 +576,6 @@ def _factor_sqfree_primitive_z(ints, scan=None):
     the good ones of `scan`, the `_reductions` of ints (a new scan when
     None), which a caller may have read up to a good prime it hands back."""
     n = len(ints) - 1
-    if n == 1:
-        return [list(ints)]
     # choose a prime: smallest few with good reduction, fewest modular
     # factors, counted from the distinct-degree split alone as sum deg(g)/k
     best, tried = None, 0
@@ -672,7 +670,7 @@ def factor_q(f: Poly, max_degree: int = FACTOR_DEGREE_CAP) -> Factorization:
         raise DegreeCap(f"degree {f.degree} exceeds factor cap {max_degree}")
     if f.degree == 0:
         return Factorization(f.lc(), ())
-    prim = content_primitive(f)[1]
+    _, prim = content_primitive(f)
     return _factor_q(f, prim, _reductions(prim))
 
 
@@ -688,7 +686,7 @@ def _factor_q(f, prim, scan):
     if head[1] is not None:
         scan = itertools.chain([head], scan)
     else:
-        # f / gcd(f, f'), with the gcd from the end of the remainder sequence
+        # f / gcd(f, f') from the end of the remainder sequence; if it is f, read on
         g = _sturm_ints(prim)[-1]
         sqf = _pseudo_divmod(prim, g if g[-1] > 0 else [-c for c in g], exact=True)[0]
         if sqf != prim:

@@ -509,7 +509,9 @@ def _pseudo_divmod(a, b, exact=False):
 def _positive_primitive(a):
     """A nonzero int list divided by its content, taken positive, so that
     every value keeps its sign."""
-    g = _int_gcd(*a)
+    g = 0
+    for c in a:
+        g = _int_gcd(g, c)
     return a if g == 1 else [c // g for c in a]
 
 
@@ -590,7 +592,9 @@ def content_primitive(f: Poly):
     if f.dom != QQ:
         raise TypeError("content_primitive is defined over QQ")
     *ints, den = QQ._concat(f.coeffs)
-    g = _int_gcd(*ints)
+    g = 0
+    for c in ints:
+        g = _int_gcd(g, c)
     if ints[-1] < 0:
         g = -g
     prim = [c // g for c in ints]

@@ -542,9 +542,9 @@ def test_is_irreducible_q_reducible_skips_the_mod_p_scan(monkeypatch):
     import galoiskit.factor as factor_mod
 
     def no_scan(*args, **kwargs):
-        raise AssertionError("mod-p scan run on a reducible input")
+        raise AssertionError("mod-p witness sought for a reducible input")
 
-    monkeypatch.setattr(factor_mod, "mod_p_certificate", no_scan)
+    monkeypatch.setattr(factor_mod, "_irreducible_prime", no_scan)
     for f in (q([-2, 0, 0, 1]) * q([3, 3, 0, 0, 1]), q([1, 0, 1]) * q([-2, 0, 1]), q([5, 0, 1]) ** 2):
         cert = is_irreducible_q(f)
         assert cert.verdict == "reducible" and cert.witness_kind == "full_factorization"
