@@ -377,10 +377,9 @@ def _cmd_factor(args, dom):
         fact = factor.factor_q(f, max_degree=args.max_degree)
     else:
         fact = factor.factor_fp(f, max_degree=args.max_degree)
-    lines = [f"unit: {fact.unit}"] + [
-        f"({render(g)})^{m}" for g, m in fact.factors
-    ]
-    _emit(args, fact.to_json(), lines)
+    payload = fact.to_json()  # each factor rendered once, for the text lines too
+    lines = [f"unit: {payload['unit']}"] + [f"({g['poly']})^{g['multiplicity']}" for g in payload["factors"]]
+    _emit(args, payload, lines)
 
 
 def _witness_str(value):

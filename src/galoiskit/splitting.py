@@ -9,9 +9,13 @@ Each tower generator is by construction one of the stored roots, which is
 what the automorphism enumeration in `galoiskit.galois` relies on.
 
 Before paying for a factorization over the extension, a cheap pre-pass hunts
-for roots among products, ratios and powers of roots already found
-(computed around the depressed-form center, so shifted binomials like
-(t - c)^n + a are caught).  In characteristic p the conjugates alpha^q,
+for roots among products, ratios and powers of roots already found, formed
+around the depressed-form center c (so shifted binomials like (t - c)^n + a
+are caught).  It is a worklist closure over the level, as `closure` is for
+orbits: each root is combined once with each root before it, each distinct
+candidate is tested once, and a hit joins the worklist.  It ends where a
+restart after every hit would: remainders only lose roots, so a failed
+candidate stays failed.  In characteristic p the conjugates alpha^q,
 alpha^(q^2), ... of each adjoined root alpha (q the order of the coefficient
 field) are divided out the same way.  One synthetic-division pass gives
 both rem div (t - c) and rem(c), and a hit is certified by a zero remainder,
@@ -23,6 +27,8 @@ root sets.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .errors import DegreeCap, InternalInvariant, ZeroPolynomial
 from .numbers import QQ, PrimeField
@@ -58,28 +64,6 @@ class SplittingField:
         }
 
 
-def _candidate_roots(field, roots, center):
-    """Cheap candidate roots: negations, pairwise products/ratios and small
-    power combinations of the roots found so far, formed around `center`."""
-    c = field.coerce(center)
-    shifted = [r - c for r in roots]
-    cands = []
-    for s in shifted:
-        cands.append(-s)
-        cands.append(s * s)
-    nonzero = [s for s in shifted if s]
-    # one tower inversion per root, not per pair; none when there is no pair
-    invs = [s.inv() for s in nonzero] if len(nonzero) > 1 else []
-    for i, si in enumerate(nonzero):
-        for j, sj in enumerate(nonzero):
-            if i == j:
-                continue
-            cands.append(si * sj)
-            cands.append(si * invs[j])
-            cands.append(si * si * invs[j])
-    return list(dict.fromkeys(s + c for s in cands))  # distinct, in order
-
-
 def _synthetic_division(f: Poly, c):
     """(f div (t - c), f(c)) for deg f >= 1 by one synthetic-division pass:
     Horner's running values are the quotient's coefficients, then f(c)."""
@@ -87,6 +71,46 @@ def _synthetic_division(f: Poly, c):
     for a in reversed(f.coeffs[:-1]):
         run.append(a + c * run[-1])
     return Poly(f.dom, run[-2::-1], normalize=False), run[-1]
+
+
+def _take(rems, found, c) -> bool:
+    """Divide t - c out of the remainder c is a root of, if any."""
+    for i, g in enumerate(rems):
+        if g.degree > 0:
+            quot, value = _synthetic_division(g, c)
+            if not value:
+                rems[i] = quot
+                found[i].append(c)
+                return True
+    return False
+
+
+def _close_roots(rems, found, center):
+    """The pre-pass over the level of `center`: with s = r - center, a root
+    adds -s, s^2 and, with each earlier nonzero s_j, s*s_j, s/s_j, s^2/s_j,
+    s_j/s and s_j^2/s (shifted back), formed when reached; a root is inverted
+    when a ratio first needs it, and it stops once no remainder is nonlinear."""
+    work = [r for rs in found for r in rs]
+    tested, earlier = set(work), []  # earlier: (s, s^2) per nonzero s so far
+    inverse = functools.cache(lambda s: s.inv())
+
+    def candidates(s, s2):
+        yield from (-s, s2)
+        if s:
+            for sj, sj2 in earlier:
+                yield from (s * sj, s * inverse(sj), s2 * inverse(sj))
+                yield from (sj * inverse(s), sj2 * inverse(s))
+            earlier.append((s, s2))
+
+    while work:  # the caller leaves some remainder nonlinear
+        s = work.pop(0) - center
+        for x in candidates(s, s * s):
+            if (x := x + center) not in tested:
+                tested.add(x)
+                if _take(rems, found, x):
+                    work.append(x)
+                    if all(g.degree < 2 for g in rems):
+                        return
 
 
 def _split_factors(factors, cap: int):
@@ -97,16 +121,6 @@ def _split_factors(factors, cap: int):
     found = [[] for _ in rems]
     # x -> x^order fixes the factors' coefficients (order 0 over Q), so permutes their roots
     order = field_order(base)
-
-    def take(c) -> bool:  # divide t - c out of the remainder c is a root of, if any
-        for i, g in enumerate(rems):
-            if g.degree > 0:
-                quot, value = _synthetic_division(g, c)
-                if not value:
-                    rems[i] = quot
-                    found[i].append(c)
-                    return True
-        return False
 
     # depressed-form center of the factors' product: pre-pass combinations
     # are formed around it
@@ -125,10 +139,7 @@ def _split_factors(factors, cap: int):
         # candidate pre-pass over the current field; at the base every root
         # found is rational and a root of a linear factor, so none are combined
         if current.characteristic == 0 and current is not base:
-            while any(g.degree > 1 for g in rems) and any(
-                take(c) for c in _candidate_roots(current, [r for rs in found for r in rs], center)
-            ):
-                pass
+            _close_roots(rems, found, center)
             if all(g.degree < 2 for g in rems):
                 continue
 
@@ -145,7 +156,7 @@ def _split_factors(factors, cap: int):
             for h, _ in ((g, 1),) if current is base else factor_over_extension(g).factors:
                 if h.degree > 1:
                     nonlinear.append(h)
-                elif not take(-h.coeff(0)):
+                elif not _take(rems, found, -h.coeff(0)):
                     raise InternalInvariant("division is not exact")
         if not nonlinear:
             continue
@@ -157,7 +168,7 @@ def _split_factors(factors, cap: int):
         current, alpha = adjoin_root(current, g, level_label(len(current.chain())), certify=False)
         found[:] = [[current.coerce(r) for r in rs] for rs in found]
         rems[:] = [g.map_domain(current, current.coerce) for g in rems]
-        if not take(alpha):
+        if not _take(rems, found, alpha):
             raise InternalInvariant("division is not exact")
         center = current.coerce(center)
 
@@ -166,7 +177,7 @@ def _split_factors(factors, cap: int):
         if order:
             c = alpha**order
             while c != alpha:
-                take(c)
+                _take(rems, found, c)
                 c = c**order
 
 

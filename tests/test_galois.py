@@ -464,6 +464,15 @@ def test_cycle_notation():
     assert cycle_notation((1, 2, 3, 0)) == "(1 2 3 4)"
 
 
+
+def test_automorphism_repr_is_its_root_permutation_in_cycle_notation():
+    G = automorphisms(splitting_field_q(parse_poly("t^3-2", QQ)))
+    assert [repr(a) for a in G.elements] == [
+        "Automorphism(())", "Automorphism((2 3))", "Automorphism((1 2))",
+        "Automorphism((1 2 3))", "Automorphism((1 3 2))", "Automorphism((1 3))",
+    ]
+
+
 def test_minimal_generators(gal_t4):
     gens = minimal_generators(gal_t4)
     assert gal_t4.generated_subgroup(gens) == frozenset(range(8))

@@ -133,6 +133,15 @@ def test_degree_sentinel():
     assert 5 + NEG_INFINITY is NEG_INFINITY and repr(NEG_INFINITY) == "-oo"
 
 
+
+def test_repr_names_the_field_and_the_rendered_poly():
+    assert repr(q([1, -2, 3])) == "Poly(QQ, '3*t^2 - 2*t + 1')"
+    assert repr(q([])) == "Poly(QQ, '0')"
+    assert repr(Poly(PrimeField(7), [1, 0, 1])) == "Poly(F_7, 't^2 + 1')"
+    field, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    assert repr(Poly(field, [a, field.one()])) == "Poly(QQ(a), 't + a')"
+
+
 def test_scalar_minus_poly():
     f = q([1, 1])  # t + 1
     assert 3 - f == q([2, -1]) and str(3 - f) == "-t + 2"

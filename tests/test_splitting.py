@@ -396,3 +396,189 @@ def test_the_input_is_factored_over_the_base_once(monkeypatch, src):
     sf = (splitting_field_fp if dom != QQ else splitting_field_q)(f)
     assert verify_splits(sf)
     assert calls.count(True) == 1
+
+
+# -- the candidate pre-pass: a closure against the round-restart loop ---------
+
+
+def _restart_candidates(field, roots, center):
+    """The round-restart pre-pass's candidates: with s = r - center for each
+    root, -s and s^2, and for each ordered pair of nonzero s_i != s_j,
+    s_i*s_j, s_i/s_j and s_i^2/s_j; shifted back, distinct, in order."""
+    c = field.coerce(center)
+    shifted = [r - c for r in roots]
+    cands = [x for s in shifted for x in (-s, s * s)]
+    nonzero = [s for s in shifted if s]
+    for i, si in enumerate(nonzero):
+        for j, sj in enumerate(nonzero):
+            if i != j:
+                cands += [si * sj, si / sj, si * si / sj]
+    return list(dict.fromkeys(x + c for x in cands))
+
+
+def _restart_prepass(field, rems, found, center):
+    """The oracle: form the candidates of every root found so far, divide out
+    the first that is a root, and start again, until no candidate is a root
+    or no remainder is nonlinear."""
+    import galoiskit.splitting as splitting
+
+    while any(g.degree > 1 for g in rems) and any(
+        splitting._take(rems, found, x)
+        for x in _restart_candidates(field, [r for rs in found for r in rs], center)
+    ):
+        pass
+
+
+def _roots_by_factor(field, rems, found):
+    """Each factor's roots found so far, with the root of a linear (monic)
+    remainder, which the splitting loop reads off next."""
+    return [
+        {field.sort_key(r) for r in rs + ([-g.coeff(0)] if g.degree == 1 else [])}
+        for g, rs in zip(rems, found)
+    ]
+
+
+def _closure_oracle_inputs():
+    """The ladder, the splitting fields over Q of the CLI goldens and of the
+    correspondence tests, and seeded random Kummer (also shifted, which
+    the pre-pass's center is for), multiquadratic and cubic inputs."""
+    from test_cli import GOLDEN_JSON
+    from test_galois import CORRESPONDENCE_FIELDS, LADDER
+
+    golden = [
+        argv[-1] for argv, _ in GOLDEN_JSON
+        if argv[1:2] != ["--field"] and argv[1] in ("galois", "splitting-field", "correspondence")
+    ]
+    rng = random.Random(50)
+    drawn = [f"t^{rng.randint(3, 6)}{rng.choice('+-')}{rng.randint(2, 12)}" for _ in range(5)]
+    drawn += [f"(t{rng.randint(-3, 3):+d})^{rng.randint(3, 5)}-{rng.randint(2, 7)}" for _ in range(2)]
+    drawn += [f"(t^2-{a})*(t^2-{b})*(t^2{c:+d})" for a, b, c in (rng.sample(range(2, 15), 3) for _ in range(2))]
+    drawn += [f"t^3{rng.randint(-4, 4):+d}*t^2{rng.randint(-6, 6):+d}*t{rng.randint(1, 9):+d}" for _ in range(3)]
+    return list(dict.fromkeys([*LADDER, *golden, *CORRESPONDENCE_FIELDS, *drawn]))
+
+
+@pytest.mark.parametrize("src", _closure_oracle_inputs())
+def test_the_prepass_closure_finds_the_roots_of_the_restart_loop(monkeypatch, src):
+    # at every level the closure ends where the round-restart loop ends, so
+    # the tower, the roots and their order stay the same
+    import galoiskit.splitting as splitting
+
+    close, levels = splitting._close_roots, []
+
+    def close_beside_the_oracle(rems, found, center):
+        field, oracle_rems, oracle_found = center.tower, list(rems), [list(rs) for rs in found]
+        _restart_prepass(field, oracle_rems, oracle_found, center)
+        close(rems, found, center)
+        assert _roots_by_factor(field, rems, found) == _roots_by_factor(field, oracle_rems, oracle_found)
+        levels.append(field)
+
+    monkeypatch.setattr(splitting, "_close_roots", close_beside_the_oracle)
+    sf = splitting_field_q(parse_poly(src, QQ))
+    assert verify_splits(sf)
+    # one closure per level, on every level below the top at least
+    chain = sf.field.chain() if sf.degree() > 1 else []
+    assert levels == chain[: len(levels)] and len(levels) >= len(chain) - 1
+
+
+def test_the_prepass_closure_forms_and_tests_each_candidate_once(monkeypatch):
+    # on counted rationals: each new root is combined once with each earlier
+    # one (s^2 once per root, five products per pair), each nonzero shift is
+    # inverted once, and each distinct candidate is tested once; the tested
+    # set is the restart loop's candidates of every root the closure reached
+    from fractions import Fraction
+    from types import SimpleNamespace
+
+    import galoiskit.splitting as splitting
+
+    counts = {"mul": 0, "inv": 0}
+
+    class Counted:
+        def __init__(self, x):
+            self.x = Fraction(x)
+
+        def __add__(self, other):
+            return Counted(self.x + other.x)
+
+        def __sub__(self, other):
+            return Counted(self.x - other.x)
+
+        def __neg__(self):
+            return Counted(-self.x)
+
+        def __mul__(self, other):
+            counts["mul"] += 1
+            return Counted(self.x * other.x)
+
+        def __truediv__(self, other):  # the oracle's, not counted
+            return Counted(self.x / other.x)
+
+        def inv(self):
+            counts["inv"] += 1
+            return Counted(1 / self.x)
+
+        def __bool__(self):
+            return bool(self.x)
+
+        def __eq__(self, other):
+            return self.x == other.x
+
+        def __hash__(self):
+            return hash(self.x)
+
+    center = Fraction(1, 3)
+    start = [Fraction(1), Fraction(2), center, Fraction(-5, 2)]
+    s0, s1 = start[0] - center, start[1] - center
+    hits = {s0 * s1 + center, s1 * s1 / s0 + center}  # two candidates that join the worklist
+    tested, reached = [], list(start)
+
+    def take(rems, found, c):
+        tested.append(c.x)
+        if c.x in hits:
+            hits.discard(c.x)
+            reached.append(c.x)
+            return True
+        return False
+
+    monkeypatch.setattr(splitting, "_take", take)
+    splitting._close_roots([SimpleNamespace(degree=3)], [[Counted(r) for r in start]], Counted(center))
+
+    assert not hits and len(reached) == 6
+    nonzero = len([r for r in reached if r != center])
+    assert counts == {"mul": len(reached) + 5 * nonzero * (nonzero - 1) // 2, "inv": nonzero}
+    assert len(tested) == len(set(tested))
+    field = SimpleNamespace(coerce=lambda x: x)
+    expected = {c.x for c in _restart_candidates(field, [Counted(r) for r in reached], Counted(center))}
+    assert set(tested) == expected - set(start)
+
+
+@pytest.mark.parametrize("src", ["t^4-2", "t^6-2", "t^5-2", "(t-2)^3-2", "t^4+5*t^2+5"])
+def test_each_level_tests_a_candidate_and_inverts_a_root_once(monkeypatch, src):
+    # on the towers themselves: within one level's pre-pass no candidate is
+    # divided into the remainders twice and no element is inverted twice
+    import galoiskit.splitting as splitting
+    from galoiskit.numbers import TowerElem
+
+    close, take, invert = splitting._close_roots, splitting._take, TowerElem.inv
+    level = {}
+
+    def close_counted(rems, found, center):
+        level.update(field=center.tower, tested=[], inverted=[])
+        close(rems, found, center)
+        for name in ("tested", "inverted"):
+            assert len(level[name]) == len(set(level[name]))
+        level.clear()
+
+    def take_counted(rems, found, c):
+        if level:
+            level["tested"].append(level["field"].sort_key(c))
+        return take(rems, found, c)
+
+    def inv_counted(self):
+        if level and self.tower is level["field"]:
+            level["inverted"].append(self.tower.sort_key(self))
+        return invert(self)
+
+    monkeypatch.setattr(splitting, "_close_roots", close_counted)
+    monkeypatch.setattr(splitting, "_take", take_counted)
+    monkeypatch.setattr(TowerElem, "inv", inv_counted)
+    assert verify_splits(splitting_field_q(parse_poly(src, QQ)))
