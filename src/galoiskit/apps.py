@@ -27,7 +27,7 @@ from .poly import (
     discriminant,
     render,
 )
-from .factor import factor_over_extension, is_irreducible_q
+from .factor import FACTOR_DEGREE_CAP, factor_over_extension, is_irreducible_q
 from .galois import (
     automorphisms,
     derived_series,
@@ -124,15 +124,16 @@ class SolvabilityVerdict:
         }
 
 
-def sp_criterion(f: Poly):
+def sp_criterion(f: Poly, max_degree: int = FACTOR_DEGREE_CAP):
     """Some(p) iff deg f = p is prime, f is irreducible over Q, and f has
-    exactly p - 2 distinct real roots; then Gal(f) = S_p."""
+    exactly p - 2 distinct real roots; then Gal(f) = S_p.  `max_degree`
+    caps the factorization that irreducibility may need."""
     if f.is_zero() or f.degree < 2:
         return None
     p = f.degree
     if not is_prime(p):
         return None
-    if not is_irreducible_q(f).irreducible:
+    if not is_irreducible_q(f, max_degree=max_degree).irreducible:
         return None
     if count_real_roots(f) != p - 2:
         return None
@@ -146,8 +147,10 @@ def solvable_by_radicals(
 
     Route 1: degree <= 4 is always solvable (the group embeds in S_4).
     Route 2: the S_p criterion, here with p >= 5, refutes solvability
-    outright.  Route 3: build the Galois group within the cap and test its
-    derived series.  DegreeCap propagates when no route applies."""
+    outright; its irreducibility test factors up to the larger of
+    `FACTOR_DEGREE_CAP` and the cap.  Route 3: build the Galois group within
+    the cap and test its derived series.  DegreeCap propagates when no route
+    applies."""
     if f.is_zero():
         raise ZeroPolynomial("zero polynomial")
     if f.degree <= 4:
@@ -157,7 +160,7 @@ def solvable_by_radicals(
             "degree_rule",
             {"degree": f.degree, "reason": "group embeds in the solvable S4"},
         )
-    p = sp_criterion(f)
+    p = sp_criterion(f, max(FACTOR_DEGREE_CAP, max_degree))
     if p is not None:
         return SolvabilityVerdict(
             f,
@@ -236,11 +239,14 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def constructible_degree_check(m: Poly, target: str = "") -> ConstructibilityVerdict:
+def constructible_degree_check(
+    m: Poly, target: str = "", max_degree: int = FACTOR_DEGREE_CAP
+) -> ConstructibilityVerdict:
     """Degree criterion: a constructible coordinate has degree a power of 2
     over Q, so any other degree refutes constructibility (one direction
-    only: a power of 2 proves nothing)."""
-    cert = is_irreducible_q(m)
+    only: a power of 2 proves nothing).  `max_degree` caps the
+    factorization that the irreducibility of m may need."""
+    cert = is_irreducible_q(m, max_degree=max_degree)
     if not cert.irreducible:
         raise NotIrreducible("the minimal polynomial must be irreducible")
     verdict = NECESSARY_HOLDS if _is_power_of_two(m.degree) else NOT_CONSTRUCTIBLE

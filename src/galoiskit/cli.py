@@ -526,7 +526,8 @@ def _cmd_construct(args, dom):
     else:  # degree: the command table allows no other choice
         m = parse_poly(args.arg, QQ)
         _explicit_cap(args, m.degree)
-        verdict = apps.constructible_degree_check(m)
+        cap = factor.FACTOR_DEGREE_CAP if args.max_degree is None else args.max_degree
+        verdict = apps.constructible_degree_check(m, max_degree=cap)
         _emit(args, verdict.to_json(), [f"{verdict.target}: {verdict.verdict}"])
 
 

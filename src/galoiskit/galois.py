@@ -1,20 +1,27 @@
 """Galois groups of splitting fields, with finite-group structure theory.
 
-Over Q automorphisms are found by the recursive extension principle: the
-image of each tower generator must be a stored root annihilating the mapped
-minimal polynomial of that level.  Over F_p the group is cyclic, generated
-by the Frobenius x -> x^p, so its elements are the powers of Frobenius and
-nothing is searched: they permute the roots as the powers of the Frobenius
-permutation the splitting field keeps, and each generator, a stored root,
-with them.  Because the action on roots is faithful, a `GaloisGroup` is the
-`FiniteGroup` of its root permutations (canonically sorted, identity first),
-whose table `_perm_table` composes, as it does for `from_permutations`.  The
-search reads the root permutation off the images of the top-level basis
-monomials on which some root has a nonzero coordinate.  The matrix of an
-automorphism on the power-product basis (about n tower products for degree
-n; int rows over one denominator, `galoiskit.linalg`), which only the
-fixed-field linear algebra reads, is built on first read from the generator
-images.
+Over Q the group comes from a stabilizer chain whose base is the tower
+generators g_0 .. g_(L-1), stored roots (`_searched`): G_k, the elements
+that fix g_0 .. g_(k-1), moves g_k onto the d_k roots of level k's minimal
+polynomial, and from the top level down one leaf search per new strong
+generator closes that orbit.  A leaf sends each generator to a stored root
+annihilating the mapped minimal polynomial of its level, and its root
+permutation is read off the images of the top-level basis monomials on
+which some root has a nonzero coordinate.  Each new generator at least
+doubles the group generated so far, so at most log2 |G| leaves are
+searched; every element is then one product of one transversal element per
+level, composed on the root indices with no tower product.  Over F_p the
+group is cyclic, generated by the Frobenius x -> x^p, so its elements are
+the powers of Frobenius and nothing is searched: they permute the roots as
+the powers of the Frobenius permutation the splitting field keeps.  Either
+way each generator's image, a stored root, is read off the element's root
+permutation.  Because the action on roots is faithful, a `GaloisGroup` is
+the `FiniteGroup` of its root permutations (canonically sorted, identity
+first), whose table `_perm_table` composes, as it does for
+`from_permutations`.  The matrix of an automorphism on the power-product
+basis (about n tower products for degree n; int rows over one denominator,
+`galoiskit.linalg`), which only the fixed-field linear algebra reads, is
+built on first read from the generator images.
 
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
@@ -113,24 +120,21 @@ class Automorphism:
     basis (column j = coordinates of the image of basis j; `linalg.matrix`),
     built from the generator images on first read."""
 
-    __slots__ = ("generator_images", "root_perm", "_field", "_lower", "_matrix")
+    __slots__ = ("generator_images", "root_perm", "_field", "_matrix")
 
-    def __init__(self, field, generator_images: tuple, root_perm: tuple, lower=None):
+    def __init__(self, field, generator_images: tuple, root_perm: tuple):
         # the image of each tower level's generator, bottom-up
         self.generator_images = generator_images
         self.root_perm = root_perm  # root i maps to root root_perm[i]
         self._field = field
-        self._lower = lower  # images of the basis below the top level, if the search kept them
         self._matrix = None
 
     @property
     def matrix(self):
         """n x n over the base, as (int rows, den); ([(1,)], 1) over a bare base field."""
         if self._matrix is None:
-            chain = self._field.chain()
-            k = len(chain) - 1 if self._lower else 0
-            basis = self._lower or [self._field.one()]
-            for level, r in zip(chain[k:], self.generator_images[k:]):
+            basis = [self._field.one()]
+            for level, r in zip(self._field.chain(), self.generator_images):
                 basis = _images_of(basis, r, range(level.level_degree * len(basis)))
             self._matrix = _matrix(self._field, basis)
         return self._matrix
@@ -187,88 +191,134 @@ def _images_of(basis, r, indices):
             for i, j in (divmod(k, len(basis)) for k in indices)]
 
 
-def _searched(sf):
-    """(generator images, images of the basis below the top level, root
-    permutation) of each automorphism.  Roots and their images are keyed by
-    their kernel tuples; an image is the matrix of the support monomials'
-    images times the support coordinates of the root."""
+def _searched(sf, gens):
+    """The root permutation of each automorphism over Q, from a stabilizer
+    chain whose base is the tower generators g_0 .. g_(L-1), stored roots
+    (Sims 1970; Holt, Eick & O'Brien, Handbook of Computational Group
+    Theory, ch. 4).  G_k, the automorphisms that fix g_0 .. g_(k-1), moves
+    g_k onto the d_k roots of level k's minimal polynomial.  From the top
+    level down, while the strong generators found so far move g_k onto
+    fewer points, one leaf is searched: it fixes g_j for j < k, sends g_k
+    to a root outside that orbit, and each higher level's generator to the
+    first root of its mapped minimal polynomial.  Each new generator at
+    least doubles the group generated so far, so at most log2 |G| leaves
+    are searched.  Every element is then one product t_0 t_1 ... t_(L-1)
+    of one transversal element per level, composed on the root indices.
+    A leaf's root images are keyed by their kernel tuples: the matrix of
+    the support monomials' images times the support coordinates of the
+    root.  `gens` are the generators' root indices."""
     field = sf.field
     chain = field.chain()
     roots = sf.roots
+    identity = tuple(range(len(roots)))
     if not chain:  # a bare base field: the identity alone
-        yield (), None, tuple(range(len(roots)))
-        return
+        return [identity]
     n = field.absolute_degree()
     root_index = {r.v: i for i, r in enumerate(roots)}
     support = [j for j in range(n) if any(r.v[j] for r in roots)]
     coords = [(*[r.v[j] for j in support], r.v[-1]) for r in roots]
+    # the power-product basis below the top level, which the identity fixes
+    m = chain[-1].lower.absolute_degree()
+    units = field._view((*[int(i == j) for j in range(m) for i in range(n)], 1))
 
-    def extend(images, basis):
-        # basis: images of the power-product basis of chain[k-1] ([1] below level 0)
-        k = len(images)
-        level = chain[k]
-        d = level.level_degree
-        cands = [r for r in roots if not (d > 1 and r in images)]
-        hits, m_phi = [], None
+    def first_root(cands, missing, level, basis):
+        # the first of the candidates that is a root of the level's minimal
+        # polynomial mapped by `basis`, given that `missing` of them are: once
+        # as many are left, the next is taken unevaluated
+        m_phi = None
         for i, r in enumerate(cands):
-            if len(hits) == d:
-                break
-            if len(cands) - i == d - len(hits):
-                hits += cands[i:]
-                break
-            if m_phi is None:  # the minimal polynomial's coefficients live in chain[k-1]
+            if len(cands) - i == missing:
+                return r
+            if m_phi is None:  # the minimal polynomial's coefficients live in the level below
                 mat = _matrix(field, basis)
                 m_phi = Poly(field, [
                     field._view(mat_mul_vec(mat, level.lower._concat([c]), 0))[0]
                     for c in level.minpoly.coeffs
                 ])
-            if not m_phi.eval(r):
-                hits.append(r)
-        for r in hits:
-            if k + 1 < len(chain):
-                yield from extend(images + [r], _images_of(basis, r, range(d * len(basis))))
-                continue
-            mat = _matrix(field, _images_of(basis, r, support))
-            keys = (mat_mul_vec(mat, v, 0) for v in coords)
-            yield (*images, r), basis, root_permutation(root_index, keys)
+            if not m_phi.eval(roots[r]):
+                return r
+        raise InternalInvariant("a minimal polynomial has fewer roots than its degree")
 
-    yield from extend([], [field.one()])
+    def leaf(images):
+        # the root permutation of the automorphism that fixes the generators
+        # below the last image, sends the next to it and each one above to
+        # the first root found; `images` are root indices
+        k = len(images) - 1
+        basis = units[: chain[k].lower.absolute_degree()]
+        while k + 1 < len(chain):
+            basis = _images_of(basis, roots[images[k]], range(chain[k].level_degree * len(basis)))
+            k += 1
+            d = chain[k].level_degree
+            images.append(first_root([i for i in identity if i not in images], d, chain[k], basis))
+        mat = _matrix(field, _images_of(basis, roots[images[k]], support))
+        return root_permutation(root_index, (mat_mul_vec(mat, v, 0) for v in coords))
+
+    strong, elements = [], [identity]
+    for k in reversed(range(len(chain))):
+        level = chain[k]
+        d = level.level_degree
+        orbit = _transversal(gens[k], strong, identity)
+        while len(orbit) < d:
+            rest = [i for i in identity if i not in gens[:k] and i not in orbit]
+            r = first_root(rest, d - len(orbit), level, units[: level.lower.absolute_degree()])
+            strong.append(leaf([*gens[:k], r]))
+            orbit = _transversal(gens[k], strong, identity)
+        if len(orbit) != d:
+            raise InternalInvariant(f"level {k} moves its generator to {len(orbit)} roots, not {d}")
+        # G_k = T_k G_(k+1): apply an element of G_(k+1), then one of T_k
+        elements = [tuple(t[i] for i in e) for t in orbit.values() for e in elements]
+    return elements
+
+
+def _transversal(point, gens, identity):
+    """The orbit of `point` under the permutations `gens`, found as `closure`
+    finds it, with a product of them that moves `point` to each orbit point
+    (a Schreier tree flattened into one transversal element per point)."""
+    reps, frontier = {point: identity}, [point]
+    while frontier:
+        x = frontier.pop()
+        for g in gens:
+            if g[x] not in reps:
+                reps[g[x]] = tuple(g[i] for i in reps[x])
+                frontier.append(g[x])
+    return reps
 
 
 def _frobenius_powers(sf):
-    """(generator images, None, root permutation) of phi^j, j = 0 .. n-1,
-    for the Frobenius phi: the j-th power of `sf.frobenius`, which also
-    moves each generator, a stored root, to its image among the roots."""
-    field, roots = sf.field, sf.roots
-    gens = [roots.index(g) for g in field.generators()]
-    perm = tuple(range(len(roots)))
-    for _ in range(field.absolute_degree()):
-        yield tuple(roots[perm[i]] for i in gens), None, perm
-        perm = tuple(sf.frobenius[i] for i in perm)
+    """The root permutations of phi^j, j = 0 .. n-1, for the Frobenius phi:
+    the j-th power of `sf.frobenius`."""
+    perm, powers = sf.frobenius, [tuple(range(len(sf.roots)))]
+    for _ in range(1, sf.field.absolute_degree()):
+        powers.append(tuple(perm[i] for i in powers[-1]))
+    return powers
 
 
 def automorphisms(sf: SplittingField) -> GaloisGroup:
     """Enumerate Gal(M : base) for a splitting field M; the count must equal
     the tower degree (fields here are normal and separable).
 
-    Over F_p the elements are the powers of Frobenius.  Over Q a search
-    sends each level's generator to a root of its mapped minimal polynomial
-    m_phi, bottom-up.  m_phi divides f and splits in the normal field M; for
-    d > 1 it is irreducible over the image of the level below, so none of
-    its roots is an image of a lower generator.  So the candidates -- the
-    roots, less those images when d > 1 -- hold exactly d roots of m_phi:
-    the scan tests them in order and takes the untested rest unevaluated
-    once they are as many as the roots still missing."""
-    n = sf.field.absolute_degree()
-    route = _searched if sf.frobenius is None else _frobenius_powers
-    elems = [Automorphism(sf.field, images, perm, lower) for images, lower, perm in route(sf)]
-    if len({a.root_perm for a in elems}) != len(elems):
+    Over F_p the elements are the powers of Frobenius.  Over Q they come
+    from a stabilizer chain on the tower generators (`_searched`), whose
+    leaves send each level's generator to a root of its mapped minimal
+    polynomial m_phi.  m_phi divides f and splits in the normal field M,
+    and it is irreducible of degree d > 1 over the image of the level below,
+    so none of its roots is an image of a lower generator.  So the
+    candidates -- the roots, less those images -- hold exactly d roots of
+    m_phi: a scan tests them in order and takes the next untested one
+    unevaluated once they are as many as the roots still missing.  Each
+    element's generator images, stored roots, are read off its root
+    permutation."""
+    field, roots = sf.field, sf.roots
+    gens = [roots.index(g) for g in field.generators()]
+    perms = _searched(sf, gens) if sf.frobenius is None else _frobenius_powers(sf)
+    elems = [Automorphism(field, tuple(roots[p[i]] for i in gens), p) for p in perms]
+    if len(set(perms)) != len(elems):
         raise InternalInvariant("two automorphisms act alike on the roots")
     elems.sort(key=lambda a: a.root_perm)
-    if elems[0].root_perm != tuple(range(len(sf.roots))):
+    if elems[0].root_perm != tuple(range(len(roots))):
         raise InternalInvariant("identity automorphism missing")
-    if len(elems) != n:
-        raise InternalInvariant(f"|Gal| = {len(elems)} but [M:K] = {n}")
+    if len(elems) != field.absolute_degree():
+        raise InternalInvariant(f"|Gal| = {len(elems)} but [M:K] = {field.absolute_degree()}")
     return GaloisGroup(sf, elems)
 
 

@@ -209,7 +209,7 @@ def test_solvable_decides_degree_at_most_4_before_the_sp_criterion(monkeypatch):
     # Sturm chain is run
     import galoiskit.apps as apps_mod
 
-    def refuse(f):
+    def refuse(f, max_degree):
         raise AssertionError(f"sp_criterion called at degree {f.degree}")
 
     monkeypatch.setattr(apps_mod, "sp_criterion", refuse)

@@ -549,6 +549,23 @@ def test_an_explicit_max_degree_caps_gf_construct_and_fp_irreducible(capsys, arg
         assert capsys.readouterr() == with_cap
 
 
+def test_the_irreducibility_tests_of_solvable_and_construct_get_the_command_cap(capsys):
+    # the degree-13 product needs a factorization to be found reducible:
+    # solvable factors up to max(FACTOR_DEGREE_CAP, its cap) and construct
+    # degree up to its explicit cap, else FACTOR_DEGREE_CAP
+    f = "(t^6+t+3)*(t^7+t+5)"
+    for argv, code, err in [
+        (["--max-degree", "30", "solvable", f], 3, "cap exceeded: splitting degree would exceed cap 30\n"),
+        (["solvable", f], 3, "cap exceeded: splitting degree would reach 30 > cap 24\n"),
+        (["--max-degree", "30", "construct", "degree", f], 2, "error: the minimal polynomial must be irreducible\n"),
+        (["construct", "degree", f], 3, "cap exceeded: degree 13 exceeds factor cap 12\n"),
+    ]:
+        t0 = time.monotonic()
+        assert dispatch(argv) == code
+        assert time.monotonic() - t0 < 1.0
+        assert capsys.readouterr() == ("", err)
+
+
 def test_gf_has_no_default_degree_cap(capsys):
     assert dispatch(["gf", "2", "20"]) == 0  # past FACTOR_DEGREE_CAP and SPLITTING_DEGREE_CAP
     assert capsys.readouterr().out == "GF(2^20), modulus t^20 + t^3 + 1\n"

@@ -510,30 +510,48 @@ def _generator_images_by_full_scan(sf):
     return found
 
 
-@pytest.mark.parametrize(
-    "sf",
-    [
-        lambda: splitting_field_q(q([-2, 0, 0, 1])),
-        lambda: splitting_field_q(q([-2, 0, 0, 0, 1])),
-        lambda: splitting_field_q(q([-2, 0, 1]) * q([-3, 0, 1]) * q([-5, 0, 1])),
-        lambda: splitting_field_q(q([12, -5, 0, 0, 0, 1])),
-        lambda: splitting_field_q(q([-2, 0, 0, 0, 0, 0, 1])),
-        lambda: splitting_field_q(q([-2, 0, 0, 0, 0, 1])),
-        lambda: splitting_field_q(q([-1, -1, 0, 0, 1])),
-        lambda: splitting_field_fp(Poly(PrimeField(3), [1, 1, 2, 1, 1, 2, 1])),
-        lambda: splitting_field_fp(Poly(PrimeField(2), [1, 1, 1]) * Poly(PrimeField(2), [1, 1, 0, 1])),
-    ],
-    ids=["t^3-2", "t^4-2", "(t^2-2)(t^2-3)(t^2-5)", "t^5-5t+12", "t^6-2", "t^5-2", "t^4-t-1",
-         "F3:t^6+2t^5+t^4+t^3+2t^2+t+1", "F2:(t^2+t+1)(t^3+t+1)"],
-)
-def test_pruned_root_scan_matches_the_full_scan(sf):
-    sf = sf()
+def _full_scan_sources():
+    """(id, source) of the fields checked against the full scan: the ladder
+    and two F_p fields under their first ids; t^8-2, t^3-3t+1, t^4+1 and a
+    compositum of four quadratics; the other Q `galois` inputs of
+    GOLDEN_JSON; and t^7-2, under slow."""
+    from test_cli import GOLDEN_JSON
+
+    out = [
+        ("t^3-2", "t^3-2"), ("t^4-2", "t^4-2"), ("(t^2-2)(t^2-3)(t^2-5)", "(t^2-2)*(t^2-3)*(t^2-5)"),
+        ("t^5-5t+12", "t^5-5*t+12"), ("t^6-2", "t^6-2"), ("t^5-2", "t^5-2"), ("t^4-t-1", "t^4-t-1"),
+        ("F3:t^6+2t^5+t^4+t^3+2t^2+t+1", "F3:t^6+2*t^5+t^4+t^3+2*t^2+t+1"),
+        ("F2:(t^2+t+1)(t^3+t+1)", "F2:(t^2+t+1)*(t^3+t+1)"),
+    ]
+    out += [(src, src) for src in ("t^8-2", "t^3-3*t+1", "t^4+1", "(t^2-2)*(t^2-3)*(t^2-5)*(t^2-7)")]
+    for argv, _ in GOLDEN_JSON:
+        if argv[1:2] == ["galois"] and argv[-1] not in [src for _, src in out]:
+            out.append((argv[-1], argv[-1]))
+    return [pytest.param(src, id=name) for name, src in out] + [
+        pytest.param("t^7-2", id="t^7-2", marks=pytest.mark.slow)
+    ]
+
+
+@pytest.mark.parametrize("src", _full_scan_sources())
+def test_pruned_root_scan_matches_the_full_scan(src):
+    # the stabilizer chain over Q, and the Frobenius powers over F_p, give
+    # the elements of the full scan in the same order, with the same
+    # generator images, root permutations and matrices
+    sf = _splitting_field(src)
     G = automorphisms(sf)
+    field, roots = sf.field, sf.roots
+    chain = field.chain()
     expected = _generator_images_by_full_scan(sf)
     assert len(expected) == len(set(expected)) == G.order == sf.degree()
-    assert {a.generator_images for a in G.elements} == set(expected)
-    perms = [a.root_perm for a in G.elements]
-    assert perms == sorted(perms) and perms[0] == tuple(range(len(sf.roots)))
+    oracle = sorted(
+        (tuple(roots.index(_apply_by_generator_images(chain, images, field, r)) for r in roots), images)
+        for images in expected
+    )
+    assert oracle[0][0] == tuple(range(len(roots)))
+    assert [(a.root_perm, a.generator_images) for a in G.elements] == oracle
+    assert [scalar_matrix(field.base, G.matrix_of(i)) for i in range(G.order)] == [
+        _eager_matrix(field, images) for _, images in oracle
+    ]
 
 
 def test_roots_are_accepted_by_counting(monkeypatch):
@@ -691,6 +709,31 @@ def test_a_monomial_dropped_from_the_support_is_caught(monkeypatch, src):
     )
     with pytest.raises(InternalInvariant, match="do not permute the roots"):
         automorphisms(sf)
+
+
+@pytest.mark.parametrize("src, leaves", zip(LADDER, (2, 3, 3, 2, 3, 3, 3)))
+def test_the_chain_searches_at_most_log2_order_leaves(monkeypatch, src, leaves):
+    # each leaf is checked by root_permutation once; a search of every
+    # element would check |G| = 6, 8, 8, 10, 12, 20 and 24 leaves
+    import galoiskit.galois as galois
+
+    calls, check = [], galois.root_permutation
+    monkeypatch.setattr(galois, "root_permutation", lambda *a: calls.append(1) or check(*a))
+    G = automorphisms(_splitting_field(src))
+    assert len(calls) == leaves <= G.order.bit_length() - 1
+
+
+def test_an_orbit_larger_than_its_level_degree_is_caught(monkeypatch):
+    # G_k moves g_k onto exactly d_k roots: with a point too many in every
+    # orbit under a generator, the top level of t^3-2 (d = 2) is refused
+    import galoiskit.galois as galois
+
+    transversal = galois._transversal
+    monkeypatch.setattr(
+        galois, "_transversal", lambda x, gens, e: {**transversal(x, gens, e), **({-1: e} if gens else {})}
+    )
+    with pytest.raises(InternalInvariant, match="level 1 moves its generator to 3 roots, not 2"):
+        automorphisms(_splitting_field("t^3-2"))
 
 
 def _quotient_oracle(G, N):
