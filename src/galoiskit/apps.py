@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import InvalidPolygon, NotIrreducible, ZeroPolynomial
+from .errors import InternalInvariant, InvalidPolygon, NotIrreducible, ZeroPolynomial
 from .numbers import QQ, TowerElem, is_prime
 from .poly import (
     Poly,
@@ -339,7 +339,8 @@ def quintic_a5_certificate(f: Poly):
     # |Gal| is divisible by [Q(r1, r2):Q] = 20 and lies inside A5
     a5, _ = from_permutations([(1, 2, 0, 3, 4), (0, 1, 3, 4, 2), (1, 0, 3, 2, 4)])
     a5_orders = sorted({h.order for h in subgroups(a5)})
-    assert 20 not in a5_orders
+    if 20 in a5_orders:
+        raise InternalInvariant("A5 has a subgroup of order 20")
     return {
         "order": 60,
         "type": "A5",

@@ -9,31 +9,28 @@ annihilating the mapped minimal polynomial of its level, and its root
 permutation is read off the images of the top-level basis monomials on
 which some root has a nonzero coordinate.  Each new generator at least
 doubles the group generated so far, so at most log2 |G| leaves are
-searched; every element is then one product of one transversal element per
-level, composed on the root indices with no tower product.  Over F_p the
-group is cyclic, generated by the Frobenius x -> x^p, so its elements are
-the powers of Frobenius and nothing is searched: they permute the roots as
-the powers of the Frobenius permutation the splitting field keeps.  Either
-way each generator's image, a stored root, is read off the element's root
+searched.  Over F_p the group is cyclic, generated by the Frobenius
+x -> x^p, and nothing is searched: the splitting field keeps the Frobenius
+permutation of its roots.  Either way `from_permutations` closes those
+generators, on the root indices with no tower product, into the sorted
+root permutations (identity first) and their composition table, and each
+generator's image, a stored root, is read off an element's root
 permutation.  Because the action on roots is faithful, a `GaloisGroup` is
-the `FiniteGroup` of its root permutations (canonically sorted, identity
-first), whose table `_perm_table` composes, as it does for
-`from_permutations`.  The matrix of an automorphism on the power-product
-basis (about n tower products for degree n; int rows over one denominator,
-`galoiskit.linalg`), which only the fixed-field linear algebra reads, is
-built on first read from the generator images.
+the `FiniteGroup` of its root permutations.  The matrix of an automorphism
+on the power-product basis (about n tower products for degree n; int rows
+over one denominator, `galoiskit.linalg`), which only the fixed-field
+linear algebra reads, is built on first read from the generator images.
 
 The group-theory layer (subgroup lattice by cyclic-seed join closure,
 derived series, quotients, isomorphism fingerprinting) works on any finite
 composition table, so it also serves abstract permutation groups in tests
 and the quotient checks of the correspondence module.  The one orbit
 routine, `closure` (defined in `galoiskit.splitting`), serves generated
-subgroups, `from_permutations`, `orbits` and `SubfieldOfGF.elements`; one
-class numbering,
-`class_table`, numbers classes by their least elements and composes those:
-cosets for `quotient_group`, the members of a subgroup for
-`subgroup_table`, and the restrictions and cosets of the correspondence
-module.
+subgroups, `from_permutations`, the chain's orbits in `_searched`, `orbits`
+and `SubfieldOfGF.elements`; one class numbering, `class_table`, numbers
+classes by their least elements and composes those: cosets for
+`quotient_group`, the members of a subgroup for `subgroup_table`, and the
+restrictions and cosets of the correspondence module.
 """
 
 from __future__ import annotations
@@ -92,21 +89,15 @@ class FiniteGroup:
 
 def from_permutations(gens):
     """Close a set of permutations (tuples) under composition; returns
-    (FiniteGroup, list of permutations in canonical order)."""
+    (FiniteGroup, list of permutations in canonical order).  The closure
+    holds each permutation once, sorted, so the identity is element 0, and
+    table entry [i][j] is the index of perms[i] after perms[j]."""
     if not gens:
         raise ValueError("need at least one permutation")
     identity = tuple(range(len(gens[0])))
     perms = sorted(closure(identity, gens, lambda g, p: tuple(g[i] for i in p)))
-    return FiniteGroup(_perm_table(perms)), perms
-
-
-def _perm_table(perms):
-    """The composition table of distinct permutations (tuples) that are
-    closed under composition: entry [i][j] is the index of perms[i] after
-    perms[j]."""
-    k = len(perms[0])
     index = {p: i for i, p in enumerate(perms)}
-    return [[index[tuple(p[q[i]] for i in range(k))] for q in perms] for p in perms]
+    return FiniteGroup([[index[tuple(p[i] for i in q)] for q in perms] for p in perms]), perms
 
 
 # ---------------------------------------------------------------------------
@@ -145,10 +136,10 @@ class Automorphism:
 
 class GaloisGroup(FiniteGroup):
     """Gal(M : base) as the finite group of its root permutations: element i
-    of the table is the automorphism elements[i]."""
+    of the table (from `from_permutations`) is the automorphism elements[i]."""
 
-    def __init__(self, sf: SplittingField, elements):
-        super().__init__(_perm_table([a.root_perm for a in elements]))
+    def __init__(self, sf: SplittingField, table, elements):
+        super().__init__(table)
         self.sf = sf
         self.elements = elements  # Automorphism list, canonical order, id first
 
@@ -192,26 +183,25 @@ def _images_of(basis, r, indices):
 
 
 def _searched(sf, gens):
-    """The root permutation of each automorphism over Q, from a stabilizer
-    chain whose base is the tower generators g_0 .. g_(L-1), stored roots
-    (Sims 1970; Holt, Eick & O'Brien, Handbook of Computational Group
-    Theory, ch. 4).  G_k, the automorphisms that fix g_0 .. g_(k-1), moves
-    g_k onto the d_k roots of level k's minimal polynomial.  From the top
-    level down, while the strong generators found so far move g_k onto
-    fewer points, one leaf is searched: it fixes g_j for j < k, sends g_k
-    to a root outside that orbit, and each higher level's generator to the
-    first root of its mapped minimal polynomial.  Each new generator at
-    least doubles the group generated so far, so at most log2 |G| leaves
-    are searched.  Every element is then one product t_0 t_1 ... t_(L-1)
-    of one transversal element per level, composed on the root indices.
-    A leaf's root images are keyed by their kernel tuples: the matrix of
-    the support monomials' images times the support coordinates of the
-    root.  `gens` are the generators' root indices."""
+    """Root permutations that generate Gal(M : Q): the strong generators of
+    a stabilizer chain whose base is the tower generators g_0 .. g_(L-1),
+    stored roots (Sims 1970; Holt, Eick & O'Brien, Handbook of
+    Computational Group Theory, ch. 4).  G_k, the automorphisms that fix
+    g_0 .. g_(k-1), moves g_k onto the d_k roots of level k's minimal
+    polynomial.  From the top level down, while the strong generators found
+    so far move g_k onto fewer points (its orbit, a `closure` on the root
+    indices), one leaf is searched: it fixes g_j for j < k, sends g_k to a
+    root outside that orbit, and each higher level's generator to the first
+    root of its mapped minimal polynomial.  Each new generator at least
+    doubles the group generated so far, so at most log2 |G| leaves are
+    searched.  A leaf's root images are keyed by their kernel tuples: the
+    matrix of the support monomials' images times the support coordinates
+    of the root.  `gens` are the generators' root indices."""
     field = sf.field
     chain = field.chain()
     roots = sf.roots
     identity = tuple(range(len(roots)))
-    if not chain:  # a bare base field: the identity alone
+    if not chain:  # a bare base field: the identity generates the group
         return [identity]
     n = field.absolute_degree()
     root_index = {r.v: i for i, r in enumerate(roots)}
@@ -253,73 +243,44 @@ def _searched(sf, gens):
         mat = _matrix(field, _images_of(basis, roots[images[k]], support))
         return root_permutation(root_index, (mat_mul_vec(mat, v, 0) for v in coords))
 
-    strong, elements = [], [identity]
+    strong = []
     for k in reversed(range(len(chain))):
         level = chain[k]
         d = level.level_degree
-        orbit = _transversal(gens[k], strong, identity)
+        orbit = closure(gens[k], strong, tuple.__getitem__)
         while len(orbit) < d:
             rest = [i for i in identity if i not in gens[:k] and i not in orbit]
             r = first_root(rest, d - len(orbit), level, units[: level.lower.absolute_degree()])
             strong.append(leaf([*gens[:k], r]))
-            orbit = _transversal(gens[k], strong, identity)
+            orbit = closure(gens[k], strong, tuple.__getitem__)
         if len(orbit) != d:
             raise InternalInvariant(f"level {k} moves its generator to {len(orbit)} roots, not {d}")
-        # G_k = T_k G_(k+1): apply an element of G_(k+1), then one of T_k
-        elements = [tuple(t[i] for i in e) for t in orbit.values() for e in elements]
-    return elements
-
-
-def _transversal(point, gens, identity):
-    """The orbit of `point` under the permutations `gens`, found as `closure`
-    finds it, with a product of them that moves `point` to each orbit point
-    (a Schreier tree flattened into one transversal element per point)."""
-    reps, frontier = {point: identity}, [point]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            if g[x] not in reps:
-                reps[g[x]] = tuple(g[i] for i in reps[x])
-                frontier.append(g[x])
-    return reps
-
-
-def _frobenius_powers(sf):
-    """The root permutations of phi^j, j = 0 .. n-1, for the Frobenius phi:
-    the j-th power of `sf.frobenius`."""
-    perm, powers = sf.frobenius, [tuple(range(len(sf.roots)))]
-    for _ in range(1, sf.field.absolute_degree()):
-        powers.append(tuple(perm[i] for i in powers[-1]))
-    return powers
+    return strong
 
 
 def automorphisms(sf: SplittingField) -> GaloisGroup:
     """Enumerate Gal(M : base) for a splitting field M; the count must equal
     the tower degree (fields here are normal and separable).
 
-    Over F_p the elements are the powers of Frobenius.  Over Q they come
-    from a stabilizer chain on the tower generators (`_searched`), whose
-    leaves send each level's generator to a root of its mapped minimal
-    polynomial m_phi.  m_phi divides f and splits in the normal field M,
-    and it is irreducible of degree d > 1 over the image of the level below,
-    so none of its roots is an image of a lower generator.  So the
-    candidates -- the roots, less those images -- hold exactly d roots of
-    m_phi: a scan tests them in order and takes the next untested one
-    unevaluated once they are as many as the roots still missing.  Each
-    element's generator images, stored roots, are read off its root
+    Over F_p the group is generated by the Frobenius.  Over Q it is
+    generated by the strong generators of a stabilizer chain on the tower
+    generators (`_searched`), whose leaves send each level's generator to a
+    root of its mapped minimal polynomial m_phi.  m_phi divides f and
+    splits in the normal field M, and it is irreducible of degree d > 1 over
+    the image of the level below, so none of its roots is an image of a
+    lower generator.  So the candidates -- the roots, less those images --
+    hold exactly d roots of m_phi: a scan tests them in order and takes the
+    next untested one unevaluated once they are as many as the roots still
+    missing.  `from_permutations` closes the generators into the group, and
+    each element's generator images, stored roots, are read off its root
     permutation."""
     field, roots = sf.field, sf.roots
     gens = [roots.index(g) for g in field.generators()]
-    perms = _searched(sf, gens) if sf.frobenius is None else _frobenius_powers(sf)
+    group, perms = from_permutations(_searched(sf, gens) if sf.frobenius is None else [sf.frobenius])
+    if group.order != field.absolute_degree():
+        raise InternalInvariant(f"|Gal| = {group.order} but [M:K] = {field.absolute_degree()}")
     elems = [Automorphism(field, tuple(roots[p[i]] for i in gens), p) for p in perms]
-    if len(set(perms)) != len(elems):
-        raise InternalInvariant("two automorphisms act alike on the roots")
-    elems.sort(key=lambda a: a.root_perm)
-    if elems[0].root_perm != tuple(range(len(roots))):
-        raise InternalInvariant("identity automorphism missing")
-    if len(elems) != field.absolute_degree():
-        raise InternalInvariant(f"|Gal| = {len(elems)} but [M:K] = {field.absolute_degree()}")
-    return GaloisGroup(sf, elems)
+    return GaloisGroup(sf, group.table, elems)
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +383,13 @@ def is_normal_subgroup(H: Subgroup, G) -> bool:
 
 def commutator_subgroup(G, H: Subgroup) -> Subgroup:
     mem = list(H.member_indices)
+    t = G.table
+    inv = {a: G.inverse(a) for a in mem}
     comms = set()
     for a in mem:
-        ia = G.inverse(a)
         for b in mem:
-            ib = G.inverse(b)
             # a b a^-1 b^-1
-            comms.add(G.table[G.table[G.table[a][b]][ia]][ib])
+            comms.add(t[t[t[a][b]][inv[a]]][inv[b]])
     return Subgroup(tuple(sorted(G.generated_subgroup(comms))))
 
 

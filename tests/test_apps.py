@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from galoiskit.errors import Budget, NotIrreducible, ZeroPolynomial
+from galoiskit.errors import Budget, InternalInvariant, NotIrreducible, ZeroPolynomial
+from galoiskit.galois import Subgroup
 from galoiskit.numbers import QQ, factor_integer, is_fermat_prime
 from galoiskit.poly import Poly, poly_gcd, squarefree_part
 from galoiskit.factor import is_irreducible_q
@@ -364,6 +365,17 @@ def test_quintic_a5_stretch():
     assert cert["type"] == "A5"
     assert cert["transitive"] is True
     assert cert["solvable"] is False
+
+
+@pytest.mark.stretch
+def test_quintic_a5_certificate_refuses_an_order_20_subgroup_of_a5(monkeypatch):
+    # the proof that |Gal| = 60 rests on A5 having no subgroup of order 20
+    import galoiskit.apps as apps
+
+    lattice = apps.subgroups
+    monkeypatch.setattr(apps, "subgroups", lambda G: [*lattice(G), Subgroup(tuple(range(20)))])
+    with pytest.raises(InternalInvariant, match="A5 has a subgroup of order 20"):
+        quintic_a5_certificate(q([16, 20, 0, 0, 0, 1]))
 
 
 def test_quintic_certificate_rejects_s5():

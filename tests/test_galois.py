@@ -725,15 +725,28 @@ def test_the_chain_searches_at_most_log2_order_leaves(monkeypatch, src, leaves):
 
 def test_an_orbit_larger_than_its_level_degree_is_caught(monkeypatch):
     # G_k moves g_k onto exactly d_k roots: with a point too many in every
-    # orbit under a generator, the top level of t^3-2 (d = 2) is refused
+    # orbit of a root under a generator, the top level of t^3-2 (d = 2) is
+    # refused
     import galoiskit.galois as galois
 
-    transversal = galois._transversal
+    closure = galois.closure
     monkeypatch.setattr(
-        galois, "_transversal", lambda x, gens, e: {**transversal(x, gens, e), **({-1: e} if gens else {})}
+        galois, "closure",
+        lambda x, gens, act: closure(x, gens, act) | ({-1} if gens and isinstance(x, int) else set()),
     )
     with pytest.raises(InternalInvariant, match="level 1 moves its generator to 3 roots, not 2"):
         automorphisms(_splitting_field("t^3-2"))
+
+
+def test_a_missing_strong_generator_is_caught(monkeypatch):
+    # t^4-2 needs three strong generators for its 8 automorphisms; the first
+    # two generate a subgroup of order 4, which |Gal| = [M:K] refuses
+    import galoiskit.galois as galois
+
+    searched = galois._searched
+    monkeypatch.setattr(galois, "_searched", lambda sf, gens: searched(sf, gens)[:-1])
+    with pytest.raises(InternalInvariant, match=r"\|Gal\| = 4 but \[M:K\] = 8"):
+        automorphisms(_splitting_field("t^4-2"))
 
 
 def _quotient_oracle(G, N):
