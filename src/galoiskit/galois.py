@@ -247,12 +247,10 @@ def _searched(sf, gens):
     for k in reversed(range(len(chain))):
         level = chain[k]
         d = level.level_degree
-        orbit = closure(gens[k], strong, tuple.__getitem__)
-        while len(orbit) < d:
+        while len(orbit := closure(gens[k], strong, tuple.__getitem__)) < d:
             rest = [i for i in identity if i not in gens[:k] and i not in orbit]
             r = first_root(rest, d - len(orbit), level, units[: level.lower.absolute_degree()])
             strong.append(leaf([*gens[:k], r]))
-            orbit = closure(gens[k], strong, tuple.__getitem__)
         if len(orbit) != d:
             raise InternalInvariant(f"level {k} moves its generator to {len(orbit)} roots, not {d}")
     return strong
