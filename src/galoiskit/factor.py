@@ -36,12 +36,23 @@ Three coefficient worlds are covered:
   directly (`poly._xgcd_mod` and `_cofactor_mod` for the Hensel cofactors):
   no Poly or F_p scalar is built between the primitive integer form and the
   printed factors;
-* simple extensions of Q presented by a tower: Trager's norm method, pushing
-  the problem down to Q through the norm, a resultant.  It runs in the
-  primitive element's one-level field Q(gamma) = Q[y]/(m_gamma), not in the
-  tower, on kernel tuples: the coefficients go in by `Tower.to_primitive`,
-  and only the irreducible factors come back, by `from_primitive`.  The
-  norm of g of degree d over a field of degree n is built from Q(gamma)'s
+* simple extensions of Q presented by a tower: first a proof of
+  irreducibility from reductions at degree-one primes P of the tower
+  (`_irreducible_by_reduction`), then, when it proves nothing, Trager's
+  norm method.  At P = (p, y_i - a_i), with p dividing no denominator of g
+  or of a level's minimal polynomial and each level's minimal polynomial,
+  reduced at the roots below, squarefree mod p, a monic factor of g over K
+  reduces to a factor of g mod P of the same degree; so where g mod P is
+  squarefree, the degree of a factor is a sum of the degrees of the
+  irreducible factors of g mod P, and when those sums at a few P meet in
+  {0, deg g}, g is irreducible (Musser, JACM 25 (1978)).  It never says
+  "reducible", and it needs neither the primitive element nor a norm.
+  Trager's norm method pushes the problem down to Q through the norm, a
+  resultant.  It runs in the primitive element's one-level field
+  Q(gamma) = Q[y]/(m_gamma), not in the tower, on kernel tuples: the
+  coefficients go in by `Tower.to_primitive`, and only the irreducible
+  factors come back, by `from_primitive`.  The norm of g of degree d over
+  a field of degree n is built from Q(gamma)'s
   integer modulus and g's tuples by power sums, with no resultant:
   n*(nd)^2 integer operations for a table of traces, then (nd)^2
   operations mod NORM_PRIME for each shift tried until one is proved
@@ -102,6 +113,8 @@ from .poly import (
 FACTOR_DEGREE_CAP = 12
 NORM_DEGREE_CAP = 64
 NORM_SHIFT_TRIES = 40
+REDUCTION_PRIMES = 10  # primes p read by _irreducible_by_reduction
+REDUCTION_PLACES = 3  # degree-one primes P above them read at most
 EISENSTEIN_SHIFT_BOUND = 5
 MOD_P_SCAN_BOUND = 31
 RATIONAL_ROOT_BOUND = 10**6  # candidate pairs (u, v) times (degree + 1)
@@ -963,14 +976,87 @@ def _split_by_norm(sq: Poly, norm_factors, s: int) -> list:
     return out
 
 
+def _at(v, e, p):
+    """The kernel tuple v (numerators, then a denominator prime to p) at the
+    values e mod p of the power-product basis."""
+    return sum(map(operator.mul, v, e)) * pow(v[-1], -1, p) % p
+
+
+def _places(levels, p, e=(1,)):
+    """The degree-one primes P over p of a tower over Q whose levels, bottom
+    up, are `levels` and whose minimal polynomials' denominators p does not
+    divide, where each level's minimal polynomial, reduced at the roots
+    below, is squarefree mod p: one root a_i of each, from gcd(m_i mod P,
+    t^p - t) split by `_edf`.  Each P is given as the values e mod p of the
+    power-product basis at y_i = a_i."""
+    if not levels:
+        yield e
+        return
+    level, R = levels[0], _fp_polys(p)
+    mbar = [_at(c.v, e, p) for c in level.minpoly.coeffs]
+    if not _squarefree_mod(mbar, p):
+        return
+    r = R.gcd(mbar, R.sub(_powmod(R, R.t, p, mbar), R.t))
+    for h in _edf(R, r, 1) if R.deg(r) > 0 else ():
+        a = -h[0] % p
+        yield from _places(levels[1:], p, [pow(a, j, p) * x % p for j in range(level.level_degree) for x in e])
+
+
+def _irreducible_by_reduction(field, reps) -> bool:
+    """True when reductions at degree-one primes prove irreducible the monic
+    g over `field`, a tower over Q, whose coefficients have the kernel
+    tuples `reps`; False claims nothing.  At a degree-one prime P = (p, y_i
+    - a_i) with
+    * p dividing no denominator of g or of a level's minimal polynomial, and
+    * each level's minimal polynomial m_i, reduced at the roots below,
+      squarefree mod p, so that a_i is a simple root of it,
+    the local ring is a discrete valuation ring with residue field F_p,
+    unramified over p.  A monic factor h of g has coefficients integral
+    over it, hence in it, so h mod P divides g mod P with the same degree.
+    Where
+    * g mod P is squarefree,
+    its distinct-degree split gives its factor degrees, and a factor of g
+    has a degree that is a sum of some of them.  The sums at several P,
+    kept as a bitmask, meeting in {0, deg g} prove g irreducible (Musser,
+    JACM 25 (1978); Cohen, GTM 138, 3.6).  The scan reads the first
+    REDUCTION_PRIMES primes p of the first condition and at most
+    REDUCTION_PLACES such P above them."""
+    d, levels = len(reps) - 1, field.chain()
+    den = lcm(*[c.v[-1] for level in levels for c in level.minpoly.coeffs], *[v[-1] for v in reps])
+    common, places = (1 << d + 1) - 1, 0
+    for p in itertools.islice((p for p in filter(is_prime, itertools.count(2)) if den % p), REDUCTION_PRIMES):
+        R = _fp_polys(p)
+        for e in _places(levels, p):
+            gbar = [_at(v, e, p) for v in reps]
+            if not _squarefree_mod(gbar, p):
+                continue
+            sums = 1
+            for prod, k in _ddf(R, gbar):
+                for _ in range(R.deg(prod) // k):
+                    sums |= sums << k
+            common &= sums
+            if common == 1 | 1 << d:
+                return True
+            places += 1
+            if places == REDUCTION_PLACES:
+                return False
+    return False
+
+
 def factor_over_extension(g: Poly) -> Factorization:
     """Complete factorization of g over its coefficient field g.dom, whichever
     field that is: the one factoring entry point.  Over Q it is `factor_q`
     with the cap raised to deg g, and over F_p or a finite tower `factor_ff`.
-    Over a tower of characteristic 0, Trager's method runs in the primitive
-    element's field K = Q[y]/(m_gamma) (`primitive_field`, reached by
-    `to_primitive` and left by `from_primitive`), where a product is one
-    integer product and one reduction mod m_gamma: squarefree part,
+    Over a tower of characteristic 0, once the norm degree is checked
+    against its cap, g is first proved irreducible, if it can be, by its
+    reductions at degree-one primes P of the tower
+    (`_irreducible_by_reduction`, which needs no primitive element): p must
+    divide no denominator, each level's minimal polynomial reduced at P
+    must be squarefree, and so must g mod P.  Otherwise Trager's method
+    runs in the primitive element's field K = Q[y]/(m_gamma)
+    (`primitive_field`, reached by `to_primitive` and left by
+    `from_primitive`), where a product is one integer product and one
+    reduction mod m_gamma: squarefree part,
     norm Res_y(m_gamma, g(t - s*y)), one factor per factor of the norm
     (`_split_by_norm`) and multiplicities.  The norm, of degree nd at
     most NORM_DEGREE_CAP for n = [K : Q] and d = deg g, comes from power sums
@@ -1001,6 +1087,9 @@ def factor_over_extension(g: Poly) -> Factorization:
 
     if work.degree * n > NORM_DEGREE_CAP:
         raise DegreeCap(f"norm degree {work.degree * n} exceeds cap {NORM_DEGREE_CAP}")
+
+    if _irreducible_by_reduction(dom, [c.v for c in work.coeffs]):
+        return Factorization(unit, ((work, 1),))
 
     K = dom.primitive_field()
     work_k = work.map_domain(K, dom.to_primitive)

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import operator
 import random
 import time
 from collections import Counter
@@ -19,7 +20,7 @@ from galoiskit.errors import (
     SearchExhausted,
     ZeroPolynomial,
 )
-from galoiskit.numbers import QQ, PrimeField, divisors
+from galoiskit.numbers import QQ, PrimeField, TowerElem, divisors
 from galoiskit.poly import (
     Poly,
     _cofactor_mod,
@@ -66,7 +67,7 @@ from galoiskit.factor import (
 )
 from galoiskit.tower import adjoin_root
 from test_poly import _compose, _list_divmod_mod, _norm_resultant, _poly_form, _primitive_reps, _trager_norm_cases
-from test_tower import _tower_elements
+from test_tower import LADDER, _tower_elements
 
 F2 = PrimeField(2)
 F3 = PrimeField(3)
@@ -1399,9 +1400,10 @@ def test_norm_primes_are_the_primes_below_2_61():
 
 
 def test_trager_norm_matches_the_oracle_on_the_ladder(monkeypatch):
-    """Every norm that splitting the seven ladder polynomials factors: the
-    accepted shift is the first whose oracle image mod the first norm prime
-    is squarefree of degree nd, and the integer norm is the subresultant's."""
+    """Every norm that splitting the seven ladder polynomials factors when no
+    remainder is proved irreducible by its reductions: the accepted shift is
+    the first whose oracle image mod the first norm prime is squarefree of
+    degree nd, and the integer norm is the subresultant's."""
     import galoiskit.factor as factor_mod
     from galoiskit.cli import parse_poly
     from galoiskit.splitting import splitting_field_q
@@ -1415,7 +1417,8 @@ def test_trager_norm_matches_the_oracle_on_the_ladder(monkeypatch):
         return out
 
     monkeypatch.setattr(factor_mod, "_trager_norm", checked)
-    for f in ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1"):
+    monkeypatch.setattr(factor_mod, "_irreducible_by_reduction", lambda field, reps: False)  # a norm every time
+    for f in LADDER:
         splitting_field_q(parse_poly(f))
     assert len(seen) >= 7 and max(seen) >= 24
 
@@ -1475,23 +1478,25 @@ def _all_gcd_split(sq, norm_factors, s):
 @functools.lru_cache(maxsize=None)
 def _ladder_norm_splits():
     """(sq, norm factors, shift) of every `_split_by_norm` call while the
-    ladder splits: norms with one, two and three factors among them."""
+    ladder splits with no remainder proved irreducible by its reductions:
+    norms with one, two and three factors among them."""
     import galoiskit.factor as factor_mod
     from galoiskit.cli import parse_poly
     from galoiskit.splitting import splitting_field_q
 
-    calls, real = [], factor_mod._split_by_norm
+    calls, real, proof = [], factor_mod._split_by_norm, factor_mod._irreducible_by_reduction
 
     def recorded(sq, norm_factors, s):
         calls.append((sq, norm_factors, s))
         return real(sq, norm_factors, s)
 
     factor_mod._split_by_norm = recorded
+    factor_mod._irreducible_by_reduction = lambda field, reps: False
     try:
-        for f in ("t^3-2", "t^4-2", "(t^2-2)*(t^2-3)*(t^2-5)", "t^5-5*t+12", "t^6-2", "t^5-2", "t^4-t-1"):
+        for f in LADDER:
             splitting_field_q(parse_poly(f))
     finally:
-        factor_mod._split_by_norm = real
+        factor_mod._split_by_norm, factor_mod._irreducible_by_reduction = real, proof
     return calls
 
 
@@ -1547,6 +1552,156 @@ def test_a_wrong_cofactor_fails_the_norm_split_checks(monkeypatch):
     monkeypatch.setattr(factor_mod, "poly_gcd", lambda f, g: poly_gcd(f, g) + 1)
     with pytest.raises(InternalInvariant):
         _split_by_norm(sq, norm_factors, s)
+
+
+# Trager norms built while splitting each ladder polynomial: every other
+# remainder is proved irreducible by its reductions at degree-one primes.
+LADDER_NORMS = (0, 0, 0, 2, 1, 0, 0)
+
+
+def _counting_proofs(monkeypatch):
+    """Counters of the `factor_over_extension` calls over a number field
+    decided by reduction and of the Trager norms built."""
+    import galoiskit.factor as factor_mod
+
+    counts, proof, norm = Counter(), factor_mod._irreducible_by_reduction, factor_mod._trager_norm
+
+    def counted_proof(field, reps):
+        out = proof(field, reps)
+        if out:
+            counts["reduction"] += 1
+        return out
+
+    def counted_norm(*args):
+        counts["norm"] += 1
+        return norm(*args)
+
+    monkeypatch.setattr(factor_mod, "_irreducible_by_reduction", counted_proof)
+    monkeypatch.setattr(factor_mod, "_trager_norm", counted_norm)
+    return counts
+
+
+def test_the_ladder_builds_only_the_pinned_trager_norms(monkeypatch):
+    from galoiskit.cli import parse_poly
+    from galoiskit.splitting import splitting_field_q
+
+    counts = _counting_proofs(monkeypatch)
+    norms = []
+    for f in LADDER:
+        counts.clear()
+        splitting_field_q(parse_poly(f))
+        norms.append(counts["norm"])
+        assert counts["reduction"] > 0 or counts["norm"] > 0
+    assert tuple(norms) == LADDER_NORMS
+
+
+def _over(m, g):
+    """g (rational coefficients, low to high) over Q[y]/(m)."""
+    K = adjoin_root(QQ, q(m), "y")[0]
+    return K, Poly(K, [K.coerce(QQ.coerce(c)) for c in g])
+
+
+def test_reduction_skips_a_double_root_of_the_field_polynomial(monkeypatch):
+    """t^2 + t + 1 has two roots in Q(sqrt(-3)) = Q[y]/(y^2 + 3).  Mod 2,
+    y^2 + 3 = (y + 1)^2 and t^2 + t + 1 is irreducible, so a scan that read
+    the double root y = 1 would prove a false irreducibility."""
+    counts = _counting_proofs(monkeypatch)
+    K, g = _over([3, 0, 1], [1, 1, 1])
+    fact = factor_over_extension(g)
+    assert [f.degree for f, _ in fact.factors] == [1, 1] and fact.expand(K) == g
+    assert counts == {"norm": 1}
+
+
+def test_reduction_skips_the_primes_of_a_denominator(monkeypatch):
+    """t^2 + 1/25 = (t - i/5)(t + i/5) over Q(i) = Q[y]/(y^2 + 1); 5 divides
+    the denominator, and y^2 + 1 = (y - 2)(y + 2) mod 5."""
+    counts = _counting_proofs(monkeypatch)
+    K, g = _over([1, 0, 1], [Fraction(1, 25), 0, 1])
+    fact = factor_over_extension(g)
+    y5 = K.generator() / K.from_int(5)
+    assert fact.factors == ((Poly(K, [-y5, K.one()]), 1), (Poly(K, [y5, K.one()]), 1))
+    assert counts == {"norm": 1}
+
+
+def test_reduction_skips_a_reduction_that_is_not_squarefree(monkeypatch):
+    """(t^2 + 2t + 6)(t^2 + 2t + 16) over Q(i) = Q[y]/(y^2 + 1) is (t + 1)^4
+    at both primes over 5, where the distinct-degree split of a square
+    reads the degrees (1, 3), and (2, 2) at the first prime over 13; a scan
+    that read the reductions over 5 would prove a false irreducibility."""
+    counts = _counting_proofs(monkeypatch)
+    K, g = _over([1, 0, 1], [96, 44, 26, 4, 1])
+    fact = factor_over_extension(g)
+    assert fact.factors == ((Poly(K, [6, 2, 1]), 1), (Poly(K, [16, 2, 1]), 1))
+    assert counts == {"norm": 1}
+
+
+def test_reduction_intersects_the_factor_degrees(monkeypatch):
+    """t^4 + 8t + 12 has group A4 on its roots, also over Q(sqrt(2)) (A4
+    has no subgroup of index 2), so no reduction is irreducible: the degree
+    patterns (1, 3) and (2, 2) at two degree-one primes prove it, with no
+    norm."""
+    counts = _counting_proofs(monkeypatch)
+    K, g = _over([-2, 0, 1], [12, 8, 0, 0, 1])
+    assert factor_over_extension(g).factors == ((g, 1),)
+    assert counts == {"reduction": 1}
+
+
+def _sweep_fields():
+    """Quadratic, cubic and two-level fields, one with a denominator in its
+    minimal polynomial, each with its generators."""
+    fields = []
+    for m in ([-2, 0, 1], [1, 0, 1], [Fraction(-1, 3), 0, 1], [-2, 0, 0, 1], [-1, -1, 0, 1]):
+        K, y = adjoin_root(QQ, q(m), "y")
+        fields.append((K, [y]))
+    A, a = adjoin_root(QQ, q([-2, 0, 1]), "a")
+    AB, b = adjoin_root(A, Poly(A, [-3, 0, 1]), "b")
+    C, c = adjoin_root(QQ, q([-2, 0, 0, 1]), "c")
+    CW, w = adjoin_root(C, Poly(C, [1, 1, 1]), "w")
+    return fields + [(AB, [AB.coerce(a), b]), (CW, [CW.coerce(c), w])]
+
+
+def test_reduction_agrees_with_forced_trager(monkeypatch):
+    """On seeded products of one to three monic factors of degree 1 to 3
+    over each of `_sweep_fields`, some with denominators or repeated,
+    `factor_over_extension` equals Trager's method with the reductions
+    switched off; and each g the reductions prove irreducible is one
+    factor, multiplicity 1, by Trager."""
+    import galoiskit.factor as factor_mod
+
+    proof, proved = factor_mod._irreducible_by_reduction, []
+
+    def recorded(field, reps):
+        out = proof(field, reps)
+        if out:
+            proved.append(Poly(field, [TowerElem(field, v) for v in reps]))
+        return out
+
+    def trager(g):
+        monkeypatch.setattr(factor_mod, "_irreducible_by_reduction", lambda field, reps: False)
+        out = factor_over_extension(g)
+        monkeypatch.setattr(factor_mod, "_irreducible_by_reduction", recorded)
+        return out
+
+    monkeypatch.setattr(factor_mod, "_irreducible_by_reduction", recorded)
+    rng = random.Random(53)
+    for K, gens in _sweep_fields():
+
+        def elem():
+            x = K.coerce(QQ.coerce(Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 5)))))
+            for g in gens:
+                x = x + g * K.from_int(rng.randint(-2, 2))
+            return x
+
+        for _ in range(8):
+            factors = [Poly(K, [elem() for _ in range(rng.randint(1, 3))] + [K.one()]) for _ in range(rng.randint(1, 3))]
+            if rng.random() < 0.2:
+                factors.append(factors[0])
+            for g in factors[:1] + [functools.reduce(operator.mul, factors)]:
+                if g.degree * K.absolute_degree() <= 64:
+                    assert factor_over_extension(g) == trager(g)
+    assert len(proved) >= 40 and {g.degree for g in proved} == {1, 2, 3}
+    for g in proved:
+        assert trager(g).factors == ((g, 1),)
 
 
 # Each mutant drops one term of a Newton recurrence (Tr(y'^e) from m_gamma,
